@@ -256,6 +256,9 @@ let run_machine ?store (fcfg : config) (spec : spec) : report =
   let finish c restarts =
     let eax = Cms.gpr c X86.Regs.eax in
     let ebx = Cms.gpr c X86.Regs.ebx in
+    (* read everything the report needs from [c] now, so the finished
+       machine is garbage before the mirror allocates a second one *)
+    let retired = Cms.retired c and stats = Cms.stats c in
     let divergence =
       if eax <> spec.s_expected_eax then
         Some
@@ -286,13 +289,13 @@ let run_machine ?store (fcfg : config) (spec : spec) : report =
       r_backoff = backoff_at fcfg restarts;
       r_kills = !kills;
       r_wedges = !wedges;
-      r_retired = Cms.retired c;
+      r_retired = retired;
       r_eax = eax;
       r_ebx = ebx;
       r_spec_violations = !spec_viol;
       r_divergence = divergence;
       r_degraded = store = None;
-      r_stats = Some (Cms.stats c);
+      r_stats = Some stats;
     }
   in
   let quarantine c_opt restarts cause =

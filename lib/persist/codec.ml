@@ -138,19 +138,31 @@ let r_end r =
    with a few hundred KiB live collapses to the live part. *)
 let sparse_chunk = 4096
 
-let w_sparse b data =
+(* Is [data.[off, off+len)] all zero?  Eight bytes per test, then the
+   unaligned tail byte by byte. *)
+let is_zero data off len =
+  let words = off + (len land lnot 7) and stop = off + len in
+  let rec word i =
+    i >= words || (Int64.equal (Bytes.get_int64_ne data i) 0L && word (i + 8))
+  in
+  let rec byte i =
+    i >= stop || (Bytes.unsafe_get data i = '\000' && byte (i + 1))
+  in
+  word off && byte words
+
+(** [live k] says whether chunk [k] (bytes [k * sparse_chunk] on) may be
+    non-zero; a chunk it rules out is emitted as zero without being
+    read.  The default reads every chunk.  The encoding is the same
+    either way as long as [live] never rules out a non-zero chunk. *)
+let w_sparse ?(live = fun _ -> true) b data =
   let total = Bytes.length data in
   w_int b total;
-  let zero off len =
-    let rec go i = i >= len || (Bytes.get data (off + i) = '\000' && go (i + 1)) in
-    go 0
-  in
   let chunks = ref [] in
   let nchunks = ref 0 in
   let off = ref 0 in
   while !off < total do
     let len = min sparse_chunk (total - !off) in
-    if not (zero !off len) then begin
+    if live (!off / sparse_chunk) && not (is_zero data !off len) then begin
       chunks := (!off, len) :: !chunks;
       incr nchunks
     end;
@@ -163,10 +175,14 @@ let w_sparse b data =
       w_string b (Bytes.sub_string data off len))
     (List.rev !chunks)
 
-let r_sparse r =
+(** Decode a sparse image into a destination of the caller's choosing:
+    [alloc total] makes a zeroed destination of [total] bytes, and
+    [blit dst off s] stores each non-zero chunk, after its bounds check.
+    Returns the destination. *)
+let r_sparse_into r ~alloc ~blit =
   let total = r_int r in
   if total < 0 then corrupt "%s: negative sparse image size %d" r.ctx total;
-  let data = Bytes.make total '\000' in
+  let dst = alloc total in
   let n = r_int r in
   if n < 0 then corrupt "%s: negative sparse chunk count %d" r.ctx n;
   for _ = 1 to n do
@@ -175,9 +191,14 @@ let r_sparse r =
     if off < 0 || off + String.length s > total then
       corrupt "%s: sparse chunk [%d, +%d) outside image of %d bytes" r.ctx off
         (String.length s) total;
-    Bytes.blit_string s 0 data off (String.length s)
+    blit dst off s
   done;
-  data
+  dst
+
+let r_sparse r =
+  r_sparse_into r
+    ~alloc:(fun total -> Bytes.make total '\000')
+    ~blit:(fun data off s -> Bytes.blit_string s 0 data off (String.length s))
 
 (* ------------------------------------------------------------------ *)
 (* Container                                                           *)

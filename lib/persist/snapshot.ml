@@ -54,6 +54,10 @@ let consistent (c : Cms.t) =
 (* Capture                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* PMEM chunks are RAM pages, so a page that {!Machine.Phys} never
+   saw written is a chunk the encoder may skip unread. *)
+let () = assert (Codec.sparse_chunk = Machine.Mmu.page_size)
+
 let capture ?(label = "") ?(injector : Journal.injector option) (c : Cms.t) :
     string =
   if not (consistent c) then
@@ -112,7 +116,9 @@ let capture ?(label = "") ?(injector : Journal.injector option) (c : Cms.t) :
   in
   let pmem =
     sec (fun b ->
-        Codec.w_sparse b mem.Machine.Mem.phys.Machine.Phys.data;
+        let phys = mem.Machine.Mem.phys in
+        Codec.w_sparse ~live:(Machine.Phys.written phys) b
+          phys.Machine.Phys.data;
         Codec.w_int b mem.Machine.Mem.page_prot_faults;
         Codec.w_int b mem.Machine.Mem.smc_events;
         Codec.w_int b mem.Machine.Mem.dma_smc_events;
@@ -292,16 +298,8 @@ let restore data : Cms.t * meta =
   let conf = sec "CONF" in
   let cfg = Stable.r_config conf in
   Codec.r_end conf;
-  (* RAM contents and size, and the disk image, come from the snapshot:
-     they are creation parameters of the platform. *)
-  let pmem = sec "PMEM" in
-  let ram = Codec.r_sparse pmem in
-  let page_prot_faults = Codec.r_int pmem in
-  let smc_events = Codec.r_int pmem in
-  let dma_smc_events = Codec.r_int pmem in
-  let fast_reads = Codec.r_int pmem in
-  let fast_writes = Codec.r_int pmem in
-  Codec.r_end pmem;
+  (* RAM size and the disk image come from the snapshot: they are
+     creation parameters of the platform. *)
   let disk = sec "DISK" in
   let d_sector = Codec.r_int disk in
   let d_dest = Codec.r_int disk in
@@ -312,10 +310,23 @@ let restore data : Cms.t * meta =
   let disk_image = Codec.r_sparse disk in
   Codec.r_end disk;
   (* No [Cms.boot]: booting would identity-map low memory and reset the
-     CPU; the snapshot carries the real page table and register file. *)
-  let c = Cms.create ~cfg ~ram_size:(Bytes.length ram) ~disk_image () in
+     CPU; the snapshot carries the real page table and register file.
+     RAM chunks decode straight into the new machine's zeroed RAM, so
+     exactly the pages the image carries are flagged written. *)
+  let pmem = sec "PMEM" in
+  let c =
+    Codec.r_sparse_into pmem
+      ~alloc:(fun ram_size -> Cms.create ~cfg ~ram_size ~disk_image ())
+      ~blit:(fun c addr s ->
+        Machine.Phys.blit_string (Cms.mem c).Machine.Mem.phys ~addr s)
+  in
+  let page_prot_faults = Codec.r_int pmem in
+  let smc_events = Codec.r_int pmem in
+  let dma_smc_events = Codec.r_int pmem in
+  let fast_reads = Codec.r_int pmem in
+  let fast_writes = Codec.r_int pmem in
+  Codec.r_end pmem;
   let mem = Cms.mem c in
-  Bytes.blit ram 0 mem.Machine.Mem.phys.Machine.Phys.data 0 (Bytes.length ram);
   mem.Machine.Mem.page_prot_faults <- page_prot_faults;
   mem.Machine.Mem.smc_events <- smc_events;
   mem.Machine.Mem.dma_smc_events <- dma_smc_events;
