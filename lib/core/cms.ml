@@ -79,6 +79,13 @@ let run_listing ?cfg ?ram_size ?disk_image ?map_mib ?stack ?max_insns listing
   (t, stop)
 
 (** Interpreter-only execution of the same listing (reference
-    semantics for differential testing). *)
+    semantics for differential testing, and the fleet's solo mirror).
+    Nothing ever reaches the translation threshold, so the background
+    translator would never get a request; it is off, so the dispatcher
+    does not poll an empty queue on every instruction. *)
 let interp_only_cfg =
-  { Config.default with Config.translate_threshold = max_int }
+  {
+    Config.default with
+    Config.translate_threshold = max_int;
+    background_translation = false;
+  }

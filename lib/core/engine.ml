@@ -883,7 +883,8 @@ let run ?(max_insns = max_int) t =
         match Tcache.lookup t.tcache eip with
         | Some tr -> run_translation t tr
         | None ->
-            let count = Profile.count t.profile eip in
+            let counter = Profile.counter t.profile eip in
+            let count = !counter in
             let hot = Adapt.hot t.adapt eip in
             (* halfway up the hotness climb: hand the region to the
                background translator and keep interpreting — the climb's
@@ -909,7 +910,7 @@ let run ?(max_insns = max_int) t =
                   t.stats.Stats.bg_overlap_insns <-
                     t.stats.Stats.bg_overlap_insns + 1
               | _ -> ());
-              ignore (Interp.step t.interp)
+              ignore (Interp.step_counted t.interp counter)
             end
     end
   done;

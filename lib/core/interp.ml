@@ -157,11 +157,11 @@ let ea cpu (m : Insn.mem) =
 let mem_read cpu ~size addr = Machine.Mem.read (Cpu.mem cpu) ~size addr
 let mem_write cpu ~size addr v = Machine.Mem.write (Cpu.mem cpu) ~size addr v
 
-let read_r8 cpu r = Regs.read8 ~read32:(Cpu.gpr cpu) r
+let read_r8 cpu r = Regs.get8 r (Cpu.gpr cpu (Regs.r8_gpr r))
 
 let write_r8 cpu r v =
-  let g, nv = Regs.write8 ~read32:(Cpu.gpr cpu) r v in
-  Cpu.set_gpr cpu g nv
+  let g = Regs.r8_gpr r in
+  Cpu.set_gpr cpu g (Regs.set8 r (Cpu.gpr cpu g) v)
 
 let read_rm cpu sz (rm : Insn.rm) =
   match (sz, rm) with
@@ -198,27 +198,29 @@ let pop32 cpu =
 (* Instruction semantics                                               *)
 (* ------------------------------------------------------------------ *)
 
-let arith_f : Insn.arith -> (F.size -> F.t -> int -> int -> int * F.t) =
-  function
-  | Insn.Add -> F.add
-  | Or -> F.or_
-  | Adc -> F.adc
-  | Sbb -> F.sbb
-  | And -> F.and_
-  | Sub -> F.sub
-  | Xor -> F.xor
-  | Cmp -> fun sz fl a b -> (a, F.cmp sz fl a b)
-  (* Cmp: result discarded via writes_result below *)
+(* The flag operations return {!F.packed} results; the per-group
+   dispatch is a direct [match], so no closure is built or applied. *)
+let arith op sz fl a b =
+  match op with
+  | Insn.Add -> F.add sz fl a b
+  | Or -> F.or_ sz fl a b
+  | Adc -> F.adc sz fl a b
+  | Sbb -> F.sbb sz fl a b
+  | And -> F.and_ sz fl a b
+  | Sub -> F.sub sz fl a b
+  | Xor -> F.xor sz fl a b
+  | Cmp -> F.cmp sz fl a b
+(* Cmp: result discarded via writes_result below *)
 
 let arith_writes_result = function Insn.Cmp -> false | _ -> true
 
-let shift_f : Insn.shift -> (F.size -> F.t -> int -> int -> int * F.t) =
-  function
-  | Insn.Shl -> F.shl
-  | Shr -> F.shr
-  | Sar -> F.sar
-  | Rol -> F.rol
-  | Ror -> F.ror
+let shift op sz fl a count =
+  match op with
+  | Insn.Shl -> F.shl sz fl a count
+  | Shr -> F.shr sz fl a count
+  | Sar -> F.sar sz fl a count
+  | Rol -> F.rol sz fl a count
+  | Ror -> F.ror sz fl a count
 
 (* Execute the REP-able string ops.  Each iteration is an architectural
    boundary: registers are updated per iteration and the whole
@@ -271,33 +273,29 @@ let exec_strop t pc ~next ~rep ~op ~size =
 
 let exec_insn t pc (f : Decode.fetched) =
   let cpu = t.cpu in
-  let fl () = Cpu.eflags cpu in
-  let set_fl v = Cpu.set_eflags cpu v in
   match f.Decode.insn with
   | Insn.Arith (op, sz, ops) -> (
-      let g = arith_f op in
       match ops with
       | Insn.RM_R (rm, r) ->
-          let a = read_rm cpu sz rm and b = read_reg cpu sz r in
-          let res, nf = g sz (fl ()) a b in
-          if arith_writes_result op then write_rm cpu sz rm res;
-          set_fl nf
-      | Insn.R_RM (r, rm) ->
-          let a = read_reg cpu sz r and b = read_rm cpu sz rm in
-          let res, nf = g sz (fl ()) a b in
-          if arith_writes_result op then write_reg cpu sz r res;
-          set_fl nf
-      | Insn.RM_I (rm, i) ->
           let a = read_rm cpu sz rm in
-          let res, nf = g sz (fl ()) a i in
-          if arith_writes_result op then write_rm cpu sz rm res;
-          set_fl nf)
+          let p = arith op sz (Cpu.eflags cpu) a (read_reg cpu sz r) in
+          if arith_writes_result op then write_rm cpu sz rm (F.result p);
+          Cpu.set_eflags cpu (F.flags p)
+      | Insn.R_RM (r, rm) ->
+          let b = read_rm cpu sz rm in
+          let p = arith op sz (Cpu.eflags cpu) (read_reg cpu sz r) b in
+          if arith_writes_result op then write_reg cpu sz r (F.result p);
+          Cpu.set_eflags cpu (F.flags p)
+      | Insn.RM_I (rm, i) ->
+          let p = arith op sz (Cpu.eflags cpu) (read_rm cpu sz rm) i in
+          if arith_writes_result op then write_rm cpu sz rm (F.result p);
+          Cpu.set_eflags cpu (F.flags p))
   | Insn.Test (sz, rm, src) ->
       let a = read_rm cpu sz rm in
       let b =
         match src with Insn.T_R r -> read_reg cpu sz r | Insn.T_I i -> i
       in
-      set_fl (F.test sz (fl ()) a b)
+      Cpu.set_eflags cpu (F.flags (F.test sz (Cpu.eflags cpu) a b))
   | Insn.Mov (sz, ops) -> (
       match ops with
       | Insn.RM_R (rm, r) -> write_rm cpu sz rm (read_reg cpu sz r)
@@ -313,19 +311,19 @@ let exec_insn t pc (f : Decode.fetched) =
       write_rm cpu sz rm b;
       write_reg cpu sz r a
   | Insn.Inc (sz, rm) ->
-      let v, nf = F.inc sz (fl ()) (read_rm cpu sz rm) in
-      write_rm cpu sz rm v;
-      set_fl nf
+      let p = F.inc sz (Cpu.eflags cpu) (read_rm cpu sz rm) in
+      write_rm cpu sz rm (F.result p);
+      Cpu.set_eflags cpu (F.flags p)
   | Insn.Dec (sz, rm) ->
-      let v, nf = F.dec sz (fl ()) (read_rm cpu sz rm) in
-      write_rm cpu sz rm v;
-      set_fl nf
+      let p = F.dec sz (Cpu.eflags cpu) (read_rm cpu sz rm) in
+      write_rm cpu sz rm (F.result p);
+      Cpu.set_eflags cpu (F.flags p)
   | Insn.Not (sz, rm) ->
       write_rm cpu sz rm (F.trunc sz (lnot (read_rm cpu sz rm)))
   | Insn.Neg (sz, rm) ->
-      let v, nf = F.neg sz (fl ()) (read_rm cpu sz rm) in
-      write_rm cpu sz rm v;
-      set_fl nf
+      let p = F.neg sz (Cpu.eflags cpu) (read_rm cpu sz rm) in
+      write_rm cpu sz rm (F.result p);
+      Cpu.set_eflags cpu (F.flags p)
   | Insn.Shift (op, sz, rm, count) ->
       let c =
         match count with
@@ -333,32 +331,27 @@ let exec_insn t pc (f : Decode.fetched) =
         | Insn.Cimm i -> i
         | Insn.Ccl -> Cpu.gpr cpu Regs.ecx land 0xff
       in
-      let v, nf = (shift_f op) sz (fl ()) (read_rm cpu sz rm) c in
-      write_rm cpu sz rm v;
-      set_fl nf
-  | Insn.Mul (sz, rm) | Insn.Imul1 (sz, rm) -> (
+      let p = shift op sz (Cpu.eflags cpu) (read_rm cpu sz rm) c in
+      write_rm cpu sz rm (F.result p);
+      Cpu.set_eflags cpu (F.flags p)
+  | Insn.Mul (sz, rm) | Insn.Imul1 (sz, rm) ->
       let signed = match f.Decode.insn with Insn.Imul1 _ -> true | _ -> false in
-      let g = if signed then F.imul else F.mul in
-      match sz with
-      | Insn.S8 ->
-          let lo, hi, nf = g Insn.S8 (fl ()) (read_r8 cpu 0) (read_rm cpu Insn.S8 rm) in
-          (* AX = AH:AL <- result *)
-          write_r8 cpu 0 lo;
-          write_r8 cpu 4 hi;
-          set_fl nf
-      | Insn.S32 ->
-          let lo, hi, nf =
-            g Insn.S32 (fl ()) (Cpu.gpr cpu Regs.eax) (read_rm cpu Insn.S32 rm)
-          in
-          Cpu.set_gpr cpu Regs.eax lo;
-          Cpu.set_gpr cpu Regs.edx hi;
-          set_fl nf)
+      (* AL or EAX times r/m; the product lands in AH:AL or EDX:EAX *)
+      let a = read_reg cpu sz Regs.eax and b = read_rm cpu sz rm in
+      let fl = Cpu.eflags cpu in
+      let p = if signed then F.imul sz fl a b else F.mul sz fl a b in
+      write_reg cpu sz Regs.eax (F.result p);
+      write_reg cpu sz
+        (match sz with Insn.S8 -> 4 (* AH *) | Insn.S32 -> Regs.edx)
+        (if signed then F.imul_hi sz a b else F.mul_hi sz a b);
+      Cpu.set_eflags cpu (F.flags p)
   | Insn.Imul2 (r, rm) ->
-      let lo, _, nf =
-        F.imul Insn.S32 (fl ()) (Cpu.gpr cpu r) (read_rm cpu Insn.S32 rm)
+      let p =
+        F.imul Insn.S32 (Cpu.eflags cpu) (Cpu.gpr cpu r)
+          (read_rm cpu Insn.S32 rm)
       in
-      Cpu.set_gpr cpu r lo;
-      set_fl nf
+      Cpu.set_gpr cpu r (F.result p);
+      Cpu.set_eflags cpu (F.flags p)
   | Insn.Div (sz, rm) | Insn.Idiv (sz, rm) -> (
       let signed = match f.Decode.insn with Insn.Idiv _ -> true | _ -> false in
       let g = if signed then F.idiv else F.div in
@@ -397,18 +390,18 @@ let exec_insn t pc (f : Decode.fetched) =
       | Insn.M m -> mem_write cpu ~size:4 (ea cpu m) v)
   | Insn.Pushf ->
       push32 cpu
-        (fl () lor (if cpu.Cpu.iflag then F.if_mask else 0))
+        (Cpu.eflags cpu lor (if cpu.Cpu.iflag then F.if_mask else 0))
   | Insn.Popf ->
       (* status bits into the native flags register; IF CMS-side *)
       let v = pop32 cpu in
-      set_fl (v land F.status_mask lor F.reserved);
+      Cpu.set_eflags cpu (v land F.status_mask lor F.reserved);
       cpu.Cpu.iflag <- v land F.if_mask <> 0
   | Insn.Jcc (cc, target) ->
-      let taken = F.eval_cond cc (fl ()) in
+      let taken = F.eval_cond cc (Cpu.eflags cpu) in
       Profile.note_branch t.profile pc ~taken;
       if taken then Cpu.set_eip cpu target
   | Insn.Setcc (cc, rm) ->
-      write_rm cpu Insn.S8 rm (if F.eval_cond cc (fl ()) then 1 else 0)
+      write_rm cpu Insn.S8 rm (if F.eval_cond cc (Cpu.eflags cpu) then 1 else 0)
   | Insn.Jmp target -> Cpu.set_eip cpu target
   | Insn.JmpInd rm -> Cpu.set_eip cpu (read_rm cpu Insn.S32 rm)
   | Insn.Call target ->
@@ -430,7 +423,7 @@ let exec_insn t pc (f : Decode.fetched) =
       let neip = pop32 cpu in
       let nfl = pop32 cpu in
       Cpu.set_eip cpu neip;
-      set_fl (nfl land F.status_mask lor F.reserved);
+      Cpu.set_eflags cpu (nfl land F.status_mask lor F.reserved);
       cpu.Cpu.iflag <- nfl land F.if_mask <> 0
   | Insn.In (sz, port) ->
       let p =
@@ -467,36 +460,49 @@ let exec_insn t pc (f : Decode.fetched) =
 (* The step function                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* One instruction at [pc], the committed EIP, already profiled. *)
+let step_at t pc =
+  let cpu = t.cpu in
+  let bus = Cpu.bus cpu in
+  let mmio_before = bus.Machine.Bus.mmio_reads + bus.Machine.Bus.mmio_writes in
+  match
+    let f = decode_at t pc in
+    Cpu.set_eip cpu (mask32 (pc + f.Decode.len));
+    exec_insn t pc f
+  with
+  | () ->
+      Cpu.commit cpu;
+      if bus.Machine.Bus.mmio_reads + bus.Machine.Bus.mmio_writes
+         <> mmio_before
+      then Profile.note_mmio t.profile pc;
+      t.stats.Stats.x86_interp <- t.stats.Stats.x86_interp + 1;
+      Stats.charge t.stats t.cfg.Config.interp_cost;
+      Stepped
+  | exception Exn.Fault fault ->
+      (* discard partial working state; memory writes are ordered
+         after all fault points, so none have happened *)
+      Cpu.rollback cpu;
+      t.stats.Stats.x86_interp <- t.stats.Stats.x86_interp + 1;
+      Stats.charge t.stats t.cfg.Config.interp_cost;
+      Cpu.deliver_fault cpu fault;
+      Faulted fault
+
 (** Execute exactly one x86 instruction at the committed EIP: decode,
     execute, commit; or fault, roll back, deliver.  Profiles execution
     counts, branch bias and MMIO usage on the way. *)
 let step t =
-  let cpu = t.cpu in
-  if cpu.Cpu.halted then Halted
+  if t.cpu.Cpu.halted then Halted
   else begin
-    let pc = Cpu.committed_eip cpu in
-    ignore (Profile.bump t.profile pc);
-    let bus = Cpu.bus cpu in
-    let mmio_before = bus.Machine.Bus.mmio_reads + bus.Machine.Bus.mmio_writes in
-    match
-      let f = decode_at t pc in
-      Cpu.set_eip cpu (mask32 (pc + f.Decode.len));
-      exec_insn t pc f
-    with
-    | () ->
-        Cpu.commit cpu;
-        if bus.Machine.Bus.mmio_reads + bus.Machine.Bus.mmio_writes
-           <> mmio_before
-        then Profile.note_mmio t.profile pc;
-        t.stats.Stats.x86_interp <- t.stats.Stats.x86_interp + 1;
-        Stats.charge t.stats t.cfg.Config.interp_cost;
-        Stepped
-    | exception Exn.Fault fault ->
-        (* discard partial working state; memory writes are ordered
-           after all fault points, so none have happened *)
-        Cpu.rollback cpu;
-        t.stats.Stats.x86_interp <- t.stats.Stats.x86_interp + 1;
-        Stats.charge t.stats t.cfg.Config.interp_cost;
-        Cpu.deliver_fault cpu fault;
-        Faulted fault
+    let pc = Cpu.committed_eip t.cpu in
+    Profile.bump t.profile pc;
+    step_at t pc
   end
+
+(** {!step} for a caller that has just read the committed EIP's
+    profile counter [c] with {!Profile.counter} (and changed no profile
+    state since): the count is bumped through [c], with no second
+    lookup.  The CPU must not be halted. *)
+let step_counted t c =
+  let pc = Cpu.committed_eip t.cpu in
+  Profile.bump_counter t.profile pc c;
+  step_at t pc

@@ -121,13 +121,13 @@ let store ctx ~idx ~size (base, disp) src =
 
 (* 8-bit register read: extract the byte from its backing GPR. *)
 let read8 ctx ~idx r =
-  let g, sh = Regs.gpr_of_r8 r in
+  let g = Regs.r8_gpr r and sh = Regs.r8_shift r in
   let t = vreg ctx in
   emit ctx ~idx (A.ExtField { rd = t; rs = g; shift = sh; width = 8; sign = false });
   t
 
 let write8 ctx ~idx r src =
-  let g, sh = Regs.gpr_of_r8 r in
+  let g = Regs.r8_gpr r and sh = Regs.r8_shift r in
   emit ctx ~idx (A.InsField { rd = g; rs = src; shift = sh; width = 8 })
 
 (** Read an r/m operand into a register (temps for memory and 8-bit). *)
@@ -308,7 +308,7 @@ let lower_insn ctx ~idx (info : Region.insn_info) =
   | Insn.Movx { sign; dst; src } -> (
       match src with
       | Insn.R r ->
-          let g, sh = Regs.gpr_of_r8 r in
+          let g = Regs.r8_gpr r and sh = Regs.r8_shift r in
           emit ctx ~idx (A.ExtField { rd = dst; rs = g; shift = sh; width = 8; sign })
       | Insn.M m ->
           let a = lower_addr ctx ~idx m in

@@ -4,7 +4,7 @@
 
 type branch_bias = { mutable taken : int; mutable not_taken : int }
 
-(* [bump] and [count] run once per interpreted instruction; a small
+(* [counter] and [bump_counter] run once per interpreted instruction; a small
    direct-mapped memo over the counts hashtable keeps the interpreter
    hot loop off the hashing path.  The memo caches the [int ref]
    stored in the table, so hits observe exactly the table's counts. *)
@@ -35,42 +35,39 @@ let create () =
     mmio_insns = Hashtbl.create 64;
   }
 
-let memo_find t eip =
+(* Stand-in counter for an EIP that has never been counted: reads as
+   0, and [bump_counter] replaces it rather than writing it. *)
+let absent = ref 0
+
+(** [eip]'s counter, through the memo; {!absent} when [eip] has no
+    count yet.  The dispatcher reads the count off it, then hands it
+    back to {!bump_counter} when it interprets, so an interpreted
+    instruction costs one profile lookup. *)
+let counter t eip =
   let slot = eip land memo_mask in
-  if Array.unsafe_get t.memo_eip slot = eip then
-    Some (Array.unsafe_get t.memo_ref slot)
+  if Array.unsafe_get t.memo_eip slot = eip then Array.unsafe_get t.memo_ref slot
   else
     match Hashtbl.find_opt t.exec_counts eip with
     | Some r ->
         t.memo_eip.(slot) <- eip;
         t.memo_ref.(slot) <- r;
-        Some r
-    | None -> None
+        r
+    | None -> absent
 
-(** Count one interpreted execution of the instruction at [eip];
-    returns the updated count. *)
-let bump t eip =
-  let slot = eip land memo_mask in
-  if Array.unsafe_get t.memo_eip slot = eip then begin
-    let r = Array.unsafe_get t.memo_ref slot in
-    incr r;
-    !r
+(** Count one interpreted execution of the instruction at [eip], whose
+    counter [c] was fetched by {!counter} with no profile change since. *)
+let bump_counter t eip c =
+  if c == absent then begin
+    let r = ref 1 in
+    Hashtbl.add t.exec_counts eip r;
+    let slot = eip land memo_mask in
+    t.memo_eip.(slot) <- eip;
+    t.memo_ref.(slot) <- r
   end
-  else
-    match Hashtbl.find_opt t.exec_counts eip with
-    | Some r ->
-        t.memo_eip.(slot) <- eip;
-        t.memo_ref.(slot) <- r;
-        incr r;
-        !r
-    | None ->
-        let r = ref 1 in
-        Hashtbl.add t.exec_counts eip r;
-        t.memo_eip.(slot) <- eip;
-        t.memo_ref.(slot) <- r;
-        1
+  else incr c
 
-let count t eip = match memo_find t eip with Some r -> !r | None -> 0
+(** Count one interpreted execution of the instruction at [eip]. *)
+let bump t eip = bump_counter t eip (counter t eip)
 
 (** Forget the count (after translating, so invalidation restarts the
     threshold climb). *)

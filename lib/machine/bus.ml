@@ -93,5 +93,13 @@ let port_write t port v =
   | Some h -> h.pwrite port v
   | None -> ()
 
-(** Advance device time by [molecules] executed host molecules. *)
-let tick t molecules = List.iter (fun f -> f molecules) t.tickers
+let rec tick_all molecules = function
+  | [] -> ()
+  | f :: rest ->
+      f molecules;
+      tick_all molecules rest
+
+(** Advance device time by [molecules] executed host molecules.  Runs
+    on every dispatch, so it walks the list directly rather than
+    building a [List.iter] closure. *)
+let tick t molecules = tick_all molecules t.tickers

@@ -55,28 +55,30 @@ let ctrl_sbuf = min_int
 exception Unsupported
 
 (* Pre-selected x86-flavoured ALU operation (the [Exec.eval_xop]
-   dispatch, resolved at compile time). *)
-let xop_fn op size =
+   dispatch, resolved at compile time).  Each arm is a full
+   three-argument closure returning an {!X86.Flags.packed} result, so
+   a molecule applies it directly: no partial application, no tuple. *)
+let xop_fn op size : int -> int -> int -> X86.Flags.packed =
   let open X86.Flags in
   match op with
-  | Atom.XAdd -> add size
-  | XAdc -> adc size
-  | XSub -> sub size
-  | XSbb -> sbb size
-  | XAnd -> and_ size
-  | XOr -> or_ size
-  | XXor -> xor size
-  | XShl -> shl size
-  | XShr -> shr size
-  | XSar -> sar size
-  | XRol -> rol size
-  | XRor -> ror size
+  | Atom.XAdd -> fun fl a b -> add size fl a b
+  | XAdc -> fun fl a b -> adc size fl a b
+  | XSub -> fun fl a b -> sub size fl a b
+  | XSbb -> fun fl a b -> sbb size fl a b
+  | XAnd -> fun fl a b -> and_ size fl a b
+  | XOr -> fun fl a b -> or_ size fl a b
+  | XXor -> fun fl a b -> xor size fl a b
+  | XShl -> fun fl a b -> shl size fl a b
+  | XShr -> fun fl a b -> shr size fl a b
+  | XSar -> fun fl a b -> sar size fl a b
+  | XRol -> fun fl a b -> rol size fl a b
+  | XRor -> fun fl a b -> ror size fl a b
   | XInc -> fun fl a _ -> inc size fl a
   | XDec -> fun fl a _ -> dec size fl a
   | XNeg -> fun fl a _ -> neg size fl a
-  | XNot -> fun fl a _ -> (trunc size (lnot a), fl)
-  | XTest -> fun fl a b -> (0, test size fl a b)
-  | XCmp -> fun fl a b -> (0, cmp size fl a b)
+  | XNot -> fun fl a _ -> pack (trunc size (lnot a)) fl
+  | XTest -> fun fl a b -> test size fl a b
+  | XCmp -> fun fl a b -> cmp size fl a b
 
 (* Pre-selected host ALU operation ([Exec.host_alu] resolved at
    compile time). *)
@@ -209,61 +211,57 @@ let compile_exn (ex : Exec.t) (code : Code.t) : t =
         let fwr = if writes_fl then reg fw else 0 in
         let has_rd = rd <> None in
         let rdr = match rd with Some r -> reg r | None -> 0 in
-        let run_apply r fl =
-          if has_rd then Array.unsafe_set w rdr r;
-          if writes_fl then Array.unsafe_set w fwr fl
+        let run_apply p =
+          if has_rd then Array.unsafe_set w rdr (X86.Flags.result p);
+          if writes_fl then Array.unsafe_set w fwr (X86.Flags.flags p)
         in
-        if fused then
-          ( None,
-            Some
-              (fun () ->
-                let fl_in =
-                  if reads_fl then Array.unsafe_get w frr
-                  else X86.Flags.initial
-                in
-                let r, fl = xf fl_in (fa ()) (fb ()) in
-                run_apply r fl) )
+        let eval () =
+          let fl_in =
+            if reads_fl then Array.unsafe_get w frr else X86.Flags.initial
+          in
+          xf fl_in (fa ()) (fb ())
+        in
+        if fused then (None, Some (fun () -> run_apply (eval ())))
         else
-          let cr = ref 0 and cf = ref 0 in
-          ( Some
-              (fun () ->
-                let fl_in =
-                  if reads_fl then Array.unsafe_get w frr
-                  else X86.Flags.initial
-                in
-                let r, fl = xf fl_in (fa ()) (fb ()) in
-                cr := r;
-                cf := fl),
-            Some (fun () -> run_apply !cr !cf) )
+          let cp = ref 0 in
+          (Some (fun () -> cp := eval ()), Some (fun () -> run_apply !cp))
     | MulX { signed; size; rd_lo; rd_hi; a; b; fr = _; fw } ->
         let fa = src a and fb = src b in
-        let f = if signed then X86.Flags.imul size else X86.Flags.mul size in
+        let f, f_hi =
+          if signed then
+            ( (fun fl a b -> X86.Flags.imul size fl a b),
+              fun a b -> X86.Flags.imul_hi size a b )
+          else
+            ( (fun fl a b -> X86.Flags.mul size fl a b),
+              fun a b -> X86.Flags.mul_hi size a b )
+        in
         let rlo = reg rd_lo in
         let writes_fl = fw >= 0 in
         let fwr = if writes_fl then reg fw else 0 in
         let has_hi = rd_hi <> None in
         let rhi = match rd_hi with Some r -> reg r | None -> 0 in
         (* staging order in {!Exec}: lo, flags, hi *)
-        let run_apply lo hi fl =
-          Array.unsafe_set w rlo lo;
-          if writes_fl then Array.unsafe_set w fwr fl;
+        let run_apply p hi =
+          Array.unsafe_set w rlo (X86.Flags.result p);
+          if writes_fl then Array.unsafe_set w fwr (X86.Flags.flags p);
           if has_hi then Array.unsafe_set w rhi hi
         in
         if fused then
           ( None,
             Some
               (fun () ->
-                let lo, hi, fl = f X86.Flags.initial (fa ()) (fb ()) in
-                run_apply lo hi fl) )
+                let a = fa () and b = fb () in
+                run_apply
+                  (f X86.Flags.initial a b)
+                  (if has_hi then f_hi a b else 0)) )
         else
-          let clo = ref 0 and chi = ref 0 and cf = ref 0 in
+          let cp = ref 0 and chi = ref 0 in
           ( Some
               (fun () ->
-                let lo, hi, fl = f X86.Flags.initial (fa ()) (fb ()) in
-                clo := lo;
-                chi := hi;
-                cf := fl),
-            Some (fun () -> run_apply !clo !chi !cf) )
+                let a = fa () and b = fb () in
+                cp := f X86.Flags.initial a b;
+                if has_hi then chi := f_hi a b),
+            Some (fun () -> run_apply !cp !chi) )
     | DivX { signed; size; rd_q; rd_r; hi; lo; divisor } ->
         let f = if signed then X86.Flags.idiv size else X86.Flags.div size in
         let rhi = reg hi and rlo = reg lo in

@@ -229,9 +229,9 @@ let eval_xop op size fl a b =
   | XInc -> inc size fl a
   | XDec -> dec size fl a
   | XNeg -> neg size fl a
-  | XNot -> (trunc size (lnot a), fl)
-  | XTest -> (0, test size fl a b)
-  | XCmp -> (0, cmp size fl a b)
+  | XNot -> pack (trunc size (lnot a)) fl
+  | XTest -> test size fl a b
+  | XCmp -> cmp size fl a b
 
 let eval_cmp cmp a b =
   match cmp with
@@ -308,23 +308,30 @@ let run ?(irq_pending = fun () -> false) t (code : Code.t) =
                 if fr >= 0 && Atom.xop_reads_flags op b then get fr
                 else X86.Flags.initial
               in
-              let r, fl = eval_xop op size fl_in (src a) (src b) in
+              let p = eval_xop op size fl_in (src a) (src b) in
               (match rd with
-              | Some rd -> push_eff t (Wreg (rd, r))
+              | Some rd -> push_eff t (Wreg (rd, X86.Flags.result p))
               | None -> ());
               (match op with
               | Atom.XNot -> ()
               | _ when fw < 0 -> ()
-              | _ -> push_eff t (Wreg (fw, fl)))
+              | _ -> push_eff t (Wreg (fw, X86.Flags.flags p)))
           | MulX { signed; size; rd_lo; rd_hi; a = ma; b = mb; fr = _; fw } ->
-              let a = ma and b = mb in
+              let a = src ma and b = src mb in
               let fl_in = X86.Flags.initial in
-              let f = if signed then X86.Flags.imul else X86.Flags.mul in
-              let lo, hi, fl = f size fl_in (src a) (src b) in
-              push_eff t (Wreg (rd_lo, lo));
-              if fw >= 0 then push_eff t (Wreg (fw, fl));
+              let p =
+                if signed then X86.Flags.imul size fl_in a b
+                else X86.Flags.mul size fl_in a b
+              in
+              push_eff t (Wreg (rd_lo, X86.Flags.result p));
+              if fw >= 0 then push_eff t (Wreg (fw, X86.Flags.flags p));
               (match rd_hi with
-              | Some r -> push_eff t (Wreg (r, hi))
+              | Some r ->
+                  let hi =
+                    if signed then X86.Flags.imul_hi size a b
+                    else X86.Flags.mul_hi size a b
+                  in
+                  push_eff t (Wreg (r, hi))
               | None -> ())
           | DivX { signed; size; rd_q; rd_r; hi; lo; divisor } -> (
               let f = if signed then X86.Flags.idiv else X86.Flags.div in

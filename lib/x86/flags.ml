@@ -61,95 +61,98 @@ let sext sz v =
 (** Truncate to size. *)
 let trunc sz v = v land mask sz
 
-let parity_even v =
-  let v = v land 0xff in
-  let v = v lxor (v lsr 4) in
-  let v = v lxor (v lsr 2) in
-  let v = v lxor (v lsr 1) in
-  v land 1 = 0
+(* ------------------------------------------------------------------ *)
+(* Packed results                                                      *)
+(* ------------------------------------------------------------------ *)
 
-(* Compose the six status flags; [old] supplies the untouched bits. *)
-let compose ~old ~cf ~pf ~af ~zf ~sf ~ovf =
-  let f = old land lnot status_mask in
-  let f = if cf then f lor cf_mask else f in
-  let f = if pf then f lor pf_mask else f in
-  let f = if af then f lor af_mask else f in
-  let f = if zf then f lor zf_mask else f in
-  let f = if sf then f lor sf_mask else f in
-  if ovf then f lor of_mask else f
+(* Every flag-setting operation returns its result and the new flags
+   word in one immediate int, [r lor (flags lsl 32)]: bits 0-31 hold
+   the masked result, bits 32-43 the EFLAGS bits 0-11.  One int instead
+   of a pair keeps the interpreter's and the closure executor's
+   per-instruction paths free of allocation.  A flags word is at most
+   31 bits wide, so it survives the round trip through [lsl 32]. *)
+type packed = int
 
-let szp sz r = ((r land mask sz) = 0, r land sign_mask sz <> 0, parity_even r)
+let pack r fl = r lor (fl lsl 32)
+let result (p : packed) = p land 0xffffffff
+let flags (p : packed) : t = p lsr 32
+
+(* PF: 1 when the low byte has even parity.  0x9669 has bit [i] set for
+   every nibble [i] with an even number of ones. *)
+let pf_bits r = ((0x9669 lsr ((r lxor (r lsr 4)) land 0xf)) land 1) lsl pf_bit
+
+(* ZF, SF and PF of a result already masked to [sz], in place. *)
+let szp sz r =
+  (if r = 0 then zf_mask else 0)
+  lor ((r lsr (bits sz - 8)) land sf_mask)
+  lor pf_bits r
+
+(* The six status bits of [fl] replaced by [st]. *)
+let with_status fl st = fl land lnot status_mask lor st
 
 (* ------------------------------------------------------------------ *)
 (* Addition / subtraction                                              *)
 (* ------------------------------------------------------------------ *)
 
-let add_c sz fl a b carry_in =
-  let a = trunc sz a and b = trunc sz b in
-  let cin = if carry_in then 1 else 0 in
+(* [cin] is the incoming carry or borrow, 0 or 1.  AF is bit 4 of
+   [a lxor b lxor r], the carry (or borrow) into bit 4; OF is the sign
+   bit of [(a lxor r) land (b lxor r)] for addition, of
+   [(a lxor b) land (a lxor r)] for subtraction. *)
+let add_c sz fl a b cin =
+  let n = bits sz and m = mask sz in
+  let a = a land m and b = b land m in
   let full = a + b + cin in
-  let r = trunc sz full in
-  let carry = full > mask sz in
-  let ovf =
-    let sa = a land sign_mask sz <> 0
-    and sb = b land sign_mask sz <> 0
-    and sr = r land sign_mask sz <> 0 in
-    sa = sb && sa <> sr
-  in
-  let auxc = (a land 0xf) + (b land 0xf) + cin > 0xf in
-  let zf, sf, pf = szp sz r in
-  (r, compose ~old:fl ~cf:carry ~pf ~af:auxc ~zf ~sf ~ovf)
+  let r = full land m in
+  pack r
+    (with_status fl
+       ((full lsr n) land 1
+       lor ((a lxor b lxor r) land af_mask)
+       lor ((((a lxor r) land (b lxor r)) lsr (n - 1)) land 1) lsl of_bit
+       lor szp sz r))
 
-let add sz fl a b = add_c sz fl a b false
-let adc sz fl a b = add_c sz fl a b (cf fl)
+let add sz fl a b = add_c sz fl a b 0
+let adc sz fl a b = add_c sz fl a b (fl land cf_mask)
 
-let sub_b sz fl a b borrow_in =
-  let a = trunc sz a and b = trunc sz b in
-  let bin = if borrow_in then 1 else 0 in
-  let full = a - b - bin in
-  let r = trunc sz full in
-  let carry = full < 0 in
-  let ovf =
-    let sa = a land sign_mask sz <> 0
-    and sb = b land sign_mask sz <> 0
-    and sr = r land sign_mask sz <> 0 in
-    sa <> sb && sa <> sr
-  in
-  let auxc = (a land 0xf) - (b land 0xf) - bin < 0 in
-  let zf, sf, pf = szp sz r in
-  (r, compose ~old:fl ~cf:carry ~pf ~af:auxc ~zf ~sf ~ovf)
+let sub_b sz fl a b cin =
+  let n = bits sz and m = mask sz in
+  let a = a land m and b = b land m in
+  let full = a - b - cin in
+  let r = full land m in
+  pack r
+    (with_status fl
+       ((full lsr n) land 1
+       lor ((a lxor b lxor r) land af_mask)
+       lor ((((a lxor b) land (a lxor r)) lsr (n - 1)) land 1) lsl of_bit
+       lor szp sz r))
 
-let sub sz fl a b = sub_b sz fl a b false
-let sbb sz fl a b = sub_b sz fl a b (cf fl)
-let cmp sz fl a b = snd (sub sz fl a b)
+let sub sz fl a b = sub_b sz fl a b 0
+let sbb sz fl a b = sub_b sz fl a b (fl land cf_mask)
+
+(* Flags-only operations keep a zero result field. *)
+let cmp sz fl a b = pack 0 (flags (sub sz fl a b))
 
 (* INC/DEC preserve CF. *)
 let inc sz fl a =
-  let r, f = add sz fl a 1 in
-  (r, (f land lnot cf_mask) lor (fl land cf_mask))
+  add sz fl a 1 land lnot (cf_mask lsl 32) lor ((fl land cf_mask) lsl 32)
 
 let dec sz fl a =
-  let r, f = sub sz fl a 1 in
-  (r, (f land lnot cf_mask) lor (fl land cf_mask))
+  sub sz fl a 1 land lnot (cf_mask lsl 32) lor ((fl land cf_mask) lsl 32)
 
-let neg sz fl a =
-  let r, f = sub sz fl 0 a in
-  (* NEG: CF = (src <> 0). The generic sub already computes that. *)
-  (r, f)
+(* NEG: CF = (src <> 0), which the generic sub already computes. *)
+let neg sz fl a = sub sz fl 0 a
 
 (* ------------------------------------------------------------------ *)
 (* Logic                                                               *)
 (* ------------------------------------------------------------------ *)
 
 let logic sz fl r =
-  let r = trunc sz r in
-  let zf, sf, pf = szp sz r in
-  (r, compose ~old:fl ~cf:false ~pf ~af:false ~zf ~sf ~ovf:false)
+  let r = r land mask sz in
+  pack r (with_status fl (szp sz r))
 
 let and_ sz fl a b = logic sz fl (a land b)
 let or_ sz fl a b = logic sz fl (a lor b)
 let xor sz fl a b = logic sz fl (a lxor b)
-let test sz fl a b = snd (and_ sz fl a b)
+let test sz fl a b = pack 0 (flags (and_ sz fl a b))
 
 (* ------------------------------------------------------------------ *)
 (* Shifts and rotates                                                  *)
@@ -158,68 +161,66 @@ let test sz fl a b = snd (and_ sz fl a b)
 (* x86 masks shift counts to 5 bits.  Count 0 leaves flags unchanged.
    OF is architecturally defined only for count 1; we define it by the
    count-1 formula for all counts (documented deviation, consistent
-   everywhere in this system). *)
+   everywhere in this system).  AF is cleared. *)
 
 let shl sz fl a count =
-  let count = count land 0x1f in
-  if count = 0 then (trunc sz a, fl)
+  let count = count land 0x1f and m = mask sz in
+  let a = a land m in
+  if count = 0 then pack a fl
   else
-    let a = trunc sz a in
     let n = bits sz in
-    let carry = count <= n && a land (1 lsl (n - count)) <> 0 in
-    let r = trunc sz (a lsl count) in
-    let zf, sf, pf = szp sz r in
-    let ovf = carry <> (r land sign_mask sz <> 0) in
-    (r, compose ~old:fl ~cf:carry ~pf ~af:false ~zf ~sf ~ovf)
+    let c = if count <= n then (a lsr (n - count)) land 1 else 0 in
+    let r = (a lsl count) land m in
+    pack r
+      (with_status fl
+         (c lor ((c lxor (r lsr (n - 1))) lsl of_bit) lor szp sz r))
 
+(* A count past the operand width shifts every bit out: [a lsr
+   (count - 1)] is then 0, so CF = 0 without a guard. *)
 let shr sz fl a count =
-  let count = count land 0x1f in
-  if count = 0 then (trunc sz a, fl)
+  let count = count land 0x1f and m = mask sz in
+  let a = a land m in
+  if count = 0 then pack a fl
   else
-    let a = trunc sz a in
-    let carry = count <= bits sz && a land (1 lsl (count - 1)) <> 0 in
     let r = a lsr count in
-    let zf, sf, pf = szp sz r in
-    let ovf = a land sign_mask sz <> 0 in
-    (r, compose ~old:fl ~cf:carry ~pf ~af:false ~zf ~sf ~ovf)
+    pack r
+      (with_status fl
+         ((a lsr (count - 1)) land 1
+         lor (((a lsr (bits sz - 1)) land 1) lsl of_bit)
+         lor szp sz r))
 
 let sar sz fl a count =
   let count = count land 0x1f in
-  if count = 0 then (trunc sz a, fl)
+  if count = 0 then pack (trunc sz a) fl
   else
     let a = sext sz a in
-    let carry = a asr (count - 1) land 1 <> 0 in
-    let r = trunc sz (a asr count) in
-    let zf, sf, pf = szp sz r in
-    (r, compose ~old:fl ~cf:carry ~pf ~af:false ~zf ~sf ~ovf:false)
+    let r = (a asr count) land mask sz in
+    pack r (with_status fl ((a asr (count - 1)) land 1 lor szp sz r))
+
+(* Rotates touch only CF and OF. *)
+let with_cf_of fl c o = fl land lnot (cf_mask lor of_mask) lor c lor (o lsl of_bit)
 
 let rol sz fl a count =
-  let n = bits sz in
-  let count = count land 0x1f in
-  if count = 0 then (trunc sz a, fl)
+  let count = count land 0x1f and m = mask sz in
+  let a = a land m in
+  if count = 0 then pack a fl
   else
-    let c = count mod n in
-    let a = trunc sz a in
-    let r = if c = 0 then a else trunc sz ((a lsl c) lor (a lsr (n - c))) in
-    let carry = r land 1 <> 0 in
-    let ovf = carry <> (r land sign_mask sz <> 0) in
-    let fl = if carry then fl lor cf_mask else fl land lnot cf_mask in
-    let fl = if ovf then fl lor of_mask else fl land lnot of_mask in
-    (r, fl)
+    let n = bits sz in
+    let c = count land (n - 1) in
+    let r = if c = 0 then a else ((a lsl c) lor (a lsr (n - c))) land m in
+    let cf = r land 1 in
+    pack r (with_cf_of fl cf (cf lxor (r lsr (n - 1))))
 
 let ror sz fl a count =
-  let n = bits sz in
-  let count = count land 0x1f in
-  if count = 0 then (trunc sz a, fl)
+  let count = count land 0x1f and m = mask sz in
+  let a = a land m in
+  if count = 0 then pack a fl
   else
-    let c = count mod n in
-    let a = trunc sz a in
-    let r = if c = 0 then a else trunc sz ((a lsr c) lor (a lsl (n - c))) in
-    let msb = r land sign_mask sz <> 0 in
-    let msb2 = r land (sign_mask sz lsr 1) <> 0 in
-    let fl = if msb then fl lor cf_mask else fl land lnot cf_mask in
-    let fl = if msb <> msb2 then fl lor of_mask else fl land lnot of_mask in
-    (r, fl)
+    let n = bits sz in
+    let c = count land (n - 1) in
+    let r = if c = 0 then a else ((a lsr c) lor (a lsl (n - c))) land m in
+    let msb = r lsr (n - 1) in
+    pack r (with_cf_of fl msb (msb lxor ((r lsr (n - 2)) land 1)))
 
 (* ------------------------------------------------------------------ *)
 (* Multiply / divide                                                   *)
@@ -227,32 +228,35 @@ let ror sz fl a count =
 
 (* MUL/IMUL: CF/OF indicate significant upper half.  ZF/SF/PF are
    architecturally undefined; we define them from the low result and set
-   AF = 0 (documented, used consistently system-wide). *)
+   AF = 0 (documented, used consistently system-wide).  The low half and
+   the flags come packed like every other operation; the upper half,
+   which does not fit beside them, comes from [mul_hi]/[imul_hi]. *)
 
 (* 32x32 products and 64/32 divides exceed OCaml's 63-bit [int]; do the
    wide arithmetic in [Int64] and come back to masked ints. *)
 
+let mul_hi sz a b =
+  let m = mask sz in
+  let full = Int64.mul (Int64.of_int (a land m)) (Int64.of_int (b land m)) in
+  Int64.to_int (Int64.shift_right_logical full (bits sz)) land m
+
 let mul sz fl a b =
-  let a = trunc sz a and b = trunc sz b in
-  let full = Int64.mul (Int64.of_int a) (Int64.of_int b) in
-  let lo = Int64.to_int (Int64.logand full 0xffffffffL) land mask sz in
-  let hi =
-    Int64.to_int (Int64.shift_right_logical full (bits sz)) land mask sz
-  in
-  let over = hi <> 0 in
-  let zf, sf, pf = szp sz lo in
-  (lo, hi, compose ~old:fl ~cf:over ~pf ~af:false ~zf ~sf ~ovf:over)
+  let lo = a land mask sz * (b land mask sz) land mask sz in
+  let over = if mul_hi sz a b <> 0 then cf_mask lor of_mask else 0 in
+  pack lo (with_status fl (over lor szp sz lo))
+
+let imul_full sz a b = Int64.mul (Int64.of_int (sext sz a)) (Int64.of_int (sext sz b))
+
+let imul_hi sz a b =
+  Int64.to_int (Int64.shift_right (imul_full sz a b) (bits sz)) land mask sz
 
 let imul sz fl a b =
-  let a = sext sz a and b = sext sz b in
-  let full = Int64.mul (Int64.of_int a) (Int64.of_int b) in
-  let lo = Int64.to_int (Int64.logand full (Int64.of_int (mask sz))) in
-  let hi =
-    Int64.to_int (Int64.shift_right full (bits sz)) land mask sz
+  let full = imul_full sz a b in
+  let lo = Int64.to_int full land mask sz in
+  let over =
+    if not (Int64.equal full (Int64.of_int (sext sz lo))) then cf_mask lor of_mask else 0
   in
-  let over = full <> Int64.of_int (sext sz lo) in
-  let zf, sf, pf = szp sz lo in
-  (lo, hi, compose ~old:fl ~cf:over ~pf ~af:false ~zf ~sf ~ovf:over)
+  pack lo (with_status fl (over lor szp sz lo))
 
 (** [div sz hi lo divisor] returns [Some (quot, rem)] or [None] on a #DE
     condition (divide by zero or quotient overflow).  Unsigned. *)

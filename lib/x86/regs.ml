@@ -24,19 +24,15 @@ let name8 = [| "al"; "cl"; "dl"; "bl"; "ah"; "ch"; "dh"; "bh" |]
 let pp32 fmt r = Fmt.string fmt name32.(r)
 let pp8 fmt r = Fmt.string fmt name8.(r)
 
-(** [gpr_of_r8 r] is the 32-bit register backing 8-bit register [r],
-    paired with the bit shift of the byte within it (0 or 8). *)
-let gpr_of_r8 r = if r < 4 then (r, 0) else (r - 4, 8)
+(** The 32-bit register backing 8-bit register [r], and the bit shift
+    of the byte within it (0 for AL..BL, 8 for AH..BH). *)
+let r8_gpr r = r land 3
+let r8_shift r = (r land 4) lsl 1
 
-(** Read the 8-bit register [r] out of a function giving 32-bit values. *)
-let read8 ~read32 r =
-  let g, sh = gpr_of_r8 r in
-  (read32 g lsr sh) land 0xff
+(** 8-bit register [r]'s byte out of [v32], its backing GPR's value. *)
+let get8 r v32 = (v32 lsr r8_shift r) land 0xff
 
-(** Compute the new 32-bit value of the GPR backing 8-bit register [r]
-    after storing byte [v] into it. *)
-let write8 ~read32 r v =
-  let g, sh = gpr_of_r8 r in
-  let old = read32 g in
-  let masked = old land lnot (0xff lsl sh) in
-  (g, masked lor ((v land 0xff) lsl sh))
+(** The backing GPR's new value after storing byte [v] into [r]. *)
+let set8 r v32 v =
+  let sh = r8_shift r in
+  v32 land lnot (0xff lsl sh) lor ((v land 0xff) lsl sh)

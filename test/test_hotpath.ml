@@ -86,8 +86,7 @@ let differential_tests =
 
 (* Pure interpretation, so the decode cache is the only code cache in
    play (no translations, no SMC page protection). *)
-let interp_cfg =
-  { Cms.Config.default with Cms.Config.translate_threshold = max_int }
+let interp_cfg = Cms.interp_only_cfg
 
 (* `l: mov eax, imm32 ; jmp l` — the imm32 lives at 0x1001, so a write
    there is self-modifying code on an unprotected, interpreted page:

@@ -14,89 +14,98 @@ let ci = Alcotest.int
 
 let f0 = Flags.initial
 
+(* result and flags of a packed operation *)
+let unpack p = (Flags.result p, Flags.flags p)
+
+(* low half, high half and flags of a widening multiply *)
+let wide ~signed sz fl a b =
+  let p = if signed then Flags.imul sz fl a b else Flags.mul sz fl a b in
+  let hi = if signed then Flags.imul_hi sz a b else Flags.mul_hi sz a b in
+  (Flags.result p, hi, Flags.flags p)
+
 let test_add_carry () =
-  let r, f = Flags.add S32 f0 0xffffffff 1 in
+  let r, f = unpack (Flags.add S32 f0 0xffffffff 1) in
   check ci "wraps" 0 r;
   check cb "CF" true (Flags.cf f);
   check cb "ZF" true (Flags.zf f);
   check cb "OF" false (Flags.of_ f)
 
 let test_add_overflow () =
-  let r, f = Flags.add S32 f0 0x7fffffff 1 in
+  let r, f = unpack (Flags.add S32 f0 0x7fffffff 1) in
   check ci "result" 0x80000000 r;
   check cb "OF" true (Flags.of_ f);
   check cb "CF" false (Flags.cf f);
   check cb "SF" true (Flags.sf f)
 
 let test_sub_borrow () =
-  let r, f = Flags.sub S32 f0 0 1 in
+  let r, f = unpack (Flags.sub S32 f0 0 1) in
   check ci "result" 0xffffffff r;
   check cb "CF" true (Flags.cf f);
   check cb "SF" true (Flags.sf f);
   check cb "OF" false (Flags.of_ f)
 
 let test_sub_overflow () =
-  let _, f = Flags.sub S32 f0 0x80000000 1 in
+  let _, f = unpack (Flags.sub S32 f0 0x80000000 1) in
   check cb "OF" true (Flags.of_ f);
   check cb "CF" false (Flags.cf f)
 
 let test_inc_preserves_cf () =
-  let _, f = Flags.add S32 f0 0xffffffff 1 in
+  let _, f = unpack (Flags.add S32 f0 0xffffffff 1) in
   (* CF set *)
-  let _, f' = Flags.inc S32 f 5 in
+  let _, f' = unpack (Flags.inc S32 f 5) in
   check cb "CF preserved" true (Flags.cf f');
-  let _, f'' = Flags.dec S32 f 0 in
+  let _, f'' = unpack (Flags.dec S32 f 0) in
   check cb "CF preserved by dec" true (Flags.cf f'')
 
 let test_logic_clears () =
-  let _, f = Flags.add S32 f0 0xffffffff 1 in
-  let r, f = Flags.and_ S32 f 0xf0 0x0f in
+  let _, f = unpack (Flags.add S32 f0 0xffffffff 1) in
+  let r, f = unpack (Flags.and_ S32 f 0xf0 0x0f) in
   check ci "and" 0 r;
   check cb "CF cleared" false (Flags.cf f);
   check cb "OF cleared" false (Flags.of_ f);
   check cb "ZF" true (Flags.zf f)
 
 let test_parity () =
-  let _, f = Flags.or_ S32 f0 0x3 0 in
+  let _, f = unpack (Flags.or_ S32 f0 0x3 0) in
   check cb "0x3 parity even" true (Flags.pf f);
-  let _, f = Flags.or_ S32 f0 0x7 0 in
+  let _, f = unpack (Flags.or_ S32 f0 0x7 0) in
   check cb "0x7 parity odd" false (Flags.pf f);
-  let _, f = Flags.or_ S32 f0 0x100 0 in
+  let _, f = unpack (Flags.or_ S32 f0 0x100 0) in
   (* parity looks at low byte only *)
   check cb "low byte only" true (Flags.pf f)
 
 let test_shl () =
-  let r, f = Flags.shl S32 f0 0x80000001 1 in
+  let r, f = unpack (Flags.shl S32 f0 0x80000001 1) in
   check ci "result" 2 r;
   check cb "CF = bit shifted out" true (Flags.cf f);
-  let r, f = Flags.shl S32 f0 1 0 in
+  let r, f = unpack (Flags.shl S32 f0 1 0) in
   check ci "count 0 identity" 1 r;
   check cb "count 0 flags unchanged" false (Flags.cf f)
 
 let test_sar_signed () =
-  let r, _ = Flags.sar S32 f0 0x80000000 4 in
+  let r, _ = unpack (Flags.sar S32 f0 0x80000000 4) in
   check ci "sign extends" 0xf8000000 r;
-  let r, _ = Flags.shr S32 f0 0x80000000 4 in
+  let r, _ = unpack (Flags.shr S32 f0 0x80000000 4) in
   check ci "shr zero extends" 0x08000000 r
 
 let test_mul_wide () =
-  let lo, hi, f = Flags.mul S32 f0 0xffffffff 0xffffffff in
+  let lo, hi, f = wide ~signed:false S32 f0 0xffffffff 0xffffffff in
   check ci "lo" 1 lo;
   check ci "hi" 0xfffffffe hi;
   check cb "CF" true (Flags.cf f);
-  let lo, hi, f = Flags.mul S32 f0 2 3 in
+  let lo, hi, f = wide ~signed:false S32 f0 2 3 in
   check ci "small lo" 6 lo;
   check ci "small hi" 0 hi;
   check cb "small CF clear" false (Flags.cf f)
 
 let test_imul_wide () =
   (* -1 * -1 = 1 *)
-  let lo, hi, f = Flags.imul S32 f0 0xffffffff 0xffffffff in
+  let lo, hi, f = wide ~signed:true S32 f0 0xffffffff 0xffffffff in
   check ci "lo" 1 lo;
   check ci "hi" 0 hi;
   check cb "no overflow" false (Flags.cf f);
   (* 0x10000 * 0x10000 overflows signed 32 *)
-  let lo, _, f = Flags.imul S32 f0 0x10000 0x10000 in
+  let lo, _, f = wide ~signed:true S32 f0 0x10000 0x10000 in
   check ci "lo wraps" 0 lo;
   check cb "overflow" true (Flags.cf f)
 
