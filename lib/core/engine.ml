@@ -49,6 +49,9 @@ type t = {
           [None] runs every translation synchronously *)
   mutable ticked : int;  (** molecules already reported to the bus *)
   mutable irq_sample : int;  (** divider for in-translation IRQ polls *)
+  mutable irq_poll : unit -> bool;
+      (** [irq_pending_poll] applied to this engine once, at creation:
+          every translation run samples it, so no run builds it *)
   mutable on_boundary : (int -> unit) option;
       (** Test/fuzz hook, called with the retired-instruction count at
           the top of every dispatch iteration — a consistent
@@ -105,6 +108,31 @@ type t = {
           the same eip *)
 }
 
+let perf t = t.cpu.Cpu.exec.Vliw.Exec.perf
+
+(** Total molecules so far (host-executed + cost model). *)
+let total_molecules t = Stats.total_molecules t.stats (perf t)
+
+let retired t = t.stats.Stats.x86_interp + (perf t).Vliw.Perf.x86_committed
+
+(* Advance device time to match consumed molecules. *)
+let tick_devices t =
+  let now = total_molecules t in
+  if now > t.ticked then begin
+    Machine.Bus.tick (Cpu.bus t.cpu) (now - t.ticked);
+    t.ticked <- now
+  end
+
+(* Sampled interrupt-pending check used while a translation runs: also
+   advances device time so timers can fire mid-translation.  Chaos can
+   spoof it: the translation exits (rolling back if mid-flight), the
+   dispatcher finds nothing to deliver — a pure spurious rollback. *)
+let irq_pending_poll t () =
+  t.irq_sample <- t.irq_sample + 1;
+  if t.irq_sample land 15 = 0 then tick_devices t;
+  Cpu.irq_deliverable t.cpu
+  || (match t.chaos with Some c -> c.irq_spoof () | None -> false)
+
 let create ?(cfg = Config.default) plat =
   let cpu = Cpu.create plat ~cfg in
   let stats = Stats.create () in
@@ -122,7 +150,8 @@ let create ?(cfg = Config.default) plat =
   in
   let t =
     { cfg; plat; cpu; interp; profile; stats; tcache; smc; adapt; bg;
-      ticked = 0; irq_sample = 0; on_boundary = None; chaos = None;
+      ticked = 0; irq_sample = 0; irq_poll = Fun.const false;
+      on_boundary = None; chaos = None;
       on_bg_consume = None; on_rollback = None;
       shared_source = None; on_fresh_translation = None;
       insn_limit = max_int; stall_eip = -1; last_retired = -1; stalls = 0 }
@@ -134,22 +163,8 @@ let create ?(cfg = Config.default) plat =
   (* generational eviction is the gentle one: only the evicted records'
      page protection needs re-deriving *)
   tcache.Tcache.on_evict <- (fun tr -> Smc.note_evicted smc tr);
+  t.irq_poll <- irq_pending_poll t;
   t
-
-let perf t = t.cpu.Cpu.exec.Vliw.Exec.perf
-
-(** Total molecules so far (host-executed + cost model). *)
-let total_molecules t = Stats.total_molecules t.stats (perf t)
-
-let retired t = t.stats.Stats.x86_interp + (perf t).Vliw.Perf.x86_committed
-
-(* Advance device time to match consumed molecules. *)
-let tick_devices t =
-  let now = total_molecules t in
-  if now > t.ticked then begin
-    Machine.Bus.tick (Cpu.bus t.cpu) (now - t.ticked);
-    t.ticked <- now
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Translator driver                                                   *)
@@ -532,19 +547,6 @@ let recover t (tr : Tcache.trans) (n : Vliw.Nexn.t) =
         Smc.invalidate ~cause:Tcache.Udemote t.smc tr ~keep_in_group:false
       end
   | Vliw.Nexn.Alias_violation _ ->
-      if Sys.getenv_opt "CMS_DEBUG_FAULTS" <> None then begin
-        Fmt.epr "[alias fault] entry=%#x execs=%d spec=%d insns=%d@."
-          tr.Tcache.entry tr.Tcache.execs tr.Tcache.spec_faults
-          (Region.instruction_count tr.Tcache.region);
-        if tr.Tcache.execs <= 1 then begin
-          Array.iteri
-            (fun i (info : Region.insn_info) ->
-              Fmt.epr "  x86[%d] %#x: %s@." i info.Region.addr
-                (X86.Insn.to_string info.Region.insn))
-            tr.Tcache.region.Region.insns;
-          Fmt.epr "%a@." Vliw.Code.pp tr.Tcache.code
-        end
-      end;
       tr.Tcache.spec_faults <- tr.Tcache.spec_faults + 1;
       t.stats.Stats.spec_faults <- t.stats.Stats.spec_faults + 1;
       ignore (replay_region t tr);
@@ -591,16 +593,6 @@ let deliver_irq t =
       Cpu.deliver t.cpu ~vector ~error_code:None
   | None -> ()
 
-(* Sampled interrupt-pending check used while a translation runs: also
-   advances device time so timers can fire mid-translation.  Chaos can
-   spoof it: the translation exits (rolling back if mid-flight), the
-   dispatcher finds nothing to deliver — a pure spurious rollback. *)
-let irq_pending_poll t () =
-  t.irq_sample <- t.irq_sample + 1;
-  if t.irq_sample land 15 = 0 then tick_devices t;
-  Cpu.irq_deliverable t.cpu
-  || (match t.chaos with Some c -> c.irq_spoof () | None -> false)
-
 (* Execute a translation's code: through its compiled closure when the
    steady-state tier is eligible (closures never carry the debug
    interlocks, so those force the {!Vliw.Exec} path), else the
@@ -615,20 +607,20 @@ let exec_code t (tr : Tcache.trans) =
     && not exec.Vliw.Exec.enforce_latency
   then
     match tr.Tcache.compiled with
-    | Tcache.Compiled c -> Vliw.Closure.run ~irq_pending:(irq_pending_poll t) c
+    | Tcache.Compiled c -> Vliw.Closure.run ~irq_pending:t.irq_poll c
     | Tcache.Uncompilable ->
-        Vliw.Exec.run ~irq_pending:(irq_pending_poll t) exec tr.Tcache.code
+        Vliw.Exec.run ~irq_pending:t.irq_poll exec tr.Tcache.code
     | Tcache.Not_compiled -> (
         match Vliw.Closure.compile exec tr.Tcache.code with
         | Some c ->
             tr.Tcache.compiled <- Tcache.Compiled c;
             t.stats.Stats.closures_compiled <-
               t.stats.Stats.closures_compiled + 1;
-            Vliw.Closure.run ~irq_pending:(irq_pending_poll t) c
+            Vliw.Closure.run ~irq_pending:t.irq_poll c
         | None ->
             tr.Tcache.compiled <- Tcache.Uncompilable;
-            Vliw.Exec.run ~irq_pending:(irq_pending_poll t) exec tr.Tcache.code)
-  else Vliw.Exec.run ~irq_pending:(irq_pending_poll t) exec tr.Tcache.code
+            Vliw.Exec.run ~irq_pending:t.irq_poll exec tr.Tcache.code)
+  else Vliw.Exec.run ~irq_pending:t.irq_poll exec tr.Tcache.code
 
 (* Run [tr] once.  Returns the successor translation when the exit
    taken is a healthy [Chained] fast exit — the caller decides whether

@@ -354,24 +354,22 @@ let exec_insn t pc (f : Decode.fetched) =
       Cpu.set_eflags cpu (F.flags p)
   | Insn.Div (sz, rm) | Insn.Idiv (sz, rm) -> (
       let signed = match f.Decode.insn with Insn.Idiv _ -> true | _ -> false in
-      let g = if signed then F.idiv else F.div in
+      let g = if signed then F.idiv_q else F.div_q in
       let divisor = read_rm cpu sz rm in
       match sz with
-      | Insn.S8 -> (
+      | Insn.S8 ->
           (* dividend = AX = AH:AL *)
-          match g Insn.S8 (read_r8 cpu 4) (read_r8 cpu 0) divisor with
-          | Some (q, r) ->
-              write_r8 cpu 0 q;
-              write_r8 cpu 4 r
-          | None -> raise (Exn.Fault Exn.DE))
-      | Insn.S32 -> (
-          match
-            g Insn.S32 (Cpu.gpr cpu Regs.edx) (Cpu.gpr cpu Regs.eax) divisor
-          with
-          | Some (q, r) ->
-              Cpu.set_gpr cpu Regs.eax q;
-              Cpu.set_gpr cpu Regs.edx r
-          | None -> raise (Exn.Fault Exn.DE)))
+          let lo = read_r8 cpu 0 in
+          let q = g Insn.S8 (read_r8 cpu 4) lo divisor in
+          if q < 0 then raise (Exn.Fault Exn.DE);
+          write_r8 cpu 0 q;
+          write_r8 cpu 4 (F.div_rem Insn.S8 lo divisor q)
+      | Insn.S32 ->
+          let lo = Cpu.gpr cpu Regs.eax in
+          let q = g Insn.S32 (Cpu.gpr cpu Regs.edx) lo divisor in
+          if q < 0 then raise (Exn.Fault Exn.DE);
+          Cpu.set_gpr cpu Regs.eax q;
+          Cpu.set_gpr cpu Regs.edx (F.div_rem Insn.S32 lo divisor q))
   | Insn.Cdq ->
       Cpu.set_gpr cpu Regs.edx
         (if Cpu.gpr cpu Regs.eax land 0x80000000 <> 0 then 0xffffffff else 0)

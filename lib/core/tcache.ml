@@ -70,6 +70,10 @@ type trans = {
           every chained transfer revalidates the successor, so
           correctness never rests on this list; it exists so
           invalidation can tear links down eagerly and count why. *)
+  self : trans option;
+      (** [Some] of this record, built once at insert: {!lookup} and
+          {!by_id} run on every dispatch and chained exit, and hand it
+          out instead of allocating a fresh option each time *)
 }
 
 type t = {
@@ -129,16 +133,24 @@ let create ~capacity =
     on_evict = (fun _ -> ());
   }
 
+(* [mem] then [find]: a hit costs a second hash of an int key, but
+   neither allocates an option nor raises on a miss. *)
+let find_valid tbl key =
+  if Hashtbl.mem tbl key then
+    let tr = Hashtbl.find tbl key in
+    if tr.valid then tr.self else None
+  else None
+
 let lookup t entry =
   (* checked once per dispatch; skip the hash while nothing is cached
      (the interpreter-warmup phase) *)
   if Hashtbl.length t.by_entry = 0 then None
   else
-    match Hashtbl.find_opt t.by_entry entry with
-    | Some tr when tr.valid ->
+    match find_valid t.by_entry entry with
+    | Some tr as found ->
         tr.gen <- t.cur_gen;
-        Some tr
-    | _ -> None
+        found
+    | None -> None
 
 (** Like {!lookup} but without refreshing the generation stamp.  The
     background translator's enqueue path probes with this: a
@@ -146,16 +158,9 @@ let lookup t entry =
     order under capacity pressure would diverge between background-on
     and background-off runs. *)
 let probe t entry =
-  if Hashtbl.length t.by_entry = 0 then None
-  else
-    match Hashtbl.find_opt t.by_entry entry with
-    | Some tr when tr.valid -> Some tr
-    | _ -> None
+  if Hashtbl.length t.by_entry = 0 then None else find_valid t.by_entry entry
 
-let by_id t id =
-  match Hashtbl.find_opt t.by_id id with
-  | Some tr when tr.valid -> Some tr
-  | _ -> None
+let by_id t id = find_valid t.by_id id
 
 (* ------------------------------------------------------------------ *)
 (* Chained-exit link bookkeeping                                       *)
@@ -354,7 +359,7 @@ let insert ?(unprotected = false) ?(aot = false) t ~entry ~code ~region ~policy
   (match Hashtbl.find_opt t.by_entry entry with
   | Some cur when cur.valid -> invalidate t cur ~keep_in_group:true
   | _ -> ());
-  let tr =
+  let rec tr =
     {
       id = t.next_id;
       entry;
@@ -373,6 +378,7 @@ let insert ?(unprotected = false) ?(aot = false) t ~entry ~code ~region ~policy
       aot;
       compiled = Not_compiled;
       in_links = [];
+      self = Some tr;
     }
   in
   t.next_id <- t.next_id + 1;

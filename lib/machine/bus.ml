@@ -52,12 +52,21 @@ let add_port t port h = Hashtbl.replace t.ports port h
 
 let add_ticker t f = t.tickers <- f :: t.tickers
 
-let find_mmio t paddr =
-  List.find_opt (fun h -> paddr >= h.lo && paddr < h.hi) t.mmio
+(* Direct list walks: both run on every bus access, and a
+   [List.find_opt] predicate would be a fresh closure each time. *)
+let rec find_in paddr = function
+  | [] -> None
+  | h :: rest -> if paddr >= h.lo && paddr < h.hi then Some h else find_in paddr rest
+
+let rec mmio_in paddr = function
+  | [] -> false
+  | h :: rest -> (paddr >= h.lo && paddr < h.hi) || mmio_in paddr rest
+
+let find_mmio t paddr = find_in paddr t.mmio
 
 (** Is this physical address in I/O space?  The hardware uses this to
     fault speculative (reordered) memory atoms, paper §3.4. *)
-let is_mmio t paddr = find_mmio t paddr <> None
+let is_mmio t paddr = mmio_in paddr t.mmio
 
 let read t paddr size =
   match find_mmio t paddr with

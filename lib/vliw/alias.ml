@@ -6,10 +6,15 @@
     compares every checked access against the armed ranges and faults on
     overlap.  Much simpler than a memory conflict buffer or the IA-64
     ALAT: the translator, not the hardware, decides what to track —
-    exactly the paper's point. *)
+    exactly the paper's point.
+
+    Layout: slot [i] protects [\[lo.(i), hi.(i))]; a disarmed slot holds
+    the empty range [\[max_int, min_int)], which no access overlaps.
+    Arming is two int stores and a check allocates nothing. *)
 
 type t = {
-  slots : (int * int) option array;  (** [lo, hi) per armed slot *)
+  lo : int array;
+  hi : int array;
   mutable any_armed : bool;
       (** at least one slot armed since the last clear; [clear] runs at
           every commit/rollback boundary (once per interpreted
@@ -21,42 +26,46 @@ type t = {
 
 let create ?(slots = 8) () =
   {
-    slots = Array.make slots None;
+    lo = Array.make slots max_int;
+    hi = Array.make slots min_int;
     any_armed = false;
     violations = 0;
     checks = 0;
     arms = 0;
   }
 
-let num_slots t = Array.length t.slots
+let num_slots t = Array.length t.lo
 
 let arm t ~slot ~paddr ~len =
   t.arms <- t.arms + 1;
   t.any_armed <- true;
-  t.slots.(slot) <- Some (paddr, paddr + len)
+  t.lo.(slot) <- paddr;
+  t.hi.(slot) <- paddr + len
+
+(* First slot at or above [i] in [mask] whose range overlaps [lo, hi),
+   or -1; stops at the mask's last bit. *)
+let rec first_hit t mask lo hi i =
+  if i >= Array.length t.lo || mask lsr i = 0 then -1
+  else if
+    mask land (1 lsl i) <> 0
+    && lo < Array.unsafe_get t.hi i
+    && Array.unsafe_get t.lo i < hi
+  then i
+  else first_hit t mask lo hi (i + 1)
 
 (** Check a range against every slot in [mask]; returns the first
-    overlapping slot. *)
+    overlapping slot, or -1 when none overlaps. *)
 let check t ~mask ~paddr ~len =
   t.checks <- t.checks + 1;
-  let lo = paddr and hi = paddr + len in
-  let n = Array.length t.slots in
-  let rec go i =
-    if i >= n then None
-    else if mask land (1 lsl i) <> 0 then
-      match t.slots.(i) with
-      | Some (slo, shi) when lo < shi && slo < hi ->
-          t.violations <- t.violations + 1;
-          Some i
-      | _ -> go (i + 1)
-    else go (i + 1)
-  in
-  go 0
+  let i = first_hit t mask paddr (paddr + len) 0 in
+  if i >= 0 then t.violations <- t.violations + 1;
+  i
 
 (** Disarm everything; done at commit and rollback boundaries (alias
     protection never outlives a translation window). *)
 let clear t =
   if t.any_armed then begin
-    Array.fill t.slots 0 (Array.length t.slots) None;
+    Array.fill t.lo 0 (Array.length t.lo) max_int;
+    Array.fill t.hi 0 (Array.length t.hi) min_int;
     t.any_armed <- false
   end

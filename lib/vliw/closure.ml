@@ -41,6 +41,9 @@ type t = {
   code : Code.t;  (** the source block (identity / debug dumps) *)
   ex : Exec.t;  (** the execution state the closures are bound to *)
   mols : (unit -> int) array;  (** one compiled closure per molecule *)
+  exits : Exec.outcome array;
+      (** [Exited i] for every exit-table entry, built once so leaving
+          a translation allocates nothing *)
 }
 
 (* Control encoding returned by a molecule closure:
@@ -79,6 +82,26 @@ let xop_fn op size : int -> int -> int -> X86.Flags.packed =
   | XNot -> fun fl a _ -> pack (trunc size (lnot a)) fl
   | XTest -> fun fl a b -> test size fl a b
   | XCmp -> fun fl a b -> cmp size fl a b
+
+(** The result of [op] at [size] when nothing reads its flags output
+    and its flags input cannot change the result: a masked host
+    operation, or [None] for the ops whose result needs the flags
+    ([adc], [sbb]) or that this path leaves to {!xop_fn} (shifts,
+    rotates, and the flags-only [test]/[cmp]).  Unary ops ignore [b].
+    Agrees with [X86.Flags.result] of {!xop_fn} on every input. *)
+let result_fn op size : (int -> int -> int) option =
+  let m = X86.Flags.mask size in
+  match op with
+  | Atom.XAdd -> Some (fun a b -> (a + b) land m)
+  | XSub -> Some (fun a b -> (a - b) land m)
+  | XAnd -> Some (fun a b -> a land b land m)
+  | XOr -> Some (fun a b -> (a lor b) land m)
+  | XXor -> Some (fun a b -> (a lxor b) land m)
+  | XInc -> Some (fun a _ -> (a + 1) land m)
+  | XDec -> Some (fun a _ -> (a - 1) land m)
+  | XNeg -> Some (fun a _ -> -a land m)
+  | XNot -> Some (fun a _ -> lnot a land m)
+  | XAdc | XSbb | XShl | XShr | XSar | XRol | XRor | XTest | XCmp -> None
 
 (* Pre-selected host ALU operation ([Exec.host_alu] resolved at
    compile time). *)
@@ -200,6 +223,32 @@ let compile_exn (ex : Exec.t) (code : Code.t) : t =
           let c = ref 0 in
           ( Some (fun () -> c := f (Array.unsafe_get w ra) (fb ())),
             Some (fun () -> Array.unsafe_set w rd !c) )
+    | AluX { op; size; rd = Some rd; a; b; fr; fw }
+      when (not (fr >= 0 && Atom.xop_reads_flags op b))
+           && (fw < 0 || op = Atom.XNot)
+           && Option.is_some (result_fn op size) ->
+        (* dead flags: the result alone, read straight from the slots *)
+        let f = Option.get (result_fn op size) in
+        let rd = reg rd in
+        let value =
+          match (a, b) with
+          | Atom.R ra, Atom.R rb ->
+              let ra = reg ra and rb = reg rb in
+              fun () -> f (Array.unsafe_get w ra) (Array.unsafe_get w rb)
+          | Atom.R ra, Atom.I i ->
+              let ra = reg ra and vb = Exec.mask32 i in
+              fun () -> f (Array.unsafe_get w ra) vb
+          | Atom.I i, Atom.R rb ->
+              let va = Exec.mask32 i and rb = reg rb in
+              fun () -> f va (Array.unsafe_get w rb)
+          | Atom.I i, Atom.I j ->
+              let v = f (Exec.mask32 i) (Exec.mask32 j) in
+              fun () -> v
+        in
+        if fused then (None, Some (fun () -> Array.unsafe_set w rd (value ())))
+        else
+          let c = ref 0 in
+          (Some (fun () -> c := value ()), Some (fun () -> Array.unsafe_set w rd !c))
     | AluX { op; size; rd; a; b; fr; fw } ->
         let fa = src a and fb = src b in
         let xf = xop_fn op size in
@@ -263,22 +312,21 @@ let compile_exn (ex : Exec.t) (code : Code.t) : t =
                 if has_hi then chi := f_hi a b),
             Some (fun () -> run_apply !cp !chi) )
     | DivX { signed; size; rd_q; rd_r; hi; lo; divisor } ->
-        let f = if signed then X86.Flags.idiv size else X86.Flags.div size in
+        let f = if signed then X86.Flags.idiv_q size else X86.Flags.div_q size in
         let rhi = reg hi and rlo = reg lo in
         let fd = src divisor in
         let rq = reg rd_q and rr = reg rd_r in
         let cq = ref 0 and cr = ref 0 in
         ( Some
             (fun () ->
-              match
-                f (Array.unsafe_get w rhi) (Array.unsafe_get w rlo) (fd ())
-              with
-              | Some (q, r) ->
-                  cq := q;
-                  cr := r
-              | None ->
-                  perf.Perf.x86_fault_atoms <- perf.Perf.x86_fault_atoms + 1;
-                  Exec.fault (Nexn.X86_fault X86.Exn.DE)),
+              let l = Array.unsafe_get w rlo and d = fd () in
+              let q = f (Array.unsafe_get w rhi) l d in
+              if q < 0 then begin
+                perf.Perf.x86_fault_atoms <- perf.Perf.x86_fault_atoms + 1;
+                Exec.fault (Nexn.X86_fault X86.Exn.DE)
+              end;
+              cq := q;
+              cr := X86.Flags.div_rem size l d q),
           Some
             (fun () ->
               Array.unsafe_set w rq !cq;
@@ -482,7 +530,12 @@ let compile_exn (ex : Exec.t) (code : Code.t) : t =
       body ();
       cc.ctrl
   in
-  { code; ex; mols = Array.mapi compile_molecule code.Code.molecules }
+  {
+    code;
+    ex;
+    mols = Array.mapi compile_molecule code.Code.molecules;
+    exits = Array.init (Array.length code.Code.exits) (fun i -> Exec.Exited i);
+  }
 
 (** Compile [code] against [ex]'s state; [None] when the block is not
     closure-compilable (a register index outside the working array —
@@ -493,24 +546,23 @@ let compile ex code =
   | t -> Some t
   | exception Unsupported -> None
 
+(* The dispatch loop: top-level, so a run allocates no closure for it
+   and keeps the molecule budget in an argument instead of a [ref]. *)
+let rec step t irq_pending budget pc =
+  if budget <= 0 then Exec.Runaway
+  else if irq_pending () then Exec.Interrupted
+  else
+    match (Array.get t.mols pc : unit -> int) () with
+    | r ->
+        if r >= 0 then step t irq_pending (budget - 1) r
+        else if r <> ctrl_sbuf then Array.get t.exits (-r - 1)
+        else Exec.Faulted Nexn.Sbuf_overflow
+    | exception Exec.Fault_ n -> Exec.Faulted n
+
 (** Execute until an exit, fault, interrupt or the molecule budget —
     the closure-compiled equivalent of {!Exec.run}, with identical
     outcome semantics and counter updates.  [irq_pending] is sampled
-    between molecules, like {!Exec.run}. *)
-let run ?(irq_pending = fun () -> false) (t : t) =
-  let mols = t.mols in
-  let budget = ref t.ex.Exec.max_molecules_per_run in
-  let rec step pc =
-    if !budget <= 0 then Exec.Runaway
-    else if irq_pending () then Exec.Interrupted
-    else begin
-      decr budget;
-      match mols.(pc) () with
-      | r ->
-          if r >= 0 then step r
-          else if r <> ctrl_sbuf then Exec.Exited (-r - 1)
-          else Exec.Faulted Nexn.Sbuf_overflow
-      | exception Exec.Fault_ n -> Exec.Faulted n
-    end
-  in
-  step 0
+    between molecules, like {!Exec.run}; it is not optional, so a call
+    wraps nothing. *)
+let run ~irq_pending (t : t) =
+  step t irq_pending t.ex.Exec.max_molecules_per_run 0

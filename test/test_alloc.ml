@@ -75,6 +75,87 @@ let test_closure_alux_no_alloc () =
       if words > 16. then
         Alcotest.failf "%.0f minor words over %d molecule pairs" words runs
 
+(* One pass through the translated memory path, closure-compiled: a
+   plain load and a protected (alias-arming) speculative load, a
+   checked speculative store and a plain byte store, then a commit that
+   drains both stores to RAM. *)
+let mem_block =
+  let open Vliw in
+  {
+    Code.molecules =
+      [|
+        [|
+          Atom.Load
+            { rd = 20; base = 21; disp = 0; size = 4; spec = false;
+              protect = None; check = 0 };
+          Atom.Load
+            { rd = 22; base = 21; disp = 0x40; size = 4; spec = true;
+              protect = Some 0; check = 0 };
+        |];
+        [|
+          Atom.Store
+            { rs = Atom.R 20; base = 21; disp = 0x80; size = 4; spec = true;
+              check = 0b1 };
+          Atom.Store
+            { rs = Atom.I 5; base = 21; disp = 0xc1; size = 1; spec = false;
+              check = 0 };
+        |];
+        [| Atom.Commit 1 |];
+      |];
+    exits = [||];
+  }
+
+let test_closure_mem_no_alloc () =
+  let mem = Machine.Mem.create ~ram_size:(1 lsl 20) () in
+  Machine.Mmu.map_identity mem.Machine.Mem.mmu ~virt:0 ~pages:256
+    ~writable:true;
+  let ex = Vliw.Exec.create ~sbuf_capacity:8 ~alias_slots:8 mem in
+  let regs = ex.Vliw.Exec.regs in
+  Vliw.Regfile.set regs 21 0x4000;
+  Machine.Mem.write mem ~size:4 0x4000 0x11223344;
+  match Vliw.Closure.compile ex mem_block with
+  | None -> Alcotest.fail "memory block did not closure-compile"
+  | Some t ->
+      let pass () =
+        Array.iter (fun m -> ignore (m () : int)) t.Vliw.Closure.mols
+      in
+      pass ();
+      let runs = 100_000 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to runs do
+        pass ()
+      done;
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check int) "stored" 0x11223344
+        (Machine.Mem.read mem ~size:4 0x4080);
+      Alcotest.(check int) "byte stored" 5 (Machine.Mem.read mem ~size:1 0x40c1);
+      Alcotest.(check int) "drained" 0 ex.Vliw.Exec.sbuf.Vliw.Storebuf.count;
+      if words > 16. then
+        Alcotest.failf "%.1f minor words per pass (budget 0)"
+          (words /. float_of_int runs)
+
+(* The bench hotpath loop in the production configuration: the
+   translator, closures, chaining and the memory atoms all run.
+   Translation and the background translator's start-up allocate a
+   fixed ~2.6M words; over five million retired instructions that
+   amortizes to about half a word. *)
+let test_hotpath_words_per_insn () =
+  let c = Cms.create ~cfg:Cms.Config.default () in
+  Cms.load c (Workloads.Hotpath.listing ~iters:100_000);
+  Cms.boot c ~entry:Workloads.Hotpath.entry;
+  let w0 = Gc.minor_words () in
+  let stop = Cms.run c in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "halted" true (stop = Cms.Engine.Halted);
+  let insns = Cms.retired c in
+  Alcotest.(check bool) "ran" true (insns > 5_000_000);
+  Alcotest.(check bool) "mostly translated" true
+    ((Cms.perf c).Vliw.Perf.x86_committed > insns / 2);
+  let per_insn = words /. float_of_int insns in
+  if per_insn > 2.0 then
+    Alcotest.failf "%.2f minor words per retired instruction (budget 2)"
+      per_insn
+
 let suites =
   [
     ( "alloc",
@@ -83,5 +164,9 @@ let suites =
           test_interp_words_per_insn;
         Alcotest.test_case "closure AluX allocates nothing" `Quick
           test_closure_alux_no_alloc;
+        Alcotest.test_case "closure load/store/commit allocates nothing"
+          `Quick test_closure_mem_no_alloc;
+        Alcotest.test_case "hotpath loop <= 2 words/insn" `Quick
+          test_hotpath_words_per_insn;
       ] );
   ]

@@ -140,13 +140,13 @@ let test_sbuf_overflow () =
 let test_alias_overlap () =
   let a = Alias.create ~slots:4 () in
   Alias.arm a ~slot:1 ~paddr:0x100 ~len:4;
-  check cb "disjoint ok" true (Alias.check a ~mask:0b0010 ~paddr:0x104 ~len:4 = None);
-  check cb "overlap" true (Alias.check a ~mask:0b0010 ~paddr:0x102 ~len:4 = Some 1);
+  check cb "disjoint ok" true (Alias.check a ~mask:0b0010 ~paddr:0x104 ~len:4 = -1);
+  check cb "overlap" true (Alias.check a ~mask:0b0010 ~paddr:0x102 ~len:4 = 1);
   (* unchecked slot is invisible *)
   check cb "mask respected" true
-    (Alias.check a ~mask:0b0001 ~paddr:0x102 ~len:4 = None);
+    (Alias.check a ~mask:0b0001 ~paddr:0x102 ~len:4 = -1);
   Alias.clear a;
-  check cb "cleared" true (Alias.check a ~mask:0b1111 ~paddr:0x100 ~len:4 = None)
+  check cb "cleared" true (Alias.check a ~mask:0b1111 ~paddr:0x100 ~len:4 = -1)
 
 (* ------------------------------------------------------------------ *)
 (* Molecule constraints                                                *)
