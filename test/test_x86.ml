@@ -110,24 +110,20 @@ let test_imul_wide () =
   check cb "overflow" true (Flags.cf f)
 
 let test_div () =
-  (match Flags.div S32 0 100 7 with
-  | Some (q, r) ->
-      check ci "q" 14 q;
-      check ci "r" 2 r
-  | None -> Alcotest.fail "div faulted");
-  check cb "div by zero" true (Flags.div S32 0 1 0 = None);
+  let q = Flags.div_q S32 0 100 7 in
+  check ci "q" 14 q;
+  check ci "r" 2 (Flags.div_rem S32 100 7 q);
+  check ci "div by zero" (-1) (Flags.div_q S32 0 1 0);
   (* hi:lo = 2^32, divisor 1 -> quotient overflow *)
-  check cb "quotient overflow" true (Flags.div S32 1 0 1 = None)
+  check ci "quotient overflow" (-1) (Flags.div_q S32 1 0 1)
 
 let test_idiv () =
-  (match Flags.idiv S32 0xffffffff 0xffffff9c 7 with
   (* -100 / 7 = -14 rem -2, truncation toward zero *)
-  | Some (q, r) ->
-      check ci "q" 0xfffffff2 q;
-      check ci "r" 0xfffffffe r
-  | None -> Alcotest.fail "idiv faulted");
+  let q = Flags.idiv_q S32 0xffffffff 0xffffff9c 7 in
+  check ci "q" 0xfffffff2 q;
+  check ci "r" 0xfffffffe (Flags.div_rem S32 0xffffff9c 7 q);
   (* INT_MIN / -1 overflows *)
-  check cb "overflow" true (Flags.idiv S32 0xffffffff 0x80000000 0xffffffff = None)
+  check ci "overflow" (-1) (Flags.idiv_q S32 0xffffffff 0x80000000 0xffffffff)
 
 let test_cond_negate () =
   List.iter
