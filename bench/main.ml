@@ -450,130 +450,6 @@ let run_aot ~json () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Background-translation cold-start overlap                           *)
-(* ------------------------------------------------------------------ *)
-
-(* How much of the cold-start interpretation overlaps an in-flight
-   background compile, and what the wall-clock does.  The interesting
-   window is the climb from the prefetch threshold (translate_threshold
-   / 2, where the engine enqueues) to the hotness threshold (where it
-   installs): [bg_overlap_insns] counts interpreter dispatches made
-   while the worker had requests in flight.  Wall-clock deltas on these
-   short workloads sit inside scheduler noise — the overlap fraction
-   and the queue counters are the honest signal; seconds are reported
-   for context only. *)
-let bgtrans_workloads () =
-  [
-    List.find
-      (fun (w : Workloads.Suite.t) -> w.Workloads.Suite.name = "DOS Boot")
-      Workloads.Progs_boot.all;
-    List.hd Workloads.Progs_spec.all;
-    List.find
-      (fun (w : Workloads.Suite.t) ->
-        w.Workloads.Suite.name = "CPUmark99 (Win98)")
-      Workloads.Progs_apps.all;
-    List.find
-      (fun (w : Workloads.Suite.t) ->
-        w.Workloads.Suite.name = "Quake Demo2 (DOS)")
-      Workloads.Progs_quake.all;
-  ]
-
-let run_bgtrans ~json () =
-  let reps = 3 in
-  let time_run cfg w () =
-    let t0 = Unix.gettimeofday () in
-    let c = Workloads.Suite.run ~cfg w in
-    (Unix.gettimeofday () -. t0, c)
-  in
-  let rows =
-    List.map
-      (fun (w : Workloads.Suite.t) ->
-        let t_on, c_on =
-          best_of reps (time_run Cms.Config.default w)
-        in
-        let t_off, _ =
-          best_of reps
-            (time_run
-               {
-                 Cms.Config.default with
-                 Cms.Config.background_translation = false;
-               }
-               w)
-        in
-        (w, t_on, t_off, c_on))
-      (bgtrans_workloads ())
-  in
-  pr "=== Background-translation cold-start overlap ===@.";
-  let overlap (c : Cms.t) =
-    let s = Cms.stats c in
-    if s.Cms.Stats.x86_interp = 0 then 0.0
-    else
-      float_of_int s.Cms.Stats.bg_overlap_insns
-      /. float_of_int s.Cms.Stats.x86_interp
-  in
-  List.iter
-    (fun ((w : Workloads.Suite.t), t_on, t_off, c_on) ->
-      let s = Cms.stats c_on in
-      pr
-        "  %-24s bg %.3fs / sync %.3fs  interp=%d overlap=%d (%.1f%%)  \
-         enq=%d+%dpf installs[bg=%d stale=%d] waits=%d unready=%d@."
-        w.Workloads.Suite.name t_on t_off s.Cms.Stats.x86_interp
-        s.Cms.Stats.bg_overlap_insns
-        (100.0 *. overlap c_on)
-        s.Cms.Stats.bg_enqueued s.Cms.Stats.bg_prefetched
-        s.Cms.Stats.bg_installed s.Cms.Stats.bg_stale s.Cms.Stats.bg_waits
-        s.Cms.Stats.bg_unready)
-    rows;
-  let total f =
-    List.fold_left (fun a (_, _, _, c) -> a + f (Cms.stats c)) 0 rows
-  in
-  let t_interp = total (fun s -> s.Cms.Stats.x86_interp) in
-  let t_overlap = total (fun s -> s.Cms.Stats.bg_overlap_insns) in
-  let frac =
-    if t_interp = 0 then 0.0
-    else float_of_int t_overlap /. float_of_int t_interp
-  in
-  pr "  aggregate: %d of %d cold-start interpreted insns overlapped an \
-      in-flight background compile (%.1f%%)@."
-    t_overlap t_interp (100.0 *. frac);
-  if t_overlap = 0 then begin
-    Fmt.epr "bgtrans: no interpreted-while-translating overlap measured@.";
-    exit 1
-  end;
-  if json then begin
-    let oc = open_out "BENCH_bgtrans.json" in
-    let j = Fmt.str in
-    let row_json ((w : Workloads.Suite.t), t_on, t_off, c_on) =
-      let s = Cms.stats c_on in
-      j
-        "    { \"workload\": %S, \"bg_seconds\": %.6f, \"sync_seconds\": \
-         %.6f, \"retired\": %d, \"interp_insns\": %d, \"overlap_insns\": %d, \
-         \"overlap_fraction\": %.4f, \"enqueued\": %d, \"prefetched\": %d, \
-         \"deduped\": %d, \"dropped\": %d, \"installed\": %d, \"stale\": %d, \
-         \"waits\": %d, \"unready\": %d }"
-        w.Workloads.Suite.name t_on t_off (Cms.retired c_on)
-        s.Cms.Stats.x86_interp s.Cms.Stats.bg_overlap_insns (overlap c_on)
-        s.Cms.Stats.bg_enqueued s.Cms.Stats.bg_prefetched
-        s.Cms.Stats.bg_deduped s.Cms.Stats.bg_dropped s.Cms.Stats.bg_installed
-        s.Cms.Stats.bg_stale s.Cms.Stats.bg_waits s.Cms.Stats.bg_unready
-    in
-    output_string oc
-      (j
-         "{\n\
-         \  \"bench\": \"bgtrans\",\n\
-         \  \"workloads\": [\n\
-          %s\n\
-         \  ],\n\
-         \  \"aggregate\": { \"interp_insns\": %d, \"overlap_insns\": %d, \
-          \"overlap_fraction\": %.4f }\n\
-          }\n"
-         (String.concat ",\n" (List.map row_json rows))
-         t_interp t_overlap frac);
-    close_out oc;
-    pr "  wrote BENCH_bgtrans.json@."
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Interrupt-storm throughput (bench storm)                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -882,7 +758,6 @@ let all () =
   run_hotpath ~json:false ();
   run_persist ();
   run_aot ~json:false ();
-  run_bgtrans ~json:false ();
   run_storm ~json:false ();
   run_fleet ~json:false ()
 
@@ -913,7 +788,6 @@ let () =
   | "hotpath" -> run_hotpath ~json ()
   | "persist" -> run_persist ()
   | "aot" -> run_aot ~json ()
-  | "bgtrans" -> run_bgtrans ~json ()
   | "storm" -> run_storm ~json ()
   | "fleet" -> run_fleet ~json ()
   | "smoke" -> run_smoke ()
@@ -921,7 +795,7 @@ let () =
   | other ->
       Fmt.epr
         "unknown experiment %S; one of: fig2 fig3 table1 selfcheck selfreval \
-         groups flow ablations micro hotpath persist aot bgtrans storm fleet \
-         smoke all@."
+         groups flow ablations micro hotpath persist aot storm fleet smoke \
+         all@."
         other;
       exit 1

@@ -35,7 +35,6 @@ let report ~stats ~verbose w t =
   if stats || verbose then begin
     Fmt.pr "host caches: %a@." Cms.Stats.pp_host s;
     Fmt.pr "chain: %a@." Cms.Stats.pp_chain s;
-    Fmt.pr "bgtrans: %a@." Cms.Stats.pp_bgtrans s;
     Fmt.pr "recovery: %a@." Cms.Stats.pp_recovery s;
     Fmt.pr "irq: %a@." Cms.Stats.pp_irq s;
     Fmt.pr "persist: %a@." Cms.Stats.pp_persist s;
@@ -192,7 +191,7 @@ let do_soak ~cfg w every =
 
 let run_cmd name list_only no_reorder no_alias no_fg no_chaining no_closures
     no_chain no_reval no_groups no_stylized force_selfcheck interp_only
-    no_fast_paths no_bg_translate threshold max_region stats record replay
+    no_fast_paths threshold max_region stats record replay
     soak soak_every aot_build aot aot_check verbose =
   if list_only then begin
     List.iter (fun w -> Fmt.pr "%s@." w.Suite.name) (all_workloads ());
@@ -217,7 +216,6 @@ let run_cmd name list_only no_reorder no_alias no_fg no_chaining no_closures
             enable_stylized = not no_stylized;
             force_self_check = force_selfcheck;
             host_fast_paths = not no_fast_paths;
-            background_translation = not no_bg_translate;
             translate_threshold =
               (if interp_only then max_int else threshold);
             max_region_insns = max_region;
@@ -281,13 +279,6 @@ let no_fast_paths =
     "Disable the host-side caching layers (software TLB, decoded-instruction \
      cache, RAM fast path).  Guest-visible behavior is identical either way; \
      the knob exists for measurement and fallback."
-
-let no_bg_translate =
-  flag [ "no-bg-translate" ]
-    "Translate synchronously on the execution path instead of handing \
-     hot regions to the background translator domain.  Guest-visible \
-     behavior is identical either way; the knob exists for measurement, \
-     single-domain hosts and fallback."
 
 let stats_flag =
   flag [ "stats" ]
@@ -360,7 +351,7 @@ let cmd =
         (const run_cmd $ workload_arg $ list_only $ no_reorder $ no_alias $ no_fg
        $ no_chaining $ no_closures $ no_chain $ no_reval $ no_groups
        $ no_stylized $ force_selfcheck $ interp_only $ no_fast_paths
-       $ no_bg_translate $ threshold $ max_region $ stats_flag $ record_arg
+       $ threshold $ max_region $ stats_flag $ record_arg
        $ replay_arg $ soak_flag $ soak_every $ aot_build_arg $ aot_arg
        $ aot_check $ verbose))
 

@@ -56,8 +56,8 @@ let with_reject body =
 let with_collect body =
   let saved = !Cms.Codegen.verify_hook in
   let acc = ref [] in
-  (* the background translator domain runs the verifier on its own
-     compiles, so the sink is shared across domains *)
+  (* the hook is global: engines on other domains (fleet shards) call
+     it too, so the sink is locked *)
   let lock = Mutex.create () in
   install_collect (fun d -> Mutex.protect lock (fun () -> acc := d :: !acc));
   Fun.protect

@@ -97,16 +97,6 @@ let get t key =
       e.pol
   | None -> Policy.default t.cfg
 
-(** Read an entry's policy without ticking the clock, touching the
-    entry or creating it.  The background-translation enqueue path
-    uses this: a speculative prefetch must not perturb eviction order
-    or table contents, or the background run would diverge from the
-    synchronous one under capacity pressure. *)
-let peek t key =
-  match Hashtbl.find_opt t.tbl key with
-  | Some e -> e.pol
-  | None -> Policy.default t.cfg
-
 (** Is this entry marked for immediate retranslation?  (Checked once
     per dispatch; the length guard keeps the common nothing-is-hot
     case off the hashing path.)  Quarantined entries are never hot:

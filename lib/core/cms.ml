@@ -26,7 +26,6 @@ module Sched = Sched
 module Codegen = Codegen
 module Tcache = Tcache
 module Adapt = Adapt
-module Bgtrans = Bgtrans
 module Smc = Smc
 module Engine = Engine
 
@@ -79,13 +78,7 @@ let run_listing ?cfg ?ram_size ?disk_image ?map_mib ?stack ?max_insns listing
   (t, stop)
 
 (** Interpreter-only execution of the same listing (reference
-    semantics for differential testing, and the fleet's solo mirror).
-    Nothing ever reaches the translation threshold, so the background
-    translator would never get a request; it is off, so the dispatcher
-    does not poll an empty queue on every instruction. *)
+    semantics for differential testing, and the fleet's solo mirror):
+    nothing ever reaches the translation threshold. *)
 let interp_only_cfg =
-  {
-    Config.default with
-    Config.translate_threshold = max_int;
-    background_translation = false;
-  }
+  { Config.default with Config.translate_threshold = max_int }

@@ -151,12 +151,11 @@ let take_snapshot mem (region : Region.t) =
   Buffer.to_bytes b
 
 (* The compiler proper, parametric over the source-byte supplier: the
-   synchronous path reads guest memory ({!take_snapshot}); the
-   background translator domain passes bytes captured at enqueue time
-   so the worker never touches shared machine state.  Everything else
-   is a pure deterministic function of (cfg, policy, region, bytes) —
-   which is what makes a validated background result bit-identical to
-   the synchronous compile it replaces. *)
+   plain path reads guest memory ({!take_snapshot}); with fleet hooks
+   installed the engine passes the bytes it already snapshotted for the
+   shared-store key.  Everything else is a pure deterministic function
+   of (cfg, policy, region, bytes), so both paths mint the identical
+   translation. *)
 let compile_with ~(cfg : Config.t) ~(policy : Policy.t)
     ~(snap : unit -> Bytes.t) (region : Region.t) =
   let entry = region.Region.entry in
@@ -288,10 +287,9 @@ let compile_with ~(cfg : Config.t) ~(policy : Policy.t)
 let compile ~cfg ~policy ~mem (region : Region.t) =
   compile_with ~cfg ~policy ~snap:(fun () -> take_snapshot mem region) region
 
-(** Compile from pre-captured source bytes (the background translator
-    worker, which must not read guest memory concurrently with the
-    interpreter).  [bytes] is the {!take_snapshot}-format concatenation
-    of the region's source ranges, captured at enqueue time. *)
+(** Compile from pre-captured source bytes: [bytes] is the
+    {!take_snapshot}-format concatenation of the region's source
+    ranges, read once by the caller at the translate instant. *)
 let compile_presnapped ~cfg ~policy ~bytes (region : Region.t) =
   compile_with ~cfg ~policy ~snap:(fun () -> bytes) region
 

@@ -87,25 +87,6 @@ type t = {
           Requires [enable_chaining] (which governs patching); this
           knob governs only whether the patch is *followed*, so the
           cost model is identical on and off. *)
-  (* --- background translation (concurrent translator domain) --- *)
-  background_translation : bool;
-      (** run region translation on a background OCaml domain: the
-          dispatcher enqueues a leader once its profile count crosses
-          half the translate threshold (plus a branch-target prefetch
-          of the region's continuation), keeps interpreting, and
-          consumes the finished translation at the canonical hotness
-          instant — the same dispatch boundary where synchronous
-          translation would run.  Installs are validated against the
-          enqueue-time code bytes, region shape and policy; any drift
-          (SMC, adaptation) rejects the background result and the
-          engine compiles synchronously, so the knob is architecturally
-          invisible: on and off produce identical arch + strict
-          digests.  The win is wall-clock only — compilation overlaps
-          interpretation. *)
-  bg_queue_capacity : int;
-      (** bound on in-flight (queued + compiling) background requests;
-          excess enqueues are dropped (the entry falls back to
-          synchronous translation at hotness) *)
   (* --- host-side fast paths --- *)
   host_fast_paths : bool;
       (** enable the host-side caching layers: the MMU software TLB,
@@ -162,8 +143,6 @@ let default =
     reval_cost_per_byte = 1;
     closure_exec = true;
     chain_exits = true;
-    background_translation = true;
-    bg_queue_capacity = 32;
     host_fast_paths = true;
     validate_molecules = false;
     enforce_latency = false;

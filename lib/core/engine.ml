@@ -25,13 +25,6 @@ type chaos = {
       (** spurious interrupt-pending signal for the in-translation
           poll: forces an interrupt exit (and rollback when mid-flight)
           with no interrupt actually deliverable *)
-  bg_doom : int -> Bgtrans.doom option;
-      (** called with the entry address as a background-translation
-          request is built, *before* it is enqueued — the doom travels
-          with the job and the worker domain acts it out (fail, wedge,
-          delay, or die).  Drawing engine-side keeps the chaos schedule
-          deterministic; every doom degrades to synchronous
-          translation, so none is architecturally visible *)
 }
 
 type t = {
@@ -44,9 +37,6 @@ type t = {
   tcache : Tcache.t;
   smc : Smc.t;
   adapt : Adapt.t;
-  bg : Bgtrans.t option;
-      (** the background translator ({!Config.background_translation});
-          [None] runs every translation synchronously *)
   mutable ticked : int;  (** molecules already reported to the bus *)
   mutable irq_sample : int;  (** divider for in-translation IRQ polls *)
   mutable irq_poll : unit -> bool;
@@ -58,10 +48,6 @@ type t = {
           architectural boundary in every configuration.  Raising IRQ
           lines here makes them deliverable within the same iteration. *)
   mutable chaos : chaos option;  (** fault injection; [None] = clean run *)
-  mutable on_bg_consume : (entry:int -> at:int -> unit) option;
-      (** record-replay hook, fired at every canonical background
-          consume instant with the entry and the retired-instruction
-          clock — the journal's [Bg_arrive] stream *)
   mutable on_rollback : (unit -> unit) option;
       (** test hook, fired immediately after every speculative-state
           rollback — the seam where the non-interference invariant
@@ -73,14 +59,13 @@ type t = {
     bytes_:Bytes.t ->
     Codegen.compiled option)
       option;
-      (** fleet-mode consult hook, fired at the synchronous translate
-          instant when no validated background result was available.
-          The hook receives the canonical inputs derived right here —
-          the selected region, the adaptive policy, and the current
-          source bytes — and may return a pre-minted translation; the
-          *hook* owns validation (the fleet layer revalidates every
-          shared-store entry against exactly these inputs before
-          trusting it).  A returned translation skips the translate
+      (** fleet-mode consult hook, fired at the translate instant when
+          no parked translation group matched.  The hook receives the
+          canonical inputs derived right here — the selected region,
+          the adaptive policy, and the current source bytes — and may
+          return a pre-minted translation; the *hook* owns validation
+          (the fleet layer revalidates every shared-store entry against
+          exactly these inputs before trusting it).  A returned translation skips the translate
           charge and is charged a revalidation cost instead, so a warm
           store is a genuine cold-start accelerator. *)
   mutable on_fresh_translation :
@@ -92,9 +77,8 @@ type t = {
     unit)
       option;
       (** fleet-mode publish seam, fired after a freshly compiled
-          translation (synchronous or validated-background, never one
-          supplied by {!shared_source}) is installed, with the source
-          bytes it was compiled from.  Exceptions escaping the hook are
+          translation (never one supplied by {!shared_source}) is
+          installed, with the source bytes it was compiled from.  Exceptions escaping the hook are
           contained by {!translate}. *)
   mutable insn_limit : int;
       (** the active [run]'s [max_insns]; the chained fast path checks
@@ -144,15 +128,10 @@ let create ?(cfg = Config.default) plat =
   mem.Machine.Mem.fg_enabled <- cfg.Config.enable_fine_grain;
   Machine.Mem.set_fast_paths mem cfg.Config.host_fast_paths;
   let smc = Smc.create ~cfg ~mem ~tcache ~adapt ~stats in
-  let bg =
-    if cfg.Config.background_translation then Some (Bgtrans.create cfg)
-    else None
-  in
   let t =
-    { cfg; plat; cpu; interp; profile; stats; tcache; smc; adapt; bg;
+    { cfg; plat; cpu; interp; profile; stats; tcache; smc; adapt;
       ticked = 0; irq_sample = 0; irq_poll = Fun.const false;
-      on_boundary = None; chaos = None;
-      on_bg_consume = None; on_rollback = None;
+      on_boundary = None; chaos = None; on_rollback = None;
       shared_source = None; on_fresh_translation = None;
       insn_limit = max_int; stall_eip = -1; last_retired = -1; stalls = 0 }
   in
@@ -181,35 +160,11 @@ let insert_zero_insn t entry =
   t.stats.Stats.translations <- t.stats.Stats.translations + 1;
   tr
 
-(* Consume any background-translation request for [entry] at its
-   canonical install instant (we are about to translate synchronously,
-   which is exactly the instant the background result may replace).
-   Fires the record-replay hook — the consume event is part of the
-   deterministic schedule whether or not a usable result came back. *)
-let bg_take t entry =
-  match t.bg with
-  | None -> None
-  | Some bg -> (
-      match Bgtrans.consume bg entry with
-      | None -> None
-      | Some tk ->
-          (match t.on_bg_consume with
-          | Some f -> f ~entry ~at:(retired t)
-          | None -> ());
-          if tk.Bgtrans.t_waited then
-            t.stats.Stats.bg_waits <- t.stats.Stats.bg_waits + 1;
-          if tk.Bgtrans.t_unready then
-            t.stats.Stats.bg_unready <- t.stats.Stats.bg_unready + 1;
-          Some tk)
-
 (* The translator proper; may raise (verifier rejection, translator
    bug, injected chaos) — callers go through [translate] below, which
    contains any escape. *)
 let translate_unprotected t entry =
   let mem = Cpu.mem t.cpu in
-  let bg_taken = bg_take t entry in
-  let bg_used = ref false in
-  let first_attempt = ref true in
   let rec attempt policy =
     match Region.select ~mem ~profile:t.profile ~policy entry with
     | None -> insert_zero_insn t entry
@@ -229,67 +184,27 @@ let translate_unprotected t entry =
             Smc.register t.smc tr;
             tr
         | None ->
-        (* Validated background install: the finished result is used
-           only if the canonical inputs derived *right here* — policy,
-           region shape, and current source bytes — match the job it
-           was compiled from.  Any drift (SMC between enqueue and
-           install, adaptation, profile-reshaped trace) rejects it and
-           we compile synchronously; the compiler is deterministic, so
-           a validated hit is bit-identical to the compile it skips —
-           which is what makes background translation architecturally
-           invisible. *)
-        (* One snapshot read per consumed request, taken whether or
-           not a result came back: the (cost-model-counted) read
-           schedule must be a function of the deterministic request
-           schedule, never of worker timing — a ready result must not
-           read more or fewer guest bytes than an unready one. *)
-        let bg_snap =
-          match bg_taken with
-          | Some _ when !first_attempt ->
-              Some (Codegen.take_snapshot mem region)
-          | _ -> None
-        in
-        first_attempt := false;
         (* With a fleet hook installed (shared-store consult or publish
            seam), the current source bytes are part of every attempt's
            canonical inputs, so the snapshot read happens uniformly —
            never as a function of whether the store had a hit. *)
         let cur_snap =
-          match bg_snap with
-          | Some _ -> bg_snap
-          | None ->
-              if
-                Option.is_some t.shared_source
-                || Option.is_some t.on_fresh_translation
-              then Some (Codegen.take_snapshot mem region)
-              else None
+          if
+            Option.is_some t.shared_source
+            || Option.is_some t.on_fresh_translation
+          then Some (Codegen.take_snapshot mem region)
+          else None
         in
+        (* Shared-store consult: only when the tcache group could not
+           serve the entry.  The hook owns validation; anything it
+           returns installs like a local compile, minus the translate
+           charge. *)
         let precompiled =
-          match (bg_taken, cur_snap) with
-          | Some { Bgtrans.t_job = j; t_result = Some c; _ }, Some cur
-            when (not !bg_used)
-                 && Policy.equal j.Bgtrans.policy policy
-                 && Region.equal j.Bgtrans.region region
-                 && Bytes.equal j.Bgtrans.bytes cur ->
-              bg_used := true;
-              Some c
+          match (t.shared_source, cur_snap) with
+          | Some f, Some cur -> f ~entry ~region ~policy ~bytes_:cur
           | _ -> None
         in
-        (* Shared-store consult: only when neither the tcache nor the
-           background worker could serve the entry.  The hook owns
-           validation; anything it returns installs like a local
-           compile, minus the translate charge. *)
-        let precompiled, from_store =
-          match precompiled with
-          | Some _ -> (precompiled, false)
-          | None -> (
-              match (t.shared_source, cur_snap) with
-              | Some f, Some cur -> (
-                  match f ~entry ~region ~policy ~bytes_:cur with
-                  | Some _ as c -> (c, true)
-                  | None -> (None, false))
-              | _ -> (None, false))
-        in
+        let from_store = Option.is_some precompiled in
         match
           match (precompiled, cur_snap) with
           | Some c, _ -> c
@@ -347,14 +262,7 @@ let translate_unprotected t entry =
               attempt p
             end)
   in
-  let tr = attempt (Adapt.get t.adapt entry) in
-  (match bg_taken with
-  | Some { Bgtrans.t_result = Some _; _ } ->
-      if !bg_used then
-        t.stats.Stats.bg_installed <- t.stats.Stats.bg_installed + 1
-      else t.stats.Stats.bg_stale <- t.stats.Stats.bg_stale + 1
-  | _ -> ());
-  tr
+  attempt (Adapt.get t.adapt entry)
 
 (** Translate the region at [entry] under its adaptive policy.
 
@@ -398,71 +306,6 @@ let aot_install t ~entry ~code ~region ~policy ~snapshot =
       Smc.register t.smc tr;
       t.stats.Stats.aot_loaded <- t.stats.Stats.aot_loaded + 1;
       true
-
-(* ------------------------------------------------------------------ *)
-(* Background-translation enqueue (the speculative half)               *)
-(* ------------------------------------------------------------------ *)
-
-(* The profile count at which a region is worth compiling ahead of
-   need: halfway up the hotness climb, so the worker gets the whole
-   second half of the climb (threshold/2 dispatch iterations) of
-   wall-clock to finish before the canonical install instant.  Guarded
-   against the interpreter-only configuration (threshold = max_int). *)
-let bg_prefetch_threshold t =
-  let th = t.cfg.Config.translate_threshold in
-  if th >= max_int / 2 then max_int else max 2 (th / 2)
-
-(* Build and enqueue one background request.  Every compiler input is
-   captured immutably here, on the engine side: region selection and
-   the code-byte snapshot read guest state that the worker must never
-   touch, and the chaos doom is drawn here so the adversity schedule
-   is deterministic.  All reads are observation-only ([Adapt.peek],
-   [Region.select], [take_snapshot]) — an enqueue must not perturb the
-   clocks or caches that the canonical execution depends on.  Returns
-   the selected region so the caller can prefetch its successor. *)
-let bg_enqueue_one t bg entry ~priority ~prefetched =
-  let policy = Adapt.peek t.adapt entry in
-  if policy.Policy.interp_only then None
-  else
-    let mem = Cpu.mem t.cpu in
-    match Region.select ~mem ~profile:t.profile ~policy entry with
-    | None -> None
-    | Some region ->
-        let bytes = Codegen.take_snapshot mem region in
-        let doom =
-          match t.chaos with Some c -> c.bg_doom entry | None -> None
-        in
-        let job =
-          { Bgtrans.entry; region; policy; bytes; priority; doom; prefetched }
-        in
-        (match Bgtrans.enqueue bg job with
-        | Bgtrans.Accepted ->
-            if prefetched then
-              t.stats.Stats.bg_prefetched <- t.stats.Stats.bg_prefetched + 1
-            else t.stats.Stats.bg_enqueued <- t.stats.Stats.bg_enqueued + 1
-        | Bgtrans.Deduped ->
-            t.stats.Stats.bg_deduped <- t.stats.Stats.bg_deduped + 1
-        | Bgtrans.Full ->
-            t.stats.Stats.bg_dropped <- t.stats.Stats.bg_dropped + 1);
-        Some region
-
-(* A warming entry crossed the prefetch threshold: enqueue it, plus a
-   branch-target prefetch of where its trace runs off the end — the
-   likely next hot leader, compiled before it even starts climbing. *)
-let bg_request t bg entry ~priority =
-  if Bgtrans.wants bg entry then
-    match bg_enqueue_one t bg entry ~priority ~prefetched:false with
-    | None -> ()
-    | Some region -> (
-        match region.Region.cont with
-        | Some c
-          when c <> entry
-               && Bgtrans.wants bg c
-               && Tcache.probe t.tcache c = None ->
-            ignore
-              (bg_enqueue_one t bg c ~priority:(priority - 1)
-                 ~prefetched:true)
-        | _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Recovery (§3.2)                                                     *)
@@ -798,28 +641,18 @@ let sync_host_stats t =
   t.stats.Stats.nic_tx_frames <- nic.Machine.Nic.tx_frames;
   t.stats.Stats.nic_rx_dropped <- nic.Machine.Nic.rx_dropped;
   t.stats.Stats.nic_irqs <- nic.Machine.Nic.irqs_raised;
-  t.stats.Stats.nic_irq_coalesced <- nic.Machine.Nic.irqs_coalesced;
-  match t.bg with
-  | Some bg ->
-      let compiled, failed = Bgtrans.counters bg in
-      t.stats.Stats.bg_compiled <- compiled;
-      t.stats.Stats.bg_failed <- failed
-  | None -> ()
+  t.stats.Stats.nic_irq_coalesced <- nic.Machine.Nic.irqs_coalesced
 
 type stop = Halted | Insn_limit
 
 (** Run until the guest halts with no wakeup source, or [max_insns]
-    x86 instructions have retired.
-
-    The translator domain is quiesced (joined) on every exit, normal
-    or exceptional: OCaml caps live domains, and test suites run
-    thousands of engines — a worker's lifetime must be bounded by its
-    run, not its engine.  A later run's first enqueue respawns it. *)
+    x86 instructions have retired.  The translated-instruction count
+    and the host counters are synced on every exit, normal or
+    exceptional. *)
 let run ?(max_insns = max_int) t =
   t.insn_limit <- max_insns;
   Fun.protect
     ~finally:(fun () ->
-      (match t.bg with Some bg -> Bgtrans.quiesce bg | None -> ());
       t.stats.Stats.x86_translated <- (perf t).Vliw.Perf.x86_committed;
       sync_host_stats t)
   @@ fun () ->
@@ -876,67 +709,31 @@ let run ?(max_insns = max_int) t =
         | Some tr -> run_translation t tr
         | None ->
             let counter = Profile.counter t.profile eip in
-            let count = !counter in
-            let hot = Adapt.hot t.adapt eip in
-            (* halfway up the hotness climb: hand the region to the
-               background translator and keep interpreting — the climb's
-               second half is the overlap window *)
-            (match t.bg with
-            | Some bg
-              when (not hot)
-                   && count >= bg_prefetch_threshold t
-                   && count < t.cfg.Config.translate_threshold ->
-                bg_request t bg eip ~priority:count
-            | _ -> ());
-            if hot || count >= t.cfg.Config.translate_threshold then
+            if
+              Adapt.hot t.adapt eip
+              || !counter >= t.cfg.Config.translate_threshold
+            then
               match translate t eip with
               | Some tr -> run_translation t tr
               | None ->
                   (* containment fallback / quarantined mid-check *)
                   ignore (Interp.step t.interp)
-            else begin
-              (* the paper's pitch made measurable: instructions the
-                 interpreter retires while translation is in flight *)
-              (match t.bg with
-              | Some bg when Bgtrans.in_flight bg > 0 ->
-                  t.stats.Stats.bg_overlap_insns <-
-                    t.stats.Stats.bg_overlap_insns + 1
-              | _ -> ());
-              ignore (Interp.step_counted t.interp counter)
-            end
+            else ignore (Interp.step_counted t.interp counter)
     end
   done;
   !result
-
-(** Put the background queue in virtual mode (journal replay): requests
-    are tracked and consumed at the canonical instants, but no domain
-    runs and nothing compiles — every install takes the synchronous
-    path, which yields the identical translation. *)
-let set_bg_virtual t v =
-  match t.bg with Some bg -> Bgtrans.set_virtual bg v | None -> ()
 
 (** The speculation non-interference probe: is ANY speculative state
     observable right now?  Meaningful at consistent boundaries — in
     particular immediately after a rollback ({!t.on_rollback}), where
     the answer must always be [no]: working registers match committed,
-    the gated store buffer is empty, no alias-detection range is still
-    armed, and no finished-but-uninstalled background translation is
-    reachable through the translation cache. *)
+    the gated store buffer is empty, and no alias-detection range is
+    still armed. *)
 let speculation_visible t =
   let exec = t.cpu.Cpu.exec in
   (not (Vliw.Regfile.consistent exec.Vliw.Exec.regs))
   || (not (Vliw.Storebuf.is_empty exec.Vliw.Exec.sbuf))
   || exec.Vliw.Exec.alias.Vliw.Alias.any_armed
-  ||
-  match t.bg with
-  | None -> false
-  | Some bg ->
-      List.exists
-        (fun (entry, (c : Codegen.compiled)) ->
-          match Tcache.probe t.tcache entry with
-          | Some tr -> tr.Tcache.code == c.Codegen.code
-          | None -> false)
-        (Bgtrans.done_uninstalled bg)
 
 (** Headline metric: molecules per retired x86 instruction. *)
 let mpi t =

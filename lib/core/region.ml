@@ -53,12 +53,11 @@ let merge_ranges ranges =
   in
   go [] sorted
 
-(** Structural equality of two selected regions.  Used by the install
-    boundary of the background translator to detect drift between an
-    enqueue-time selection and the canonical install-time one: profile
-    bias or policy changes can reshape the trace even over unchanged
-    bytes.  [insn_info] is plain data (no closures, sets or floats),
-    so polymorphic equality is exact. *)
+(** Structural equality of two selected regions.  Used by the shared
+    store to check a stored entry's region against the canonical
+    install-time selection: profile bias or policy changes can reshape
+    the trace even over unchanged bytes.  [insn_info] is plain data (no
+    closures, sets or floats), so polymorphic equality is exact. *)
 let equal (a : t) (b : t) =
   a.entry = b.entry && a.cont = b.cont
   && a.src_ranges = b.src_ranges

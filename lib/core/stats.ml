@@ -91,39 +91,14 @@ type t = {
   mutable chain_unlinks_chaos : int;
       (** chained exits forcibly unlinked by the chaos layer's
           unlink storms *)
-  (* --- background translation (concurrent translator domain).  All
-     of these are host-side scheduling bookkeeping: completion order,
-     queue pressure and wait/overlap accounting depend on wall-clock
-     domain scheduling, so every counter here is normalized to zero by
-     the strict digests and the differential suites. --- *)
-  mutable bg_enqueued : int;
-      (** requests accepted into the background work queue *)
-  mutable bg_prefetched : int;
-      (** of those, branch-target prefetches of a region's continuation *)
-  mutable bg_deduped : int;
-      (** enqueue attempts skipped because the entry already has a live
-          request (queued, compiling, or done-awaiting-install) *)
-  mutable bg_dropped : int;  (** enqueues rejected by the queue bound *)
-  mutable bg_compiled : int;  (** compilations the worker domain finished *)
+  (* --- removed background translator: these three stay 0, since
+     every translation is synchronous.  They exist only because the
+     benchmark's per-layer reader (perfbench/layers.ml) still names
+     them; they are not encoded, printed or normalized, and they go
+     with the next benchmark change. --- *)
   mutable bg_installed : int;
-      (** hotness-instant installs served by a validated background
-          result (no synchronous compile needed) *)
-  mutable bg_stale : int;
-      (** background results rejected at install: code bytes, region
-          shape or policy drifted between enqueue and install (SMC,
-          adaptation) — the engine recompiled synchronously *)
-  mutable bg_waits : int;
-      (** installs that blocked on an in-flight background compile *)
-  mutable bg_unready : int;
-      (** installs that found the request still queued (worker busy)
-          and reclaimed it for synchronous translation *)
-  mutable bg_failed : int;
-      (** requests that died in the worker (compile failure, injected
-          doom, or translator-domain death) — synchronous fallback *)
   mutable bg_overlap_insns : int;
-      (** x86 instructions the interpreter retired while at least one
-          background request was in flight (the overlap the paper's
-          asynchronous translator buys) *)
+  mutable bg_waits : int;
   (* --- interrupt pressure (device raises vs. CPU delivery; mirrors of
      deterministic machine-side counters, synced by the engine) --- *)
   mutable irq_raised : int;  (** device raises latched by the PIC *)
@@ -212,17 +187,9 @@ let create () =
     chain_unlinks_smc = 0;
     chain_unlinks_aot = 0;
     chain_unlinks_chaos = 0;
-    bg_enqueued = 0;
-    bg_prefetched = 0;
-    bg_deduped = 0;
-    bg_dropped = 0;
-    bg_compiled = 0;
     bg_installed = 0;
-    bg_stale = 0;
-    bg_waits = 0;
-    bg_unready = 0;
-    bg_failed = 0;
     bg_overlap_insns = 0;
+    bg_waits = 0;
     irq_raised = 0;
     irq_deferred = 0;
     nic_rx_frames = 0;
@@ -296,17 +263,6 @@ let pp_chain fmt t =
     t.closures_compiled t.chained_exits_taken t.chain_patches
     t.chain_unlinks_evict t.chain_unlinks_demote t.chain_unlinks_smc
     t.chain_unlinks_aot t.chain_unlinks_chaos
-
-(** Background-translation counters: queue traffic, install outcomes
-    and the execution/translation overlap. *)
-let pp_bgtrans fmt t =
-  Fmt.pf fmt
-    "bg[enq=%d prefetch=%d dedup=%d dropped=%d] compiled=%d \
-     installs[bg=%d stale=%d waits=%d unready=%d failed=%d] \
-     overlap-insns=%d"
-    t.bg_enqueued t.bg_prefetched t.bg_deduped t.bg_dropped t.bg_compiled
-    t.bg_installed t.bg_stale t.bg_waits t.bg_unready t.bg_failed
-    t.bg_overlap_insns
 
 (** Interrupt-pressure counters: device raises vs. CPU deliveries,
     rollbacks forced by asynchronous events, and the NIC's frame /

@@ -152,14 +152,6 @@ let lookup t entry =
         found
     | None -> None
 
-(** Like {!lookup} but without refreshing the generation stamp.  The
-    background translator's enqueue path probes with this: a
-    speculative prefetch check must not warm a record, or eviction
-    order under capacity pressure would diverge between background-on
-    and background-off runs. *)
-let probe t entry =
-  if Hashtbl.length t.by_entry = 0 then None else find_valid t.by_entry entry
-
 let by_id t id = find_valid t.by_id id
 
 (* ------------------------------------------------------------------ *)

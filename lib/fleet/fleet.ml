@@ -31,10 +31,8 @@
       solo run of the same machine.  Any mismatch is a cross-machine
       divergence finding.
 
-    Fleet engines translate synchronously
-    ([background_translation = false]): the fleet's parallelism is its
-    shard domains, and a 64-machine fleet must not spawn 64 worker
-    domains. *)
+    The fleet's parallelism is its shard domains; each engine
+    translates synchronously on its own dispatch path. *)
 
 module Journal = Cms_persist.Journal
 module Snapshot = Cms_persist.Snapshot
@@ -126,15 +124,13 @@ type config = {
   forensics : string option;  (** bundle directory for failures *)
 }
 
-(* Full production pipeline per machine, but synchronous translation:
-   shard domains are the fleet's parallelism. *)
+(* Full production pipeline per machine. *)
 let engine_cfg =
   {
     Cms.Config.default with
     Cms.Config.verify_translations = true;
     closure_exec = true;
     chain_exits = true;
-    background_translation = false;
   }
 
 let default_config =

@@ -2,11 +2,11 @@
 
     One {!attach} per machine installs both fleet hooks on the engine:
 
-    - {!Cms.Engine.shared_source} — consulted at the synchronous
-      translate instant, after the tcache and the background worker
-      both missed.  The store key is derived from the canonical compile
-      inputs computed *right there* (entry, current source bytes,
-      adaptive policy), and a hit is only returned after
+    - {!Cms.Engine.shared_source} — consulted at the translate
+      instant, after the tcache's translation groups missed.  The
+      store key is derived from the canonical compile inputs computed
+      *right there* (entry, current source bytes, adaptive policy),
+      and a hit is only returned after
       {!Cms_persist.Tstore.decode_validated} fully revalidates the
       blob.  Any defect poisons the key fleet-wide (exactly once) and
       falls back to the private translator.

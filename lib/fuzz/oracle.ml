@@ -85,7 +85,6 @@ let cfg_translate =
     Cms.Config.verify_translations = true;
     closure_exec = true;
     chain_exits = true;
-    background_translation = true;
   }
 
 let cfg_nofast =
@@ -134,8 +133,7 @@ let execute ~cfg ~setup (r : rendered) : outcome * Cms.t =
         Cms.boot c ~entry:r.entry;
         (* standing invariant on every oracle run: after any rollback,
            no speculative state — shadow registers, gated stores,
-           armed alias ranges, uninstalled background translations —
-           may be architecturally observable.  A violation escapes as
+           armed alias ranges — may be architecturally observable.  A violation escapes as
            an exception and lands in [Crash], i.e. a divergence. *)
         c.Cms.Engine.on_rollback <-
           Some
@@ -356,18 +354,10 @@ let record ?checkpoint_every ?(label = "case") (r : rendered) : recording =
       tap_flush = (fun nth -> host := Journal.Flush { nth } :: !host);
       tap_evict = (fun nth -> host := Journal.Evict { nth } :: !host);
       tap_unlink = (fun nth k -> host := Journal.Unlink { nth; k } :: !host);
-      (* background dooms are observation-only — replay is virtual, so
-         the journal never re-injects them *)
-      tap_bg = (fun _nth _doom -> ());
     }
   in
   let ckpt = ref None in
   let setup c =
-    (* journal every canonical background-consume instant; replay
-       verifies it reproduces the identical (entry, at) stream *)
-    c.Cms.Engine.on_bg_consume <-
-      Some
-        (fun ~entry ~at -> host := Journal.Bg_arrive { entry; at } :: !host);
     let injector = Journal.install_guest c r.events in
     (match checkpoint_every with
     | Some every ->

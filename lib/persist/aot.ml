@@ -29,8 +29,9 @@ let stale fmt = Format.kasprintf (fun s -> raise (Stale s)) fmt
 let kind = "AOTC"
 
 (* version 2: the embedded Config grew closure_exec/chain_exits.
-   version 3: Config grew background_translation/bg_queue_capacity. *)
-let version = 3
+   version 3: Config grew the background-translator knob and queue bound.
+   version 4: Config lost them again (background translator removed). *)
+let version = 4
 
 (* ------------------------------------------------------------------ *)
 (* Image model                                                         *)

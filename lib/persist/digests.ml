@@ -137,22 +137,6 @@ let normalized_stats (s : Cms.Stats.t) =
     chain_unlinks_smc = 0;
     chain_unlinks_aot = 0;
     chain_unlinks_chaos = 0;
-    (* background translation is a wall-clock accelerator: its queue
-       and install counters depend on worker-domain timing (and are
-       zero with the feature off), while the architectural schedule
-       does not — the bg-on/bg-off differential relies on exactly
-       this normalization *)
-    bg_enqueued = 0;
-    bg_prefetched = 0;
-    bg_deduped = 0;
-    bg_dropped = 0;
-    bg_compiled = 0;
-    bg_installed = 0;
-    bg_stale = 0;
-    bg_waits = 0;
-    bg_unready = 0;
-    bg_failed = 0;
-    bg_overlap_insns = 0;
     (* the shared store is a fleet-level accelerator: hit/miss patterns
        depend on which machine published first (worker-domain and shard
        scheduling), never on the architectural schedule *)

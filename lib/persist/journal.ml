@@ -64,15 +64,6 @@ type host_event =
           over the canonical {!Cms.Tcache.chained_exits} order (the
           selection is a pure function of tcache state, so replaying
           [(nth, k)] cuts the identical link) *)
-  | Bg_arrive of { entry : int; at : int }
-      (** a background-translation request for [entry] was consumed at
-          its canonical install boundary with [at] instructions
-          retired.  Unlike the other host events this is not replayed
-          but *verified*: consume instants are a pure function of the
-          deterministic execution, so the replayed engine must produce
-          the identical (entry, at) sequence on its own — a mismatch
-          means the background queue leaked scheduling nondeterminism
-          into the architectural timeline *)
 
 let pp_host_event ppf = function
   | Kill { nth } -> Fmt.pf ppf "kill@%d" nth
@@ -81,7 +72,6 @@ let pp_host_event ppf = function
   | Flush { nth } -> Fmt.pf ppf "flush@%d" nth
   | Evict { nth } -> Fmt.pf ppf "evict@%d" nth
   | Unlink { nth; k } -> Fmt.pf ppf "unlink@%d k=%d" nth k
-  | Bg_arrive { entry; at } -> Fmt.pf ppf "bg-arrive@%d entry=%#x" at entry
 
 type t = {
   label : string;  (** workload / case name *)
@@ -233,7 +223,6 @@ let install_host (c : Cms.t) (events : host_event list) =
   let flushes = Queue.create () in
   let evicts = Queue.create () in
   let unlinks = Queue.create () in
-  let arrivals = Queue.create () in
   List.iter
     (function
       | Kill { nth } -> Queue.add nth kills
@@ -241,34 +230,8 @@ let install_host (c : Cms.t) (events : host_event list) =
       | Spoof { nth } -> Queue.add nth spoofs
       | Flush { nth } -> Queue.add nth flushes
       | Evict { nth } -> Queue.add nth evicts
-      | Unlink { nth; k } -> Queue.add (nth, k) unlinks
-      | Bg_arrive { entry; at } -> Queue.add (entry, at) arrivals)
+      | Unlink { nth; k } -> Queue.add (nth, k) unlinks)
     events;
-  (* Replay is scheduler-free: the background queue runs in virtual
-     mode (requests tracked, nothing compiled, no worker domain), so
-     every install takes the synchronous path.  The recorded
-     [Bg_arrive] stream is then *verified* against the replay's own
-     consume instants — both must be the same pure function of the
-     deterministic execution. *)
-  Cms.Engine.set_bg_virtual c true;
-  c.Cms.Engine.on_bg_consume <-
-    Some
-      (fun ~entry ~at ->
-        stats.Cms.Stats.journal_events <- stats.Cms.Stats.journal_events + 1;
-        match Queue.take_opt arrivals with
-        | Some (entry', at') when entry' = entry && at' = at -> ()
-        | Some (entry', at') ->
-            failwith
-              (Fmt.str
-                 "journal: background-consume divergence: replay hit \
-                  entry=%#x at=%d, journal recorded entry=%#x at=%d"
-                 entry at entry' at')
-        | None ->
-            failwith
-              (Fmt.str
-                 "journal: background-consume divergence: replay hit \
-                  entry=%#x at=%d past the end of the recorded stream"
-                 entry at));
   let due q n =
     match Queue.peek_opt q with
     | Some m when m = n ->
@@ -324,9 +287,6 @@ let install_host (c : Cms.t) (events : host_event list) =
             let n = !n_spoof in
             incr n_spoof;
             due spoofs n);
-        (* background dooms shape worker timing, which virtual-mode
-           replay has none of — they are deliberately not journaled *)
-        bg_doom = (fun _ -> None);
       }
 
 (* ------------------------------------------------------------------ *)
@@ -335,13 +295,16 @@ let install_host (c : Cms.t) (events : host_event list) =
 
 (* version 2: the embedded Config grew closure_exec/chain_exits, and
    host events grew the chaos unlink storm (tag 5).
-   version 3: the embedded Config grew background_translation and
-   bg_queue_capacity, Stats grew the bg counters, and host events the
+   version 3: the embedded Config grew the background-translator knob
+   and queue bound, Stats grew its counters, and host events the
    background-consume boundary (tag 6).
    version 4: guest events grew NIC packet arrivals (tag 3) and
    asynchronous retired-clock DMA bursts (tag 4); the embedded Stats
-   grew the interrupt-pressure counters. *)
-let version = 4
+   grew the interrupt-pressure counters.
+   version 5: the background translator is gone: the embedded Config
+   and Stats lost its fields, and host events the background-consume
+   boundary (tag 6). *)
+let version = 5
 let kind = "JRNL"
 
 let w_guest_event b = function
@@ -413,10 +376,6 @@ let w_host_event b = function
       Codec.w_int b 5;
       Codec.w_int b nth;
       Codec.w_int b k
-  | Bg_arrive { entry; at } ->
-      Codec.w_int b 6;
-      Codec.w_int b entry;
-      Codec.w_int b at
 
 let r_host_event r =
   match Codec.r_int r with
@@ -432,10 +391,6 @@ let r_host_event r =
       let nth = Codec.r_int r in
       let k = Codec.r_int r in
       Unlink { nth; k }
-  | 6 ->
-      let entry = Codec.r_int r in
-      let at = Codec.r_int r in
-      Bg_arrive { entry; at }
   | k -> Codec.corrupt "journal: unknown host-event tag %d" k
 
 let to_string (t : t) =

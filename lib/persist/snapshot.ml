@@ -37,12 +37,14 @@ exception Inconsistent of string
 (* version 2: the embedded Stats record grew the AOT counters.
    version 3: Config grew closure_exec/chain_exits, Stats the
    closure/chaining counters.
-   version 4: Config grew background_translation/bg_queue_capacity,
-   Stats the background-translation counters.
+   version 4: Config grew the background-translator knob and queue
+   bound, Stats the background-translation counters.
    version 5: NIC device section (NICC), the PIC's deferred-raise
    counter in IRQC, Stats the interrupt-pressure counters.
-   version 6: Stats grew the shared-translation-store (fleet) counters. *)
-let version = 6
+   version 6: Stats grew the shared-translation-store (fleet) counters.
+   version 7: the background translator is gone: Config lost its knob
+   and queue bound, Stats its counters. *)
+let version = 7
 let kind = "SNAP"
 
 let consistent (c : Cms.t) =

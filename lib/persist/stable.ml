@@ -55,9 +55,7 @@ let w_config b (c : Cms.Config.t) =
   Codec.w_bool b c.enforce_latency;
   Codec.w_bool b c.verify_translations;
   Codec.w_bool b c.closure_exec;
-  Codec.w_bool b c.chain_exits;
-  Codec.w_bool b c.background_translation;
-  Codec.w_int b c.bg_queue_capacity
+  Codec.w_bool b c.chain_exits
 
 let r_config r : Cms.Config.t =
   let enable_reorder = Codec.r_bool r in
@@ -97,8 +95,6 @@ let r_config r : Cms.Config.t =
   let verify_translations = Codec.r_bool r in
   let closure_exec = Codec.r_bool r in
   let chain_exits = Codec.r_bool r in
-  let background_translation = Codec.r_bool r in
-  let bg_queue_capacity = Codec.r_int r in
   {
     Cms.Config.enable_reorder;
     enable_alias_hw;
@@ -137,8 +133,6 @@ let r_config r : Cms.Config.t =
     verify_translations;
     closure_exec;
     chain_exits;
-    background_translation;
-    bg_queue_capacity;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -200,17 +194,6 @@ let w_stats b (s : Cms.Stats.t) =
   Codec.w_int b s.chain_unlinks_smc;
   Codec.w_int b s.chain_unlinks_aot;
   Codec.w_int b s.chain_unlinks_chaos;
-  Codec.w_int b s.bg_enqueued;
-  Codec.w_int b s.bg_prefetched;
-  Codec.w_int b s.bg_deduped;
-  Codec.w_int b s.bg_dropped;
-  Codec.w_int b s.bg_compiled;
-  Codec.w_int b s.bg_installed;
-  Codec.w_int b s.bg_stale;
-  Codec.w_int b s.bg_waits;
-  Codec.w_int b s.bg_unready;
-  Codec.w_int b s.bg_failed;
-  Codec.w_int b s.bg_overlap_insns;
   Codec.w_int b s.irq_raised;
   Codec.w_int b s.irq_deferred;
   Codec.w_int b s.nic_rx_frames;
@@ -279,17 +262,6 @@ let r_stats_into r (s : Cms.Stats.t) =
   s.chain_unlinks_smc <- Codec.r_int r;
   s.chain_unlinks_aot <- Codec.r_int r;
   s.chain_unlinks_chaos <- Codec.r_int r;
-  s.bg_enqueued <- Codec.r_int r;
-  s.bg_prefetched <- Codec.r_int r;
-  s.bg_deduped <- Codec.r_int r;
-  s.bg_dropped <- Codec.r_int r;
-  s.bg_compiled <- Codec.r_int r;
-  s.bg_installed <- Codec.r_int r;
-  s.bg_stale <- Codec.r_int r;
-  s.bg_waits <- Codec.r_int r;
-  s.bg_unready <- Codec.r_int r;
-  s.bg_failed <- Codec.r_int r;
-  s.bg_overlap_insns <- Codec.r_int r;
   s.irq_raised <- Codec.r_int r;
   s.irq_deferred <- Codec.r_int r;
   s.nic_rx_frames <- Codec.r_int r;

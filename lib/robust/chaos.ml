@@ -45,15 +45,6 @@ type profile = {
           deterministically over {!Cms.Tcache.chained_exits}); the
           engine must re-chain through the normal patch path with no
           architectural effect *)
-  (* background-translator adversities: each rate dooms the request
-     being enqueued (the worker domain acts the doom out later); every
-     doom must degrade to synchronous translation, architecturally
-     invisible.  Checked in ladder order — die, wedge, fail, delay —
-     first hit wins. *)
-  bg_die : int;  (** the worker domain dies mid-request (permanent) *)
-  bg_wedge : int;  (** the request never completes *)
-  bg_fail : int;  (** the background compile "crashes" *)
-  bg_delay : int;  (** the background compile is artificially slowed *)
   tiny_caches : bool;  (** scramble capacities with {!scramble_cfg} *)
 }
 
@@ -66,10 +57,6 @@ let default_profile =
     flush_storm = 3;
     evict_storm = 12;
     unlink_storm = 20;
-    bg_die = 2;
-    bg_wedge = 10;
-    bg_fail = 25;
-    bg_delay = 40;
     tiny_caches = true;
   }
 
@@ -84,10 +71,6 @@ let pressure_only =
     flush_storm = 5;
     evict_storm = 40;
     unlink_storm = 0;
-    bg_die = 0;
-    bg_wedge = 0;
-    bg_fail = 0;
-    bg_delay = 0;
     tiny_caches = true;
   }
 
@@ -102,7 +85,6 @@ type t = {
   mutable flushes : int;
   mutable evicted : int;
   mutable unlinks : int;  (** chained exits actually cut by unlink storms *)
-  mutable bg_dooms : int;  (** background requests doomed at enqueue *)
 }
 
 let create ?(profile = default_profile) rng =
@@ -115,12 +97,11 @@ let create ?(profile = default_profile) rng =
     flushes = 0;
     evicted = 0;
     unlinks = 0;
-    bg_dooms = 0;
   }
 
 let injections t =
   t.translator_kills + t.injected_faults + t.irq_spoofs + t.flushes
-  + t.evicted + t.unlinks + t.bg_dooms
+  + t.evicted + t.unlinks
 
 (** Shrink the run's capacities so pressure paths fire constantly:
     tcache small enough that real workloads evict, policy table small
@@ -129,20 +110,10 @@ let injections t =
     starves translations).  Architecturally invisible by construction —
     capacities are host resources. *)
 let scramble_cfg rng (cfg : Cms.Config.t) =
-  (* the bg-queue draw comes last: minimized corpus cases predate it,
-     and appending keeps the RNG stream prefix — and so every other
-     scrambled capacity — unchanged for them *)
   let tcache_capacity = Srng.range rng 3 24 in
   let sbuf_capacity = Srng.range rng 8 24 in
   let adapt_capacity = Srng.range rng 4 64 in
-  let bg_queue_capacity = Srng.range rng 2 12 in
-  {
-    cfg with
-    Cms.Config.tcache_capacity;
-    sbuf_capacity;
-    adapt_capacity;
-    bg_queue_capacity;
-  }
+  { cfg with Cms.Config.tcache_capacity; sbuf_capacity; adapt_capacity }
 
 let hit t rate = rate > 0 && Srng.chance t.rng rate 1000
 
@@ -164,11 +135,6 @@ type tap = {
       (** nth dispatch boundary, with the link selector [k] (the RNG
           draw); recorded even when no link existed to cut — replaying
           the attempt is then also a no-op *)
-  tap_bg : int -> int -> unit;
-      (** nth [bg_doom] opportunity, with the doom encoded as an int
-          (0 = die, 1 = wedge, 2 = fail, 3 = delay).  Observation
-          only: background dooms shape worker timing, never the
-          architectural schedule, so the journal does not replay them *)
 }
 
 (** Arm an engine.  Composes with any already-installed
@@ -182,7 +148,6 @@ let install ?tap t (e : Cms.Engine.t) =
   let n_translate = ref 0 in
   let n_exec = ref 0 in
   let n_spoof = ref 0 in
-  let n_bg = ref 0 in
   let prev = e.Cms.Engine.on_boundary in
   e.Cms.Engine.on_boundary <-
     Some
@@ -243,34 +208,10 @@ let install ?tap t (e : Cms.Engine.t) =
               true
             end
             else false);
-        bg_doom =
-          (fun _entry ->
-            let n = !n_bg in
-            incr n_bg;
-            (* every rate draws unconditionally, so the RNG stream does
-               not depend on which doom (if any) fires *)
-            let die = hit t t.profile.bg_die in
-            let wedge = hit t t.profile.bg_wedge in
-            let fail = hit t t.profile.bg_fail in
-            let delay = hit t t.profile.bg_delay in
-            let doom =
-              if die then Some (0, Cms.Bgtrans.Ddie)
-              else if wedge then Some (1, Cms.Bgtrans.Dwedge)
-              else if fail then Some (2, Cms.Bgtrans.Dfail)
-              else if delay then Some (3, Cms.Bgtrans.Ddelay)
-              else None
-            in
-            match doom with
-            | Some (code, d) ->
-                t.bg_dooms <- t.bg_dooms + 1;
-                (match tap with Some tp -> tp.tap_bg n code | None -> ());
-                Some d
-            | None -> None);
       }
 
 let pp fmt t =
   Fmt.pf fmt
-    "chaos[kills=%d faults=%d spoofs=%d flushes=%d evicted=%d unlinks=%d \
-     bg-dooms=%d]"
+    "chaos[kills=%d faults=%d spoofs=%d flushes=%d evicted=%d unlinks=%d]"
     t.translator_kills t.injected_faults t.irq_spoofs t.flushes t.evicted
-    t.unlinks t.bg_dooms
+    t.unlinks

@@ -204,7 +204,6 @@ let cfg_translate =
     Cms.Config.verify_translations = true;
     closure_exec = true;
     chain_exits = true;
-    background_translation = true;
   }
 
 (* The kernels keep their task stacks inside this window; dead bytes
@@ -311,12 +310,9 @@ let check_record_replay (case : case) : (unit, string) result =
       tap_flush = (fun nth -> host := Journal.Flush { nth } :: !host);
       tap_evict = (fun nth -> host := Journal.Evict { nth } :: !host);
       tap_unlink = (fun nth k -> host := Journal.Unlink { nth; k } :: !host);
-      tap_bg = (fun _nth _doom -> ());
     }
   in
   let setup c =
-    c.Cms.Engine.on_bg_consume <-
-      Some (fun ~entry ~at -> host := Journal.Bg_arrive { entry; at } :: !host);
     ignore (Journal.install_guest c case.events : Journal.injector);
     match chaos with Some ch -> Chaos.install ~tap ch c | None -> ()
   in

@@ -136,9 +136,8 @@ let test_closure_mem_no_alloc () =
 
 (* The bench hotpath loop in the production configuration: the
    translator, closures, chaining and the memory atoms all run.
-   Translation and the background translator's start-up allocate a
-   fixed ~2.6M words; over five million retired instructions that
-   amortizes to about half a word. *)
+   Translation allocates a fixed amount up front; over five million
+   retired instructions that amortizes to about half a word. *)
 let test_hotpath_words_per_insn () =
   let c = Cms.create ~cfg:Cms.Config.default () in
   Cms.load c (Workloads.Hotpath.listing ~iters:100_000);

@@ -250,6 +250,24 @@ let test_image_corruption_rejected () =
   | _ -> Alcotest.fail "corrupted image was accepted"
   | exception P.Codec.Corrupt _ -> ()
 
+(* An image of the previous format version is refused by its version
+   number before any section is decoded. *)
+let test_old_version_refused () =
+  let _, img = build_image () in
+  let v = P.Aot.version in
+  let old =
+    P.Codec.write_container ~kind:P.Aot.kind ~version:(v - 1)
+      (P.Codec.read_container ~kind:P.Aot.kind ~version:v (P.Aot.to_string img))
+  in
+  match P.Aot.of_string old with
+  | _ -> Alcotest.fail "previous-version image was accepted"
+  | exception P.Codec.Corrupt msg ->
+      check Alcotest.bool
+        (Fmt.str "diagnostic names the version: %s" msg)
+        true
+        (msg = Fmt.str "unsupported AOTC format version %d (this build reads version %d)"
+                 (v - 1) v)
+
 let test_stale_digest_refused () =
   let _, img = build_image () in
   let c2 = Cms.create ~cfg:Cms.Config.debug () in
@@ -418,6 +436,8 @@ let suites =
           test_image_roundtrip_deterministic;
         Alcotest.test_case "corruption rejected" `Quick
           test_image_corruption_rejected;
+        Alcotest.test_case "previous version refused" `Quick
+          test_old_version_refused;
         Alcotest.test_case "stale digest refused" `Quick
           test_stale_digest_refused;
         Alcotest.test_case "config conflict refused" `Quick

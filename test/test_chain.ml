@@ -41,19 +41,6 @@ let digest (c : Cms.t) =
       chain_unlinks_smc = 0;
       chain_unlinks_aot = 0;
       chain_unlinks_chaos = 0;
-      (* background-translation queue counters depend on worker-domain
-         timing, never on guest-visible behavior *)
-      bg_enqueued = 0;
-      bg_prefetched = 0;
-      bg_deduped = 0;
-      bg_dropped = 0;
-      bg_compiled = 0;
-      bg_installed = 0;
-      bg_stale = 0;
-      bg_waits = 0;
-      bg_unready = 0;
-      bg_failed = 0;
-      bg_overlap_insns = 0;
     }
   in
   let m = Cms.mem c in
@@ -243,8 +230,26 @@ let test_fuzz_slice () =
     | Oracle.Divergence d -> Alcotest.failf "case %d diverges: %s" index d
   done
 
+(* The chaos differential (clean interpreter vs chaos-scrambled
+   translator) with chained exits and closure execution on: forced
+   faults, translator deaths, spoofed interrupts and unlink storms must
+   all leave the architectural state equal to the interpreter's. *)
+let test_chaos_chain_smoke () =
+  let root = Srng.create 97 in
+  for index = 0 to 14 do
+    let rng = Srng.split root in
+    let case = Gen.generate rng ~seed:97 ~index in
+    let seed = Srng.int32 rng in
+    match Oracle.check (Oracle.render ~chaos:seed case) with
+    | Oracle.Pass | Oracle.Hang -> ()
+    | Oracle.Divergence d -> Alcotest.failf "chaos x chain case %d: %s" index d
+  done
+
 let fuzz_tests =
-  [ Alcotest.test_case "24-case slice" `Slow test_fuzz_slice ]
+  [
+    Alcotest.test_case "24-case slice" `Slow test_fuzz_slice;
+    Alcotest.test_case "chaos x chain (15 cases)" `Slow test_chaos_chain_smoke;
+  ]
 
 let suites =
   [

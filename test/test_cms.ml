@@ -165,6 +165,102 @@ let basic_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Synchronous translation at the hotness point                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A region is translated on the dispatch path at the instant its entry
+   crosses [translate_threshold], from the code bytes in memory at that
+   instant — there is no other path that could install a translation
+   earlier or from older bytes. *)
+
+let sync_base = 0x1000
+
+(* two 5-byte prologue moves, then the loop; [mov ebx, imm] heads the
+   loop and its imm32 at [head+1 .. head+5) is the SMC target *)
+let sync_head = sync_base + 10
+let sync_threshold = 16
+
+let sync_cfg =
+  { Cms.Config.default with Cms.Config.translate_threshold = sync_threshold }
+
+let sync_listing ~imm =
+  Asm.(
+    assemble ~base:sync_base
+      [
+        mov_ri eax 0;
+        mov_ri ebp 200;
+        label "l";
+        mov_ri ebx imm;
+        dec_r ebp;
+        jne "l";
+        hlt;
+      ])
+
+let sync_engine () =
+  let c = Cms.create ~cfg:sync_cfg () in
+  Cms.load c (sync_listing ~imm:0x11);
+  Cms.boot c ~entry:sync_base;
+  c
+
+(* retired count at the loop head's [sync_threshold + 1]th arrival: the
+   prologue plus [sync_threshold] interpreted 3-instruction iterations *)
+let sync_hot_point = 2 + (3 * sync_threshold)
+
+let run_to c n =
+  match Cms.run ~max_insns:n c with
+  | Cms.Engine.Insn_limit -> ()
+  | Cms.Engine.Halted -> Alcotest.failf "loop halted before %d insns" n
+
+let finish c =
+  match Cms.run c with
+  | Cms.Engine.Halted -> Cms.stats c
+  | Cms.Engine.Insn_limit -> Alcotest.fail "loop did not halt"
+
+let cached c entry = Cms.Tcache.lookup c.Cms.Engine.tcache entry <> None
+
+let test_translated_at_hot_point () =
+  let c = sync_engine () in
+  run_to c sync_hot_point;
+  check ci "nothing translated below the threshold" 0
+    (Cms.stats c).Cms.Stats.translations;
+  check cb "loop head not cached yet" false (cached c sync_head);
+  run_to c (sync_hot_point + 1);
+  check ci "one translation at the hotness point" 1
+    (Cms.stats c).Cms.Stats.translations;
+  check cb "loop head cached" true (cached c sync_head)
+
+let test_translation_ships () =
+  let c = sync_engine () in
+  let s = finish c in
+  check ci "loop semantics" 0x11 (Cms.gpr c Regs.ebx);
+  check ci "one translation" 1 s.Cms.Stats.translations;
+  check ci "no invalidation" 0 s.Cms.Stats.invalidations;
+  (* every iteration after the hotness point retires from the tcache *)
+  check cb "translated iterations dominate" true
+    (s.Cms.Stats.x86_translated >= 3 * (200 - sync_threshold - 1))
+
+let test_smc_before_hot_point () =
+  let c = sync_engine () in
+  run_to c (sync_hot_point - 3);
+  (* patch the loop's mov immediate before the region is hot: the
+     translation made at the hotness point must read the new bytes *)
+  Machine.Mem.write (Cms.mem c) ~size:4 (sync_head + 1) 0x22;
+  let s = finish c in
+  check ci "post-SMC semantics" 0x22 (Cms.gpr c Regs.ebx);
+  check ci "one translation" 1 s.Cms.Stats.translations;
+  check cb "translated iterations dominate" true
+    (s.Cms.Stats.x86_translated >= 3 * (200 - sync_threshold - 1))
+
+let translate_tests =
+  [
+    Alcotest.test_case "translated at the hotness point" `Quick
+      test_translated_at_hot_point;
+    Alcotest.test_case "translation ships" `Quick test_translation_ships;
+    Alcotest.test_case "SMC before the hotness point" `Quick
+      test_smc_before_hot_point;
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Precise exceptions                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -450,6 +546,7 @@ let prop_differential =
 let suites =
   [
     ("cms.basic", basic_tests);
+    ("cms.translate", translate_tests);
     ("cms.exceptions", exception_tests);
     ("cms.interrupts", interrupt_tests);
     ("cms.differential", [ QCheck_alcotest.to_alcotest prop_differential ]);

@@ -34,19 +34,6 @@ let digest (c : Cms.t) =
       dcache_invalidations = 0;
       ram_fast_reads = 0;
       ram_fast_writes = 0;
-      (* background-translation queue counters depend on worker-domain
-         timing, never on guest-visible behavior *)
-      bg_enqueued = 0;
-      bg_prefetched = 0;
-      bg_deduped = 0;
-      bg_dropped = 0;
-      bg_compiled = 0;
-      bg_installed = 0;
-      bg_stale = 0;
-      bg_waits = 0;
-      bg_unready = 0;
-      bg_failed = 0;
-      bg_overlap_insns = 0;
     }
   in
   let m = Cms.mem c in

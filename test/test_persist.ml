@@ -347,12 +347,13 @@ let test_fuzz_record_replay () =
 (* The chaos campaign slice: translator deaths, forced faults, spoofed
    interrupts and cache storms are journaled as opportunity indices and
    replayed with no RNG at all — and the replay must match the recording
-   bit for bit. *)
-let test_chaos_record_replay () =
-  let root = Srng.create 5 in
+   bit for bit.  Two independent seed streams, so the guarantee is not
+   the property of one schedule. *)
+let test_chaos_record_replay seed () =
+  let root = Srng.create seed in
   for index = 0 to 99 do
     let rng = Srng.split root in
-    let case = Gen.generate rng ~seed:5 ~index in
+    let case = Gen.generate rng ~seed ~index in
     let chaos_seed = Srng.int32 rng in
     match Oracle.check_record_replay (Oracle.render ~chaos:chaos_seed case) with
     | Oracle.Pass -> ()
@@ -413,7 +414,9 @@ let replay_tests =
     Alcotest.test_case "record=replay, clean cases" `Quick
       test_fuzz_record_replay;
     Alcotest.test_case "record=replay, 100-case chaos slice" `Slow
-      test_chaos_record_replay;
+      (test_chaos_record_replay 5);
+    Alcotest.test_case "record=replay, 100-case chaos slice, seed 7" `Slow
+      (test_chaos_record_replay 7);
     Alcotest.test_case "resume from checkpoint + journal suffix" `Quick
       test_fuzz_resume_from_checkpoint;
   ]
@@ -464,6 +467,106 @@ let test_forensics_dump () =
 let forensics_tests =
   [ Alcotest.test_case "divergence bundle" `Quick test_forensics_dump ]
 
+(* ------------------------------------------------------------------ *)
+(* Format versions and the Stats codec                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Re-label a current image as [version], sections untouched: an image
+   of an older layout must be refused by its version number, with a
+   diagnostic, before any section is parsed field by field. *)
+let relabel ~kind ~current ~version data =
+  P.Codec.write_container ~kind ~version
+    (P.Codec.read_container ~kind ~version:current data)
+
+let test_snapshot_old_version () =
+  let c = Suite.prepare (compress ()) in
+  ignore (Cms.run ~max_insns:10_000 c);
+  let img = P.Snapshot.capture c in
+  let v = P.Snapshot.version in
+  ignore (P.Snapshot.restore img);
+  expect_corrupt ~substr:(Fmt.str "SNAP format version %d" (v - 1)) (fun () ->
+      ignore
+        (P.Snapshot.restore
+           (relabel ~kind:P.Snapshot.kind ~current:v ~version:(v - 1) img)))
+
+let small_journal =
+  {
+    P.Journal.label = "v";
+    cfg = Cms.Config.default;
+    guest = [];
+    host = [ P.Journal.Kill { nth = 1 } ];
+    arch_hex = None;
+    strict_hex = None;
+  }
+
+let test_journal_old_version () =
+  let img = P.Journal.to_string small_journal in
+  let v = P.Journal.version in
+  expect_corrupt ~substr:(Fmt.str "JRNL format version %d" (v - 1)) (fun () ->
+      ignore
+        (P.Journal.of_string
+           (relabel ~kind:P.Journal.kind ~current:v ~version:(v - 1) img)))
+
+(* Host-event tag 6 was the background-consume boundary; the current
+   format has no such event, so a section carrying one is corrupt. *)
+let test_journal_retired_host_tag () =
+  let v = P.Journal.version in
+  let hevt = P.Codec.writer () in
+  P.Codec.w_list hevt
+    (fun b (entry, at) ->
+      P.Codec.w_int b 6;
+      P.Codec.w_int b entry;
+      P.Codec.w_int b at)
+    [ (0x1000, 42) ];
+  let sections =
+    List.map
+      (fun (tag, payload) ->
+        if tag = "HEVT" then (tag, P.Codec.contents hevt) else (tag, payload))
+      (P.Codec.read_container ~kind:P.Journal.kind ~version:v
+         (P.Journal.to_string small_journal))
+  in
+  expect_corrupt ~substr:"unknown host-event tag 6" (fun () ->
+      ignore
+        (P.Journal.of_string
+           (P.Codec.write_container ~kind:P.Journal.kind ~version:v sections)))
+
+(* Every encoded counter survives a round trip; the three dormant
+   [bg_*] fields are not encoded and read back as 0. *)
+let test_stats_codec_roundtrip () =
+  let c = Suite.prepare (compress ()) in
+  ignore (Cms.run ~max_insns:100_000 c);
+  let s = Cms.stats c in
+  s.Cms.Stats.bg_installed <- 3;
+  s.Cms.Stats.bg_overlap_insns <- 5;
+  s.Cms.Stats.bg_waits <- 7;
+  let b = P.Codec.writer () in
+  P.Stable.w_stats b s;
+  let r = P.Codec.reader (P.Codec.contents b) in
+  let s' = Cms.Stats.create () in
+  P.Stable.r_stats_into r s';
+  P.Codec.r_end r;
+  check Alcotest.int "bg_installed not encoded" 0 s'.Cms.Stats.bg_installed;
+  check Alcotest.int "bg_overlap_insns not encoded" 0
+    s'.Cms.Stats.bg_overlap_insns;
+  check Alcotest.int "bg_waits not encoded" 0 s'.Cms.Stats.bg_waits;
+  check Alcotest.bool "translations moved" true (s.Cms.Stats.translations > 0);
+  s.Cms.Stats.bg_installed <- 0;
+  s.Cms.Stats.bg_overlap_insns <- 0;
+  s.Cms.Stats.bg_waits <- 0;
+  check Alcotest.bool "encoded counters round-trip" true (s = s')
+
+let format_tests =
+  [
+    Alcotest.test_case "snapshot refuses the previous version" `Quick
+      test_snapshot_old_version;
+    Alcotest.test_case "journal refuses the previous version" `Quick
+      test_journal_old_version;
+    Alcotest.test_case "journal refuses host-event tag 6" `Quick
+      test_journal_retired_host_tag;
+    Alcotest.test_case "stats codec round-trip" `Quick
+      test_stats_codec_roundtrip;
+  ]
+
 let suites =
   [
     ("persist codec", codec_tests);
@@ -471,4 +574,5 @@ let suites =
     ("persist soak", soak_tests);
     ("persist replay", replay_tests);
     ("persist forensics", forensics_tests);
+    ("persist format", format_tests);
   ]

@@ -55,8 +55,8 @@ let run_loop ?(arm = fun (_ : Cms.t) -> ()) ~iters cfg =
   Cms.boot c ~entry:loop_base;
   (* standing speculation non-interference invariant: every rollback
      in every robustness scenario must leave no speculative state —
-     shadow registers, gated stores, armed alias ranges, uninstalled
-     background translations — architecturally observable *)
+     shadow registers, gated stores, armed alias ranges —
+     architecturally observable *)
   c.Cms.Engine.on_rollback <-
     Some
       (fun () ->
@@ -86,7 +86,6 @@ let test_containment () =
                 (fun _ -> failwith "injected translator death");
               pre_exec = (fun _ -> None);
               irq_spoof = (fun () -> false);
-              bg_doom = (fun _ -> None);
             })
   in
   let s = Cms.stats c in
@@ -123,7 +122,6 @@ let test_forward_progress () =
               Cms.Engine.on_translate = (fun _ -> ());
               pre_exec = (fun _ -> Some (Vliw.Nexn.Alias_violation 0));
               irq_spoof = (fun () -> false);
-              bg_doom = (fun _ -> None);
             })
   in
   let s = Cms.stats c in
@@ -161,7 +159,6 @@ let test_spoof_storm_watchdog () =
               Cms.Engine.on_translate = (fun _ -> ());
               pre_exec = (fun _ -> None);
               irq_spoof = (fun () -> true);
-              bg_doom = (fun _ -> None);
             })
   in
   let s = Cms.stats c in
