@@ -576,7 +576,7 @@ let run_fleet ~json () =
   let module Tstore = Cms_persist.Tstore in
   let reps = 3 in
   let seed = 11 in
-  let fcfg shards = { Fleet.default_config with Fleet.shards; mirror = false } in
+  let fcfg shards = { Fleet.default_config with Fleet.shards } in
   let counts = [ 1; 2; 4; 8 ] in
   let row n =
     let specs = Fleet.traffic_specs ~seed ~machines:n in

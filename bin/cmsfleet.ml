@@ -7,7 +7,8 @@
    machine is individually supervised: injected deaths restart from
    the last commit-boundary snapshot with capped exponential backoff,
    persistent faults climb into permanent quarantine, and survivors
-   must match their schedule-independent solo mirrors.
+   must reproduce the checksum and syscall count their packet streams
+   determine.
 
      dune exec bin/cmsfleet.exe -- --machines 8 --shards 4 --stats
      dune exec bin/cmsfleet.exe -- --campaign --seed 1 --cases 200
@@ -19,12 +20,11 @@
 module Fleet = Cms_fleet.Fleet
 module Tstore = Cms_persist.Tstore
 
-let run_fleet machines shards seed stats mirror no_store forensics =
+let run_fleet machines shards seed stats no_store forensics =
   let fcfg =
     {
       Fleet.default_config with
       Fleet.shards;
-      mirror;
       forensics = (if forensics = "" then None else Some forensics);
     }
   in
@@ -91,10 +91,10 @@ let run_campaign seed cases machines json quiet forensics =
   end;
   if t.Fleet.failed > 0 then exit 1
 
-let main campaign machines shards seed cases stats mirror no_store json quiet
+let main campaign machines shards seed cases stats no_store json quiet
     forensics =
   if campaign then run_campaign seed cases machines json quiet forensics
-  else run_fleet machines shards seed stats mirror no_store forensics
+  else run_fleet machines shards seed stats no_store forensics
 
 open Cmdliner
 
@@ -138,14 +138,6 @@ let stats =
     & info [ "stats" ]
         ~doc:"Per-machine reports including shared-store counters.")
 
-let mirror =
-  Arg.(
-    value & opt bool true
-    & info [ "mirror" ] ~docv:"BOOL"
-        ~doc:
-          "Check every surviving machine against an interpreter-only solo \
-           run of the same inputs (plain mode).")
-
 let no_store =
   Arg.(
     value & flag
@@ -170,6 +162,6 @@ let cmd =
     (Cmd.info "cmsfleet" ~doc)
     Term.(
       const main $ campaign $ machines $ shards $ seed $ cases $ stats
-      $ mirror $ no_store $ json $ quiet $ forensics)
+      $ no_store $ json $ quiet $ forensics)
 
 let () = exit (Cmd.eval cmd)

@@ -25,11 +25,10 @@
       is reaped by the instruction budget and treated as a watchdog
       trip.
     - {b Divergence detection.}  A surviving machine must reproduce
-      its schedule-independent mirror state — the RX kernel's EAX
+      its schedule-independent expected state — the RX kernel's EAX
       checksum and EBX syscall count, pure functions of its frame
-      stream — and, when [mirror] is on, match an interpreter-only
-      solo run of the same machine.  Any mismatch is a cross-machine
-      divergence finding.
+      stream, computed by the generator.  Any mismatch is a
+      cross-machine divergence finding.
 
     The fleet's parallelism is its shard domains; each engine
     translates synchronously on its own dispatch path. *)
@@ -119,7 +118,6 @@ type config = {
   max_restarts : int;  (** restarts before permanent quarantine *)
   backoff_base : int;  (** molecules charged at the first restart *)
   backoff_cap : int;  (** ladder ceiling *)
-  mirror : bool;  (** check survivors against an interp-only solo run *)
   engine_cfg : Cms.Config.t;
   forensics : string option;  (** bundle directory for failures *)
 }
@@ -140,13 +138,12 @@ let default_config =
     max_restarts = 3;
     backoff_base = 1_000;
     backoff_cap = 64_000;
-    mirror = true;
     engine_cfg;
     forensics = None;
   }
 
-(* The solo mirror's configuration: an alias, kept under this name for
-   the harnesses that refer to it. *)
+(* The interpreter-only configuration of {!run_solo}: an alias, kept
+   under this name for the harnesses that refer to it. *)
 let interp_cfg = Cms.interp_only_cfg
 
 (* ------------------------------------------------------------------ *)
@@ -176,6 +173,11 @@ type report = {
   r_stats : Cms.Stats.t option;  (** final machine counters *)
 }
 
+(** Run one machine unsupervised on an engine of [cfg]: no store, no
+    checkpoints, no faults.  Returns its EAX, EBX and whether any
+    rollback left speculative state visible.  The tests run it on
+    {!interp_cfg} to check the interpreter against the generator's
+    expected state. *)
 let run_solo ~cfg (spec : spec) =
   let c = Suite.prepare ~cfg spec.s_workload in
   ignore (Journal.install_guest c spec.s_events : Journal.injector);
@@ -185,7 +187,7 @@ let run_solo ~cfg (spec : spec) =
   match Cms.run ~max_insns:spec.s_workload.Suite.max_insns c with
   | Cms.Engine.Halted ->
       Ok (Cms.gpr c X86.Regs.eax, Cms.gpr c X86.Regs.ebx, !viol)
-  | Cms.Engine.Insn_limit -> Error "solo mirror hit the instruction limit"
+  | Cms.Engine.Insn_limit -> Error "solo run hit the instruction limit"
   | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
   | exception e -> Error (Printexc.to_string e)
 
@@ -253,9 +255,6 @@ let run_machine ?store (fcfg : config) (spec : spec) : report =
   let finish c restarts =
     let eax = Cms.gpr c X86.Regs.eax in
     let ebx = Cms.gpr c X86.Regs.ebx in
-    (* read everything the report needs from [c] now, so the finished
-       machine is garbage before the mirror allocates a second one *)
-    let retired = Cms.retired c and stats = Cms.stats c in
     let divergence =
       if eax <> spec.s_expected_eax then
         Some
@@ -265,18 +264,7 @@ let run_machine ?store (fcfg : config) (spec : spec) : report =
         Some
           (Printf.sprintf "syscall count diverged: expected %d, got %d"
              spec.s_expected_ebx ebx)
-      else if not fcfg.mirror then None
-      else
-        match run_solo ~cfg:interp_cfg spec with
-        | Error e -> Some ("solo mirror failed: " ^ e)
-        | Ok (meax, mebx, mviol) ->
-            if mviol then incr spec_viol;
-            if meax <> eax || mebx <> ebx then
-              Some
-                (Printf.sprintf
-                   "diverged from solo mirror: (%#x,%d) vs (%#x,%d)" eax ebx
-                   meax mebx)
-            else None
+      else None
     in
     (match divergence with Some d -> forensics d | None -> ());
     {
@@ -286,13 +274,13 @@ let run_machine ?store (fcfg : config) (spec : spec) : report =
       r_backoff = backoff_at fcfg restarts;
       r_kills = !kills;
       r_wedges = !wedges;
-      r_retired = retired;
+      r_retired = Cms.retired c;
       r_eax = eax;
       r_ebx = ebx;
       r_spec_violations = !spec_viol;
       r_divergence = divergence;
       r_degraded = store = None;
-      r_stats = Some stats;
+      r_stats = Some (Cms.stats c);
     }
   in
   let quarantine c_opt restarts cause =

@@ -23,6 +23,10 @@ type t = {
   mutable busy : int;  (** molecules remaining; 0 = idle *)
   mutable transfers : int;
   mutable dma_write : int -> Bytes.t -> unit;  (** paddr -> data *)
+  mutable image_chunks : int list option;
+      (** snapshot cache: offsets of the image's non-zero chunks, found
+          by the first capture.  The device never writes its image, so
+          the list stays valid. *)
 }
 
 let create ~image ~irq ~line ~latency =
@@ -37,6 +41,7 @@ let create ~image ~irq ~line ~latency =
     busy = 0;
     transfers = 0;
     dma_write = (fun _ _ -> invalid_arg "Disk: dma_write not wired");
+    image_chunks = None;
   }
 
 let set_dma_write t f = t.dma_write <- f

@@ -45,10 +45,9 @@ let mmio_handler t =
         | _ -> ());
   }
 
-(* Snapshot support: contents plus counters.  Restore blits into the
-   existing backing store ([mem] is fixed-size per window). *)
-let snapshot t = (Bytes.copy t.mem, t.writes, t.reads, t.frames)
-
+(* Snapshot support: capture encodes [mem] and the counters in place;
+   restore blits into the existing backing store ([mem] is fixed-size
+   per window). *)
 let restore t (mem, writes, reads, frames) =
   if Bytes.length mem <> t.size then
     invalid_arg "Framebuf.restore: size mismatch";

@@ -514,24 +514,16 @@ let r_tran r : tran =
 (* ------------------------------------------------------------------ *)
 
 let to_string (img : t) =
-  let sec f =
-    let b = Codec.writer () in
-    f b;
-    Codec.contents b
-  in
-  Codec.write_container ~kind ~version
-    [
-      ("META", sec (fun b -> w_meta b img.meta));
-      ("CONF", sec (fun b -> Stable.w_config b img.cfg));
-      ( "PAGE",
-        sec (fun b ->
-            Codec.w_list b
-              (fun b (ppn, d) ->
-                Codec.w_int b ppn;
-                Codec.w_string b d)
-              img.pages) );
-      ("TRAN", sec (fun b -> Codec.w_list b w_tran img.trans));
-    ]
+  Codec.container ~kind ~version (fun sec ->
+      sec "META" (fun b -> w_meta b img.meta);
+      sec "CONF" (fun b -> Stable.w_config b img.cfg);
+      sec "PAGE" (fun b ->
+          Codec.w_list b
+            (fun b (ppn, d) ->
+              Codec.w_int b ppn;
+              Codec.w_string b d)
+            img.pages);
+      sec "TRAN" (fun b -> Codec.w_list b w_tran img.trans))
 
 let of_string data =
   let sections = Codec.read_container ~kind ~version data in

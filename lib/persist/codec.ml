@@ -27,17 +27,54 @@ let corrupt fmt = Format.kasprintf (fun s -> raise (Corrupt s)) fmt
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type w = Buffer.t
+(* One growable byte array.  Scalars are stored in place; a length
+   written before its payload is known can be back-patched with
+   {!patch_int}. *)
+type w = { mutable buf : Bytes.t; mutable len : int }
 
-let writer () = Buffer.create 4096
-let contents = Buffer.contents
-let w_int b v = Buffer.add_int64_le b (Int64.of_int v)
-let w_int64 b v = Buffer.add_int64_le b v
-let w_bool b v = Buffer.add_char b (if v then '\001' else '\000')
+let writer () = { buf = Bytes.create 256; len = 0 }
+let contents w = Bytes.sub_string w.buf 0 w.len
 
-let w_string b s =
-  w_int b (String.length s);
-  Buffer.add_string b s
+(** MD5 of everything written so far, read in place. *)
+let digest w = Digest.subbytes w.buf 0 w.len
+
+let grow w n =
+  let cap = ref (max 64 (Bytes.length w.buf)) in
+  while !cap < w.len + n do
+    cap := 2 * !cap
+  done;
+  let buf = Bytes.create !cap in
+  Bytes.blit w.buf 0 buf 0 w.len;
+  w.buf <- buf
+
+let[@inline] reserve w n = if w.len + n > Bytes.length w.buf then grow w n
+
+let w_int64 w v =
+  reserve w 8;
+  Bytes.set_int64_le w.buf w.len v;
+  w.len <- w.len + 8
+
+let w_int w v = w_int64 w (Int64.of_int v)
+
+(** Overwrite the integer {!w_int} stored at byte [pos]. *)
+let patch_int w pos v = Bytes.set_int64_le w.buf pos (Int64.of_int v)
+
+let w_bool w v =
+  reserve w 1;
+  Bytes.unsafe_set w.buf w.len (if v then '\001' else '\000');
+  w.len <- w.len + 1
+
+(* Raw bytes, no length prefix. *)
+let w_raw_sub w src off n =
+  reserve w n;
+  Bytes.blit src off w.buf w.len n;
+  w.len <- w.len + n
+
+let w_raw w s = w_raw_sub w (Bytes.unsafe_of_string s) 0 (String.length s)
+
+let w_string w s =
+  w_int w (String.length s);
+  w_raw w s
 
 let w_bytes b by = w_string b (Bytes.unsafe_to_string by)
 
@@ -150,30 +187,39 @@ let is_zero data off len =
   in
   word off && byte words
 
-(** [live k] says whether chunk [k] (bytes [k * sparse_chunk] on) may be
-    non-zero; a chunk it rules out is emitted as zero without being
-    read.  The default reads every chunk.  The encoding is the same
-    either way as long as [live] never rules out a non-zero chunk. *)
-let w_sparse ?(live = fun _ -> true) b data =
+(** Offsets of the chunks of [data] that hold a non-zero byte.  [live k]
+    says whether chunk [k] (bytes [k * sparse_chunk] on) may be
+    non-zero; a chunk it rules out is taken as zero without being read.
+    The default reads every chunk.  The result is the same either way as
+    long as [live] never rules out a non-zero chunk. *)
+let sparse_chunks ?(live = fun _ -> true) data =
   let total = Bytes.length data in
-  w_int b total;
-  let chunks = ref [] in
-  let nchunks = ref 0 in
-  let off = ref 0 in
-  while !off < total do
-    let len = min sparse_chunk (total - !off) in
-    if live (!off / sparse_chunk) && not (is_zero data !off len) then begin
-      chunks := (!off, len) :: !chunks;
-      incr nchunks
-    end;
-    off := !off + len
-  done;
-  w_int b !nchunks;
+  let rec go k acc =
+    let off = k * sparse_chunk in
+    if off >= total then List.rev acc
+    else
+      let len = min sparse_chunk (total - off) in
+      go (k + 1)
+        (if live k && not (is_zero data off len) then off :: acc else acc)
+  in
+  go 0 []
+
+(** Encode [data] given the offsets of its non-zero chunks, as
+    {!sparse_chunks} finds them.  Chunks are copied straight from
+    [data]. *)
+let w_sparse_chunks w data offs =
+  let total = Bytes.length data in
+  w_int w total;
+  w_int w (List.length offs);
   List.iter
-    (fun (off, len) ->
-      w_int b off;
-      w_string b (Bytes.sub_string data off len))
-    (List.rev !chunks)
+    (fun off ->
+      let len = min sparse_chunk (total - off) in
+      w_int w off;
+      w_int w len;
+      w_raw_sub w data off len)
+    offs
+
+let w_sparse ?live w data = w_sparse_chunks w data (sparse_chunks ?live data)
 
 (** Decode a sparse image into a destination of the caller's choosing:
     [alloc total] makes a zeroed destination of [total] bytes, and
@@ -207,25 +253,60 @@ let r_sparse r =
 let magic = "CMSPERSIST\n"
 let trailer_tag = "ENDS"
 
+(* Each domain keeps one writer for building containers, so a periodic
+   checkpoint reuses its bytes instead of allocating fresh ones.  The
+   slot is empty while a build holds it: a nested build gets a fresh
+   writer.  A writer grown past [keep_max] is not kept. *)
+let scratch = Domain.DLS.new_key (fun () -> ref None)
+let keep_max = 4 lsl 20
+
 (** Assemble a container image of [kind] (a 4-character tag, e.g.
-    ["SNAP"]) at [version] from tagged sections. *)
-let write_container ~kind ~version (sections : (string * string) list) =
+    ["SNAP"]) at [version].  [emit section] writes the sections in image
+    order: each [section tag fill] call streams one payload with [fill];
+    its length and digest are filled in after it. *)
+let container ~kind ~version emit =
   assert (String.length kind = 4);
-  let b = Buffer.create 65536 in
-  Buffer.add_string b magic;
-  Buffer.add_string b kind;
-  w_int b version;
-  w_int b (List.length sections);
-  List.iter
-    (fun (tag, payload) ->
-      assert (String.length tag = 4);
-      Buffer.add_string b tag;
-      w_int b (String.length payload);
-      Buffer.add_string b payload;
-      Buffer.add_string b (Digest.string payload))
-    sections;
-  let body = Buffer.contents b in
-  body ^ trailer_tag ^ Digest.string body
+  let slot = Domain.DLS.get scratch in
+  let w =
+    match !slot with
+    | Some w ->
+        slot := None;
+        w.len <- 0;
+        w
+    | None -> { buf = Bytes.create 65536; len = 0 }
+  in
+  w_raw w magic;
+  w_raw w kind;
+  w_int w version;
+  let count_at = w.len in
+  w_int w 0;
+  let count = ref 0 in
+  let section tag fill =
+    assert (String.length tag = 4);
+    w_raw w tag;
+    let len_at = w.len in
+    w_int w 0;
+    let start = w.len in
+    fill w;
+    patch_int w len_at (w.len - start);
+    w_raw w (Digest.subbytes w.buf start (w.len - start));
+    incr count
+  in
+  emit section;
+  patch_int w count_at !count;
+  let body = digest w in
+  w_raw w trailer_tag;
+  w_raw w body;
+  let image = contents w in
+  if Bytes.length w.buf <= keep_max then slot := Some w;
+  image
+
+(** {!container} from ready-made [(tag, payload)] sections. *)
+let write_container ~kind ~version (sections : (string * string) list) =
+  container ~kind ~version (fun section ->
+      List.iter
+        (fun (tag, payload) -> section tag (fun w -> w_raw w payload))
+        sections)
 
 (** Parse and fully verify a container; returns the sections in image
     order.  Raises {!Corrupt} with a precise diagnostic on any defect:

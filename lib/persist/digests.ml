@@ -103,7 +103,7 @@ let r_arch r : arch =
 let arch_hex (a : arch) =
   let b = Codec.writer () in
   w_arch b a;
-  Digest.to_hex (Digest.string (Codec.contents b))
+  Digest.to_hex (Codec.digest b)
 
 (* Host-side counters that legitimately differ across equivalent runs
    (fast paths on/off, resumed vs uninterrupted) are normalized to zero
@@ -159,6 +159,6 @@ let strict ?mask (c : Cms.t) : Digest.t =
   Codec.w_int b m.Machine.Mem.page_prot_faults;
   Codec.w_int b m.Machine.Mem.dma_smc_events;
   Stable.w_perf b (Cms.perf c);
-  Digest.string (Codec.contents b)
+  Codec.digest b
 
 let strict_hex d = Digest.to_hex d

@@ -394,23 +394,14 @@ let r_host_event r =
   | k -> Codec.corrupt "journal: unknown host-event tag %d" k
 
 let to_string (t : t) =
-  let meta = Codec.writer () in
-  Codec.w_string meta t.label;
-  Codec.w_opt meta Codec.w_string t.arch_hex;
-  Codec.w_opt meta Codec.w_string t.strict_hex;
-  let conf = Codec.writer () in
-  Stable.w_config conf t.cfg;
-  let gevt = Codec.writer () in
-  Codec.w_list gevt w_guest_event t.guest;
-  let hevt = Codec.writer () in
-  Codec.w_list hevt w_host_event t.host;
-  Codec.write_container ~kind ~version
-    [
-      ("META", Codec.contents meta);
-      ("CONF", Codec.contents conf);
-      ("GEVT", Codec.contents gevt);
-      ("HEVT", Codec.contents hevt);
-    ]
+  Codec.container ~kind ~version (fun sec ->
+      sec "META" (fun b ->
+          Codec.w_string b t.label;
+          Codec.w_opt b Codec.w_string t.arch_hex;
+          Codec.w_opt b Codec.w_string t.strict_hex);
+      sec "CONF" (fun b -> Stable.w_config b t.cfg);
+      sec "GEVT" (fun b -> Codec.w_list b w_guest_event t.guest);
+      sec "HEVT" (fun b -> Codec.w_list b w_host_event t.host))
 
 let of_string data : t =
   let sections = Codec.read_container ~kind ~version data in

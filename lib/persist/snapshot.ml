@@ -70,200 +70,156 @@ let capture ?(label = "") ?(injector : Journal.injector option) (c : Cms.t) :
   let plat = Cms.platform c in
   let mem = Cms.mem c in
   let stats = Cms.stats c in
-  let sec f =
-    let b = Codec.writer () in
-    f b;
-    Codec.contents b
-  in
-  let meta =
-    sec (fun b ->
-        Codec.w_string b label;
-        Codec.w_int b (Cms.retired c);
-        Codec.w_int b (Cms.total_molecules c);
-        (match injector with
-        | Some i ->
-            Codec.w_int b i.Journal.irq_next;
-            Codec.w_int b i.Journal.sync_taken
-        | None ->
-            Codec.w_int b 0;
-            Codec.w_int b 0))
-  in
-  let conf = sec (fun b -> Stable.w_config b c.Cms.Engine.cfg) in
-  let cpus =
-    sec (fun b ->
-        let cpu = Cms.cpu c in
-        let regs = Cms.Cpu.regs cpu in
-        Codec.w_int b Vliw.Abi.num_regs;
-        Codec.w_int_array b regs.Vliw.Regfile.working;
-        Codec.w_int_array b regs.Vliw.Regfile.shadow;
-        Codec.w_int b regs.Vliw.Regfile.commits;
-        Codec.w_int b regs.Vliw.Regfile.rollbacks;
-        Codec.w_bool b cpu.Cms.Cpu.halted;
-        Codec.w_bool b cpu.Cms.Cpu.iflag;
-        Codec.w_int b cpu.Cms.Cpu.idt_base)
-  in
-  let mmus =
-    sec (fun b ->
-        let mmu = mem.Machine.Mem.mmu in
-        Codec.w_bool b mmu.Machine.Mmu.enabled;
-        Codec.w_list b
-          (fun b (vpn, ppn, present, writable) ->
-            Codec.w_int b vpn;
-            Codec.w_int b ppn;
-            Codec.w_bool b present;
-            Codec.w_bool b writable)
-          (Machine.Mmu.dump_entries mmu);
-        Codec.w_int b mmu.Machine.Mmu.tlb_hits;
-        Codec.w_int b mmu.Machine.Mmu.tlb_misses)
-  in
-  let pmem =
-    sec (fun b ->
-        let phys = mem.Machine.Mem.phys in
-        Codec.w_sparse ~live:(Machine.Phys.written phys) b
-          phys.Machine.Phys.data;
-        Codec.w_int b mem.Machine.Mem.page_prot_faults;
-        Codec.w_int b mem.Machine.Mem.smc_events;
-        Codec.w_int b mem.Machine.Mem.dma_smc_events;
-        Codec.w_int b mem.Machine.Mem.fast_reads;
-        Codec.w_int b mem.Machine.Mem.fast_writes)
-  in
-  (* Derived protection state, for forensics only: restore leaves it
-     cold (the fresh engine has no translations to protect). *)
-  let prot =
-    sec (fun b ->
-        let sorted_keys h =
-          Hashtbl.fold (fun k () acc -> k :: acc) h [] |> List.sort compare
-        in
-        Codec.w_list b Codec.w_int (sorted_keys mem.Machine.Mem.protected_pages);
-        Codec.w_list b Codec.w_int (sorted_keys mem.Machine.Mem.fg_pages);
-        Codec.w_list b
-          (fun b (ppn, mask) ->
-            Codec.w_int b ppn;
-            Codec.w_int64 b mask)
-          (Machine.Finegrain.dump mem.Machine.Mem.fg))
-  in
-  let timr =
-    sec (fun b ->
-        let period, count, fired =
-          Machine.Timer.snapshot plat.Machine.Platform.timer
-        in
-        Codec.w_int b period;
-        Codec.w_int b count;
-        Codec.w_int b fired)
-  in
-  let irqc =
-    sec (fun b ->
-        let pending, mask, raised, delivered, deferred =
-          Machine.Irq.snapshot plat.Machine.Platform.irq
-        in
-        Codec.w_int b pending;
-        Codec.w_int b mask;
-        Codec.w_int b raised;
-        Codec.w_int b delivered;
-        Codec.w_int b deferred)
-  in
-  let uart =
-    sec (fun b ->
-        let out, in_fifo, reads, writes =
-          Machine.Uart.snapshot plat.Machine.Platform.uart
-        in
-        Codec.w_string b out;
-        Codec.w_list b Codec.w_int in_fifo;
-        Codec.w_int b reads;
-        Codec.w_int b writes)
-  in
-  let disk =
-    sec (fun b ->
-        let d = plat.Machine.Platform.disk in
-        let sector, dest, count, busy, transfers = Machine.Disk.snapshot d in
-        Codec.w_int b sector;
-        Codec.w_int b dest;
-        Codec.w_int b count;
-        Codec.w_int b busy;
-        Codec.w_int b transfers;
-        Codec.w_int b d.Machine.Disk.latency;
-        Codec.w_sparse b d.Machine.Disk.image)
-  in
-  let nicc =
-    sec (fun b ->
-        let n = plat.Machine.Platform.nic in
-        let ( (ctrl, rx_base, rx_count, rx_head, tx_base, tx_count, tx_head,
-               tx_pending),
-              (mitigation, isr, busy, coalesce_acc, backlog),
-              (rx_frames, tx_frames, rx_dropped, irqs_raised, irqs_coalesced)
-            ) =
-          Machine.Nic.snapshot n
-        in
-        List.iter (Codec.w_int b)
-          [ ctrl; rx_base; rx_count; rx_head; tx_base; tx_count; tx_head ];
-        Codec.w_bool b tx_pending;
-        List.iter (Codec.w_int b) [ mitigation; isr; busy; coalesce_acc ];
-        Codec.w_list b Codec.w_string backlog;
-        List.iter (Codec.w_int b)
-          [ rx_frames; tx_frames; rx_dropped; irqs_raised; irqs_coalesced ];
-        Codec.w_int b n.Machine.Nic.latency)
-  in
-  let fbuf =
-    sec (fun b ->
-        let fbmem, writes, reads, frames =
-          Machine.Framebuf.snapshot plat.Machine.Platform.fb
-        in
-        Codec.w_sparse b fbmem;
-        Codec.w_int b writes;
-        Codec.w_int b reads;
-        Codec.w_int b frames)
-  in
-  let busc =
-    sec (fun b ->
-        let bus = mem.Machine.Mem.bus in
-        Codec.w_int b bus.Machine.Bus.mmio_reads;
-        Codec.w_int b bus.Machine.Bus.mmio_writes;
-        Codec.w_int b bus.Machine.Bus.port_ops)
-  in
-  let stat = sec (fun b -> Stable.w_stats b stats) in
-  let perf = sec (fun b -> Stable.w_perf b (Cms.perf c)) in
-  let adpt =
-    sec (fun b ->
-        let a = c.Cms.Engine.adapt in
-        Codec.w_int b a.Cms.Adapt.clock;
-        Codec.w_int b a.Cms.Adapt.evictions;
-        Codec.w_list b
-          (fun b (key, pol, touch, escalations, failures) ->
-            Codec.w_int b key;
-            Stable.w_policy b pol;
-            Codec.w_int b touch;
-            Codec.w_int b escalations;
-            Codec.w_int b failures)
-          (Cms.Adapt.dump a))
-  in
-  let tcac =
-    sec (fun b ->
-        let tc = c.Cms.Engine.tcache in
-        Codec.w_int b tc.Cms.Tcache.flushes;
-        Codec.w_int b tc.Cms.Tcache.evictions;
-        Codec.w_int b tc.Cms.Tcache.evicted)
-  in
   let image =
-    Codec.write_container ~kind ~version
-      [
-        ("META", meta);
-        ("CONF", conf);
-        ("CPUS", cpus);
-        ("MMUS", mmus);
-        ("PMEM", pmem);
-        ("PROT", prot);
-        ("TIMR", timr);
-        ("IRQC", irqc);
-        ("UART", uart);
-        ("DISK", disk);
-        ("NICC", nicc);
-        ("FBUF", fbuf);
-        ("BUSC", busc);
-        ("STAT", stat);
-        ("PERF", perf);
-        ("ADPT", adpt);
-        ("TCAC", tcac);
-      ]
+    Codec.container ~kind ~version (fun sec ->
+        sec "META" (fun b ->
+            Codec.w_string b label;
+            Codec.w_int b (Cms.retired c);
+            Codec.w_int b (Cms.total_molecules c);
+            match injector with
+            | Some i ->
+                Codec.w_int b i.Journal.irq_next;
+                Codec.w_int b i.Journal.sync_taken
+            | None ->
+                Codec.w_int b 0;
+                Codec.w_int b 0);
+        sec "CONF" (fun b -> Stable.w_config b c.Cms.Engine.cfg);
+        sec "CPUS" (fun b ->
+            let cpu = Cms.cpu c in
+            let regs = Cms.Cpu.regs cpu in
+            Codec.w_int b Vliw.Abi.num_regs;
+            Codec.w_int_array b regs.Vliw.Regfile.working;
+            Codec.w_int_array b regs.Vliw.Regfile.shadow;
+            Codec.w_int b regs.Vliw.Regfile.commits;
+            Codec.w_int b regs.Vliw.Regfile.rollbacks;
+            Codec.w_bool b cpu.Cms.Cpu.halted;
+            Codec.w_bool b cpu.Cms.Cpu.iflag;
+            Codec.w_int b cpu.Cms.Cpu.idt_base);
+        sec "MMUS" (fun b ->
+            let mmu = mem.Machine.Mem.mmu in
+            Codec.w_bool b mmu.Machine.Mmu.enabled;
+            Codec.w_list b
+              (fun b (vpn, ppn, present, writable) ->
+                Codec.w_int b vpn;
+                Codec.w_int b ppn;
+                Codec.w_bool b present;
+                Codec.w_bool b writable)
+              (Machine.Mmu.dump_entries mmu);
+            Codec.w_int b mmu.Machine.Mmu.tlb_hits;
+            Codec.w_int b mmu.Machine.Mmu.tlb_misses);
+        sec "PMEM" (fun b ->
+            let phys = mem.Machine.Mem.phys in
+            Codec.w_sparse ~live:(Machine.Phys.written phys) b
+              phys.Machine.Phys.data;
+            Codec.w_int b mem.Machine.Mem.page_prot_faults;
+            Codec.w_int b mem.Machine.Mem.smc_events;
+            Codec.w_int b mem.Machine.Mem.dma_smc_events;
+            Codec.w_int b mem.Machine.Mem.fast_reads;
+            Codec.w_int b mem.Machine.Mem.fast_writes);
+        (* Derived protection state, for forensics only: restore leaves it
+           cold (the fresh engine has no translations to protect). *)
+        sec "PROT" (fun b ->
+            let sorted_keys h =
+              Hashtbl.fold (fun k () acc -> k :: acc) h [] |> List.sort compare
+            in
+            Codec.w_list b Codec.w_int
+              (sorted_keys mem.Machine.Mem.protected_pages);
+            Codec.w_list b Codec.w_int (sorted_keys mem.Machine.Mem.fg_pages);
+            Codec.w_list b
+              (fun b (ppn, mask) ->
+                Codec.w_int b ppn;
+                Codec.w_int64 b mask)
+              (Machine.Finegrain.dump mem.Machine.Mem.fg));
+        sec "TIMR" (fun b ->
+            let period, count, fired =
+              Machine.Timer.snapshot plat.Machine.Platform.timer
+            in
+            Codec.w_int b period;
+            Codec.w_int b count;
+            Codec.w_int b fired);
+        sec "IRQC" (fun b ->
+            let pending, mask, raised, delivered, deferred =
+              Machine.Irq.snapshot plat.Machine.Platform.irq
+            in
+            Codec.w_int b pending;
+            Codec.w_int b mask;
+            Codec.w_int b raised;
+            Codec.w_int b delivered;
+            Codec.w_int b deferred);
+        sec "UART" (fun b ->
+            let out, in_fifo, reads, writes =
+              Machine.Uart.snapshot plat.Machine.Platform.uart
+            in
+            Codec.w_string b out;
+            Codec.w_list b Codec.w_int in_fifo;
+            Codec.w_int b reads;
+            Codec.w_int b writes);
+        sec "DISK" (fun b ->
+            let d = plat.Machine.Platform.disk in
+            let sector, dest, count, busy, transfers = Machine.Disk.snapshot d in
+            Codec.w_int b sector;
+            Codec.w_int b dest;
+            Codec.w_int b count;
+            Codec.w_int b busy;
+            Codec.w_int b transfers;
+            Codec.w_int b d.Machine.Disk.latency;
+            (* the image is a creation parameter: scan it once *)
+            let chunks =
+              match d.Machine.Disk.image_chunks with
+              | Some l -> l
+              | None ->
+                  let l = Codec.sparse_chunks d.Machine.Disk.image in
+                  d.Machine.Disk.image_chunks <- Some l;
+                  l
+            in
+            Codec.w_sparse_chunks b d.Machine.Disk.image chunks);
+        sec "NICC" (fun b ->
+            let n = plat.Machine.Platform.nic in
+            let ( (ctrl, rx_base, rx_count, rx_head, tx_base, tx_count, tx_head,
+                   tx_pending),
+                  (mitigation, isr, busy, coalesce_acc, backlog),
+                  (rx_frames, tx_frames, rx_dropped, irqs_raised, irqs_coalesced)
+                ) =
+              Machine.Nic.snapshot n
+            in
+            List.iter (Codec.w_int b)
+              [ ctrl; rx_base; rx_count; rx_head; tx_base; tx_count; tx_head ];
+            Codec.w_bool b tx_pending;
+            List.iter (Codec.w_int b) [ mitigation; isr; busy; coalesce_acc ];
+            Codec.w_list b Codec.w_string backlog;
+            List.iter (Codec.w_int b)
+              [ rx_frames; tx_frames; rx_dropped; irqs_raised; irqs_coalesced ];
+            Codec.w_int b n.Machine.Nic.latency);
+        sec "FBUF" (fun b ->
+            let fb = plat.Machine.Platform.fb in
+            Codec.w_sparse b fb.Machine.Framebuf.mem;
+            Codec.w_int b fb.Machine.Framebuf.writes;
+            Codec.w_int b fb.Machine.Framebuf.reads;
+            Codec.w_int b fb.Machine.Framebuf.frames);
+        sec "BUSC" (fun b ->
+            let bus = mem.Machine.Mem.bus in
+            Codec.w_int b bus.Machine.Bus.mmio_reads;
+            Codec.w_int b bus.Machine.Bus.mmio_writes;
+            Codec.w_int b bus.Machine.Bus.port_ops);
+        sec "STAT" (fun b -> Stable.w_stats b stats);
+        sec "PERF" (fun b -> Stable.w_perf b (Cms.perf c));
+        sec "ADPT" (fun b ->
+            let a = c.Cms.Engine.adapt in
+            Codec.w_int b a.Cms.Adapt.clock;
+            Codec.w_int b a.Cms.Adapt.evictions;
+            Codec.w_list b
+              (fun b (key, pol, touch, escalations, failures) ->
+                Codec.w_int b key;
+                Stable.w_policy b pol;
+                Codec.w_int b touch;
+                Codec.w_int b escalations;
+                Codec.w_int b failures)
+              (Cms.Adapt.dump a));
+        sec "TCAC" (fun b ->
+            let tc = c.Cms.Engine.tcache in
+            Codec.w_int b tc.Cms.Tcache.flushes;
+            Codec.w_int b tc.Cms.Tcache.evictions;
+            Codec.w_int b tc.Cms.Tcache.evicted))
   in
   stats.Cms.Stats.snapshots_written <- stats.Cms.Stats.snapshots_written + 1;
   stats.Cms.Stats.snapshot_bytes <-

@@ -71,7 +71,7 @@ let r_payload r : payload =
 let policy_digest (p : Cms.Policy.t) =
   let b = Codec.writer () in
   Stable.w_policy b p;
-  Digest.string (Codec.contents b)
+  Codec.digest b
 
 (** The canonical compile input, rendered printable for forensics. *)
 let key ~entry ~(bytes : Bytes.t) ~(policy : Cms.Policy.t) =
@@ -284,21 +284,20 @@ let to_string t =
         Hashtbl.fold (fun k m acc -> (k, m) :: acc) t.poisoned []
         |> List.sort (fun (a, _) (b, _) -> compare a b)
       in
-      let ents = Codec.writer () in
-      Codec.w_list ents
-        (fun b (k, e) ->
-          Codec.w_string b k;
-          Codec.w_string b e.blob;
-          Codec.w_string b e.sum)
-        entries;
-      let pois = Codec.writer () in
-      Codec.w_list pois
-        (fun b (k, m) ->
-          Codec.w_string b k;
-          Codec.w_string b m)
-        poisoned;
-      Codec.write_container ~kind ~version
-        [ ("ENTS", Codec.contents ents); ("POIS", Codec.contents pois) ])
+      Codec.container ~kind ~version (fun sec ->
+          sec "ENTS" (fun b ->
+              Codec.w_list b
+                (fun b (k, e) ->
+                  Codec.w_string b k;
+                  Codec.w_string b e.blob;
+                  Codec.w_string b e.sum)
+                entries);
+          sec "POIS" (fun b ->
+              Codec.w_list b
+                (fun b (k, m) ->
+                  Codec.w_string b k;
+                  Codec.w_string b m)
+                poisoned)))
 
 let of_string data =
   let sections = Codec.read_container ~kind ~version data in

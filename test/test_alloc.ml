@@ -1,17 +1,19 @@
-(* Allocation budget of the per-instruction paths.
+(* Allocation budget of the per-instruction paths and of checkpoints.
 
-   The interpreter is the fleet's solo mirror and the recovery path,
-   so its per-instruction cost is the fleet's cost.  These tests pin
-   its allocation with [Gc.minor_words]: a tuple- or closure-returning
-   helper creeping back onto the interpret path or into a compiled
-   molecule shows up here as words per instruction. *)
+   The interpreter is the recovery path and the reference every
+   translation is checked against.  These tests pin its allocation with
+   [Gc.minor_words]: a tuple- or closure-returning helper creeping back
+   onto the interpret path or into a compiled molecule shows up here as
+   words per instruction.  A fleet machine also checkpoints every 20k
+   instructions, so the major-heap garbage of one capture is pinned
+   too. *)
 
 module Fleet = Cms_fleet.Fleet
 module Suite = Workloads.Suite
 module Journal = Cms_persist.Journal
 
 (* An interpreter-only run of the RX-server kernel under seeded packet
-   traffic, the fleet mirror's workload. *)
+   traffic, the fleet's workload. *)
 let test_interp_words_per_insn () =
   let spec = List.hd (Fleet.traffic_specs ~seed:1 ~machines:1) in
   let c = Suite.prepare ~cfg:Cms.interp_only_cfg spec.Fleet.s_workload in
@@ -155,6 +157,31 @@ let test_hotpath_words_per_insn () =
     Alcotest.failf "%.2f minor words per retired instruction (budget 2)"
       per_insn
 
+(* A periodic checkpoint of a running fleet machine.  The image itself
+   is one string; the writer, the section payloads and the RAM pages
+   must not each add another copy of it.  The first capture on a domain
+   grows its reusable writer, so it is left out. *)
+let test_capture_major_words () =
+  let spec = List.hd (Fleet.traffic_specs ~seed:1 ~machines:4) in
+  let c = Suite.prepare ~cfg:Fleet.engine_cfg spec.Fleet.s_workload in
+  let inj = Journal.install_guest c spec.Fleet.s_events in
+  (match Cms.run ~max_insns:100_000 c with
+  | Cms.Engine.Insn_limit -> ()
+  | Cms.Engine.Halted -> Alcotest.fail "fleet machine halted before 100k");
+  let capture () = Cms_persist.Snapshot.capture ~label:"m0" ~injector:inj c in
+  let image = capture () in
+  let runs = 8 in
+  let _, _, m0 = Gc.counters () in
+  for _ = 1 to runs do
+    ignore (capture () : string)
+  done;
+  let _, _, m1 = Gc.counters () in
+  let per_capture = (m1 -. m0) /. float_of_int runs in
+  let image_words = float_of_int (String.length image / (Sys.word_size / 8)) in
+  if per_capture > 4. *. image_words then
+    Alcotest.failf "%.0f major words per capture of a %.0f-word image (budget 4x)"
+      per_capture image_words
+
 let suites =
   [
     ( "alloc",
@@ -167,5 +194,7 @@ let suites =
           `Quick test_closure_mem_no_alloc;
         Alcotest.test_case "hotpath loop <= 2 words/insn" `Quick
           test_hotpath_words_per_insn;
+        Alcotest.test_case "fleet capture <= 4x image words" `Quick
+          test_capture_major_words;
       ] );
   ]

@@ -260,6 +260,35 @@ let test_fleet_restored_invariant () =
     (Cms.gpr c X86.Regs.eax);
   check_invariant "fleet m0 after running on" c
 
+(* The disk image is scanned by the first capture only; every capture
+   still writes the full-scan encoding of it. *)
+let test_disk_scanned_once () =
+  let w =
+    List.find
+      (fun w -> w.Suite.disk_image <> None)
+      (Test_persist.all_workloads ())
+  in
+  let c = Suite.prepare w in
+  ignore (Cms.run ~max_insns:50_000 c : Cms.Engine.stop);
+  let disk = (Cms.platform c).Machine.Platform.disk in
+  let disk_sparse () =
+    let s =
+      P.Codec.section
+        (P.Codec.read_container ~kind:P.Snapshot.kind
+           ~version:P.Snapshot.version (P.Snapshot.capture c))
+        "DISK"
+    in
+    (* six register words precede the image *)
+    String.sub s 48 (String.length s - 48)
+  in
+  let expect = ref_sparse disk.Machine.Disk.image in
+  check Alcotest.string (w.Suite.name ^ ": first capture") expect
+    (disk_sparse ());
+  check Alcotest.bool "chunk list cached" true
+    (disk.Machine.Disk.image_chunks <> None);
+  check Alcotest.string (w.Suite.name ^ ": cached capture") expect
+    (disk_sparse ())
+
 (* ------------------------------------------------------------------ *)
 (* Pinned images                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -297,5 +326,7 @@ let suites =
         Alcotest.test_case "restored fleet machine" `Quick
           test_fleet_restored_invariant;
         Alcotest.test_case "pinned image digests" `Quick test_pinned_images;
+        Alcotest.test_case "disk image scanned once" `Quick
+          test_disk_scanned_once;
       ] );
   ]

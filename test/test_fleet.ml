@@ -15,9 +15,9 @@ let check = Alcotest.check
 let ci = Alcotest.int
 let cb = Alcotest.bool
 
-(* Unit-test supervision config: single shard, no solo mirror (specs
-   self-validate against their schedule-independent expected state). *)
-let fcfg = { Fleet.campaign_config with Fleet.mirror = false }
+(* Unit-test supervision config: single shard; specs self-validate
+   against their schedule-independent expected state. *)
+let fcfg = Fleet.campaign_config
 
 (* A warmed store plus the traffic spec that warmed it. *)
 let warm_store seed =
@@ -175,6 +175,26 @@ let test_containment () =
   check ci "no divergences" 0 t.Fleet.t_divergences;
   check ci "no speculation violations" 0 t.Fleet.t_spec_violations
 
+(* The interpreter against the generator: an interpreter-only solo run
+   of every traffic machine must halt with exactly the checksum and
+   syscall count its frame stream determines, and never expose
+   speculative state.  The supervisor checks translated machines
+   against the same expected values. *)
+let test_interp_matches_generator () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (spec : Fleet.spec) ->
+          let what = Printf.sprintf "seed %d machine %d" seed spec.Fleet.s_id in
+          match Fleet.run_solo ~cfg:Fleet.interp_cfg spec with
+          | Error e -> Alcotest.failf "%s: %s" what e
+          | Ok (eax, ebx, viol) ->
+              check ci (what ^ " eax") spec.Fleet.s_expected_eax eax;
+              check ci (what ^ " ebx") spec.Fleet.s_expected_ebx ebx;
+              check cb (what ^ " no visible speculation") false viol)
+        (Fleet.traffic_specs ~seed ~machines:4))
+    [ 1; 2; 3 ]
+
 (* ------------------------------------------------------------------ *)
 (* Seeded fleet-chaos campaign slice                                   *)
 (* ------------------------------------------------------------------ *)
@@ -225,6 +245,8 @@ let suites =
           test_permanent_quarantine;
         Alcotest.test_case "fault containment across the fleet" `Slow
           test_containment;
+        Alcotest.test_case "interpreter matches the generator" `Slow
+          test_interp_matches_generator;
       ] );
     ( "fleet.campaign",
       [
