@@ -54,6 +54,10 @@ let boot ?(map_mib = 2) ?(stack = 0x0008_0000) (t : t) ~entry =
   Machine.Platform.map_low_memory (platform t) ~mib:map_mib;
   Cpu.reset t.Engine.cpu ~entry ~stack
 
+(** Hand [t]'s RAM to the next {!create}; [t] must not be used again
+    (see {!Machine.Phys.release}). *)
+let release (t : t) = Machine.Phys.release (mem t).Machine.Mem.phys
+
 let run = Engine.run
 let mpi = Engine.mpi
 let total_molecules = Engine.total_molecules

@@ -354,11 +354,20 @@ let run_machine ?store (fcfg : config) (spec : spec) : report =
         (match ck.Snapshot.image with
         | Some img -> checkpoint := Some img
         | None -> ());
-        (match outcome with
-        | Ok () -> finish c n
-        | Error cause ->
-            if n >= fcfg.max_restarts then quarantine (Some c) n cause
-            else attempt (n + 1))
+        let report =
+          match outcome with
+          | Ok () -> Some (finish c n)
+          | Error cause when n >= fcfg.max_restarts ->
+              Some (quarantine (Some c) n cause)
+          | Error _ -> None
+        in
+        (* [c] is finished: hand its RAM to the next machine, or to the
+           next attempt's restore.  Nothing still uses it: [c] never escapes this
+           function (the report holds ints and the [Stats] record), the
+           store holds serialized blobs while the [Share] hooks hang off
+           [c], and forensics got the checkpoint string, not [c]. *)
+        Cms.release c;
+        (match report with Some r -> r | None -> attempt (n + 1))
   in
   attempt 0
 

@@ -6,7 +6,8 @@
    onto the interpret path or into a compiled molecule shows up here as
    words per instruction.  A fleet machine also checkpoints every 20k
    instructions, so the major-heap garbage of one capture is pinned
-   too. *)
+   too, and so is what a whole fleet machine allocates on the major
+   heap once it boots on recycled RAM. *)
 
 module Fleet = Cms_fleet.Fleet
 module Suite = Workloads.Suite
@@ -182,6 +183,26 @@ let test_capture_major_words () =
     Alcotest.failf "%.0f major words per capture of a %.0f-word image (budget 4x)"
       per_capture image_words
 
+(* A fleet machine boots on the RAM an earlier machine released, so it
+   does not allocate and zero a fresh 16 MiB (2.1 M words) of its own.
+   The first run fills the pool; on the second every machine, restarts
+   included, reuses a block. *)
+let test_fleet_machine_major_words () =
+  let specs = Fleet.traffic_specs ~seed:1 ~machines:4 in
+  let fcfg = { Fleet.default_config with Fleet.shards = 1 } in
+  let run () =
+    ignore (Fleet.run ~store:(Cms_persist.Tstore.create ()) fcfg specs
+      : Fleet.totals)
+  in
+  run ();
+  let _, _, m0 = Gc.counters () in
+  run ();
+  let _, _, m1 = Gc.counters () in
+  let per_machine = (m1 -. m0) /. float_of_int (List.length specs) in
+  if per_machine > 500_000. then
+    Alcotest.failf "%.0f major words per fleet machine (budget 500k)"
+      per_machine
+
 let suites =
   [
     ( "alloc",
@@ -196,5 +217,7 @@ let suites =
           test_hotpath_words_per_insn;
         Alcotest.test_case "fleet capture <= 4x image words" `Quick
           test_capture_major_words;
+        Alcotest.test_case "fleet machine <= 0.5M major words" `Quick
+          test_fleet_machine_major_words;
       ] );
   ]

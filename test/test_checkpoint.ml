@@ -178,6 +178,41 @@ let test_phys_flags () =
   Phys.blit_bytes phys ~addr:((4 * chunk) - 1) (Bytes.make (chunk + 2) 'x');
   check pages "blit across three pages" [ 0; 1; 2; 3; 4; 5 ] (flagged phys)
 
+(* A released block comes back from [create] all zero and unflagged,
+   after zeroing only the pages it flagged.  The pool is process-wide:
+   emptied first so earlier tests' blocks neither fill it nor answer a
+   [create] here, and emptied again so none of these small blocks sits
+   in a slot the fleet tests' RAM needs. *)
+let test_phys_release () =
+  let pages = Alcotest.(list int) in
+  Atomic.set Phys.pool [];
+  let size = 8 * chunk in
+  let phys = Phys.create size in
+  Phys.write8 phys ((2 * chunk) + 5) 0xab;
+  Phys.write32 phys (chunk - 2) 0xdeadbeef;
+  Phys.blit_string phys ~addr:((5 * chunk) + 7) "recycled";
+  Phys.write8 phys (size - 1) 0xff;
+  check pages "written" [ 0; 1; 2; 5; 7 ] (flagged phys);
+  Phys.release phys;
+  let again = Phys.create size in
+  check Alcotest.bool "create returns the released block" true (again == phys);
+  check pages "no page flagged" [] (flagged again);
+  check Alcotest.bool "every byte zero" true
+    (Bytes.for_all (fun ch -> ch = '\000') again.Phys.data);
+  Phys.release again;
+  let other = Phys.create (4 * chunk) in
+  check Alcotest.bool "another size gets a fresh block" false (other == phys);
+  check Alcotest.int "the released block stays pooled" 1
+    (List.length (Atomic.get Phys.pool));
+  let blocks = List.init (Phys.pool_cap + 1) (fun _ -> Phys.create chunk) in
+  List.iter Phys.release blocks;
+  check Alcotest.int "the pool is capped" Phys.pool_cap
+    (List.length (Atomic.get Phys.pool));
+  let extra = List.nth blocks Phys.pool_cap in
+  check Alcotest.bool "a release beyond the cap is not kept" false
+    (List.memq extra (Atomic.get Phys.pool));
+  Atomic.set Phys.pool []
+
 (* Every page [Phys] calls unwritten is all zero, and the PMEM section
    of a capture equals the full-scan reference encoding. *)
 let check_invariant name c =
@@ -321,6 +356,8 @@ let suites =
         Alcotest.test_case "restore path bounds checks" `Quick
           test_restore_bounds;
         Alcotest.test_case "Phys flags written pages" `Quick test_phys_flags;
+        Alcotest.test_case "Phys release recycles zeroed RAM" `Quick
+          test_phys_release;
         Alcotest.test_case "unwritten pages zero, all workloads" `Slow
           test_suite_invariant;
         Alcotest.test_case "restored fleet machine" `Quick

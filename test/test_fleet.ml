@@ -2,7 +2,8 @@
    truncated-image rejection, fleet-wide poison quarantine — exactly
    once), the supervisor's restart/quarantine ladder, and a seeded
    100-case slice of the fleet-chaos campaign with its record-replay
-   journal round trip and determinism fingerprint. *)
+   journal round trip and determinism fingerprint, and machines booting
+   on the RAM earlier machines released. *)
 
 module Fleet = Cms_fleet.Fleet
 module Share = Cms_fleet.Share
@@ -226,6 +227,53 @@ let test_campaign_deterministic () =
     (Fleet.fingerprint b);
   check ci "same pass count" a.Fleet.passed b.Fleet.passed
 
+(* ------------------------------------------------------------------ *)
+(* Recycled RAM                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Every fleet machine releases its RAM when it finishes, so a second
+   run in the same process starts with a full pool and boots every
+   machine on a block an earlier machine wrote.  Nothing a machine
+   reports may depend on that.  One shard: with two, which machine
+   publishes a translation first depends on the schedule, and store
+   hits move the guest's timer. *)
+let test_recycled_ram_deterministic () =
+  let specs = Fleet.traffic_specs ~seed:1 ~machines:4 in
+  let run () =
+    (Fleet.run ~store:(Tstore.create ())
+       { Fleet.default_config with Fleet.shards = 1 }
+       specs)
+      .Fleet.t_reports
+  in
+  let first = run () in
+  check cb "the pool holds released RAM" true
+    (Atomic.get Machine.Phys.pool <> []);
+  let second = run () in
+  List.iter2
+    (fun (a : Fleet.report) (b : Fleet.report) ->
+      let what = Printf.sprintf "machine %d" a.Fleet.r_id in
+      check Alcotest.string (what ^ " status")
+        (Fleet.status_name a.Fleet.r_status)
+        (Fleet.status_name b.Fleet.r_status);
+      check ci (what ^ " retired") a.Fleet.r_retired b.Fleet.r_retired;
+      check ci (what ^ " eax") a.Fleet.r_eax b.Fleet.r_eax;
+      check ci (what ^ " ebx") a.Fleet.r_ebx b.Fleet.r_ebx;
+      let stats (r : Fleet.report) =
+        Option.map Cms_persist.Digests.normalized_stats r.Fleet.r_stats
+      in
+      check cb (what ^ " normalized stats") true (stats a = stats b))
+    first second
+
+(* The fixed-seed campaign [@fleet-smoke] runs ([cmsfleet --campaign
+   --seed 1 --cases 25]): its restarts restore snapshots into recycled
+   RAM. *)
+let test_campaign_pinned () =
+  let profile = { Fleetfault.default_profile with n_machines = 4 } in
+  let t = Fleet.campaign ~profile ~seed:1 ~cases:25 () in
+  check ci "all cases pass" 25 t.Fleet.passed;
+  check Alcotest.string "fingerprint" "bfcf345d0318ea3763632b0c6ba2ca5b"
+    (Fleet.fingerprint t)
+
 let suites =
   [
     ( "fleet.store",
@@ -253,5 +301,12 @@ let suites =
         Alcotest.test_case "seeded 100-case slice" `Slow test_campaign_slice;
         Alcotest.test_case "fingerprint determinism" `Slow
           test_campaign_deterministic;
+        Alcotest.test_case "25-case fingerprint pinned" `Slow
+          test_campaign_pinned;
+      ] );
+    ( "fleet.recycled",
+      [
+        Alcotest.test_case "second run on recycled RAM is identical" `Slow
+          test_recycled_ram_deterministic;
       ] );
   ]
