@@ -129,42 +129,36 @@ let run_micro () =
 (* Steady-state execution-ladder wall-clock benchmark                  *)
 (* ------------------------------------------------------------------ *)
 
-(* One hot loop ({!Workloads.Hotpath}) timed across the whole
-   execution ladder, from the slowest tier (pure interpreter, host
-   caching layers off) to the fastest (translated, closure-compiled,
-   exits chained).  The body is a copy/accumulate kernel, so the
-   software TLB / RAM fast path matter in the interpreter tiers and the
-   store buffer and alias checks matter in the translated ones; under
-   the short region cap the translated tiers use, each iteration
-   crosses several translation exits, exactly what chaining removes
-   from the dispatcher.
+(* One hot loop ({!Workloads.Hotpath}) timed across the execution
+   ladder, from the slowest tier (pure interpreter, host caching layers
+   off) to the fastest (translated: closure-compiled, exits chained).
+   The body is a copy/accumulate kernel, so the software TLB / RAM fast
+   path matter in the interpreter tiers and the store buffer and alias
+   checks matter in the translated one; under the short region cap,
+   each iteration crosses several translation exits, exactly what
+   chaining removes from the dispatcher.
 
    The ladder, slowest first.  [translate = false] pins the
-   interpreter ([translate_threshold = max_int]); the translated tiers
-   use the default threshold so the loop reaches steady state almost
+   interpreter ([translate_threshold = max_int]); the translated tier
+   uses the default threshold so the loop reaches steady state almost
    immediately. *)
 let hotpath_tiers =
   [
-    ("interp, host caches off", false, false, false, false);
-    ("interp, host caches on", false, true, false, false);
-    ("translated, decoder tier", true, true, false, false);
-    ("closures, unchained", true, true, true, false);
-    ("closures, chained", true, true, true, true);
+    ("interp, host caches off", false, false);
+    ("interp, host caches on", false, true);
+    ("translated", true, true);
   ]
 
-let hotpath_cfg ~translate ~fast ~closures ~chain =
+let hotpath_cfg ~translate ~fast =
   {
     Cms.Config.default with
     Cms.Config.translate_threshold =
       (if translate then Cms.Config.default.Cms.Config.translate_threshold
        else max_int);
     (* short regions so each loop iteration crosses several
-       translation exits; identical across all translated tiers, so
-       the ladder isolates the execution tier, not the region shape *)
+       translation exits *)
     max_region_insns = 16;
     host_fast_paths = fast;
-    closure_exec = closures;
-    chain_exits = chain;
   }
 
 let hotpath_run ~cfg ~iters =
@@ -191,8 +185,8 @@ let best_of n f =
 let hotpath_ladder ~iters ~reps =
   let rows =
     List.map
-      (fun (name, translate, fast, closures, chain) ->
-        let cfg = hotpath_cfg ~translate ~fast ~closures ~chain in
+      (fun (name, translate, fast) ->
+        let cfg = hotpath_cfg ~translate ~fast in
         (* decorrelate the tiers' heap state: without this, a tier
            inherits the previous tier's major heap and its timing
            drifts by tens of percent *)
@@ -203,8 +197,7 @@ let hotpath_ladder ~iters ~reps =
       hotpath_tiers
   in
   (* every tier is observationally equivalent: identical guest
-     outcome; the translated tiers additionally charge the identical
-     cost model (closures and chain-following are invisible to it) *)
+     outcome *)
   let guest (_, _, c) =
     (Cms.retired c, Cms.gpr c X86.Regs.eax, Cms.eip c)
   in
@@ -218,22 +211,6 @@ let hotpath_ladder ~iters ~reps =
         exit 1
       end)
     rows;
-  (match List.filter (fun (_, tr, _, _, _) -> tr) hotpath_tiers with
-  | _ :: _ ->
-      let translated =
-        List.filteri (fun i _ -> i >= 2) rows
-        |> List.map (fun (n, _, c) -> (n, Cms.total_molecules c))
-      in
-      let _, m0 = List.hd translated in
-      List.iter
-        (fun (n, m) ->
-          if m <> m0 then begin
-            Fmt.epr "hotpath: tier %S changed the cost model (%d vs %d)!@." n m
-              m0;
-            exit 1
-          end)
-        translated
-  | [] -> ());
   rows
 
 let run_hotpath ~json () =
@@ -244,9 +221,7 @@ let run_hotpath ~json () =
     let _, _, c = List.hd rows in
     Cms.retired c
   in
-  let name_full, t_full, c_full = List.nth rows 4 in
-  let _, t_unchained, _ = List.nth rows 3 in
-  ignore name_full;
+  let _, t_full, c_full = List.nth rows 2 in
   let s = Cms.stats c_full in
   let speedup = t_base /. t_full in
   pr "=== Hot-path execution-ladder benchmark ===@.";
@@ -257,11 +232,8 @@ let run_hotpath ~json () =
         (dt *. 1e9 /. float_of_int retired)
         (t_base /. dt))
     rows;
-  pr "  headline speedup         %.2fx (interp/caches-off -> chained \
-      closures)@."
+  pr "  headline speedup         %.2fx (interp/caches-off -> translated)@."
     speedup;
-  pr "  chained vs unchained     %.2fx (%.3f s -> %.3f s)@."
-    (t_unchained /. t_full) t_unchained t_full;
   pr "  chain: %a@." Cms.Stats.pp_chain s;
   pr "  host caches: %a@." Cms.Stats.pp_host s;
   if json then begin
@@ -285,9 +257,8 @@ let run_hotpath ~json () =
           %s\n\
          \  ],\n\
          \  \"speedup\": %.3f,\n\
-         \  \"chained_vs_unchained\": { \"unchained_seconds\": %.6f, \
-          \"chained_seconds\": %.6f, \"speedup\": %.3f, \
-          \"chained_exits_taken\": %d, \"chain_patches\": %d },\n\
+         \  \"chain\": { \"chained_exits_taken\": %d, \"chain_patches\": %d \
+          },\n\
          \  \"closures_compiled\": %d,\n\
          \  \"tlb\": { \"hits\": %d, \"misses\": %d },\n\
          \  \"dcache\": { \"hits\": %d, \"misses\": %d, \"invalidations\": %d \
@@ -296,9 +267,7 @@ let run_hotpath ~json () =
           }\n"
          iters retired
          (String.concat ",\n" (List.map tier_json rows))
-         speedup t_unchained t_full
-         (t_unchained /. t_full)
-         s.Cms.Stats.chained_exits_taken s.Cms.Stats.chain_patches
+         speedup s.Cms.Stats.chained_exits_taken s.Cms.Stats.chain_patches
          s.Cms.Stats.closures_compiled s.Cms.Stats.tlb_hits
          s.Cms.Stats.tlb_misses s.Cms.Stats.dcache_hits
          s.Cms.Stats.dcache_misses s.Cms.Stats.dcache_invalidations
@@ -717,22 +686,23 @@ let run_smoke () =
       w.Workloads.Suite.name;
     exit 1
   end;
-  (* the full ladder on a shortened loop: equivalence across all five
+  (* the full ladder on a shortened loop: equivalence across all three
      tiers (hotpath_ladder exits nonzero on divergence) plus a floor
-     on the headline speedup — generous against the measured >3.5x so
-     a loaded CI host doesn't flake, but tight enough to catch the
-     closure or chaining tier silently falling back to the decoder *)
+     on the headline speedup (interpreter with host caches off ->
+     translated) — generous against the measured >4x so a loaded CI
+     host doesn't flake, but tight enough to catch a large regression
+     in the translated tier *)
   let rows = hotpath_ladder ~iters:40_000 ~reps:2 in
   let _, t_base, _ = List.hd rows in
-  let _, t_full, c_full = List.nth rows 4 in
+  let _, t_full, c_full = List.nth rows 2 in
   let speedup = t_base /. t_full in
   let s = Cms.stats c_full in
   if s.Cms.Stats.closures_compiled = 0 then begin
-    Fmt.epr "bench-smoke: chained tier compiled no closures@.";
+    Fmt.epr "bench-smoke: translated tier compiled no closures@.";
     exit 1
   end;
   if s.Cms.Stats.chained_exits_taken = 0 then begin
-    Fmt.epr "bench-smoke: chained tier followed no chained exits@.";
+    Fmt.epr "bench-smoke: translated tier followed no chained exits@.";
     exit 1
   end;
   if speedup < 3.1 then begin

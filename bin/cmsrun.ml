@@ -189,8 +189,8 @@ let do_soak ~cfg w every =
   if Persist.Soak.ok r then `Ok ()
   else `Error (false, "soak drill diverged")
 
-let run_cmd name list_only no_reorder no_alias no_fg no_chaining no_closures
-    no_chain no_reval no_groups no_stylized force_selfcheck interp_only
+let run_cmd name list_only no_reorder no_alias no_fg no_chaining no_reval
+    no_groups no_stylized force_selfcheck interp_only
     no_fast_paths threshold max_region stats record replay
     soak soak_every aot_build aot aot_check verbose =
   if list_only then begin
@@ -209,8 +209,6 @@ let run_cmd name list_only no_reorder no_alias no_fg no_chaining no_closures
             enable_alias_hw = not no_alias;
             enable_fine_grain = not no_fg;
             enable_chaining = not no_chaining;
-            closure_exec = not no_closures;
-            chain_exits = not no_chain;
             enable_self_reval = not no_reval;
             enable_groups = not no_groups;
             enable_stylized = not no_stylized;
@@ -258,16 +256,6 @@ let no_reorder = flag [ "no-reorder" ] "Suppress memory reordering (Fig. 2)."
 let no_alias = flag [ "no-alias" ] "Disable the alias hardware (Fig. 3)."
 let no_fg = flag [ "no-fine-grain" ] "Disable fine-grain protection (Table 1)."
 let no_chaining = flag [ "no-chaining" ] "Disable translation chaining."
-let no_closures =
-  flag [ "no-closures" ]
-    "Execute translations through the two-phase decoder instead of the \
-     pre-compiled closure tier.  Guest-visible behavior is identical \
-     either way; the knob exists for measurement and fallback."
-let no_chain =
-  flag [ "no-chain" ]
-    "Keep chain patching but never follow a patched exit: every \
-     translation exit returns to the dispatcher.  Guest-visible behavior \
-     is identical either way."
 let no_reval = flag [ "no-self-reval" ] "Disable self-revalidation."
 let no_groups = flag [ "no-groups" ] "Disable translation groups."
 let no_stylized = flag [ "no-stylized" ] "Disable stylized-SMC translations."
@@ -349,7 +337,7 @@ let cmd =
     Term.(
       ret
         (const run_cmd $ workload_arg $ list_only $ no_reorder $ no_alias $ no_fg
-       $ no_chaining $ no_closures $ no_chain $ no_reval $ no_groups
+       $ no_chaining $ no_reval $ no_groups
        $ no_stylized $ force_selfcheck $ interp_only $ no_fast_paths
        $ threshold $ max_region $ stats_flag $ record_arg
        $ replay_arg $ soak_flag $ soak_every $ aot_build_arg $ aot_arg

@@ -59,6 +59,7 @@ let rules =
     ("ir-label", "labels unique, branch targets and exit indices defined", "IR");
     ("ir-exit-eip", "every exit stub commits an EIP update", "§3.1");
     ("issue-constraints", "molecule respects functional-unit issue limits", "§2");
+    ("latency", "results read only after their operation latency", "§2");
     ("branch-target", "branch/exit targets inside the code block", "IR");
     ("exit-uncommitted", "no exit with uncommitted stores or guest state", "§3.1");
     ("commit-retired", "commit/exit retired-instruction counts in range", "§3.1");

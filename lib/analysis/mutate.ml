@@ -16,11 +16,15 @@ type t =
   | Double_arm  (** arm the same alias slot twice without a commit *)
   | Unspec_protected  (** clear the spec bit on a protected load *)
   | Unallocated_vreg  (** leak a virtual register past regalloc *)
+  | Early_read
+      (** read a load's or multiply's result one molecule before its
+          latency has passed *)
 
 let all =
   [
     Drop_commit; Clear_check; Barrier_hoist; Clobber_guest; Sbuf_overflow;
     Slot_out_of_range; Double_arm; Unspec_protected; Unallocated_vreg;
+    Early_read;
   ]
 
 let name = function
@@ -33,6 +37,7 @@ let name = function
   | Double_arm -> "double-arm"
   | Unspec_protected -> "unspec-protected"
   | Unallocated_vreg -> "unallocated-vreg"
+  | Early_read -> "early-read"
 
 (** The rule id each mutation must trip. *)
 let expected_rule = function
@@ -45,6 +50,7 @@ let expected_rule = function
   | Double_arm -> "alias-double-arm"
   | Unspec_protected -> "spec-missing"
   | Unallocated_vreg -> "regalloc-range"
+  | Early_read -> "latency"
 
 let copy (code : Vliw.Code.t) =
   {
@@ -216,3 +222,20 @@ let apply ~(cfg : Cms.Config.t) (code : Vliw.Code.t) (m : t) :
              | A.MovI mv -> mols.(i).(k) <- A.MovI { mv with rd = Cms.Ir.vreg_base + 1 }
              | _ -> assert false);
              code)
+  | Early_read ->
+      (* a new molecule right after a load or multiply that falls
+         through, holding only a branch to its own fallthrough that
+         reads the result: one molecule too early for latency 2 *)
+      find_atom code (fun i a ->
+          (match a with A.Load _ | A.MulX _ -> true | _ -> false)
+          && List.mem (i + 1) (Tverify.successors mols i))
+      |> Option.map (fun (i, k) ->
+             let rd =
+               match mols.(i).(k) with
+               | A.Load { rd; _ } | A.MulX { rd_lo = rd; _ } -> rd
+               | _ -> assert false
+             in
+             let read =
+               A.BrCmp { cmp = A.Ceq; a = rd; b = A.I 0; target = i + 2 }
+             in
+             insert_molecules code ~pos:(i + 1) [ [| read |] ])

@@ -11,13 +11,115 @@
     The walk is CFG-free on purpose: layout order over-approximates
     every real path between commits (stubs always commit before
     exiting, and the scheduler keeps slot order equal to program
-    order), so a clean walk implies clean execution. *)
+    order), so a clean walk implies clean execution.
+
+    The one exception is the [latency] rule ({!latency}): a result read
+    too early is a property of a path, including paths around a loop
+    back-edge, so it is a small dataflow over the block's CFG. *)
 
 module A = Vliw.Atom
 module S = Absstate
 
 let is_tmp r = r >= Vliw.Abi.tmp_base && r < Vliw.Abi.num_regs
 let is_guest r = r >= 0 && r < Vliw.Abi.shadow_count
+
+(* Where control can go after molecule [i]: within a molecule the last
+   control effect wins, so an unconditional [Br] or [Exit] discards the
+   fallthrough and every branch before it. *)
+let successors (mols : Vliw.Molecule.t array) i =
+  let n = Array.length mols in
+  let m = mols.(i) in
+  let add t ts = if t >= 0 && t < n then t :: ts else ts in
+  let targets = ref [] and falls = ref true in
+  for k = 0 to Array.length m - 1 do
+    match m.(k) with
+    | A.Br { target } ->
+        targets := add target [];
+        falls := false
+    | A.Exit _ ->
+        targets := [];
+        falls := false
+    | A.BrCond { target; _ } | A.BrCmp { target; _ } ->
+        targets := add target !targets
+    | _ -> ()
+  done;
+  if !falls then add (i + 1) !targets else !targets
+
+(** The [latency] rule.  The TM5800 has almost no hardware interlocks:
+    "CMS guarantees correct operation by careful scheduling" (§2), so a
+    consumer issued before its producer's {!Vliw.Atom.latency} has
+    passed reads a stale register.  The rule is the forward dataflow
+    over the block's CFG (fallthrough plus [Br]/[BrCond]/[BrCmp]
+    targets) whose state is, per register, how many more molecules must
+    pass before its latest definition is readable, with paths joined by
+    maximum and every register ready on entry.  Only a definition with
+    latency [L > 1] ever makes that count positive, and only for the
+    [L - 1] molecules after it, so the rule computes the same fixpoint
+    by following each such definition (in a molecule reachable from
+    the entry) along every path for [L - 1] molecules, until a molecule
+    redefines the register.  A read on the way is flagged at the
+    reading molecule, over every path, loop back-edges included. *)
+let latency ~entry (code : Vliw.Code.t) : Diag.t list =
+  let mols = code.Vliw.Code.molecules in
+  let n = Array.length mols in
+  (* successors of the molecules reachable from the entry; none for the
+     rest, so nothing is followed from unreachable code *)
+  let succ = Array.make n [] and reached = Array.make n false in
+  let rec reach i =
+    if not reached.(i) then begin
+      reached.(i) <- true;
+      succ.(i) <- successors mols i;
+      List.iter reach succ.(i)
+    end
+  in
+  if n > 0 then reach 0;
+  let in_atoms f r m = Array.exists (fun a -> List.mem r (f a)) m in
+  (* per molecule: registers read early, with the largest number of
+     molecules still to pass over all paths *)
+  let early = Array.make n [] in
+  let rec chase r d j =
+    if in_atoms A.uses r mols.(j) then begin
+      match List.assoc_opt r early.(j) with
+      | Some d' when d' >= d -> ()
+      | _ -> early.(j) <- (r, d) :: List.remove_assoc r early.(j)
+    end;
+    if d > 1 && not (in_atoms A.defs r mols.(j)) then
+      List.iter (chase r (d - 1)) succ.(j)
+  in
+  Array.iteri
+    (fun i m ->
+      if Array.exists (fun a -> A.latency a > 1) m then
+        (* within a molecule the last definition of a register wins *)
+        Array.fold_left
+          (fun last a ->
+            List.fold_left
+              (fun last r -> (r, A.latency a) :: List.remove_assoc r last)
+              last (A.defs a))
+          [] m
+        |> List.iter (fun (r, l) ->
+               if l > 1 then List.iter (chase r (l - 1)) succ.(i)))
+    mols;
+  let diags = ref [] in
+  Array.iteri
+    (fun j found ->
+      if found <> [] then
+        Array.iter
+          (fun a ->
+            let uses = A.uses a in
+            List.iter
+              (fun (r, d) ->
+                if List.mem r uses then
+                  diags :=
+                    Diag.v ~rule:"latency" ~entry ~stage:"code" ~molecule:j
+                      (Fmt.str
+                         "r%d read %d molecule(s) before its result is ready: \
+                          %a"
+                         r d A.pp a)
+                    :: !diags)
+              found)
+          mols.(j))
+    early;
+  List.rev !diags
 
 let verify ~(cfg : Cms.Config.t) ~entry ?(ninsns = max_int)
     (code : Vliw.Code.t) : Diag.t list =
@@ -176,4 +278,4 @@ let verify ~(cfg : Cms.Config.t) ~entry ?(ninsns = max_int)
               (Fmt.str "exit #%d reads target from r%d" e r)
       | Vliw.Code.Const _ -> ())
     code.Vliw.Code.exits;
-  List.rev !diags
+  List.rev_append !diags (latency ~entry code)

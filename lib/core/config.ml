@@ -67,26 +67,6 @@ type t = {
   fault_handler_cost : int;  (** per native fault taken (CMS entry) *)
   fg_install_cost : int;  (** per fine-grain cache software refill *)
   reval_cost_per_byte : int;  (** prologue compare cost (self-reval) *)
-  (* --- steady-state execution (closures + direct chaining) --- *)
-  closure_exec : bool;
-      (** compile each installed translation's molecules into OCaml
-          closures at first dispatch (atoms pre-resolved to direct
-          regfile/storebuf/alias operations, immediates and branch
-          targets baked in) and execute those instead of re-matching
-          atoms in {!Vliw.Exec.run} every iteration.  Observationally
-          invisible by construction (the closure compiler mirrors the
-          two-phase evaluate/apply semantics counter for counter; the
-          differential suite pins it); the debug interlocks
-          ([validate_molecules]/[enforce_latency]) force the [Exec]
-          path regardless. *)
-  chain_exits : bool;
-      (** take patched [Chained] exits directly: control transfers
-          translation-to-translation without returning to the engine
-          dispatcher, through a boundary that still ticks devices,
-          fires hooks, polls interrupts and honours run limits.
-          Requires [enable_chaining] (which governs patching); this
-          knob governs only whether the patch is *followed*, so the
-          cost model is identical on and off. *)
   (* --- host-side fast paths --- *)
   host_fast_paths : bool;
       (** enable the host-side caching layers: the MMU software TLB,
@@ -97,8 +77,6 @@ type t = {
           the knob exists to measure them and to fall back if a
           contract is ever in doubt. *)
   (* --- debug --- *)
-  validate_molecules : bool;
-  enforce_latency : bool;
   verify_translations : bool;
       (** run the static translation verifier ({!Cms_analysis}) on the
           IR after lowering/optimization and on every scheduled code
@@ -141,18 +119,11 @@ let default =
     fault_handler_cost = 300;
     fg_install_cost = 60;
     reval_cost_per_byte = 1;
-    closure_exec = true;
-    chain_exits = true;
     host_fast_paths = true;
-    validate_molecules = false;
-    enforce_latency = false;
     verify_translations = false;
   }
 
-(** Debug variant with every hardware interlock on; used by tests. *)
-let debug =
-  { default with
-    validate_molecules = true;
-    enforce_latency = true;
-    verify_translations = true;
-  }
+(** Debug variant: every translation is statically verified, including
+    the issue-constraint and latency rules the TM5800 leaves to the
+    scheduler instead of hardware interlocks; used by tests. *)
+let debug = { default with verify_translations = true }

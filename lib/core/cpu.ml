@@ -32,8 +32,6 @@ let create plat ~(cfg : Config.t) =
     Vliw.Exec.create ~sbuf_capacity:cfg.Config.sbuf_capacity
       ~alias_slots:cfg.Config.alias_slots plat.Machine.Platform.mem
   in
-  exec.Vliw.Exec.validate <- cfg.Config.validate_molecules;
-  exec.Vliw.Exec.enforce_latency <- cfg.Config.enforce_latency;
   { exec; plat; idt_base = 0; halted = false; iflag = false }
 
 let mem t = t.plat.Machine.Platform.mem

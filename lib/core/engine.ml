@@ -436,34 +436,19 @@ let deliver_irq t =
       Cpu.deliver t.cpu ~vector ~error_code:None
   | None -> ()
 
-(* Execute a translation's code: through its compiled closure when the
-   steady-state tier is eligible (closures never carry the debug
-   interlocks, so those force the {!Vliw.Exec} path), else the
-   atom-dispatching engine.  Compilation is lazy, at first dispatch —
-   also what re-arms AOT-installed translations locally after their
-   copy-on-validate install. *)
+(* Execute a translation's code through its compiled closure.
+   Compilation is lazy, at first dispatch — also what re-arms
+   AOT-installed translations locally after their copy-on-validate
+   install.  Every install path gates on {!Vliw.Code.validate}, so
+   compilation cannot fail. *)
 let exec_code t (tr : Tcache.trans) =
-  let exec = t.cpu.Cpu.exec in
-  if
-    t.cfg.Config.closure_exec
-    && (not exec.Vliw.Exec.validate)
-    && not exec.Vliw.Exec.enforce_latency
-  then
-    match tr.Tcache.compiled with
-    | Tcache.Compiled c -> Vliw.Closure.run ~irq_pending:t.irq_poll c
-    | Tcache.Uncompilable ->
-        Vliw.Exec.run ~irq_pending:t.irq_poll exec tr.Tcache.code
-    | Tcache.Not_compiled -> (
-        match Vliw.Closure.compile exec tr.Tcache.code with
-        | Some c ->
-            tr.Tcache.compiled <- Tcache.Compiled c;
-            t.stats.Stats.closures_compiled <-
-              t.stats.Stats.closures_compiled + 1;
-            Vliw.Closure.run ~irq_pending:t.irq_poll c
-        | None ->
-            tr.Tcache.compiled <- Tcache.Uncompilable;
-            Vliw.Exec.run ~irq_pending:t.irq_poll exec tr.Tcache.code)
-  else Vliw.Exec.run ~irq_pending:t.irq_poll exec tr.Tcache.code
+  match tr.Tcache.compiled with
+  | Tcache.Compiled c -> Vliw.Closure.run ~irq_pending:t.irq_poll c
+  | Tcache.Not_compiled ->
+      let c = Vliw.Closure.compile_exn t.cpu.Cpu.exec tr.Tcache.code in
+      tr.Tcache.compiled <- Tcache.Compiled c;
+      t.stats.Stats.closures_compiled <- t.stats.Stats.closures_compiled + 1;
+      Vliw.Closure.run ~irq_pending:t.irq_poll c
 
 (* Run [tr] once.  Returns the successor translation when the exit
    taken is a healthy [Chained] fast exit — the caller decides whether
@@ -500,34 +485,31 @@ let run_translation_once t (tr : Tcache.trans) : Tcache.trans option =
               (* chaining (§2): resolve an already-patched successor
                  (one id lookup), else patch the exit to its target
                  translation — the patch hands back the successor
-                 directly, so a fresh patch costs no extra lookup *)
+                 directly, so a fresh patch costs no extra lookup.  A
+                 healthy successor goes to the transfer loop instead of
+                 the dispatcher. *)
               let succ =
                 match e.Vliw.Code.chain with
                 | Vliw.Code.Chained id -> Tcache.by_id t.tcache id
                 | _ -> None
               in
-              let succ =
-                match succ with
-                | Some _ -> succ
-                | None -> (
-                    t.stats.Stats.lookups <- t.stats.Stats.lookups + 1;
-                    Stats.charge t.stats t.cfg.Config.lookup_cost;
-                    match e.Vliw.Code.target with
-                    | Vliw.Code.Const target when t.cfg.Config.enable_chaining
-                      -> (
-                        match Tcache.lookup t.tcache target with
-                        | Some t2 ->
-                            e.Vliw.Code.chain <- Vliw.Code.Chained t2.Tcache.id;
-                            Tcache.link ~src:tr ~exit_idx:i ~dst:t2;
-                            t.stats.Stats.chain_patches <-
-                              t.stats.Stats.chain_patches + 1;
-                            Some t2
-                        | None -> None)
-                    | _ -> None)
-              in
-              (* chained fast exit: hand the healthy successor to the
-                 transfer loop instead of the dispatcher *)
-              if t.cfg.Config.chain_exits then succ else None
+              (match succ with
+              | Some _ -> succ
+              | None -> (
+                  t.stats.Stats.lookups <- t.stats.Stats.lookups + 1;
+                  Stats.charge t.stats t.cfg.Config.lookup_cost;
+                  match e.Vliw.Code.target with
+                  | Vliw.Code.Const target when t.cfg.Config.enable_chaining
+                    -> (
+                      match Tcache.lookup t.tcache target with
+                      | Some t2 ->
+                          e.Vliw.Code.chain <- Vliw.Code.Chained t2.Tcache.id;
+                          Tcache.link ~src:tr ~exit_idx:i ~dst:t2;
+                          t.stats.Stats.chain_patches <-
+                            t.stats.Stats.chain_patches + 1;
+                          Some t2
+                      | None -> None)
+                  | _ -> None))
           | Vliw.Code.Einterp_one ->
               ignore (Interp.step t.interp);
               None

@@ -70,14 +70,12 @@ type t = {
   mutable aot_invalidated : int;
       (** AOT translations invalidated (SMC) or evicted at runtime;
           re-translation of those entries falls to the dynamic tier *)
-  (* --- closure execution + direct chaining (steady-state tier) --- *)
+  (* --- closure execution + direct chaining --- *)
   mutable closures_compiled : int;
-      (** translations closure-compiled at first dispatch
-          ({!Config.closure_exec}) *)
+      (** translations closure-compiled at first dispatch *)
   mutable chained_exits_taken : int;
       (** translation-to-translation transfers that bypassed the
-          dispatcher through a patched [Chained] exit
-          ({!Config.chain_exits}) *)
+          dispatcher through a patched [Chained] exit *)
   mutable chain_unlinks_evict : int;
       (** chained exits unlinked because a translation died to
           generational eviction, capacity flush or replacement *)
@@ -254,8 +252,8 @@ let pp_persist fmt t =
     "snapshots[written=%d bytes=%d] journal-events=%d resumes=%d"
     t.snapshots_written t.snapshot_bytes t.journal_events t.resumes
 
-(** Closure/chaining counters: how much of the run went through the
-    steady-state tier, and why links were torn down. *)
+(** Closure/chaining counters: closures compiled, chained transfers
+    taken, and why links were torn down. *)
 let pp_chain fmt t =
   Fmt.pf fmt
     "closures=%d chained-exits=%d patches=%d \

@@ -24,16 +24,10 @@ type unlink_cause =
   | Uaot  (** the dying translation was an AOT entry (any trigger) *)
   | Uchaos  (** chaos-layer unlink storm *)
 
-(** Closure-compilation state of a translation
-    ({!Config.closure_exec}).  Compiled lazily at first dispatch —
-    which is also what re-arms AOT-installed translations locally
-    after their copy-on-validate install. *)
-type comp =
-  | Not_compiled
-  | Compiled of Vliw.Closure.t
-  | Uncompilable
-      (** the closure compiler refused (register index outside the
-          working array); {!Vliw.Exec.run} handles it, identically *)
+(** Closure-compilation state of a translation.  Compiled lazily at
+    first dispatch — which is also what re-arms AOT-installed
+    translations locally after their copy-on-validate install. *)
+type comp = Not_compiled | Compiled of Vliw.Closure.t
 
 type trans = {
   id : int;

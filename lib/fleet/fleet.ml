@@ -124,12 +124,7 @@ type config = {
 
 (* Full production pipeline per machine. *)
 let engine_cfg =
-  {
-    Cms.Config.default with
-    Cms.Config.verify_translations = true;
-    closure_exec = true;
-    chain_exits = true;
-  }
+  { Cms.Config.default with Cms.Config.verify_translations = true }
 
 let default_config =
   {

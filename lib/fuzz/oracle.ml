@@ -76,16 +76,7 @@ let cfg_interp =
   { Cms.Config.default with Cms.Config.translate_threshold = max_int }
 
 let cfg_translate =
-  (* closure compilation and chained transfers forced on (they are the
-     defaults, but the oracle must keep exercising them even if the
-     defaults ever change): every fuzz case differentially checks the
-     fastest execution tier against the interpreter *)
-  {
-    Cms.Config.default with
-    Cms.Config.verify_translations = true;
-    closure_exec = true;
-    chain_exits = true;
-  }
+  { Cms.Config.default with Cms.Config.verify_translations = true }
 
 let cfg_nofast =
   { cfg_translate with Cms.Config.host_fast_paths = false }

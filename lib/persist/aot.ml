@@ -30,8 +30,10 @@ let kind = "AOTC"
 
 (* version 2: the embedded Config grew closure_exec/chain_exits.
    version 3: Config grew the background-translator knob and queue bound.
-   version 4: Config lost them again (background translator removed). *)
-let version = 4
+   version 4: Config lost them again (background translator removed).
+   version 5: Config lost closure_exec, chain_exits, validate_molecules
+   and enforce_latency (decoder tier removed). *)
+let version = 5
 
 (* ------------------------------------------------------------------ *)
 (* Image model                                                         *)

@@ -127,9 +127,8 @@ let normalized_stats (s : Cms.Stats.t) =
     aot_hits = 0;
     aot_x86_retired = 0;
     aot_invalidated = 0;
-    (* the steady-state tier is observationally invisible; its own
-       bookkeeping legitimately differs across closure/chaining
-       on-off-equivalent runs *)
+    (* closure compilation and chain following are host-side
+       bookkeeping, not guest-visible state *)
     closures_compiled = 0;
     chained_exits_taken = 0;
     chain_unlinks_evict = 0;

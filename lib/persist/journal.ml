@@ -303,8 +303,10 @@ let install_host (c : Cms.t) (events : host_event list) =
    grew the interrupt-pressure counters.
    version 5: the background translator is gone: the embedded Config
    and Stats lost its fields, and host events the background-consume
-   boundary (tag 6). *)
-let version = 5
+   boundary (tag 6).
+   version 6: the decoder tier is gone: the embedded Config lost
+   closure_exec, chain_exits, validate_molecules and enforce_latency. *)
+let version = 6
 let kind = "JRNL"
 
 let w_guest_event b = function

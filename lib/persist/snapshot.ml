@@ -43,8 +43,10 @@ exception Inconsistent of string
    counter in IRQC, Stats the interrupt-pressure counters.
    version 6: Stats grew the shared-translation-store (fleet) counters.
    version 7: the background translator is gone: Config lost its knob
-   and queue bound, Stats its counters. *)
-let version = 7
+   and queue bound, Stats its counters.
+   version 8: the decoder tier is gone: Config lost closure_exec,
+   chain_exits, validate_molecules and enforce_latency. *)
+let version = 8
 let kind = "SNAP"
 
 let consistent (c : Cms.t) =

@@ -51,11 +51,7 @@ let w_config b (c : Cms.Config.t) =
   Codec.w_int b c.fg_install_cost;
   Codec.w_int b c.reval_cost_per_byte;
   Codec.w_bool b c.host_fast_paths;
-  Codec.w_bool b c.validate_molecules;
-  Codec.w_bool b c.enforce_latency;
-  Codec.w_bool b c.verify_translations;
-  Codec.w_bool b c.closure_exec;
-  Codec.w_bool b c.chain_exits
+  Codec.w_bool b c.verify_translations
 
 let r_config r : Cms.Config.t =
   let enable_reorder = Codec.r_bool r in
@@ -90,11 +86,7 @@ let r_config r : Cms.Config.t =
   let fg_install_cost = Codec.r_int r in
   let reval_cost_per_byte = Codec.r_int r in
   let host_fast_paths = Codec.r_bool r in
-  let validate_molecules = Codec.r_bool r in
-  let enforce_latency = Codec.r_bool r in
   let verify_translations = Codec.r_bool r in
-  let closure_exec = Codec.r_bool r in
-  let chain_exits = Codec.r_bool r in
   {
     Cms.Config.enable_reorder;
     enable_alias_hw;
@@ -128,11 +120,7 @@ let r_config r : Cms.Config.t =
     fg_install_cost;
     reval_cost_per_byte;
     host_fast_paths;
-    validate_molecules;
-    enforce_latency;
     verify_translations;
-    closure_exec;
-    chain_exits;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -199,12 +199,7 @@ let cfg_interp =
   { Cms.Config.default with Cms.Config.translate_threshold = max_int }
 
 let cfg_translate =
-  {
-    Cms.Config.default with
-    Cms.Config.verify_translations = true;
-    closure_exec = true;
-    chain_exits = true;
-  }
+  { Cms.Config.default with Cms.Config.verify_translations = true }
 
 (* The kernels keep their task stacks inside this window; dead bytes
    below a preempted task's ESP are molecule-clock territory and are

@@ -164,7 +164,7 @@ let latency = function
   | _ -> 1
 
 (* ------------------------------------------------------------------ *)
-(* Register use/def sets (for the scheduler and the debug interlock)   *)
+(* Register use/def sets (for the scheduler and the verifier)          *)
 (* ------------------------------------------------------------------ *)
 
 let src_reg = function R r -> [ r ] | I _ -> []

@@ -1,17 +1,15 @@
-(** Closure-compiled molecule execution — the gear above {!Exec}.
+(** Closure-compiled molecule execution — the VLIW executor.
 
-    {!Exec.run} re-dispatches every atom through a [match] on every loop
-    iteration and stages effects through a polymorphic buffer.  Here a
-    scheduled {!Code.t} block is compiled {e once}, at translation-install
-    time, into one OCaml closure per molecule: registers are pre-resolved
-    to working-array indices, immediates and branch targets are baked
-    into the closures, ALU/flag operations are pre-selected, and the
+    A scheduled {!Code.t} block is compiled {e once}, at first dispatch,
+    into one OCaml closure per molecule: registers are pre-resolved to
+    working-array indices, immediates and branch targets are baked into
+    the closures, ALU/flag operations are pre-selected, and the
     compile-time-decidable predicates ([Atom.xop_reads_flags], operand
     shapes, field masks) are evaluated at compile time.  Steady-state
     execution is then a closure call per molecule with zero per-execution
     decode, [match], or effect-constructor allocation.
 
-    Semantics are bit-identical to {!Exec.run} by construction:
+    Each molecule executes in two phases, as the hardware does:
 
     - phase 1 (evaluation) runs per atom in program order against
       pre-molecule state, performing all faulting checks (loads, store
@@ -20,22 +18,20 @@
       phase-2 effect of the molecule lands;
     - phase 2 (application) runs per atom in the same program order:
       register writes, store-buffer pushes (an overflow records the
-      native fault but later control effects still override it, exactly
-      like {!Exec}'s last-control-wins staging buffer), commits, and
-      control transfers;
+      native fault but later control effects in the molecule still
+      override it: the last control effect wins), commits, and control
+      transfers;
     - atoms that cannot fault and read no register defined by a sibling
       atom in the same molecule are {e fused}: their evaluation moves to
       their phase-2 slot, skipping the scratch round-trip.  The fusion
       condition makes this unobservable (their reads still see values no
       sibling write can change, and their writes land in the same
-      phase-2 order);
-    - all {!Perf} counters are maintained at the same points as
-      {!Exec.run}, so the two engines are differential-testable against
-      each other counter for counter.
+      phase-2 order).
 
-    Debug interlocks (molecule validation, latency enforcement) are not
-    compiled in; the engine only routes execution here when both are
-    off. *)
+    Nothing checks issue constraints or latencies at run time: every
+    install path gates a block on {!Code.validate}, which checks issue
+    constraints, and the translation verifier's [latency] rule checks
+    latencies, both statically. *)
 
 type t = {
   code : Code.t;  (** the source block (identity / debug dumps) *)
@@ -53,11 +49,11 @@ type t = {
 let ctrl_sbuf = min_int
 
 (* Raised during compilation when a block uses a register index outside
-   the working array; the engine falls back to {!Exec.run}, which
-   bounds-checks at the same access. *)
+   the working array.  {!Code.validate} rejects such blocks before they
+   are installed, so installed code never raises it. *)
 exception Unsupported
 
-(* Pre-selected x86-flavoured ALU operation (the [Exec.eval_xop]
+(* Pre-selected x86-flavoured ALU operation (the {!X86.Flags}
    dispatch, resolved at compile time).  Each arm is a full
    three-argument closure returning an {!X86.Flags.packed} result, so
    a molecule applies it directly: no partial application, no tuple. *)
@@ -103,8 +99,8 @@ let result_fn op size : (int -> int -> int) option =
   | XNot -> Some (fun a _ -> lnot a land m)
   | XAdc | XSbb | XShl | XShr | XSar | XRol | XRor | XTest | XCmp -> None
 
-(* Pre-selected host ALU operation ([Exec.host_alu] resolved at
-   compile time). *)
+(* Pre-selected host ALU operation (32-bit results; shift counts
+   masked to 5 bits). *)
 let alu_fn = function
   | Atom.HAdd -> fun a b -> Exec.mask32 (a + b)
   | HSub -> fun a b -> Exec.mask32 (a - b)
@@ -116,8 +112,7 @@ let alu_fn = function
   | HSar -> fun a b -> Exec.mask32 (Exec.sext32 a asr (b land 31))
   | HMul -> fun a b -> Exec.mask32 (a * b)
 
-(* Pre-selected host compare ([Exec.eval_cmp] resolved at compile
-   time). *)
+(* Pre-selected host compare (operands are masked 32-bit values). *)
 let cmp_fn = function
   | Atom.Ceq -> fun a b -> a = b
   | Cne -> fun a b -> a <> b
@@ -289,7 +284,7 @@ let compile_exn (ex : Exec.t) (code : Code.t) : t =
         let fwr = if writes_fl then reg fw else 0 in
         let has_hi = rd_hi <> None in
         let rhi = match rd_hi with Some r -> reg r | None -> 0 in
-        (* staging order in {!Exec}: lo, flags, hi *)
+        (* apply order: lo, flags, hi *)
         let run_apply p hi =
           Array.unsafe_set w rlo (X86.Flags.result p);
           if writes_fl then Array.unsafe_set w fwr (X86.Flags.flags p);
@@ -537,10 +532,9 @@ let compile_exn (ex : Exec.t) (code : Code.t) : t =
     exits = Array.init (Array.length code.Code.exits) (fun i -> Exec.Exited i);
   }
 
-(** Compile [code] against [ex]'s state; [None] when the block is not
-    closure-compilable (a register index outside the working array —
-    the engine then falls back to {!Exec.run}, which fails the same
-    access with a bounds check). *)
+(** Compile [code] against [ex]'s state; [None] when a register index
+    lies outside the working array (never for a block that passed
+    {!Code.validate}). *)
 let compile ex code =
   match compile_exn ex code with
   | t -> Some t
@@ -559,10 +553,9 @@ let rec step t irq_pending budget pc =
         else Exec.Faulted Nexn.Sbuf_overflow
     | exception Exec.Fault_ n -> Exec.Faulted n
 
-(** Execute until an exit, fault, interrupt or the molecule budget —
-    the closure-compiled equivalent of {!Exec.run}, with identical
-    outcome semantics and counter updates.  [irq_pending] is sampled
-    between molecules, like {!Exec.run}; it is not optional, so a call
-    wraps nothing. *)
+(** Execute until an exit, fault, interrupt or the molecule budget.
+    [irq_pending] is sampled between molecules, modeling asynchronous
+    interrupt arrival (§3.3); it is not optional, so a call wraps
+    nothing. *)
 let run ~irq_pending (t : t) =
   step t irq_pending t.ex.Exec.max_molecules_per_run 0

@@ -319,6 +319,41 @@ let test_install_and_run_from_image () =
   check Alcotest.bool "retired charged to AOT" true
     (s.Cms.Stats.aot_x86_retired > 0)
 
+(* A consistently re-encoded image whose native code names a register
+   outside the host register file must be refused per translation at
+   install, with a diagnostic naming the register, and the machine then
+   runs correctly without it. *)
+let test_forged_register_rejected () =
+  let listing = counted_loop ~iters:50 in
+  let _, img = build_image ~listing () in
+  let forge (t : P.Aot.tran) =
+    let mols = Array.copy t.P.Aot.code.Vliw.Code.molecules in
+    mols.(0) <- Array.append mols.(0) [| Vliw.Atom.MovI { rd = 99; imm = 1 } |];
+    { t with P.Aot.code = { t.P.Aot.code with Vliw.Code.molecules = mols } }
+  in
+  let forged =
+    P.Aot.of_string
+      (P.Aot.to_string { img with P.Aot.trans = List.map forge img.P.Aot.trans })
+  in
+  let c = Cms.create ~cfg:Cms.Config.debug () in
+  Cms.load c listing;
+  Cms.boot c ~entry:0x1000;
+  let rep = P.Aot.install c forged in
+  check Alcotest.int "nothing installed" 0 rep.P.Aot.installed;
+  check Alcotest.int "every translation rejected"
+    (List.length img.P.Aot.trans)
+    (List.length rep.P.Aot.rejected);
+  List.iter
+    (fun (e, why) ->
+      if not (contains why "r99") then
+        Alcotest.failf "rejection of %#x does not name r99: %s" e why)
+    rep.P.Aot.rejected;
+  (match Cms.run ~max_insns:10_000 c with
+  | Cms.Engine.Halted -> ()
+  | _ -> Alcotest.fail "workload did not halt");
+  check Alcotest.int "checksum" 150 (Cms.gpr c X86.Regs.eax);
+  check Alcotest.int "no AOT entry ran" 0 (Cms.stats c).Cms.Stats.aot_hits
+
 let test_smc_invalidates_aot_entry () =
   (* The entry block patches the immediate of an instruction inside a
      *second* pre-minted region, through a register (invisible to the
@@ -446,6 +481,8 @@ let suites =
           test_install_and_run_from_image;
         Alcotest.test_case "SMC invalidates AOT entry" `Quick
           test_smc_invalidates_aot_entry;
+        Alcotest.test_case "forged register rejected" `Quick
+          test_forged_register_rejected;
       ] );
     ( "aot-suite",
       [

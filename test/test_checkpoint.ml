@@ -331,20 +331,23 @@ let test_disk_scanned_once () =
 (* Digests of whole snapshot images as a full-RAM scan wrote them
    before written-page tracking existed (re-derived for snapshot
    version 7 by the same full-scan encoder minus the removed
-   background-translator fields).  Skipping unwritten pages must not
-   change a single byte.  (The fleet image depends on the translation
-   verifier the test runner installs.) *)
+   background-translator fields, and for version 8 from the version 7
+   images by dropping the four removed decoder-tier Config booleans
+   from CONF and re-sealing the container: nothing else moved).
+   Skipping unwritten pages must not change a single byte.  (The fleet
+   image depends on the translation verifier the test runner
+   installs.) *)
 let test_pinned_images () =
   let c = Suite.prepare (Test_persist.compress ()) in
   (match Cms.run ~max_insns:200_000 c with
   | Cms.Engine.Insn_limit -> ()
   | Cms.Engine.Halted -> Alcotest.fail "workload finished too early");
   check Alcotest.string "026.compress at 200k retired"
-    "3a004dd236d41afd5fea422a05040a7b"
+    "1b92df231cc57fdb0ca56924d4e205e5"
     (Digest.to_hex (Digest.string (P.Snapshot.capture c)));
   let _, _, img = fleet_first_checkpoint () in
   check Alcotest.string "fleet m0 first checkpoint"
-    "9f1f00b777e45600bed378d38519dea6"
+    "81d71dd9395b7804ea377c2c428f0822"
     (Digest.to_hex (Digest.string img))
 
 let suites =

@@ -11,7 +11,7 @@ let ci = Alcotest.int
 let cb = Alcotest.bool
 
 (* Config that translates eagerly so tests exercise translations, with
-   all debug interlocks on. *)
+   every translation statically verified. *)
 let hot_cfg =
   {
     Cms.Config.debug with

@@ -519,11 +519,12 @@ let test_no_result_form () =
         [ F.S8; F.S32 ])
     Vliw.Atom.[ XAdc; XSbb; XShl; XShr; XSar; XRol; XRor; XTest; XCmp ]
 
-(* Random blocks of x86-flavoured ALU molecules run through both
-   execution engines from the same registers: dead-flag [AluX] on every
-   operand shape, mixed with flag-live [AluX] and host [Alu] atoms.
-   Sibling atoms often read each other's destinations, so both the
-   fused (apply-phase) and staged (evaluation-phase) forms run. *)
+(* Random blocks of x86-flavoured ALU molecules run through the
+   closure executor and through [ref_run] below from the same
+   registers: dead-flag [AluX] on every operand shape, mixed with
+   flag-live [AluX] and host [Alu] atoms.  Sibling atoms often read
+   each other's destinations, so both the fused (apply-phase) and
+   staged (evaluation-phase) forms run. *)
 let random_alu_block st =
   let open Vliw in
   let reg () = 20 + Random.State.int st 6 in
@@ -568,37 +569,97 @@ let random_alu_block st =
       |];
   }
 
-let test_closure_vs_exec () =
+(* The reference for those blocks: a two-phase evaluator over
+   [X86.Flags] for exactly [Alu], [AluX] and [Exit].  Every atom of a
+   molecule reads the pre-molecule registers; its writes land, in
+   program order, when the molecule ends; an [Exit] leaves after that.
+   Returns the exit taken and the molecules and atoms executed. *)
+let ref_xop op size fl a b =
+  let open Vliw.Atom in
+  match op with
+  | XAdd -> F.add size fl a b
+  | XAdc -> F.adc size fl a b
+  | XSub -> F.sub size fl a b
+  | XSbb -> F.sbb size fl a b
+  | XAnd -> F.and_ size fl a b
+  | XOr -> F.or_ size fl a b
+  | XXor -> F.xor size fl a b
+  | XShl -> F.shl size fl a b
+  | XShr -> F.shr size fl a b
+  | XSar -> F.sar size fl a b
+  | XRol -> F.rol size fl a b
+  | XRor -> F.ror size fl a b
+  | XInc -> F.inc size fl a
+  | XDec -> F.dec size fl a
+  | XNeg -> F.neg size fl a
+  | XNot -> F.pack (F.trunc size (lnot a)) fl
+  | XTest -> F.test size fl a b
+  | XCmp -> F.cmp size fl a b
+
+let ref_run (regs : int array) (code : Vliw.Code.t) =
+  let open Vliw in
+  let m32 v = v land 0xffffffff in
+  let molecules = ref 0 and atoms = ref 0 in
+  let rec step pc =
+    let m = code.Code.molecules.(pc) in
+    incr molecules;
+    atoms := !atoms + Array.length m;
+    let src = function Atom.R r -> regs.(r) | Atom.I i -> m32 i in
+    let writes = ref [] and exit = ref None in
+    let write r v = writes := (r, m32 v) :: !writes in
+    Array.iter
+      (function
+        | Atom.Alu { op = Atom.HXor; rd; a; b } -> write rd (regs.(a) lxor src b)
+        | Atom.AluX { op; size; rd; a; b; fr; fw } ->
+            let fl =
+              if fr >= 0 && Atom.xop_reads_flags op b then regs.(fr)
+              else F.initial
+            in
+            let p = ref_xop op size fl (src a) (src b) in
+            Option.iter (fun rd -> write rd (F.result p)) rd;
+            if op <> Atom.XNot && fw >= 0 then write fw (F.flags p)
+        | Atom.Exit i -> exit := Some i
+        | a -> Alcotest.failf "reference: unexpected atom %a" Atom.pp a)
+      m;
+    List.iter (fun (r, v) -> regs.(r) <- v) (List.rev !writes);
+    match !exit with Some i -> i | None -> step (pc + 1)
+  in
+  let i = step 0 in
+  (i, !molecules, !atoms)
+
+let test_closure_vs_reference () =
   let st = Random.State.make [| 0xa1 |] in
-  let fresh seed =
-    let mem = Machine.Mem.create ~ram_size:(1 lsl 16) () in
-    let ex = Vliw.Exec.create mem in
+  let init seed =
     let rs = Random.State.make [| seed |] in
-    for r = 0 to Vliw.Abi.num_regs - 1 do
-      Vliw.Regfile.set ex.Vliw.Exec.regs r
-        (Random.State.bits rs lor (Random.State.int rs 4 lsl 30))
-    done;
-    Vliw.Regfile.set ex.Vliw.Exec.regs Vliw.Abi.eflags
-      (F.initial lor (Random.State.int rs 0x1000 land F.status_mask));
-    ex
+    let regs =
+      Array.init Vliw.Abi.num_regs (fun _ ->
+          Random.State.bits rs lor (Random.State.int rs 4 lsl 30))
+    in
+    regs.(Vliw.Abi.eflags) <-
+      F.initial lor (Random.State.int rs 0x1000 land F.status_mask);
+    regs
   in
   for i = 1 to 2_000 do
     let code = random_alu_block st in
-    let ex_a = fresh i and ex_b = fresh i in
-    let out_a = Vliw.Exec.run ex_a code in
-    let out_b =
-      match Vliw.Closure.compile ex_b code with
+    let want = init i in
+    let exit, molecules, atoms = ref_run want code in
+    let ex = Vliw.Exec.create (Machine.Mem.create ~ram_size:(1 lsl 16) ()) in
+    Array.iteri (Vliw.Regfile.set ex.Vliw.Exec.regs) (init i);
+    let out =
+      match Vliw.Closure.compile ex code with
       | Some c -> Vliw.Closure.run ~irq_pending:(fun () -> false) c
       | None -> Alcotest.fail "block did not closure-compile"
     in
     Alcotest.(check bool) (Printf.sprintf "block %d outcome" i) true
-      (out_a = out_b);
+      (out = Vliw.Exec.Exited exit);
     Alcotest.(check (array int))
       (Printf.sprintf "block %d registers" i)
-      ex_a.Vliw.Exec.regs.Vliw.Regfile.working
-      ex_b.Vliw.Exec.regs.Vliw.Regfile.working;
-    Alcotest.(check bool) (Printf.sprintf "block %d counters" i) true
-      (ex_a.Vliw.Exec.perf = ex_b.Vliw.Exec.perf)
+      want ex.Vliw.Exec.regs.Vliw.Regfile.working;
+    let p = ex.Vliw.Exec.perf in
+    Alcotest.(check (list int))
+      (Printf.sprintf "block %d counters" i)
+      [ molecules; atoms; 1 ]
+      Vliw.Perf.[ p.molecules; p.atoms; p.exits_taken ]
   done
 
 let suites =
@@ -613,7 +674,8 @@ let suites =
         case "div/idiv exhaustive 8-bit" test_div8;
         case "div/idiv random 32-bit" test_div32;
         case "flag-dependent ops keep the full path" test_no_result_form;
-        case "closure vs exec on dead-flag ALU blocks" test_closure_vs_exec;
+        case "closure vs reference on dead-flag ALU blocks"
+          test_closure_vs_reference;
       ]
       @ List.map
           (fun op ->

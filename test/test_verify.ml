@@ -134,6 +134,127 @@ let test_real_translation_mutations () =
   check cb "most mutations applicable to real code" true (!applied >= 6)
 
 (* ------------------------------------------------------------------ *)
+(* Latency                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let block molecules =
+  {
+    C.molecules = Array.of_list (List.map Array.of_list molecules);
+    exits =
+      [|
+        { C.target = C.Const 0; kind = C.Enext; x86_retired = 0;
+          chain = C.Unchained };
+      |];
+  }
+
+let latency_at code =
+  List.map
+    (fun d -> Option.value d.D.molecule ~default:(-1))
+    (Tverify.latency ~entry code)
+
+let load rd =
+  A.Load
+    { rd; base = 63; disp = 0x100; size = 4; spec = false; protect = None;
+      check = 0 }
+
+(* A load's result used in the very next molecule: latency 2 violated.
+   With one molecule of padding it is fine. *)
+let test_latency_straight () =
+  let bad =
+    block
+      [ [ load 20 ]; [ A.MovR { rd = 21; rs = 20 } ]; [ A.Exit 0 ] ]
+  in
+  check (Alcotest.list ci) "flagged at the reading molecule" [ 1 ]
+    (latency_at bad);
+  check cb "reported by verify" true (has_rule "latency" (verify bad));
+  let ok =
+    block
+      [ [ load 20 ]; [ A.Nop ]; [ A.MovR { rd = 21; rs = 20 } ]; [ A.Exit 0 ] ]
+  in
+  check (Alcotest.list ci) "padded block is clean" [] (latency_at ok);
+  check cb "not reported by verify" false (has_rule "latency" (verify ok));
+  (* a divide's latency of 8 counts down through unrelated molecules *)
+  let div pad =
+    block
+      ([ [ A.DivX { signed = false; size = X86.Flags.S32; rd_q = 20; rd_r = 21;
+                    hi = 22; lo = 23; divisor = A.I 3 } ] ]
+      @ List.init pad (fun _ -> [ A.Nop ])
+      @ [ [ A.MovR { rd = 24; rs = 21 } ]; [ A.Exit 0 ] ])
+  in
+  check (Alcotest.list ci) "divide read one molecule early" [ 7 ]
+    (latency_at (div 6));
+  check (Alcotest.list ci) "divide read on time" [] (latency_at (div 7));
+  (* a redefinition in between replaces the pending result *)
+  let redefined =
+    block
+      [
+        [ A.DivX { signed = false; size = X86.Flags.S32; rd_q = 20; rd_r = 21;
+                   hi = 22; lo = 23; divisor = A.I 3 } ];
+        [ A.MovI { rd = 21; imm = 0 } ];
+        [ A.MovR { rd = 24; rs = 21 } ];
+        [ A.Exit 0 ];
+      ]
+  in
+  check (Alcotest.list ci) "redefined before the read" [] (latency_at redefined);
+  (* only molecules reachable from the entry count *)
+  let dead =
+    block [ [ A.Exit 0 ]; [ load 20 ]; [ A.MovR { rd = 21; rs = 20 } ] ]
+  in
+  check (Alcotest.list ci) "unreachable code is not flagged" [] (latency_at dead);
+  (* the last control effect of a molecule wins: an exit after the load
+     leaves no fallthrough *)
+  let exits = block [ [ load 20; A.Exit 0 ]; [ A.MovR { rd = 21; rs = 20 } ] ] in
+  check (Alcotest.list ci) "no fallthrough past an exit" [] (latency_at exits)
+
+(* The load and the loop back-edge share a molecule, and the loop head
+   reads the result: the layout path is clean, and only the back-edge
+   arrives one molecule early. *)
+let test_latency_backedge () =
+  let loop head =
+    block
+      ([ [ A.MovI { rd = 12; imm = 0x2000 }; A.MovI { rd = 14; imm = 0 } ] ]
+      @ head
+      @ [
+          [ load 14; A.BrCmp { cmp = A.Cne; a = 12; b = A.I 0; target = 1 } ];
+          [ A.Exit 0 ];
+        ])
+  in
+  let bad = loop [ [ A.MovR { rd = 13; rs = 14 } ] ] in
+  check (Alcotest.list ci) "flagged at the loop head" [ 1 ] (latency_at bad);
+  (* dropping the back-edge leaves only the layout path: clean *)
+  let straight =
+    {
+      bad with
+      C.molecules =
+        Array.map
+          (Array.map (function A.BrCmp _ -> A.Nop | a -> a))
+          bad.C.molecules;
+    }
+  in
+  check (Alcotest.list ci) "layout path alone is clean" []
+    (latency_at straight);
+  let ok = loop [ [ A.Nop ]; [ A.MovR { rd = 13; rs = 14 } ] ] in
+  check (Alcotest.list ci) "padded loop head is clean" [] (latency_at ok)
+
+(* The early-read mutant trips [latency] and nothing else, on the
+   crafted block and on a real translation. *)
+let test_early_read_only_latency () =
+  let rules diags = List.sort_uniq compare (List.map (fun d -> d.D.rule) diags) in
+  (match M.apply ~cfg (clean_code ()) M.Early_read with
+  | None -> Alcotest.fail "early-read not applicable to the crafted block"
+  | Some bad ->
+      check (Alcotest.list Alcotest.string) "crafted: only latency"
+        [ "latency" ] (rules (verify bad)));
+  let region, code = compile_loop () in
+  match M.apply ~cfg:Cms.Config.debug code M.Early_read with
+  | None -> ()
+  | Some bad ->
+      check (Alcotest.list Alcotest.string) "real: only latency" [ "latency" ]
+        (rules
+           (Tverify.verify ~cfg:Cms.Config.debug ~entry:region.Cms.Region.entry
+              ~ninsns:(Cms.Region.instruction_count region) bad))
+
+(* ------------------------------------------------------------------ *)
 (* IR lint                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -263,6 +384,12 @@ let suites =
         Alcotest.test_case "crafted block is clean" `Quick test_crafted_clean;
         Alcotest.test_case "real translation survives mutation sweep" `Quick
           test_real_translation_mutations;
+        Alcotest.test_case "latency: straight-line read" `Quick
+          test_latency_straight;
+        Alcotest.test_case "latency: loop back-edge" `Quick
+          test_latency_backedge;
+        Alcotest.test_case "latency: early-read trips only latency" `Quick
+          test_early_read_only_latency;
         Alcotest.test_case "lint: clean IR" `Quick test_lint_clean;
         Alcotest.test_case "lint: vreg use before def" `Quick
           test_lint_vreg_undef;

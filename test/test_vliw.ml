@@ -1,7 +1,7 @@
 (* Tests for the VLIW host: register shadowing and commit/rollback, the
    gated store buffer (forwarding, ordering, overflow), alias hardware,
-   molecule constraints, and the execution engine including speculative
-   MMIO faults and the debug latency interlock. *)
+   molecule constraints, block validation, and the closure executor
+   including speculative MMIO faults. *)
 
 open Vliw
 
@@ -13,10 +13,7 @@ let mk_exec ?(sbuf_capacity = 64) ?(alias_slots = 8) () =
   let mem = Machine.Mem.create ~ram_size:(1 lsl 20) () in
   Machine.Mmu.map_identity mem.Machine.Mem.mmu ~virt:0 ~pages:256
     ~writable:true;
-  let e = Exec.create ~sbuf_capacity ~alias_slots mem in
-  (* check molecule issue constraints on every cycle under test *)
-  e.Exec.validate <- true;
-  e
+  Exec.create ~sbuf_capacity ~alias_slots mem
 
 (* A tiny helper to build a one-exit code block from molecules. *)
 let code ?(exits = 1) molecules =
@@ -32,15 +29,24 @@ let code ?(exits = 1) molecules =
           });
   }
 
+(* Compile [c] on the closure executor and run it.  Every block under
+   test must pass {!Code.validate} first (issue constraints, branch
+   targets, register range), as on every install path. *)
+let run ?(irq_pending = fun () -> false) e c =
+  (match Code.validate c with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "invalid block: %s" m);
+  Closure.run ~irq_pending (Closure.compile_exn e c)
+
 let run_ok e c =
-  match Exec.run e c with
+  match run e c with
   | Exec.Exited i -> i
   | Exec.Faulted n -> Alcotest.failf "unexpected fault %s" (Nexn.to_string n)
   | Exec.Interrupted -> Alcotest.fail "unexpected interrupt"
   | Exec.Runaway -> Alcotest.fail "runaway"
 
 let run_fault e c =
-  match Exec.run e c with
+  match run e c with
   | Exec.Faulted n -> n
   | Exec.Exited _ -> Alcotest.fail "expected fault, got exit"
   | _ -> Alcotest.fail "expected fault"
@@ -166,6 +172,51 @@ let test_molecule_constraints () =
     (Result.is_error
        (Molecule.check [| alu 20; alu 21; ld 22; Atom.Commit 0; Atom.Nop |]
         |> function Ok () -> Molecule.check [| alu 1; alu 2; alu 3; alu 4; alu 5 |] | e -> e))
+
+(* ------------------------------------------------------------------ *)
+(* Block validation                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Every install path gates on [Code.validate]; a register outside the
+   host register file must be refused there, naming the register,
+   because the closure compiler cannot resolve it. *)
+let test_code_register_range () =
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  let rejects what c reg =
+    match Code.validate c with
+    | Ok () -> Alcotest.failf "%s: accepted" what
+    | Error m ->
+        check cb (what ^ " names " ^ reg ^ ": " ^ m) true (contains m reg)
+  in
+  check cb "in range" true
+    (Code.validate (code [ [ Atom.MovI { rd = 63; imm = 1 } ]; [ Atom.Exit 0 ] ])
+    = Ok ());
+  rejects "def"
+    (code [ [ Atom.MovI { rd = 99; imm = 1 } ]; [ Atom.Exit 0 ] ])
+    "r99";
+  rejects "use"
+    (code [ [ Atom.MovR { rd = 20; rs = Abi.num_regs } ]; [ Atom.Exit 0 ] ])
+    (Printf.sprintf "r%d" Abi.num_regs);
+  rejects "negative"
+    (code [ [ Atom.Alu { op = Atom.HAdd; rd = 20; a = -1; b = Atom.I 1 } ];
+            [ Atom.Exit 0 ] ])
+    "r-1";
+  let from_reg =
+    let c = code [ [ Atom.Exit 0 ] ] in
+    { c with Code.exits = [| { (c.Code.exits.(0)) with Code.target = Code.FromReg 70 } |] }
+  in
+  rejects "exit target" from_reg "r70";
+  (* and the closure compiler indeed refuses what validation rejects *)
+  check cb "closure refuses" true
+    (Option.is_none
+       (Closure.compile (mk_exec ())
+          (code [ [ Atom.MovI { rd = 99; imm = 1 } ]; [ Atom.Exit 0 ] ])))
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
@@ -358,7 +409,7 @@ let test_engine_interrupt_sampling () =
         [ Atom.Br { target = 0 } ];
       ]
   in
-  match Exec.run ~irq_pending e c with
+  match run ~irq_pending e c with
   | Exec.Interrupted -> ()
   | _ -> Alcotest.fail "expected interrupt"
 
@@ -366,36 +417,9 @@ let test_engine_runaway () =
   let e = mk_exec () in
   e.Exec.max_molecules_per_run <- 100;
   let c = code [ [ Atom.Br { target = 0 } ] ] in
-  match Exec.run e c with
+  match run e c with
   | Exec.Runaway -> ()
   | _ -> Alcotest.fail "expected runaway"
-
-let test_engine_latency_interlock () =
-  let e = mk_exec () in
-  e.Exec.enforce_latency <- true;
-  (* use a load result in the very next molecule: latency 2 violated *)
-  let bad =
-    code
-      [
-        [ Atom.Load { rd = 20; base = 63; disp = 0x100; size = 4; spec = false; protect = None; check = 0 } ];
-        [ Atom.MovR { rd = 21; rs = 20 } ];
-        [ Atom.Exit 0 ];
-      ]
-  in
-  (match Exec.run e bad with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected latency violation");
-  (* with a gap it is fine *)
-  let ok =
-    code
-      [
-        [ Atom.Load { rd = 20; base = 63; disp = 0x100; size = 4; spec = false; protect = None; check = 0 } ];
-        [ Atom.Nop ];
-        [ Atom.MovR { rd = 21; rs = 20 } ];
-        [ Atom.Exit 0 ];
-      ]
-  in
-  ignore (run_ok e ok)
 
 let test_engine_byte_field_atoms () =
   let e = mk_exec () in
@@ -434,6 +458,8 @@ let suites =
       [ Alcotest.test_case "overlap detection" `Quick test_alias_overlap ] );
     ( "vliw.molecule",
       [ Alcotest.test_case "issue constraints" `Quick test_molecule_constraints ] );
+    ( "vliw.code",
+      [ Alcotest.test_case "register range" `Quick test_code_register_range ] );
     ( "vliw.exec",
       [
         Alcotest.test_case "parallel semantics" `Quick test_engine_parallel_semantics;
@@ -447,7 +473,6 @@ let suites =
         Alcotest.test_case "smc fault" `Quick test_engine_smc_fault;
         Alcotest.test_case "interrupt sampling" `Quick test_engine_interrupt_sampling;
         Alcotest.test_case "runaway guard" `Quick test_engine_runaway;
-        Alcotest.test_case "latency interlock" `Quick test_engine_latency_interlock;
         Alcotest.test_case "ext/ins field" `Quick test_engine_byte_field_atoms;
       ] );
   ]

@@ -21,8 +21,8 @@ let digest t =
     Cms.eip t )
 
 let differential (w : Suite.t) () =
-  (* debug config: runtime molecule validation, the latency interlock
-     and the static translation verifier are all on *)
+  (* debug config: the static translation verifier (issue constraints
+     and latencies included) checks every translation *)
   let t_ref =
     Suite.run
       ~cfg:{ Cms.Config.debug with Cms.Config.translate_threshold = max_int }
