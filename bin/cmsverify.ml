@@ -1,5 +1,6 @@
-(* cmsverify: sweep the workload suite with the translation verifier
-   collecting diagnostics, and print a per-rule violation table.
+(* cmsverify: sweep the workload suite, observing every diagnostic the
+   translator's own (rejecting) verifier reports, and print a per-rule
+   violation table.
 
      dune exec bin/cmsverify.exe                    # whole suite
      dune exec bin/cmsverify.exe -- -w "026.compress (Linux)"
@@ -29,7 +30,7 @@ let verify_aot json path =
       List.iter
         (fun (t : Cms_persist.Aot.tran) ->
           let ds =
-            Cms_analysis.Tverify.verify ~cfg ~entry:t.Cms_persist.Aot.tentry
+            Cms.Tverify.verify ~cfg ~entry:t.Cms_persist.Aot.tentry
               ~ninsns:(List.length t.Cms_persist.Aot.insns)
               t.Cms_persist.Aot.code
           in
@@ -45,7 +46,7 @@ let verify_aot json path =
           |> String.concat ","
         in
         let ds =
-          List.map Cms_analysis.Diag.to_json diags |> String.concat ","
+          List.map Cms.Diag.to_json diags |> String.concat ","
         in
         Fmt.pr
           "{\"image\":\"%s\",\"label\":\"%s\",\"translations\":%d,\
@@ -59,7 +60,7 @@ let verify_aot json path =
           img.Cms_persist.Aot.meta.Cms_persist.Aot.label ntrans;
         Fmt.pr "@.%a@." Cms_analysis.Pipeline.pp_table diags;
         Fmt.pr "%d violations@." violations;
-        List.iter (fun d -> Fmt.pr "  %a@." Cms_analysis.Diag.pp d) diags
+        List.iter (fun d -> Fmt.pr "  %a@." Cms.Diag.pp d) diags
       end;
       if violations > 0 then exit 1;
       `Ok ()
@@ -79,20 +80,19 @@ let run_cmd name json threshold force_selfcheck aot =
     let cfg =
       {
         Cms.Config.default with
-        Cms.Config.verify_translations = true;
-        translate_threshold = threshold;
+        Cms.Config.translate_threshold = threshold;
         force_self_check = force_selfcheck;
       }
     in
     let diags = ref [] in
+    let on_diag d = diags := d :: !diags in
     let translations = ref 0 in
     let verified = ref 0 in
-    Cms_analysis.Pipeline.install_collect (fun d -> diags := d :: !diags);
     List.iter
       (fun w ->
         if not json then Fmt.pr "%-36s %!" w.Suite.name;
         let before = List.length !diags in
-        let t = Suite.run ~cfg w in
+        let t = Suite.run ~on_diag ~cfg w in
         let s = Cms.stats t in
         translations := !translations + s.Cms.Stats.translations;
         verified := !verified + s.Cms.Stats.translations_verified;
@@ -100,7 +100,6 @@ let run_cmd name json threshold force_selfcheck aot =
           Fmt.pr "%4d translations  %d violations@." s.Cms.Stats.translations
             (List.length !diags - before))
       wl;
-    Cms_analysis.Pipeline.uninstall ();
     let diags = List.rev !diags in
     let violations = List.length diags in
     if json then begin
@@ -110,7 +109,7 @@ let run_cmd name json threshold force_selfcheck aot =
         |> String.concat ","
       in
       let ds =
-        List.map Cms_analysis.Diag.to_json diags |> String.concat ","
+        List.map Cms.Diag.to_json diags |> String.concat ","
       in
       Fmt.pr
         "{\"workloads\":%d,\"translations\":%d,\"verified\":%d,\
@@ -121,7 +120,7 @@ let run_cmd name json threshold force_selfcheck aot =
       Fmt.pr "@.%a@." Cms_analysis.Pipeline.pp_table diags;
       Fmt.pr "%d workloads, %d translations (%d verified), %d violations@."
         (List.length wl) !translations !verified violations;
-      List.iter (fun d -> Fmt.pr "  %a@." Cms_analysis.Diag.pp d) diags
+      List.iter (fun d -> Fmt.pr "  %a@." Cms.Diag.pp d) diags
     end;
     if violations > 0 then exit 1;
     `Ok ()

@@ -3,11 +3,11 @@
 
     [build] walks the image with {!Discover}, then feeds every static
     leader through the *production* translator pipeline
-    ({!Cms.Region.select} + {!Cms.Codegen.compile}) under the rejecting
-    verifier — verification is mandatory here, regardless of the ambient
-    hook or config: a region the verifier refuses is demoted to
-    dynamic-only and recorded, never silently shipped.  The result is a
-    {!Cms_persist.Aot} image keyed by code-page digests.
+    ({!Cms.Region.select} + {!Cms.Codegen.compile}), whose verifier
+    rejects exactly as it does at run time: a region the verifier
+    refuses is demoted to dynamic-only and recorded, never silently
+    shipped.  The result is a {!Cms_persist.Aot} image keyed by
+    code-page digests.
 
     Build-time regions differ from warm dynamic ones in exactly one
     way: the profile is empty, so conditional branches are traced
@@ -56,9 +56,7 @@ let build ?(max_insns = 65536) ~label (c : Cms.t) ~entry =
     else raise (X86.Exn.Fault (X86.Exn.GP 0))
   in
   let d = Discover.discover ~max_insns ~fetch ~entry () in
-  (* compile with verification forced on; the hook is the rejecting one
-     for the duration of the build *)
-  let cfg = { c.Cms.Engine.cfg with Cms.Config.verify_translations = true } in
+  let cfg = c.Cms.Engine.cfg in
   let profile = Cms.Profile.create () in
   let smc_pages = d.Discover.smc_pages in
   let crosses_smc (region : Cms.Region.t) =
@@ -69,58 +67,57 @@ let build ?(max_insns = 65536) ~label (c : Cms.t) ~entry =
   let minted = ref [] in
   let demotions = ref [] in
   let demoted_verify = ref 0 and demoted_select = ref 0 in
-  Pipeline.with_reject (fun () ->
-      List.iter
-        (fun leader ->
-          match translate_leader ~cfg ~mem ~profile leader with
-          | None -> incr demoted_select
-          | exception Cms.Codegen.Verify_failed why ->
-              incr demoted_verify;
-              demotions := { leader; why } :: !demotions
-          | exception Out_of_memory -> raise Out_of_memory
-          | exception Stack_overflow -> raise Stack_overflow
-          | exception e ->
-              (* translator containment, AOT flavour: a crash on one
-                 region demotes that region, not the build *)
-              incr demoted_verify;
-              demotions := { leader; why = Printexc.to_string e } :: !demotions
-          | Some (policy, region, compiled) ->
-              if crosses_smc region then
-                (* grew onto a write-reachable page: dynamic-only *)
-                demotions :=
-                  { leader; why = "region crosses a write-reachable page" }
-                  :: !demotions
-              else
-                let snapshot =
-                  match compiled.Cms.Codegen.snapshot with
-                  | Some s -> s
-                  | None -> Cms.Codegen.take_snapshot mem region
-                in
-                minted :=
-                  {
-                    Cms_persist.Aot.tentry = leader;
-                    policy;
-                    cont = region.Cms.Region.cont;
-                    src_ranges = region.Cms.Region.src_ranges;
-                    insns =
-                      Array.to_list region.Cms.Region.insns
-                      |> List.map (fun (i : Cms.Region.insn_info) ->
-                             {
-                               Cms_persist.Aot.addr = i.Cms.Region.addr;
-                               len = i.Cms.Region.len;
-                               follow =
-                                 (match i.Cms.Region.follow with
-                                 | Cms.Region.FNext -> 0
-                                 | Cms.Region.FTarget -> 1
-                                 | Cms.Region.FEnd -> 2);
-                               loops = i.Cms.Region.loops;
-                               imm32_addr = i.Cms.Region.imm32_addr;
-                             });
-                    snapshot;
-                    code = compiled.Cms.Codegen.code;
-                  }
-                  :: !minted)
-        (Discover.static_leaders d));
+  List.iter
+    (fun leader ->
+      match translate_leader ~cfg ~mem ~profile leader with
+      | None -> incr demoted_select
+      | exception Cms.Codegen.Verify_failed why ->
+          incr demoted_verify;
+          demotions := { leader; why } :: !demotions
+      | exception Out_of_memory -> raise Out_of_memory
+      | exception Stack_overflow -> raise Stack_overflow
+      | exception e ->
+          (* translator containment, AOT flavour: a crash on one
+             region demotes that region, not the build *)
+          incr demoted_verify;
+          demotions := { leader; why = Printexc.to_string e } :: !demotions
+      | Some (policy, region, compiled) ->
+          if crosses_smc region then
+            (* grew onto a write-reachable page: dynamic-only *)
+            demotions :=
+              { leader; why = "region crosses a write-reachable page" }
+              :: !demotions
+          else
+            let snapshot =
+              match compiled.Cms.Codegen.snapshot with
+              | Some s -> s
+              | None -> Cms.Codegen.take_snapshot mem region
+            in
+            minted :=
+              {
+                Cms_persist.Aot.tentry = leader;
+                policy;
+                cont = region.Cms.Region.cont;
+                src_ranges = region.Cms.Region.src_ranges;
+                insns =
+                  Array.to_list region.Cms.Region.insns
+                  |> List.map (fun (i : Cms.Region.insn_info) ->
+                         {
+                           Cms_persist.Aot.addr = i.Cms.Region.addr;
+                           len = i.Cms.Region.len;
+                           follow =
+                             (match i.Cms.Region.follow with
+                             | Cms.Region.FNext -> 0
+                             | Cms.Region.FTarget -> 1
+                             | Cms.Region.FEnd -> 2);
+                           loops = i.Cms.Region.loops;
+                           imm32_addr = i.Cms.Region.imm32_addr;
+                         });
+                snapshot;
+                code = compiled.Cms.Codegen.code;
+              }
+              :: !minted)
+    (Discover.static_leaders d);
   let minted = List.rev !minted in
   (* digest every page any minted translation reads its source from *)
   let pages =

@@ -1,6 +1,6 @@
 (** Seeded mutations: deliberately corrupt a correct translation in a
     way that violates exactly one verifier invariant, so the self-tests
-    can assert {!Tverify} flags each rule.  [apply] returns [None] when
+    can assert {!Cms.Tverify} flags each rule.  [apply] returns [None] when
     the code has no applicable mutation site (e.g. no alias guards in a
     non-self-checking translation). *)
 
@@ -228,7 +228,7 @@ let apply ~(cfg : Cms.Config.t) (code : Vliw.Code.t) (m : t) :
          reads the result: one molecule too early for latency 2 *)
       find_atom code (fun i a ->
           (match a with A.Load _ | A.MulX _ -> true | _ -> false)
-          && List.mem (i + 1) (Tverify.successors mols i))
+          && List.mem (i + 1) (Cms.Tverify.successors mols i))
       |> Option.map (fun (i, k) ->
              let rd =
                match mols.(i).(k) with

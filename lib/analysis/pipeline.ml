@@ -1,70 +1,8 @@
-(** Wiring the verifier into the translator, and result reporting.
+(** Reporting of static-verifier results ({!Cms.Diag}): per-rule counts
+    and the table [cmsverify] prints.  The verifier itself runs inside
+    the translator ({!Cms.Codegen.check}). *)
 
-    {!Cms.Codegen} exposes a hook rather than depending on this library
-    (the dependency points the other way); [install] plugs the two
-    passes in so that — with {!Cms.Config.verify_translations} on — a
-    violation makes the translator reject the translation by raising
-    {!Cms.Codegen.Verify_failed}.  [install_collect] records structured
-    diagnostics through a sink instead of rejecting, which is what the
-    [cmsverify] sweep and the suite-is-clean property test use. *)
-
-let verifier ?sink () =
-  let deliver ds =
-    match sink with
-    | None ->
-        (* rejecting mode: advisory rules (recoverable runtime events,
-           e.g. a statically overflow-prone store run the engine
-           escalates on) must not kill the translation *)
-        List.filter_map
-          (fun d -> if Diag.is_advisory d then None else Some (Diag.to_string d))
-          ds
-    | Some f ->
-        List.iter f ds;
-        []
-  in
-  {
-    Cms.Codegen.lint_ir =
-      (fun ~stage ~entry ~ir items -> deliver (Irlint.lint ~stage ~entry ~ir items));
-    verify_code =
-      (fun ~cfg ~entry ~ninsns code ->
-        deliver (Tverify.verify ~cfg ~entry ~ninsns code));
-  }
-
-(** Install the rejecting verifier: any violation raises
-    {!Cms.Codegen.Verify_failed} out of the translator. *)
-let install () = Cms.Codegen.verify_hook := Some (verifier ())
-
-(** Install a collecting verifier: diagnostics go to [f], translations
-    are never rejected. *)
-let install_collect f = Cms.Codegen.verify_hook := Some (verifier ~sink:f ())
-
-let uninstall () = Cms.Codegen.verify_hook := None
-
-(** Run [body] with the rejecting verifier installed, restoring the
-    previous hook after.  The AOT builder uses this so pre-minted
-    translations are always verified mandatorily, even when the ambient
-    hook is a collecting one (e.g. under the fuzzer's oracles). *)
-let with_reject body =
-  let saved = !Cms.Codegen.verify_hook in
-  install ();
-  Fun.protect
-    ~finally:(fun () -> Cms.Codegen.verify_hook := saved)
-    body
-
-(** Run [body] with a collecting verifier installed; returns its result
-    and the diagnostics gathered, restoring the previous hook. *)
-let with_collect body =
-  let saved = !Cms.Codegen.verify_hook in
-  let acc = ref [] in
-  (* the hook is global: engines on other domains (fleet shards) call
-     it too, so the sink is locked *)
-  let lock = Mutex.create () in
-  install_collect (fun d -> Mutex.protect lock (fun () -> acc := d :: !acc));
-  Fun.protect
-    ~finally:(fun () -> Cms.Codegen.verify_hook := saved)
-    (fun () ->
-      let r = body () in
-      (r, List.rev !acc))
+module Diag = Cms.Diag
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)

@@ -23,6 +23,10 @@ module Ir = Ir
 module Lower = Lower
 module Opt = Opt
 module Sched = Sched
+module Diag = Diag
+module Absstate = Absstate
+module Irlint = Irlint
+module Tverify = Tverify
 module Codegen = Codegen
 module Tcache = Tcache
 module Adapt = Adapt
@@ -31,14 +35,16 @@ module Engine = Engine
 
 type t = Engine.t
 
-(** Build a complete system: platform (RAM, MMU, devices) plus CMS. *)
-let create ?(cfg = Config.default) ?(ram_size = 16 * 1024 * 1024) ?disk_image
-    () =
+(** Build a complete system: platform (RAM, MMU, devices) plus CMS.
+    [on_diag] observes every static-verifier diagnostic (see
+    {!Engine.t.on_diag}); verification runs with or without it. *)
+let create ?on_diag ?(cfg = Config.default) ?(ram_size = 16 * 1024 * 1024)
+    ?disk_image () =
   let plat =
     Machine.Platform.create ~ram_size ~fg_capacity:cfg.Config.fg_capacity
       ?disk_image ()
   in
-  Engine.create ~cfg plat
+  Engine.create ?on_diag ~cfg plat
 
 let platform (t : t) = t.Engine.plat
 let mem (t : t) = t.Engine.plat.Machine.Platform.mem

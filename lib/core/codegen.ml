@@ -1,7 +1,9 @@
 (** Code generation: region → scheduled native code.
 
     Drives lowering, optimization, self-check injection, scheduling and
-    register allocation, and validates the result.  Also builds the
+    register allocation, and validates the result: structurally
+    ({!Vliw.Code.validate}) and with the static verifier ({!Irlint},
+    {!Tverify}) on every compile.  Also builds the
     special zero-instruction translations (paper §3.2: "a
     zero-instruction translation that simply calls the interpreter to
     execute the faulting instruction"). *)
@@ -13,35 +15,44 @@ exception Too_big
     the translator retries with a smaller region *)
 
 (* ------------------------------------------------------------------ *)
-(* Translation verifier hook                                           *)
+(* Translation verifier                                                *)
 (* ------------------------------------------------------------------ *)
-
-type verifier = {
-  lint_ir : stage:string -> entry:int -> ir:Ir.t -> Ir.item list -> string list;
-      (** static IR lint, run after lowering and again after
-          optimization; returns rendered diagnostics (empty = clean) *)
-  verify_code :
-    cfg:Config.t -> entry:int -> ninsns:int -> Vliw.Code.t -> string list;
-      (** static molecule verifier, run on every scheduled code block *)
-}
 
 exception Verify_failed of string
 (** a static verifier found an invariant violation; the translation is
     rejected (this is a translator bug, not a guest-program condition) *)
 
-(* The verifier lives in the analysis library, which depends on this
-   one; it registers itself through this hook ([Cms_analysis.Pipeline]).
-   [Config.verify_translations] gates whether the hook is consulted. *)
-let verify_hook : verifier option ref = ref None
+(** The one acceptance rule for a translation, wherever it comes from
+    (a fresh compile, a shared-store hit, an AOT image entry): every
+    diagnostic goes to [on_diag], advisory ones included, and any
+    diagnostic that is not advisory ({!Diag.is_advisory}) rejects the
+    translation with {!Verify_failed}.  The observer only watches:
+    rejection is the same with or without it. *)
+let check ?on_diag (diags : Diag.t list) =
+  if diags <> [] then begin
+    Option.iter (fun f -> List.iter f diags) on_diag;
+    match List.filter (fun d -> not (Diag.is_advisory d)) diags with
+    | [] -> ()
+    | bad ->
+        raise (Verify_failed (String.concat "\n" (List.map Diag.to_string bad)))
+  end
 
-let run_verifier ~(cfg : Config.t) f =
-  if cfg.Config.verify_translations then
-    match !verify_hook with
-    | None -> ()
-    | Some v -> (
-        match f v with
-        | [] -> ()
-        | diags -> raise (Verify_failed (String.concat "\n" diags)))
+(** {!check} applied to the molecule verifier's verdict on [code]. *)
+let check_code ?on_diag ~cfg ~entry ~ninsns code =
+  check ?on_diag (Tverify.verify ~cfg ~entry ~ninsns code)
+
+(* Stubs: the benchmark harness (perfbench/layers.ml) is their only
+   reader, and ROADMAP item 1 removes them.  The verifier is no longer
+   a hook — {!compile_with} calls {!Irlint} and {!Tverify} directly —
+   so [verify_hook] stays [None] and nothing in the program reads or
+   writes it. *)
+type verifier = {
+  lint_ir : stage:string -> entry:int -> ir:Ir.t -> Ir.item list -> string list;
+  verify_code :
+    cfg:Config.t -> entry:int -> ninsns:int -> Vliw.Code.t -> string list;
+}
+
+let verify_hook : verifier option ref = ref None
 
 (* ------------------------------------------------------------------ *)
 (* Self-checking translations (§3.6.3)                                 *)
@@ -156,15 +167,15 @@ let take_snapshot mem (region : Region.t) =
    shared-store key.  Everything else is a pure deterministic function
    of (cfg, policy, region, bytes), so both paths mint the identical
    translation. *)
-let compile_with ~(cfg : Config.t) ~(policy : Policy.t)
+let compile_with ?on_diag ~(cfg : Config.t) ~(policy : Policy.t)
     ~(snap : unit -> Bytes.t) (region : Region.t) =
   let entry = region.Region.entry in
   let ir = Lower.lower ~policy region in
   let items = Ir.items ir in
-  run_verifier ~cfg (fun v -> v.lint_ir ~stage:"lower" ~entry ~ir items);
+  check ?on_diag (Irlint.lint ~stage:"lower" ~entry ~ir items);
   let opt_stats = Opt.run ir items in
   let items = opt_stats.Opt.items in
-  run_verifier ~cfg (fun v -> v.lint_ir ~stage:"opt" ~entry ~ir items);
+  check ?on_diag (Irlint.lint ~stage:"opt" ~entry ~ir items);
   (* self-check / snapshot *)
   let want_snapshot =
     policy.Policy.self_check || policy.Policy.self_reval
@@ -279,19 +290,23 @@ let compile_with ~(cfg : Config.t) ~(policy : Policy.t)
   (match Vliw.Code.validate code with
   | Ok () -> ()
   | Error e -> failwith ("Codegen: invalid code: " ^ e));
-  run_verifier ~cfg (fun v ->
-      v.verify_code ~cfg ~entry ~ninsns:(Region.instruction_count region) code);
+  check_code ?on_diag ~cfg ~entry ~ninsns:(Region.instruction_count region)
+    code;
   { code; snapshot; opt_stats; unprotected = use_guards }
 
-(** Compile a region under [policy].  [cfg] supplies hardware knobs. *)
-let compile ~cfg ~policy ~mem (region : Region.t) =
-  compile_with ~cfg ~policy ~snap:(fun () -> take_snapshot mem region) region
+(** Compile a region under [policy].  [cfg] supplies hardware knobs;
+    the IR lint runs after lowering and after optimization, the
+    molecule verifier on the scheduled code, each through {!check}. *)
+let compile ?on_diag ~cfg ~policy ~mem (region : Region.t) =
+  compile_with ?on_diag ~cfg ~policy
+    ~snap:(fun () -> take_snapshot mem region)
+    region
 
 (** Compile from pre-captured source bytes: [bytes] is the
     {!take_snapshot}-format concatenation of the region's source
     ranges, read once by the caller at the translate instant. *)
-let compile_presnapped ~cfg ~policy ~bytes (region : Region.t) =
-  compile_with ~cfg ~policy ~snap:(fun () -> bytes) region
+let compile_presnapped ?on_diag ~cfg ~policy ~bytes (region : Region.t) =
+  compile_with ?on_diag ~cfg ~policy ~snap:(fun () -> bytes) region
 
 (** A zero-instruction translation: interpret one instruction at
     [entry], then continue dispatch. *)

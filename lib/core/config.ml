@@ -76,14 +76,6 @@ type t = {
           invalidation contract; the differential suite pins it) —
           the knob exists to measure them and to fall back if a
           contract is ever in doubt. *)
-  (* --- debug --- *)
-  verify_translations : bool;
-      (** run the static translation verifier ({!Cms_analysis}) on the
-          IR after lowering/optimization and on every scheduled code
-          block; a violation makes {!Codegen} reject the translation.
-          Needs the verifier hook installed (the analysis library, the
-          tests and the CLIs install it); on by default under tests
-          via {!debug}. *)
 }
 
 let default =
@@ -120,10 +112,4 @@ let default =
     fg_install_cost = 60;
     reval_cost_per_byte = 1;
     host_fast_paths = true;
-    verify_translations = false;
   }
-
-(** Debug variant: every translation is statically verified, including
-    the issue-constraint and latency rules the TM5800 leaves to the
-    scheduler instead of hardware interlocks; used by tests. *)
-let debug = { default with verify_translations = true }

@@ -29,6 +29,10 @@ type chaos = {
 
 type t = {
   cfg : Config.t;
+  on_diag : (Diag.t -> unit) option;
+      (** observer of every verifier diagnostic this engine's compiles
+          and installs produce, advisory ones included; it only
+          watches — acceptance is {!Codegen.check}'s alone *)
   plat : Machine.Platform.t;
   cpu : Cpu.t;
   interp : Interp.t;
@@ -117,7 +121,7 @@ let irq_pending_poll t () =
   Cpu.irq_deliverable t.cpu
   || (match t.chaos with Some c -> c.irq_spoof () | None -> false)
 
-let create ?(cfg = Config.default) plat =
+let create ?on_diag ?(cfg = Config.default) plat =
   let cpu = Cpu.create plat ~cfg in
   let stats = Stats.create () in
   let profile = Profile.create () in
@@ -129,7 +133,7 @@ let create ?(cfg = Config.default) plat =
   Machine.Mem.set_fast_paths mem cfg.Config.host_fast_paths;
   let smc = Smc.create ~cfg ~mem ~tcache ~adapt ~stats in
   let t =
-    { cfg; plat; cpu; interp; profile; stats; tcache; smc; adapt;
+    { cfg; on_diag; plat; cpu; interp; profile; stats; tcache; smc; adapt;
       ticked = 0; irq_sample = 0; irq_poll = Fun.const false;
       on_boundary = None; chaos = None; on_rollback = None;
       shared_source = None; on_fresh_translation = None;
@@ -209,8 +213,10 @@ let translate_unprotected t entry =
           match (precompiled, cur_snap) with
           | Some c, _ -> c
           | None, Some cur ->
-              Codegen.compile_presnapped ~cfg:t.cfg ~policy ~bytes:cur region
-          | None, None -> Codegen.compile ~cfg:t.cfg ~policy ~mem region
+              Codegen.compile_presnapped ?on_diag:t.on_diag ~cfg:t.cfg ~policy
+                ~bytes:cur region
+          | None, None ->
+              Codegen.compile ?on_diag:t.on_diag ~cfg:t.cfg ~policy ~mem region
         with
         | { Codegen.code; snapshot; unprotected; _ } as compiled ->
             let n = Region.instruction_count region in
@@ -233,12 +239,8 @@ let translate_unprotected t entry =
                 t.stats.Stats.insns_translated + n;
               t.stats.Stats.translated_atoms <-
                 t.stats.Stats.translated_atoms + Vliw.Code.atom_count code;
-              if
-                t.cfg.Config.verify_translations
-                && Option.is_some !Codegen.verify_hook
-              then
-                t.stats.Stats.translations_verified <-
-                  t.stats.Stats.translations_verified + 1
+              t.stats.Stats.translations_verified <-
+                t.stats.Stats.translations_verified + 1
             end;
             let tr =
               Tcache.insert ~unprotected t.tcache ~entry ~code ~region ~policy

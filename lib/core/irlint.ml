@@ -1,13 +1,13 @@
 (** Static IR lint.
 
-    Runs twice per translation — after {!Cms.Lower} and again after
-    {!Cms.Opt} — over the linear item list, before self-check injection
+    Runs twice per translation — after {!Lower} and again after
+    {!Opt} — over the linear item list, before self-check injection
     (self-check loads legitimately carry no memory sequence number).
     All checks are linear-order checks: lowering emits traces, so
     program order and layout order coincide at this stage. *)
 
 module A = Vliw.Atom
-module I = Cms.Ir
+module I = Ir
 
 let lint ~stage ~entry ~(ir : I.t) (items : I.item list) : Diag.t list =
   let diags = ref [] in

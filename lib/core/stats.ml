@@ -14,8 +14,9 @@ type t = {
   mutable insns_translated : int;  (** x86 insns fed to the translator *)
   mutable translated_atoms : int;  (** emitted code size in atoms *)
   mutable translations_verified : int;
-      (** translations accepted by the static verifier
-          ({!Config.verify_translations} on and a verifier installed) *)
+      (** fresh compiles accepted by the static verifier (every
+          {!Codegen.compile} runs it; zero-instruction stubs and
+          shared-store hits are not compiles) *)
   mutable spec_faults : int;  (** native faults that proved speculative *)
   mutable genuine_faults : int;  (** faults that reproduced under interp *)
   mutable irq_delivered : int;

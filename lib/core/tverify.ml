@@ -121,13 +121,13 @@ let latency ~entry (code : Vliw.Code.t) : Diag.t list =
     early;
   List.rev !diags
 
-let verify ~(cfg : Cms.Config.t) ~entry ?(ninsns = max_int)
+let verify ~(cfg : Config.t) ~entry ?(ninsns = max_int)
     (code : Vliw.Code.t) : Diag.t list =
   let diags = ref [] in
   let nmol = Array.length code.Vliw.Code.molecules in
   let nexits = Array.length code.Vliw.Code.exits in
-  let slots = cfg.Cms.Config.alias_slots in
-  let capacity = cfg.Cms.Config.sbuf_capacity in
+  let slots = cfg.Config.alias_slots in
+  let capacity = cfg.Config.sbuf_capacity in
   let st = S.create () in
   Array.iteri
     (fun i m ->

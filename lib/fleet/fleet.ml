@@ -47,11 +47,11 @@ exception Fault_injected of string
 (** raised by the fault bombs {!Fleetfault} plants at dispatch
     boundaries; the supervisor's containment catches it *)
 
-(* The shared store is verifier-gated on both sides: no verifier, no
-   publication and no consumption.  Fleet entry points install the
-   analysis pipeline's verifier if the host process has not. *)
-let ensure_verifier () =
-  if !Cms.Codegen.verify_hook = None then Cms_analysis.Pipeline.install ()
+(* Stub: the benchmark harness (perfbench/cmsbench.ml) is its only
+   caller, and ROADMAP item 1 removes it.  The verifier runs inside
+   every compile, store hit and publication; there is nothing to
+   install. *)
+let ensure_verifier () = ()
 
 (* ------------------------------------------------------------------ *)
 (* Machine specs                                                       *)
@@ -123,8 +123,7 @@ type config = {
 }
 
 (* Full production pipeline per machine. *)
-let engine_cfg =
-  { Cms.Config.default with Cms.Config.verify_translations = true }
+let engine_cfg = Cms.Config.default
 
 let default_config =
   {
@@ -463,7 +462,6 @@ let aggregate ~shards (reports : report list) : totals =
     Each shard runs its machines sequentially; every machine is
     individually supervised by {!run_machine}. *)
 let run ?store (fcfg : config) (specs : spec list) : totals =
-  ensure_verifier ();
   let shards = max 1 (min fcfg.shards (max 1 (List.length specs))) in
   let buckets = Array.make shards [] in
   List.iteri
@@ -549,7 +547,6 @@ let roundtrip_events ~cfg (spec : spec) =
   { spec with s_events = j.Journal.guest }
 
 let run_case ?(fcfg = campaign_config) (plan : Fleetfault.plan) : case_report =
-  ensure_verifier ();
   let arng = Srng.create (0x5eed + plan.Fleetfault.p_idx) in
   let store = Tstore.create () in
   let specs =

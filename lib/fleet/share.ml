@@ -11,27 +11,28 @@
       blob.  Any defect poisons the key fleet-wide (exactly once) and
       falls back to the private translator.
     - {!Cms.Engine.on_fresh_translation} — the publish seam.  Every
-      freshly minted translation goes through the mandatory rejecting
-      verifier *again* on the publisher side before its serialized form
-      enters the store; no verifier installed means nothing is ever
-      published.
+      freshly minted translation goes through the translator's
+      acceptance check ({!Cms.Codegen.check_code}) *again* on the
+      publisher side before its serialized form enters the store.
 
-    A machine that rejects too many entries stops trusting the store
-    altogether ({!t.detached}) and keeps serving from its private
-    translator — graceful degradation, never an error. *)
+    A machine that has rejected [max_rejects] entries in total stops
+    trusting the store altogether ({!t.detached}) and keeps serving
+    from its private translator — graceful degradation, never an
+    error. *)
 
 module Tstore = Cms_persist.Tstore
 
 type t = {
   store : Tstore.t;
   max_rejects : int;
-      (** consecutive-reject budget before the machine detaches *)
+      (** cumulative reject budget before the machine detaches: good
+          hits in between do not reset the count *)
   mutable rejects : int;
   mutable detached : bool;
 }
 
 let attach ?(max_rejects = 8) (c : Cms.t) (store : Tstore.t) : t =
-  let cfg = c.Cms.Engine.cfg in
+  let cfg = c.Cms.Engine.cfg and on_diag = c.Cms.Engine.on_diag in
   let stats = Cms.stats c in
   let sh = { store; max_rejects; rejects = 0; detached = false } in
   c.Cms.Engine.shared_source <-
@@ -54,7 +55,7 @@ let attach ?(max_rejects = 8) (c : Cms.t) (store : Tstore.t) : t =
               None
           | Tstore.Hit e -> (
               match
-                Tstore.decode_validated ~cfg ~entry ~region ~policy
+                Tstore.decode_validated ?on_diag ~cfg ~entry ~region ~policy
                   ~bytes:bytes_ e
               with
               | compiled -> Some compiled
@@ -71,26 +72,19 @@ let attach ?(max_rejects = 8) (c : Cms.t) (store : Tstore.t) : t =
     Some
       (fun ~entry ~region ~policy ~bytes_ ~compiled ->
         if (not sh.detached) && Cms.Region.instruction_count region > 0 then
-          match !Cms.Codegen.verify_hook with
-          | None ->
-              (* no verifier, no publication: the store only ever holds
-                 verified translations *)
-              Tstore.note_refused store
-          | Some v -> (
-              match
-                v.Cms.Codegen.verify_code ~cfg ~entry
-                  ~ninsns:(Cms.Region.instruction_count region)
-                  compiled.Cms.Codegen.code
-              with
-              | _ :: _ -> Tstore.note_refused store
-              | [] ->
-                  let key, blob =
-                    Tstore.encode ~entry ~region ~policy ~bytes:bytes_
-                      ~compiled
-                  in
-                  if Tstore.publish store ~key ~blob then
-                    stats.Cms.Stats.store_published <-
-                      stats.Cms.Stats.store_published + 1));
+          match
+            Cms.Codegen.check_code ~cfg ~entry
+              ~ninsns:(Cms.Region.instruction_count region)
+              compiled.Cms.Codegen.code
+          with
+          | exception Cms.Codegen.Verify_failed _ -> Tstore.note_refused store
+          | () ->
+              let key, blob =
+                Tstore.encode ~entry ~region ~policy ~bytes:bytes_ ~compiled
+              in
+              if Tstore.publish store ~key ~blob then
+                stats.Cms.Stats.store_published <-
+                  stats.Cms.Stats.store_published + 1);
   sh
 
 (** Remove both hooks (the machine keeps its installed translations). *)

@@ -75,8 +75,7 @@ let ram_size = 2 * 1024 * 1024
 let cfg_interp =
   { Cms.Config.default with Cms.Config.translate_threshold = max_int }
 
-let cfg_translate =
-  { Cms.Config.default with Cms.Config.verify_translations = true }
+let cfg_translate = Cms.Config.default
 
 let cfg_nofast =
   { cfg_translate with Cms.Config.host_fast_paths = false }
@@ -117,35 +116,34 @@ type outcome = {
    (recorded-journal replay installs different hooks than first-run
    injection); returns the outcome *and* the machine for capture. *)
 let execute ~cfg ~setup (r : rendered) : outcome * Cms.t =
-  let result, diags =
-    Cms_analysis.Pipeline.with_collect (fun () ->
-        let c = Cms.create ~cfg ~ram_size () in
-        Cms.load c r.listing;
-        Cms.boot c ~entry:r.entry;
-        (* standing invariant on every oracle run: after any rollback,
-           no speculative state — shadow registers, gated stores,
-           armed alias ranges — may be architecturally observable.  A violation escapes as
-           an exception and lands in [Crash], i.e. a divergence. *)
-        c.Cms.Engine.on_rollback <-
-          Some
-            (fun () ->
-              if Cms.Engine.speculation_visible c then
-                failwith "speculative state visible after rollback");
-        setup c;
-        match Cms.run ~max_insns:r.max_insns c with
-        | Cms.Engine.Halted -> (Halted, c)
-        | Cms.Engine.Insn_limit -> (Limit, c)
-        | exception Cms.Cpu.Panic msg -> (Crash msg, c)
-        | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-        | exception e ->
-            (* "zero unhandled exceptions" is part of the chaos-mode
-               contract: anything escaping the engine is a finding *)
-            (Crash (Printexc.to_string e), c))
+  let diags = ref [] in
+  let c =
+    Cms.create ~on_diag:(fun d -> diags := d :: !diags) ~cfg ~ram_size ()
   in
-  let stop, c = result in
-  let rejecting =
-    List.filter (fun d -> not (Cms_analysis.Diag.is_advisory d)) diags
+  Cms.load c r.listing;
+  Cms.boot c ~entry:r.entry;
+  (* standing invariant on every oracle run: after any rollback, no
+     speculative state — shadow registers, gated stores, armed alias
+     ranges — may be architecturally observable.  A violation escapes as
+     an exception and lands in [Crash], i.e. a divergence. *)
+  c.Cms.Engine.on_rollback <-
+    Some
+      (fun () ->
+        if Cms.Engine.speculation_visible c then
+          failwith "speculative state visible after rollback");
+  setup c;
+  let stop =
+    match Cms.run ~max_insns:r.max_insns c with
+    | Cms.Engine.Halted -> Halted
+    | Cms.Engine.Insn_limit -> Limit
+    | exception Cms.Cpu.Panic msg -> Crash msg
+    | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
+    | exception e ->
+        (* "zero unhandled exceptions" is part of the chaos-mode
+           contract: anything escaping the engine is a finding *)
+        Crash (Printexc.to_string e)
   in
+  let rejecting = List.filter (fun d -> not (Cms.Diag.is_advisory d)) !diags in
   ( {
       stop;
       arch = arch_digest c;

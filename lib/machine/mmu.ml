@@ -58,9 +58,8 @@ let create () =
     whenever the page table (or the enable bit) changes. *)
 let flush_tlb t = Array.fill t.tlb_tag 0 (3 * tlb_slots) (-1)
 
-let map t ~virt ~phys ~writable =
-  flush_tlb t;
-  let vpn = virt lsr page_shift and ppn = phys lsr page_shift in
+(* Page-table update alone; every caller flushes the TLB. *)
+let set_entry t ~vpn ~ppn ~writable =
   match Hashtbl.find_opt t.table vpn with
   | Some e ->
       e.ppn <- ppn;
@@ -68,11 +67,17 @@ let map t ~virt ~phys ~writable =
       e.writable <- writable
   | None -> Hashtbl.add t.table vpn { ppn; present = true; writable }
 
-(** Identity-map [pages] pages starting at [virt]. *)
+let map t ~virt ~phys ~writable =
+  flush_tlb t;
+  set_entry t ~vpn:(virt lsr page_shift) ~ppn:(phys lsr page_shift) ~writable
+
+(** Identity-map [pages] pages starting at [virt], with one TLB flush
+    for the whole range. *)
 let map_identity t ~virt ~pages ~writable =
+  flush_tlb t;
   for i = 0 to pages - 1 do
-    let a = virt + (i lsl page_shift) in
-    map t ~virt:a ~phys:a ~writable
+    let vpn = (virt lsr page_shift) + i in
+    set_entry t ~vpn ~ppn:vpn ~writable
   done
 
 let unmap t ~virt =

@@ -9,8 +9,10 @@
     precise pages at fault — a stale image is refused, never trusted.
 
     Install is copy-on-validate: each entry's recorded source bytes are
-    re-read from the target machine and its instructions re-decoded;
-    any divergence rejects that entry (counted in
+    re-read from the target machine and its instructions re-decoded,
+    and its code must pass {!Vliw.Code.validate} and the translator's
+    own acceptance check ({!Cms.Codegen.check_code}); any divergence or
+    verifier violation rejects that entry (counted in
     [Stats.aot_rejected]) and the dynamic tier covers it.  Installed
     entries live in the tcache as ordinary translations — SMC
     invalidation and eviction treat them exactly like dynamic ones.
@@ -32,8 +34,10 @@ let kind = "AOTC"
    version 3: Config grew the background-translator knob and queue bound.
    version 4: Config lost them again (background translator removed).
    version 5: Config lost closure_exec, chain_exits, validate_molecules
-   and enforce_latency (decoder tier removed). *)
-let version = 5
+   and enforce_latency (decoder tier removed).
+   version 6: Config lost the verifier knob (the verifier runs on
+   every translation, and on every entry at install). *)
+let version = 6
 
 (* ------------------------------------------------------------------ *)
 (* Image model                                                         *)
@@ -639,9 +643,10 @@ let region_of_tran (t : tran) : Cms.Region.t =
 
     Raises {!Stale} when the image as a whole cannot be trusted (config
     conflict, or any code-page digest differs).  Per-entry defects
-    (changed bytes, invalid code) reject only that entry; the report
-    lists each with its reason.  Installed translations are counted in
-    [Stats.aot_loaded], rejections in [Stats.aot_rejected]. *)
+    (changed bytes, invalid code, a verifier violation) reject only
+    that entry; the report lists each with its reason.  Installed
+    translations are counted in [Stats.aot_loaded], rejections in
+    [Stats.aot_rejected]. *)
 let install (c : Cms.t) (img : t) : install_report =
   (match config_conflicts img.cfg c.Cms.Engine.cfg with
   | [] -> ()
@@ -682,29 +687,38 @@ let install (c : Cms.t) (img : t) : install_report =
           else
             match Vliw.Code.validate t.code with
             | Error e -> reject ("invalid native code: " ^ e)
-            | Ok () ->
-                (* fresh exit records: chaining state is engine-local *)
-                let code =
-                  {
-                    t.code with
-                    Vliw.Code.exits =
-                      Array.map
-                        (fun (e : Vliw.Code.exit) ->
-                          {
-                            e with
-                            Vliw.Code.chain =
-                              (match e.Vliw.Code.chain with
-                              | Vliw.Code.NoChain -> Vliw.Code.NoChain
-                              | _ -> Vliw.Code.Unchained);
-                          })
-                        t.code.Vliw.Code.exits;
-                  }
-                in
-                if
-                  Cms.Engine.aot_install c ~entry:t.tentry ~code ~region
-                    ~policy:t.policy ~snapshot:t.snapshot
-                then incr installed
-                else reject "entry already has a live translation"))
+            | Ok () -> (
+                match
+                  Cms.Codegen.check_code ?on_diag:c.Cms.Engine.on_diag
+                    ~cfg:c.Cms.Engine.cfg ~entry:t.tentry
+                    ~ninsns:(Cms.Region.instruction_count region)
+                    t.code
+                with
+                | exception Cms.Codegen.Verify_failed why ->
+                    reject ("verifier: " ^ why)
+                | () ->
+                    (* fresh exit records: chaining state is engine-local *)
+                    let code =
+                      {
+                        t.code with
+                        Vliw.Code.exits =
+                          Array.map
+                            (fun (e : Vliw.Code.exit) ->
+                              {
+                                e with
+                                Vliw.Code.chain =
+                                  (match e.Vliw.Code.chain with
+                                  | Vliw.Code.NoChain -> Vliw.Code.NoChain
+                                  | _ -> Vliw.Code.Unchained);
+                              })
+                            t.code.Vliw.Code.exits;
+                      }
+                    in
+                    if
+                      Cms.Engine.aot_install c ~entry:t.tentry ~code ~region
+                        ~policy:t.policy ~snapshot:t.snapshot
+                    then incr installed
+                    else reject "entry already has a live translation")))
     img.trans;
   { installed = !installed; rejected = List.rev !rejected }
 

@@ -363,11 +363,22 @@ let section sections tag =
 (* Files                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(** Atomic file write: the bytes land in [path ^ ".tmp"] first and only
+    a complete, closed write is renamed over [path], so a reader (or a
+    writer killed mid-way) sees the old file or the new one, never a
+    torn one.  On failure the temp file is removed and the exception
+    re-raised; [path] is untouched. *)
 let write_file path data =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc data)
+  let tmp = path ^ ".tmp" in
+  let oc = open_out_bin tmp in
+  (try
+     output_string oc data;
+     close_out oc
+   with e ->
+     close_out_noerr oc;
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
+  Sys.rename tmp path
 
 let read_file path =
   let ic = open_in_bin path in

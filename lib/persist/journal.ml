@@ -305,8 +305,10 @@ let install_host (c : Cms.t) (events : host_event list) =
    and Stats lost its fields, and host events the background-consume
    boundary (tag 6).
    version 6: the decoder tier is gone: the embedded Config lost
-   closure_exec, chain_exits, validate_molecules and enforce_latency. *)
-let version = 6
+   closure_exec, chain_exits, validate_molecules and enforce_latency.
+   version 7: the embedded Config lost the verifier knob (the
+   verifier runs on every translation). *)
+let version = 7
 let kind = "JRNL"
 
 let w_guest_event b = function

@@ -45,8 +45,10 @@ exception Inconsistent of string
    version 7: the background translator is gone: Config lost its knob
    and queue bound, Stats its counters.
    version 8: the decoder tier is gone: Config lost closure_exec,
-   chain_exits, validate_molecules and enforce_latency. *)
-let version = 8
+   chain_exits, validate_molecules and enforce_latency.
+   version 9: Config lost the verifier knob (the verifier runs on
+   every translation). *)
+let version = 9
 let kind = "SNAP"
 
 let consistent (c : Cms.t) =

@@ -50,8 +50,7 @@ let w_config b (c : Cms.Config.t) =
   Codec.w_int b c.fault_handler_cost;
   Codec.w_int b c.fg_install_cost;
   Codec.w_int b c.reval_cost_per_byte;
-  Codec.w_bool b c.host_fast_paths;
-  Codec.w_bool b c.verify_translations
+  Codec.w_bool b c.host_fast_paths
 
 let r_config r : Cms.Config.t =
   let enable_reorder = Codec.r_bool r in
@@ -86,7 +85,6 @@ let r_config r : Cms.Config.t =
   let fg_install_cost = Codec.r_int r in
   let reval_cost_per_byte = Codec.r_int r in
   let host_fast_paths = Codec.r_bool r in
-  let verify_translations = Codec.r_bool r in
   {
     Cms.Config.enable_reorder;
     enable_alias_hw;
@@ -120,7 +118,6 @@ let r_config r : Cms.Config.t =
     fg_install_cost;
     reval_cost_per_byte;
     host_fast_paths;
-    verify_translations;
   }
 
 (* ------------------------------------------------------------------ *)

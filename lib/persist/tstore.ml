@@ -212,10 +212,13 @@ let no_opt_stats =
     canonical compile inputs.  Raises {!Untrusted} on any defect:
     blob digest mismatch, codec corruption, trailing bytes, key-field
     drift, region-shape drift, structurally invalid code, or a
-    molecule-verifier diagnostic.  On success the returned translation
-    is a private copy, bit-independent of every other machine's. *)
-let decode_validated ~(cfg : Cms.Config.t) ~entry ~(region : Cms.Region.t)
-    ~(policy : Cms.Policy.t) ~(bytes : Bytes.t) (e : entry) :
+    molecule-verifier rejection ({!Cms.Codegen.check_code}, whose
+    diagnostics [on_diag] observes).  On success the returned
+    translation is a private copy, bit-independent of every other
+    machine's. *)
+let decode_validated ?on_diag ~(cfg : Cms.Config.t) ~entry
+    ~(region : Cms.Region.t) ~(policy : Cms.Policy.t) ~(bytes : Bytes.t)
+    (e : entry) :
     Cms.Codegen.compiled =
   if Digest.string e.blob <> e.sum then
     untrusted "entry %#x: blob digest mismatch (store corruption)" entry;
@@ -248,21 +251,17 @@ let decode_validated ~(cfg : Cms.Config.t) ~entry ~(region : Cms.Region.t)
   (match Vliw.Code.validate t.Aot.code with
   | Ok () -> ()
   | Error m -> untrusted "entry %#x: invalid code: %s" entry m);
-  (* Consumer-side verification is mandatory: the molecule verifier
-     runs on every store hit regardless of [verify_translations] —
-     distrusting the store costs one static walk, trusting a poisoned
-     molecule costs the machine. *)
-  (match !Cms.Codegen.verify_hook with
-  | None -> untrusted "entry %#x: no verifier installed" entry
-  | Some v -> (
-      match
-        v.Cms.Codegen.verify_code ~cfg ~entry
-          ~ninsns:(Cms.Region.instruction_count region)
-          t.Aot.code
-      with
-      | [] -> ()
-      | diags ->
-          untrusted "entry %#x: verifier: %s" entry (String.concat "; " diags)));
+  (* Consumer-side verification: the translator's own acceptance
+     check runs on every store hit — distrusting the store costs one
+     static walk, trusting a poisoned molecule costs the machine. *)
+  (match
+     Cms.Codegen.check_code ?on_diag ~cfg ~entry
+       ~ninsns:(Cms.Region.instruction_count region)
+       t.Aot.code
+   with
+  | () -> ()
+  | exception Cms.Codegen.Verify_failed why ->
+      untrusted "entry %#x: verifier: %s" entry why);
   {
     Cms.Codegen.code = t.Aot.code;
     snapshot = (if p.keep_snapshot then Some t.Aot.snapshot else None);
@@ -331,20 +330,9 @@ let of_string data =
   List.iter (fun (k, m) -> Hashtbl.replace t.poisoned k m) poisoned;
   t
 
-(** Atomic publish of the whole store image: the bytes land in
-    [path ^ ".tmp"] first and only a successful, flushed write is
-    renamed over [path] — a consumer can observe the old image or the
-    new one, never a torn one. *)
-let save path t =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc (to_string t);
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
+(** Atomic publish of the whole store image ({!Codec.write_file}): a
+    consumer can observe the old image or the new one, never a torn
+    one. *)
+let save path t = Codec.write_file path (to_string t)
 
 let load path = of_string (Codec.read_file path)

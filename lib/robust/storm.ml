@@ -198,8 +198,7 @@ let gen_case rng (p : profile) idx =
 let cfg_interp =
   { Cms.Config.default with Cms.Config.translate_threshold = max_int }
 
-let cfg_translate =
-  { Cms.Config.default with Cms.Config.verify_translations = true }
+let cfg_translate = Cms.Config.default
 
 (* The kernels keep their task stacks inside this window; dead bytes
    below a preempted task's ESP are molecule-clock territory and are

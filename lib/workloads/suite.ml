@@ -28,9 +28,10 @@ let make ?(kind = App) ?(expected_eax = None) ?(max_insns = 3_000_000)
 
 (** Build the machine for a workload — created, loaded, booted, not yet
     run.  Snapshot/record harnesses use this to instrument the engine
-    before the first instruction. *)
-let prepare ?(cfg = Cms.Config.default) (w : t) =
-  let t = Cms.create ~cfg ?disk_image:w.disk_image () in
+    before the first instruction.  [on_diag] observes the verifier
+    ({!Cms.create}). *)
+let prepare ?on_diag ?(cfg = Cms.Config.default) (w : t) =
+  let t = Cms.create ?on_diag ~cfg ?disk_image:w.disk_image () in
   Cms.load t w.listing;
   (* the suite's data regions reach up to ~0x2c0000 *)
   Cms.boot ~map_mib:4 t ~entry:w.entry;
@@ -57,7 +58,7 @@ let run_prepared (w : t) t =
   t
 
 (** Run a workload under [cfg]; returns the engine after the run. *)
-let run ?cfg (w : t) = run_prepared w (prepare ?cfg w)
+let run ?on_diag ?cfg (w : t) = run_prepared w (prepare ?on_diag ?cfg w)
 
 (** Molecules-per-x86-instruction for a workload under a config. *)
 let mpi ?cfg w = Cms.mpi (run ?cfg w)

@@ -226,7 +226,7 @@ let counted_loop ~iters =
         hlt;
       ])
 
-let build_image ?(cfg = Cms.Config.debug) ?(listing = counted_loop ~iters:50)
+let build_image ?(cfg = Cms.Config.default) ?(listing = counted_loop ~iters:50)
     () =
   let c = Cms.create ~cfg () in
   Cms.load c listing;
@@ -270,7 +270,7 @@ let test_old_version_refused () =
 
 let test_stale_digest_refused () =
   let _, img = build_image () in
-  let c2 = Cms.create ~cfg:Cms.Config.debug () in
+  let c2 = Cms.create ~cfg:Cms.Config.default () in
   Cms.load c2 (counted_loop ~iters:50);
   Cms.boot c2 ~entry:0x1000;
   (* one changed code byte: the whole image must be refused, naming the
@@ -285,7 +285,7 @@ let test_stale_digest_refused () =
 
 let test_config_conflict_refused () =
   let _, img = build_image () in
-  let cfg = { Cms.Config.debug with Cms.Config.enable_reorder = false } in
+  let cfg = { Cms.Config.default with Cms.Config.enable_reorder = false } in
   let c2 = Cms.create ~cfg () in
   Cms.load c2 (counted_loop ~iters:50);
   Cms.boot c2 ~entry:0x1000;
@@ -298,7 +298,7 @@ let test_config_conflict_refused () =
 let test_install_and_run_from_image () =
   let listing = counted_loop ~iters:50 in
   let _, img = build_image ~listing () in
-  let c = Cms.create ~cfg:Cms.Config.debug () in
+  let c = Cms.create ~cfg:Cms.Config.default () in
   Cms.load c listing;
   Cms.boot c ~entry:0x1000;
   let rep = P.Aot.install c img in
@@ -335,7 +335,7 @@ let test_forged_register_rejected () =
     P.Aot.of_string
       (P.Aot.to_string { img with P.Aot.trans = List.map forge img.P.Aot.trans })
   in
-  let c = Cms.create ~cfg:Cms.Config.debug () in
+  let c = Cms.create ~cfg:Cms.Config.default () in
   Cms.load c listing;
   Cms.boot c ~entry:0x1000;
   let rep = P.Aot.install c forged in
@@ -353,6 +353,68 @@ let test_forged_register_rejected () =
   | _ -> Alcotest.fail "workload did not halt");
   check Alcotest.int "checksum" 150 (Cms.gpr c X86.Regs.eax);
   check Alcotest.int "no AOT entry ran" 0 (Cms.stats c).Cms.Stats.aot_hits
+
+(* An image entry whose code passes [Code.validate] but reads a load's
+   result before its latency has passed must be refused at install by the
+   translator's own verifier, with a reason naming the rule; the
+   dynamic tier then covers that entry and the run is still right. *)
+let test_verifier_violation_rejected () =
+  (* the counted loop, adding its 3 from memory: the load is what the
+     early-read mutant reads too soon *)
+  let listing =
+    X86.Asm.(
+      assemble ~base:0x1000
+        [
+          mov_rl ebx "three";
+          mov_ri ecx 50;
+          mov_ri eax 0;
+          label "l";
+          add_rm eax (mb ebx);
+          dec_r ecx;
+          jne "l";
+          hlt;
+          label "three";
+          dd [ 3 ];
+        ])
+  in
+  let _, img = build_image ~listing () in
+  let mutated = ref None in
+  let trans =
+    List.map
+      (fun (t : P.Aot.tran) ->
+        if !mutated <> None then t
+        else
+          match
+            A.Mutate.apply ~cfg:img.P.Aot.cfg t.P.Aot.code A.Mutate.Early_read
+          with
+          | None -> t
+          | Some code ->
+              mutated := Some t.P.Aot.tentry;
+              { t with P.Aot.code })
+      img.P.Aot.trans
+  in
+  let bad_entry =
+    match !mutated with
+    | Some e -> e
+    | None -> Alcotest.fail "early-read applies to no image entry"
+  in
+  let img' = P.Aot.of_string (P.Aot.to_string { img with P.Aot.trans }) in
+  let c = Cms.create ~cfg:Cms.Config.default () in
+  Cms.load c listing;
+  Cms.boot c ~entry:0x1000;
+  let rep = P.Aot.install c img' in
+  (match rep.P.Aot.rejected with
+  | [ (e, why) ] ->
+      check Alcotest.int "the mutated entry is the one rejected" bad_entry e;
+      if not (contains why "latency") then
+        Alcotest.failf "rejection does not name the latency rule: %s" why
+  | l -> Alcotest.failf "expected one rejection, got %d" (List.length l));
+  check Alcotest.int "counted in aot_rejected" 1
+    (Cms.stats c).Cms.Stats.aot_rejected;
+  (match Cms.run ~max_insns:10_000 c with
+  | Cms.Engine.Halted -> ()
+  | _ -> Alcotest.fail "workload did not halt");
+  check Alcotest.int "checksum" 150 (Cms.gpr c X86.Regs.eax)
 
 let test_smc_invalidates_aot_entry () =
   (* The entry block patches the immediate of an instruction inside a
@@ -373,7 +435,7 @@ let test_smc_invalidates_aot_entry () =
           hlt;
         ])
   in
-  let c = Cms.create ~cfg:Cms.Config.debug () in
+  let c = Cms.create ~cfg:Cms.Config.default () in
   Cms.load c listing;
   Cms.boot c ~entry:0x1000;
   let _, img = build_image ~listing () in
@@ -483,6 +545,8 @@ let suites =
           test_smc_invalidates_aot_entry;
         Alcotest.test_case "forged register rejected" `Quick
           test_forged_register_rejected;
+        Alcotest.test_case "verifier violation rejected at install" `Quick
+          test_verifier_violation_rejected;
       ] );
     ( "aot-suite",
       [

@@ -333,21 +333,25 @@ let test_disk_scanned_once () =
    version 7 by the same full-scan encoder minus the removed
    background-translator fields, and for version 8 from the version 7
    images by dropping the four removed decoder-tier Config booleans
-   from CONF and re-sealing the container: nothing else moved).
-   Skipping unwritten pages must not change a single byte.  (The fleet
-   image depends on the translation verifier the test runner
-   installs.) *)
+   from CONF and re-sealing the container: nothing else moved; for
+   version 9 from the version 8 images by dropping the removed verifier
+   Config boolean from CONF and re-sealing.  The 026.compress image's
+   STAT section moved too: its translations_verified, 0 while the
+   default config skipped the verifier, now counts all 5 fresh
+   compiles, the value a version 8 run with the verifier on recorded.
+   Nothing else moved).  Skipping unwritten pages must not change a
+   single byte. *)
 let test_pinned_images () =
   let c = Suite.prepare (Test_persist.compress ()) in
   (match Cms.run ~max_insns:200_000 c with
   | Cms.Engine.Insn_limit -> ()
   | Cms.Engine.Halted -> Alcotest.fail "workload finished too early");
   check Alcotest.string "026.compress at 200k retired"
-    "1b92df231cc57fdb0ca56924d4e205e5"
+    "99e498aa6ba861c97d46e89863462203"
     (Digest.to_hex (Digest.string (P.Snapshot.capture c)));
   let _, _, img = fleet_first_checkpoint () in
   check Alcotest.string "fleet m0 first checkpoint"
-    "81d71dd9395b7804ea377c2c428f0822"
+    "ae9ef20004b6743cc93c7e50097cb0ec"
     (Digest.to_hex (Digest.string img))
 
 let suites =

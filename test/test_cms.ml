@@ -10,11 +10,11 @@ let check = Alcotest.check
 let ci = Alcotest.int
 let cb = Alcotest.bool
 
-(* Config that translates eagerly so tests exercise translations, with
-   every translation statically verified. *)
+(* Config that translates eagerly so tests exercise translations (each
+   one statically verified, as always). *)
 let hot_cfg =
   {
-    Cms.Config.debug with
+    Cms.Config.default with
     Cms.Config.translate_threshold = 3;
   }
 

@@ -124,6 +124,59 @@ let test_poison_exactly_once () =
     (quar1 + quar2 + quar3)
     (Tstore.poisoned_count store)
 
+(* The reject budget is cumulative: a good hit between two rejections
+   does not reset it, so a machine detaches after [max_rejects]
+   rejections in total. *)
+let test_reject_budget_cumulative () =
+  let entries = [ 0x1000; 0x1100; 0x1200; 0x1300 ] in
+  let listing =
+    X86.Asm.(
+      assemble ~base:0x1000
+        (List.concat_map
+           (fun k -> [ align 256; add_ri eax k; add_ri ebx k; hlt ])
+           [ 1; 2; 3; 4 ]))
+  in
+  let cfg = Cms.Config.default in
+  let c = Cms.create ~cfg () in
+  Cms.load c listing;
+  Cms.boot c ~entry:0x1000;
+  let mem = Cms.mem c and policy = Cms.Policy.default cfg in
+  let inputs entry =
+    match
+      Cms.Region.select ~mem ~profile:(Cms.Profile.create ()) ~policy entry
+    with
+    | None -> Alcotest.failf "no region at %#x" entry
+    | Some region -> (region, Cms.Codegen.take_snapshot mem region)
+  in
+  let mint entry =
+    let region, bytes = inputs entry in
+    let compiled = Cms.Codegen.compile ~cfg ~policy ~mem region in
+    Tstore.encode ~entry ~region ~policy ~bytes ~compiled
+  in
+  let store = Tstore.create () in
+  (* good entries at 0x1000 and 0x1200; the other two keys carry a
+     neighbour's blob, which the consumer rejects as the wrong entry *)
+  let minted = List.map mint entries in
+  List.iteri
+    (fun i (key, blob) ->
+      let blob = if i mod 2 = 0 then blob else snd (List.nth minted (i - 1)) in
+      ignore (Tstore.publish store ~key ~blob : bool))
+    minted;
+  let sh = Share.attach ~max_rejects:2 c store in
+  let consult entry =
+    let region, bytes_ = inputs entry in
+    (Option.get c.Cms.Engine.shared_source) ~entry ~region ~policy ~bytes_
+    |> Option.is_some
+  in
+  check cb "bad entry rejected" false (consult 0x1100);
+  check cb "good hit served" true (consult 0x1000);
+  check ci "good hit does not reset the count" 1 sh.Share.rejects;
+  check cb "still attached" false sh.Share.detached;
+  check cb "second bad entry rejected" false (consult 0x1300);
+  check cb "detached after max_rejects in total" true sh.Share.detached;
+  check cb "good entry no longer consulted" false (consult 0x1200);
+  check ci "two store rejects" 2 (Cms.stats c).Cms.Stats.store_rejects
+
 (* ------------------------------------------------------------------ *)
 (* Supervision: restart ladder and permanent quarantine                *)
 (* ------------------------------------------------------------------ *)
@@ -284,6 +337,8 @@ let suites =
           test_truncated_image_rejected;
         Alcotest.test_case "poison quarantined exactly once" `Slow
           test_poison_exactly_once;
+        Alcotest.test_case "reject budget is cumulative" `Quick
+          test_reject_budget_cumulative;
       ] );
     ( "fleet.supervisor",
       [

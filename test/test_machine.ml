@@ -303,7 +303,13 @@ let test_tlb_remap_invalidates () =
   Mmu.map m ~virt:0x4000 ~phys:0x2000 ~writable:true;
   check ci "read 2" 0x2010 (Mmu.translate m Mmu.Read 0x4010);
   check ci "write 2" 0x2010 (Mmu.translate m Mmu.Write 0x4010);
-  check ci "exec 2" 0x2010 (Mmu.translate m Mmu.Exec 0x4010)
+  check ci "exec 2" 0x2010 (Mmu.translate m Mmu.Exec 0x4010);
+  (* an identity map over a range that covers the page: one flush for
+     the whole range must still kill the cached entries *)
+  Mmu.map_identity m ~virt:0x3000 ~pages:2 ~writable:true;
+  check ci "read 3" 0x4010 (Mmu.translate m Mmu.Read 0x4010);
+  check ci "write 3" 0x4010 (Mmu.translate m Mmu.Write 0x4010);
+  check ci "exec 3" 0x4010 (Mmu.translate m Mmu.Exec 0x4010)
 
 let test_tlb_unmap_invalidates () =
   let m = Mmu.create () in

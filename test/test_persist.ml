@@ -140,12 +140,37 @@ let test_container () =
   expect_corrupt (fun () ->
       ignore (P.Codec.read_container ~kind:"TEST" ~version:3 (img ^ "junk")))
 
+(* [Codec.write_file] is the one atomic writer: a save over an existing
+   file leaves no temp file behind, and a save whose temp file cannot
+   be created raises with the old bytes intact. *)
+let test_atomic_write_file () =
+  let path = Filename.temp_file "codec" ".img" in
+  let tmp = path ^ ".tmp" in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists path then Sys.remove path;
+      if Sys.file_exists tmp then Sys.rmdir tmp)
+    (fun () ->
+      P.Codec.write_file path "old image";
+      P.Codec.write_file path "new image";
+      check Alcotest.string "overwritten" "new image" (P.Codec.read_file path);
+      check Alcotest.bool "no temp file left behind" false
+        (Sys.file_exists tmp);
+      (* a directory squatting on the temp name: it cannot be opened *)
+      Sys.mkdir tmp 0o700;
+      (match P.Codec.write_file path "torn" with
+      | () -> Alcotest.fail "save through an uncreatable temp file succeeded"
+      | exception Sys_error _ -> ());
+      check Alcotest.string "old bytes intact" "new image"
+        (P.Codec.read_file path))
+
 let codec_tests =
   [
     Alcotest.test_case "primitive roundtrip" `Quick test_codec_roundtrip;
     Alcotest.test_case "reader strictness" `Quick test_codec_strictness;
     Alcotest.test_case "sparse encoding" `Quick test_codec_sparse;
     Alcotest.test_case "container + corruption" `Quick test_container;
+    Alcotest.test_case "atomic file write" `Quick test_atomic_write_file;
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -119,7 +119,7 @@ let prop_adapt_monotone =
 (* ------------------------------------------------------------------ *)
 
 let mk_engine () =
-  let t = Cms.create ~cfg:Cms.Config.debug () in
+  let t = Cms.create ~cfg:Cms.Config.default () in
   Cms.boot t ~entry:0x10000;
   t
 
@@ -194,7 +194,7 @@ let test_tcache_flush_on_capacity () =
       @ [ dec_r ecx; jne "loop"; hlt ])
   in
   let cfg =
-    { Cms.Config.debug with
+    { Cms.Config.default with
       Cms.Config.tcache_capacity = 4;
       translate_threshold = 3;
       max_region_insns = 6;
@@ -275,8 +275,9 @@ let test_wraparound_address () =
 (* Every translation produced while running every workload — at an
    aggressive translate threshold so nearly all guest code goes through
    the translator — must pass the static verifier with zero
-   diagnostics.  Collecting mode is used so we see *all* violations in
-   one run rather than dying on the first. *)
+   diagnostics.  The observer sees every diagnostic, advisory ones
+   included, so one run reports them all; a rejected translation falls
+   back to the interpreter and the sweep carries on. *)
 let test_suite_verifier_clean () =
   let workloads =
     Workloads.Progs_boot.all @ Workloads.Progs_spec.all
@@ -284,22 +285,20 @@ let test_suite_verifier_clean () =
     @ [ Workloads.Progs_quake.blt_driver () ]
   @ Workloads.Progs_kernel.all
   in
-  let cfg = { Cms.Config.debug with Cms.Config.translate_threshold = 4 } in
+  let cfg = { Cms.Config.default with Cms.Config.translate_threshold = 4 } in
   let translations = ref 0 in
-  let (), diags =
-    Cms_analysis.Pipeline.with_collect (fun () ->
-        List.iter
-          (fun w ->
-            let t = Workloads.Suite.run ~cfg w in
-            translations :=
-              !translations + (Cms.stats t).Cms.Stats.translations)
-          workloads)
-  in
-  (match diags with
+  let diags = ref [] in
+  let on_diag d = diags := d :: !diags in
+  List.iter
+    (fun w ->
+      let t = Workloads.Suite.run ~on_diag ~cfg w in
+      translations := !translations + (Cms.stats t).Cms.Stats.translations)
+    workloads;
+  (match List.rev !diags with
   | [] -> ()
   | d :: _ ->
-      Alcotest.failf "%d violations, first: %s" (List.length diags)
-        (Cms_analysis.Diag.to_string d));
+      Alcotest.failf "%d violations, first: %s" (List.length !diags)
+        (Cms.Diag.to_string d));
   check cb "suite produced translations" true (!translations > 500)
 
 let suites =

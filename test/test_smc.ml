@@ -12,7 +12,7 @@ let ci = Alcotest.int
 let cb = Alcotest.bool
 
 let hot_cfg =
-  { Cms.Config.debug with Cms.Config.translate_threshold = 3 }
+  { Cms.Config.default with Cms.Config.translate_threshold = 3 }
 
 let run ?(cfg = hot_cfg) ?max_insns prog ~entry =
   Cms.run_listing ~cfg ?max_insns prog ~entry

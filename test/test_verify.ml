@@ -1,22 +1,22 @@
 (* Translation verifier tests: a hand-built block that must verify
    clean, seeded mutations that must each trip their rule, IR lint unit
-   tests, and the Codegen hook wiring. *)
+   tests, and the translator's acceptance rule ([Codegen.check]). *)
 
 module A = Vliw.Atom
 module C = Vliw.Code
 module Asm = X86.Asm
 module I = Cms.Ir
-module D = Cms_analysis.Diag
+module D = Cms.Diag
 module M = Cms_analysis.Mutate
-module Tverify = Cms_analysis.Tverify
-module Irlint = Cms_analysis.Irlint
+module Tverify = Cms.Tverify
+module Irlint = Cms.Irlint
 
 let ci = Alcotest.int
 let cb = Alcotest.bool
 let check = Alcotest.check
 
 let entry = 0x1000
-let cfg = { Cms.Config.debug with Cms.Config.sbuf_capacity = 4 }
+let cfg = { Cms.Config.default with Cms.Config.sbuf_capacity = 4 }
 
 let pp_diags diags =
   String.concat "; " (List.map D.to_string diags)
@@ -88,7 +88,7 @@ let test_mutation m () =
 (* The same mutations against a real self-checking translation of a
    guest loop, produced by the actual Lower/Opt/Sched pipeline. *)
 let compile_loop () =
-  let t = Cms.create ~cfg:Cms.Config.debug () in
+  let t = Cms.create ~cfg:Cms.Config.default () in
   Cms.boot t ~entry:0x10000;
   let prog =
     Asm.(
@@ -97,7 +97,10 @@ let compile_loop () =
   in
   Cms.load t prog;
   let policy =
-    { (Cms.Policy.default Cms.Config.debug) with Cms.Policy.self_check = true }
+    {
+      (Cms.Policy.default Cms.Config.default) with
+      Cms.Policy.self_check = true;
+    }
   in
   match
     Cms.Region.select ~mem:(Cms.mem t) ~profile:(Cms.Profile.create ())
@@ -106,7 +109,7 @@ let compile_loop () =
   | None -> Alcotest.fail "no region"
   | Some region ->
       let compiled =
-        Cms.Codegen.compile ~cfg:Cms.Config.debug ~policy ~mem:(Cms.mem t)
+        Cms.Codegen.compile ~cfg:Cms.Config.default ~policy ~mem:(Cms.mem t)
           region
       in
       (region, compiled.Cms.Codegen.code)
@@ -115,14 +118,14 @@ let test_real_translation_mutations () =
   let region, code = compile_loop () in
   let entry = region.Cms.Region.entry in
   let ninsns = Cms.Region.instruction_count region in
-  let verify c = Tverify.verify ~cfg:Cms.Config.debug ~entry ~ninsns c in
+  let verify c = Tverify.verify ~cfg:Cms.Config.default ~entry ~ninsns c in
   (match verify code with
   | [] -> ()
   | diags -> Alcotest.failf "real translation flagged: %s" (pp_diags diags));
   let applied = ref 0 in
   List.iter
     (fun m ->
-      match M.apply ~cfg:Cms.Config.debug code m with
+      match M.apply ~cfg:Cms.Config.default code m with
       | None -> ()
       | Some bad ->
           incr applied;
@@ -246,12 +249,13 @@ let test_early_read_only_latency () =
       check (Alcotest.list Alcotest.string) "crafted: only latency"
         [ "latency" ] (rules (verify bad)));
   let region, code = compile_loop () in
-  match M.apply ~cfg:Cms.Config.debug code M.Early_read with
+  match M.apply ~cfg:Cms.Config.default code M.Early_read with
   | None -> ()
   | Some bad ->
       check (Alcotest.list Alcotest.string) "real: only latency" [ "latency" ]
         (rules
-           (Tverify.verify ~cfg:Cms.Config.debug ~entry:region.Cms.Region.entry
+           (Tverify.verify ~cfg:Cms.Config.default
+              ~entry:region.Cms.Region.entry
               ~ninsns:(Cms.Region.instruction_count region) bad))
 
 (* ------------------------------------------------------------------ *)
@@ -333,49 +337,46 @@ let test_lint_memseq () =
 (* Codegen wiring                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* With verify_translations on, a hook reporting any violation makes
-   the translator itself reject the translation. *)
-let test_verify_failed_wiring () =
-  let saved = !Cms.Codegen.verify_hook in
-  Fun.protect
-    ~finally:(fun () -> Cms.Codegen.verify_hook := saved)
-    (fun () ->
-      Cms.Codegen.verify_hook :=
-        Some
-          {
-            Cms.Codegen.lint_ir = (fun ~stage:_ ~entry:_ ~ir:_ _ -> [ "boom" ]);
-            verify_code = (fun ~cfg:_ ~entry:_ ~ninsns:_ _ -> []);
-          };
-      Alcotest.check_raises "translator rejects flagged translation"
-        (Cms.Codegen.Verify_failed "boom") (fun () ->
-          ignore (compile_loop ())))
+(* The one acceptance rule, [Codegen.check]: any non-advisory
+   diagnostic rejects with [Verify_failed], advisory ones pass, and the
+   observer sees every diagnostic without changing the verdict. *)
+let latency_diag = D.v ~rule:"latency" ~entry ~stage:"code" ~molecule:3 "early"
+let sbuf_diag = D.v ~rule:"sbuf-overflow" ~entry ~stage:"code" "full"
 
-(* With the flag off, even a failing hook is never consulted. *)
-let test_verify_flag_gates () =
-  let saved = !Cms.Codegen.verify_hook in
-  Fun.protect
-    ~finally:(fun () -> Cms.Codegen.verify_hook := saved)
-    (fun () ->
-      Cms.Codegen.verify_hook :=
-        Some
-          {
-            Cms.Codegen.lint_ir = (fun ~stage:_ ~entry:_ ~ir:_ _ -> [ "boom" ]);
-            verify_code = (fun ~cfg:_ ~entry:_ ~ninsns:_ _ -> [ "boom" ]);
-          };
-      let t = Cms.create ~cfg:Cms.Config.default () in
-      Cms.boot t ~entry:0x10000;
-      let prog = Asm.(assemble ~base:0x10000 [ add_ri eax 1; hlt ]) in
-      Cms.load t prog;
-      let policy = Cms.Policy.default Cms.Config.default in
-      match
-        Cms.Region.select ~mem:(Cms.mem t) ~profile:(Cms.Profile.create ())
-          ~policy 0x10000
-      with
-      | None -> Alcotest.fail "no region"
-      | Some region ->
-          ignore
-            (Cms.Codegen.compile ~cfg:Cms.Config.default ~policy
-               ~mem:(Cms.mem t) region))
+let test_check_rejects () =
+  Alcotest.check_raises "non-advisory diagnostic rejects"
+    (Cms.Codegen.Verify_failed (D.to_string latency_diag)) (fun () ->
+      Cms.Codegen.check [ sbuf_diag; latency_diag ])
+
+let test_check_advisory_passes () =
+  Cms.Codegen.check [ sbuf_diag ];
+  Cms.Codegen.check []
+
+let test_check_observer () =
+  let seen = ref [] in
+  let on_diag d = seen := d.D.rule :: !seen in
+  Cms.Codegen.check ~on_diag [ sbuf_diag ];
+  (match Cms.Codegen.check ~on_diag [ sbuf_diag; latency_diag ] with
+  | () -> Alcotest.fail "observed check accepted a latency violation"
+  | exception Cms.Codegen.Verify_failed _ -> ());
+  check (Alcotest.list Alcotest.string) "observer saw every diagnostic"
+    [ "sbuf-overflow"; "sbuf-overflow"; "latency" ]
+    (List.rev !seen)
+
+(* The production config verifies every fresh compile: a corpus
+   workload under [Config.default] counts one verified translation per
+   compile that reached the fresh-translation seam (zero-instruction
+   stubs never do). *)
+let test_default_verifies_every_compile () =
+  let c = Workloads.Suite.prepare Workloads.Progs_spec.compress in
+  let fresh = ref 0 in
+  c.Cms.Engine.on_fresh_translation <-
+    Some (fun ~entry:_ ~region:_ ~policy:_ ~bytes_:_ ~compiled:_ -> incr fresh);
+  ignore (Cms.run ~max_insns:200_000 c : Cms.Engine.stop);
+  let s = Cms.stats c in
+  check cb "translations verified" true (s.Cms.Stats.translations_verified > 0);
+  check ci "every fresh compile verified" !fresh
+    s.Cms.Stats.translations_verified
 
 let suites =
   [
@@ -398,10 +399,14 @@ let suites =
         Alcotest.test_case "lint: exit needs committed EIP" `Quick
           test_lint_exit_eip;
         Alcotest.test_case "lint: mem_seq monotone" `Quick test_lint_memseq;
-        Alcotest.test_case "codegen rejects flagged translation" `Quick
-          test_verify_failed_wiring;
-        Alcotest.test_case "verify_translations=false gates the hook" `Quick
-          test_verify_flag_gates;
+        Alcotest.test_case "check rejects non-advisory diagnostic" `Quick
+          test_check_rejects;
+        Alcotest.test_case "check passes advisory-only diagnostics" `Quick
+          test_check_advisory_passes;
+        Alcotest.test_case "check observer sees every diagnostic" `Quick
+          test_check_observer;
+        Alcotest.test_case "default config verifies every compile" `Quick
+          test_default_verifies_every_compile;
       ]
       @ List.map
           (fun m ->

@@ -21,16 +21,16 @@ let digest t =
     Cms.eip t )
 
 let differential (w : Suite.t) () =
-  (* debug config: the static translation verifier (issue constraints
-     and latencies included) checks every translation *)
+  (* the static translation verifier (issue constraints and latencies
+     included) checks every translation *)
   let t_ref =
     Suite.run
-      ~cfg:{ Cms.Config.debug with Cms.Config.translate_threshold = max_int }
+      ~cfg:{ Cms.Config.default with Cms.Config.translate_threshold = max_int }
       w
   in
   let t_hot =
     Suite.run
-      ~cfg:{ Cms.Config.debug with Cms.Config.translate_threshold = 4 }
+      ~cfg:{ Cms.Config.default with Cms.Config.translate_threshold = 4 }
       w
   in
   let a, b, _ = digest t_ref and a', b', _ = digest t_hot in
@@ -77,7 +77,7 @@ let test_suite_shape () =
   check ci "two kernels" 2 (List.length Workloads.Progs_kernel.all)
 
 let test_quake_frames () =
-  let t = Suite.run ~cfg:Cms.Config.debug Progs_quake.quake in
+  let t = Suite.run ~cfg:Cms.Config.default Progs_quake.quake in
   check ci "60 frames rendered" 60 (Cms.frames t)
 
 let suites =
