@@ -234,8 +234,8 @@ let run_hotpath ~json () =
     rows;
   pr "  headline speedup         %.2fx (interp/caches-off -> translated)@."
     speedup;
-  pr "  chain: %a@." Cms.Stats.pp_chain s;
-  pr "  host caches: %a@." Cms.Stats.pp_host s;
+  pr "  %a@." (Cms.Stats.pp_group "chain") s;
+  pr "  %a@." (Cms.Stats.pp_group "host") s;
   if json then begin
     let oc = open_out "BENCH_hotpath.json" in
     let j = Fmt.str in
@@ -571,7 +571,8 @@ let run_fleet ~json () =
          aggregate)  store[hits=%d published=%d]@."
         n shards dt t.Fleet.t_retired
         (float_of_int t.Fleet.t_retired /. dt /. 1e6)
-        t.Fleet.t_store_hits t.Fleet.t_store_published)
+        t.Fleet.t_stats.Cms.Stats.store_hits
+        t.Fleet.t_stats.Cms.Stats.store_published)
     rows;
   (* --- cold vs shared-warm late joiner ------------------------------ *)
   let specs = Fleet.traffic_specs ~seed:77 ~machines:2 in
@@ -594,7 +595,7 @@ let run_fleet ~json () =
   in
   let cold_translations = stat cold (fun s -> s.Cms.Stats.translations) in
   let warm_translations = stat warm (fun s -> s.Cms.Stats.translations) in
-  let warm_hits = warm.Fleet.t_store_hits in
+  let warm_hits = warm.Fleet.t_stats.Cms.Stats.store_hits in
   let cold_molecules = stat cold (fun s -> s.Cms.Stats.charged_molecules) in
   let warm_molecules = stat warm (fun s -> s.Cms.Stats.charged_molecules) in
   let removed_pct =
@@ -628,7 +629,8 @@ let run_fleet ~json () =
          \"store_published\": %d }"
         n shards dt t.Fleet.t_retired
         (float_of_int t.Fleet.t_retired /. dt)
-        t.Fleet.t_store_hits t.Fleet.t_store_published
+        t.Fleet.t_stats.Cms.Stats.store_hits
+        t.Fleet.t_stats.Cms.Stats.store_published
     in
     output_string oc
       (j

@@ -42,7 +42,7 @@ let run_fleet machines shards seed stats no_store forensics =
           r.Fleet.r_restarts r.Fleet.r_backoff r.Fleet.r_retired
           r.Fleet.r_eax r.Fleet.r_ebx;
         match r.Fleet.r_stats with
-        | Some s -> Fmt.pr "  %a@." Cms.Stats.pp_fleet s
+        | Some s -> Fmt.pr "  %a@." (Cms.Stats.pp_group "store") s
         | None -> ())
       t.Fleet.t_reports;
   if t.Fleet.t_divergences > 0 || t.Fleet.t_spec_violations > 0 then exit 1

@@ -32,16 +32,11 @@ let report ~stats ~verbose w t =
     (Cms.retired t) s.Cms.Stats.x86_interp s.Cms.Stats.x86_translated;
   Fmt.pr "molecules: %d  (%.2f per x86 insn)@." (Cms.total_molecules t)
     (Cms.mpi t);
-  if stats || verbose then begin
-    Fmt.pr "host caches: %a@." Cms.Stats.pp_host s;
-    Fmt.pr "chain: %a@." Cms.Stats.pp_chain s;
-    Fmt.pr "recovery: %a@." Cms.Stats.pp_recovery s;
-    Fmt.pr "irq: %a@." Cms.Stats.pp_irq s;
-    Fmt.pr "persist: %a@." Cms.Stats.pp_persist s;
-    Fmt.pr "fleet: %a@." Cms.Stats.pp_fleet s
-  end;
+  if stats || verbose then
+    List.iter
+      (fun g -> Fmt.pr "%a@." (Cms.Stats.pp_group g) s)
+      Cms.Stats.groups;
   if verbose then begin
-    Fmt.pr "stats: %a@." Cms.Stats.pp s;
     Fmt.pr "perf:  %a@." Vliw.Perf.pp p;
     let out = Cms.uart_output t in
     if out <> "" then Fmt.pr "--- serial ---@.%s@." out
@@ -135,8 +130,6 @@ let do_aot_run ~stats ~verbose ~check ~cfg w path =
               rep.Persist.Aot.rejected;
           let t = Suite.run_prepared w t in
           report ~stats ~verbose w t;
-          if stats || verbose then
-            Fmt.pr "aot: %a@." Cms.Stats.pp_aot (Cms.stats t);
           if not check then `Ok ()
           else begin
             (* differential gate: the same workload cold, same config,

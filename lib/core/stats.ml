@@ -3,7 +3,11 @@
     The headline metric everywhere is *molecules per retired x86
     instruction* (the paper's Table 1 metric).  Total molecules =
     molecules executed by translations + cost-model charges for the
-    interpreter, the translator and the runtime's fault handling. *)
+    interpreter, the translator and the runtime's fault handling.
+
+    Hot paths bump the record's fields directly; {!counters} declares
+    every counter once for everything that walks them all (snapshot
+    codec, strict digests, printers, fleet totals). *)
 
 type t = {
   mutable x86_interp : int;  (** x86 insns retired by the interpreter *)
@@ -128,7 +132,9 @@ type t = {
           bad entry; later consumers skip it without revalidating) *)
   mutable store_published : int;
       (** freshly minted translations this machine published into the
-          shared store (post publisher-side verification) *)
+          shared store (each already passed the verifier inside
+          {!Codegen.compile}; the store takes it unless the key is live
+          or poisoned) *)
 }
 
 let create () =
@@ -205,90 +211,187 @@ let create () =
 
 let charge t m = t.charged_molecules <- t.charged_molecules + m
 
-let x86_retired t = t.x86_interp + t.x86_translated
-
 (** Total molecules: host-executed plus cost-model charges. *)
 let total_molecules t (perf : Vliw.Perf.t) =
   perf.Vliw.Perf.molecules + t.charged_molecules
 
-(** Molecules per retired x86 instruction — the headline metric. *)
-let mpi t perf =
-  let retired = x86_retired t in
-  if retired = 0 then 0.0
-  else float_of_int (total_molecules t perf) /. float_of_int retired
+(* ------------------------------------------------------------------ *)
+(* The counter table                                                   *)
+(* ------------------------------------------------------------------ *)
 
-let pp fmt t =
-  Fmt.pf fmt
-    "x86[interp=%d trans=%d] translations=%d (re=%d inval=%d verif=%d) \
-     faults[spec=%d genuine=%d] irq[%d rb=%d] chain=%d lookups=%d \
-     smc[fginst=%d reval=%d/%d scfail=%d group=%d] charged=%d"
-    t.x86_interp t.x86_translated t.translations t.retranslations
-    t.invalidations t.translations_verified t.spec_faults t.genuine_faults
-    t.irq_delivered t.irq_rollbacks t.chain_patches t.lookups t.fg_installs
-    t.reval_hits t.reval_checks t.selfcheck_fails t.group_hits
-    t.charged_molecules
+(** One counter: its name (the record field's), the print group it
+    reports under, whether strict digests zero it, and its accessors. *)
+type counter = {
+  name : string;
+  group : string;
+  host : bool;
+      (** host-side bookkeeping that legitimately differs across
+          equivalent runs (fast paths on/off, resumed vs uninterrupted,
+          which fleet machine published first): strict digests zero it.
+          A guest-visible or cost-model counter must never carry it. *)
+  get : t -> int;
+  set : t -> int -> unit;
+}
 
-(** Recovery/robustness counters: rollback handling, the demotion
-    ladder, containment, and cache-pressure degradation. *)
-let pp_recovery fmt t =
-  Fmt.pf fmt
-    "faults[spec=%d genuine=%d] irq-rollbacks=%d containments=%d \
-     ladder[demote=%d quarantine=%d interp-steps=%d] watchdog=%d \
-     tcache[flush=%d evict-rounds=%d evicted=%d] adapt-evict=%d"
-    t.spec_faults t.genuine_faults t.irq_rollbacks t.containments
-    t.demotions t.quarantines t.quarantined_steps t.progress_forces
-    t.tcache_flushes t.tcache_evictions t.tcache_evicted t.adapt_evictions
+(** Every counter, in snapshot-codec order: the STAT section, strict
+    digests, the printers and fleet totals all walk this list, so it is
+    the one place a counter is declared.  Appending changes the STAT
+    bytes (a format-version bump); the three [bg_*] fields are not in
+    it. *)
+let counters =
+  let c ?(host = false) group name get set = { name; group; host; get; set } in
+  [
+    c "translate" "x86_interp"
+      (fun s -> s.x86_interp) (fun s v -> s.x86_interp <- v);
+    c "translate" "x86_translated"
+      (fun s -> s.x86_translated) (fun s v -> s.x86_translated <- v);
+    c "translate" "translations"
+      (fun s -> s.translations) (fun s v -> s.translations <- v);
+    c "translate" "retranslations"
+      (fun s -> s.retranslations) (fun s v -> s.retranslations <- v);
+    c "translate" "invalidations"
+      (fun s -> s.invalidations) (fun s v -> s.invalidations <- v);
+    c "translate" "insns_translated"
+      (fun s -> s.insns_translated) (fun s v -> s.insns_translated <- v);
+    c "translate" "translated_atoms"
+      (fun s -> s.translated_atoms) (fun s v -> s.translated_atoms <- v);
+    c "translate" "translations_verified"
+      (fun s -> s.translations_verified)
+      (fun s v -> s.translations_verified <- v);
+    c "recovery" "spec_faults"
+      (fun s -> s.spec_faults) (fun s v -> s.spec_faults <- v);
+    c "recovery" "genuine_faults"
+      (fun s -> s.genuine_faults) (fun s v -> s.genuine_faults <- v);
+    c "irq" "irq_delivered"
+      (fun s -> s.irq_delivered) (fun s v -> s.irq_delivered <- v);
+    c "irq" "irq_rollbacks"
+      (fun s -> s.irq_rollbacks) (fun s v -> s.irq_rollbacks <- v);
+    c "chain" "chain_patches"
+      (fun s -> s.chain_patches) (fun s v -> s.chain_patches <- v);
+    c "translate" "lookups"
+      (fun s -> s.lookups) (fun s v -> s.lookups <- v);
+    c "recovery" "fault_entries"
+      (fun s -> s.fault_entries) (fun s v -> s.fault_entries <- v);
+    c "smc" "fg_installs"
+      (fun s -> s.fg_installs) (fun s v -> s.fg_installs <- v);
+    c "smc" "reval_checks"
+      (fun s -> s.reval_checks) (fun s v -> s.reval_checks <- v);
+    c "smc" "reval_hits"
+      (fun s -> s.reval_hits) (fun s v -> s.reval_hits <- v);
+    c "smc" "selfcheck_fails"
+      (fun s -> s.selfcheck_fails) (fun s v -> s.selfcheck_fails <- v);
+    c "smc" "group_hits"
+      (fun s -> s.group_hits) (fun s v -> s.group_hits <- v);
+    c "recovery" "tcache_flushes"
+      (fun s -> s.tcache_flushes) (fun s v -> s.tcache_flushes <- v);
+    c "translate" "charged_molecules"
+      (fun s -> s.charged_molecules) (fun s v -> s.charged_molecules <- v);
+    c "recovery" "containments"
+      (fun s -> s.containments) (fun s v -> s.containments <- v);
+    c "recovery" "demotions"
+      (fun s -> s.demotions) (fun s v -> s.demotions <- v);
+    c "recovery" "quarantines"
+      (fun s -> s.quarantines) (fun s v -> s.quarantines <- v);
+    c "recovery" "quarantined_steps"
+      (fun s -> s.quarantined_steps) (fun s v -> s.quarantined_steps <- v);
+    c "recovery" "progress_forces"
+      (fun s -> s.progress_forces) (fun s v -> s.progress_forces <- v);
+    c "recovery" "tcache_evictions"
+      (fun s -> s.tcache_evictions) (fun s v -> s.tcache_evictions <- v);
+    c "recovery" "tcache_evicted"
+      (fun s -> s.tcache_evicted) (fun s v -> s.tcache_evicted <- v);
+    c "recovery" "adapt_evictions"
+      (fun s -> s.adapt_evictions) (fun s v -> s.adapt_evictions <- v);
+    c ~host:true "host" "tlb_hits"
+      (fun s -> s.tlb_hits) (fun s v -> s.tlb_hits <- v);
+    c ~host:true "host" "tlb_misses"
+      (fun s -> s.tlb_misses) (fun s v -> s.tlb_misses <- v);
+    c ~host:true "host" "dcache_hits"
+      (fun s -> s.dcache_hits) (fun s v -> s.dcache_hits <- v);
+    c ~host:true "host" "dcache_misses"
+      (fun s -> s.dcache_misses) (fun s v -> s.dcache_misses <- v);
+    c ~host:true "host" "dcache_invalidations"
+      (fun s -> s.dcache_invalidations)
+      (fun s v -> s.dcache_invalidations <- v);
+    c ~host:true "host" "ram_fast_reads"
+      (fun s -> s.ram_fast_reads) (fun s v -> s.ram_fast_reads <- v);
+    c ~host:true "host" "ram_fast_writes"
+      (fun s -> s.ram_fast_writes) (fun s v -> s.ram_fast_writes <- v);
+    c ~host:true "persist" "snapshots_written"
+      (fun s -> s.snapshots_written) (fun s v -> s.snapshots_written <- v);
+    c ~host:true "persist" "snapshot_bytes"
+      (fun s -> s.snapshot_bytes) (fun s v -> s.snapshot_bytes <- v);
+    c ~host:true "persist" "journal_events"
+      (fun s -> s.journal_events) (fun s v -> s.journal_events <- v);
+    c ~host:true "persist" "resumes"
+      (fun s -> s.resumes) (fun s v -> s.resumes <- v);
+    c ~host:true "aot" "aot_loaded"
+      (fun s -> s.aot_loaded) (fun s v -> s.aot_loaded <- v);
+    c ~host:true "aot" "aot_rejected"
+      (fun s -> s.aot_rejected) (fun s v -> s.aot_rejected <- v);
+    c ~host:true "aot" "aot_hits"
+      (fun s -> s.aot_hits) (fun s v -> s.aot_hits <- v);
+    c ~host:true "aot" "aot_x86_retired"
+      (fun s -> s.aot_x86_retired) (fun s v -> s.aot_x86_retired <- v);
+    c ~host:true "aot" "aot_invalidated"
+      (fun s -> s.aot_invalidated) (fun s v -> s.aot_invalidated <- v);
+    c ~host:true "chain" "closures_compiled"
+      (fun s -> s.closures_compiled) (fun s v -> s.closures_compiled <- v);
+    c ~host:true "chain" "chained_exits_taken"
+      (fun s -> s.chained_exits_taken) (fun s v -> s.chained_exits_taken <- v);
+    c ~host:true "chain" "chain_unlinks_evict"
+      (fun s -> s.chain_unlinks_evict) (fun s v -> s.chain_unlinks_evict <- v);
+    c ~host:true "chain" "chain_unlinks_demote"
+      (fun s -> s.chain_unlinks_demote)
+      (fun s v -> s.chain_unlinks_demote <- v);
+    c ~host:true "chain" "chain_unlinks_smc"
+      (fun s -> s.chain_unlinks_smc) (fun s v -> s.chain_unlinks_smc <- v);
+    c ~host:true "chain" "chain_unlinks_aot"
+      (fun s -> s.chain_unlinks_aot) (fun s v -> s.chain_unlinks_aot <- v);
+    c ~host:true "chain" "chain_unlinks_chaos"
+      (fun s -> s.chain_unlinks_chaos) (fun s v -> s.chain_unlinks_chaos <- v);
+    c "irq" "irq_raised"
+      (fun s -> s.irq_raised) (fun s v -> s.irq_raised <- v);
+    c "irq" "irq_deferred"
+      (fun s -> s.irq_deferred) (fun s v -> s.irq_deferred <- v);
+    c "irq" "nic_rx_frames"
+      (fun s -> s.nic_rx_frames) (fun s v -> s.nic_rx_frames <- v);
+    c "irq" "nic_tx_frames"
+      (fun s -> s.nic_tx_frames) (fun s v -> s.nic_tx_frames <- v);
+    c "irq" "nic_rx_dropped"
+      (fun s -> s.nic_rx_dropped) (fun s v -> s.nic_rx_dropped <- v);
+    c "irq" "nic_irqs"
+      (fun s -> s.nic_irqs) (fun s v -> s.nic_irqs <- v);
+    c "irq" "nic_irq_coalesced"
+      (fun s -> s.nic_irq_coalesced) (fun s v -> s.nic_irq_coalesced <- v);
+    c ~host:true "store" "store_hits"
+      (fun s -> s.store_hits) (fun s v -> s.store_hits <- v);
+    c ~host:true "store" "store_misses"
+      (fun s -> s.store_misses) (fun s v -> s.store_misses <- v);
+    c ~host:true "store" "store_rejects"
+      (fun s -> s.store_rejects) (fun s v -> s.store_rejects <- v);
+    c ~host:true "store" "store_quarantines"
+      (fun s -> s.store_quarantines) (fun s v -> s.store_quarantines <- v);
+    c ~host:true "store" "store_published"
+      (fun s -> s.store_published) (fun s v -> s.store_published <- v);
+  ]
 
-(** The host-side cache counters ({!Config.host_fast_paths} layers). *)
-let pp_host fmt t =
-  Fmt.pf fmt
-    "tlb[hit=%d miss=%d] dcache[hit=%d miss=%d inval=%d] \
-     ram-fast[read=%d write=%d]"
-    t.tlb_hits t.tlb_misses t.dcache_hits t.dcache_misses
-    t.dcache_invalidations t.ram_fast_reads t.ram_fast_writes
+(** Print groups, in order of first appearance in {!counters}. *)
+let groups =
+  List.fold_left
+    (fun gs c -> if List.mem c.group gs then gs else gs @ [ c.group ])
+    [] counters
 
-(** Persist counters (checkpoint/restore + record-replay). *)
-let pp_persist fmt t =
-  Fmt.pf fmt
-    "snapshots[written=%d bytes=%d] journal-events=%d resumes=%d"
-    t.snapshots_written t.snapshot_bytes t.journal_events t.resumes
+(** [group: name=value ...] for every counter of [group]. *)
+let pp_group group ppf t =
+  Fmt.pf ppf "%s:" group;
+  List.iter
+    (fun c -> if c.group = group then Fmt.pf ppf " %s=%d" c.name (c.get t))
+    counters
 
-(** Closure/chaining counters: closures compiled, chained transfers
-    taken, and why links were torn down. *)
-let pp_chain fmt t =
-  Fmt.pf fmt
-    "closures=%d chained-exits=%d patches=%d \
-     unlinks[evict=%d demote=%d smc=%d aot=%d chaos=%d]"
-    t.closures_compiled t.chained_exits_taken t.chain_patches
-    t.chain_unlinks_evict t.chain_unlinks_demote t.chain_unlinks_smc
-    t.chain_unlinks_aot t.chain_unlinks_chaos
+(** A fresh record holding [t]'s values. *)
+let copy t = { t with x86_interp = t.x86_interp }
 
-(** Interrupt-pressure counters: device raises vs. CPU deliveries,
-    rollbacks forced by asynchronous events, and the NIC's frame /
-    backpressure / coalescing accounting. *)
-let pp_irq fmt t =
-  Fmt.pf fmt
-    "irq[raised=%d delivered=%d deferred=%d rollbacks=%d] \
-     nic[rx=%d tx=%d dropped=%d irqs=%d coalesced=%d]"
-    t.irq_raised t.irq_delivered t.irq_deferred t.irq_rollbacks
-    t.nic_rx_frames t.nic_tx_frames t.nic_rx_dropped t.nic_irqs
-    t.nic_irq_coalesced
-
-(** Shared-store counters (fleet mode): how much of this machine's
-    translation work the fleet's warm store carried, and how much of
-    the store it refused to trust. *)
-let pp_fleet fmt t =
-  Fmt.pf fmt
-    "store[hits=%d misses=%d rejects=%d quarantines=%d published=%d] \
-     translations=%d"
-    t.store_hits t.store_misses t.store_rejects t.store_quarantines
-    t.store_published t.translations
-
-(** AOT counters: what the static pass shipped and how much of the run
-    it actually carried (AOT hits vs dynamic retranslations). *)
-let pp_aot fmt t =
-  Fmt.pf fmt
-    "aot[loaded=%d rejected=%d inval=%d] hits[aot=%d] x86-from-aot=%d \
-     dynamic-translations=%d"
-    t.aot_loaded t.aot_rejected t.aot_invalidated t.aot_hits
-    t.aot_x86_retired t.translations
+(** [into] += [t], counter by counter. *)
+let add ~into t =
+  List.iter (fun c -> c.set into (c.get into + c.get t)) counters

@@ -384,25 +384,20 @@ type totals = {
   t_retired : int;
   t_shard_retired : int array;
   t_degraded : int;
-  t_store_hits : int;
-  t_store_misses : int;
-  t_store_rejects : int;
-  t_store_quarantines : int;
-  t_store_published : int;
+  t_stats : Cms.Stats.t;  (** every machine's final counters, summed *)
   t_reports : report list;  (** sorted by machine id *)
 }
 
 let aggregate ~shards (reports : report list) : totals =
   let reports = List.sort (fun a b -> compare a.r_id b.r_id) reports in
   let shard_retired = Array.make shards 0 in
+  let stats = Cms.Stats.create () in
   let t =
     List.fold_left
       (fun t r ->
         let sh = r.r_id mod shards in
         shard_retired.(sh) <- shard_retired.(sh) + r.r_retired;
-        let s k =
-          match r.r_stats with None -> 0 | Some st -> k st
-        in
+        Option.iter (Cms.Stats.add ~into:stats) r.r_stats;
         {
           t with
           t_healthy = (t.t_healthy + if r.r_status = Healthy then 1 else 0);
@@ -421,16 +416,6 @@ let aggregate ~shards (reports : report list) : totals =
           t_spec_violations = t.t_spec_violations + r.r_spec_violations;
           t_retired = t.t_retired + r.r_retired;
           t_degraded = (t.t_degraded + if r.r_degraded then 1 else 0);
-          t_store_hits = t.t_store_hits + s (fun st -> st.Cms.Stats.store_hits);
-          t_store_misses =
-            t.t_store_misses + s (fun st -> st.Cms.Stats.store_misses);
-          t_store_rejects =
-            t.t_store_rejects + s (fun st -> st.Cms.Stats.store_rejects);
-          t_store_quarantines =
-            t.t_store_quarantines
-            + s (fun st -> st.Cms.Stats.store_quarantines);
-          t_store_published =
-            t.t_store_published + s (fun st -> st.Cms.Stats.store_published);
         })
       {
         t_machines = List.length reports;
@@ -447,11 +432,7 @@ let aggregate ~shards (reports : report list) : totals =
         t_retired = 0;
         t_shard_retired = shard_retired;
         t_degraded = 0;
-        t_store_hits = 0;
-        t_store_misses = 0;
-        t_store_rejects = 0;
-        t_store_quarantines = 0;
-        t_store_published = 0;
+        t_stats = stats;
         t_reports = reports;
       }
       reports
@@ -484,12 +465,12 @@ let pp_totals ppf (t : totals) =
      max backoff %d molecules), %d quarantined@.\
      faults: %d kills, %d wedges; %d divergences, %d speculation violations; \
      %d degraded@.\
-     store: hits=%d misses=%d rejects=%d quarantines=%d published=%d@.\
+     %a@.\
      retired: %d total, per shard [%s]"
     t.t_machines t.t_shards t.t_healthy t.t_restarted t.t_restarts
     t.t_max_backoff t.t_quarantined t.t_kills t.t_wedges t.t_divergences
-    t.t_spec_violations t.t_degraded t.t_store_hits t.t_store_misses
-    t.t_store_rejects t.t_store_quarantines t.t_store_published t.t_retired
+    t.t_spec_violations t.t_degraded
+    (Cms.Stats.pp_group "store") t.t_stats t.t_retired
     (String.concat ";"
        (Array.to_list (Array.map string_of_int t.t_shard_retired)))
 
@@ -617,9 +598,9 @@ let run_case ?(fcfg = campaign_config) (plan : Fleetfault.plan) : case_report =
     c_wedges = t.t_wedges;
     c_divergences = t.t_divergences;
     c_spec_violations = t.t_spec_violations;
-    c_store_hits = t.t_store_hits;
-    c_store_rejects = t.t_store_rejects;
-    c_store_quarantines = t.t_store_quarantines;
+    c_store_hits = t.t_stats.Cms.Stats.store_hits;
+    c_store_rejects = t.t_stats.Cms.Stats.store_rejects;
+    c_store_quarantines = t.t_stats.Cms.Stats.store_quarantines;
     c_degraded = t.t_degraded;
     c_attacks = List.rev !attacks;
     c_outcome = outcome;

@@ -11,9 +11,10 @@
       blob.  Any defect poisons the key fleet-wide (exactly once) and
       falls back to the private translator.
     - {!Cms.Engine.on_fresh_translation} — the publish seam.  Every
-      freshly minted translation goes through the translator's
-      acceptance check ({!Cms.Codegen.check_code}) *again* on the
-      publisher side before its serialized form enters the store.
+      freshly minted translation has already passed the verifier
+      inside {!Cms.Codegen.compile}, so its serialized form enters the
+      store as is; trust is re-established on the consumer side, at
+      every hit.
 
     A machine that has rejected [max_rejects] entries in total stops
     trusting the store altogether ({!t.detached}) and keeps serving
@@ -72,19 +73,12 @@ let attach ?(max_rejects = 8) (c : Cms.t) (store : Tstore.t) : t =
     Some
       (fun ~entry ~region ~policy ~bytes_ ~compiled ->
         if (not sh.detached) && Cms.Region.instruction_count region > 0 then
-          match
-            Cms.Codegen.check_code ~cfg ~entry
-              ~ninsns:(Cms.Region.instruction_count region)
-              compiled.Cms.Codegen.code
-          with
-          | exception Cms.Codegen.Verify_failed _ -> Tstore.note_refused store
-          | () ->
-              let key, blob =
-                Tstore.encode ~entry ~region ~policy ~bytes:bytes_ ~compiled
-              in
-              if Tstore.publish store ~key ~blob then
-                stats.Cms.Stats.store_published <-
-                  stats.Cms.Stats.store_published + 1);
+          let key, blob =
+            Tstore.encode ~entry ~region ~policy ~bytes:bytes_ ~compiled
+          in
+          if Tstore.publish store ~key ~blob then
+            stats.Cms.Stats.store_published <-
+              stats.Cms.Stats.store_published + 1);
   sh
 
 (** Remove both hooks (the machine keeps its installed translations). *)

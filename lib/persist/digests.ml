@@ -8,8 +8,8 @@
       chosen masked ranges, e.g. dead stack bytes), MMIO/port access
       counts, UART output and the frame-buffer checksum.
     - {!strict}: everything the host-fast-path differential compares —
-      the architectural state plus full {!Cms.Stats} (host-cache and
-      persist counters normalized to zero), molecule and retired counts,
+      the architectural state plus every {!Cms.Stats.counters} entry
+      (the host-side ones zeroed), molecule and retired counts,
       SMC/protection event counters and the whole {!Vliw.Perf} record.
 
     All digests go through {!Stable}'s codecs, never [Marshal], so they
@@ -105,46 +105,14 @@ let arch_hex (a : arch) =
   w_arch b a;
   Digest.to_hex (Codec.digest b)
 
-(* Host-side counters that legitimately differ across equivalent runs
-   (fast paths on/off, resumed vs uninterrupted) are normalized to zero
-   before digesting. *)
+(* Host-side counters ({!Cms.Stats.counter.host}) legitimately differ
+   across equivalent runs, so they are zeroed before digesting. *)
 let normalized_stats (s : Cms.Stats.t) =
-  {
-    s with
-    Cms.Stats.tlb_hits = 0;
-    tlb_misses = 0;
-    dcache_hits = 0;
-    dcache_misses = 0;
-    dcache_invalidations = 0;
-    ram_fast_reads = 0;
-    ram_fast_writes = 0;
-    snapshots_written = 0;
-    snapshot_bytes = 0;
-    journal_events = 0;
-    resumes = 0;
-    aot_loaded = 0;
-    aot_rejected = 0;
-    aot_hits = 0;
-    aot_x86_retired = 0;
-    aot_invalidated = 0;
-    (* closure compilation and chain following are host-side
-       bookkeeping, not guest-visible state *)
-    closures_compiled = 0;
-    chained_exits_taken = 0;
-    chain_unlinks_evict = 0;
-    chain_unlinks_demote = 0;
-    chain_unlinks_smc = 0;
-    chain_unlinks_aot = 0;
-    chain_unlinks_chaos = 0;
-    (* the shared store is a fleet-level accelerator: hit/miss patterns
-       depend on which machine published first (worker-domain and shard
-       scheduling), never on the architectural schedule *)
-    store_hits = 0;
-    store_misses = 0;
-    store_rejects = 0;
-    store_quarantines = 0;
-    store_published = 0;
-  }
+  let s = Cms.Stats.copy s in
+  List.iter
+    (fun c -> if c.Cms.Stats.host then c.Cms.Stats.set s 0)
+    Cms.Stats.counters;
+  s
 
 (** The strict digest (see module doc). *)
 let strict ?mask (c : Cms.t) : Digest.t =

@@ -53,9 +53,7 @@ let dump ~dir ~name ~reason ?snapshot ?checkpoint ?(journal : Journal.t option)
   | Some c ->
       let s = Cms.stats c in
       pf "retired: %d\nmolecules: %d\n" (Cms.retired c) (Cms.total_molecules c);
-      pf "stats: %a\n" Cms.Stats.pp s;
-      pf "recovery: %a\n" Cms.Stats.pp_recovery s;
-      pf "persist: %a\n" Cms.Stats.pp_persist s
+      List.iter (fun g -> pf "%a\n" (Cms.Stats.pp_group g) s) Cms.Stats.groups
   | None -> ());
   List.iter (fun (kind, p) -> pf "artifact: %s = %s\n" kind p) !artifacts;
   write report (Buffer.contents b);

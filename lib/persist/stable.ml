@@ -8,6 +8,7 @@
     builds.
 
     Changing any record layout requires updating the matching codec here
+    (for [Stats], its table {!Cms.Stats.counters}, which the codec walks)
     *and* bumping the container version of the images that embed it
     ({!Snapshot.version} / {!Journal.version}) — the decoders read
     exactly as many fields as the encoders wrote, so skew shows up as a
@@ -124,141 +125,12 @@ let r_config r : Cms.Config.t =
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Every counter of {!Cms.Stats.counters}, in table order. *)
 let w_stats b (s : Cms.Stats.t) =
-  let open Cms.Stats in
-  Codec.w_int b s.x86_interp;
-  Codec.w_int b s.x86_translated;
-  Codec.w_int b s.translations;
-  Codec.w_int b s.retranslations;
-  Codec.w_int b s.invalidations;
-  Codec.w_int b s.insns_translated;
-  Codec.w_int b s.translated_atoms;
-  Codec.w_int b s.translations_verified;
-  Codec.w_int b s.spec_faults;
-  Codec.w_int b s.genuine_faults;
-  Codec.w_int b s.irq_delivered;
-  Codec.w_int b s.irq_rollbacks;
-  Codec.w_int b s.chain_patches;
-  Codec.w_int b s.lookups;
-  Codec.w_int b s.fault_entries;
-  Codec.w_int b s.fg_installs;
-  Codec.w_int b s.reval_checks;
-  Codec.w_int b s.reval_hits;
-  Codec.w_int b s.selfcheck_fails;
-  Codec.w_int b s.group_hits;
-  Codec.w_int b s.tcache_flushes;
-  Codec.w_int b s.charged_molecules;
-  Codec.w_int b s.containments;
-  Codec.w_int b s.demotions;
-  Codec.w_int b s.quarantines;
-  Codec.w_int b s.quarantined_steps;
-  Codec.w_int b s.progress_forces;
-  Codec.w_int b s.tcache_evictions;
-  Codec.w_int b s.tcache_evicted;
-  Codec.w_int b s.adapt_evictions;
-  Codec.w_int b s.tlb_hits;
-  Codec.w_int b s.tlb_misses;
-  Codec.w_int b s.dcache_hits;
-  Codec.w_int b s.dcache_misses;
-  Codec.w_int b s.dcache_invalidations;
-  Codec.w_int b s.ram_fast_reads;
-  Codec.w_int b s.ram_fast_writes;
-  Codec.w_int b s.snapshots_written;
-  Codec.w_int b s.snapshot_bytes;
-  Codec.w_int b s.journal_events;
-  Codec.w_int b s.resumes;
-  Codec.w_int b s.aot_loaded;
-  Codec.w_int b s.aot_rejected;
-  Codec.w_int b s.aot_hits;
-  Codec.w_int b s.aot_x86_retired;
-  Codec.w_int b s.aot_invalidated;
-  Codec.w_int b s.closures_compiled;
-  Codec.w_int b s.chained_exits_taken;
-  Codec.w_int b s.chain_unlinks_evict;
-  Codec.w_int b s.chain_unlinks_demote;
-  Codec.w_int b s.chain_unlinks_smc;
-  Codec.w_int b s.chain_unlinks_aot;
-  Codec.w_int b s.chain_unlinks_chaos;
-  Codec.w_int b s.irq_raised;
-  Codec.w_int b s.irq_deferred;
-  Codec.w_int b s.nic_rx_frames;
-  Codec.w_int b s.nic_tx_frames;
-  Codec.w_int b s.nic_rx_dropped;
-  Codec.w_int b s.nic_irqs;
-  Codec.w_int b s.nic_irq_coalesced;
-  Codec.w_int b s.store_hits;
-  Codec.w_int b s.store_misses;
-  Codec.w_int b s.store_rejects;
-  Codec.w_int b s.store_quarantines;
-  Codec.w_int b s.store_published
+  List.iter (fun c -> Codec.w_int b (c.Cms.Stats.get s)) Cms.Stats.counters
 
 let r_stats_into r (s : Cms.Stats.t) =
-  let open Cms.Stats in
-  s.x86_interp <- Codec.r_int r;
-  s.x86_translated <- Codec.r_int r;
-  s.translations <- Codec.r_int r;
-  s.retranslations <- Codec.r_int r;
-  s.invalidations <- Codec.r_int r;
-  s.insns_translated <- Codec.r_int r;
-  s.translated_atoms <- Codec.r_int r;
-  s.translations_verified <- Codec.r_int r;
-  s.spec_faults <- Codec.r_int r;
-  s.genuine_faults <- Codec.r_int r;
-  s.irq_delivered <- Codec.r_int r;
-  s.irq_rollbacks <- Codec.r_int r;
-  s.chain_patches <- Codec.r_int r;
-  s.lookups <- Codec.r_int r;
-  s.fault_entries <- Codec.r_int r;
-  s.fg_installs <- Codec.r_int r;
-  s.reval_checks <- Codec.r_int r;
-  s.reval_hits <- Codec.r_int r;
-  s.selfcheck_fails <- Codec.r_int r;
-  s.group_hits <- Codec.r_int r;
-  s.tcache_flushes <- Codec.r_int r;
-  s.charged_molecules <- Codec.r_int r;
-  s.containments <- Codec.r_int r;
-  s.demotions <- Codec.r_int r;
-  s.quarantines <- Codec.r_int r;
-  s.quarantined_steps <- Codec.r_int r;
-  s.progress_forces <- Codec.r_int r;
-  s.tcache_evictions <- Codec.r_int r;
-  s.tcache_evicted <- Codec.r_int r;
-  s.adapt_evictions <- Codec.r_int r;
-  s.tlb_hits <- Codec.r_int r;
-  s.tlb_misses <- Codec.r_int r;
-  s.dcache_hits <- Codec.r_int r;
-  s.dcache_misses <- Codec.r_int r;
-  s.dcache_invalidations <- Codec.r_int r;
-  s.ram_fast_reads <- Codec.r_int r;
-  s.ram_fast_writes <- Codec.r_int r;
-  s.snapshots_written <- Codec.r_int r;
-  s.snapshot_bytes <- Codec.r_int r;
-  s.journal_events <- Codec.r_int r;
-  s.resumes <- Codec.r_int r;
-  s.aot_loaded <- Codec.r_int r;
-  s.aot_rejected <- Codec.r_int r;
-  s.aot_hits <- Codec.r_int r;
-  s.aot_x86_retired <- Codec.r_int r;
-  s.aot_invalidated <- Codec.r_int r;
-  s.closures_compiled <- Codec.r_int r;
-  s.chained_exits_taken <- Codec.r_int r;
-  s.chain_unlinks_evict <- Codec.r_int r;
-  s.chain_unlinks_demote <- Codec.r_int r;
-  s.chain_unlinks_smc <- Codec.r_int r;
-  s.chain_unlinks_aot <- Codec.r_int r;
-  s.chain_unlinks_chaos <- Codec.r_int r;
-  s.irq_raised <- Codec.r_int r;
-  s.irq_deferred <- Codec.r_int r;
-  s.nic_rx_frames <- Codec.r_int r;
-  s.nic_tx_frames <- Codec.r_int r;
-  s.nic_rx_dropped <- Codec.r_int r;
-  s.nic_irqs <- Codec.r_int r;
-  s.nic_irq_coalesced <- Codec.r_int r;
-  s.store_hits <- Codec.r_int r;
-  s.store_misses <- Codec.r_int r;
-  s.store_rejects <- Codec.r_int r;
-  s.store_quarantines <- Codec.r_int r;
-  s.store_published <- Codec.r_int r
+  List.iter (fun c -> c.Cms.Stats.set s (Codec.r_int r)) Cms.Stats.counters
 
 (* ------------------------------------------------------------------ *)
 (* Vliw.Perf                                                           *)

@@ -91,7 +91,6 @@ type t = {
   poisoned : (string, string) Hashtbl.t;  (** key -> first failure *)
   mutable publishes : int;  (** entries accepted *)
   mutable dup_publishes : int;  (** publish attempts finding a live entry *)
-  mutable refused_publishes : int;  (** publisher-side verifier refusals *)
 }
 
 let create () =
@@ -101,7 +100,6 @@ let create () =
     poisoned = Hashtbl.create 16;
     publishes = 0;
     dup_publishes = 0;
-    refused_publishes = 0;
   }
 
 let locked t f =
@@ -110,10 +108,6 @@ let locked t f =
 
 let size t = locked t (fun () -> Hashtbl.length t.entries)
 let poisoned_count t = locked t (fun () -> Hashtbl.length t.poisoned)
-
-(** Count a publisher-side verifier refusal (nothing entered the store). *)
-let note_refused t =
-  locked t (fun () -> t.refused_publishes <- t.refused_publishes + 1)
 
 (** Accept [blob] for [key] unless the key is live or poisoned.
     Returns [true] when the entry was stored. *)

@@ -555,30 +555,142 @@ let test_journal_retired_host_tag () =
         (P.Journal.of_string
            (P.Codec.write_container ~kind:P.Journal.kind ~version:v sections)))
 
-(* Every encoded counter survives a round trip; the three dormant
-   [bg_*] fields are not encoded and read back as 0. *)
+(* The counter table is complete: every record field is reached by
+   exactly one entry's accessors, except the three dormant
+   background-translator fields [bg_installed], [bg_overlap_insns] and
+   [bg_waits], which the table leaves out.  A record field added
+   without a table entry fails here. *)
+let test_stats_table_complete () =
+  let module S = Cms.Stats in
+  let fields s = Array.init (Obj.size (Obj.repr s)) (Obj.field (Obj.repr s)) in
+  let s = S.create () in
+  check Alcotest.int "record fields = table entries + 3 bg_* fields"
+    (List.length S.counters + 3)
+    (Array.length (fields s));
+  let names = List.map (fun c -> c.S.name) S.counters in
+  check Alcotest.int "counter names unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  List.iteri (fun i c -> c.S.set s (1000 + i)) S.counters;
+  List.iteri
+    (fun i c ->
+      check Alcotest.int (c.S.name ^ " get/set") (1000 + i) (c.S.get s))
+    S.counters;
+  check Alcotest.int "fields the table never sets (the bg_* three)" 3
+    (Array.fold_left
+       (fun n f -> if (Obj.obj f : int) = 0 then n + 1 else n)
+       0 (fields s));
+  let printed =
+    List.concat_map
+      (fun g ->
+        match String.split_on_char ' ' (Fmt.str "%a" (S.pp_group g) s) with
+        | head :: items ->
+            check Alcotest.string "group prefix" (g ^ ":") head;
+            items
+        | [] -> [])
+      S.groups
+  in
+  List.iter
+    (fun c ->
+      let item = Fmt.str "%s=%d" c.S.name (c.S.get s) in
+      check Alcotest.int (c.S.name ^ " printed once") 1
+        (List.length (List.filter (String.equal item) printed)))
+    S.counters;
+  check Alcotest.int "nothing printed twice" (List.length S.counters)
+    (List.length printed)
+
+(* Every counter survives a round trip with a value of its own; the
+   three dormant [bg_*] fields are not encoded and read back as 0. *)
 let test_stats_codec_roundtrip () =
-  let c = Suite.prepare (compress ()) in
-  ignore (Cms.run ~max_insns:100_000 c);
-  let s = Cms.stats c in
-  s.Cms.Stats.bg_installed <- 3;
-  s.Cms.Stats.bg_overlap_insns <- 5;
-  s.Cms.Stats.bg_waits <- 7;
+  let module S = Cms.Stats in
+  let s = S.create () in
+  List.iteri (fun i c -> c.S.set s ((i * 7919) + 1)) S.counters;
+  s.S.bg_installed <- 3;
+  s.S.bg_overlap_insns <- 5;
+  s.S.bg_waits <- 7;
   let b = P.Codec.writer () in
   P.Stable.w_stats b s;
   let r = P.Codec.reader (P.Codec.contents b) in
-  let s' = Cms.Stats.create () in
+  let s' = S.create () in
   P.Stable.r_stats_into r s';
   P.Codec.r_end r;
-  check Alcotest.int "bg_installed not encoded" 0 s'.Cms.Stats.bg_installed;
-  check Alcotest.int "bg_overlap_insns not encoded" 0
-    s'.Cms.Stats.bg_overlap_insns;
-  check Alcotest.int "bg_waits not encoded" 0 s'.Cms.Stats.bg_waits;
-  check Alcotest.bool "translations moved" true (s.Cms.Stats.translations > 0);
-  s.Cms.Stats.bg_installed <- 0;
-  s.Cms.Stats.bg_overlap_insns <- 0;
-  s.Cms.Stats.bg_waits <- 0;
-  check Alcotest.bool "encoded counters round-trip" true (s = s')
+  List.iter
+    (fun c -> check Alcotest.int c.S.name (c.S.get s) (c.S.get s'))
+    S.counters;
+  check Alcotest.int "bg_installed not encoded" 0 s'.S.bg_installed;
+  check Alcotest.int "bg_overlap_insns not encoded" 0 s'.S.bg_overlap_insns;
+  check Alcotest.int "bg_waits not encoded" 0 s'.S.bg_waits
+
+(* The counters strict digests zero: host-side bookkeeping only (host
+   caches, persistence, AOT, closures and chain unlinks, the shared
+   store).  [chain_patches] and [lookups] are cost-model counters and
+   stay in the digest. *)
+let host_side =
+  [ "tlb_hits"; "tlb_misses"; "dcache_hits"; "dcache_misses";
+    "dcache_invalidations"; "ram_fast_reads"; "ram_fast_writes";
+    "snapshots_written"; "snapshot_bytes"; "journal_events"; "resumes";
+    "aot_loaded"; "aot_rejected"; "aot_hits"; "aot_x86_retired";
+    "aot_invalidated"; "closures_compiled"; "chained_exits_taken";
+    "chain_unlinks_evict"; "chain_unlinks_demote"; "chain_unlinks_smc";
+    "chain_unlinks_aot"; "chain_unlinks_chaos"; "store_hits";
+    "store_misses"; "store_rejects"; "store_quarantines";
+    "store_published" ]
+
+let test_strict_normalization () =
+  let module S = Cms.Stats in
+  let s = S.create () in
+  List.iteri (fun i c -> c.S.set s (i + 1)) S.counters;
+  let n = P.Digests.normalized_stats s in
+  List.iteri
+    (fun i c ->
+      let zeroed = List.mem c.S.name host_side in
+      check Alcotest.int (c.S.name ^ " normalized")
+        (if zeroed then 0 else i + 1)
+        (c.S.get n);
+      check Alcotest.int (c.S.name ^ " untouched in the original") (i + 1)
+        (c.S.get s))
+    S.counters;
+  check Alcotest.int "every host-side name is a counter"
+    (List.length host_side)
+    (List.length (List.filter (fun c -> c.S.host) S.counters))
+
+(* Pinned digests: they move if the STAT encoding order or the set of
+   zeroed counters drifts.  Corpus runs leave many counters at 0, so a
+   synthetic record whose every counter holds a value derived from its
+   name pins the order of all of them. *)
+let test_strict_digest_pins () =
+  let module S = Cms.Stats in
+  let s = S.create () in
+  List.iter
+    (fun c ->
+      c.S.set s
+        (Int64.to_int (String.get_int64_le (Digest.string c.S.name) 0)
+        land 0xffffff))
+    S.counters;
+  let stat s =
+    let b = P.Codec.writer () in
+    P.Stable.w_stats b s;
+    Digest.to_hex (Digest.string (P.Codec.contents b))
+  in
+  check Alcotest.string "STAT bytes" "dc97ad38cef0f2522f46d7bac4f1b9b7"
+    (stat s);
+  check Alcotest.string "STAT bytes, normalized"
+    "c2749582c936b570f3bb441bcff35837"
+    (stat (P.Digests.normalized_stats s));
+  let strict c = P.Digests.strict_hex (P.Digests.strict c) in
+  let c = Suite.prepare (compress ()) in
+  (match Cms.run ~max_insns:200_000 c with
+  | Cms.Engine.Insn_limit -> ()
+  | Cms.Engine.Halted -> Alcotest.fail "workload finished too early");
+  check Alcotest.string "026.compress (Linux) at 200k"
+    "5bff6e413bfd977b6d6258cb4c518819" (strict c);
+  let echo =
+    List.find
+      (fun w -> w.Suite.name = "Packet Echo Kernel")
+      (all_workloads ())
+  in
+  check Alcotest.string "Packet Echo Kernel"
+    "6ae69b4bffe539aa036ddec18c962caf"
+    (strict (Suite.run echo))
 
 let format_tests =
   [
@@ -590,6 +702,10 @@ let format_tests =
       test_journal_retired_host_tag;
     Alcotest.test_case "stats codec round-trip" `Quick
       test_stats_codec_roundtrip;
+    Alcotest.test_case "stats table complete" `Quick test_stats_table_complete;
+    Alcotest.test_case "strict normalization zeroes host-side counters"
+      `Quick test_strict_normalization;
+    Alcotest.test_case "strict digest pins" `Quick test_strict_digest_pins;
   ]
 
 let suites =
