@@ -119,13 +119,22 @@ let shards =
   Arg.(
     value & opt int 2
     & info [ "shards" ] ~docv:"N"
-        ~doc:"OCaml domains to shard the fleet across (plain mode).")
+        ~doc:
+          "OCaml domains to shard the fleet across (plain mode).  Checksums \
+           do not depend on it, but per-seed totals (retired, molecules, \
+           store hits) repeat exactly only with one shard: with more, \
+           which machine publishes a key first decides whether another \
+           compiles it (translate charge) or takes a store hit \
+           (revalidation charge), which moves its molecule clock and so \
+           its timer interrupts.")
 
 let seed =
   Arg.(
     value & opt int 1
     & info [ "seed" ] ~docv:"N"
-        ~doc:"Seed; the whole run is a pure function of it.")
+        ~doc:
+          "Seed; a campaign, or a fleet on one shard, is a pure function \
+           of it.")
 
 let cases =
   Arg.(

@@ -94,28 +94,8 @@ let build ?(max_insns = 65536) ~label (c : Cms.t) ~entry =
               | None -> Cms.Codegen.take_snapshot mem region
             in
             minted :=
-              {
-                Cms_persist.Aot.tentry = leader;
-                policy;
-                cont = region.Cms.Region.cont;
-                src_ranges = region.Cms.Region.src_ranges;
-                insns =
-                  Array.to_list region.Cms.Region.insns
-                  |> List.map (fun (i : Cms.Region.insn_info) ->
-                         {
-                           Cms_persist.Aot.addr = i.Cms.Region.addr;
-                           len = i.Cms.Region.len;
-                           follow =
-                             (match i.Cms.Region.follow with
-                             | Cms.Region.FNext -> 0
-                             | Cms.Region.FTarget -> 1
-                             | Cms.Region.FEnd -> 2);
-                           loops = i.Cms.Region.loops;
-                           imm32_addr = i.Cms.Region.imm32_addr;
-                         });
-                snapshot;
-                code = compiled.Cms.Codegen.code;
-              }
+              Cms_persist.Aot.make_tran ~entry:leader ~policy ~region ~snapshot
+                ~code:compiled.Cms.Codegen.code
               :: !minted)
     (Discover.static_leaders d);
   let minted = List.rev !minted in

@@ -27,6 +27,8 @@
     [base], boots at [entry], installs the events and runs the full
     differential oracle. *)
 
+module Journal = Cms_persist.Journal
+
 let magic = "cmsfuzz-case v1"
 
 let to_hex s =
@@ -72,14 +74,14 @@ let write_string (r : Oracle.rendered) ~seed ~comment =
     (fun ev ->
       Buffer.add_string b
         (match ev with
-        | Inject.Irq { at; line } -> Fmt.str "event irq %d %d\n" at line
-        | Inject.Dma { addr; data } ->
+        | Journal.Irq { at; line } -> Fmt.str "event irq %d %d\n" at line
+        | Journal.Dma { addr; data } ->
             Fmt.str "event dma 0x%x %s\n" addr (to_hex data)
-        | Inject.Prot { virt; writable } ->
+        | Journal.Prot { virt; writable } ->
             Fmt.str "event prot 0x%x %d\n" virt (if writable then 1 else 0)
-        | Inject.Pkt { at; data } ->
+        | Journal.Pkt { at; data } ->
             Fmt.str "event pkt %d %s\n" at (to_hex data)
-        | Inject.Dma_at { at; addr; data } ->
+        | Journal.Dma_at { at; addr; data } ->
             Fmt.str "event dmaat %d 0x%x %s\n" at addr (to_hex data)))
     r.Oracle.events;
   Buffer.contents b
@@ -136,24 +138,24 @@ let load path : Oracle.rendered * int =
         | [ "image"; hex ] -> Buffer.add_string image (of_hex hex)
         | [ "event"; "irq"; at; ln ] ->
             events :=
-              Inject.Irq { at = int_of_string at; line = int_of_string ln }
+              Journal.Irq { at = int_of_string at; line = int_of_string ln }
               :: !events
         | [ "event"; "dma"; addr; hex ] ->
             events :=
-              Inject.Dma { addr = int_of_string addr; data = of_hex hex }
+              Journal.Dma { addr = int_of_string addr; data = of_hex hex }
               :: !events
         | [ "event"; "prot"; virt; w ] ->
             events :=
-              Inject.Prot
+              Journal.Prot
                 { virt = int_of_string virt; writable = int_of_string w <> 0 }
               :: !events
         | [ "event"; "pkt"; at; hex ] ->
             events :=
-              Inject.Pkt { at = int_of_string at; data = of_hex hex }
+              Journal.Pkt { at = int_of_string at; data = of_hex hex }
               :: !events
         | [ "event"; "dmaat"; at; addr; hex ] ->
             events :=
-              Inject.Dma_at
+              Journal.Dma_at
                 { at = int_of_string at;
                   addr = int_of_string addr;
                   data = of_hex hex }

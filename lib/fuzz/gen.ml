@@ -28,6 +28,8 @@
     - Divisions are guarded (zeroed/sign-extended high half, non-zero
       divisor) except for deliberate rare divide-fault slots. *)
 
+module Journal = Cms_persist.Journal
+
 open X86.Asm
 
 (* ------------------------------------------------------------------ *)
@@ -100,7 +102,7 @@ type case = {
   seed : int;  (** campaign seed, for reporting *)
   index : int;  (** case number within the campaign *)
   prog : prog;
-  events : Inject.event list;
+  events : Journal.guest_event list;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -727,7 +729,7 @@ let generate_events rng (listing : X86.Asm.listing) ~has_irq ~has_pkt =
           (* NIC frame: fits any armed descriptor ([nic_buf_cap]) *)
           let len = 1 + Srng.int rng 32 in
           let data = String.init len (fun _ -> Char.chr (Srng.int rng 256)) in
-          Inject.Pkt { at = 1 + Srng.int rng 3000; data }
+          Journal.Pkt { at = 1 + Srng.int rng 3000; data }
       | 0 ->
           let len = 1 + Srng.int rng 8 in
           let data = String.init len (fun _ -> Char.chr (Srng.int rng 256)) in
@@ -736,15 +738,15 @@ let generate_events rng (listing : X86.Asm.listing) ~has_irq ~has_pkt =
               Srng.choose_list rng patch_cells
             else scratch_lo + Srng.int rng (scratch_hi - scratch_lo - 8)
           in
-          Inject.Dma { addr; data }
+          Journal.Dma { addr; data }
       | 1 ->
           let page =
             if Srng.chance rng 1 4 then code_base
             else scratch_lo + (Srng.int rng 7 * 0x1000)
           in
-          Inject.Prot { virt = page; writable = Srng.bool rng }
+          Journal.Prot { virt = page; writable = Srng.bool rng }
       | _ ->
-          Inject.Irq
+          Journal.Irq
             { at = 1 + Srng.int rng 3000; line = Srng.int rng irq_lines })
 
 (* ------------------------------------------------------------------ *)
@@ -767,8 +769,8 @@ let generate rng ~seed ~index =
   let events =
     List.filter
       (function
-        | Inject.Irq _ -> has_irq
-        | Inject.Pkt _ -> nic <> None
+        | Journal.Irq _ -> has_irq
+        | Journal.Pkt _ -> nic <> None
         | _ -> true)
       events
   in
@@ -803,9 +805,9 @@ let note_coverage cov (case : case) =
     (fun ev ->
       Coverage.note cov
         (match ev with
-        | Inject.Irq _ -> "ev.irq"
-        | Inject.Dma _ -> "ev.dma"
-        | Inject.Prot _ -> "ev.prot"
-        | Inject.Pkt _ -> "ev.pkt"
-        | Inject.Dma_at _ -> "ev.dma_at"))
+        | Journal.Irq _ -> "ev.irq"
+        | Journal.Dma _ -> "ev.dma"
+        | Journal.Prot _ -> "ev.prot"
+        | Journal.Pkt _ -> "ev.pkt"
+        | Journal.Dma_at _ -> "ev.dma_at"))
     case.events

@@ -36,10 +36,10 @@
     Digests come from {!Cms_persist.Digests} (stable byte format, no
     [Marshal]).  The module also hosts the fuzzer side of
     record-replay: {!record} runs a case while journaling every
-    nondeterministic input (guest events verbatim; chaos injections via
-    {!Cms_robust.Chaos.tap} as opportunity indices), {!replay} re-runs
-    a journal with no RNG at all, and {!check_record_replay} asserts
-    the two runs are bit-identical. *)
+    nondeterministic input (guest events verbatim; chaos injections,
+    through {!Cms_robust.Chaos.install}'s [~record] sink, as opportunity
+    indices), {!replay} re-runs a journal with no RNG at all, and
+    {!check_record_replay} asserts the two runs are bit-identical. *)
 
 module Digests = Cms_persist.Digests
 module Journal = Cms_persist.Journal
@@ -48,7 +48,7 @@ module Snapshot = Cms_persist.Snapshot
 type rendered = {
   listing : X86.Asm.listing;
   entry : int;
-  events : Inject.event list;
+  events : Journal.guest_event list;
   max_insns : int;
   chaos : int option;
       (** chaos-mode seed: run the translator oracle under a seeded
@@ -71,9 +71,6 @@ let render ?(max_insns = default_max_insns) ?chaos (case : Gen.case) =
 (* 2 MiB backs exactly the identity-mapped window the generator uses;
    keeping RAM small keeps the per-run memory digests cheap. *)
 let ram_size = 2 * 1024 * 1024
-
-let cfg_interp =
-  { Cms.Config.default with Cms.Config.translate_threshold = max_int }
 
 let cfg_translate = Cms.Config.default
 
@@ -113,8 +110,8 @@ type outcome = {
 }
 
 (* Run one configuration of [r] with [setup] wiring the event sources
-   (recorded-journal replay installs different hooks than first-run
-   injection); returns the outcome *and* the machine for capture. *)
+   (replaying a journal arms a different host-event schedule than
+   first-run injection); returns the outcome *and* the machine for capture. *)
 let execute ~cfg ~setup (r : rendered) : outcome * Cms.t =
   let diags = ref [] in
   let c =
@@ -154,7 +151,7 @@ let execute ~cfg ~setup (r : rendered) : outcome * Cms.t =
 
 let run_config ?chaos cfg (r : rendered) : outcome =
   let setup c =
-    Inject.install c r.events;
+    ignore (Journal.install_guest c r.events : Journal.injector);
     match chaos with Some ch -> Cms_robust.Chaos.install ch c | None -> ()
   in
   fst (execute ~cfg ~setup r)
@@ -192,7 +189,7 @@ let run_config_aot (r : rendered) : outcome =
   in
   let setup c =
     ignore (Cms_persist.Aot.install c img : Cms_persist.Aot.install_report);
-    Inject.install c r.events
+    ignore (Journal.install_guest c r.events : Journal.injector)
   in
   fst (execute ~cfg:cfg_translate ~setup r)
 
@@ -212,7 +209,7 @@ let stop_name = function
 
 (* The clean four-oracle differential (no injection). *)
 let check_clean (r : rendered) : verdict =
-  let a = run_config cfg_interp r in
+  let a = run_config Cms.interp_only_cfg r in
   let b = run_config cfg_translate r in
   let c = run_config cfg_nofast r in
   match run_config_aot r with
@@ -275,7 +272,7 @@ let chaos_cfg_of_seed seed =
    the *architectural* state must still match bit-for-bit — the paper's
    recovery thesis under host-side attack. *)
 let check_chaos (r : rendered) ~seed : verdict =
-  let a = run_config cfg_interp r in
+  let a = run_config Cms.interp_only_cfg r in
   let cfg, ch = chaos_cfg_of_seed seed in
   let b = run_config ~chaos:ch cfg r in
   let crashed o = match o.stop with Crash _ -> true | _ -> false in
@@ -321,9 +318,9 @@ type recording = {
 (** Run [r]'s translator configuration (chaos-scrambled when the case
     carries a chaos seed) while recording every nondeterministic input.
     Guest events are journaled verbatim; chaos injections are observed
-    through {!Cms_robust.Chaos.tap} and journaled as opportunity
-    indices.  [checkpoint_every] arms periodic snapshotting so a later
-    failure is resumable from mid-run. *)
+    through {!Cms_robust.Chaos.install}'s [~record] sink and journaled
+    as opportunity indices.  [checkpoint_every] arms periodic
+    snapshotting so a later failure is resumable from mid-run. *)
 let record ?checkpoint_every ?(label = "case") (r : rendered) : recording =
   let cfg, chaos =
     match r.chaos with
@@ -333,18 +330,6 @@ let record ?checkpoint_every ?(label = "case") (r : rendered) : recording =
         (cfg, Some ch)
   in
   let host = ref [] in
-  let tap =
-    {
-      Cms_robust.Chaos.tap_kill =
-        (fun nth -> host := Journal.Kill { nth } :: !host);
-      tap_fault =
-        (fun nth alias -> host := Journal.Pre_fault { nth; alias } :: !host);
-      tap_spoof = (fun nth -> host := Journal.Spoof { nth } :: !host);
-      tap_flush = (fun nth -> host := Journal.Flush { nth } :: !host);
-      tap_evict = (fun nth -> host := Journal.Evict { nth } :: !host);
-      tap_unlink = (fun nth k -> host := Journal.Unlink { nth; k } :: !host);
-    }
-  in
   let ckpt = ref None in
   let setup c =
     let injector = Journal.install_guest c r.events in
@@ -353,7 +338,8 @@ let record ?checkpoint_every ?(label = "case") (r : rendered) : recording =
         ckpt := Some (Snapshot.arm ~label ~injector c ~every)
     | None -> ());
     match chaos with
-    | Some ch -> Cms_robust.Chaos.install ~tap ch c
+    | Some ch ->
+        Cms_robust.Chaos.install ~record:(fun ev -> host := ev :: !host) ch c
     | None -> ()
   in
   let outcome, c = execute ~cfg ~setup r in

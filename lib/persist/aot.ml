@@ -593,6 +593,33 @@ type install_report = {
   rejected : (int * string) list;  (** (entry, reason) per refused entry *)
 }
 
+(** The image (and store) form of [code], compiled for [entry] from
+    [region] under [policy]; [snapshot] is the source bytes the compile
+    read, in range order.  {!region_of_tran} is its inverse. *)
+let make_tran ~entry ~policy ~(region : Cms.Region.t) ~snapshot ~code =
+  {
+    tentry = entry;
+    policy;
+    cont = region.Cms.Region.cont;
+    src_ranges = region.Cms.Region.src_ranges;
+    insns =
+      Array.to_list region.Cms.Region.insns
+      |> List.map (fun (i : Cms.Region.insn_info) ->
+             {
+               addr = i.Cms.Region.addr;
+               len = i.Cms.Region.len;
+               follow =
+                 (match i.Cms.Region.follow with
+                 | Cms.Region.FNext -> 0
+                 | Cms.Region.FTarget -> 1
+                 | Cms.Region.FEnd -> 2);
+               loops = i.Cms.Region.loops;
+               imm32_addr = i.Cms.Region.imm32_addr;
+             });
+    snapshot;
+    code;
+  }
+
 (* Rebuild the region from the wire shape, re-decoding every
    instruction from the image's own (digest-validated) source bytes. *)
 let region_of_tran (t : tran) : Cms.Region.t =

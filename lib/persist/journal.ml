@@ -8,17 +8,21 @@
       IRQ assertions keyed to the retired-instruction clock (delivered
       from [Engine.on_boundary]), and synchronous DMA writes /
       page-protection flips consumed by guest [out]s to
-      {!Machine.Platform.fuzz_port}.  The installer here is the single
-      authoritative implementation — [Cms_fuzz.Inject] is an alias — and
-      it exposes delivery cursors so a snapshot can record how far the
-      schedule had progressed and a resume can replay only the suffix.
+      {!Machine.Platform.fuzz_port}.  {!install_guest} is the single
+      implementation — the fuzzer, the storm campaign and replay all
+      call it — and it exposes delivery cursors so a snapshot can
+      record how far the schedule had progressed and a resume can
+      replay only the suffix.
     - {b Host events} are the chaos layer's realized injections
       (translator kills, forced pre-execution faults, spoofed interrupt
-      polls, flush/evict storms), recorded via {!Cms_robust.Chaos.tap}
-      with their *opportunity index* — the nth invocation of the
-      corresponding hook.  Replay re-injects by counter matching alone:
-      no RNG runs at replay time, so a journal replays identically even
-      if the chaos profile, RNG, or rate tuning changes later.
+      polls, flush/evict/unlink storms), keyed by their *opportunity
+      index* — the nth invocation of the corresponding hook.  One
+      wiring, {!install_schedule}, applies them; what varies is the
+      {!schedule} it asks.  {!Cms_robust.Chaos} answers from its RNG,
+      and its [~record] sink collects what fired; {!install_host}
+      answers from a recorded list by counter matching alone, so no
+      RNG runs at replay time and a journal replays identically even if
+      the chaos profile, RNG, or rate tuning changes later.
 
     The replay-fidelity argument: the machine is deterministic apart
     from these inputs, and every opportunity index is a pure function of
@@ -202,92 +206,120 @@ let install_guest ?(irq_cursor = 0) ?(sync_cursor = 0) (c : Cms.t)
   inj
 
 (* ------------------------------------------------------------------ *)
-(* Host-event replay                                                   *)
+(* Host-event injection                                                *)
 (* ------------------------------------------------------------------ *)
 
-exception Replayed_death of int
-(** The replayed analogue of {!Cms_robust.Chaos.Injected}: raised from
-    [on_translate] inside the engine's containment boundary when the
-    journal says the nth translation attempt died. *)
+(** The simulated translator/verifier death.  Raised (with the entry
+    address) only from [on_translate], i.e. inside the engine's
+    containment boundary; if it ever escapes to a caller, containment
+    is broken. *)
+exception Injected of int
 
-(** Re-inject a recorded host-event schedule into an engine: the chaos
-    run, replayed without the chaos layer (and without its RNG).
-    Composes with an already-installed [on_boundary] hook (the guest
-    injector), running it first — the same order {!Cms_robust.Chaos}
-    uses when recording. *)
-let install_host (c : Cms.t) (events : host_event list) =
-  let stats = Cms.stats c in
-  let kills = Queue.create () in
-  let faults = Queue.create () in
-  let spoofs = Queue.create () in
-  let flushes = Queue.create () in
-  let evicts = Queue.create () in
-  let unlinks = Queue.create () in
-  List.iter
-    (function
-      | Kill { nth } -> Queue.add nth kills
-      | Pre_fault { nth; alias } -> Queue.add (nth, alias) faults
-      | Spoof { nth } -> Queue.add nth spoofs
-      | Flush { nth } -> Queue.add nth flushes
-      | Evict { nth } -> Queue.add nth evicts
-      | Unlink { nth; k } -> Queue.add (nth, k) unlinks)
-    events;
-  let due q n =
-    match Queue.peek_opt q with
-    | Some m when m = n ->
-        ignore (Queue.pop q);
-        stats.Cms.Stats.journal_events <- stats.Cms.Stats.journal_events + 1;
-        true
-    | _ -> false
+(** The four hooks where host adversity can strike.  Each is counted
+    separately: a host event's [nth] is the index of its opportunity. *)
+type opportunity =
+  | Boundary  (** a dispatch boundary: {!Flush}, {!Evict}, {!Unlink} *)
+  | Translate  (** a translation attempt: {!Kill} *)
+  | Exec  (** a pre-execution check: {!Pre_fault} *)
+  | Poll  (** an in-translation interrupt poll: {!Spoof} *)
+
+let opportunity = function
+  | Kill _ -> Translate
+  | Pre_fault _ -> Exec
+  | Spoof _ -> Poll
+  | Flush _ | Evict _ | Unlink _ -> Boundary
+
+let nth = function
+  | Kill { nth } | Pre_fault { nth; _ } | Spoof { nth }
+  | Flush { nth } | Evict { nth } | Unlink { nth; _ } ->
+      nth
+
+(** A host-event schedule: asked once per opportunity, in execution
+    order, with the opportunity's index, it answers the events that
+    fire there — only events of that opportunity's kind, at most one of
+    each, boundary events in the order flush, evict, unlink. *)
+type schedule = opportunity -> int -> host_event list
+
+(** Arm an engine with a host-event schedule: count the opportunities,
+    ask [schedule] at each one, hand every event that fires to
+    [record], then apply it — [Kill] raises {!Injected} inside the
+    containment boundary, [Pre_fault] answers the pre-execution check
+    with a native fault, [Spoof] answers the interrupt poll, and
+    [Flush]/[Evict]/[Unlink] act on the tcache.  Composes with an
+    already-installed [on_boundary] hook (the guest injector), running
+    it first. *)
+let install_schedule ?record (c : Cms.t) (schedule : schedule) =
+  let tc = c.Cms.Engine.tcache in
+  let ask opp =
+    let n = ref 0 in
+    fun () ->
+      let events = schedule opp !n in
+      incr n;
+      List.iter
+        (fun ev ->
+          (match record with Some f -> f ev | None -> ());
+          match ev with
+          | Flush _ -> Cms.Tcache.flush tc
+          | Evict _ -> ignore (Cms.Tcache.evict_coldest tc : int)
+          | Unlink { k; _ } -> ignore (Cms.Tcache.unlink_nth tc ~k : bool)
+          | Kill _ | Pre_fault _ | Spoof _ -> ())
+        events;
+      events
   in
-  let n_boundary = ref 0 in
-  let n_translate = ref 0 in
-  let n_exec = ref 0 in
-  let n_spoof = ref 0 in
+  let boundary = ask Boundary in
+  let translate = ask Translate in
+  let exec = ask Exec in
+  let poll = ask Poll in
   let prev = c.Cms.Engine.on_boundary in
   c.Cms.Engine.on_boundary <-
     Some
       (fun retired ->
         (match prev with Some f -> f retired | None -> ());
-        let n = !n_boundary in
-        incr n_boundary;
-        if due flushes n then Cms.Tcache.flush c.Cms.Engine.tcache;
-        if due evicts n then
-          ignore (Cms.Tcache.evict_coldest c.Cms.Engine.tcache);
-        match Queue.peek_opt unlinks with
-        | Some (m, k) when m = n ->
-            ignore (Queue.pop unlinks);
-            stats.Cms.Stats.journal_events <-
-              stats.Cms.Stats.journal_events + 1;
-            ignore (Cms.Tcache.unlink_nth c.Cms.Engine.tcache ~k)
-        | _ -> ());
+        ignore (boundary () : host_event list));
   c.Cms.Engine.chaos <-
     Some
       {
         Cms.Engine.on_translate =
-          (fun entry ->
-            let n = !n_translate in
-            incr n_translate;
-            if due kills n then raise (Replayed_death entry));
+          (fun entry -> if translate () <> [] then raise (Injected entry));
         pre_exec =
           (fun _tr ->
-            let n = !n_exec in
-            incr n_exec;
-            match Queue.peek_opt faults with
-            | Some (m, alias) when m = n ->
-                ignore (Queue.pop faults);
-                stats.Cms.Stats.journal_events <-
-                  stats.Cms.Stats.journal_events + 1;
-                Some
-                  (if alias then Vliw.Nexn.Alias_violation 0
-                   else Vliw.Nexn.Sbuf_overflow)
-            | _ -> None);
-        irq_spoof =
-          (fun () ->
-            let n = !n_spoof in
-            incr n_spoof;
-            due spoofs n);
+            List.find_map
+              (function
+                | Pre_fault { alias; _ } ->
+                    Some
+                      (if alias then Vliw.Nexn.Alias_violation 0
+                       else Vliw.Nexn.Sbuf_overflow)
+                | _ -> None)
+              (exec ()));
+        irq_spoof = (fun () -> poll () <> []);
       }
+
+(** Re-inject a recorded host-event list: the schedule answers each
+    opportunity with the recorded events whose [nth] it is, in recorded
+    order, and counts each one in [journal_events].  No RNG runs, so a
+    journal replays identically even if the chaos profile, RNG or rate
+    tuning changes later. *)
+let install_host (c : Cms.t) (events : host_event list) =
+  let stats = Cms.stats c in
+  let queues = Array.init 4 (fun _ -> Queue.create ()) in
+  let queue = function
+    | Boundary -> queues.(0)
+    | Translate -> queues.(1)
+    | Exec -> queues.(2)
+    | Poll -> queues.(3)
+  in
+  List.iter
+    (fun ev -> Queue.add ev (queue (opportunity ev)))
+    (List.stable_sort (fun a b -> compare (nth a) (nth b)) events);
+  let rec due q n =
+    match Queue.peek_opt q with
+    | Some ev when nth ev = n ->
+        ignore (Queue.pop q);
+        stats.Cms.Stats.journal_events <- stats.Cms.Stats.journal_events + 1;
+        ev :: due q n
+    | _ -> []
+  in
+  install_schedule c (fun opp n -> due (queue opp) n)
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)

@@ -151,39 +151,16 @@ let poison_reason t k = locked t (fun () -> Hashtbl.find_opt t.poisoned k)
 (* Compile-result conversion                                           *)
 (* ------------------------------------------------------------------ *)
 
-let follow_code = function
-  | Cms.Region.FNext -> 0
-  | Cms.Region.FTarget -> 1
-  | Cms.Region.FEnd -> 2
-
 (** Serialize a freshly compiled translation into a (key, blob) pair.
     [bytes] must be the source snapshot the compile consumed — it is
     both the key material and the bytes consumers re-decode from. *)
 let encode ~entry ~(region : Cms.Region.t) ~(policy : Cms.Policy.t)
     ~(bytes : Bytes.t) ~(compiled : Cms.Codegen.compiled) =
-  let insns =
-    Array.to_list region.Cms.Region.insns
-    |> List.map (fun (i : Cms.Region.insn_info) ->
-           {
-             Aot.addr = i.Cms.Region.addr;
-             len = i.Cms.Region.len;
-             follow = follow_code i.Cms.Region.follow;
-             loops = i.Cms.Region.loops;
-             imm32_addr = i.Cms.Region.imm32_addr;
-           })
-  in
   let p =
     {
       tran =
-        {
-          Aot.tentry = entry;
-          policy;
-          cont = region.Cms.Region.cont;
-          src_ranges = region.Cms.Region.src_ranges;
-          insns;
-          snapshot = bytes;
-          code = compiled.Cms.Codegen.code;
-        };
+        Aot.make_tran ~entry ~policy ~region ~snapshot:bytes
+          ~code:compiled.Cms.Codegen.code;
       unprotected = compiled.Cms.Codegen.unprotected;
       keep_snapshot = Option.is_some compiled.Cms.Codegen.snapshot;
     }

@@ -195,9 +195,6 @@ let gen_case rng (p : profile) idx =
 (* Running one configuration                                           *)
 (* ------------------------------------------------------------------ *)
 
-let cfg_interp =
-  { Cms.Config.default with Cms.Config.translate_threshold = max_int }
-
 let cfg_translate = Cms.Config.default
 
 (* The kernels keep their task stacks inside this window; dead bytes
@@ -295,20 +292,11 @@ let check_record_replay (case : case) : (unit, string) result =
         (cfg, Some ch)
   in
   let host = ref [] in
-  let tap =
-    {
-      Chaos.tap_kill = (fun nth -> host := Journal.Kill { nth } :: !host);
-      tap_fault =
-        (fun nth alias -> host := Journal.Pre_fault { nth; alias } :: !host);
-      tap_spoof = (fun nth -> host := Journal.Spoof { nth } :: !host);
-      tap_flush = (fun nth -> host := Journal.Flush { nth } :: !host);
-      tap_evict = (fun nth -> host := Journal.Evict { nth } :: !host);
-      tap_unlink = (fun nth k -> host := Journal.Unlink { nth; k } :: !host);
-    }
-  in
   let setup c =
     ignore (Journal.install_guest c case.events : Journal.injector);
-    match chaos with Some ch -> Chaos.install ~tap ch c | None -> ()
+    match chaos with
+    | Some ch -> Chaos.install ~record:(fun ev -> host := ev :: !host) ch c
+    | None -> ()
   in
   let recorded, _c = execute ~cfg ~setup case.workload in
   let journal =
@@ -369,7 +357,7 @@ let run_case (case : case) : case_report =
   let note_spec (o : outcome) =
     if o.spec_violation then incr spec_violations
   in
-  let interp = run_one "interp" ~cfg:cfg_interp ~setup:clean_setup in
+  let interp = run_one "interp" ~cfg:Cms.interp_only_cfg ~setup:clean_setup in
   let hot = run_one "translate" ~cfg:cfg_translate ~setup:clean_setup in
   let chaosed =
     match case.chaos_seed with

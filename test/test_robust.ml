@@ -7,6 +7,7 @@
    {!Cms_robust.Chaos} where the seeded profile is itself under test. *)
 
 module Chaos = Cms_robust.Chaos
+module Journal = Cms_persist.Journal
 module Srng = Cms_robust.Srng
 module Tcache = Cms.Tcache
 module Adapt = Cms.Adapt
@@ -172,11 +173,23 @@ let test_spoof_storm_watchdog () =
 let test_chaos_pressure_only () =
   let rng = Srng.create 42 in
   let ch = Chaos.create ~profile:Chaos.pressure_only rng in
-  let c = run_loop ~iters:400 hot_cfg ~arm:(fun c -> Chaos.install ch c) in
-  check cb "cache storms fired" true (ch.Chaos.flushes + ch.Chaos.evicted >= 1);
+  let fired = ref [] in
+  let c =
+    run_loop ~iters:400 hot_cfg ~arm:(fun c ->
+        Chaos.install ~record:(fun ev -> fired := ev :: !fired) ch c)
+  in
+  let flushes =
+    List.length
+      (List.filter (function Journal.Flush _ -> true | _ -> false) !fired)
+  in
+  check cb "cache storms fired" true (!fired <> []);
+  check cb "only cache storms fired" true
+    (List.for_all
+       (function Journal.Flush _ | Journal.Evict _ -> true | _ -> false)
+       !fired);
   let s = Cms.stats c in
   check cb "flushes surfaced in stats" true
-    (s.Cms.Stats.tcache_flushes >= ch.Chaos.flushes)
+    (s.Cms.Stats.tcache_flushes >= flushes)
 
 (* ------------------------------------------------------------------ *)
 (* Tcache edge paths (unit level, synthetic records)                   *)
@@ -369,6 +382,54 @@ let test_chaos_campaign_deterministic () =
     (Digest.to_hex (Cms_fuzz.Campaign.fingerprint b));
   check ci "no divergences" 0 (List.length a.Cms_fuzz.Campaign.divergences)
 
+(* ------------------------------------------------------------------ *)
+(* Chaos schedule pins                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The RNG schedule names one exact adversity per seed: which host
+   events fire, at which opportunity, in which order.  The campaign
+   fingerprints digest outcomes, not injections, so these pins are what
+   hold the schedule (draw order, opportunity counting, the recorded
+   events) fixed. *)
+
+(* Every journal [Oracle.record] writes for the first 20 chaos cases of
+   the seed-5 record/replay slice. *)
+let test_oracle_schedule_pin () =
+  let root = Srng.create 5 in
+  let b = Buffer.create 4096 in
+  for index = 0 to 19 do
+    let rng = Srng.split root in
+    let case = Cms_fuzz.Gen.generate rng ~seed:5 ~index in
+    let chaos_seed = Srng.int32 rng in
+    let rec_ =
+      Cms_fuzz.Oracle.record (Cms_fuzz.Oracle.render ~chaos:chaos_seed case)
+    in
+    Buffer.add_string b (Journal.to_string rec_.Cms_fuzz.Oracle.journal)
+  done;
+  Alcotest.(check string)
+    "journals" "87c1f31cb49cfc245a857dee661f2f04"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* The host events fired into the packet-echo kernel armed with the
+   storm campaign's seed-1 chaos. *)
+let test_storm_schedule_pin () =
+  let module Storm = Cms_robust.Storm in
+  let cfg, ch = Storm.chaos_of_seed 1 Storm.cfg_translate in
+  let fired = ref [] in
+  let o, _ =
+    Storm.execute ~cfg
+      ~setup:(Chaos.install ~record:(fun ev -> fired := ev :: !fired) ch)
+      Workloads.Progs_kernel.kernel_echo
+  in
+  check cb "halted" true (o.Storm.stop = Storm.Halted);
+  check ci "events" 11456 (List.length !fired);
+  Alcotest.(check string)
+    "host events" "34f05c76ffb8a518ec7c2a229bfe4050"
+    (Digest.to_hex
+       (Digest.string
+          (String.concat ";"
+             (List.rev_map (Fmt.to_to_string Journal.pp_host_event) !fired))))
+
 let suites =
   [
     ( "robust.recovery",
@@ -396,5 +457,12 @@ let suites =
       [
         Alcotest.test_case "campaign deterministic" `Slow
           test_chaos_campaign_deterministic;
+      ] );
+    ( "chaos.schedule",
+      [
+        Alcotest.test_case "oracle journals pinned" `Quick
+          test_oracle_schedule_pin;
+        Alcotest.test_case "storm host events pinned" `Quick
+          test_storm_schedule_pin;
       ] );
   ]

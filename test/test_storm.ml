@@ -137,7 +137,7 @@ let test_rx_kernel_determinism () =
     let c = Suite.run_prepared w c in
     (Cms.gpr c X86.Regs.eax, Cms.gpr c X86.Regs.ebx, Cms.stats c)
   in
-  let eax_i, ebx_i, _ = run Storm.cfg_interp in
+  let eax_i, ebx_i, _ = run Cms.interp_only_cfg in
   let eax_t, ebx_t, s = run Storm.cfg_translate in
   let want_eax, want_ebx = Progs_kernel.rx_expected frames in
   check ci "interp eax" want_eax eax_i;

@@ -23,11 +23,7 @@ let digest t =
 let differential (w : Suite.t) () =
   (* the static translation verifier (issue constraints and latencies
      included) checks every translation *)
-  let t_ref =
-    Suite.run
-      ~cfg:{ Cms.Config.default with Cms.Config.translate_threshold = max_int }
-      w
-  in
+  let t_ref = Suite.run ~cfg:Cms.interp_only_cfg w in
   let t_hot =
     Suite.run
       ~cfg:{ Cms.Config.default with Cms.Config.translate_threshold = 4 }
