@@ -126,7 +126,7 @@ let do_aot_run ~stats ~verbose ~check ~cfg w path =
           Fmt.pr "%a@." Persist.Aot.pp_report rep;
           if verbose then
             List.iter
-              (fun (entry, why) -> Fmt.pr "  rejected %#x: %s@." entry why)
+              (fun (_, why) -> Fmt.pr "  rejected %s@." why)
               rep.Persist.Aot.rejected;
           let t = Suite.run_prepared w t in
           report ~stats ~verbose w t;

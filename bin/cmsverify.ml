@@ -24,21 +24,23 @@ let verify_aot json path =
   | exception Cms_persist.Codec.Corrupt msg ->
       `Error (false, Fmt.str "cannot load AOT image %s: %s" path msg)
   | exception Sys_error msg -> `Error (false, "cannot load AOT image: " ^ msg)
-  | img ->
+  | img -> (
+      let module Tstore = Cms_persist.Tstore in
       let cfg = img.Cms_persist.Aot.cfg in
-      let diags = ref [] in
-      List.iter
-        (fun (t : Cms_persist.Aot.tran) ->
-          let ds =
-            Cms.Tverify.verify ~cfg ~entry:t.Cms_persist.Aot.tentry
-              ~ninsns:(List.length t.Cms_persist.Aot.insns)
-              t.Cms_persist.Aot.code
-          in
-          diags := !diags @ ds)
-        img.Cms_persist.Aot.trans;
-      let diags = !diags in
+      let entries = Tstore.bindings img.Cms_persist.Aot.store in
+      match
+        List.concat_map
+          (fun (k, e) ->
+            let t = Tstore.decode ~entry:(Tstore.key_entry k) e in
+            Cms.Tverify.verify ~cfg ~entry:t.Tstore.tentry
+              ~ninsns:(List.length t.Tstore.insns) t.Tstore.code)
+          entries
+      with
+      | exception Tstore.Untrusted msg ->
+          `Error (false, Fmt.str "AOT image %s: %s" path msg)
+      | diags ->
       let violations = List.length diags in
-      let ntrans = List.length img.Cms_persist.Aot.trans in
+      let ntrans = List.length entries in
       if json then begin
         let counts =
           Cms_analysis.Pipeline.rule_counts diags
@@ -63,7 +65,7 @@ let verify_aot json path =
         List.iter (fun d -> Fmt.pr "  %a@." Cms.Diag.pp d) diags
       end;
       if violations > 0 then exit 1;
-      `Ok ()
+      `Ok ())
 
 let run_cmd name json threshold force_selfcheck aot =
   match aot with

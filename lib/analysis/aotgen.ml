@@ -7,7 +7,9 @@
     rejects exactly as it does at run time: a region the verifier
     refuses is demoted to dynamic-only and recorded, never silently
     shipped.  The result is a {!Cms_persist.Aot} image keyed by
-    code-page digests.
+    code-page digests whose entries are minted by
+    {!Cms_persist.Tstore.encode}, exactly as a fleet machine publishes
+    a fresh translation.
 
     Build-time regions differ from warm dynamic ones in exactly one
     way: the profile is empty, so conditional branches are traced
@@ -64,6 +66,7 @@ let build ?(max_insns = 65536) ~label (c : Cms.t) ~entry =
       (fun ppn -> List.mem ppn smc_pages)
       (Cms.Tcache.pages_of_ranges region.Cms.Region.src_ranges)
   in
+  let store = Cms_persist.Tstore.create () in
   let minted = ref [] in
   let demotions = ref [] in
   let demoted_verify = ref 0 and demoted_select = ref 0 in
@@ -87,24 +90,21 @@ let build ?(max_insns = 65536) ~label (c : Cms.t) ~entry =
             demotions :=
               { leader; why = "region crosses a write-reachable page" }
               :: !demotions
-          else
-            let snapshot =
-              match compiled.Cms.Codegen.snapshot with
-              | Some s -> s
-              | None -> Cms.Codegen.take_snapshot mem region
+          else begin
+            let key, blob =
+              Cms_persist.Tstore.encode ~entry:leader ~region ~policy
+                ~bytes:(Cms.Codegen.take_snapshot mem region) ~compiled
             in
-            minted :=
-              Cms_persist.Aot.make_tran ~entry:leader ~policy ~region ~snapshot
-                ~code:compiled.Cms.Codegen.code
-              :: !minted)
+            ignore (Cms_persist.Tstore.publish store ~key ~blob : bool);
+            minted := region :: !minted
+          end)
     (Discover.static_leaders d);
-  let minted = List.rev !minted in
   (* digest every page any minted translation reads its source from *)
   let pages =
     List.concat_map
-      (fun (t : Cms_persist.Aot.tran) ->
-        Cms.Tcache.pages_of_ranges t.Cms_persist.Aot.src_ranges)
-      minted
+      (fun (r : Cms.Region.t) ->
+        Cms.Tcache.pages_of_ranges r.Cms.Region.src_ranges)
+      !minted
     |> List.sort_uniq compare
     |> List.filter_map (fun ppn ->
            Option.map
@@ -131,9 +131,9 @@ let build ?(max_insns = 65536) ~label (c : Cms.t) ~entry =
     }
   in
   {
-    image = { Cms_persist.Aot.meta; cfg; pages; trans = minted };
+    image = { Cms_persist.Aot.meta; cfg; pages; store };
     discovery = d;
-    minted = List.length minted;
+    minted = List.length !minted;
     demotions = List.rev !demotions;
   }
 

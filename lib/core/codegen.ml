@@ -151,15 +151,19 @@ type compiled = {
           (§3.6.3); [false] means protection is still required *)
 }
 
-(* Concatenate the source bytes of all ranges, in range order. *)
-let take_snapshot mem (region : Region.t) =
-  let total = Region.src_bytes region in
-  let b = Buffer.create total in
+(** Concatenate the source bytes of all [ranges], in range order. *)
+let read_ranges mem ranges =
+  let b =
+    Buffer.create (List.fold_left (fun n (lo, hi) -> n + (hi - lo)) 0 ranges)
+  in
   List.iter
     (fun (lo, hi) ->
       Buffer.add_bytes b (Machine.Mem.read_code mem ~addr:lo ~len:(hi - lo)))
-    region.Region.src_ranges;
+    ranges;
   Buffer.to_bytes b
+
+let take_snapshot mem (region : Region.t) =
+  read_ranges mem region.Region.src_ranges
 
 (* The compiler proper, parametric over the source-byte supplier: the
    plain path reads guest memory ({!take_snapshot}); with fleet hooks

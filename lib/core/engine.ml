@@ -291,19 +291,22 @@ let translate t entry =
         None
 
 (** Install a pre-minted translation from an AOT image.  The caller
-    (the persist layer's image loader) has already validated the code
-    bytes against the image snapshot; here it only takes its place in
-    the tcache and under SMC protection, exactly like a dynamic
-    translation — crucially *without* the per-instruction translate
-    charge, which is the whole cold-start payoff.  Returns [false]
-    (and installs nothing) if the entry already has a live translation. *)
-let aot_install t ~entry ~code ~region ~policy ~snapshot =
+    (the persist layer's image loader) has already revalidated
+    [compiled] against the live code bytes; here it only takes its
+    place in the tcache — page-protected unless the compile was
+    guard-checked ([compiled.unprotected]) — and under SMC tracking,
+    exactly like a dynamic translation, but *without* the
+    per-instruction translate charge, which is the whole cold-start
+    payoff.  Returns [false] (and installs nothing) if the entry
+    already has a live translation. *)
+let aot_install t ~entry ~region ~policy (compiled : Codegen.compiled) =
   match Tcache.lookup t.tcache entry with
   | Some _ -> false
   | None ->
       let tr =
-        Tcache.insert ~aot:true t.tcache ~entry ~code ~region ~policy
-          ~snapshot:(Some snapshot)
+        Tcache.insert ~unprotected:compiled.Codegen.unprotected ~aot:true
+          t.tcache ~entry ~code:compiled.Codegen.code ~region ~policy
+          ~snapshot:compiled.Codegen.snapshot
       in
       Smc.register t.smc tr;
       t.stats.Stats.aot_loaded <- t.stats.Stats.aot_loaded + 1;

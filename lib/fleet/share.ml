@@ -7,9 +7,10 @@
       store key is derived from the canonical compile inputs computed
       *right there* (entry, current source bytes, adaptive policy),
       and a hit is only returned after
-      {!Cms_persist.Tstore.decode_validated} fully revalidates the
-      blob.  Any defect poisons the key fleet-wide (exactly once) and
-      falls back to the private translator.
+      {!Cms_persist.Tstore.revalidate} — the walk an AOT install runs
+      too — accepts the blob and its policy and region equal these
+      inputs.  Any defect poisons the key fleet-wide (exactly once)
+      and falls back to the private translator.
     - {!Cms.Engine.on_fresh_translation} — the publish seam.  Every
       freshly minted translation has already passed the verifier
       inside {!Cms.Codegen.compile}, so its serialized form enters the
@@ -43,21 +44,23 @@ let attach ?(max_rejects = 8) (c : Cms.t) (store : Tstore.t) : t =
         else
           let k = Tstore.key ~entry ~bytes:bytes_ ~policy in
           match Tstore.lookup store k with
-          | Tstore.Miss ->
+          | None ->
               stats.Cms.Stats.store_misses <-
                 stats.Cms.Stats.store_misses + 1;
               None
-          | Tstore.Poisoned ->
-              (* quarantined fleet-wide by some machine's earlier
-                 rejection: fall back to the private translator without
-                 paying for revalidation *)
-              stats.Cms.Stats.store_misses <-
-                stats.Cms.Stats.store_misses + 1;
-              None
-          | Tstore.Hit e -> (
+          | Some e -> (
               match
-                Tstore.decode_validated ?on_diag ~cfg ~entry ~region ~policy
-                  ~bytes:bytes_ e
+                let ok =
+                  Tstore.revalidate ?on_diag ~cfg ~entry
+                    ~live:(fun _ -> bytes_) e
+                in
+                (* a hit must be exactly the translation this machine
+                   would have compiled *)
+                if not (Cms.Policy.equal ok.Tstore.tran.Tstore.policy policy)
+                then Tstore.untrusted "entry %#x: policy drift" entry;
+                if not (Cms.Region.equal ok.Tstore.region region) then
+                  Tstore.untrusted "entry %#x: region shape drift" entry;
+                ok.Tstore.compiled
               with
               | compiled -> Some compiled
               | exception Tstore.Untrusted reason ->
@@ -80,8 +83,3 @@ let attach ?(max_rejects = 8) (c : Cms.t) (store : Tstore.t) : t =
             stats.Cms.Stats.store_published <-
               stats.Cms.Stats.store_published + 1);
   sh
-
-(** Remove both hooks (the machine keeps its installed translations). *)
-let detach (c : Cms.t) =
-  c.Cms.Engine.shared_source <- None;
-  c.Cms.Engine.on_fresh_translation <- None

@@ -1,36 +1,41 @@
-(** The fleet's shared translation store: validate-before-trust.
+(** Store entries: the one serialized form of a pre-minted translation,
+    and the one walk that trusts it again.
 
-    N guest machines running the same workload image feed and drink
-    from one store of verified translations, so machine #1000 starts
-    warm from translations minted by machine #1.  The store never
-    trusts anything by construction:
+    Two consumers install translations minted somewhere else: the
+    fleet's shared store (N guest machines running the same workload
+    feed and drink from one store, so machine #1000 starts warm from
+    translations minted by machine #1) and ahead-of-time images
+    ({!Aot}, a store image plus a header).  Neither trusts anything by
+    construction:
 
-    - Entries are *serialized blobs*, not shared mutable values.  A
-      consumer that hits deserializes a private copy (fresh molecules,
-      fresh exit records, [Unchained] chain state), so no machine ever
-      holds a reference into another machine's translation — SMC,
-      chaining, or plain memory corruption on the publisher cannot
-      reach a consumer retroactively.
+    - Entries are *serialized blobs*, not shared mutable values, and
+      {!encode} is the only function that makes one.  Every consumer
+      decodes a private copy (fresh molecules, fresh exit records,
+      [Unchained] chain state), so no machine ever holds a reference
+      into another machine's translation — SMC, chaining, or plain
+      memory corruption on the publisher cannot reach a consumer
+      retroactively.
     - The key is the canonical compile input: entry address, MD5 of the
       region's source bytes, MD5 of the serialized policy.  A machine
       whose code bytes drifted (SMC) simply never matches the key.
-    - Every blob carries its own MD5; every lookup re-checks it, and
-      the decoded payload is revalidated structurally (instructions
-      re-decoded from the blob's own source bytes, region shape
-      compared against the consumer's canonical selection, molecule
-      verifier re-run) before install.
-    - A key whose blob ever fails any of those checks is *poisoned*:
+    - Every blob carries its own MD5, and {!revalidate} — the one trust
+      walk, run by a store hit and by an AOT install alike — re-checks
+      it, decodes the blob, compares its source bytes with the live
+      ones, re-decodes its instructions from those bytes and re-runs
+      the code validator and the translator's verifier.
+    - In a fleet, a key whose blob ever fails that walk is *poisoned*:
       entered on a fleet-wide quarantine list exactly once, its entry
       removed, and every later consumer skips it without revalidating
       — falling back to its private translator.
 
-    Publishing is mediated by {!publish} under the store lock;
-    persistence uses the stable container codec (kind TSTO) and an
-    atomic temp-file + rename, so a killed publisher can never leave a
-    torn image for consumers. *)
+    Publishing is mediated by {!publish} under the store lock.  The
+    image (kind TSTO) uses the stable container codec; an AOT image is
+    the same container under its own kind with header sections ahead of
+    the store's ENTS and POIS. *)
 
 exception Untrusted of string
-(** raised by consume-side validation helpers; callers poison the key *)
+(** raised by {!decode} and {!revalidate}: a fleet consumer poisons the
+    key, an AOT install rejects the entry *)
 
 let untrusted fmt = Format.kasprintf (fun s -> raise (Untrusted s)) fmt
 
@@ -38,31 +43,436 @@ let kind = "TSTO"
 let version = 1
 
 (* ------------------------------------------------------------------ *)
+(* Atom / code codec                                                   *)
+(* ------------------------------------------------------------------ *)
+
+module A = Vliw.Atom
+
+let w_src b = function
+  | A.R r ->
+      Codec.w_int b 0;
+      Codec.w_int b r
+  | A.I i ->
+      Codec.w_int b 1;
+      Codec.w_int b i
+
+let r_src r =
+  match Codec.r_int r with
+  | 0 -> A.R (Codec.r_int r)
+  | 1 -> A.I (Codec.r_int r)
+  | t -> Codec.corrupt "tstore: bad src tag %d" t
+
+let host_ops =
+  [| A.HAdd; A.HSub; A.HAnd; A.HOr; A.HXor; A.HShl; A.HShr; A.HSar; A.HMul |]
+
+let xops =
+  [|
+    A.XAdd; A.XAdc; A.XSub; A.XSbb; A.XAnd; A.XOr; A.XXor; A.XShl; A.XShr;
+    A.XSar; A.XRol; A.XRor; A.XInc; A.XDec; A.XNeg; A.XNot; A.XTest; A.XCmp;
+  |]
+
+let cmps = [| A.Ceq; A.Cne; A.Cult; A.Cule; A.Cslt; A.Csle |]
+
+let index_of what a arr =
+  let rec go i =
+    if i >= Array.length arr then
+      invalid_arg (Printf.sprintf "Tstore: unknown %s" what)
+    else if arr.(i) = a then i
+    else go (i + 1)
+  in
+  go 0
+
+let of_index what r arr =
+  let i = Codec.r_int r in
+  if i < 0 || i >= Array.length arr then Codec.corrupt "tstore: bad %s tag %d" what i
+  else arr.(i)
+
+let w_size b (s : X86.Flags.size) =
+  Codec.w_bool b (match s with X86.Flags.S32 -> true | S8 -> false)
+
+let r_size r : X86.Flags.size =
+  if Codec.r_bool r then X86.Flags.S32 else X86.Flags.S8
+
+let w_cond b c = Codec.w_int b (X86.Cond.to_code c)
+
+let r_cond r =
+  let c = Codec.r_int r in
+  if c < 0 || c > 0xf then Codec.corrupt "tstore: bad condition code %d" c
+  else X86.Cond.of_code c
+
+let w_atom b (a : A.t) =
+  let tag n = Codec.w_int b n in
+  match a with
+  | A.Nop -> tag 0
+  | A.MovI { rd; imm } ->
+      tag 1;
+      Codec.w_int b rd;
+      Codec.w_int b imm
+  | A.MovR { rd; rs } ->
+      tag 2;
+      Codec.w_int b rd;
+      Codec.w_int b rs
+  | A.Alu { op; rd; a; b = src } ->
+      tag 3;
+      Codec.w_int b (index_of "host op" op host_ops);
+      Codec.w_int b rd;
+      Codec.w_int b a;
+      w_src b src
+  | A.AluX { op; size; rd; a; b = src; fr; fw } ->
+      tag 4;
+      Codec.w_int b (index_of "xop" op xops);
+      w_size b size;
+      Codec.w_opt b Codec.w_int rd;
+      w_src b a;
+      w_src b src;
+      Codec.w_int b fr;
+      Codec.w_int b fw
+  | A.MulX { signed; size; rd_lo; rd_hi; a; b = src; fr; fw } ->
+      tag 5;
+      Codec.w_bool b signed;
+      w_size b size;
+      Codec.w_int b rd_lo;
+      Codec.w_opt b Codec.w_int rd_hi;
+      w_src b a;
+      w_src b src;
+      Codec.w_int b fr;
+      Codec.w_int b fw
+  | A.DivX { signed; size; rd_q; rd_r; hi; lo; divisor } ->
+      tag 6;
+      Codec.w_bool b signed;
+      w_size b size;
+      Codec.w_int b rd_q;
+      Codec.w_int b rd_r;
+      Codec.w_int b hi;
+      Codec.w_int b lo;
+      w_src b divisor
+  | A.SetCond { rd; cond; fr } ->
+      tag 7;
+      Codec.w_int b rd;
+      w_cond b cond;
+      Codec.w_int b fr
+  | A.ExtField { rd; rs; shift; width; sign } ->
+      tag 8;
+      Codec.w_int b rd;
+      Codec.w_int b rs;
+      Codec.w_int b shift;
+      Codec.w_int b width;
+      Codec.w_bool b sign
+  | A.InsField { rd; rs; shift; width } ->
+      tag 9;
+      Codec.w_int b rd;
+      Codec.w_int b rs;
+      Codec.w_int b shift;
+      Codec.w_int b width
+  | A.Load { rd; base; disp; size; spec; protect; check } ->
+      tag 10;
+      Codec.w_int b rd;
+      Codec.w_int b base;
+      Codec.w_int b disp;
+      Codec.w_int b size;
+      Codec.w_bool b spec;
+      Codec.w_opt b Codec.w_int protect;
+      Codec.w_int b check
+  | A.Store { rs; base; disp; size; spec; check } ->
+      tag 11;
+      w_src b rs;
+      Codec.w_int b base;
+      Codec.w_int b disp;
+      Codec.w_int b size;
+      Codec.w_bool b spec;
+      Codec.w_int b check
+  | A.Br { target } ->
+      tag 12;
+      Codec.w_int b target
+  | A.BrCond { cond; fr; target } ->
+      tag 13;
+      w_cond b cond;
+      Codec.w_int b fr;
+      Codec.w_int b target
+  | A.BrCmp { cmp; a; b = src; target } ->
+      tag 14;
+      Codec.w_int b (index_of "cmp" cmp cmps);
+      Codec.w_int b a;
+      w_src b src;
+      Codec.w_int b target
+  | A.ArmRange { slot; base; disp; len } ->
+      tag 15;
+      Codec.w_int b slot;
+      Codec.w_int b base;
+      Codec.w_int b disp;
+      Codec.w_int b len
+  | A.Commit n ->
+      tag 16;
+      Codec.w_int b n
+  | A.Exit i ->
+      tag 17;
+      Codec.w_int b i
+
+let r_atom r : A.t =
+  match Codec.r_int r with
+  | 0 -> A.Nop
+  | 1 ->
+      let rd = Codec.r_int r in
+      let imm = Codec.r_int r in
+      A.MovI { rd; imm }
+  | 2 ->
+      let rd = Codec.r_int r in
+      let rs = Codec.r_int r in
+      A.MovR { rd; rs }
+  | 3 ->
+      let op = of_index "host op" r host_ops in
+      let rd = Codec.r_int r in
+      let a = Codec.r_int r in
+      let b = r_src r in
+      A.Alu { op; rd; a; b }
+  | 4 ->
+      let op = of_index "xop" r xops in
+      let size = r_size r in
+      let rd = Codec.r_opt r Codec.r_int in
+      let a = r_src r in
+      let b = r_src r in
+      let fr = Codec.r_int r in
+      let fw = Codec.r_int r in
+      A.AluX { op; size; rd; a; b; fr; fw }
+  | 5 ->
+      let signed = Codec.r_bool r in
+      let size = r_size r in
+      let rd_lo = Codec.r_int r in
+      let rd_hi = Codec.r_opt r Codec.r_int in
+      let a = r_src r in
+      let b = r_src r in
+      let fr = Codec.r_int r in
+      let fw = Codec.r_int r in
+      A.MulX { signed; size; rd_lo; rd_hi; a; b; fr; fw }
+  | 6 ->
+      let signed = Codec.r_bool r in
+      let size = r_size r in
+      let rd_q = Codec.r_int r in
+      let rd_r = Codec.r_int r in
+      let hi = Codec.r_int r in
+      let lo = Codec.r_int r in
+      let divisor = r_src r in
+      A.DivX { signed; size; rd_q; rd_r; hi; lo; divisor }
+  | 7 ->
+      let rd = Codec.r_int r in
+      let cond = r_cond r in
+      let fr = Codec.r_int r in
+      A.SetCond { rd; cond; fr }
+  | 8 ->
+      let rd = Codec.r_int r in
+      let rs = Codec.r_int r in
+      let shift = Codec.r_int r in
+      let width = Codec.r_int r in
+      let sign = Codec.r_bool r in
+      A.ExtField { rd; rs; shift; width; sign }
+  | 9 ->
+      let rd = Codec.r_int r in
+      let rs = Codec.r_int r in
+      let shift = Codec.r_int r in
+      let width = Codec.r_int r in
+      A.InsField { rd; rs; shift; width }
+  | 10 ->
+      let rd = Codec.r_int r in
+      let base = Codec.r_int r in
+      let disp = Codec.r_int r in
+      let size = Codec.r_int r in
+      let spec = Codec.r_bool r in
+      let protect = Codec.r_opt r Codec.r_int in
+      let check = Codec.r_int r in
+      A.Load { rd; base; disp; size; spec; protect; check }
+  | 11 ->
+      let rs = r_src r in
+      let base = Codec.r_int r in
+      let disp = Codec.r_int r in
+      let size = Codec.r_int r in
+      let spec = Codec.r_bool r in
+      let check = Codec.r_int r in
+      A.Store { rs; base; disp; size; spec; check }
+  | 12 -> A.Br { target = Codec.r_int r }
+  | 13 ->
+      let cond = r_cond r in
+      let fr = Codec.r_int r in
+      let target = Codec.r_int r in
+      A.BrCond { cond; fr; target }
+  | 14 ->
+      let cmp = of_index "cmp" r cmps in
+      let a = Codec.r_int r in
+      let b = r_src r in
+      let target = Codec.r_int r in
+      A.BrCmp { cmp; a; b; target }
+  | 15 ->
+      let slot = Codec.r_int r in
+      let base = Codec.r_int r in
+      let disp = Codec.r_int r in
+      let len = Codec.r_int r in
+      A.ArmRange { slot; base; disp; len }
+  | 16 -> A.Commit (Codec.r_int r)
+  | 17 -> A.Exit (Codec.r_int r)
+  | t -> Codec.corrupt "tstore: unknown atom tag %d" t
+
+let w_exit b (e : Vliw.Code.exit) =
+  (match e.Vliw.Code.target with
+  | Vliw.Code.Const c ->
+      Codec.w_int b 0;
+      Codec.w_int b c
+  | Vliw.Code.FromReg r ->
+      Codec.w_int b 1;
+      Codec.w_int b r);
+  Codec.w_int b
+    (match e.Vliw.Code.kind with
+    | Vliw.Code.Enext -> 0
+    | Vliw.Code.Einterp_one -> 1
+    | Vliw.Code.Eselfcheck_fail -> 2);
+  Codec.w_int b e.Vliw.Code.x86_retired;
+  (* chaining state is engine-local: normalize to the unchained /
+     never-chain distinction so image bytes are deterministic *)
+  Codec.w_bool b (e.Vliw.Code.chain = Vliw.Code.NoChain)
+
+let r_exit r : Vliw.Code.exit =
+  let target =
+    match Codec.r_int r with
+    | 0 -> Vliw.Code.Const (Codec.r_int r)
+    | 1 -> Vliw.Code.FromReg (Codec.r_int r)
+    | t -> Codec.corrupt "tstore: bad exit target tag %d" t
+  in
+  let kind =
+    match Codec.r_int r with
+    | 0 -> Vliw.Code.Enext
+    | 1 -> Vliw.Code.Einterp_one
+    | 2 -> Vliw.Code.Eselfcheck_fail
+    | t -> Codec.corrupt "tstore: bad exit kind tag %d" t
+  in
+  let x86_retired = Codec.r_int r in
+  let nochain = Codec.r_bool r in
+  {
+    Vliw.Code.target;
+    kind;
+    x86_retired;
+    chain = (if nochain then Vliw.Code.NoChain else Vliw.Code.Unchained);
+  }
+
+let w_molecule b (m : Vliw.Molecule.t) =
+  Codec.w_int b (Array.length m);
+  Array.iter (w_atom b) m
+
+let r_molecule r : Vliw.Molecule.t =
+  let n = Codec.r_int r in
+  if n < 0 || n > 64 then Codec.corrupt "tstore: implausible molecule width %d" n
+  else Array.init n (fun _ -> r_atom r)
+
+let w_code b (c : Vliw.Code.t) =
+  Codec.w_int b (Array.length c.Vliw.Code.molecules);
+  Array.iter (w_molecule b) c.Vliw.Code.molecules;
+  Codec.w_int b (Array.length c.Vliw.Code.exits);
+  Array.iter (w_exit b) c.Vliw.Code.exits
+
+let r_code r : Vliw.Code.t =
+  let nm = Codec.r_int r in
+  if nm < 0 || nm > 1_000_000 then
+    Codec.corrupt "tstore: implausible molecule count %d" nm;
+  let molecules = Array.init nm (fun _ -> r_molecule r) in
+  let nx = Codec.r_int r in
+  if nx < 0 || nx > 1_000_000 then
+    Codec.corrupt "tstore: implausible exit count %d" nx;
+  let exits = Array.init nx (fun _ -> r_exit r) in
+  { Vliw.Code.molecules; exits }
+
+(* ------------------------------------------------------------------ *)
 (* Payload codec                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The wire payload reuses the AOT translation codec (PR 6): region
-   shape minus the instructions (re-decoded at consume time from the
-   payload's own source bytes), policy, source bytes, scheduled code —
-   plus the two compile outputs the AOT image does not need: the
-   page-protection mode and whether the translation keeps its snapshot
-   (self-check / self-reval policies). *)
-type payload = {
-  tran : Aot.tran;
+(* The region shape, minus the instructions: consumers re-decode them
+   from the blob's own source bytes, once those equal the live ones, so
+   an entry cannot carry an instruction stream that disagrees with
+   memory. *)
+type insn_wire = {
+  addr : int;
+  len : int;
+  follow : Cms.Region.follow;
+  loops : bool;
+  imm32_addr : int option;
+}
+
+(** One compile, as an entry carries it: the policy and region shape it
+    was minted under, the source bytes it read (in range order), the
+    scheduled code, and the two compile outputs the code does not
+    carry — the page-protection mode and whether the translation keeps
+    its snapshot (self-check / self-reval policies). *)
+type tran = {
+  tentry : int;
+  policy : Cms.Policy.t;
+  cont : int option;
+  src_ranges : (int * int) list;
+  insns : insn_wire list;
+  snapshot : Bytes.t;
+  code : Vliw.Code.t;
   unprotected : bool;
   keep_snapshot : bool;
 }
 
-let w_payload b (p : payload) =
-  Aot.w_tran b p.tran;
-  Codec.w_bool b p.unprotected;
-  Codec.w_bool b p.keep_snapshot
+let w_insn_wire b (i : insn_wire) =
+  Codec.w_int b i.addr;
+  Codec.w_int b i.len;
+  Codec.w_int b
+    (match i.follow with
+    | Cms.Region.FNext -> 0
+    | Cms.Region.FTarget -> 1
+    | Cms.Region.FEnd -> 2);
+  Codec.w_bool b i.loops;
+  Codec.w_opt b Codec.w_int i.imm32_addr
 
-let r_payload r : payload =
-  let tran = Aot.r_tran r in
+let r_insn_wire r : insn_wire =
+  let addr = Codec.r_int r in
+  let len = Codec.r_int r in
+  let follow =
+    match Codec.r_int r with
+    | 0 -> Cms.Region.FNext
+    | 1 -> Cms.Region.FTarget
+    | 2 -> Cms.Region.FEnd
+    | t -> Codec.corrupt "tstore: bad follow tag %d" t
+  in
+  let loops = Codec.r_bool r in
+  let imm32_addr = Codec.r_opt r Codec.r_int in
+  { addr; len; follow; loops; imm32_addr }
+
+let w_tran b (t : tran) =
+  Codec.w_int b t.tentry;
+  Stable.w_policy b t.policy;
+  Codec.w_opt b Codec.w_int t.cont;
+  Codec.w_list b
+    (fun b (lo, hi) ->
+      Codec.w_int b lo;
+      Codec.w_int b hi)
+    t.src_ranges;
+  Codec.w_list b w_insn_wire t.insns;
+  Codec.w_bytes b t.snapshot;
+  w_code b t.code;
+  Codec.w_bool b t.unprotected;
+  Codec.w_bool b t.keep_snapshot
+
+let r_tran r : tran =
+  let tentry = Codec.r_int r in
+  let policy = Stable.r_policy r in
+  let cont = Codec.r_opt r Codec.r_int in
+  let src_ranges =
+    Codec.r_list r (fun r ->
+        let lo = Codec.r_int r in
+        let hi = Codec.r_int r in
+        (lo, hi))
+  in
+  let insns = Codec.r_list r r_insn_wire in
+  let snapshot = Codec.r_bytes r in
+  let code = r_code r in
   let unprotected = Codec.r_bool r in
   let keep_snapshot = Codec.r_bool r in
-  { tran; unprotected; keep_snapshot }
+  { tentry; policy; cont; src_ranges; insns; snapshot; code; unprotected;
+    keep_snapshot }
+
+(** The blob of [t]. *)
+let blob (t : tran) =
+  let b = Codec.writer () in
+  w_tran b t;
+  Codec.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Keys                                                                *)
@@ -79,6 +489,16 @@ let key ~entry ~(bytes : Bytes.t) ~(policy : Cms.Policy.t) =
     (Digest.to_hex (Digest.bytes bytes))
     (Digest.to_hex (policy_digest policy))
 
+(** The entry address [k] was minted for; raises {!Codec.Corrupt} on a
+    key {!key} did not make. *)
+let key_entry k =
+  match
+    Option.bind (String.index_opt k ':') (fun i ->
+        int_of_string_opt ("0x" ^ String.sub k 0 i))
+  with
+  | Some entry -> entry
+  | None -> Codec.corrupt "tstore: malformed key %S" k
+
 (* ------------------------------------------------------------------ *)
 (* The store                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -89,18 +509,11 @@ type t = {
   lock : Mutex.t;
   entries : (string, entry) Hashtbl.t;
   poisoned : (string, string) Hashtbl.t;  (** key -> first failure *)
-  mutable publishes : int;  (** entries accepted *)
-  mutable dup_publishes : int;  (** publish attempts finding a live entry *)
 }
 
 let create () =
-  {
-    lock = Mutex.create ();
-    entries = Hashtbl.create 256;
-    poisoned = Hashtbl.create 16;
-    publishes = 0;
-    dup_publishes = 0;
-  }
+  { lock = Mutex.create (); entries = Hashtbl.create 256;
+    poisoned = Hashtbl.create 16 }
 
 let locked t f =
   Mutex.lock t.lock;
@@ -109,29 +522,29 @@ let locked t f =
 let size t = locked t (fun () -> Hashtbl.length t.entries)
 let poisoned_count t = locked t (fun () -> Hashtbl.length t.poisoned)
 
+let sorted tbl =
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+(** The live entries, in key order. *)
+let bindings t = locked t (fun () -> sorted t.entries)
+
 (** Accept [blob] for [key] unless the key is live or poisoned.
     Returns [true] when the entry was stored. *)
 let publish t ~key:k ~blob =
   locked t (fun () ->
-      if Hashtbl.mem t.poisoned k then false
-      else if Hashtbl.mem t.entries k then begin
-        t.dup_publishes <- t.dup_publishes + 1;
-        false
-      end
+      if Hashtbl.mem t.poisoned k || Hashtbl.mem t.entries k then false
       else begin
         Hashtbl.replace t.entries k { blob; sum = Digest.string blob };
-        t.publishes <- t.publishes + 1;
         true
       end)
 
-type hit = Hit of entry | Poisoned | Miss
-
+(** The live entry for [key].  A poisoned key reads as a miss: it was
+    quarantined fleet-wide by some machine's earlier rejection, and no
+    consumer pays to revalidate it again. *)
 let lookup t k =
   locked t (fun () ->
-      if Hashtbl.mem t.poisoned k then Poisoned
-      else match Hashtbl.find_opt t.entries k with
-        | Some e -> Hit e
-        | None -> Miss)
+      if Hashtbl.mem t.poisoned k then None else Hashtbl.find_opt t.entries k)
 
 (** Quarantine [key] fleet-wide: remove its entry and record the first
     failure reason.  Returns [true] only for the first poisoning of the
@@ -145,31 +558,94 @@ let poison t ~key:k ~reason =
         true
       end)
 
-let poison_reason t k = locked t (fun () -> Hashtbl.find_opt t.poisoned k)
-
 (* ------------------------------------------------------------------ *)
-(* Compile-result conversion                                           *)
+(* Minting and the trust walk                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** Serialize a freshly compiled translation into a (key, blob) pair.
-    [bytes] must be the source snapshot the compile consumed — it is
-    both the key material and the bytes consumers re-decode from. *)
+(** Serialize a freshly compiled translation into a (key, blob) pair —
+    the only way an entry is made, by the fleet's publish seam and the
+    AOT image build ([Aotgen.build]) alike.  [bytes] must be the source
+    snapshot the compile consumed: it is both the key material and the
+    bytes consumers re-decode from. *)
 let encode ~entry ~(region : Cms.Region.t) ~(policy : Cms.Policy.t)
     ~(bytes : Bytes.t) ~(compiled : Cms.Codegen.compiled) =
-  let p =
+  let wire (i : Cms.Region.insn_info) =
     {
-      tran =
-        Aot.make_tran ~entry ~policy ~region ~snapshot:bytes
-          ~code:compiled.Cms.Codegen.code;
-      unprotected = compiled.Cms.Codegen.unprotected;
-      keep_snapshot = Option.is_some compiled.Cms.Codegen.snapshot;
+      addr = i.Cms.Region.addr;
+      len = i.Cms.Region.len;
+      follow = i.Cms.Region.follow;
+      loops = i.Cms.Region.loops;
+      imm32_addr = i.Cms.Region.imm32_addr;
     }
   in
-  let b = Codec.writer () in
-  w_payload b p;
-  (key ~entry ~bytes ~policy, Codec.contents b)
+  ( key ~entry ~bytes ~policy,
+    blob
+      {
+        tentry = entry;
+        policy;
+        cont = region.Cms.Region.cont;
+        src_ranges = region.Cms.Region.src_ranges;
+        insns = List.map wire (Array.to_list region.Cms.Region.insns);
+        snapshot = bytes;
+        code = compiled.Cms.Codegen.code;
+        unprotected = compiled.Cms.Codegen.unprotected;
+        keep_snapshot = Option.is_some compiled.Cms.Codegen.snapshot;
+      } )
 
-(* A decoded store hit carries no optimizer statistics of its own. *)
+(** The one decoder: [e]'s MD5, then its payload, with no trailing
+    bytes.  Raises {!Untrusted}, naming [entry]. *)
+let decode ~entry (e : entry) =
+  if Digest.string e.blob <> e.sum then
+    untrusted "entry %#x: blob digest mismatch (store corruption)" entry;
+  try
+    let r = Codec.reader e.blob in
+    let t = r_tran r in
+    Codec.r_end r;
+    t
+  with Codec.Corrupt m -> untrusted "entry %#x: %s" entry m
+
+(* Rebuild the region from the wire shape, re-decoding every
+   instruction from the entry's own (already compared) source bytes. *)
+let region_of_tran (t : tran) : Cms.Region.t =
+  let byte_at a =
+    let rec go off = function
+      | [] -> raise (X86.Exn.Fault X86.Exn.UD)
+      | (lo, hi) :: rest ->
+          if a >= lo && a < hi then Char.code (Bytes.get t.snapshot (off + (a - lo)))
+          else go (off + (hi - lo)) rest
+    in
+    go 0 t.src_ranges
+  in
+  let insn (w : insn_wire) =
+    let f =
+      try X86.Decode.decode ~fetch:byte_at w.addr
+      with X86.Exn.Fault _ ->
+        untrusted "entry %#x: undecodable source bytes" t.tentry
+    in
+    if f.X86.Decode.len <> w.len then
+      untrusted
+        "entry %#x: instruction at %#x decodes to %d bytes, entry recorded %d"
+        t.tentry w.addr f.X86.Decode.len w.len;
+    let imm32 = Option.map (fun o -> w.addr + o) f.X86.Decode.imm32_off in
+    if imm32 <> w.imm32_addr then
+      untrusted "entry %#x: imm32 field mismatch at %#x" t.tentry w.addr;
+    {
+      Cms.Region.addr = w.addr;
+      insn = f.X86.Decode.insn;
+      len = w.len;
+      imm32_addr = imm32;
+      follow = w.follow;
+      loops = w.loops;
+    }
+  in
+  {
+    Cms.Region.entry = t.tentry;
+    insns = Array.of_list (List.map insn t.insns);
+    cont = t.cont;
+    src_ranges = t.src_ranges;
+  }
+
+(* A decoded entry carries no optimizer statistics of its own. *)
 let no_opt_stats =
   {
     Cms.Opt.items = [];
@@ -179,98 +655,93 @@ let no_opt_stats =
     loads_eliminated = 0;
   }
 
-(** Decode and fully revalidate a store entry against the consumer's
-    canonical compile inputs.  Raises {!Untrusted} on any defect:
-    blob digest mismatch, codec corruption, trailing bytes, key-field
-    drift, region-shape drift, structurally invalid code, or a
-    molecule-verifier rejection ({!Cms.Codegen.check_code}, whose
-    diagnostics [on_diag] observes).  On success the returned
-    translation is a private copy, bit-independent of every other
-    machine's. *)
-let decode_validated ?on_diag ~(cfg : Cms.Config.t) ~entry
-    ~(region : Cms.Region.t) ~(policy : Cms.Policy.t) ~(bytes : Bytes.t)
-    (e : entry) :
-    Cms.Codegen.compiled =
-  if Digest.string e.blob <> e.sum then
-    untrusted "entry %#x: blob digest mismatch (store corruption)" entry;
-  let p =
-    try
-      let r = Codec.reader e.blob in
-      let p = r_payload r in
-      Codec.r_end r;
-      p
-    with Codec.Corrupt m -> untrusted "entry %#x: %s" entry m
+(** What {!revalidate} accepted: the decoded entry, the region rebuilt
+    from its own bytes, and a private copy of the translation. *)
+type trusted = {
+  tran : tran;
+  region : Cms.Region.t;
+  compiled : Cms.Codegen.compiled;
+}
+
+(** The one trust walk.  Decodes [e] ({!decode}), then requires, in
+    order: the blob is for [entry]; its source ranges span exactly its
+    source bytes; those bytes equal [live] over the ranges; its
+    instructions re-decode from those bytes; its code passes
+    {!Vliw.Code.validate} and the translator's own acceptance check
+    ({!Cms.Codegen.check_code}, whose diagnostics [on_diag] observes).
+    Raises {!Untrusted} at the first failure. *)
+let revalidate ?on_diag ~(cfg : Cms.Config.t) ~entry
+    ~(live : (int * int) list -> Bytes.t) (e : entry) : trusted =
+  let t = decode ~entry e in
+  if t.tentry <> entry then
+    untrusted "entry %#x: blob is for entry %#x" entry t.tentry;
+  (* the ranges index the snapshot and bound the live read *)
+  let rec spans left = function
+    | [] -> left = 0
+    | (lo, hi) :: rest ->
+        0 <= lo && lo <= hi && hi - lo <= left && spans (left - (hi - lo)) rest
   in
-  let t = p.tran in
-  if t.Aot.tentry <> entry then
-    untrusted "entry %#x: blob is for entry %#x" entry t.Aot.tentry;
-  if not (Cms.Policy.equal t.Aot.policy policy) then
-    untrusted "entry %#x: policy drift" entry;
-  if not (Bytes.equal t.Aot.snapshot bytes) then
+  if not (spans (Bytes.length t.snapshot) t.src_ranges) then
+    untrusted "entry %#x: source ranges do not match its source bytes" entry;
+  if not (Bytes.equal t.snapshot (live t.src_ranges)) then
     untrusted "entry %#x: source bytes differ from the live code" entry;
-  (* Rebuild the region from the wire shape, re-decoding every
-     instruction from the digest-validated source bytes, and require
-     it to equal the consumer's own canonical selection — a store hit
-     must be exactly the translation this machine would have compiled. *)
-  let rebuilt =
-    try Aot.region_of_tran t with
-    | Codec.Corrupt m -> untrusted "entry %#x: %s" entry m
-    | X86.Exn.Fault _ -> untrusted "entry %#x: undecodable source bytes" entry
-  in
-  if not (Cms.Region.equal rebuilt region) then
-    untrusted "entry %#x: region shape drift" entry;
-  (match Vliw.Code.validate t.Aot.code with
+  let region = region_of_tran t in
+  (match Vliw.Code.validate t.code with
   | Ok () -> ()
   | Error m -> untrusted "entry %#x: invalid code: %s" entry m);
-  (* Consumer-side verification: the translator's own acceptance
-     check runs on every store hit — distrusting the store costs one
-     static walk, trusting a poisoned molecule costs the machine. *)
+  (* distrusting an entry costs one static walk, trusting a poisoned
+     molecule costs the machine *)
   (match
      Cms.Codegen.check_code ?on_diag ~cfg ~entry
        ~ninsns:(Cms.Region.instruction_count region)
-       t.Aot.code
+       t.code
    with
   | () -> ()
   | exception Cms.Codegen.Verify_failed why ->
       untrusted "entry %#x: verifier: %s" entry why);
   {
-    Cms.Codegen.code = t.Aot.code;
-    snapshot = (if p.keep_snapshot then Some t.Aot.snapshot else None);
-    opt_stats = no_opt_stats;
-    unprotected = p.unprotected;
+    tran = t;
+    region;
+    compiled =
+      {
+        Cms.Codegen.code = t.code;
+        snapshot = (if t.keep_snapshot then Some t.snapshot else None);
+        opt_stats = no_opt_stats;
+        unprotected = t.unprotected;
+      };
   }
 
 (* ------------------------------------------------------------------ *)
-(* Persistence                                                         *)
+(* Image                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let to_string t =
-  locked t (fun () ->
-      let entries =
-        Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.entries []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      let poisoned =
-        Hashtbl.fold (fun k m acc -> (k, m) :: acc) t.poisoned []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      Codec.container ~kind ~version (fun sec ->
-          sec "ENTS" (fun b ->
-              Codec.w_list b
-                (fun b (k, e) ->
-                  Codec.w_string b k;
-                  Codec.w_string b e.blob;
-                  Codec.w_string b e.sum)
-                entries);
-          sec "POIS" (fun b ->
-              Codec.w_list b
-                (fun b (k, m) ->
-                  Codec.w_string b k;
-                  Codec.w_string b m)
-                poisoned)))
+(** The store's container: [header] emits sections ahead of ENTS and
+    POIS, under [kind] and [version] ({!Aot} writes its image this
+    way). *)
+let to_string ?(kind = kind) ?(version = version) ?(header = fun _ -> ()) t =
+  let entries, poisoned =
+    locked t (fun () -> (sorted t.entries, sorted t.poisoned))
+  in
+  Codec.container ~kind ~version (fun sec ->
+      header sec;
+      sec "ENTS" (fun b ->
+          Codec.w_list b
+            (fun b (k, e) ->
+              Codec.w_string b k;
+              Codec.w_string b e.blob;
+              Codec.w_string b e.sum)
+            entries);
+      sec "POIS" (fun b ->
+          Codec.w_list b
+            (fun b (k, m) ->
+              Codec.w_string b k;
+              Codec.w_string b m)
+            poisoned))
 
-let of_string data =
-  let sections = Codec.read_container ~kind ~version data in
+(** The store held in the ENTS and POIS of a verified container's
+    [sections]; raises {!Codec.Corrupt} on an entry whose blob fails
+    its MD5 or whose key {!key} did not make. *)
+let of_sections sections =
   let t = create () in
   let sec tag =
     Codec.reader ~ctx:("tstore section " ^ tag) (Codec.section sections tag)
@@ -294,6 +765,7 @@ let of_string data =
   Codec.r_end r;
   List.iter
     (fun (k, blob, sum) ->
+      ignore (key_entry k : int);
       if Digest.string blob <> sum then
         Codec.corrupt "tstore: entry %s: blob digest mismatch" k;
       Hashtbl.replace t.entries k { blob; sum })
@@ -301,9 +773,4 @@ let of_string data =
   List.iter (fun (k, m) -> Hashtbl.replace t.poisoned k m) poisoned;
   t
 
-(** Atomic publish of the whole store image ({!Codec.write_file}): a
-    consumer can observe the old image or the new one, never a torn
-    one. *)
-let save path t = Codec.write_file path (to_string t)
-
-let load path = of_string (Codec.read_file path)
+let of_string data = of_sections (Codec.read_container ~kind ~version data)

@@ -238,27 +238,23 @@ let tamper_code (store : Tstore.t) k =
       | Some e -> (
           match
             let r = Codec.reader e.Tstore.blob in
-            let p = Tstore.r_payload r in
+            let t = Tstore.r_tran r in
             Codec.r_end r;
-            p
+            t
           with
           | exception Codec.Corrupt _ -> false
-          | p -> (
-              let code = p.Tstore.tran.Cms_persist.Aot.code in
+          | t -> (
               let mutated =
                 List.find_map
                   (fun m ->
-                    Cms_analysis.Mutate.apply ~cfg:Cms.Config.default code m)
+                    Cms_analysis.Mutate.apply ~cfg:Cms.Config.default
+                      t.Tstore.code m)
                   tamper_mutations
               in
               match mutated with
               | None -> false
               | Some code ->
-                  let tran = { p.Tstore.tran with Cms_persist.Aot.code } in
-                  let p = { p with Tstore.tran } in
-                  let b = Codec.writer () in
-                  Tstore.w_payload b p;
-                  let blob = Codec.contents b in
+                  let blob = Tstore.blob { t with Tstore.code } in
                   Hashtbl.replace store.Tstore.entries k
                     { Tstore.blob; sum = Digest.string blob };
                   true)))

@@ -3,8 +3,10 @@
    (indirect control flow, write-reachable pages), overlapping decode
    starts, entry into the middle of a discovered region, image
    round-trip determinism and corruption rejection, stale-digest
-   refusal, runtime SMC invalidation of installed AOT entries, and the
-   whole-suite AOT-on/AOT-off architectural differential. *)
+   refusal, runtime SMC invalidation of installed AOT entries, forged
+   entries refused for the same reason by an image install and a fleet
+   store hit, the compile's page-protection mode kept at install, and
+   the whole-suite AOT-on/AOT-off architectural differential. *)
 
 module P = Cms_persist
 module A = Cms_analysis
@@ -233,6 +235,26 @@ let build_image ?(cfg = Cms.Config.default) ?(listing = counted_loop ~iters:50)
   Cms.boot c ~entry:0x1000;
   (c, (A.Aotgen.build ~label:"test" c ~entry:0x1000).A.Aotgen.image)
 
+let decode (k, e) = P.Tstore.decode ~entry:(P.Tstore.key_entry k) e
+
+(* [img] with [f] applied to every entry's translation, each re-minted
+   consistently (fresh blob MD5). *)
+let map_trans f (img : P.Aot.t) =
+  let store = P.Tstore.create () in
+  List.iter
+    (fun ((k, _) as b) ->
+      ignore
+        (P.Tstore.publish store ~key:k ~blob:(P.Tstore.blob (f (decode b)))
+          : bool))
+    (P.Tstore.bindings img.P.Aot.store);
+  { img with P.Aot.store }
+
+(* [code] with a write to a register outside the host register file. *)
+let with_r99 (code : Vliw.Code.t) =
+  let mols = Array.copy code.Vliw.Code.molecules in
+  mols.(0) <- Array.append mols.(0) [| Vliw.Atom.MovI { rd = 99; imm = 1 } |];
+  { code with Vliw.Code.molecules = mols }
+
 let test_image_roundtrip_deterministic () =
   let _, img1 = build_image () in
   let _, img2 = build_image () in
@@ -326,14 +348,12 @@ let test_install_and_run_from_image () =
 let test_forged_register_rejected () =
   let listing = counted_loop ~iters:50 in
   let _, img = build_image ~listing () in
-  let forge (t : P.Aot.tran) =
-    let mols = Array.copy t.P.Aot.code.Vliw.Code.molecules in
-    mols.(0) <- Array.append mols.(0) [| Vliw.Atom.MovI { rd = 99; imm = 1 } |];
-    { t with P.Aot.code = { t.P.Aot.code with Vliw.Code.molecules = mols } }
-  in
   let forged =
     P.Aot.of_string
-      (P.Aot.to_string { img with P.Aot.trans = List.map forge img.P.Aot.trans })
+      (P.Aot.to_string
+         (map_trans
+            (fun t -> { t with P.Tstore.code = with_r99 t.P.Tstore.code })
+            img))
   in
   let c = Cms.create ~cfg:Cms.Config.default () in
   Cms.load c listing;
@@ -341,7 +361,7 @@ let test_forged_register_rejected () =
   let rep = P.Aot.install c forged in
   check Alcotest.int "nothing installed" 0 rep.P.Aot.installed;
   check Alcotest.int "every translation rejected"
-    (List.length img.P.Aot.trans)
+    (P.Tstore.size img.P.Aot.store)
     (List.length rep.P.Aot.rejected);
   List.iter
     (fun (e, why) ->
@@ -354,51 +374,52 @@ let test_forged_register_rejected () =
   check Alcotest.int "checksum" 150 (Cms.gpr c X86.Regs.eax);
   check Alcotest.int "no AOT entry ran" 0 (Cms.stats c).Cms.Stats.aot_hits
 
+(* The counted loop, adding its 3 from memory: the load is what the
+   early-read mutant reads too soon. *)
+let memory_loop () =
+  X86.Asm.(
+    assemble ~base:0x1000
+      [
+        mov_rl ebx "three";
+        mov_ri ecx 50;
+        mov_ri eax 0;
+        label "l";
+        add_rm eax (mb ebx);
+        dec_r ecx;
+        jne "l";
+        hlt;
+        label "three";
+        dd [ 3 ];
+      ])
+
 (* An image entry whose code passes [Code.validate] but reads a load's
    result before its latency has passed must be refused at install by the
    translator's own verifier, with a reason naming the rule; the
    dynamic tier then covers that entry and the run is still right. *)
 let test_verifier_violation_rejected () =
-  (* the counted loop, adding its 3 from memory: the load is what the
-     early-read mutant reads too soon *)
-  let listing =
-    X86.Asm.(
-      assemble ~base:0x1000
-        [
-          mov_rl ebx "three";
-          mov_ri ecx 50;
-          mov_ri eax 0;
-          label "l";
-          add_rm eax (mb ebx);
-          dec_r ecx;
-          jne "l";
-          hlt;
-          label "three";
-          dd [ 3 ];
-        ])
-  in
+  let listing = memory_loop () in
   let _, img = build_image ~listing () in
   let mutated = ref None in
-  let trans =
-    List.map
-      (fun (t : P.Aot.tran) ->
+  let img' =
+    map_trans
+      (fun t ->
         if !mutated <> None then t
         else
           match
-            A.Mutate.apply ~cfg:img.P.Aot.cfg t.P.Aot.code A.Mutate.Early_read
+            A.Mutate.apply ~cfg:img.P.Aot.cfg t.P.Tstore.code A.Mutate.Early_read
           with
           | None -> t
           | Some code ->
-              mutated := Some t.P.Aot.tentry;
-              { t with P.Aot.code })
-      img.P.Aot.trans
+              mutated := Some t.P.Tstore.tentry;
+              { t with P.Tstore.code })
+      img
   in
   let bad_entry =
     match !mutated with
     | Some e -> e
     | None -> Alcotest.fail "early-read applies to no image entry"
   in
-  let img' = P.Aot.of_string (P.Aot.to_string { img with P.Aot.trans }) in
+  let img' = P.Aot.of_string (P.Aot.to_string img') in
   let c = Cms.create ~cfg:Cms.Config.default () in
   Cms.load c listing;
   Cms.boot c ~entry:0x1000;
@@ -415,6 +436,203 @@ let test_verifier_violation_rejected () =
   | Cms.Engine.Halted -> ()
   | _ -> Alcotest.fail "workload did not halt");
   check Alcotest.int "checksum" 150 (Cms.gpr c X86.Regs.eax)
+
+(* One rejection table for both consumers: each forgery of one entry is
+   refused by a fleet store hit and by an AOT install, for the same
+   reason, because both run the same walk. *)
+let test_one_rejection_table () =
+  let listing = memory_loop () in
+  let _, img = build_image ~listing () in
+  let cfg = Cms.Config.default in
+  let bindings = P.Tstore.bindings img.P.Aot.store in
+  let (k, e), t, early =
+    match
+      List.find_map
+        (fun b ->
+          let t = decode b in
+          Option.map
+            (fun code -> (b, t, code))
+            (A.Mutate.apply ~cfg t.P.Tstore.code A.Mutate.Early_read))
+        bindings
+    with
+    | Some found -> found
+    | None -> Alcotest.fail "early-read applies to no image entry"
+  in
+  let entry = t.P.Tstore.tentry in
+  let other =
+    match List.find_opt (fun (k', _) -> k' <> k) bindings with
+    | Some (_, e') -> e'
+    | None -> Alcotest.fail "image holds a single entry"
+  in
+  let flip s i =
+    let b = Bytes.of_string s in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x41));
+    Bytes.to_string b
+  in
+  let fresh blob = { P.Tstore.blob; sum = Digest.string blob } in
+  let remint t = fresh (P.Tstore.blob t) in
+  let past_end =
+    List.fold_left (fun m (_, hi) -> max m hi) 0 t.P.Tstore.src_ranges + 0x100
+  in
+  let forgeries =
+    [
+      ( "flipped blob byte, old MD5",
+        { e with P.Tstore.blob = flip e.P.Tstore.blob 20 },
+        "blob digest mismatch" );
+      ("trailing bytes", fresh (e.P.Tstore.blob ^ "\000"), "trailing bytes");
+      ("wrong entry", other, "blob is for entry");
+      ( "changed source bytes",
+        remint
+          {
+            t with
+            P.Tstore.snapshot =
+              Bytes.of_string (flip (Bytes.to_string t.P.Tstore.snapshot) 0);
+          },
+        "source bytes differ" );
+      ( "undecodable source bytes",
+        remint
+          {
+            t with
+            P.Tstore.insns =
+              (match t.P.Tstore.insns with
+              | i :: rest -> { i with P.Tstore.addr = past_end } :: rest
+              | [] -> []);
+          },
+        "undecodable source bytes" );
+      ( "source ranges past the source bytes",
+        remint
+          {
+            t with
+            P.Tstore.src_ranges =
+              List.map (fun (lo, hi) -> (lo, hi + 0x40)) t.P.Tstore.src_ranges;
+            insns =
+              t.P.Tstore.insns
+              @ [
+                  {
+                    P.Tstore.addr = past_end - 0xf0;
+                    len = 1;
+                    follow = Cms.Region.FEnd;
+                    loops = false;
+                    imm32_addr = None;
+                  };
+                ];
+          },
+        "source ranges" );
+      ( "inverted source range",
+        remint
+          {
+            t with
+            P.Tstore.src_ranges =
+              List.map (fun (lo, hi) -> (hi, lo)) t.P.Tstore.src_ranges;
+          },
+        "source ranges" );
+      ( "register out of range",
+        remint { t with P.Tstore.code = with_r99 t.P.Tstore.code },
+        "r99" );
+      ("early read", remint { t with P.Tstore.code = early }, "latency");
+    ]
+  in
+  let machine () =
+    let c = Cms.create ~cfg () in
+    Cms.load c listing;
+    Cms.boot c ~entry:0x1000;
+    c
+  in
+  (* a fleet consumer asking for [entry] with the image build's
+     canonical inputs, against a store holding only [forged] *)
+  let store_reason forged =
+    let c = machine () in
+    let mem = Cms.mem c and policy = Cms.Policy.default cfg in
+    let region =
+      Option.get
+        (Cms.Region.select ~mem ~profile:(Cms.Profile.create ()) ~policy entry)
+    in
+    let bytes_ = Cms.Codegen.take_snapshot mem region in
+    check Alcotest.string "consumer computes the image's key" k
+      (P.Tstore.key ~entry ~bytes:bytes_ ~policy);
+    let store = P.Tstore.create () in
+    Hashtbl.replace store.P.Tstore.entries k forged;
+    ignore (Cms_fleet.Share.attach c store : Cms_fleet.Share.t);
+    (match
+       (Option.get c.Cms.Engine.shared_source) ~entry ~region ~policy ~bytes_
+     with
+    | Some _ -> Alcotest.fail "store served a forged entry"
+    | None -> ());
+    match Hashtbl.find_opt store.P.Tstore.poisoned k with
+    | Some why -> why
+    | None -> Alcotest.fail "forged entry was not poisoned"
+  in
+  let aot_reason forged =
+    let store = P.Tstore.create () in
+    List.iter
+      (fun (k', e') -> Hashtbl.replace store.P.Tstore.entries k' e')
+      bindings;
+    Hashtbl.replace store.P.Tstore.entries k forged;
+    let rep = P.Aot.install (machine ()) { img with P.Aot.store } in
+    check Alcotest.int "the others install" (List.length bindings - 1)
+      rep.P.Aot.installed;
+    match rep.P.Aot.rejected with
+    | [ (e', why) ] ->
+        check Alcotest.int "the forged entry is the one rejected" entry e';
+        why
+    | l -> Alcotest.failf "expected one rejection, got %d" (List.length l)
+  in
+  List.iter
+    (fun (name, forged, expect) ->
+      let s = store_reason forged and a = aot_reason forged in
+      if not (contains s expect) then
+        Alcotest.failf "%s: store reason %S does not say %S" name s expect;
+      check Alcotest.string (name ^ ": same reason") s a)
+    forgeries;
+  (* policy drift is a store-hit check: the consumer's own policy *)
+  let drift =
+    remint
+      {
+        t with
+        P.Tstore.policy =
+          { t.P.Tstore.policy with
+            Cms.Policy.max_insns = t.P.Tstore.policy.Cms.Policy.max_insns / 2 };
+      }
+  in
+  let s = store_reason drift in
+  if not (contains s "policy drift") then
+    Alcotest.failf "policy drift: store reason %S" s
+
+(* An image built under [force_self_check] installs each entry with the
+   page-protection mode its compile chose: guard-checked translations
+   stay unprotected, as they are when compiled at run time. *)
+let test_install_keeps_unprotected () =
+  let cfg = { Cms.Config.default with Cms.Config.force_self_check = true } in
+  let w =
+    List.find
+      (fun w -> w.Suite.name = "026.compress (Linux)")
+      Workloads.Progs_spec.all
+  in
+  let c = Suite.prepare ~cfg w in
+  let img =
+    (A.Aotgen.build ~label:w.Suite.name c ~entry:w.Suite.entry).A.Aotgen.image
+  in
+  let img = P.Aot.of_string (P.Aot.to_string img) in
+  let rep = P.Aot.install c img in
+  check Alcotest.int "every entry installed" (P.Tstore.size img.P.Aot.store)
+    rep.P.Aot.installed;
+  let unprotected =
+    List.fold_left
+      (fun n (k, _) ->
+        let entry = P.Tstore.key_entry k in
+        let tr = Option.get (Cms.Tcache.lookup c.Cms.Engine.tcache entry) in
+        let compiled =
+          Cms.Codegen.compile ~cfg ~policy:tr.Cms.Tcache.policy ~mem:(Cms.mem c)
+            tr.Cms.Tcache.region
+        in
+        check Alcotest.bool
+          (Fmt.str "%#x installed as compiled" entry)
+          compiled.Cms.Codegen.unprotected tr.Cms.Tcache.unprotected;
+        if tr.Cms.Tcache.unprotected then n + 1 else n)
+      0
+      (P.Tstore.bindings img.P.Aot.store)
+  in
+  check Alcotest.bool "some entry is guard-checked" true (unprotected > 0)
 
 let test_smc_invalidates_aot_entry () =
   (* The entry block patches the immediate of an instruction inside a
@@ -547,6 +765,10 @@ let suites =
           test_forged_register_rejected;
         Alcotest.test_case "verifier violation rejected at install" `Quick
           test_verifier_violation_rejected;
+        Alcotest.test_case "one rejection table for store and image" `Quick
+          test_one_rejection_table;
+        Alcotest.test_case "install keeps the compile's unprotected flag"
+          `Quick test_install_keeps_unprotected;
       ] );
     ( "aot-suite",
       [

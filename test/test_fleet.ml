@@ -42,11 +42,11 @@ let test_atomic_save () =
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
-      Tstore.save path store;
+      Codec.write_file path (Tstore.to_string store);
       check cb "image written" true (Sys.file_exists path);
       check cb "no temp file left behind" false
         (Sys.file_exists (path ^ ".tmp"));
-      let loaded = Tstore.load path in
+      let loaded = Tstore.of_string (Codec.read_file path) in
       check ci "entries round-trip" (Tstore.size store) (Tstore.size loaded))
 
 let test_truncated_image_rejected () =
