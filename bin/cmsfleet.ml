@@ -66,6 +66,7 @@ let run_campaign seed cases machines json quiet forensics =
   in
   let t = Fleet.campaign ~profile ~fcfg ~on_case ~seed ~cases () in
   if json then begin
+    let f = t.Fleet.fleet in
     let failures =
       List.rev_map
         (fun (i, e) -> Fmt.str "{\"case\":%d,\"reason\":%S}" i e)
@@ -78,10 +79,12 @@ let run_campaign seed cases machines json quiet forensics =
        \"speculation_violations\":%d,\"store_hits\":%d,\
        \"store_rejects\":%d,\"store_quarantines\":%d,\"degraded\":%d,\
        \"attacks\":%d,\"fingerprint\":%S,\"failures\":[%s]}@."
-      seed t.Fleet.cases t.Fleet.passed t.Fleet.failed t.Fleet.machines
-      t.Fleet.restarts t.Fleet.quarantined t.Fleet.kills t.Fleet.wedges
-      t.Fleet.divergences t.Fleet.spec_violations t.Fleet.store_hits
-      t.Fleet.store_rejects t.Fleet.store_quarantines t.Fleet.degraded
+      seed t.Fleet.cases t.Fleet.passed t.Fleet.failed f.Fleet.t_machines
+      f.Fleet.t_restarts f.Fleet.t_quarantined f.Fleet.t_kills
+      f.Fleet.t_wedges f.Fleet.t_divergences f.Fleet.t_spec_violations
+      f.Fleet.t_stats.Cms.Stats.store_hits
+      f.Fleet.t_stats.Cms.Stats.store_rejects
+      f.Fleet.t_stats.Cms.Stats.store_quarantines f.Fleet.t_degraded
       t.Fleet.attacks (Fleet.fingerprint t)
       (String.concat "," failures)
   end

@@ -20,8 +20,9 @@ module Persist = Cms_persist
    journal carries no events — just the config and the final digests.
    Replay reruns under the journal's config and compares. *)
 let digests_of (t : Cms.t) =
-  ( Persist.Digests.arch_hex (Persist.Digests.arch t),
-    Persist.Digests.strict_hex (Persist.Digests.strict t) )
+  let a = Persist.Digests.arch t in
+  ( Persist.Digests.arch_hex a,
+    Persist.Digests.strict_hex (Persist.Digests.strict a t) )
 
 let report ~stats ~verbose w t =
   let s = Cms.stats t in

@@ -6,8 +6,8 @@
    kernel, IRQ floods on arbitrary lines, asynchronous DMA bursts over
    the guest's own code image — and runs each case through the full
    gauntlet: interpreter, translator, chaos-composed translator, and a
-   record/replay round trip through the serialized journal.  Every run
-   arms the speculation-visibility probe on rollback.
+   record/replay round trip through the serialized journal.  The engine
+   checks every rollback for visible speculative state.
 
      dune exec bin/cmsstorm.exe -- --seed 1 --cases 500
      dune exec bin/cmsstorm.exe -- --seed 7 --cases 50 --json
@@ -41,8 +41,11 @@ let main seed cases json quiet =
        \"irq_rollbacks\":%d,\"failures\":[%s]}@."
       seed t.Storm.cases t.Storm.passed t.Storm.failed t.Storm.spec_violations
       t.Storm.frames_injected t.Storm.irqs_injected t.Storm.dmas_injected
-      t.Storm.events_fired t.Storm.nic_rx t.Storm.nic_drops
-      t.Storm.irq_delivered t.Storm.irq_rollbacks
+      t.Storm.stats.Cms.Stats.journal_events
+      t.Storm.stats.Cms.Stats.nic_rx_frames
+      t.Storm.stats.Cms.Stats.nic_rx_dropped
+      t.Storm.stats.Cms.Stats.irq_delivered
+      t.Storm.stats.Cms.Stats.irq_rollbacks
       (String.concat "," failures)
   end
   else begin

@@ -190,14 +190,7 @@ let compile_with ?on_diag ~(cfg : Config.t) ~(policy : Policy.t)
     if policy.Policy.self_check then begin
       let snapshot = Option.get snapshot in
       let fail_label = Ir.fresh_label ir in
-      let excluded =
-        Array.to_list region.Region.insns
-        |> List.filter_map (fun (i : Region.insn_info) ->
-               if Policy.ISet.mem i.Region.addr policy.Policy.stylized_imms
-               then
-                 Option.map (fun a -> (a, a + 4)) i.Region.imm32_addr
-               else None)
-      in
+      let excluded = Region.stylized_fields region policy in
       selfcheck_items ir ~region ~snapshot ~excluded ~fail_label
       @ items
       @ selfcheck_fail_stub ir ~entry:region.Region.entry ~fail_label

@@ -53,9 +53,7 @@ type t = {
           lines here makes them deliverable within the same iteration. *)
   mutable chaos : chaos option;  (** fault injection; [None] = clean run *)
   mutable on_rollback : (unit -> unit) option;
-      (** test hook, fired immediately after every speculative-state
-          rollback — the seam where the non-interference invariant
-          ({!speculation_visible}) is asserted *)
+      (** Stub: only perfbench/cmsbench.ml sets it; ROADMAP item 1 removes it. *)
   mutable shared_source :
     (entry:int ->
     region:Region.t ->
@@ -102,6 +100,32 @@ let perf t = t.cpu.Cpu.exec.Vliw.Exec.perf
 let total_molecules t = Stats.total_molecules t.stats (perf t)
 
 let retired t = t.stats.Stats.x86_interp + (perf t).Vliw.Perf.x86_committed
+
+exception Speculation_visible
+(** A rollback left speculative state architecturally visible (see
+    {!check_rollback}).  Like {!Cpu.Panic}, it escapes {!run}. *)
+
+(** The speculation non-interference probe: is ANY speculative state
+    observable right now?  Meaningful at consistent boundaries — in
+    particular immediately after a rollback, where the answer must
+    always be [no]: working registers match committed, the gated store
+    buffer is empty, and no alias-detection range is still armed. *)
+let speculation_visible t =
+  let exec = t.cpu.Cpu.exec in
+  (not (Vliw.Regfile.consistent exec.Vliw.Exec.regs))
+  || (not (Vliw.Storebuf.is_empty exec.Vliw.Exec.sbuf))
+  || exec.Vliw.Exec.alias.Vliw.Alias.any_armed
+
+(** The check every rollback ends with (§3.2: a rollback restores the
+    committed x86 state and nothing else). *)
+let check_rollback t = if speculation_visible t then raise Speculation_visible
+
+(* Roll the speculative state back to the last commit. *)
+let rollback t =
+  Stats.charge t.stats t.cfg.Config.rollback_cost;
+  Vliw.Exec.rollback t.cpu.Cpu.exec;
+  (match t.on_rollback with Some f -> f () | None -> ());
+  check_rollback t
 
 (* Advance device time to match consumed molecules. *)
 let tick_devices t =
@@ -522,9 +546,7 @@ let run_translation_once t (tr : Tcache.trans) : Tcache.trans option =
               Smc.on_selfcheck_fail t.smc tr;
               None)
       | Vliw.Exec.Faulted n ->
-          Stats.charge t.stats t.cfg.Config.rollback_cost;
-          Vliw.Exec.rollback t.cpu.Cpu.exec;
-          (match t.on_rollback with Some f -> f () | None -> ());
+          rollback t;
           recover t tr n;
           None
       | Vliw.Exec.Interrupted ->
@@ -534,9 +556,7 @@ let run_translation_once t (tr : Tcache.trans) : Tcache.trans option =
               (Vliw.Regfile.consistent t.cpu.Cpu.exec.Vliw.Exec.regs
               && Vliw.Storebuf.is_empty t.cpu.Cpu.exec.Vliw.Exec.sbuf)
           then begin
-            Stats.charge t.stats t.cfg.Config.rollback_cost;
-            Vliw.Exec.rollback t.cpu.Cpu.exec;
-            (match t.on_rollback with Some f -> f () | None -> ());
+            rollback t;
             t.stats.Stats.irq_rollbacks <- t.stats.Stats.irq_rollbacks + 1
           end;
           (* Under a spoofed poll this exit can happen with IF clear; a
@@ -709,18 +729,6 @@ let run ?(max_insns = max_int) t =
     end
   done;
   !result
-
-(** The speculation non-interference probe: is ANY speculative state
-    observable right now?  Meaningful at consistent boundaries — in
-    particular immediately after a rollback ({!t.on_rollback}), where
-    the answer must always be [no]: working registers match committed,
-    the gated store buffer is empty, and no alias-detection range is
-    still armed. *)
-let speculation_visible t =
-  let exec = t.cpu.Cpu.exec in
-  (not (Vliw.Regfile.consistent exec.Vliw.Exec.regs))
-  || (not (Vliw.Storebuf.is_empty exec.Vliw.Exec.sbuf))
-  || exec.Vliw.Exec.alias.Vliw.Alias.any_armed
 
 (** Headline metric: molecules per retired x86 instruction. *)
 let mpi t =

@@ -67,6 +67,58 @@ let equal (a : t) (b : t) =
 let contains t addr =
   List.exists (fun (lo, hi) -> addr >= lo && addr < hi) t.src_ranges
 
+(* ------------------------------------------------------------------ *)
+(* Stylized immediates (§3.6.4)                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The [lo, hi) imm32 field of [i], if it has one. *)
+let imm_field (i : insn_info) = Option.map (fun f -> (f, f + 4)) i.imm32_addr
+
+(** Which imm32 fields cover [bytes] (addresses): [Some insns], the
+    addresses of the instructions whose fields hold them, when every
+    byte sits in some field (a write confined to immediates is
+    stylized SMC), [None] otherwise. *)
+let imm_cover t bytes =
+  let owner a =
+    Array.find_opt
+      (fun i ->
+        match imm_field i with
+        | Some (lo, hi) -> a >= lo && a < hi
+        | None -> false)
+      t.insns
+  in
+  List.fold_left
+    (fun acc a ->
+      match (acc, owner a) with
+      | Some s, Some i -> Some (Policy.ISet.add i.addr s)
+      | _ -> None)
+    (Some Policy.ISet.empty) bytes
+
+(** The [lo, hi) imm32 fields [policy] loads from the code stream at
+    run time: legitimately volatile bytes, which every comparison of
+    the source bytes against their snapshot leaves out. *)
+let stylized_fields t (policy : Policy.t) =
+  Array.to_list t.insns
+  |> List.filter_map (fun i ->
+         if Policy.ISet.mem i.addr policy.Policy.stylized_imms then
+           imm_field i
+         else None)
+
+(** Addresses of the source bytes where [current] differs from [snap],
+    both laid out along [src_ranges]. *)
+let changed_bytes t ~snap ~current =
+  let diffs = ref [] in
+  let off = ref 0 in
+  List.iter
+    (fun (lo, hi) ->
+      for a = lo to hi - 1 do
+        let k = !off + (a - lo) in
+        if Bytes.get snap k <> Bytes.get current k then diffs := a :: !diffs
+      done;
+      off := !off + (hi - lo))
+    t.src_ranges;
+  List.rev !diffs
+
 (** Select a region starting at [entry] under [policy].  Returns [None]
     if not even one instruction can be included (the caller then builds
     a zero-instruction translation or keeps interpreting). *)

@@ -132,27 +132,6 @@ let bump tbl key =
       Hashtbl.add tbl key (ref 1);
       1
 
-(* Stylized-SMC detection: is every byte of [paddr,+len) inside some
-   instruction's imm32 field? *)
-let all_bytes_in_imm_fields (tr : Tcache.trans) ~paddr ~len =
-  let in_field a =
-    Array.exists
-      (fun (i : Region.insn_info) ->
-        match i.Region.imm32_addr with
-        | Some f -> a >= f && a < f + 4
-        | None -> false)
-      tr.Tcache.region.Region.insns
-  in
-  let rec go k = k >= len || (in_field (paddr + k) && go (k + 1)) in
-  go 0
-
-let imm_insns_covering (tr : Tcache.trans) ~paddr ~len =
-  Array.to_list tr.Tcache.region.Region.insns
-  |> List.filter_map (fun (i : Region.insn_info) ->
-         match i.Region.imm32_addr with
-         | Some f when paddr < f + 4 && f < paddr + len -> Some i.Region.addr
-         | _ -> None)
-
 (* Protection faults on a self-revalidating translation: disarm
    protection and arm the prologue (the fault handler "enables the
    prologue and turns off protection to avoid the cost of faulting
@@ -231,43 +210,44 @@ let handle_code_write t ~trs ~paddr ~len =
     (fun (tr : Tcache.trans) ->
       let entry = tr.Tcache.entry in
       (* stylized SMC: writes confined to imm32 fields *)
-      if
-        t.cfg.Config.enable_stylized
-        && all_bytes_in_imm_fields tr ~paddr ~len
-      then begin
-        let addrs = ISet.of_list (imm_insns_covering tr ~paddr ~len) in
-        if
-          ISet.subset addrs tr.Tcache.policy.Policy.stylized_imms
-          && tr.Tcache.policy.Policy.self_check
-        then
-          (* the translation already loads these immediates from the
-             code bytes at run time and verifies everything else: the
-             write needs no invalidation at all — the §3.6.4 payoff *)
-          ()
-        else begin
-          Adapt.add_stylized t.adapt entry addrs;
-          (* stylized translations still need their non-immediate bytes
-             verified *)
-          if t.cfg.Config.enable_self_check then
+      let stylized =
+        if t.cfg.Config.enable_stylized then
+          Region.imm_cover tr.Tcache.region
+            (List.init len (fun k -> paddr + k))
+        else None
+      in
+      match stylized with
+      | Some addrs ->
+          if
+            ISet.subset addrs tr.Tcache.policy.Policy.stylized_imms
+            && tr.Tcache.policy.Policy.self_check
+          then
+            (* the translation already loads these immediates from the
+               code bytes at run time and verifies everything else: the
+               write needs no invalidation at all — the §3.6.4 payoff *)
+            ()
+          else begin
+            Adapt.add_stylized t.adapt entry addrs;
+            (* stylized translations still need their non-immediate bytes
+               verified *)
+            if t.cfg.Config.enable_self_check then
+              Adapt.set_self_check t.adapt entry;
+            invalidate t tr
+              ~keep_in_group:
+                (t.cfg.Config.enable_groups && tr.Tcache.snapshot <> None)
+          end
+      | None ->
+          let n = bump t.invalidation_counts entry in
+          if t.cfg.Config.enable_self_check && n > t.cfg.Config.smc_false_limit
+          then
+            (* repeated rewrites: stop invalidating, start checking *)
             Adapt.set_self_check t.adapt entry;
+          (* a revalidating translation whose region is written *by itself*
+             cannot make progress with a prologue (§3.6.2); self-checking
+             handles that case, which the upgrade above moves toward *)
           invalidate t tr
             ~keep_in_group:
-              (t.cfg.Config.enable_groups && tr.Tcache.snapshot <> None)
-        end
-      end
-      else begin
-        let n = bump t.invalidation_counts entry in
-        if t.cfg.Config.enable_self_check && n > t.cfg.Config.smc_false_limit
-        then
-          (* repeated rewrites: stop invalidating, start checking *)
-          Adapt.set_self_check t.adapt entry;
-        (* a revalidating translation whose region is written *by itself*
-           cannot make progress with a prologue (§3.6.2); self-checking
-           handles that case, which the upgrade above moves toward *)
-        invalidate t tr
-          ~keep_in_group:
-            (t.cfg.Config.enable_groups && tr.Tcache.snapshot <> None)
-      end)
+              (t.cfg.Config.enable_groups && tr.Tcache.snapshot <> None))
     trs;
   Machine.Mem.(t.mem.write_pass <- true)
 
@@ -313,39 +293,13 @@ let on_selfcheck_fail t (tr : Tcache.trans) =
      immediates loaded from the code stream at run time (§3.6.4) *)
   (if t.cfg.Config.enable_stylized then
      match tr.Tcache.snapshot with
-     | Some snap when Bytes.length snap = Bytes.length current ->
-         let diffs = ref [] in
-         let off = ref 0 in
-         List.iter
-           (fun (lo, hi) ->
-             for a = lo to hi - 1 do
-               let k = !off + (a - lo) in
-               if Bytes.get snap k <> Bytes.get current k then
-                 diffs := a :: !diffs
-             done;
-             off := !off + (hi - lo))
-           tr.Tcache.region.Region.src_ranges;
-         let in_field a =
-           Array.exists
-             (fun (i : Region.insn_info) ->
-               match i.Region.imm32_addr with
-               | Some f -> a >= f && a < f + 4
-               | None -> false)
-             tr.Tcache.region.Region.insns
-         in
-         if !diffs <> [] && List.for_all in_field !diffs then begin
-           let addrs =
-             Array.to_list tr.Tcache.region.Region.insns
-             |> List.filter_map (fun (i : Region.insn_info) ->
-                    match i.Region.imm32_addr with
-                    | Some f
-                      when List.exists (fun a -> a >= f && a < f + 4) !diffs ->
-                        Some i.Region.addr
-                    | _ -> None)
-             |> ISet.of_list
-           in
-           Adapt.add_stylized t.adapt tr.Tcache.entry addrs
-         end
+     | Some snap when Bytes.length snap = Bytes.length current -> (
+         match Region.changed_bytes tr.Tcache.region ~snap ~current with
+         | [] -> ()
+         | diffs -> (
+             match Region.imm_cover tr.Tcache.region diffs with
+             | Some addrs -> Adapt.add_stylized t.adapt tr.Tcache.entry addrs
+             | None -> ()))
      | _ -> ());
   invalidate t tr
     ~keep_in_group:(t.cfg.Config.enable_groups && tr.Tcache.snapshot <> None);
@@ -370,27 +324,11 @@ let snapshot_matches (tr : Tcache.trans) current =
   | Some snap when Bytes.length snap <> Bytes.length current -> false
   | Some snap ->
       let excluded =
-        Array.to_list tr.Tcache.region.Region.insns
-        |> List.filter_map (fun (i : Region.insn_info) ->
-               if
-                 ISet.mem i.Region.addr tr.Tcache.policy.Policy.stylized_imms
-               then Option.map (fun a -> (a, a + 4)) i.Region.imm32_addr
-               else None)
+        Region.stylized_fields tr.Tcache.region tr.Tcache.policy
       in
-      let ok = ref true in
-      let off = ref 0 in
-      List.iter
-        (fun (lo, hi) ->
-          for a = lo to hi - 1 do
-            let k = !off + (a - lo) in
-            if
-              Bytes.get snap k <> Bytes.get current k
-              && not (List.exists (fun (elo, ehi) -> a >= elo && a < ehi) excluded)
-            then ok := false
-          done;
-          off := !off + (hi - lo))
-        tr.Tcache.region.Region.src_ranges;
-      !ok
+      List.for_all
+        (fun a -> List.exists (fun (lo, hi) -> a >= lo && a < hi) excluded)
+        (Region.changed_bytes tr.Tcache.region ~snap ~current)
 
 let revalidate t (tr : Tcache.trans) =
   t.stats.Stats.reval_checks <- t.stats.Stats.reval_checks + 1;

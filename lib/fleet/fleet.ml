@@ -34,6 +34,7 @@
     translates synchronously on its own dispatch path. *)
 
 module Journal = Cms_persist.Journal
+module Trial = Cms_persist.Trial
 module Snapshot = Cms_persist.Snapshot
 module Tstore = Cms_persist.Tstore
 module Forensics = Cms_persist.Forensics
@@ -169,21 +170,31 @@ type report = {
 
 (** Run one machine unsupervised on an engine of [cfg]: no store, no
     checkpoints, no faults.  Returns its EAX, EBX and whether any
-    rollback left speculative state visible.  The tests run it on
-    {!interp_cfg} to check the interpreter against the generator's
-    expected state. *)
+    rollback left speculative state visible (the engine's check stops
+    the run there, so a violation comes back as an [Error]).  The tests
+    run it on {!interp_cfg} to check the interpreter against the
+    generator's expected state. *)
 let run_solo ~cfg (spec : spec) =
-  let c = Suite.prepare ~cfg spec.s_workload in
-  ignore (Journal.install_guest c spec.s_events : Journal.injector);
-  let viol = ref false in
-  c.Cms.Engine.on_rollback <-
-    Some (fun () -> if Cms.Engine.speculation_visible c then viol := true);
-  match Cms.run ~max_insns:spec.s_workload.Suite.max_insns c with
-  | Cms.Engine.Halted ->
-      Ok (Cms.gpr c X86.Regs.eax, Cms.gpr c X86.Regs.ebx, !viol)
-  | Cms.Engine.Insn_limit -> Error "solo run hit the instruction limit"
-  | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-  | exception e -> Error (Printexc.to_string e)
+  let w = spec.s_workload in
+  let subject =
+    {
+      Trial.boot = (fun ~cfg ~on_diag -> Suite.prepare ~on_diag ~cfg w);
+      mask = [];
+      max_insns = w.Suite.max_insns;
+    }
+  in
+  let o, c =
+    Trial.execute subject ~cfg ~setup:(fun c ->
+        ignore (Journal.install_guest c spec.s_events : Journal.injector))
+  in
+  match o.Trial.stop with
+  | Trial.Halted ->
+      Ok
+        ( Cms.gpr c X86.Regs.eax,
+          Cms.gpr c X86.Regs.ebx,
+          o.Trial.spec_violation )
+  | Trial.Limit -> Error "solo run hit the instruction limit"
+  | Trial.Crash m -> Error m
 
 let backoff_at (fcfg : config) n =
   if n <= 0 then 0
@@ -323,13 +334,6 @@ let run_machine ?store (fcfg : config) (spec : spec) : report =
             (* fresh chaos stream per attempt, deterministically derived *)
             Chaos.install (Chaos.create (Srng.create (seed + (1 + n)))) c
         | None -> ());
-        c.Cms.Engine.on_rollback <-
-          Some
-            (fun () ->
-              if Cms.Engine.speculation_visible c then begin
-                incr spec_viol;
-                failwith "speculative state visible after rollback"
-              end);
         let ck =
           Snapshot.arm ~label ~injector:inj c ~every:fcfg.checkpoint_every
         in
@@ -342,6 +346,9 @@ let run_machine ?store (fcfg : config) (spec : spec) : report =
               Error "wedged: instruction budget exhausted (watchdog)"
           | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
           | exception Fault_injected cause -> Error cause
+          | exception Cms.Engine.Speculation_visible ->
+              incr spec_viol;
+              Error "speculative state visible after rollback"
           | exception e -> Error ("crashed: " ^ Printexc.to_string e)
         in
         (* keep the newest checkpoint across attempts *)
@@ -494,17 +501,7 @@ let campaign_config =
 type case_report = {
   c_idx : int;
   c_error : string option;
-  c_machines : int;
-  c_restarts : int;
-  c_quarantined : int;
-  c_kills : int;
-  c_wedges : int;
-  c_divergences : int;
-  c_spec_violations : int;
-  c_store_hits : int;
-  c_store_rejects : int;
-  c_store_quarantines : int;
-  c_degraded : int;
+  c_fleet : totals;  (** the case's machines, by {!aggregate} *)
   c_attacks : string list;  (** what the store attacks actually did *)
   c_outcome : string;  (** per-machine outcome line, fingerprint input *)
 }
@@ -514,16 +511,15 @@ type case_report = {
    exactly as a recorded case would be replayed from disk. *)
 let roundtrip_events ~cfg (spec : spec) =
   let j =
-    Journal.of_string
-      (Journal.to_string
-         {
-           Journal.label = spec.s_workload.Suite.name;
-           cfg;
-           guest = spec.s_events;
-           host = [];
-           arch_hex = None;
-           strict_hex = None;
-         })
+    Journal.roundtrip
+      {
+        Journal.label = spec.s_workload.Suite.name;
+        cfg;
+        guest = spec.s_events;
+        host = [];
+        arch_hex = None;
+        strict_hex = None;
+      }
   in
   { spec with s_events = j.Journal.guest }
 
@@ -591,98 +587,54 @@ let run_case ?(fcfg = campaign_config) (plan : Fleetfault.plan) : case_report =
       (match List.rev !errors with
       | [] -> None
       | es -> Some (String.concat "; " es));
-    c_machines = t.t_machines;
-    c_restarts = t.t_restarts;
-    c_quarantined = t.t_quarantined;
-    c_kills = t.t_kills;
-    c_wedges = t.t_wedges;
-    c_divergences = t.t_divergences;
-    c_spec_violations = t.t_spec_violations;
-    c_store_hits = t.t_stats.Cms.Stats.store_hits;
-    c_store_rejects = t.t_stats.Cms.Stats.store_rejects;
-    c_store_quarantines = t.t_stats.Cms.Stats.store_quarantines;
-    c_degraded = t.t_degraded;
+    c_fleet = t;
     c_attacks = List.rev !attacks;
     c_outcome = outcome;
   }
 
 type campaign_totals = {
-  mutable cases : int;
-  mutable passed : int;
-  mutable failed : int;
-  mutable machines : int;
-  mutable restarts : int;
-  mutable quarantined : int;
-  mutable kills : int;
-  mutable wedges : int;
-  mutable divergences : int;
-  mutable spec_violations : int;
-  mutable store_hits : int;
-  mutable store_rejects : int;
-  mutable store_quarantines : int;
-  mutable degraded : int;
-  mutable attacks : int;
-  mutable failures : (int * string) list;  (** newest first, capped *)
-  mutable outcome_acc : string list;  (** newest first *)
+  cases : int;
+  passed : int;
+  failed : int;
+  fleet : totals;  (** every machine of every case, by {!aggregate} *)
+  attacks : int;
+  failures : (int * string) list;  (** the first 20, newest first *)
+  outcomes : string list;  (** per-case outcome lines, in case order *)
 }
 
 (** Campaign fingerprint: MD5 over every case's per-machine outcome
     lines — two campaigns from the same seed must produce identical
     fingerprints (RNG-free, schedule-independent replay). *)
 let fingerprint (t : campaign_totals) =
-  Digest.to_hex (Digest.string (String.concat "\n" (List.rev t.outcome_acc)))
+  Digest.to_hex (Digest.string (String.concat "\n" t.outcomes))
 
 let campaign ?(profile = Fleetfault.default_profile) ?(fcfg = campaign_config)
     ?on_case ~seed ~cases () =
   let rng = Srng.create seed in
-  let t =
-    {
-      cases = 0;
-      passed = 0;
-      failed = 0;
-      machines = 0;
-      restarts = 0;
-      quarantined = 0;
-      kills = 0;
-      wedges = 0;
-      divergences = 0;
-      spec_violations = 0;
-      store_hits = 0;
-      store_rejects = 0;
-      store_quarantines = 0;
-      degraded = 0;
-      attacks = 0;
-      failures = [];
-      outcome_acc = [];
-    }
-  in
+  let acc = ref [] in
   for idx = 0 to cases - 1 do
     let plan = Fleetfault.gen_plan (Srng.split rng) profile idx in
     let r = run_case ~fcfg plan in
-    t.cases <- t.cases + 1;
-    (match r.c_error with
-    | None -> t.passed <- t.passed + 1
-    | Some e ->
-        t.failed <- t.failed + 1;
-        if List.length t.failures < 20 then t.failures <- (idx, e) :: t.failures);
-    t.machines <- t.machines + r.c_machines;
-    t.restarts <- t.restarts + r.c_restarts;
-    t.quarantined <- t.quarantined + r.c_quarantined;
-    t.kills <- t.kills + r.c_kills;
-    t.wedges <- t.wedges + r.c_wedges;
-    t.divergences <- t.divergences + r.c_divergences;
-    t.spec_violations <- t.spec_violations + r.c_spec_violations;
-    t.store_hits <- t.store_hits + r.c_store_hits;
-    t.store_rejects <- t.store_rejects + r.c_store_rejects;
-    t.store_quarantines <- t.store_quarantines + r.c_store_quarantines;
-    t.degraded <- t.degraded + r.c_degraded;
-    t.attacks <- t.attacks + List.length r.c_attacks;
-    t.outcome_acc <- r.c_outcome :: t.outcome_acc;
+    acc := r :: !acc;
     match on_case with Some f -> f r | None -> ()
   done;
-  t
+  let rs = List.rev !acc in
+  let failures =
+    List.filter_map (fun r -> Option.map (fun e -> (r.c_idx, e)) r.c_error) rs
+  in
+  {
+    cases;
+    passed = cases - List.length failures;
+    failed = List.length failures;
+    fleet =
+      aggregate ~shards:1 (List.concat_map (fun r -> r.c_fleet.t_reports) rs);
+    attacks = List.fold_left (fun n r -> n + List.length r.c_attacks) 0 rs;
+    failures = List.rev (List.filteri (fun i _ -> i < 20) failures);
+    outcomes = List.map (fun r -> r.c_outcome) rs;
+  }
 
 let pp_campaign ppf (t : campaign_totals) =
+  let f = t.fleet in
   Fmt.pf ppf
     "fleet campaign: %d cases, %d passed, %d failed@.\
      machines: %d total, %d restarts, %d quarantined, %d kills, %d wedges, \
@@ -690,6 +642,7 @@ let pp_campaign ppf (t : campaign_totals) =
      checks: %d divergences, %d speculation violations@.\
      store: %d hits, %d rejects, %d quarantines, %d attacks landed@.\
      fingerprint: %s"
-    t.cases t.passed t.failed t.machines t.restarts t.quarantined t.kills
-    t.wedges t.degraded t.divergences t.spec_violations t.store_hits
-    t.store_rejects t.store_quarantines t.attacks (fingerprint t)
+    t.cases t.passed t.failed f.t_machines f.t_restarts f.t_quarantined
+    f.t_kills f.t_wedges f.t_degraded f.t_divergences f.t_spec_violations
+    f.t_stats.Cms.Stats.store_hits f.t_stats.Cms.Stats.store_rejects
+    f.t_stats.Cms.Stats.store_quarantines t.attacks (fingerprint t)

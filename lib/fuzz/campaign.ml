@@ -87,8 +87,9 @@ let run ?(progress = fun _ _ -> ()) ?out_dir ?forensics
             in
             ignore
               (Cms_persist.Forensics.dump ~dir ~name ~reason
-                 ?snapshot:rec_.Oracle.final_image
-                 ?checkpoint:rec_.Oracle.checkpoint ~journal:rec_.Oracle.journal
+                 ?snapshot:rec_.Cms_persist.Trial.final_image
+                 ?checkpoint:rec_.Cms_persist.Trial.checkpoint
+                 ~journal:rec_.Cms_persist.Trial.journal
                  ~case_text:
                    (Corpus.write_string rmin ~seed
                       ~comment:[ Fmt.str "divergence: %s" reason ])

@@ -114,10 +114,11 @@ let normalized_stats (s : Cms.Stats.t) =
     Cms.Stats.counters;
   s
 
-(** The strict digest (see module doc). *)
-let strict ?mask (c : Cms.t) : Digest.t =
+(** The strict digest (see module doc) of [c], whose architectural
+    digest the caller has already taken as [a]. *)
+let strict (a : arch) (c : Cms.t) : Digest.t =
   let b = Codec.writer () in
-  w_arch b (arch ?mask c);
+  w_arch b a;
   Stable.w_stats b (normalized_stats (Cms.stats c));
   Codec.w_int b (Cms.total_molecules c);
   Codec.w_int b (Cms.retired c);

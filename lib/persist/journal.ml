@@ -458,5 +458,9 @@ let of_string data : t =
   Codec.r_end hevt;
   { label; cfg; guest; host; arch_hex; strict_hex }
 
+(** Serialize and re-parse: the harnesses put the on-disk codec in the
+    loop of every replay, exactly as a journal read back from disk. *)
+let roundtrip t = of_string (to_string t)
+
 let save path t = Codec.write_file path (to_string t)
 let load path : t = of_string (Codec.read_file path)

@@ -34,36 +34,18 @@ let pp_stop ppf (s : Cms.Engine.stop) =
   | Cms.Engine.Halted -> Fmt.string ppf "halted"
   | Cms.Engine.Insn_limit -> Fmt.string ppf "insn-limit"
 
-(* Compare the two final machines; the mem digest and bus counters only
-   when the workload is molecule-clock-independent. *)
+(* Compare the two final machines' architectural digests; the mem
+   digest and bus counters only when the workload is
+   molecule-clock-independent (otherwise both sides blank them). *)
 let compare_final ~compare_mem (oracle : Cms.t) (soaked : Cms.t) =
-  let d = ref [] in
-  let add fmt = Format.kasprintf (fun s -> d := s :: !d) fmt in
-  List.iter
-    (fun r ->
-      let a = Cms.gpr oracle r and b = Cms.gpr soaked r in
-      if a <> b then add "%s=%#x/%#x" X86.Regs.name32.(r) a b)
-    X86.Regs.all;
-  if Cms.eip oracle <> Cms.eip soaked then
-    add "eip=%#x/%#x" (Cms.eip oracle) (Cms.eip soaked);
-  if Cms.eflags oracle <> Cms.eflags soaked then
-    add "eflags=%#x/%#x" (Cms.eflags oracle) (Cms.eflags soaked);
-  if Cms.uart_output oracle <> Cms.uart_output soaked then add "uart";
-  let fb c = Machine.Framebuf.checksum (Cms.platform c).Machine.Platform.fb in
-  if fb oracle <> fb soaked then add "fb=%d/%d" (fb oracle) (fb soaked);
-  if compare_mem then begin
-    if Digests.mem_digest oracle <> Digests.mem_digest soaked then add "mem";
-    let bus c = (Cms.mem c).Machine.Mem.bus in
-    let bo = bus oracle and bs = bus soaked in
-    if bo.Machine.Bus.mmio_reads <> bs.Machine.Bus.mmio_reads then
-      add "mmio_reads=%d/%d" bo.Machine.Bus.mmio_reads bs.Machine.Bus.mmio_reads;
-    if bo.Machine.Bus.mmio_writes <> bs.Machine.Bus.mmio_writes then
-      add "mmio_writes=%d/%d" bo.Machine.Bus.mmio_writes
-        bs.Machine.Bus.mmio_writes;
-    if bo.Machine.Bus.port_ops <> bs.Machine.Bus.port_ops then
-      add "port_ops=%d/%d" bo.Machine.Bus.port_ops bs.Machine.Bus.port_ops
-  end;
-  List.rev !d
+  let digest c =
+    let a = Digests.arch c in
+    if compare_mem then a
+    else { a with mem = ""; mmio_reads = 0; mmio_writes = 0; port_ops = 0 }
+  in
+  match Digests.arch_diff (digest oracle) (digest soaked) with
+  | "" -> []
+  | d -> [ d ]
 
 (** Run the drill.  [make] builds a fresh, loaded, booted machine (not
     yet run); [max_insns] bounds both legs; [every] is the soak leg's

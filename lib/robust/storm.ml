@@ -17,14 +17,15 @@
     - every configuration self-validates (EAX checksum, EBX syscall
       count) and halts — interpreter-only, full translator, and a
       chaos-composed translator with scrambled capacities;
-    - {!Cms.Engine.speculation_visible} is armed on every rollback:
-      an asynchronous event that exposes shadow state is a finding;
+    - no rollback leaves speculative state visible (the engine checks
+      every one): an asynchronous event that exposes shadow state is a
+      finding;
     - the translator run record-replays bit-identically through
-      {!Cms_persist.Journal} (serialized and re-parsed, so the on-disk
-      codec is in the loop). *)
+      {!Cms_persist.Trial} (the journal serialized and re-parsed, so the
+      on-disk codec is in the loop). *)
 
 module Journal = Cms_persist.Journal
-module Digests = Cms_persist.Digests
+module Trial = Cms_persist.Trial
 module Suite = Workloads.Suite
 module Progs_kernel = Workloads.Progs_kernel
 
@@ -195,66 +196,30 @@ let gen_case rng (p : profile) idx =
 (* Running one configuration                                           *)
 (* ------------------------------------------------------------------ *)
 
-let cfg_translate = Cms.Config.default
-
 (* The kernels keep their task stacks inside this window; dead bytes
    below a preempted task's ESP are molecule-clock territory and are
    masked out of every memory digest, exactly as the fuzz oracle does
    for its canonical stack. *)
 let stack_mask = [ (0x70000, 0x80000) ]
 
-type stop_kind = Halted | Limit | Crash of string
-
-let stop_name = function
-  | Halted -> "halted"
-  | Limit -> "insn-limit"
-  | Crash m -> "crash: " ^ m
-
-type outcome = {
-  stop : stop_kind;
-  arch : Digests.arch;
-  strict : Digest.t;
-  spec_violation : bool;
-      (** a rollback left speculative state architecturally visible *)
-  stats : Cms.Stats.t;
-}
-
-let execute ~cfg ~setup (w : Suite.t) : outcome * Cms.t =
-  let c = Suite.prepare ~cfg w in
-  let spec = ref false in
-  c.Cms.Engine.on_rollback <-
-    Some
-      (fun () ->
-        if Cms.Engine.speculation_visible c then begin
-          spec := true;
-          failwith "speculative state visible after rollback"
-        end);
-  setup c;
-  let stop =
-    match Cms.run ~max_insns:w.Suite.max_insns c with
-    | Cms.Engine.Halted -> Halted
-    | Cms.Engine.Insn_limit -> Limit
-    | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-    | exception e -> Crash (Printexc.to_string e)
-  in
-  ( {
-      stop;
-      arch = Digests.arch ~mask:stack_mask c;
-      strict = Digests.strict ~mask:stack_mask c;
-      spec_violation = !spec;
-      stats = Cms.stats c;
-    },
-    c )
+(** A kernel workload as a {!Trial.subject}. *)
+let subject (w : Suite.t) : Trial.subject =
+  {
+    Trial.boot = (fun ~cfg ~on_diag -> Suite.prepare ~on_diag ~cfg w);
+    mask = stack_mask;
+    max_insns = w.Suite.max_insns;
+  }
 
 (* Self-validation of one finished run: halted, checksum in EAX,
    syscall count in EBX — both schedule-independent by construction,
    hence identical in every configuration. *)
-let validate (case : case) tag (o : outcome) c =
+let validate (case : case) tag (o : Trial.outcome) c =
   let w = case.workload in
   match o.stop with
-  | Limit -> Error (Fmt.str "%s: hit the %d-insn limit" tag w.Suite.max_insns)
-  | Crash m -> Error (Fmt.str "%s: %s" tag m)
-  | Halted ->
+  | Trial.Limit ->
+      Error (Fmt.str "%s: hit the %d-insn limit" tag w.Suite.max_insns)
+  | Trial.Crash m -> Error (Fmt.str "%s: %s" tag m)
+  | Trial.Halted ->
       let eax = Cms.gpr c X86.Regs.eax in
       let ebx = Cms.gpr c X86.Regs.ebx in
       let want_eax = Option.get w.Suite.expected_eax in
@@ -274,61 +239,6 @@ let chaos_of_seed seed cfg =
   (cfg, Chaos.create rng)
 
 (* ------------------------------------------------------------------ *)
-(* Record / replay through the journal                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Record the translator run of [case] (chaos-composed when the case
-   carries a chaos seed), serialize the journal through the stable
-   codec, re-parse it, replay it, and require a bit-identical outcome.
-   Mirrors the fuzz oracle's record/replay differential, with the
-   serialization round-trip added so the version-4 guest-event codec
-   (packet arrivals, async DMA) is exercised on every case. *)
-let check_record_replay (case : case) : (unit, string) result =
-  let cfg, chaos =
-    match case.chaos_seed with
-    | None -> (cfg_translate, None)
-    | Some seed ->
-        let cfg, ch = chaos_of_seed seed cfg_translate in
-        (cfg, Some ch)
-  in
-  let host = ref [] in
-  let setup c =
-    ignore (Journal.install_guest c case.events : Journal.injector);
-    match chaos with
-    | Some ch -> Chaos.install ~record:(fun ev -> host := ev :: !host) ch c
-    | None -> ()
-  in
-  let recorded, _c = execute ~cfg ~setup case.workload in
-  let journal =
-    Journal.of_string
-      (Journal.to_string
-         {
-           Journal.label = case.workload.Suite.name;
-           cfg;
-           guest = case.events;
-           host = List.rev !host;
-           arch_hex = Some (Digests.arch_hex recorded.arch);
-           strict_hex = Some (Digests.strict_hex recorded.strict);
-         })
-  in
-  let setup c =
-    ignore (Journal.install_guest c journal.Journal.guest : Journal.injector);
-    if journal.Journal.host <> [] then Journal.install_host c journal.Journal.host
-  in
-  let replayed, _c = execute ~cfg:journal.Journal.cfg ~setup case.workload in
-  if recorded.stop <> replayed.stop then
-    Error
-      (Fmt.str "record/replay stop mismatch (%s vs %s)"
-         (stop_name recorded.stop) (stop_name replayed.stop))
-  else if recorded.arch <> replayed.arch then
-    Error ("record/replay arch: " ^ Digests.arch_diff recorded.arch replayed.arch)
-  else if recorded.strict <> replayed.strict then
-    Error "record/replay strict digest mismatch"
-  else if recorded.spec_violation || replayed.spec_violation then
-    Error "record/replay: speculative state visible"
-  else Ok ()
-
-(* ------------------------------------------------------------------ *)
 (* One case through the full gauntlet                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -338,70 +248,69 @@ type case_report = {
   r_chaos : bool;
   r_error : string option;
   r_spec_violations : int;
-  r_events_fired : int;  (** journaled deliveries in the translator run *)
-  r_nic_rx : int;
-  r_nic_drops : int;
-  r_irq_delivered : int;
-  r_irq_rollbacks : int;
+  r_stats : Cms.Stats.t;  (** the translator run's counters *)
 }
 
+(* Interpreter, translator and (when the case carries a chaos seed) the
+   chaos-composed translator must each self-validate; then the
+   translator run, chaos-composed when armed, must record-replay
+   bit-identically through the serialized journal. *)
 let run_case (case : case) : case_report =
-  let clean_setup c =
+  let s = subject case.workload in
+  let guest c =
     ignore (Journal.install_guest c case.events : Journal.injector)
   in
+  (* a fresh schedule per run: each run draws its own down *)
+  let chaos () =
+    Option.map
+      (fun seed -> chaos_of_seed seed Cms.Config.default)
+      case.chaos_seed
+  in
   let run_one tag ~cfg ~setup =
-    let o, c = execute ~cfg ~setup case.workload in
+    let o, c = Trial.execute s ~cfg ~setup in
     (validate case tag o c, o)
   in
-  let spec_violations = ref 0 in
-  let note_spec (o : outcome) =
-    if o.spec_violation then incr spec_violations
-  in
-  let interp = run_one "interp" ~cfg:Cms.interp_only_cfg ~setup:clean_setup in
-  let hot = run_one "translate" ~cfg:cfg_translate ~setup:clean_setup in
+  let interp = run_one "interp" ~cfg:Cms.interp_only_cfg ~setup:guest in
+  let hot = run_one "translate" ~cfg:Cms.Config.default ~setup:guest in
   let chaosed =
-    match case.chaos_seed with
-    | None -> None
-    | Some seed ->
-        let cfg, ch = chaos_of_seed seed cfg_translate in
-        let setup c =
-          clean_setup c;
-          Chaos.install ch c
-        in
-        Some (run_one "chaos" ~cfg ~setup)
+    Option.map
+      (fun (cfg, ch) ->
+        run_one "chaos" ~cfg ~setup:(fun c ->
+            guest c;
+            Chaos.install ch c))
+      (chaos ())
   in
-  note_spec (snd interp);
-  note_spec (snd hot);
-  (match chaosed with Some (_, o) -> note_spec o | None -> ());
+  let spec_violations =
+    List.length
+      (List.filter
+         (fun (_, (o : Trial.outcome)) -> o.spec_violation)
+         (interp :: hot :: Option.to_list chaosed))
+  in
+  let record_replay () =
+    let cfg, schedule =
+      match chaos () with
+      | None -> (Cms.Config.default, None)
+      | Some (cfg, ch) -> (cfg, Some (Chaos.schedule ch))
+    in
+    Trial.check_replay s
+      (Trial.record s ~label:case.workload.Suite.name ~cfg ~guest:case.events
+         ?schedule ())
+  in
+  (* a speculation violation stops its run as a [Crash], which fails
+     that run's validation *)
   let error =
-    match (fst interp, fst hot) with
-    | Error e, _ | _, Error e -> Some e
-    | Ok (), Ok () -> (
-        match chaosed with
-        | Some (Error e, _) -> Some e
-        | _ -> (
-            match check_record_replay case with
-            | Error e -> Some e
-            | Ok () -> None))
+    match (fst interp, fst hot, Option.map fst chaosed) with
+    | Error e, _, _ | _, Error e, _ | _, _, Some (Error e) -> Some e
+    | Ok (), Ok (), (None | Some (Ok ())) -> (
+        match record_replay () with Error e -> Some e | Ok () -> None)
   in
-  let error =
-    match error with
-    | Some _ -> error
-    | None ->
-        if !spec_violations > 0 then Some "speculative state visible" else None
-  in
-  let s = (snd hot).stats in
   {
     r_idx = case.idx;
     r_kind = case.ckind;
     r_chaos = case.chaos_seed <> None;
     r_error = error;
-    r_spec_violations = !spec_violations;
-    r_events_fired = s.Cms.Stats.journal_events;
-    r_nic_rx = s.Cms.Stats.nic_rx_frames;
-    r_nic_drops = s.Cms.Stats.nic_rx_dropped;
-    r_irq_delivered = s.Cms.Stats.irq_delivered;
-    r_irq_rollbacks = s.Cms.Stats.irq_rollbacks;
+    r_spec_violations = spec_violations;
+    r_stats = (snd hot).stats;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -416,11 +325,7 @@ type totals = {
   mutable frames_injected : int;
   mutable irqs_injected : int;
   mutable dmas_injected : int;
-  mutable events_fired : int;
-  mutable nic_rx : int;
-  mutable nic_drops : int;
-  mutable irq_delivered : int;
-  mutable irq_rollbacks : int;
+  stats : Cms.Stats.t;  (** the translator runs' counters, summed *)
   mutable failures : (int * string) list;  (** newest first, capped *)
 }
 
@@ -435,11 +340,7 @@ let campaign ?(profile = default_profile) ?on_case ~seed ~cases () =
       frames_injected = 0;
       irqs_injected = 0;
       dmas_injected = 0;
-      events_fired = 0;
-      nic_rx = 0;
-      nic_drops = 0;
-      irq_delivered = 0;
-      irq_rollbacks = 0;
+      stats = Cms.Stats.create ();
       failures = [];
     }
   in
@@ -461,16 +362,13 @@ let campaign ?(profile = default_profile) ?on_case ~seed ~cases () =
         if List.length t.failures < 20 then
           t.failures <- (idx, e) :: t.failures);
     t.spec_violations <- t.spec_violations + r.r_spec_violations;
-    t.events_fired <- t.events_fired + r.r_events_fired;
-    t.nic_rx <- t.nic_rx + r.r_nic_rx;
-    t.nic_drops <- t.nic_drops + r.r_nic_drops;
-    t.irq_delivered <- t.irq_delivered + r.r_irq_delivered;
-    t.irq_rollbacks <- t.irq_rollbacks + r.r_irq_rollbacks;
+    Cms.Stats.add ~into:t.stats r.r_stats;
     match on_case with Some f -> f r | None -> ()
   done;
   t
 
 let pp_totals ppf (t : totals) =
+  let s = t.stats in
   Fmt.pf ppf
     "storm: %d cases, %d passed, %d failed, %d speculation violations@.\
      injected: %d frames, %d irq raises, %d dma bursts (%d fired in the \
@@ -478,5 +376,6 @@ let pp_totals ppf (t : totals) =
      translator runs: nic-rx=%d ring-full-drops=%d irq-delivered=%d \
      irq-rollbacks=%d"
     t.cases t.passed t.failed t.spec_violations t.frames_injected
-    t.irqs_injected t.dmas_injected t.events_fired t.nic_rx t.nic_drops
-    t.irq_delivered t.irq_rollbacks
+    t.irqs_injected t.dmas_injected s.Cms.Stats.journal_events
+    s.Cms.Stats.nic_rx_frames s.Cms.Stats.nic_rx_dropped
+    s.Cms.Stats.irq_delivered s.Cms.Stats.irq_rollbacks

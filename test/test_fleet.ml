@@ -263,12 +263,14 @@ let test_campaign_slice () =
     List.iter
       (fun (i, e) -> Fmt.epr "case %d: %s@." i e)
       (List.rev t.Fleet.failures);
+  let f = t.Fleet.fleet in
   check ci "all cases pass" 100 t.Fleet.passed;
-  check ci "no cross-machine divergences" 0 t.Fleet.divergences;
-  check ci "no speculation violations" 0 t.Fleet.spec_violations;
+  check ci "no cross-machine divergences" 0 f.Fleet.t_divergences;
+  check ci "no speculation violations" 0 f.Fleet.t_spec_violations;
   (* the slice must actually exercise the machinery it claims to *)
-  check cb "restarts exercised" true (t.Fleet.restarts > 0);
-  check cb "store sharing exercised" true (t.Fleet.store_hits > 0);
+  check cb "restarts exercised" true (f.Fleet.t_restarts > 0);
+  check cb "store sharing exercised" true
+    (f.Fleet.t_stats.Cms.Stats.store_hits > 0);
   check cb "store attacks exercised" true (t.Fleet.attacks > 0)
 
 let test_campaign_deterministic () =

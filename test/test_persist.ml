@@ -314,8 +314,8 @@ let test_suite_record_replay () =
     (fun w ->
       let digest () =
         let t = Suite.run w in
-        ( P.Digests.arch_hex (P.Digests.arch t),
-          P.Digests.strict_hex (P.Digests.strict t) )
+        let a = P.Digests.arch t in
+        (P.Digests.arch_hex a, P.Digests.strict_hex (P.Digests.strict a t))
       in
       let a1, s1 = digest () in
       let a2, s2 = digest () in
@@ -363,10 +363,10 @@ let test_fuzz_record_replay () =
   for index = 0 to 29 do
     let rng = Srng.split root in
     let case = Gen.generate rng ~seed:11 ~index in
-    match Oracle.check_record_replay (Oracle.render case) with
-    | Oracle.Pass -> ()
-    | Oracle.Hang -> ()
-    | Oracle.Divergence d -> Alcotest.failf "case %d: %s" index d
+    let r = Oracle.render case in
+    match P.Trial.check_replay (Oracle.subject r) (Oracle.record r) with
+    | Ok () -> ()
+    | Error d -> Alcotest.failf "case %d: %s" index d
   done
 
 (* The chaos campaign slice: translator deaths, forced faults, spoofed
@@ -380,10 +380,10 @@ let test_chaos_record_replay seed () =
     let rng = Srng.split root in
     let case = Gen.generate rng ~seed ~index in
     let chaos_seed = Srng.int32 rng in
-    match Oracle.check_record_replay (Oracle.render ~chaos:chaos_seed case) with
-    | Oracle.Pass -> ()
-    | Oracle.Hang -> ()
-    | Oracle.Divergence d -> Alcotest.failf "chaos case %d: %s" index d
+    let r = Oracle.render ~chaos:chaos_seed case in
+    match P.Trial.check_replay (Oracle.subject r) (Oracle.record r) with
+    | Ok () -> ()
+    | Error d -> Alcotest.failf "chaos case %d: %s" index d
   done
 
 (* Mid-run resume: restore the last checkpoint and replay the journal
@@ -402,33 +402,80 @@ let test_fuzz_resume_from_checkpoint () =
     let rec_ = Oracle.record ~checkpoint_every:50 ~label:"resume" r in
     diag :=
       Fmt.str "%d:%s,ck=%b" index
-        (match rec_.Oracle.outcome.Oracle.stop with
-        | Oracle.Halted -> "halt"
-        | Oracle.Limit -> "limit"
-        | Oracle.Crash m -> "crash:" ^ m)
-        (rec_.Oracle.checkpoint <> None)
+        (match rec_.P.Trial.outcome.P.Trial.stop with
+        | P.Trial.Halted -> "halt"
+        | P.Trial.Limit -> "limit"
+        | P.Trial.Crash m -> "crash:" ^ m)
+        (rec_.P.Trial.checkpoint <> None)
       :: !diag;
-    match (rec_.Oracle.checkpoint, rec_.Oracle.outcome.Oracle.stop) with
-    | Some img, Oracle.Halted ->
+    match (rec_.P.Trial.checkpoint, rec_.P.Trial.outcome.P.Trial.stop) with
+    | Some img, P.Trial.Halted ->
         incr resumed;
         let c, meta = P.Snapshot.restore img in
         ignore
           (P.Journal.install_guest ~irq_cursor:meta.P.Snapshot.irq_cursor
              ~sync_cursor:meta.P.Snapshot.sync_cursor c
-             rec_.Oracle.journal.P.Journal.guest);
+             rec_.P.Trial.journal.P.Journal.guest);
         (match Cms.run ~max_insns:r.Oracle.max_insns c with
         | Cms.Engine.Halted -> ()
         | Cms.Engine.Insn_limit ->
             Alcotest.failf "case %d: resumed run hit the limit" index);
         let arch = P.Digests.arch ~mask:Oracle.stack_mask c in
-        if arch <> rec_.Oracle.outcome.Oracle.arch then
+        if arch <> rec_.P.Trial.outcome.P.Trial.arch then
           Alcotest.failf "case %d resume diverges: %s" index
-            (P.Digests.arch_diff rec_.Oracle.outcome.Oracle.arch arch)
+            (P.Digests.arch_diff rec_.P.Trial.outcome.P.Trial.arch arch)
     | _ -> ()
   done;
   if !resumed < 5 then
     Alcotest.failf "only %d/20 cases exercised a resume (%s)" !resumed
       (String.concat " " !diag)
+
+(* The differential must notice a journal that no longer matches its
+   recording.  Dropping one injected pre-execution fault makes the
+   replay roll back once less: the same architectural state, so only
+   the strict digest moves.  Moving a guest interrupt earlier lands it
+   on different code: the architectural state moves. *)
+let test_trial_tamper () =
+  let module Trial = P.Trial in
+  let module J = P.Journal in
+  let root = Srng.create 5 in
+  let rec find index =
+    if index > 50 then Alcotest.fail "no chaos case with a fault and an IRQ";
+    let rng = Srng.split root in
+    let case = Gen.generate rng ~seed:5 ~index in
+    let r = Oracle.render ~chaos:(Srng.int32 rng) case in
+    let rec_ = Oracle.record r in
+    let j = rec_.Trial.journal in
+    if
+      List.exists (function J.Pre_fault _ -> true | _ -> false) j.J.host
+      && List.exists (function J.Irq _ -> true | _ -> false) j.J.guest
+      && rec_.Trial.outcome.Trial.stop = Trial.Halted
+    then (Oracle.subject r, rec_)
+    else find (index + 1)
+  in
+  let s, rec_ = find 0 in
+  let j = rec_.Trial.journal in
+  let replay j' =
+    match Trial.check_replay s { rec_ with Trial.journal = j' } with
+    | Ok () -> "ok"
+    | Error e -> e
+  in
+  check Alcotest.string "untampered" "ok" (replay j);
+  let rec drop_fault = function
+    | J.Pre_fault _ :: tl -> tl
+    | ev :: tl -> ev :: drop_fault tl
+    | [] -> []
+  in
+  check Alcotest.string "one host event dropped" "record/replay strict digest"
+    (replay { j with J.host = drop_fault j.J.host });
+  let rec move_irq = function
+    | J.Irq { at; line } :: tl -> J.Irq { at = at / 2; line } :: tl
+    | ev :: tl -> ev :: move_irq tl
+    | [] -> []
+  in
+  let e = replay { j with J.guest = move_irq j.J.guest } in
+  if not (contains e "record/replay arch:") then
+    Alcotest.failf "one guest event moved: %s" e
 
 let replay_tests =
   [
@@ -444,6 +491,8 @@ let replay_tests =
       (test_chaos_record_replay 7);
     Alcotest.test_case "resume from checkpoint + journal suffix" `Quick
       test_fuzz_resume_from_checkpoint;
+    Alcotest.test_case "tampered journal fails the differential" `Quick
+      test_trial_tamper;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -676,7 +725,9 @@ let test_strict_digest_pins () =
   check Alcotest.string "STAT bytes, normalized"
     "c2749582c936b570f3bb441bcff35837"
     (stat (P.Digests.normalized_stats s));
-  let strict c = P.Digests.strict_hex (P.Digests.strict c) in
+  let strict c =
+    P.Digests.strict_hex (P.Digests.strict (P.Digests.arch c) c)
+  in
   let c = Suite.prepare (compress ()) in
   (match Cms.run ~max_insns:200_000 c with
   | Cms.Engine.Insn_limit -> ()

@@ -54,15 +54,6 @@ let run_loop ?(arm = fun (_ : Cms.t) -> ()) ~iters cfg =
   let c = Cms.create ~cfg () in
   Cms.load c (loop_listing ~iters);
   Cms.boot c ~entry:loop_base;
-  (* standing speculation non-interference invariant: every rollback
-     in every robustness scenario must leave no speculative state —
-     shadow registers, gated stores, armed alias ranges —
-     architecturally observable *)
-  c.Cms.Engine.on_rollback <-
-    Some
-      (fun () ->
-        if Cms.Engine.speculation_visible c then
-          Alcotest.fail "speculative state visible after rollback");
   arm c;
   let stop = Cms.run ~max_insns:1_000_000 c in
   check cb "halted" true (stop = Cms.Engine.Halted);
@@ -142,6 +133,40 @@ let test_forward_progress () =
     <= (s.Cms.Stats.quarantines + 1)
        * cfg.Cms.Config.quarantine_limit * cfg.Cms.Config.spec_fault_limit);
   check cb "quarantine fast path used" true (s.Cms.Stats.quarantined_steps > 0)
+
+(* ------------------------------------------------------------------ *)
+(* The rollback check                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The engine ends every rollback with [check_rollback]: a working
+   register that differs from its committed copy is speculative state
+   left visible. *)
+let test_rollback_check () =
+  let c = Cms.create () in
+  Cms.Engine.check_rollback c;
+  let regs = c.Cms.Engine.cpu.Cms.Cpu.exec.Vliw.Exec.regs in
+  Vliw.Regfile.set regs 0 (Vliw.Regfile.get_committed regs 0 + 1);
+  Alcotest.check_raises "dirty working register"
+    Cms.Engine.Speculation_visible (fun () -> Cms.Engine.check_rollback c)
+
+(* A chaos run heavy in injected pre-execution faults, on the
+   preemptive round-robin kernel (its timer interrupts roll running
+   translations back too): both of the engine's rollback sites fire,
+   and the check after each one stays quiet. *)
+let test_prefault_heavy_chaos () =
+  let w = Workloads.Progs_kernel.kernel_rr in
+  let c = Suite.prepare w in
+  let profile = { Chaos.default_profile with Chaos.pre_fault = 400 } in
+  Chaos.install (Chaos.create ~profile (Srng.create 3)) c;
+  let c = Suite.run_prepared w c in
+  let s = Cms.stats c in
+  let rollbacks = (Cms.perf c).Vliw.Perf.rollbacks in
+  check cb
+    (Fmt.str "faults rolled back (%d rollbacks, %d on interrupts)" rollbacks
+       s.Cms.Stats.irq_rollbacks)
+    true
+    (rollbacks > s.Cms.Stats.irq_rollbacks);
+  check cb "interrupts rolled back" true (s.Cms.Stats.irq_rollbacks > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Stall watchdog: spoofed interrupts with nothing to deliver          *)
@@ -404,7 +429,8 @@ let test_oracle_schedule_pin () =
     let rec_ =
       Cms_fuzz.Oracle.record (Cms_fuzz.Oracle.render ~chaos:chaos_seed case)
     in
-    Buffer.add_string b (Journal.to_string rec_.Cms_fuzz.Oracle.journal)
+    Buffer.add_string b
+      (Journal.to_string rec_.Cms_persist.Trial.journal)
   done;
   Alcotest.(check string)
     "journals" "87c1f31cb49cfc245a857dee661f2f04"
@@ -414,14 +440,16 @@ let test_oracle_schedule_pin () =
    storm campaign's seed-1 chaos. *)
 let test_storm_schedule_pin () =
   let module Storm = Cms_robust.Storm in
-  let cfg, ch = Storm.chaos_of_seed 1 Storm.cfg_translate in
+  let module Trial = Cms_persist.Trial in
+  let cfg, ch = Storm.chaos_of_seed 1 Cms.Config.default in
   let fired = ref [] in
   let o, _ =
-    Storm.execute ~cfg
+    Trial.execute
+      (Storm.subject Workloads.Progs_kernel.kernel_echo)
+      ~cfg
       ~setup:(Chaos.install ~record:(fun ev -> fired := ev :: !fired) ch)
-      Workloads.Progs_kernel.kernel_echo
   in
-  check cb "halted" true (o.Storm.stop = Storm.Halted);
+  check cb "halted" true (o.Trial.stop = Trial.Halted);
   check ci "events" 11456 (List.length !fired);
   Alcotest.(check string)
     "host events" "34f05c76ffb8a518ec7c2a229bfe4050"
@@ -441,6 +469,9 @@ let suites =
           test_spoof_storm_watchdog;
         Alcotest.test_case "pressure-only chaos profile" `Quick
           test_chaos_pressure_only;
+        Alcotest.test_case "rollback check" `Quick test_rollback_check;
+        Alcotest.test_case "pre-fault-heavy chaos run" `Quick
+          test_prefault_heavy_chaos;
       ] );
     ( "robust.tcache",
       [

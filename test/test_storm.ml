@@ -138,7 +138,7 @@ let test_rx_kernel_determinism () =
     (Cms.gpr c X86.Regs.eax, Cms.gpr c X86.Regs.ebx, Cms.stats c)
   in
   let eax_i, ebx_i, _ = run Cms.interp_only_cfg in
-  let eax_t, ebx_t, s = run Storm.cfg_translate in
+  let eax_t, ebx_t, s = run Cms.Config.default in
   let want_eax, want_ebx = Progs_kernel.rx_expected frames in
   check ci "interp eax" want_eax eax_i;
   check ci "translate eax" want_eax eax_t;
@@ -161,8 +161,8 @@ let test_campaign_slice () =
   check ci "no speculation violations" 0 t.Storm.spec_violations;
   check cb "packets injected" true (t.Storm.frames_injected > 0);
   check cb "irq floods injected" true (t.Storm.irqs_injected > 0);
-  check cb "events fired" true (t.Storm.events_fired > 0);
-  check ci "no gated drops" 0 t.Storm.nic_drops
+  check cb "events fired" true (t.Storm.stats.Cms.Stats.journal_events > 0);
+  check ci "no gated drops" 0 t.Storm.stats.Cms.Stats.nic_rx_dropped
 
 let suites =
   [
