@@ -284,11 +284,12 @@ let run_hotpath ~json () =
    workload runs to completion, then the final machine state is
    captured and restored (best of 3 each).  The snapshot is the
    *guest* state only — host caches are rebuilt cold — so its size
-   tracks the live working set, not the translation cache. *)
+   tracks the live working set, not the translation cache.  Then a
+   fleet machine's periodic checkpoint, layer by layer. *)
 let run_persist () =
-  let best3 f =
+  let best_of n f =
     let best = ref infinity and last = ref None in
-    for _ = 1 to 3 do
+    for _ = 1 to n do
       let t0 = Unix.gettimeofday () in
       let v = f () in
       let dt = Unix.gettimeofday () -. t0 in
@@ -297,6 +298,7 @@ let run_persist () =
     done;
     (!best, Option.get !last)
   in
+  let best3 f = best_of 3 f in
   pr "=== Checkpoint/restore cost (final-state snapshots) ===@.";
   pr "  %-28s %10s %9s %9s %9s@." "workload" "bytes" "save ms" "rest ms"
     "run s";
@@ -326,7 +328,34 @@ let run_persist () =
     [
       ("boots", Workloads.Progs_boot.all);
       ("apps", Workloads.Progs_spec.all @ Workloads.Progs_apps.all);
-    ]
+    ];
+  (* Fleet machine 0 of the seed-1 traffic at 100k retired: the freeze
+     every checkpoint period pays, the seal only a checkpoint's reader
+     pays, and the eager capture (freeze into a fresh writer, then
+     seal) every period paid before checkpoints were frozen. *)
+  let module Fleet = Cms_fleet.Fleet in
+  let module Snapshot = Cms_persist.Snapshot in
+  let spec = List.hd (Fleet.traffic_specs ~seed:1 ~machines:4) in
+  let c =
+    Workloads.Suite.prepare ~cfg:Fleet.engine_cfg spec.Fleet.s_workload
+  in
+  let injector = Cms_persist.Journal.install_guest c spec.Fleet.s_events in
+  ignore (Cms.run ~max_insns:100_000 c : Cms.Engine.stop);
+  let into = Cms_persist.Codec.writer () in
+  let tfreeze, frozen =
+    best_of 50 (fun () -> Snapshot.freeze ~label:"m0" ~injector ~into c)
+  in
+  let tseal, img = best_of 50 (fun () -> Snapshot.seal frozen) in
+  let tcapture, _ =
+    best_of 50 (fun () -> Snapshot.capture ~label:"m0" ~injector c)
+  in
+  pr "@.=== Periodic checkpoint (fleet machine 0 at 100k retired, best of \
+      50) ===@.";
+  pr "  %10s %10s %9s %11s %15s@." "bytes" "freeze ms" "seal ms" "capture ms"
+    "freeze/capture";
+  pr "  %10d %10.3f %9.3f %11.3f %14.1f%%@." (String.length img)
+    (tfreeze *. 1e3) (tseal *. 1e3) (tcapture *. 1e3)
+    (100. *. tfreeze /. tcapture)
 
 (* ------------------------------------------------------------------ *)
 (* Ahead-of-time translation: cold start vs image boot                  *)

@@ -206,7 +206,9 @@ let run_machine ?store (fcfg : config) (spec : spec) : report =
   let fired = Array.make (max 1 nf) false in
   let kills = ref 0 and wedges = ref 0 in
   let spec_viol = ref 0 in
-  let checkpoint : string option ref = ref None in
+  (* the newest checkpoint of any attempt, frozen: sealed only when a
+     restart restores it or forensics dumps it *)
+  let checkpoint : Snapshot.frozen option ref = ref None in
   (* Chaos scrambles codegen-relevant capacities, so it must shape the
      config *before* the first boot: snapshots embed the config and
      restarts inherit it, keeping every attempt self-consistent. *)
@@ -220,7 +222,8 @@ let run_machine ?store (fcfg : config) (spec : spec) : report =
     | None -> ()
     | Some dir ->
         ignore
-          (Forensics.dump ~dir ~name:label ~reason ?checkpoint:!checkpoint
+          (Forensics.dump ~dir ~name:label ~reason
+             ?checkpoint:(Option.map Snapshot.seal !checkpoint)
              ~journal:
                {
                  Journal.label = spec.s_workload.Suite.name;
@@ -311,8 +314,8 @@ let run_machine ?store (fcfg : config) (spec : spec) : report =
        corrupt checkpoint must quarantine the machine, not the shard *)
     match
       match (!checkpoint, n) with
-      | Some image, n when n > 0 ->
-          let c, meta = Snapshot.restore image in
+      | Some frozen, n when n > 0 ->
+          let c, meta = Snapshot.restore (Snapshot.seal frozen) in
           let inj =
             Journal.install_guest ~irq_cursor:meta.Snapshot.irq_cursor
               ~sync_cursor:meta.Snapshot.sync_cursor c spec.s_events
@@ -351,9 +354,10 @@ let run_machine ?store (fcfg : config) (spec : spec) : report =
               Error "speculative state visible after rollback"
           | exception e -> Error ("crashed: " ^ Printexc.to_string e)
         in
-        (* keep the newest checkpoint across attempts *)
-        (match ck.Snapshot.image with
-        | Some img -> checkpoint := Some img
+        (* keep the newest checkpoint across attempts: [ck] freezes no
+           more once [c] stops, so its latest stays valid *)
+        (match ck.Snapshot.latest with
+        | Some frozen -> checkpoint := Some frozen
         | None -> ());
         let report =
           match outcome with
@@ -366,7 +370,8 @@ let run_machine ?store (fcfg : config) (spec : spec) : report =
            next attempt's restore.  Nothing still uses it: [c] never escapes this
            function (the report holds ints and the [Stats] record), the
            store holds serialized blobs while the [Share] hooks hang off
-           [c], and forensics got the checkpoint string, not [c]. *)
+           [c], and the checkpoint is frozen in its own buffer, not in
+           [c]'s RAM. *)
         Cms.release c;
         (match report with Some r -> r | None -> attempt (n + 1))
   in

@@ -14,10 +14,22 @@ type t = {
   mutable writes : int;
   mutable reads : int;
   mutable frames : int;
+  mutable chunks : (int * int list) option;
+      (** snapshot cache: offsets of [mem]'s non-zero chunks, found when
+          [writes] was [fst].  Every store bumps [writes], so the list
+          is current while the two agree; {!restore} drops it. *)
 }
 
 let create ~base ~size =
-  { base; size; mem = Bytes.make size '\x00'; writes = 0; reads = 0; frames = 0 }
+  {
+    base;
+    size;
+    mem = Bytes.make size '\x00';
+    writes = 0;
+    reads = 0;
+    frames = 0;
+    chunks = None;
+  }
 
 let mmio_handler t =
   {
@@ -52,6 +64,7 @@ let restore t (mem, writes, reads, frames) =
   if Bytes.length mem <> t.size then
     invalid_arg "Framebuf.restore: size mismatch";
   Bytes.blit mem 0 t.mem 0 t.size;
+  t.chunks <- None;
   t.writes <- writes;
   t.reads <- reads;
   t.frames <- frames

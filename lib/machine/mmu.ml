@@ -37,6 +37,11 @@ type t = {
   tlb_base : int array;  (** physical page base per slot *)
   mutable tlb_hits : int;
   mutable tlb_misses : int;
+  mutable generation : int;
+      (** bumped by every change to the page table or the enable bit *)
+  mutable dump_cache : (int * string) option;
+      (** snapshot cache: the encoded {!dump_entries} and the
+          {!generation} it was made at; stale once they differ *)
 }
 
 type access = Read | Write | Exec
@@ -52,14 +57,19 @@ let create () =
     tlb_base = Array.make (3 * tlb_slots) 0;
     tlb_hits = 0;
     tlb_misses = 0;
+    generation = 0;
+    dump_cache = None;
   }
 
 (** Drop every cached translation.  Correctness depends on this running
     whenever the page table (or the enable bit) changes. *)
 let flush_tlb t = Array.fill t.tlb_tag 0 (3 * tlb_slots) (-1)
 
+let changed t = t.generation <- t.generation + 1
+
 (* Page-table update alone; every caller flushes the TLB. *)
 let set_entry t ~vpn ~ppn ~writable =
+  changed t;
   match Hashtbl.find_opt t.table vpn with
   | Some e ->
       e.ppn <- ppn;
@@ -82,12 +92,14 @@ let map_identity t ~virt ~pages ~writable =
 
 let unmap t ~virt =
   flush_tlb t;
+  changed t;
   match Hashtbl.find_opt t.table (virt lsr page_shift) with
   | Some e -> e.present <- false
   | None -> ()
 
 let set_writable t ~virt w =
   flush_tlb t;
+  changed t;
   match Hashtbl.find_opt t.table (virt lsr page_shift) with
   | Some e -> e.writable <- w
   | None -> ()
@@ -97,11 +109,14 @@ let set_writable t ~virt w =
     have been rebuilt. *)
 let set_enabled t on =
   flush_tlb t;
+  changed t;
   t.enabled <- on
 
 (* Snapshot support: enumerate the page table in deterministic (vpn)
    order, and rebuild it from such a dump.  Restoring flushes the TLB —
-   the rebuilt table is a wholesale change. *)
+   the rebuilt table is a wholesale change.  Every change to the table,
+   [restore_entries] included, bumps {!generation}, so a dump made at
+   the current generation is still current. *)
 let dump_entries t =
   Hashtbl.fold
     (fun vpn e acc -> (vpn, e.ppn, e.present, e.writable) :: acc)
@@ -109,6 +124,7 @@ let dump_entries t =
   |> List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b)
 
 let restore_entries t entries =
+  changed t;
   Hashtbl.reset t.table;
   List.iter
     (fun (vpn, ppn, present, writable) ->

@@ -123,7 +123,7 @@ let record (s : subject) ~cfg ~guest ?schedule ?checkpoint_every
     final_image =
       (if Snapshot.consistent c then Some (Snapshot.capture ~label c)
        else None);
-    checkpoint = Option.bind !ckpt (fun ck -> ck.Snapshot.image);
+    checkpoint = Option.bind !ckpt Snapshot.latest_image;
   }
 
 (** Re-run a journal deterministically: guest events through the same

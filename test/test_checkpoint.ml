@@ -86,14 +86,17 @@ let test_word_encoder () =
         let expect = ref_sparse data in
         check Alcotest.string (Fmt.str "%s: full scan" name) expect
           (encode data);
-        (* the predicate may rule out exactly the all-zero chunks *)
+        (* the flags may rule out exactly the all-zero chunks *)
         let exact k =
           let lo = k * chunk in
           let len = min chunk (size - lo) in
           not (Bytes.equal (Bytes.sub data lo len) (Bytes.make len '\000'))
         in
+        let live =
+          Bytes.init nchunks (fun k -> if exact k then '\001' else '\000')
+        in
         check Alcotest.string (Fmt.str "%s: live chunks only" name) expect
-          (encode ~live:exact data);
+          (encode ~live data);
         let phys = decode_into_phys expect in
         check Alcotest.bool (Fmt.str "%s: decodes into RAM" name) true
           (Bytes.equal data phys.Phys.data);
@@ -258,10 +261,10 @@ let fleet_first_checkpoint () =
     Some
       (fun retired ->
         Option.iter (fun f -> f retired) prev;
-        if ck.P.Snapshot.image <> None then raise First_checkpoint);
+        if ck.P.Snapshot.latest <> None then raise First_checkpoint);
   (try ignore (Cms.run ~max_insns:spec.Fleet.s_workload.Suite.max_insns c)
    with First_checkpoint -> ());
-  match ck.P.Snapshot.image with
+  match P.Snapshot.latest_image ck with
   | Some img -> (c, spec, img)
   | None -> Alcotest.fail "fleet machine took no checkpoint"
 
@@ -354,6 +357,242 @@ let test_pinned_images () =
     "ae9ef20004b6743cc93c7e50097cb0ec"
     (Digest.to_hex (Digest.string img))
 
+(* ------------------------------------------------------------------ *)
+(* Frozen checkpoints                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let on_boundary c f =
+  let prev = c.Cms.Engine.on_boundary in
+  c.Cms.Engine.on_boundary <-
+    Some
+      (fun retired ->
+        Option.iter (fun g -> g retired) prev;
+        f retired)
+
+(* The checkpoint images of one run of [boot ()] to [max_insns], taken
+   every [every] retired instructions, twice: through [Snapshot.arm],
+   sealing each checkpoint as soon as it is frozen (and its predecessor
+   again, which the next freeze must not have overwritten), and by an
+   eager [Snapshot.capture] at the same boundaries.  The first list ends with
+   the checkpointer's latest image sealed after the run. *)
+let checkpoint_images ~every ~max_insns boot =
+  let run take =
+    let c, injector = boot () in
+    let images = ref [] in
+    let finish = take c injector images in
+    ignore (Cms.run ~max_insns c : Cms.Engine.stop);
+    finish ();
+    List.rev !images
+  in
+  let sealed =
+    run (fun c injector images ->
+        let ck = P.Snapshot.arm ~label:"ck" ?injector c ~every in
+        let seen = ref 0 and prev = ref None in
+        on_boundary c (fun _ ->
+            if ck.P.Snapshot.captures > !seen then begin
+              seen := ck.P.Snapshot.captures;
+              (* the checkpoint before the newest is still whole *)
+              Option.iter
+                (fun f ->
+                  check Alcotest.bool "previous checkpoint intact" true
+                    (P.Snapshot.seal f = List.hd !images))
+                !prev;
+              prev := ck.P.Snapshot.latest;
+              images := Option.get (P.Snapshot.latest_image ck) :: !images
+            end);
+        fun () ->
+          match P.Snapshot.latest_image ck with
+          | Some img -> images := img :: !images
+          | None -> ())
+  in
+  let eager =
+    run (fun c injector images ->
+        let last = ref 0 in
+        on_boundary c (fun retired ->
+            if retired - !last >= every then begin
+              images := P.Snapshot.capture ~label:"ck" ?injector c :: !images;
+              last := retired
+            end);
+        ignore)
+  in
+  (sealed, eager)
+
+let check_identical name (sealed, eager) =
+  check Alcotest.bool (name ^ ": several checkpoints") true
+    (List.length eager > 2);
+  check Alcotest.int (name ^ ": as many checkpoints")
+    (List.length eager + 1)
+    (List.length sealed);
+  List.iteri
+    (fun i img ->
+      check Alcotest.string
+        (Fmt.str "%s: checkpoint %d (%d bytes) byte-equal" name i
+           (String.length img))
+        (Digest.to_hex (Digest.string img))
+        (Digest.to_hex (Digest.string (List.nth sealed i))))
+    eager;
+  let n = List.length eager in
+  check Alcotest.bool (name ^ ": latest sealed after the run") true
+    (List.nth sealed n = List.nth eager (n - 1))
+
+let test_frozen_fleet_identical () =
+  let spec = List.hd (Fleet.traffic_specs ~seed:1 ~machines:4) in
+  check_identical "fleet m0"
+    (checkpoint_images ~every:Fleet.default_config.Fleet.checkpoint_every
+       ~max_insns:spec.Fleet.s_workload.Suite.max_insns (fun () ->
+         let c = Suite.prepare ~cfg:Fleet.engine_cfg spec.Fleet.s_workload in
+         (c, Some (P.Journal.install_guest c spec.Fleet.s_events))))
+
+let test_frozen_compress_identical () =
+  let w = Test_persist.compress () in
+  check_identical "026.compress"
+    (checkpoint_images ~every:50_000 ~max_insns:w.Suite.max_insns (fun () ->
+         (Suite.prepare w, None)))
+
+(* A capture that reuses the MMU's and the frame buffer's cached
+   encodings must equal one made from a fresh page-table dump and
+   frame-buffer scan.  Both captures count themselves in the stats, so
+   the counters are put back between them. *)
+let check_fresh name c =
+  let s = Cms.stats c in
+  let written = s.Cms.Stats.snapshots_written
+  and bytes = s.Cms.Stats.snapshot_bytes in
+  let cached = P.Snapshot.capture c in
+  s.Cms.Stats.snapshots_written <- written;
+  s.Cms.Stats.snapshot_bytes <- bytes;
+  (Cms.mem c).Machine.Mem.mmu.Machine.Mmu.dump_cache <- None;
+  (Cms.platform c).Machine.Platform.fb.Machine.Framebuf.chunks <- None;
+  check Alcotest.string
+    (name ^ ": cached capture = fresh capture")
+    (Digest.to_hex (Digest.string (P.Snapshot.capture c)))
+    (Digest.to_hex (Digest.string cached));
+  cached
+
+let section img tag =
+  P.Codec.section
+    (P.Codec.read_container ~kind:P.Snapshot.kind ~version:P.Snapshot.version
+       img)
+    tag
+
+let test_mmu_cache_invalidation () =
+  let c = Suite.prepare (Test_persist.compress ()) in
+  ignore (Cms.run ~max_insns:50_000 c : Cms.Engine.stop);
+  let mmu = (Cms.mem c).Machine.Mem.mmu in
+  let module Mmu = Machine.Mmu in
+  let before = ref (check_fresh "booted" c) in
+  let cache () = Option.map snd mmu.Mmu.dump_cache in
+  let kept = cache () in
+  ignore (P.Snapshot.capture c : string);
+  check Alcotest.bool "unchanged table: encoding reused" true
+    (Option.get (cache ()) == Option.get kept);
+  ignore (check_fresh "unchanged" c : string);
+  let high = 0x3000_0000 in
+  List.iter
+    (fun (name, mutate) ->
+      mutate ();
+      let img = check_fresh name c in
+      check Alcotest.bool (name ^ ": MMUS moved") false
+        (section img "MMUS" = section !before "MMUS");
+      before := img)
+    [
+      ( "set_entry",
+        fun () -> Mmu.set_entry mmu ~vpn:0x31000 ~ppn:7 ~writable:true );
+      ("map", fun () -> Mmu.map mmu ~virt:high ~phys:0x5000 ~writable:false);
+      ( "map_identity",
+        fun () ->
+          Mmu.map_identity mmu ~virt:(high + 0x10000) ~pages:3 ~writable:true
+      );
+      ("unmap", fun () -> Mmu.unmap mmu ~virt:high);
+      ("set_writable", fun () -> Mmu.set_writable mmu ~virt:0x1000 false);
+      ("set_enabled", fun () -> Mmu.set_enabled mmu (not mmu.Mmu.enabled));
+      ( "restore_entries",
+        fun () -> Mmu.restore_entries mmu (List.tl (Mmu.dump_entries mmu)) );
+    ]
+
+let test_fb_cache_invalidation () =
+  let w =
+    List.find
+      (fun w -> w.Suite.name = "Quake Demo2 (DOS)")
+      (Test_persist.all_workloads ())
+  in
+  let c = Suite.prepare w in
+  let fb = (Cms.platform c).Machine.Platform.fb in
+  let module Fb = Machine.Framebuf in
+  let before = ref (check_fresh "booted" c) in
+  let limit = ref 0 in
+  let drawn = ref 0 in
+  while !drawn < 3 do
+    let writes = fb.Fb.writes in
+    limit := !limit + 100_000;
+    (match Cms.run ~max_insns:!limit c with
+    | Cms.Engine.Insn_limit -> ()
+    | Cms.Engine.Halted -> Alcotest.fail "Quake finished before drawing");
+    if fb.Fb.writes > writes then begin
+      incr drawn;
+      let img = check_fresh (Fmt.str "after %d insns" !limit) c in
+      check Alcotest.bool "FBUF moved" false
+        (section img "FBUF" = section !before "FBUF");
+      before := img
+    end
+  done;
+  (* a restore may bring back the same store count over other bytes *)
+  let mem =
+    Bytes.map (fun ch -> if ch = '\000' then '\001' else ch) fb.Fb.mem
+  in
+  Fb.restore fb (mem, fb.Fb.writes, fb.Fb.reads, fb.Fb.frames);
+  let img = check_fresh "restored" c in
+  check Alcotest.bool "restore: FBUF moved" false
+    (section img "FBUF" = section !before "FBUF")
+
+(* The masked RAM digest zeroes the masked bytes in place and puts them
+   back: same digest as zeroing a copy, same RAM and written flags
+   after. *)
+let test_masked_digest_in_place () =
+  let w =
+    List.find
+      (fun w -> w.Suite.name = "RR Kernel")
+      (Test_persist.all_workloads ())
+  in
+  let c = Suite.run w in
+  let phys = (Cms.mem c).Machine.Mem.phys in
+  let ram = Bytes.copy phys.Phys.data in
+  let flags = Bytes.copy phys.Phys.written in
+  let reference mask =
+    let d = Bytes.copy ram in
+    List.iter (fun (lo, hi) -> Bytes.fill d lo (hi - lo) '\000') mask;
+    Digest.bytes d
+  in
+  let first p = List.find p (List.init (npages phys) Fun.id) * chunk in
+  let written = first (Phys.written phys) in
+  let unwritten = first (fun ppn -> not (Phys.written phys ppn)) in
+  let masks =
+    [
+      [];
+      [ (written + 100, written + chunk + 50) ];
+      [ (unwritten + 8, unwritten + 64) ];
+      [ (written, written + 300); (written + 100, written + 500) ];
+      [ (written + 10, written + 10); (unwritten, unwritten + chunk) ];
+      [ (0, phys.Phys.size) ];
+    ]
+  in
+  List.iteri
+    (fun i mask ->
+      check Alcotest.string
+        (Fmt.str "mask %d: digest" i)
+        (Digest.to_hex (reference mask))
+        (Digest.to_hex (P.Digests.mem_digest ~mask c));
+      check Alcotest.bool (Fmt.str "mask %d: RAM unchanged" i) true
+        (Bytes.equal ram phys.Phys.data);
+      check Alcotest.bool (Fmt.str "mask %d: written flags unchanged" i) true
+        (Bytes.equal flags phys.Phys.written))
+    masks;
+  let size = phys.Phys.size in
+  (match P.Digests.mem_digest ~mask:[ (0, 8); (size - 4, size + 4) ] c with
+  | _ -> Alcotest.fail "a mask past the end of RAM was accepted"
+  | exception Invalid_argument _ -> ());
+  check Alcotest.bool "refused mask: RAM unchanged" true
+    (Bytes.equal ram phys.Phys.data)
+
 let suites =
   [
     ( "persist written pages",
@@ -372,5 +611,18 @@ let suites =
         Alcotest.test_case "pinned image digests" `Quick test_pinned_images;
         Alcotest.test_case "disk image scanned once" `Quick
           test_disk_scanned_once;
+      ] );
+    ( "persist frozen checkpoints",
+      [
+        Alcotest.test_case "fleet m0: sealed = eager captures" `Quick
+          test_frozen_fleet_identical;
+        Alcotest.test_case "026.compress: sealed = eager captures" `Quick
+          test_frozen_compress_identical;
+        Alcotest.test_case "page-table cache follows every change" `Quick
+          test_mmu_cache_invalidation;
+        Alcotest.test_case "frame-buffer cache follows stores and restore"
+          `Quick test_fb_cache_invalidation;
+        Alcotest.test_case "masked RAM digest in place" `Quick
+          test_masked_digest_in_place;
       ] );
   ]
