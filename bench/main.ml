@@ -7,6 +7,7 @@
      dune exec bench/main.exe -- micro   # microbenchmarks only *)
 
 module Experiments = Workloads.Experiments
+module Trial = Cms_persist.Trial
 
 let pr fmt = Fmt.pr fmt
 
@@ -367,7 +368,9 @@ let run_persist () =
    skips both for the statically discovered code, so the total-molecule
    delta between the two runs *is* the cold-start overhead removed.
    The warm run round-trips the image through the stable codec — the
-   benchmark measures the real boot path, not an in-memory shortcut. *)
+   benchmark measures the real boot path, not an in-memory shortcut —
+   and every row must first pass the AOT differential against its cold
+   run. *)
 let run_aot ~json () =
   let workloads =
     List.hd Workloads.Progs_boot.all :: Workloads.Progs_spec.all
@@ -376,28 +379,19 @@ let run_aot ~json () =
   let rows =
     List.map
       (fun (w : Workloads.Suite.t) ->
-        let cold = Workloads.Suite.run ~cfg w in
-        let warm =
-          let c = Workloads.Suite.prepare ~cfg w in
-          let img =
-            (Cms_analysis.Aotgen.build ~label:w.Workloads.Suite.name c
-               ~entry:w.Workloads.Suite.entry)
-              .Cms_analysis.Aotgen.image
-          in
-          let img =
-            Cms_persist.Aot.of_string (Cms_persist.Aot.to_string img)
-          in
-          ignore (Cms_persist.Aot.install c img : Cms_persist.Aot.install_report);
-          Workloads.Suite.run_prepared w c
+        let s = Trial.of_suite w in
+        let img =
+          Cms_analysis.Aotgen.warm_image s ~cfg ~label:w.Workloads.Suite.name
+            ~entry:w.Workloads.Suite.entry
         in
-        if
-          (not w.Workloads.Suite.uses_timer)
-          && Cms_persist.Digests.arch cold <> Cms_persist.Digests.arch warm
-        then begin
-          Fmt.epr "aot bench: %S diverged between cold and AOT-warm runs!@."
-            w.Workloads.Suite.name;
-          exit 1
-        end;
+        let _, warm_o, warm = Trial.execute_aot s ~cfg img in
+        let (_, cold), verdict = Trial.check_aot w ~cfg warm_o in
+        (match verdict with
+        | Ok () -> ()
+        | Error e ->
+            Fmt.epr "aot bench: %S diverged between cold and AOT-warm runs: %s@."
+              w.Workloads.Suite.name e;
+            exit 1);
         let sw = Cms.stats warm in
         let retired = Cms.retired warm in
         let coverage =
@@ -687,36 +681,31 @@ let run_fleet ~json () =
 (* Fast-path smoke check (CI: dune build @bench-smoke)                 *)
 (* ------------------------------------------------------------------ *)
 
-(* One real workload, both fast-path modes, guest-visible outcome must
-   match exactly.  [Suite.run] itself already asserts the workload's
-   checksum; this cross-checks the two modes against each other. *)
+(* One real workload, both fast-path modes: each must pass its
+   self-check, and the two Trial outcomes (stop, arch and strict
+   digests) must match exactly. *)
 let run_smoke () =
   let w = List.hd Workloads.Progs_spec.all in
-  let digest fast =
+  let outcome fast =
     let cfg = { Cms.Config.default with Cms.Config.host_fast_paths = fast } in
-    let c = Workloads.Suite.run ~cfg w in
-    let s = Cms.stats c in
-    let m = Cms.mem c in
-    ( Cms.retired c,
-      Cms.total_molecules c,
-      Cms.gpr c X86.Regs.eax,
-      Cms.eip c,
-      s.Cms.Stats.genuine_faults,
-      s.Cms.Stats.spec_faults,
-      s.Cms.Stats.translations,
-      m.Machine.Mem.smc_events,
-      m.Machine.Mem.page_prot_faults )
+    let o, _ = Trial.execute (Trial.of_suite w) ~cfg ~setup:ignore in
+    match Trial.suite_check w o with
+    | Ok () -> o
+    | Error e ->
+        Fmt.epr "bench-smoke: %s@." e;
+        exit 1
   in
-  let on = digest true in
-  let off = digest false in
-  if on = off then
-    pr "bench-smoke: %S identical with fast paths on and off@."
-      w.Workloads.Suite.name
-  else begin
-    Fmt.epr "bench-smoke: %S DIVERGED between fast-path modes@."
-      w.Workloads.Suite.name;
-    exit 1
-  end;
+  (match
+     Trial.verdict ~what:"fast paths on/off" (Trial.Outcome (outcome true))
+       (outcome false)
+   with
+  | Ok () ->
+      pr "bench-smoke: %S identical with fast paths on and off@."
+        w.Workloads.Suite.name
+  | Error e ->
+      Fmt.epr "bench-smoke: %S DIVERGED between fast-path modes: %s@."
+        w.Workloads.Suite.name e;
+      exit 1);
   (* the full ladder on a shortened loop: equivalence across all three
      tiers (hotpath_ladder exits nonzero on divergence) plus a floor
      on the headline speedup (interpreter with host caches off ->

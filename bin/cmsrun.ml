@@ -4,25 +4,8 @@
      dune exec bin/cmsrun.exe -- -w "Quake Demo2 (DOS)" --no-reorder -v *)
 
 module Suite = Workloads.Suite
-
-let all_workloads () =
-  Workloads.Progs_boot.all @ Workloads.Progs_spec.all
-  @ Workloads.Progs_apps.all @ Workloads.Progs_quake.all
-  @ [ Workloads.Progs_quake.blt_driver () ]
-  @ Workloads.Progs_kernel.all
-
-let find_workload name =
-  List.find_opt (fun w -> w.Suite.name = name) (all_workloads ())
-
 module Persist = Cms_persist
-
-(* A suite run is deterministic given its configuration, so a workload
-   journal carries no events — just the config and the final digests.
-   Replay reruns under the journal's config and compares. *)
-let digests_of (t : Cms.t) =
-  let a = Persist.Digests.arch t in
-  ( Persist.Digests.arch_hex a,
-    Persist.Digests.strict_hex (Persist.Digests.strict a t) )
+module Trial = Cms_persist.Trial
 
 let report ~stats ~verbose w t =
   let s = Cms.stats t in
@@ -43,55 +26,40 @@ let report ~stats ~verbose w t =
     if out <> "" then Fmt.pr "--- serial ---@.%s@." out
   end
 
+(* A suite journal carries no events, just the config and the final
+   digests; Trial records it, refusing a run that fails its
+   self-check, and replays it against those digests and the clean
+   outcome the journal stands for. *)
 let do_record ~stats ~verbose ~cfg w path =
-  let t = Suite.run ~cfg w in
-  let arch_hex, strict_hex = digests_of t in
-  Persist.Journal.save path
-    {
-      Persist.Journal.label = w.Suite.name;
-      cfg;
-      guest = [];
-      host = [];
-      arch_hex = Some arch_hex;
-      strict_hex = Some strict_hex;
-    };
-  report ~stats ~verbose w t;
-  Fmt.pr "recorded: %s (arch %s, strict %s)@." path arch_hex strict_hex;
-  `Ok ()
+  match Trial.record_suite ~cfg w with
+  | Error e -> `Error (false, "not recorded: " ^ e)
+  | Ok r ->
+      let j = r.Trial.journal in
+      Persist.Journal.save path j;
+      report ~stats ~verbose w r.Trial.machine;
+      Fmt.pr "recorded: %s (arch %s, strict %s)@." path
+        (Option.get j.Persist.Journal.arch_hex)
+        (Option.get j.Persist.Journal.strict_hex);
+      `Ok ()
 
 let do_replay ~stats ~verbose w path =
   match Persist.Journal.load path with
   | exception Persist.Codec.Corrupt msg ->
       `Error (false, Fmt.str "cannot replay %s: %s" path msg)
   | exception Sys_error msg -> `Error (false, "cannot replay: " ^ msg)
-  | j ->
-      if j.Persist.Journal.label <> w.Suite.name then
-        `Error
-          ( false,
-            Fmt.str "journal %s records workload %S, not %S" path
-              j.Persist.Journal.label w.Suite.name )
-      else begin
-        let t = Suite.run ~cfg:j.Persist.Journal.cfg w in
-        let arch_hex, strict_hex = digests_of t in
-        report ~stats ~verbose w t;
-        let check name recorded now =
-          match recorded with
-          | Some r when r <> now ->
-              Some (Fmt.str "%s digest mismatch (recorded %s, got %s)" name r now)
-          | _ -> None
-        in
-        match
-          List.filter_map Fun.id
-            [
-              check "arch" j.Persist.Journal.arch_hex arch_hex;
-              check "strict" j.Persist.Journal.strict_hex strict_hex;
-            ]
-        with
-        | [] ->
-            Fmt.pr "replay: PASS (bit-identical to recording)@.";
-            `Ok ()
-        | ms -> `Error (false, "replay FAILED: " ^ String.concat "; " ms)
-      end
+  | j when j.Persist.Journal.label <> w.Suite.name ->
+      `Error
+        ( false,
+          Fmt.str "journal %s records workload %S, not %S" path
+            j.Persist.Journal.label w.Suite.name )
+  | j -> (
+      let (_, t), verdict = Trial.check_journal (Trial.of_suite w) j in
+      report ~stats ~verbose w t;
+      match verdict with
+      | Ok () ->
+          Fmt.pr "replay: PASS (bit-identical to recording)@.";
+          `Ok ()
+      | Error e -> `Error (false, "replay FAILED: " ^ e))
 
 let do_aot_build ~verbose ~cfg w path =
   let t = Suite.prepare ~cfg w in
@@ -119,58 +87,34 @@ let do_aot_run ~stats ~verbose ~check ~cfg w path =
       `Error (false, Fmt.str "cannot load AOT image %s: %s" path msg)
   | exception Sys_error msg -> `Error (false, "cannot load AOT image: " ^ msg)
   | img -> (
-      let t = Suite.prepare ~cfg w in
-      match Persist.Aot.install t img with
+      match Trial.execute_aot (Trial.of_suite w) ~cfg img with
       | exception Persist.Aot.Stale msg ->
           `Error (false, Fmt.str "stale AOT image %s: %s" path msg)
-      | rep ->
+      | rep, warm, t -> (
           Fmt.pr "%a@." Persist.Aot.pp_report rep;
           if verbose then
             List.iter
               (fun (_, why) -> Fmt.pr "  rejected %s@." why)
               rep.Persist.Aot.rejected;
-          let t = Suite.run_prepared w t in
-          report ~stats ~verbose w t;
-          if not check then `Ok ()
-          else begin
-            (* differential gate: the same workload cold, same config,
-               no image.  Deterministic workloads must be bit-identical
-               architecturally; timer-driven ones are compared by their
-               checksum — interrupt delivery lands on consistent exits
-               (§3.3) and AOT regions tile the code differently than
-               profile-guided dynamic ones. *)
-            let cold = Suite.run ~cfg w in
-            if w.Suite.uses_timer then
-              if Cms.gpr t X86.Regs.eax <> Cms.gpr cold X86.Regs.eax then
-                `Error (false, "aot-check FAILED: checksum diverged")
-              else begin
-                Fmt.pr
-                  "aot-check: PASS (checksum %#x matches cold run; \
-                   timer-driven, memory not compared)@."
-                  (Cms.gpr t X86.Regs.eax);
-                `Ok ()
-              end
-            else
-              let warm_arch =
-                Persist.Digests.arch_hex (Persist.Digests.arch t)
-              in
-              let cold_arch =
-                Persist.Digests.arch_hex (Persist.Digests.arch cold)
-              in
-              if warm_arch <> cold_arch then
-                `Error
-                  ( false,
-                    Fmt.str
-                      "aot-check FAILED: arch digest diverged (aot %s, cold %s)"
-                      warm_arch cold_arch )
-              else if Cms.gpr t X86.Regs.eax <> Cms.gpr cold X86.Regs.eax then
-                `Error (false, "aot-check FAILED: checksum diverged")
-              else begin
-                Fmt.pr "aot-check: PASS (arch %s bit-identical to cold run)@."
-                  warm_arch;
-                `Ok ()
-              end
-          end)
+          match Trial.suite_check w warm with
+          | Error e -> `Error (false, e)
+          | Ok () -> (
+              report ~stats ~verbose w t;
+              if not check then `Ok ()
+              else
+                match Trial.check_aot w ~cfg warm with
+                | _, Error e -> `Error (false, "aot-check FAILED: " ^ e)
+                | _, Ok () ->
+                    if w.Suite.uses_timer then
+                      Fmt.pr
+                        "aot-check: PASS (checksum %#x matches cold run; \
+                         timer-driven, memory not compared)@."
+                        (Trial.eax warm.Trial.arch)
+                    else
+                      Fmt.pr
+                        "aot-check: PASS (arch %s bit-identical to cold run)@."
+                        (Persist.Digests.arch_hex warm.Trial.arch);
+                    `Ok ())))
 
 let do_soak ~cfg w every =
   let r =
@@ -188,11 +132,11 @@ let run_cmd name list_only no_reorder no_alias no_fg no_chaining no_reval
     no_fast_paths threshold max_region stats record replay
     soak soak_every aot_build aot aot_check verbose =
   if list_only then begin
-    List.iter (fun w -> Fmt.pr "%s@." w.Suite.name) (all_workloads ());
+    List.iter (fun w -> Fmt.pr "%s@." w.Suite.name) (Workloads.Catalog.all ());
     `Ok ()
   end
   else
-    match find_workload name with
+    match Workloads.Catalog.find name with
     | None ->
         `Error (false, Fmt.str "unknown workload %S (try --list)" name)
     | Some w ->
@@ -281,13 +225,16 @@ let record_arg =
   Arg.(value & opt (some string) None
        & info [ "record" ] ~docv:"FILE"
            ~doc:"Run the workload and write a deterministic journal (config + \
-                 final-state digests) to $(docv); verify later with --replay.")
+                 final-state digests) to $(docv); verify later with --replay.  \
+                 No journal is written when the run fails its self-check.")
 
 let replay_arg =
   Arg.(value & opt (some string) None
        & info [ "replay" ] ~docv:"FILE"
            ~doc:"Re-run the workload under the configuration recorded in \
-                 $(docv) and require bit-identical final-state digests.")
+                 $(docv) and require its recorded arch and strict digests and \
+                 a clean stop: halted, no speculation violation, no verifier \
+                 diagnostic.")
 
 let soak_flag =
   flag [ "soak" ]
@@ -319,8 +266,9 @@ let aot_arg =
 let aot_check =
   flag [ "aot-check" ]
     "With --aot: also run the workload cold (no image) under the same \
-     configuration and require a bit-identical architectural digest; exits \
-     nonzero on divergence."
+     configuration and require a bit-identical architectural digest (the \
+     EAX checksum alone for timer-driven workloads); exits nonzero on \
+     divergence."
 
 let verbose = flag [ "v"; "verbose" ] "Print detailed statistics."
 

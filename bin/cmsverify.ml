@@ -10,11 +10,28 @@
 
 module Suite = Workloads.Suite
 
-let all_workloads () =
-  Workloads.Progs_boot.all @ Workloads.Progs_spec.all
-  @ Workloads.Progs_apps.all @ Workloads.Progs_quake.all
-  @ [ Workloads.Progs_quake.blt_driver () ]
-  @ Workloads.Progs_kernel.all
+(* The one report both sweeps print: a JSON object ([head] gives its
+   leading fields, then the per-rule counts and every diagnostic), or
+   the text table with [summary] below it.  Exits 1 on any violation. *)
+let report ~json ~head ~summary diags =
+  let violations = List.length diags in
+  if json then begin
+    let counts =
+      Cms_analysis.Pipeline.rule_counts diags
+      |> List.map (fun (r, _, _, n) -> Fmt.str "\"%s\":%d" r n)
+      |> String.concat ","
+    in
+    let ds = List.map Cms.Diag.to_json diags |> String.concat "," in
+    Fmt.pr "{%s,\"violations\":%d,\"rules\":{%s},\"diags\":[%s]}@." head
+      violations counts ds
+  end
+  else begin
+    Fmt.pr "@.%a@." Cms_analysis.Pipeline.pp_table diags;
+    Fmt.pr "%s%d violations@." summary violations;
+    List.iter (fun d -> Fmt.pr "  %a@." Cms.Diag.pp d) diags
+  end;
+  if violations > 0 then exit 1;
+  `Ok ()
 
 (* Sweep every pre-minted translation in an AOT image through the
    static verifier — the offline counterpart of the build-time mandatory
@@ -39,33 +56,14 @@ let verify_aot json path =
       | exception Tstore.Untrusted msg ->
           `Error (false, Fmt.str "AOT image %s: %s" path msg)
       | diags ->
-      let violations = List.length diags in
-      let ntrans = List.length entries in
-      if json then begin
-        let counts =
-          Cms_analysis.Pipeline.rule_counts diags
-          |> List.map (fun (r, _, _, n) -> Fmt.str "\"%s\":%d" r n)
-          |> String.concat ","
-        in
-        let ds =
-          List.map Cms.Diag.to_json diags |> String.concat ","
-        in
-        Fmt.pr
-          "{\"image\":\"%s\",\"label\":\"%s\",\"translations\":%d,\
-           \"violations\":%d,\"rules\":{%s},\"diags\":[%s]}@."
-          (String.escaped path)
-          (String.escaped img.Cms_persist.Aot.meta.Cms_persist.Aot.label)
-          ntrans violations counts ds
-      end
-      else begin
-        Fmt.pr "aot image %s (%s): %d translations@." path
-          img.Cms_persist.Aot.meta.Cms_persist.Aot.label ntrans;
-        Fmt.pr "@.%a@." Cms_analysis.Pipeline.pp_table diags;
-        Fmt.pr "%d violations@." violations;
-        List.iter (fun d -> Fmt.pr "  %a@." Cms.Diag.pp d) diags
-      end;
-      if violations > 0 then exit 1;
-      `Ok ())
+          let label = img.Cms_persist.Aot.meta.Cms_persist.Aot.label in
+          let ntrans = List.length entries in
+          if not json then
+            Fmt.pr "aot image %s (%s): %d translations@." path label ntrans;
+          report ~json diags ~summary:""
+            ~head:
+              (Fmt.str "\"image\":\"%s\",\"label\":\"%s\",\"translations\":%d"
+                 (String.escaped path) (String.escaped label) ntrans))
 
 let run_cmd name json threshold force_selfcheck aot =
   match aot with
@@ -73,8 +71,8 @@ let run_cmd name json threshold force_selfcheck aot =
   | None ->
   let wl =
     match name with
-    | None -> all_workloads ()
-    | Some n -> List.filter (fun w -> w.Suite.name = n) (all_workloads ())
+    | None -> Workloads.Catalog.all ()
+    | Some n -> Option.to_list (Workloads.Catalog.find n)
   in
   if wl = [] then
     `Error (false, "unknown workload (run cmsrun --list for names)")
@@ -102,30 +100,13 @@ let run_cmd name json threshold force_selfcheck aot =
           Fmt.pr "%4d translations  %d violations@." s.Cms.Stats.translations
             (List.length !diags - before))
       wl;
-    let diags = List.rev !diags in
-    let violations = List.length diags in
-    if json then begin
-      let counts =
-        Cms_analysis.Pipeline.rule_counts diags
-        |> List.map (fun (r, _, _, n) -> Fmt.str "\"%s\":%d" r n)
-        |> String.concat ","
-      in
-      let ds =
-        List.map Cms.Diag.to_json diags |> String.concat ","
-      in
-      Fmt.pr
-        "{\"workloads\":%d,\"translations\":%d,\"verified\":%d,\
-         \"violations\":%d,\"rules\":{%s},\"diags\":[%s]}@."
-        (List.length wl) !translations !verified violations counts ds
-    end
-    else begin
-      Fmt.pr "@.%a@." Cms_analysis.Pipeline.pp_table diags;
-      Fmt.pr "%d workloads, %d translations (%d verified), %d violations@."
-        (List.length wl) !translations !verified violations;
-      List.iter (fun d -> Fmt.pr "  %a@." Cms.Diag.pp d) diags
-    end;
-    if violations > 0 then exit 1;
-    `Ok ()
+    report ~json (List.rev !diags)
+      ~head:
+        (Fmt.str "\"workloads\":%d,\"translations\":%d,\"verified\":%d"
+           (List.length wl) !translations !verified)
+      ~summary:
+        (Fmt.str "%d workloads, %d translations (%d verified), "
+           (List.length wl) !translations !verified)
   end
 
 open Cmdliner

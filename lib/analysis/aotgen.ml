@@ -144,3 +144,12 @@ let pp_result fmt r =
     (List.length r.demotions)
     r.image.Cms_persist.Aot.meta.Cms_persist.Aot.demoted_verify
     r.image.Cms_persist.Aot.meta.Cms_persist.Aot.demoted_select
+
+(** The AOT warm boot every harness shares: build [s]'s image from a
+    pristine (booted, never run) machine under [cfg] and round-trip it
+    through the stable codec, so the persistence path is under test
+    too.  {!Cms_persist.Trial.execute_aot} installs it.  Deterministic:
+    the same subject always yields byte-identical image contents. *)
+let warm_image (s : Cms_persist.Trial.subject) ~cfg ~label ~entry =
+  let c = s.Cms_persist.Trial.boot ~cfg ~on_diag:ignore in
+  Cms_persist.Aot.(of_string (to_string (build ~label c ~entry).image))

@@ -175,16 +175,8 @@ type report = {
     run it on {!interp_cfg} to check the interpreter against the
     generator's expected state. *)
 let run_solo ~cfg (spec : spec) =
-  let w = spec.s_workload in
-  let subject =
-    {
-      Trial.boot = (fun ~cfg ~on_diag -> Suite.prepare ~on_diag ~cfg w);
-      mask = [];
-      max_insns = w.Suite.max_insns;
-    }
-  in
   let o, c =
-    Trial.execute subject ~cfg ~setup:(fun c ->
+    Trial.execute (Trial.of_suite spec.s_workload) ~cfg ~setup:(fun c ->
         ignore (Journal.install_guest c spec.s_events : Journal.injector))
   in
   match o.Trial.stop with
@@ -225,14 +217,8 @@ let run_machine ?store (fcfg : config) (spec : spec) : report =
           (Forensics.dump ~dir ~name:label ~reason
              ?checkpoint:(Option.map Snapshot.seal !checkpoint)
              ~journal:
-               {
-                 Journal.label = spec.s_workload.Suite.name;
-                 cfg = run_cfg;
-                 guest = spec.s_events;
-                 host = [];
-                 arch_hex = None;
-                 strict_hex = None;
-               }
+               (Journal.unrecorded ~label:spec.s_workload.Suite.name
+                  ~cfg:run_cfg spec.s_events)
              ()
             : Forensics.dump)
   in
@@ -517,14 +503,8 @@ type case_report = {
 let roundtrip_events ~cfg (spec : spec) =
   let j =
     Journal.roundtrip
-      {
-        Journal.label = spec.s_workload.Suite.name;
-        cfg;
-        guest = spec.s_events;
-        host = [];
-        arch_hex = None;
-        strict_hex = None;
-      }
+      (Journal.unrecorded ~label:spec.s_workload.Suite.name ~cfg
+         spec.s_events)
   in
   { spec with s_events = j.Journal.guest }
 

@@ -87,7 +87,7 @@ let run ?(progress = fun _ _ -> ()) ?out_dir ?forensics
             in
             ignore
               (Cms_persist.Forensics.dump ~dir ~name ~reason
-                 ?snapshot:rec_.Cms_persist.Trial.final_image
+                 ?snapshot:(Cms_persist.Trial.final_image rec_)
                  ?checkpoint:rec_.Cms_persist.Trial.checkpoint
                  ~journal:rec_.Cms_persist.Trial.journal
                  ~case_text:

@@ -94,26 +94,12 @@ let subject (r : rendered) : Trial.subject =
 
 let cfg_nofast = { Cms.Config.default with Cms.Config.host_fast_paths = false }
 
-(* One configuration of [r], its guest events wired (and the chaos
-   schedule, when given). *)
-let run_config ?chaos cfg (r : rendered) : Trial.outcome =
-  let setup c =
-    ignore (Journal.install_guest c r.events : Journal.injector);
-    match chaos with Some ch -> Cms_robust.Chaos.install ch c | None -> ()
-  in
-  fst (Trial.execute (subject r) ~cfg ~setup)
-
-(* ------------------------------------------------------------------ *)
-(* AOT oracle                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Build an ahead-of-time image from a pristine (booted, never run)
-   machine for this case.  Deterministic: the same rendered case always
-   yields byte-identical image contents. *)
+(* The case's ahead-of-time image, built from a pristine machine and
+   round-tripped through the stable codec (the persistence path is
+   under test, not just the translations). *)
 let aot_image (r : rendered) =
-  let c = (subject r).Trial.boot ~cfg:Cms.Config.default ~on_diag:ignore in
-  (Cms_analysis.Aotgen.build ~label:"fuzz case" c ~entry:r.entry)
-    .Cms_analysis.Aotgen.image
+  Cms_analysis.Aotgen.warm_image (subject r) ~cfg:Cms.Config.default
+    ~label:"fuzz case" ~entry:r.entry
 
 (** The serialized AOT image for a case, for forensics bundles; [None]
     when the build itself crashes (which the oracle reports its own
@@ -124,19 +110,18 @@ let aot_image_bytes (r : rendered) =
   | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
   | exception _ -> None
 
-(* Oracle D: build the image, round-trip it through the stable codec
-   (the persistence path is under test, not just the translations),
-   install it on a fresh machine and run the translator from the warm
-   cache. *)
-let run_config_aot (r : rendered) : Trial.outcome =
-  let img =
-    Cms_persist.Aot.of_string (Cms_persist.Aot.to_string (aot_image r))
-  in
+(* One configuration of [r], its guest events wired (and the chaos
+   schedule, when given); booted from [aot] when given (oracle D). *)
+let run_config ?chaos ?aot cfg (r : rendered) : Trial.outcome =
   let setup c =
-    ignore (Cms_persist.Aot.install c img : Cms_persist.Aot.install_report);
-    ignore (Journal.install_guest c r.events : Journal.injector)
+    ignore (Journal.install_guest c r.events : Journal.injector);
+    match chaos with Some ch -> Cms_robust.Chaos.install ch c | None -> ()
   in
-  fst (Trial.execute (subject r) ~cfg:Cms.Config.default ~setup)
+  match aot with
+  | None -> fst (Trial.execute (subject r) ~cfg ~setup)
+  | Some img ->
+      let _, o, _ = Trial.execute_aot (subject r) ~cfg ~setup img in
+      o
 
 (* ------------------------------------------------------------------ *)
 (* Verdict                                                             *)
@@ -155,7 +140,7 @@ let check_clean (r : rendered) : verdict =
   let a = run_config Cms.interp_only_cfg r in
   let b = run_config Cms.Config.default r in
   let c = run_config cfg_nofast r in
-  match run_config_aot r with
+  match run_config ~aot:(aot_image r) Cms.Config.default r with
   | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
   | exception e ->
       (* the build/serialize/install harness itself must never throw —

@@ -86,6 +86,11 @@ type t = {
   strict_hex : string option;  (** recorded final strict digest (hex) *)
 }
 
+(** A journal of an event list with no recorded digests: what a
+    harness installs or bundles before (or without) running it. *)
+let unrecorded ?(host = []) ~label ~cfg guest =
+  { label; cfg; guest; host; arch_hex = None; strict_hex = None }
+
 (* ------------------------------------------------------------------ *)
 (* Guest-event injection                                               *)
 (* ------------------------------------------------------------------ *)

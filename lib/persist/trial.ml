@@ -1,10 +1,12 @@
 (** One differential trial: the harness every differential run shares.
 
-    The fuzz oracles, the storm gauntlet and the fleet's solo mirror
-    all do the same thing: build one machine, wire its event sources,
-    run it to a classified stop, digest it; record a run's
-    nondeterministic inputs into a {!Journal}, replay the journal, and
-    require the two runs to agree.  This module is that harness, once.
+    The fuzz oracles, the storm gauntlet, the fleet's solo mirror,
+    [cmsrun]'s record/replay and AOT check, and [bench]'s checks all do
+    the same thing: build one machine, wire its event sources, run it
+    to a classified stop, digest it; record a run's nondeterministic
+    inputs into a {!Journal}, replay the journal, and require the two
+    runs to agree.  This module is that harness, once, and it holds the
+    only comparisons of their outcomes.
 
     The speculation probe is not wired here: the engine checks
     {!Cms.Engine.speculation_visible} after every rollback and raises
@@ -20,6 +22,15 @@ type subject = {
           bytes below ESP legitimately differ across configurations) *)
   max_insns : int;
 }
+
+(** A suite workload as a subject: the machine {!Workloads.Suite.prepare}
+    builds, its own instruction budget, and [mask] (none by default). *)
+let of_suite ?(mask = []) (w : Workloads.Suite.t) : subject =
+  {
+    boot = (fun ~cfg ~on_diag -> Workloads.Suite.prepare ~on_diag ~cfg w);
+    mask;
+    max_insns = w.Workloads.Suite.max_insns;
+  }
 
 type stop = Halted | Limit | Crash of string
 
@@ -77,17 +88,81 @@ let execute (s : subject) ~cfg ~setup : outcome * Cms.t =
     c )
 
 (* ------------------------------------------------------------------ *)
+(* Comparison                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let eax (a : Digests.arch) = List.nth a.Digests.gprs X86.Regs.eax
+
+(** What a run is compared against: another run's outcome, or a journal
+    read back from disk, which carries only its digests and stands for
+    the clean outcome {!record_suite} requires. *)
+type reference = Outcome of outcome | Journal of Journal.t
+
+(** The one outcome comparison: [got] against [want], field by field in
+    the order stop, arch, strict, speculation flag, diagnostic count.
+    The error, prefixed by [what], names the first field that moved. *)
+let verdict ~what (want : reference) (got : outcome) : (unit, string) result =
+  let fail fmt = Fmt.kstr (fun m -> Error (what ^ " " ^ m)) fmt in
+  let stop, spec, ndiags =
+    match want with
+    | Outcome o -> (o.stop, o.spec_violation, o.ndiags)
+    | Journal _ -> (Halted, false, 0)
+  in
+  let arch_now = Digests.arch_hex got.arch in
+  let strict_now = Digests.strict_hex got.strict in
+  let digests =
+    match want with
+    | Outcome o when o.arch <> got.arch ->
+        fail "arch: %s" (Digests.arch_diff o.arch got.arch)
+    | Outcome o when o.strict <> got.strict -> fail "strict digest"
+    | Journal { Journal.arch_hex = Some h; _ } when h <> arch_now ->
+        fail "arch_hex: recorded %s, replayed %s" h arch_now
+    | Journal { Journal.strict_hex = Some h; _ } when h <> strict_now ->
+        fail "strict_hex: recorded %s, replayed %s" h strict_now
+    | Outcome _ | Journal _ -> Ok ()
+  in
+  match digests with
+  | _ when stop <> got.stop ->
+      fail "stop mismatch (%s vs %s)" (stop_name stop) (stop_name got.stop)
+  | Error _ -> digests
+  | Ok () when spec <> got.spec_violation ->
+      fail "speculation violation (%b vs %b)" spec got.spec_violation
+  | Ok () when ndiags <> got.ndiags ->
+      fail "diagnostics (%d vs %d)" ndiags got.ndiags
+  | Ok () -> Ok ()
+
+(** {!Workloads.Suite.self_check} on an outcome: no crash (a
+    speculation violation stops a run as one), halted with the expected
+    EAX checksum, and no rejecting diagnostic. *)
+let suite_check (w : Workloads.Suite.t) (o : outcome) : (unit, string) result =
+  let name = w.Workloads.Suite.name in
+  match o.stop with
+  | Crash m -> Error (Fmt.str "workload %s crashed: %s" name m)
+  | Halted | Limit -> (
+      match
+        Workloads.Suite.self_check w ~halted:(o.stop = Halted) ~eax:(eax o.arch)
+      with
+      | Ok () when o.ndiags > 0 ->
+          Error (Fmt.str "workload %s: %d verifier diagnostics" name o.ndiags)
+      | r -> r)
+
+(* ------------------------------------------------------------------ *)
 (* Record / replay                                                     *)
 (* ------------------------------------------------------------------ *)
 
 type recording = {
   journal : Journal.t;
   outcome : outcome;
-  final_image : string option;
-      (** final-state snapshot (when the run ended at a consistent
-          boundary — a [Crash] can leave the machine mid-molecule) *)
+  machine : Cms.t;  (** the recorded machine, after its run *)
   checkpoint : string option;  (** last periodic checkpoint image *)
 }
+
+(** The recorded machine's final snapshot, unless a [Crash] left it
+    mid-molecule. *)
+let final_image (r : recording) =
+  if Snapshot.consistent r.machine then
+    Some (Snapshot.capture ~label:r.journal.Journal.label r.machine)
+  else None
 
 (** Run [s] under [cfg] while recording every nondeterministic input:
     the [guest] events verbatim, and the host events [schedule] fires
@@ -112,50 +187,77 @@ let record (s : subject) ~cfg ~guest ?schedule ?checkpoint_every
   {
     journal =
       {
-        Journal.label;
-        cfg;
-        guest;
-        host = List.rev !host;
+        (Journal.unrecorded ~label ~cfg ~host:(List.rev !host) guest) with
         arch_hex = Some (Digests.arch_hex outcome.arch);
         strict_hex = Some (Digests.strict_hex outcome.strict);
       };
     outcome;
-    final_image =
-      (if Snapshot.consistent c then Some (Snapshot.capture ~label c)
-       else None);
+    machine = c;
     checkpoint = Option.bind !ckpt Snapshot.latest_image;
   }
+
+(** Record suite workload [w]: a pure function of [cfg], so its journal
+    carries no events, just [cfg] and the final digests.  A run that
+    fails {!suite_check} is refused. *)
+let record_suite ~cfg (w : Workloads.Suite.t) : (recording, string) result =
+  let r =
+    record (of_suite w) ~cfg ~guest:[] ~label:w.Workloads.Suite.name ()
+  in
+  Result.map (fun () -> r) (suite_check w r.outcome)
 
 (** Re-run a journal deterministically: guest events through the same
     gated installer, host events by opportunity-counter matching.  No
     RNG runs; the journal alone drives every injection. *)
-let replay (s : subject) (j : Journal.t) : outcome =
+let replay (s : subject) (j : Journal.t) : outcome * Cms.t =
   let setup c =
     ignore (Journal.install_guest c j.Journal.guest : Journal.injector);
     if j.Journal.host <> [] then Journal.install_host c j.Journal.host
   in
-  fst (execute s ~cfg:j.Journal.cfg ~setup)
+  execute s ~cfg:j.Journal.cfg ~setup
 
 (** The record/replay differential: serialize and re-parse the
     recorded journal (the on-disk codec is in the loop), replay it, and
-    require the recorded outcome bit for bit — stop, architectural
-    digest, strict digest, speculation flag and diagnostic count.  The
-    error names the first field that moved. *)
+    require the recorded outcome bit for bit. *)
 let check_replay (s : subject) (r : recording) : (unit, string) result =
-  let o = r.outcome in
-  let rep = replay s (Journal.roundtrip r.journal) in
-  if o.stop <> rep.stop then
-    Error
-      (Fmt.str "record/replay stop mismatch (%s vs %s)" (stop_name o.stop)
-         (stop_name rep.stop))
-  else if o.arch <> rep.arch then
-    Error ("record/replay arch: " ^ Digests.arch_diff o.arch rep.arch)
-  else if o.strict <> rep.strict then Error "record/replay strict digest"
-  else if o.spec_violation <> rep.spec_violation then
-    Error
-      (Fmt.str "record/replay speculation violation (%b vs %b)"
-         o.spec_violation rep.spec_violation)
-  else if o.ndiags <> rep.ndiags then
-    Error
-      (Fmt.str "record/replay diagnostics (%d vs %d)" o.ndiags rep.ndiags)
-  else Ok ()
+  verdict ~what:"record/replay" (Outcome r.outcome)
+    (fst (replay s (Journal.roundtrip r.journal)))
+
+(** The same differential for a journal read back from disk; returns
+    the replayed run too. *)
+let check_journal (s : subject) (j : Journal.t) =
+  let o, c = replay s j in
+  ((o, c), verdict ~what:"record/replay" (Journal j) o)
+
+(* ------------------------------------------------------------------ *)
+(* AOT warm vs cold                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** Run [s] booted from the AOT image [img], installed copy-on-validate
+    before [setup] runs.  Raises {!Aot.Stale} on a mismatched image. *)
+let execute_aot (s : subject) ~cfg ?(setup = ignore) (img : Aot.t) =
+  let rep = ref None in
+  let install c = rep := Some (Aot.install c img) in
+  let o, c = execute s ~cfg ~setup:(fun c -> install c; setup c) in
+  (Option.get !rep, o, c)
+
+(** The AOT differential: run [w] cold under [cfg]; both runs must pass
+    {!suite_check}, then match architecturally — by EAX alone when [w]
+    is timer-driven, as interrupts land on consistent exits (§3.3) and
+    AOT regions tile the code differently.  Returns the cold run too. *)
+let check_aot (w : Workloads.Suite.t) ~cfg (warm : outcome) =
+  let cold, c = execute (of_suite w) ~cfg ~setup:ignore in
+  let result =
+    match (suite_check w warm, suite_check w cold) with
+    | Error e, _ -> Error ("aot-warm: " ^ e)
+    | _, Error e -> Error ("cold: " ^ e)
+    | Ok (), Ok () when w.Workloads.Suite.uses_timer ->
+        if eax warm.arch = eax cold.arch then Ok ()
+        else
+          Error
+            (Fmt.str "checksum diverged (aot %#x, cold %#x)" (eax warm.arch)
+               (eax cold.arch))
+    | Ok (), Ok () when warm.arch <> cold.arch ->
+        Error ("arch digest diverged: " ^ Digests.arch_diff cold.arch warm.arch)
+    | Ok (), Ok () -> Ok ()
+  in
+  ((cold, c), result)

@@ -202,36 +202,19 @@ let gen_case rng (p : profile) idx =
    for its canonical stack. *)
 let stack_mask = [ (0x70000, 0x80000) ]
 
-(** A kernel workload as a {!Trial.subject}. *)
-let subject (w : Suite.t) : Trial.subject =
-  {
-    Trial.boot = (fun ~cfg ~on_diag -> Suite.prepare ~on_diag ~cfg w);
-    mask = stack_mask;
-    max_insns = w.Suite.max_insns;
-  }
-
-(* Self-validation of one finished run: halted, checksum in EAX,
-   syscall count in EBX — both schedule-independent by construction,
-   hence identical in every configuration. *)
+(* Self-validation of one finished run: the suite self-check (halted,
+   checksum in EAX, clean) and the syscall count in EBX — both
+   schedule-independent by construction, hence identical in every
+   configuration. *)
 let validate (case : case) tag (o : Trial.outcome) c =
-  let w = case.workload in
-  match o.stop with
-  | Trial.Limit ->
-      Error (Fmt.str "%s: hit the %d-insn limit" tag w.Suite.max_insns)
-  | Trial.Crash m -> Error (Fmt.str "%s: %s" tag m)
-  | Trial.Halted ->
-      let eax = Cms.gpr c X86.Regs.eax in
-      let ebx = Cms.gpr c X86.Regs.ebx in
-      let want_eax = Option.get w.Suite.expected_eax in
-      if eax <> want_eax then
-        Error
-          (Fmt.str "%s: checksum mismatch: expected %#x, got %#x" tag want_eax
-             eax)
-      else if ebx <> case.expected_ebx then
-        Error
-          (Fmt.str "%s: syscall count mismatch: expected %d, got %d" tag
-             case.expected_ebx ebx)
-      else Ok ()
+  let ebx = Cms.gpr c X86.Regs.ebx in
+  match Trial.suite_check case.workload o with
+  | Error e -> Error (tag ^ ": " ^ e)
+  | Ok () when ebx <> case.expected_ebx ->
+      Error
+        (Fmt.str "%s: syscall count mismatch: expected %d, got %d" tag
+           case.expected_ebx ebx)
+  | Ok () -> Ok ()
 
 let chaos_of_seed seed cfg =
   let rng = Srng.create seed in
@@ -256,7 +239,7 @@ type case_report = {
    translator run, chaos-composed when armed, must record-replay
    bit-identically through the serialized journal. *)
 let run_case (case : case) : case_report =
-  let s = subject case.workload in
+  let s = Trial.of_suite ~mask:stack_mask case.workload in
   let guest c =
     ignore (Journal.install_guest c case.events : Journal.injector)
   in

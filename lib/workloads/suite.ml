@@ -37,25 +37,27 @@ let prepare ?on_diag ?(cfg = Cms.Config.default) (w : t) =
   Cms.boot ~map_mib:4 t ~entry:w.entry;
   t
 
-(** Run an already-prepared machine to completion and self-validate.
-    Raises if the workload's self-check fails — experiment numbers from
-    broken runs are worthless.  Split from [run] so harnesses that
-    instrument the machine between boot and first instruction (AOT
-    image install, record hooks) share the validation. *)
-let run_prepared (w : t) t =
-  let stop = Cms.run ~max_insns:w.max_insns t in
-  (match stop with
-  | Cms.Engine.Halted -> ()
-  | Cms.Engine.Insn_limit ->
-      failwith (Fmt.str "workload %s hit its instruction limit" w.name));
-  (match w.expected_eax with
-  | Some v when Cms.gpr t X86.Regs.eax <> v ->
-      failwith
+(** A finished run's self-check: it halted, with the expected EAX
+    checksum.  Experiment numbers from broken runs are worthless. *)
+let self_check (w : t) ~halted ~eax =
+  match w.expected_eax with
+  | _ when not halted ->
+      Error (Fmt.str "workload %s hit its instruction limit" w.name)
+  | Some v when eax <> v ->
+      Error
         (Fmt.str "workload %s: checksum mismatch: expected %#x, got %#x"
-           w.name v
-           (Cms.gpr t X86.Regs.eax))
-  | _ -> ());
-  t
+           w.name v eax)
+  | _ -> Ok ()
+
+(** Run an already-prepared machine to completion; raises if it fails
+    {!self_check}.  Split from [run] so harnesses that instrument the
+    machine between boot and first instruction (AOT image install,
+    record hooks) share the validation. *)
+let run_prepared (w : t) t =
+  let halted = Cms.run ~max_insns:w.max_insns t = Cms.Engine.Halted in
+  match self_check w ~halted ~eax:(Cms.gpr t X86.Regs.eax) with
+  | Ok () -> t
+  | Error e -> failwith e
 
 (** Run a workload under [cfg]; returns the engine after the run. *)
 let run ?on_diag ?cfg (w : t) = run_prepared w (prepare ?on_diag ?cfg w)

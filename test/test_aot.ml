@@ -603,16 +603,12 @@ let test_one_rejection_table () =
    stay unprotected, as they are when compiled at run time. *)
 let test_install_keeps_unprotected () =
   let cfg = { Cms.Config.default with Cms.Config.force_self_check = true } in
-  let w =
-    List.find
-      (fun w -> w.Suite.name = "026.compress (Linux)")
-      Workloads.Progs_spec.all
+  let w = Option.get (Workloads.Catalog.find "026.compress (Linux)") in
+  let img =
+    A.Aotgen.warm_image (P.Trial.of_suite w) ~cfg ~label:w.Suite.name
+      ~entry:w.Suite.entry
   in
   let c = Suite.prepare ~cfg w in
-  let img =
-    (A.Aotgen.build ~label:w.Suite.name c ~entry:w.Suite.entry).A.Aotgen.image
-  in
-  let img = P.Aot.of_string (P.Aot.to_string img) in
   let rep = P.Aot.install c img in
   check Alcotest.int "every entry installed" (P.Tstore.size img.P.Aot.store)
     rep.P.Aot.installed;
@@ -672,48 +668,34 @@ let test_smc_invalidates_aot_entry () =
 (* Whole-suite differential and coverage                               *)
 (* ------------------------------------------------------------------ *)
 
-let all_workloads () =
-  Workloads.Progs_boot.all @ Workloads.Progs_spec.all
-  @ Workloads.Progs_apps.all @ Workloads.Progs_quake.all
-  @ [ Workloads.Progs_quake.blt_driver () ]
-  @ Workloads.Progs_kernel.all
-
+(* Boot [w] from its warm image (built from a pristine machine and
+   round-tripped through the codec) and run it to completion. *)
 let run_warm ?(cfg = Cms.Config.default) (w : Suite.t) =
-  let c = Suite.prepare ~cfg w in
-  let img = (A.Aotgen.build ~label:w.Suite.name c ~entry:w.Suite.entry).A.Aotgen.image in
-  let img = P.Aot.of_string (P.Aot.to_string img) in
-  ignore (P.Aot.install c img : P.Aot.install_report);
-  Suite.run_prepared w c
+  let s = P.Trial.of_suite w in
+  let img =
+    A.Aotgen.warm_image s ~cfg ~label:w.Suite.name ~entry:w.Suite.entry
+  in
+  let _, o, c = P.Trial.execute_aot s ~cfg img in
+  (o, c)
 
+(* Every workload through the shared AOT differential: both runs
+   self-check, then the whole architectural digest must match, or the
+   EAX checksum alone for timer-driven workloads. *)
 let test_suite_aot_differential () =
   List.iter
     (fun (w : Suite.t) ->
-      let cold = Suite.run ~cfg:Cms.Config.default w in
-      let warm = run_warm w in
-      if w.Suite.uses_timer then
-        (* interrupt delivery lands on consistent exits (§3.3), and AOT
-           regions tile the code differently than profile-guided
-           dynamic ones, so timer-driven runs are compared by their
-           architectural checksum — the soak drill's policy
-           ([compare_mem:(not uses_timer)]) *)
-        check Alcotest.int
-          (Fmt.str "%s: checksum, aot on vs off" w.Suite.name)
-          (Cms.gpr cold X86.Regs.eax)
-          (Cms.gpr warm X86.Regs.eax)
-      else
-        let ah t = P.Digests.arch_hex (P.Digests.arch t) in
-        check Alcotest.string
-          (Fmt.str "%s: arch digest, aot on vs off" w.Suite.name)
-          (ah cold) (ah warm))
-    (all_workloads ())
+      let cfg = Cms.Config.default in
+      match P.Trial.check_aot w ~cfg (fst (run_warm ~cfg w)) with
+      | _, Ok () -> ()
+      | _, Error e -> Alcotest.failf "%s: %s" w.Suite.name e)
+    (Workloads.Catalog.all ())
 
 let test_compute_workload_coverage () =
-  let w =
-    List.find
-      (fun w -> w.Suite.name = "026.compress (Linux)")
-      (all_workloads ())
-  in
-  let t = run_warm w in
+  let w = Option.get (Workloads.Catalog.find "026.compress (Linux)") in
+  let o, t = run_warm w in
+  (match P.Trial.suite_check w o with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
   let s = Cms.stats t in
   let cover =
     float_of_int s.Cms.Stats.aot_x86_retired /. float_of_int (Cms.retired t)

@@ -21,12 +21,6 @@ let check = Alcotest.check
 let ci = Alcotest.int
 let cb = Alcotest.bool
 
-let all_workloads () =
-  Workloads.Progs_boot.all @ Workloads.Progs_spec.all
-  @ Workloads.Progs_apps.all @ Workloads.Progs_quake.all
-  @ [ Workloads.Progs_quake.blt_driver () ]
-  @ Workloads.Progs_kernel.all
-
 (* Everything guest-visible or cost-model-visible.  Only the chain
    bookkeeping and the dispatcher lookups it saves are normalized
    out. *)
@@ -83,7 +77,7 @@ let differential (w : Suite.t) () =
 let differential_tests =
   List.map
     (fun w -> Alcotest.test_case w.Suite.name `Slow (differential w))
-    (all_workloads ())
+    (Workloads.Catalog.all ())
 
 (* ------------------------------------------------------------------ *)
 (* Chain bookkeeping (unit level, synthetic records)                   *)
@@ -187,13 +181,12 @@ let unit_tests =
 let test_aot_chain_reset () =
   let w = List.hd Workloads.Progs_spec.all in
   let cfg = Cms.Config.default in
-  let c = Suite.prepare ~cfg w in
-  let img =
-    (Cms_analysis.Aotgen.build ~label:w.Suite.name c ~entry:w.Suite.entry)
-      .Cms_analysis.Aotgen.image
-  in
   (* the real boot path: through the stable codec *)
-  let img = Cms_persist.Aot.of_string (Cms_persist.Aot.to_string img) in
+  let img =
+    Cms_analysis.Aotgen.warm_image (Cms_persist.Trial.of_suite w) ~cfg
+      ~label:w.Suite.name ~entry:w.Suite.entry
+  in
+  let c = Suite.prepare ~cfg w in
   ignore (Cms_persist.Aot.install c img : Cms_persist.Aot.install_report);
   check ci "no chained exits after install" 0
     (List.length (Tcache.chained_exits c.Cms.Engine.tcache));

@@ -242,7 +242,7 @@ let check_invariant name c =
 let test_suite_invariant () =
   List.iter
     (fun w -> check_invariant w.Suite.name (Suite.run w))
-    (Test_persist.all_workloads ())
+    (Workloads.Catalog.all ())
 
 exception First_checkpoint
 
@@ -304,7 +304,7 @@ let test_disk_scanned_once () =
   let w =
     List.find
       (fun w -> w.Suite.disk_image <> None)
-      (Test_persist.all_workloads ())
+      (Workloads.Catalog.all ())
   in
   let c = Suite.prepare w in
   ignore (Cms.run ~max_insns:50_000 c : Cms.Engine.stop);
@@ -511,9 +511,7 @@ let test_mmu_cache_invalidation () =
 
 let test_fb_cache_invalidation () =
   let w =
-    List.find
-      (fun w -> w.Suite.name = "Quake Demo2 (DOS)")
-      (Test_persist.all_workloads ())
+    Option.get (Workloads.Catalog.find "Quake Demo2 (DOS)")
   in
   let c = Suite.prepare w in
   let fb = (Cms.platform c).Machine.Platform.fb in
@@ -549,9 +547,7 @@ let test_fb_cache_invalidation () =
    after. *)
 let test_masked_digest_in_place () =
   let w =
-    List.find
-      (fun w -> w.Suite.name = "RR Kernel")
-      (Test_persist.all_workloads ())
+    Option.get (Workloads.Catalog.find "RR Kernel")
   in
   let c = Suite.run w in
   let phys = (Cms.mem c).Machine.Mem.phys in

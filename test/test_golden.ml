@@ -12,12 +12,6 @@
 module Suite = Workloads.Suite
 module D = Cms_persist.Digests
 
-let all_workloads () =
-  Workloads.Progs_boot.all @ Workloads.Progs_spec.all
-  @ Workloads.Progs_apps.all @ Workloads.Progs_quake.all
-  @ [ Workloads.Progs_quake.blt_driver () ]
-  @ Workloads.Progs_kernel.all
-
 (* name, retired, total molecules, arch digest *)
 let golden =
   [
@@ -68,7 +62,7 @@ let pinned (w : Suite.t) () =
 let test_table_covers_corpus () =
   Alcotest.(check (list string))
     "golden rows = corpus"
-    (List.map (fun (w : Suite.t) -> w.Suite.name) (all_workloads ()))
+    (List.map (fun (w : Suite.t) -> w.Suite.name) (Workloads.Catalog.all ()))
     (List.map (fun (n, _, _, _) -> n) golden)
 
 (* [Stats.bg_installed], [bg_overlap_insns] and [bg_waits] outlive the
@@ -85,7 +79,7 @@ let test_dormant_stats_zero () =
     (List.filter
        (fun (w : Suite.t) ->
          List.mem w.Suite.name [ "li (Linux)"; "RR Kernel"; "CPUmark99 (Win98)" ])
-       (all_workloads ()))
+       (Workloads.Catalog.all ()))
 
 let suites =
   [
@@ -95,5 +89,5 @@ let suites =
            test_dormant_stats_zero
       :: List.map
            (fun (w : Suite.t) -> Alcotest.test_case w.Suite.name `Slow (pinned w))
-           (all_workloads ()) );
+           (Workloads.Catalog.all ()) );
   ]

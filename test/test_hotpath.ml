@@ -14,12 +14,6 @@ let check = Alcotest.check
 let ci = Alcotest.int
 let cb = Alcotest.bool
 
-let all_workloads () =
-  Workloads.Progs_boot.all @ Workloads.Progs_spec.all
-  @ Workloads.Progs_apps.all @ Workloads.Progs_quake.all
-  @ [ Workloads.Progs_quake.blt_driver () ]
-  @ Workloads.Progs_kernel.all
-
 (* Everything guest-visible or cost-model-visible, with the host-cache
    counters (which legitimately differ between modes) normalized out. *)
 let digest (c : Cms.t) =
@@ -65,7 +59,7 @@ let differential (w : Suite.t) () =
 let differential_tests =
   List.map
     (fun w -> Alcotest.test_case w.Suite.name `Slow (differential w))
-    (all_workloads ())
+    (Workloads.Catalog.all ())
 
 (* ------------------------------------------------------------------ *)
 (* Decoded-instruction cache: targeted invalidation                    *)

@@ -179,14 +179,8 @@ let codec_tests =
 
 module Suite = Workloads.Suite
 
-let all_workloads () =
-  Workloads.Progs_boot.all @ Workloads.Progs_spec.all
-  @ Workloads.Progs_apps.all @ Workloads.Progs_quake.all
-  @ [ Workloads.Progs_quake.blt_driver () ]
-  @ Workloads.Progs_kernel.all
-
 let compress () =
-  List.find (fun w -> w.Suite.name = "026.compress (Linux)") (all_workloads ())
+  Option.get (Workloads.Catalog.find "026.compress (Linux)")
 
 let test_inconsistent_capture () =
   let c = Suite.prepare (compress ()) in
@@ -236,16 +230,7 @@ let test_snapshot_corruption () =
    expect_corrupt ~substr:"digest mismatch" (fun () ->
        ignore (P.Snapshot.restore (Bytes.to_string flipped))));
   (* kind confusion both ways *)
-  let j =
-    {
-      P.Journal.label = "x";
-      cfg = Cms.Config.default;
-      guest = [];
-      host = [];
-      arch_hex = None;
-      strict_hex = None;
-    }
-  in
+  let j = P.Journal.unrecorded ~label:"x" ~cfg:Cms.Config.default [] in
   expect_corrupt ~substr:"wrong image kind" (fun () ->
       ignore (P.Snapshot.restore (P.Journal.to_string j)));
   expect_corrupt ~substr:"wrong image kind" (fun () ->
@@ -297,7 +282,7 @@ let test_soak_suite () =
       if not (P.Soak.ok r) then
         Alcotest.failf "%s: %a" w.Suite.name P.Soak.pp_result r;
       if r.P.Soak.resumes = 0 && w.Suite.max_insns > 100_000 then ())
-    (all_workloads ())
+    (Workloads.Catalog.all ())
 
 let soak_tests =
   [ Alcotest.test_case "kill-and-resume, all workloads" `Slow test_soak_suite ]
@@ -306,22 +291,76 @@ let soak_tests =
 (* Record / replay                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A suite run is a pure function of its configuration: running twice
-   must produce bit-identical arch and strict digests (what cmsrun
-   --record / --replay checks end to end). *)
+(* cmsrun's --record and --replay path, for every workload: record the
+   run (refused if it fails its self-check), save the journal, load it
+   back and replay it against its recorded digests and the clean
+   outcome it stands for. *)
+let temp_journal name =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Fmt.str "cms-%s-%d.journal" name (Unix.getpid ()))
+
+let record_to_disk w path =
+  match P.Trial.record_suite ~cfg:Cms.Config.default w with
+  | Ok r -> P.Journal.save path r.P.Trial.journal
+  | Error e -> Alcotest.failf "record: %s" e
+
+let replay_from_disk w path =
+  snd (P.Trial.check_journal (P.Trial.of_suite w) (P.Journal.load path))
+
 let test_suite_record_replay () =
-  List.iter
-    (fun w ->
-      let digest () =
-        let t = Suite.run w in
-        let a = P.Digests.arch t in
-        (P.Digests.arch_hex a, P.Digests.strict_hex (P.Digests.strict a t))
+  let path = temp_journal "suite" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      List.iter
+        (fun w ->
+          record_to_disk w path;
+          match replay_from_disk w path with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%s: %s" w.Suite.name e)
+        (Workloads.Catalog.all ()))
+
+(* A saved 026.compress journal, tampered three ways and saved again:
+   each replay must fail and name the field that moved.  Chaining is
+   architecturally invisible, so a flipped [enable_chaining] moves the
+   strict digest, which covers the counters.  The untampered bytes are
+   pinned: they are what a journal recorded by an earlier build holds,
+   so it keeps replaying. *)
+let test_suite_journal_tamper () =
+  let w = compress () in
+  let path = temp_journal "tamper" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      record_to_disk w path;
+      check Alcotest.string "default-config compress journal bytes"
+        "5241371dfe856c7f0bfec203d2fa6a60"
+        (Digest.to_hex (Digest.file path));
+      let j = P.Journal.load path in
+      let flip = function
+        | Some h -> Some (String.map (function '0' -> '1' | _ -> '0') h)
+        | None -> Alcotest.fail "journal carries no digest"
       in
-      let a1, s1 = digest () in
-      let a2, s2 = digest () in
-      check Alcotest.string (w.Suite.name ^ " arch") a1 a2;
-      check Alcotest.string (w.Suite.name ^ " strict") s1 s2)
-    (all_workloads ())
+      List.iter
+        (fun (what, field, j') ->
+          P.Journal.save path j';
+          match replay_from_disk w path with
+          | Ok () -> Alcotest.failf "%s: tampered journal replayed" what
+          | Error e ->
+              if not (contains e field) then
+                Alcotest.failf "%s: %S does not name %s" what e field)
+        [
+          ("altered arch_hex", "arch_hex",
+           { j with P.Journal.arch_hex = flip j.P.Journal.arch_hex });
+          ("altered strict_hex", "strict_hex",
+           { j with P.Journal.strict_hex = flip j.P.Journal.strict_hex });
+          ("chaining flipped off", "strict_hex",
+           {
+             j with
+             P.Journal.cfg =
+               { j.P.Journal.cfg with Cms.Config.enable_chaining = false };
+           });
+        ])
 
 let test_journal_roundtrip () =
   let j =
@@ -481,6 +520,8 @@ let replay_tests =
   [
     Alcotest.test_case "suite digests deterministic" `Slow
       test_suite_record_replay;
+    Alcotest.test_case "tampered suite journal names the field" `Quick
+      test_suite_journal_tamper;
     Alcotest.test_case "journal roundtrip + corruption" `Quick
       test_journal_roundtrip;
     Alcotest.test_case "record=replay, clean cases" `Quick
@@ -508,14 +549,8 @@ let test_forensics_dump () =
   ignore (Cms.run ~max_insns:50_000 c);
   let snapshot = P.Snapshot.capture c in
   let journal =
-    {
-      P.Journal.label = "drill";
-      cfg = Cms.Config.default;
-      guest = [ P.Journal.Irq { at = 5; line = 0 } ];
-      host = [];
-      arch_hex = None;
-      strict_hex = None;
-    }
+    P.Journal.unrecorded ~label:"drill" ~cfg:Cms.Config.default
+      [ P.Journal.Irq { at = 5; line = 0 } ]
   in
   let d =
     P.Forensics.dump ~dir ~name:"drill-1" ~reason:"unit test" ~snapshot
@@ -564,14 +599,9 @@ let test_snapshot_old_version () =
            (relabel ~kind:P.Snapshot.kind ~current:v ~version:(v - 1) img)))
 
 let small_journal =
-  {
-    P.Journal.label = "v";
-    cfg = Cms.Config.default;
-    guest = [];
-    host = [ P.Journal.Kill { nth = 1 } ];
-    arch_hex = None;
-    strict_hex = None;
-  }
+  P.Journal.unrecorded ~label:"v" ~cfg:Cms.Config.default
+    ~host:[ P.Journal.Kill { nth = 1 } ]
+    []
 
 let test_journal_old_version () =
   let img = P.Journal.to_string small_journal in
@@ -735,9 +765,7 @@ let test_strict_digest_pins () =
   check Alcotest.string "026.compress (Linux) at 200k"
     "5bff6e413bfd977b6d6258cb4c518819" (strict c);
   let echo =
-    List.find
-      (fun w -> w.Suite.name = "Packet Echo Kernel")
-      (all_workloads ())
+    Option.get (Workloads.Catalog.find "Packet Echo Kernel")
   in
   check Alcotest.string "Packet Echo Kernel"
     "6ae69b4bffe539aa036ddec18c962caf"

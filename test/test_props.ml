@@ -279,12 +279,7 @@ let test_wraparound_address () =
    included, so one run reports them all; a rejected translation falls
    back to the interpreter and the sweep carries on. *)
 let test_suite_verifier_clean () =
-  let workloads =
-    Workloads.Progs_boot.all @ Workloads.Progs_spec.all
-    @ Workloads.Progs_apps.all @ Workloads.Progs_quake.all
-    @ [ Workloads.Progs_quake.blt_driver () ]
-  @ Workloads.Progs_kernel.all
-  in
+  let workloads = Workloads.Catalog.all () in
   let cfg = { Cms.Config.default with Cms.Config.translate_threshold = 4 } in
   let translations = ref 0 in
   let diags = ref [] in

@@ -327,12 +327,6 @@ let test_adapt_bounded () =
 (* Eviction differential over the workload suite                       *)
 (* ------------------------------------------------------------------ *)
 
-let all_workloads () =
-  Workloads.Progs_boot.all @ Workloads.Progs_spec.all
-  @ Workloads.Progs_apps.all @ Workloads.Progs_quake.all
-  @ [ Workloads.Progs_quake.blt_driver () ]
-  @ Workloads.Progs_kernel.all
-
 (* Architectural state only; stats legitimately differ under pressure.
    The stack pages are zeroed before digesting, as in the fuzz oracle:
    timer-interrupt delivery boundaries differ between translation
@@ -391,7 +385,7 @@ let eviction_differential (w : Suite.t) () =
 let eviction_tests =
   List.map
     (fun w -> Alcotest.test_case w.Suite.name `Slow (eviction_differential w))
-    (all_workloads ())
+    (Workloads.Catalog.all ())
 
 (* ------------------------------------------------------------------ *)
 (* Chaos campaign determinism                                          *)
@@ -445,7 +439,7 @@ let test_storm_schedule_pin () =
   let fired = ref [] in
   let o, _ =
     Trial.execute
-      (Storm.subject Workloads.Progs_kernel.kernel_echo)
+      (Trial.of_suite ~mask:Storm.stack_mask Workloads.Progs_kernel.kernel_echo)
       ~cfg
       ~setup:(Chaos.install ~record:(fun ev -> fired := ev :: !fired) ch)
   in
