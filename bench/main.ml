@@ -696,8 +696,8 @@ let run_smoke () =
         exit 1
   in
   (match
-     Trial.verdict ~what:"fast paths on/off" (Trial.Outcome (outcome true))
-       (outcome false)
+     Trial.verdict ~what:"fast paths on/off" Trial.Strict
+       (Trial.Outcome (outcome true)) (outcome false)
    with
   | Ok () ->
       pr "bench-smoke: %S identical with fast paths on and off@."

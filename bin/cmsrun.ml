@@ -107,8 +107,9 @@ let do_aot_run ~stats ~verbose ~check ~cfg w path =
                 | _, Ok () ->
                     if w.Suite.uses_timer then
                       Fmt.pr
-                        "aot-check: PASS (checksum %#x matches cold run; \
-                         timer-driven, memory not compared)@."
+                        "aot-check: PASS (checksum %#x; registers, flags, \
+                         UART and frame buffer match cold run; timer-driven, \
+                         memory and bus counters not compared)@."
                         (Trial.eax warm.Trial.arch)
                     else
                       Fmt.pr
@@ -116,16 +117,16 @@ let do_aot_run ~stats ~verbose ~check ~cfg w path =
                         (Persist.Digests.arch_hex warm.Trial.arch);
                     `Ok ())))
 
+(* Every snapshot the drill takes is resumed from: one count is both. *)
 let do_soak ~cfg w every =
-  let r =
-    Persist.Soak.drill
-      ~make:(fun () -> Suite.prepare ~cfg w)
-      ~max_insns:w.Suite.max_insns ~every
-      ~compare_mem:(not w.Suite.uses_timer) ()
-  in
-  Fmt.pr "soak %s: %a@." w.Suite.name Persist.Soak.pp_result r;
-  if Persist.Soak.ok r then `Ok ()
-  else `Error (false, "soak drill diverged")
+  match Trial.soak w ~cfg ~every with
+  | (resumes, bytes), Ok () ->
+      Fmt.pr "soak %s: ok (%d resumes, %d snapshots, %d bytes)@." w.Suite.name
+        resumes resumes bytes;
+      `Ok ()
+  | (resumes, _), Error e ->
+      Fmt.pr "soak %s: DIVERGED after %d resumes: %s@." w.Suite.name resumes e;
+      `Error (false, "soak drill diverged")
 
 let run_cmd name list_only no_reorder no_alias no_fg no_chaining no_reval
     no_groups no_stylized force_selfcheck interp_only
@@ -239,8 +240,10 @@ let replay_arg =
 let soak_flag =
   flag [ "soak" ]
     "Run the kill-and-resume soak drill: execute in segments, snapshot at \
-     each cut, destroy the machine, restore from the image and continue; \
-     then differentially compare against an uninterrupted run."
+     each cut, destroy the machine, resume from the image and continue; \
+     then differentially compare against an uninterrupted run (the whole \
+     architectural digest, or for timer-driven workloads registers, flags, \
+     UART output and frame buffer)."
 
 let soak_every =
   Arg.(value & opt int 150_000
@@ -266,9 +269,10 @@ let aot_arg =
 let aot_check =
   flag [ "aot-check" ]
     "With --aot: also run the workload cold (no image) under the same \
-     configuration and require a bit-identical architectural digest (the \
-     EAX checksum alone for timer-driven workloads); exits nonzero on \
-     divergence."
+     configuration and require a bit-identical architectural digest (for \
+     timer-driven workloads, whose memory and bus counters follow the \
+     molecule clock: registers, flags, UART output and frame buffer); exits \
+     nonzero on divergence."
 
 let verbose = flag [ "v"; "verbose" ] "Print detailed statistics."
 

@@ -14,10 +14,11 @@
       fleet.
     - {b Supervised restart-from-snapshot.}  Every machine checkpoints
       itself at commit boundaries ({!Cms_persist.Snapshot.arm}); on
-      death the supervisor restores the last checkpoint, re-installs
-      the journal suffix from the snapshot's event cursors, and
-      charges a capped exponential backoff penalty (molecules of dead
-      air — device time keeps moving while the machine is down).
+      death the supervisor resumes the last checkpoint
+      ({!Cms_persist.Snapshot.resume}: restore, then the journal suffix
+      from the snapshot's event cursors) and charges a capped
+      exponential backoff penalty (molecules of dead air — device time
+      keeps moving while the machine is down).
     - {b Quarantine ladder.}  A machine that keeps dying past
       [max_restarts] is permanently quarantined with its final cause,
       and forensics-bundled when a directory is configured.  Nothing
@@ -301,12 +302,7 @@ let run_machine ?store (fcfg : config) (spec : spec) : report =
     match
       match (!checkpoint, n) with
       | Some frozen, n when n > 0 ->
-          let c, meta = Snapshot.restore (Snapshot.seal frozen) in
-          let inj =
-            Journal.install_guest ~irq_cursor:meta.Snapshot.irq_cursor
-              ~sync_cursor:meta.Snapshot.sync_cursor c spec.s_events
-          in
-          (c, inj)
+          Snapshot.resume (Snapshot.seal frozen) spec.s_events
       | _ ->
           let c = Suite.prepare ~cfg:run_cfg spec.s_workload in
           (c, Journal.install_guest c spec.s_events)

@@ -12,26 +12,33 @@
       AOT-off must agree architecturally (strict digests legitimately
       differ: translation counts do).
 
-    Correctness claims checked:
+    Correctness claims checked, the rules on the whole set first:
 
-    - A, B and C agree on everything *architectural*: GPRs, EIP, the
-      architectural EFLAGS, a digest of physical memory, MMIO/port
-      access counts, UART output and the frame-buffer checksum.  The
-      stack pages are zeroed before digesting: interrupt delivery
-      boundaries legitimately differ between interpreter and translator
-      (§3.3 — the translator only stops at consistent exits), leaving
-      different dead bytes below ESP.  CMS-internal event counters
-      (SMC, protection faults) are excluded too — the interpreter never
-      protects pages, so those ladders only run under B/C.
-    - B and C agree on the *strict* PR 2 digest as well: full stats
-      (host-cache counters normalized), molecule count, retired count,
-      SMC/protection/DMA-SMC events and the whole VLIW perf record —
-      fast paths must be observationally invisible.
-    - The translation verifier reports zero diagnostics in B and C.
-    - All three stop the same way.  Hitting the instruction limit in
-      every configuration is a {!Hang} (a generator bug, counted but
-      not bit-compared — states at an arbitrary cut-off differ
-      legitimately); hitting it in only some is a divergence.
+    - No configuration crashes: any [Crash] is a divergence.
+    - Hitting the instruction limit in every configuration is a
+      {!Hang} (a generator bug, counted but not bit-compared — states
+      at an arbitrary cut-off differ legitimately).
+
+    Then each pair through {!Cms_persist.Trial.verdict}, which also
+    requires the same stop, speculation flag and diagnostic count (the
+    interpreter never translates, so B, C and D must report no
+    verifier diagnostic):
+
+    - B, C and D each share A's *architectural* state
+      ([Trial.Arch]): GPRs, EIP, the architectural EFLAGS, a digest of
+      physical memory, MMIO/port access counts, UART output and the
+      frame-buffer checksum.  The stack pages are zeroed before
+      digesting: interrupt delivery boundaries legitimately differ
+      between interpreter and translator (§3.3 — the translator only
+      stops at consistent exits), leaving different dead bytes below
+      ESP.  CMS-internal event counters (SMC, protection faults) are
+      excluded too — the interpreter never protects pages, so those
+      ladders only run under B/C/D.  D's reasons start with [aot], so
+      the campaign's forensics bundle its image.
+    - B and C share the *strict* digest as well ([Trial.Strict]): full
+      stats (host-cache counters normalized), molecule count, retired
+      count, SMC/protection/DMA-SMC events and the whole VLIW perf
+      record — fast paths must be observationally invisible.
 
     Every run goes through {!Cms_persist.Trial}: one execution path,
     stable digests (no [Marshal]), and the engine's own check that no
@@ -42,7 +49,6 @@
     {!Trial.check_replay} replays the journal with no RNG at all and
     requires the two runs to be bit-identical. *)
 
-module Digests = Cms_persist.Digests
 module Journal = Cms_persist.Journal
 module Trial = Cms_persist.Trial
 
@@ -135,7 +141,10 @@ type verdict =
 let crashed (o : Trial.outcome) =
   match o.stop with Trial.Crash _ -> true | Trial.Halted | Trial.Limit -> false
 
-(* The clean four-oracle differential (no injection). *)
+(* The clean four-oracle differential (no injection).  The hang and
+   crash rules judge the set of runs; every pair is judged by
+   {!Trial.verdict}.  Oracle D's reasons start with "aot": the campaign
+   bundles the AOT image for exactly those. *)
 let check_clean (r : rendered) : verdict =
   let a = run_config Cms.interp_only_cfg r in
   let b = run_config Cms.Config.default r in
@@ -147,7 +156,7 @@ let check_clean (r : rendered) : verdict =
          a per-region failure demotes, a stale image raises only when
          memory actually changed, and neither can happen here *)
       Divergence ("aot harness crash: " ^ Printexc.to_string e)
-  | d ->
+  | d -> (
       if List.exists crashed [ a; b; c; d ] then
         Divergence
           (Fmt.str "crash (interp=%s translator=%s nofast=%s aot=%s)"
@@ -156,35 +165,23 @@ let check_clean (r : rendered) : verdict =
       else if
         List.for_all (fun o -> o.Trial.stop = Trial.Limit) [ a; b; c; d ]
       then Hang
-      else if a.stop <> b.stop || b.stop <> c.stop then
-        Divergence
-          (Fmt.str "stop mismatch (interp=%s translator=%s nofast=%s)"
-             (Trial.stop_name a.stop) (Trial.stop_name b.stop)
-             (Trial.stop_name c.stop))
-      else if a.stop <> d.stop then
-        Divergence
-          (Fmt.str "aot stop mismatch (interp=%s aot=%s)"
-             (Trial.stop_name a.stop) (Trial.stop_name d.stop))
-      else if b.ndiags > 0 || c.ndiags > 0 then
-        Divergence
-          (Fmt.str "verifier diagnostics (translator=%d nofast=%d)" b.ndiags
-             c.ndiags)
-      else if d.ndiags > 0 then
-        Divergence (Fmt.str "aot verifier diagnostics (%d)" d.ndiags)
-      else if a.arch <> b.arch then
-        Divergence
-          ("interpreter vs translator: " ^ Digests.arch_diff a.arch b.arch)
-      else if a.arch <> c.arch then
-        Divergence
-          ("interpreter vs fast-paths-off: " ^ Digests.arch_diff a.arch c.arch)
-      else if a.arch <> d.arch then
-        (* AOT-warm vs AOT-off: strict digests differ by design
-           (translation counts do), the architectural state must not *)
-        Divergence
-          ("aot: interpreter vs aot-warm: " ^ Digests.arch_diff a.arch d.arch)
-      else if b.strict <> c.strict then
-        Divergence "strict digest: fast paths on vs off"
-      else Pass
+      else
+        let judge (what, share, want, got) =
+          match Trial.verdict ~what share (Trial.Outcome want) got with
+          | Ok () -> None
+          | Error e -> Some e
+        in
+        match
+          List.find_map judge
+            [
+              ("interpreter vs translator", Trial.Arch, a, b);
+              ("interpreter vs fast-paths-off", Trial.Arch, a, c);
+              ("aot: interpreter vs aot-warm", Trial.Arch, a, d);
+              ("fast paths on vs off", Trial.Strict, b, c);
+            ]
+        with
+        | None -> Pass
+        | Some e -> Divergence e)
 
 (* The chaos run's configuration and injector, derived from the seed.
    The split order is load-bearing: it fixes the byte-for-byte RNG
@@ -211,16 +208,13 @@ let check_chaos (r : rendered) ~seed : verdict =
       (Fmt.str "crash under chaos (interp=%s chaos=%s)"
          (Trial.stop_name a.stop) (Trial.stop_name b.stop))
   else if a.stop = Trial.Limit && b.stop = Trial.Limit then Hang
-  else if a.stop <> b.stop then
-    Divergence
-      (Fmt.str "stop mismatch under chaos (interp=%s chaos=%s)"
-         (Trial.stop_name a.stop) (Trial.stop_name b.stop))
-  else if b.ndiags > 0 then
-    Divergence (Fmt.str "verifier diagnostics under chaos (%d)" b.ndiags)
-  else if a.arch <> b.arch then
-    Divergence
-      ("interpreter vs chaos translator: " ^ Digests.arch_diff a.arch b.arch)
-  else Pass
+  else
+    match
+      Trial.verdict ~what:"interpreter vs chaos translator" Trial.Arch
+        (Trial.Outcome a) b
+    with
+    | Ok () -> Pass
+    | Error e -> Divergence e
 
 (** Run a rendered case through its oracle: the clean three-way
     differential, or the chaos differential when the case carries a

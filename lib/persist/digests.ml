@@ -1,7 +1,7 @@
 (** Stable state digests for differential comparison.
 
-    Two granularities, shared by the fuzzer's oracles, the soak drill
-    and the record-replay verifier:
+    Two granularities, compared only by {!Trial.verdict} (which also
+    projects {!arch} to its clock-free part):
 
     - {!arch}: the cross-configuration *architectural* state — GPRs,
       EIP, architectural EFLAGS, a physical-memory digest (with caller-

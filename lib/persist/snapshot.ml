@@ -292,9 +292,9 @@ let inspect data = read_meta_sec (Codec.read_container ~kind ~version data)
 
 (** Rebuild a machine from a snapshot image.  The returned engine is at
     the captured commit boundary with a *cold* translation cache;
-    continue it with [Cms.run].  Raises {!Codec.Corrupt} on any image
-    defect. *)
-let restore data : Cms.t * meta =
+    continue it with [Cms.run].  [on_diag] observes its verifier, as in
+    {!Cms.create}.  Raises {!Codec.Corrupt} on any image defect. *)
+let restore ?on_diag data : Cms.t * meta =
   let sections = Codec.read_container ~kind ~version data in
   let sec tag =
     Codec.reader ~ctx:("snapshot section " ^ tag) (Codec.section sections tag)
@@ -321,7 +321,7 @@ let restore data : Cms.t * meta =
   let pmem = sec "PMEM" in
   let c =
     Codec.r_sparse_into pmem
-      ~alloc:(fun ram_size -> Cms.create ~cfg ~ram_size ~disk_image ())
+      ~alloc:(fun ram_size -> Cms.create ?on_diag ~cfg ~ram_size ~disk_image ())
       ~blit:(fun c addr s ->
         Machine.Phys.blit_string (Cms.mem c).Machine.Mem.phys ~addr s)
   in
@@ -483,6 +483,16 @@ let restore data : Cms.t * meta =
   let stats = Cms.stats c in
   stats.Cms.Stats.resumes <- stats.Cms.Stats.resumes + 1;
   (c, meta)
+
+(** Restore [data] and install the suffix of the guest events [guest]
+    its run had not yet delivered (the image's delivery cursors): the
+    one way a run continues from a checkpoint.  Returns the machine and
+    its injector, ready for [Cms.run]. *)
+let resume ?on_diag data (guest : Journal.guest_event list) =
+  let c, meta = restore ?on_diag data in
+  ( c,
+    Journal.install_guest ~irq_cursor:meta.irq_cursor
+      ~sync_cursor:meta.sync_cursor c guest )
 
 let save path ?label ?injector c = Codec.write_file path (capture ?label ?injector c)
 

@@ -237,55 +237,52 @@ type case_report = {
 (* Interpreter, translator and (when the case carries a chaos seed) the
    chaos-composed translator must each self-validate; then the
    translator run, chaos-composed when armed, must record-replay
-   bit-identically through the serialized journal. *)
+   bit-identically through the serialized journal.  That run records
+   its journal as it goes, so no run repeats another: three machines
+   per case, four when armed. *)
 let run_case (case : case) : case_report =
   let s = Trial.of_suite ~mask:stack_mask case.workload in
-  let guest c =
-    ignore (Journal.install_guest c case.events : Journal.injector)
-  in
-  (* a fresh schedule per run: each run draws its own down *)
-  let chaos () =
-    Option.map
-      (fun seed -> chaos_of_seed seed Cms.Config.default)
-      case.chaos_seed
-  in
-  let run_one tag ~cfg ~setup =
-    let o, c = Trial.execute s ~cfg ~setup in
+  let run_one tag ~cfg =
+    let o, c =
+      Trial.execute s ~cfg ~setup:(fun c ->
+          ignore (Journal.install_guest c case.events : Journal.injector))
+    in
     (validate case tag o c, o)
   in
-  let interp = run_one "interp" ~cfg:Cms.interp_only_cfg ~setup:guest in
-  let hot = run_one "translate" ~cfg:Cms.Config.default ~setup:guest in
-  let chaosed =
+  let interp = run_one "interp" ~cfg:Cms.interp_only_cfg in
+  let plain =
     Option.map
-      (fun (cfg, ch) ->
-        run_one "chaos" ~cfg ~setup:(fun c ->
-            guest c;
-            Chaos.install ch c))
-      (chaos ())
+      (fun _ -> run_one "translate" ~cfg:Cms.Config.default)
+      case.chaos_seed
   in
-  let spec_violations =
-    List.length
-      (List.filter
-         (fun (_, (o : Trial.outcome)) -> o.spec_violation)
-         (interp :: hot :: Option.to_list chaosed))
+  let tag, cfg, schedule =
+    match case.chaos_seed with
+    | None -> ("translate", Cms.Config.default, None)
+    | Some seed ->
+        let cfg, ch = chaos_of_seed seed Cms.Config.default in
+        ("chaos", cfg, Some (Chaos.schedule ch))
   in
-  let record_replay () =
-    let cfg, schedule =
-      match chaos () with
-      | None -> (Cms.Config.default, None)
-      | Some (cfg, ch) -> (cfg, Some (Chaos.schedule ch))
-    in
-    Trial.check_replay s
-      (Trial.record s ~label:case.workload.Suite.name ~cfg ~guest:case.events
-         ?schedule ())
+  let recording =
+    Trial.record s ~label:case.workload.Suite.name ~cfg ~guest:case.events
+      ?schedule ()
   in
+  let recorded =
+    ( validate case tag recording.Trial.outcome recording.Trial.machine,
+      recording.Trial.outcome )
+  in
+  let hot = Option.value plain ~default:recorded in
+  let runs = (interp :: Option.to_list plain) @ [ recorded ] in
+  let error_of = function Ok () -> None | Error e -> Some e in
   (* a speculation violation stops its run as a [Crash], which fails
      that run's validation *)
   let error =
-    match (fst interp, fst hot, Option.map fst chaosed) with
-    | Error e, _, _ | _, Error e, _ | _, _, Some (Error e) -> Some e
-    | Ok (), Ok (), (None | Some (Ok ())) -> (
-        match record_replay () with Error e -> Some e | Ok () -> None)
+    match List.find_map (fun (v, _) -> error_of v) runs with
+    | Some e -> Some e
+    | None -> error_of (Trial.check_replay s recording)
+  in
+  let spec_violations =
+    List.length
+      (List.filter (fun (_, (o : Trial.outcome)) -> o.spec_violation) runs)
   in
   {
     r_idx = case.idx;

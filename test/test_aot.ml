@@ -680,7 +680,8 @@ let run_warm ?(cfg = Cms.Config.default) (w : Suite.t) =
 
 (* Every workload through the shared AOT differential: both runs
    self-check, then the whole architectural digest must match, or the
-   EAX checksum alone for timer-driven workloads. *)
+   clock-free state (no memory digest or bus counters) for timer-driven
+   workloads. *)
 let test_suite_aot_differential () =
   List.iter
     (fun (w : Suite.t) ->

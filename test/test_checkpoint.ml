@@ -270,7 +270,7 @@ let fleet_first_checkpoint () =
 
 let test_fleet_restored_invariant () =
   let _, spec, img = fleet_first_checkpoint () in
-  let c, meta = P.Snapshot.restore img in
+  let c, _ = P.Snapshot.resume img spec.Fleet.s_events in
   (* restore flags exactly the pages the image carries *)
   let phys = (Cms.mem c).Machine.Mem.phys in
   let r =
@@ -287,10 +287,6 @@ let test_fleet_restored_invariant () =
   check (Alcotest.list Alcotest.int) "restored pages flagged"
     (List.rev !carried) (flagged phys);
   check_invariant "fleet m0 restored" c;
-  ignore
-    (P.Journal.install_guest ~irq_cursor:meta.P.Snapshot.irq_cursor
-       ~sync_cursor:meta.P.Snapshot.sync_cursor c spec.Fleet.s_events
-      : P.Journal.injector);
   (match Cms.run ~max_insns:spec.Fleet.s_workload.Suite.max_insns c with
   | Cms.Engine.Halted -> ()
   | Cms.Engine.Insn_limit -> Alcotest.fail "restored machine did not halt");

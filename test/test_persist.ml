@@ -1,6 +1,7 @@
 (* Tests for the checkpoint/restore subsystem: the stable codec and its
    corruption diagnostics, snapshot capture/restore fidelity, the
-   kill-and-resume soak drill across the whole workload suite,
+   kill-and-resume soak drill across the whole workload suite, the
+   levels of the outcome verdict,
    deterministic record-replay (suite, clean fuzz cases, a chaos
    campaign slice), mid-run resume from snapshot + journal suffix, and
    the forensics dump. *)
@@ -268,20 +269,16 @@ let snapshot_tests =
 (* Timer-driven workloads are molecule-clock-dependent: a resumed run
    (cold tcache) consumes a different number of molecules to retire the
    same instructions, so jiffy counts, handler-frame stack bytes and
-   device-poll counts legitimately differ.  Architectural results (GPRs,
-   EIP, EFLAGS, UART, frame buffer) must match regardless. *)
+   device-poll counts legitimately differ; their clock-free state (GPRs,
+   EIP, EFLAGS, UART, frame buffer) must match regardless.  Every
+   workload retires more than one segment, so every one resumes. *)
 let test_soak_suite () =
   List.iter
     (fun w ->
-      let r =
-        P.Soak.drill
-          ~make:(fun () -> Suite.prepare w)
-          ~max_insns:w.Suite.max_insns ~every:100_000
-          ~compare_mem:(not w.Suite.uses_timer) ()
-      in
-      if not (P.Soak.ok r) then
-        Alcotest.failf "%s: %a" w.Suite.name P.Soak.pp_result r;
-      if r.P.Soak.resumes = 0 && w.Suite.max_insns > 100_000 then ())
+      match P.Trial.soak w ~cfg:Cms.Config.default ~every:100_000 with
+      | _, Error e -> Alcotest.failf "%s: %s" w.Suite.name e
+      | (0, _), Ok () -> Alcotest.failf "%s: never resumed" w.Suite.name
+      | _, Ok () -> ())
     (Workloads.Catalog.all ())
 
 let soak_tests =
@@ -425,9 +422,10 @@ let test_chaos_record_replay seed () =
     | Error d -> Alcotest.failf "chaos case %d: %s" index d
   done
 
-(* Mid-run resume: restore the last checkpoint and replay the journal
-   *suffix* (delivery cursors from the snapshot metadata); the final
-   architectural state must match the uninterrupted recording. *)
+(* Mid-run resume: {!P.Snapshot.resume} the last checkpoint (restore,
+   then the journal *suffix* from the snapshot's delivery cursors) and
+   run it through Trial; it must share the uninterrupted recording's
+   architectural state, stop, speculation flag and diagnostic count. *)
 let test_fuzz_resume_from_checkpoint () =
   let root = Srng.create 23 in
   let resumed = ref 0 in
@@ -448,21 +446,25 @@ let test_fuzz_resume_from_checkpoint () =
         (rec_.P.Trial.checkpoint <> None)
       :: !diag;
     match (rec_.P.Trial.checkpoint, rec_.P.Trial.outcome.P.Trial.stop) with
-    | Some img, P.Trial.Halted ->
+    | Some img, P.Trial.Halted -> (
         incr resumed;
-        let c, meta = P.Snapshot.restore img in
-        ignore
-          (P.Journal.install_guest ~irq_cursor:meta.P.Snapshot.irq_cursor
-             ~sync_cursor:meta.P.Snapshot.sync_cursor c
-             rec_.P.Trial.journal.P.Journal.guest);
-        (match Cms.run ~max_insns:r.Oracle.max_insns c with
-        | Cms.Engine.Halted -> ()
-        | Cms.Engine.Insn_limit ->
-            Alcotest.failf "case %d: resumed run hit the limit" index);
-        let arch = P.Digests.arch ~mask:Oracle.stack_mask c in
-        if arch <> rec_.P.Trial.outcome.P.Trial.arch then
-          Alcotest.failf "case %d resume diverges: %s" index
-            (P.Digests.arch_diff rec_.P.Trial.outcome.P.Trial.arch arch)
+        let guest = rec_.P.Trial.journal.P.Journal.guest in
+        let resumed_leg =
+          {
+            (Oracle.subject r) with
+            P.Trial.boot =
+              (fun ~cfg:_ ~on_diag -> fst (P.Snapshot.resume ~on_diag img guest));
+          }
+        in
+        let o, _ =
+          P.Trial.execute resumed_leg ~cfg:Cms.Config.default ~setup:ignore
+        in
+        match
+          P.Trial.verdict ~what:"resume" P.Trial.Arch
+            (P.Trial.Outcome rec_.P.Trial.outcome) o
+        with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "case %d: %s" index e)
     | _ -> ()
   done;
   if !resumed < 5 then
@@ -516,6 +518,62 @@ let test_trial_tamper () =
   if not (contains e "record/replay arch:") then
     Alcotest.failf "one guest event moved: %s" e
 
+(* What each verdict level compares, on outcomes edited from one real
+   run: memory and bus counters are outside the clock-free state, stats
+   only in the strict digest, and a register in all three. *)
+let test_verdict_levels () =
+  let module T = P.Trial in
+  let module D = P.Digests in
+  let o, c =
+    T.execute (T.of_suite (compress ())) ~cfg:Cms.Config.default
+      ~setup:ignore
+  in
+  (* an outcome whose state is [arch], its strict digest taken over
+     [arch] and [c]'s current counters, as [T.execute] takes it *)
+  let with_arch arch = { o with T.arch; strict = D.strict arch c } in
+  let bus =
+    with_arch
+      {
+        o.T.arch with
+        D.mem = Digest.string "elsewhere";
+        mmio_reads = o.T.arch.D.mmio_reads + 1;
+        port_ops = o.T.arch.D.port_ops + 1;
+      }
+  in
+  let s = Cms.stats c in
+  s.Cms.Stats.translations <- s.Cms.Stats.translations + 1;
+  let stats = with_arch o.T.arch in
+  let eax =
+    with_arch
+      {
+        o.T.arch with
+        D.gprs =
+          List.mapi
+            (fun i v -> if i = X86.Regs.eax then v + 1 else v)
+            o.T.arch.D.gprs;
+      }
+  in
+  let verdict share got =
+    match T.verdict ~what:"v" share (T.Outcome o) got with
+    | Ok () -> "ok"
+    | Error e -> e
+  in
+  let fails_naming share got field =
+    let e = verdict share got in
+    if not (contains e field) then
+      Alcotest.failf "expected a failure naming %S, got %S" field e
+  in
+  check Alcotest.string "bus: clock-free" "ok" (verdict T.Clock_free bus);
+  fails_naming T.Arch bus "mem";
+  fails_naming T.Strict bus "mem";
+  check Alcotest.string "stats: clock-free" "ok" (verdict T.Clock_free stats);
+  check Alcotest.string "stats: arch" "ok" (verdict T.Arch stats);
+  check Alcotest.string "stats: strict" "v strict digest"
+    (verdict T.Strict stats);
+  List.iter
+    (fun share -> fails_naming share eax "eax=")
+    [ T.Clock_free; T.Arch; T.Strict ]
+
 let replay_tests =
   [
     Alcotest.test_case "suite digests deterministic" `Slow
@@ -534,6 +592,7 @@ let replay_tests =
       test_fuzz_resume_from_checkpoint;
     Alcotest.test_case "tampered journal fails the differential" `Quick
       test_trial_tamper;
+    Alcotest.test_case "verdict levels" `Quick test_verdict_levels;
   ]
 
 (* ------------------------------------------------------------------ *)
