@@ -13,10 +13,10 @@
 let sector_size = 512
 
 type t = {
-  image : Bytes.t;
+  mutable image : Bytes.t;  (** set at creation, or by a snapshot restore *)
   irq : Irq.t;
   line : int;
-  latency : int;  (** molecules from start to completion *)
+  mutable latency : int;  (** molecules from start to completion *)
   mutable sector : int;
   mutable dest : int;
   mutable count : int;  (** sectors *)
@@ -26,7 +26,8 @@ type t = {
   mutable image_chunks : int list option;
       (** snapshot cache: offsets of the image's non-zero chunks, found
           by the first capture.  The device never writes its image, so
-          the list stays valid. *)
+          the list stays valid until a restore replaces the image and
+          drops it. *)
 }
 
 let create ~image ~irq ~line ~latency =
@@ -45,18 +46,6 @@ let create ~image ~irq ~line ~latency =
   }
 
 let set_dma_write t f = t.dma_write <- f
-
-(* Snapshot support: mutable register state as a plain tuple.  The
-   sector image and the latency are creation parameters, captured
-   separately by the snapshot layer. *)
-let snapshot t = (t.sector, t.dest, t.count, t.busy, t.transfers)
-
-let restore t (sector, dest, count, busy, transfers) =
-  t.sector <- sector;
-  t.dest <- dest;
-  t.count <- count;
-  t.busy <- busy;
-  t.transfers <- transfers
 
 let start t =
   if t.busy = 0 && t.count > 0 then t.busy <- t.latency

@@ -17,7 +17,7 @@ type t = {
   mutable chunks : (int * int list) option;
       (** snapshot cache: offsets of [mem]'s non-zero chunks, found when
           [writes] was [fst].  Every store bumps [writes], so the list
-          is current while the two agree; {!restore} drops it. *)
+          is current while the two agree; a snapshot restore drops it. *)
 }
 
 let create ~base ~size =
@@ -56,18 +56,6 @@ let mmio_handler t =
             if off + 4 <= t.size then Bytes.set_int32_le t.mem off (Int32.of_int v)
         | _ -> ());
   }
-
-(* Snapshot support: capture encodes [mem] and the counters in place;
-   restore blits into the existing backing store ([mem] is fixed-size
-   per window). *)
-let restore t (mem, writes, reads, frames) =
-  if Bytes.length mem <> t.size then
-    invalid_arg "Framebuf.restore: size mismatch";
-  Bytes.blit mem 0 t.mem 0 t.size;
-  t.chunks <- None;
-  t.writes <- writes;
-  t.reads <- reads;
-  t.frames <- frames
 
 (** Checksum of the frame-buffer contents, for workload validation. *)
 let checksum t =

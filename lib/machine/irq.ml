@@ -38,17 +38,6 @@ let raise_line t line =
 
 let set_mask t m = t.mask <- m land 0xffff
 
-(* Snapshot support: the full controller state as a plain tuple. *)
-let snapshot t =
-  (t.pending, t.mask, t.raised_total, t.delivered_total, t.deferred_total)
-
-let restore t (pending, mask, raised_total, delivered_total, deferred_total) =
-  t.pending <- pending;
-  t.mask <- mask;
-  t.raised_total <- raised_total;
-  t.delivered_total <- delivered_total;
-  t.deferred_total <- deferred_total
-
 (** Is any unmasked interrupt pending? *)
 let has_pending t = t.pending land lnot t.mask land 0xffff <> 0
 

@@ -63,7 +63,7 @@ let isr_tx = 2
 type t = {
   irq : Irq.t;
   line : int;
-  latency : int;  (** molecules per backlog-drain / TX work unit *)
+  mutable latency : int;  (** molecules per backlog-drain / TX work unit *)
   backlog_cap : int;
   mutable ctrl : int;
   mutable rx_base : int;
@@ -330,46 +330,3 @@ let attach t bus ~base ~size =
           end);
     };
   Bus.add_ticker bus (tick t)
-
-(* ------------------------------------------------------------------ *)
-(* Snapshot support                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Mutable register + queue state as a plain tuple; latency, line and
-   backlog capacity are creation parameters. *)
-let snapshot t =
-  ( ( t.ctrl,
-      t.rx_base,
-      t.rx_count,
-      t.rx_head,
-      t.tx_base,
-      t.tx_count,
-      t.tx_head,
-      t.tx_pending ),
-    (t.mitigation, t.isr, t.busy, t.coalesce_acc, t.backlog),
-    (t.rx_frames, t.tx_frames, t.rx_dropped, t.irqs_raised, t.irqs_coalesced)
-  )
-
-let restore t
-    ( (ctrl, rx_base, rx_count, rx_head, tx_base, tx_count, tx_head, tx_pending),
-      (mitigation, isr, busy, coalesce_acc, backlog),
-      (rx_frames, tx_frames, rx_dropped, irqs_raised, irqs_coalesced) ) =
-  t.ctrl <- ctrl;
-  t.rx_base <- rx_base;
-  t.rx_count <- rx_count;
-  t.rx_head <- rx_head;
-  t.tx_base <- tx_base;
-  t.tx_count <- tx_count;
-  t.tx_head <- tx_head;
-  t.tx_pending <- tx_pending;
-  t.mitigation <- mitigation;
-  t.isr <- isr;
-  t.busy <- busy;
-  t.coalesce_acc <- coalesce_acc;
-  t.backlog <- backlog;
-  t.backlog_len <- List.length backlog;
-  t.rx_frames <- rx_frames;
-  t.tx_frames <- tx_frames;
-  t.rx_dropped <- rx_dropped;
-  t.irqs_raised <- irqs_raised;
-  t.irqs_coalesced <- irqs_coalesced

@@ -29,14 +29,6 @@ let tick t molecules =
     done
   end
 
-(* Snapshot support: the full device state as a plain tuple. *)
-let snapshot t = (t.period, t.count, t.fired)
-
-let restore t (period, count, fired) =
-  t.period <- period;
-  t.count <- count;
-  t.fired <- fired
-
 (* Ports: +0 = period low 16 bits, +1 = period high 16 bits (write
    latches), +2 = fired count (read). *)
 let attach t bus ~base =

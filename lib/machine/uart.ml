@@ -20,17 +20,6 @@ let feed_input t bytes = t.in_fifo <- t.in_fifo @ bytes
 
 let output t = Buffer.contents t.out_buf
 
-(* Snapshot support: the full device state as a plain tuple (the output
-   buffer as a string, since [Buffer.t] is opaque to callers). *)
-let snapshot t = (output t, t.in_fifo, t.data_reads, t.data_writes)
-
-let restore t (out, in_fifo, data_reads, data_writes) =
-  Buffer.clear t.out_buf;
-  Buffer.add_string t.out_buf out;
-  t.in_fifo <- in_fifo;
-  t.data_reads <- data_reads;
-  t.data_writes <- data_writes
-
 (* Register layout (relative to the base port):
    +0 data (R: pop input fifo, W: append output)
    +5 line status (bit0: input ready, bit5: tx empty = always) *)

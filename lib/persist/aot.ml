@@ -65,88 +65,57 @@ type t = {
 (* Header codec                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let w_meta b (m : meta) =
-  Codec.w_string b m.label;
-  Codec.w_int b m.entry;
-  Codec.w_int b m.leaders;
-  Codec.w_int b m.insn_count;
-  Codec.w_int b m.bytes_static;
-  Codec.w_int b m.bytes_deferred;
-  Codec.w_list b
-    (fun b (a, why) ->
-      Codec.w_int b a;
-      Codec.w_string b why)
-    m.deferred;
-  Codec.w_int b m.demoted_verify;
-  Codec.w_int b m.demoted_select;
-  Codec.w_int b m.blind_stores;
-  Codec.w_bool b m.truncated
+let no_meta =
+  { label = ""; entry = 0; leaders = 0; insn_count = 0; bytes_static = 0;
+    bytes_deferred = 0; deferred = []; demoted_verify = 0; demoted_select = 0;
+    blind_stores = 0; truncated = false }
 
-let r_meta r : meta =
-  let label = Codec.r_string r in
-  let entry = Codec.r_int r in
-  let leaders = Codec.r_int r in
-  let insn_count = Codec.r_int r in
-  let bytes_static = Codec.r_int r in
-  let bytes_deferred = Codec.r_int r in
-  let deferred =
-    Codec.r_list r (fun r ->
-        let a = Codec.r_int r in
-        let why = Codec.r_string r in
-        (a, why))
-  in
-  let demoted_verify = Codec.r_int r in
-  let demoted_select = Codec.r_int r in
-  let blind_stores = Codec.r_int r in
-  let truncated = Codec.r_bool r in
-  {
-    label;
-    entry;
-    leaders;
-    insn_count;
-    bytes_static;
-    bytes_deferred;
-    deferred;
-    demoted_verify;
-    demoted_select;
-    blind_stores;
-    truncated;
-  }
+let meta =
+  Codec.(
+    record
+      [
+        field string (fun m -> m.label) (fun m v -> { m with label = v });
+        field int (fun m -> m.entry) (fun m v -> { m with entry = v });
+        field int (fun m -> m.leaders) (fun m v -> { m with leaders = v });
+        field int (fun m -> m.insn_count) (fun m v -> { m with insn_count = v });
+        field int (fun m -> m.bytes_static) (fun m v -> { m with bytes_static = v });
+        field int (fun m -> m.bytes_deferred) (fun m v -> { m with bytes_deferred = v });
+        field (list (pair int string)) (fun m -> m.deferred) (fun m v -> { m with deferred = v });
+        field int (fun m -> m.demoted_verify) (fun m v -> { m with demoted_verify = v });
+        field int (fun m -> m.demoted_select) (fun m v -> { m with demoted_select = v });
+        field int (fun m -> m.blind_stores) (fun m v -> { m with blind_stores = v });
+        field bool (fun m -> m.truncated) (fun m v -> { m with truncated = v });
+      ]
+      (fun () -> no_meta))
+
+(* The sections ahead of the store's. *)
+let header =
+  Codec.
+    [
+      ("META", [ field meta (fun i -> i.meta) (fun i v -> { i with meta = v }) ]);
+      ("CONF", [ field Stable.config (fun i -> i.cfg) (fun i v -> { i with cfg = v }) ]);
+      ( "PAGE",
+        [ field (list (pair int string)) (fun i -> i.pages) (fun i v -> { i with pages = v }) ]
+      );
+    ]
 
 let to_string (img : t) =
-  Tstore.to_string ~kind ~version
-    ~header:(fun sec ->
-      sec "META" (fun b -> w_meta b img.meta);
-      sec "CONF" (fun b -> Stable.w_config b img.cfg);
-      sec "PAGE" (fun b ->
-          Codec.w_list b
-            (fun b (ppn, d) ->
-              Codec.w_int b ppn;
-              Codec.w_string b d)
-            img.pages))
+  Tstore.to_string ~kind ~version ~header:(fun sec -> Codec.w_sections header sec img)
     img.store
 
 let of_string data =
   let sections = Codec.read_container ~kind ~version data in
-  let rd tag f =
-    let r = Codec.reader ~ctx:("aot/" ^ tag) (Codec.section sections tag) in
-    let v = f r in
-    Codec.r_end r;
-    v
+  let img =
+    Codec.r_sections ~ctx:"aot" header sections
+      { meta = no_meta; cfg = Cms.Config.default; pages = []; store = Tstore.create () }
   in
-  let meta = rd "META" r_meta in
-  let cfg = rd "CONF" Stable.r_config in
-  let pages =
-    rd "PAGE" (fun r ->
-        Codec.r_list r (fun r ->
-            let ppn = Codec.r_int r in
-            let d = Codec.r_string r in
-            if String.length d <> 16 then
-              Codec.corrupt "aot: page %#x digest has %d bytes (want 16)" ppn
-                (String.length d);
-            (ppn, d)))
-  in
-  { meta; cfg; pages; store = Tstore.of_sections sections }
+  List.iter
+    (fun (ppn, d) ->
+      if String.length d <> 16 then
+        Codec.corrupt "aot: page %#x digest has %d bytes (want 16)" ppn
+          (String.length d))
+    img.pages;
+  { img with store = Tstore.of_sections sections }
 
 let save path img = Codec.write_file path (to_string img)
 let load path = of_string (Codec.read_file path)

@@ -1,6 +1,6 @@
 (** Stable binary encoding for persist images.
 
-    Two layers:
+    Three layers:
 
     - {b primitives}: fixed-width little-endian scalars, length-prefixed
       strings, lists, and a zero-run-elided sparse encoding for big
@@ -8,11 +8,17 @@
       format-defined, byte for byte — no [Marshal], so images and
       digests survive compiler upgrades and are diffable across
       machines.
+    - {b record tables}: a record's layout is one list of {!field}s,
+      each pairing a put with a take, and {!w_fields} and {!r_fields}
+      walk that one list, so a record's encoder and decoder cannot
+      disagree.  To change a record's format, add the field to its
+      table.
     - {b container}: a tagged image [magic · kind · version · sections ·
       trailer].  Every section carries an MD5 digest of its payload, and
       the trailer digests the whole body, so corruption is both detected
       and *located*: load failures raise {!Corrupt} with the section tag
-      and byte position at fault.
+      and byte position at fault.  {!w_sections} and {!r_sections} write
+      and read a container's sections as one table each.
 
     Readers are strict: every length is bounds-checked before use, every
     section must verify, and trailing garbage is rejected.  A truncated,
@@ -175,6 +181,81 @@ let r_end r =
     corrupt "%s: %d trailing bytes after byte %d" r.ctx
       (String.length r.data - r.pos)
       r.pos
+
+(* ------------------------------------------------------------------ *)
+(* Record tables                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(** How one value is written and read back. *)
+type 'v codec = { write : w -> 'v -> unit; read : r -> 'v }
+
+let int = { write = w_int; read = r_int }
+let bool = { write = w_bool; read = r_bool }
+let string = { write = w_string; read = r_string }
+let bytes = { write = w_bytes; read = r_bytes }
+let list c = { write = (fun w l -> w_list w c.write l); read = (fun r -> r_list r c.read) }
+let opt c = { write = (fun w v -> w_opt w c.write v); read = (fun r -> r_opt r c.read) }
+
+let pair a b =
+  {
+    write = (fun w (x, y) -> a.write w x; b.write w y);
+    read = (fun r -> let x = a.read r in (x, b.read r));
+  }
+
+(** One field of a record ['a]: [put] writes it out of a value, [take]
+    reads it into one and returns the value — a mutable record assigned
+    in place, an immutable one copied with the field updated. *)
+type 'a field = { put : w -> 'a -> unit; take : r -> 'a -> 'a }
+
+(** A field of an immutable record: [set] returns the record updated. *)
+let field c get set =
+  { put = (fun w v -> c.write w (get v)); take = (fun r v -> set v (c.read r)) }
+
+(** A field of a mutable record: [set] assigns it. *)
+let mut c get set =
+  {
+    put = (fun w v -> c.write w (get v));
+    take = (fun r v -> set v (c.read r); v);
+  }
+
+(** Write [v] as the table [fields] lays it out.  The walk itself
+    allocates nothing, so a checkpoint's freeze costs what its fields
+    write. *)
+let rec w_fields fields w v =
+  match fields with
+  | [] -> ()
+  | f :: tl ->
+      f.put w v;
+      w_fields tl w v
+
+(** Read the fields of [fields] into [v], in table order. *)
+let rec r_fields fields r v =
+  match fields with [] -> v | f :: tl -> r_fields tl r (f.take r v)
+
+(** The record laid out by [fields], read into [init ()]. *)
+let record fields init =
+  { write = w_fields fields; read = (fun r -> r_fields fields r (init ())) }
+
+(** [v] alone, encoded. *)
+let encode c v =
+  let w = writer () in
+  c.write w v;
+  contents w
+
+(** The value [c] reads from all of [s]. *)
+let decode ?ctx c s =
+  let r = reader ?ctx s in
+  let v = c.read r in
+  r_end r;
+  v
+
+(** The fields of [part v], a mutable record inside [v], as one field
+    of [v]. *)
+let part proj fields =
+  {
+    put = (fun w v -> w_fields fields w (proj v));
+    take = (fun r v -> ignore (r_fields fields r (proj v)); v);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Sparse byte arrays                                                  *)
@@ -390,6 +471,21 @@ let section sections tag =
   match List.assoc_opt tag sections with
   | Some payload -> payload
   | None -> corrupt "missing required section %S" tag
+
+(** Write [v] as the [(tag, fields)] tables [tables] lay it out, one
+    section each, through a container's [section] (see
+    {!freeze_container}). *)
+let w_sections tables section v =
+  List.iter (fun (tag, fields) -> section tag (fun w -> w_fields fields w v)) tables
+
+(** Read [tables] into [v] out of the verified container [sections]:
+    each section through its table, and whole. *)
+let r_sections ~ctx tables sections v =
+  List.fold_left
+    (fun v (tag, fields) ->
+      decode ~ctx:(ctx ^ " section " ^ tag) (record fields (fun () -> v))
+        (section sections tag))
+    v tables
 
 (* ------------------------------------------------------------------ *)
 (* Files                                                               *)

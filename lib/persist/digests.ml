@@ -97,18 +97,6 @@ let w_arch b (a : arch) =
   Codec.w_string b a.uart;
   Codec.w_int b a.fb
 
-let r_arch r : arch =
-  let gprs = Codec.r_list r Codec.r_int in
-  let eip = Codec.r_int r in
-  let eflags = Codec.r_int r in
-  let mem = Codec.r_string r in
-  let mmio_reads = Codec.r_int r in
-  let mmio_writes = Codec.r_int r in
-  let port_ops = Codec.r_int r in
-  let uart = Codec.r_string r in
-  let fb = Codec.r_int r in
-  { gprs; eip; eflags; mem; mmio_reads; mmio_writes; port_ops; uart; fb }
-
 (** Hex fingerprint of an architectural state (for journals and
     human-readable reports). *)
 let arch_hex (a : arch) =
@@ -130,14 +118,14 @@ let normalized_stats (s : Cms.Stats.t) =
 let strict (a : arch) (c : Cms.t) : Digest.t =
   let b = Codec.writer () in
   w_arch b a;
-  Stable.w_stats b (normalized_stats (Cms.stats c));
+  Codec.w_fields Stable.stats b (normalized_stats (Cms.stats c));
   Codec.w_int b (Cms.total_molecules c);
   Codec.w_int b (Cms.retired c);
   let m = Cms.mem c in
   Codec.w_int b m.Machine.Mem.smc_events;
   Codec.w_int b m.Machine.Mem.page_prot_faults;
   Codec.w_int b m.Machine.Mem.dma_smc_events;
-  Stable.w_perf b (Cms.perf c);
+  Codec.w_fields Stable.perf b (Cms.perf c);
   Codec.digest b
 
 let strict_hex d = Digest.to_hex d

@@ -48,14 +48,6 @@ type guest_event =
           at the first boundary once ≥ [at] instructions have retired —
           the §3.6.1 DMA-vs-translation race, journaled verbatim *)
 
-let pp_guest_event ppf = function
-  | Irq { at; line } -> Fmt.pf ppf "irq@%d line=%d" at line
-  | Dma { addr; data } -> Fmt.pf ppf "dma@%#x len=%d" addr (String.length data)
-  | Prot { virt; writable } -> Fmt.pf ppf "prot@%#x w=%b" virt writable
-  | Pkt { at; data } -> Fmt.pf ppf "pkt@%d len=%d" at (String.length data)
-  | Dma_at { at; addr; data } ->
-      Fmt.pf ppf "dma@%d->%#x len=%d" at addr (String.length data)
-
 type host_event =
   | Kill of { nth : int }  (** nth translation attempt dies *)
   | Pre_fault of { nth : int; alias : bool }
@@ -434,34 +426,29 @@ let r_host_event r =
       Unlink { nth; k }
   | k -> Codec.corrupt "journal: unknown host-event tag %d" k
 
+let sections =
+  let guest = { Codec.write = w_guest_event; read = r_guest_event } in
+  let host = { Codec.write = w_host_event; read = r_host_event } in
+  Codec.
+    [
+      ( "META",
+        [
+          field string (fun t -> t.label) (fun t v -> { t with label = v });
+          field (opt string) (fun t -> t.arch_hex) (fun t v -> { t with arch_hex = v });
+          field (opt string) (fun t -> t.strict_hex) (fun t v -> { t with strict_hex = v });
+        ] );
+      ("CONF", [ field Stable.config (fun t -> t.cfg) (fun t v -> { t with cfg = v }) ]);
+      ("GEVT", [ field (list guest) (fun t -> t.guest) (fun t v -> { t with guest = v }) ]);
+      ("HEVT", [ field (list host) (fun t -> t.host) (fun t v -> { t with host = v }) ]);
+    ]
+
 let to_string (t : t) =
-  Codec.container ~kind ~version (fun sec ->
-      sec "META" (fun b ->
-          Codec.w_string b t.label;
-          Codec.w_opt b Codec.w_string t.arch_hex;
-          Codec.w_opt b Codec.w_string t.strict_hex);
-      sec "CONF" (fun b -> Stable.w_config b t.cfg);
-      sec "GEVT" (fun b -> Codec.w_list b w_guest_event t.guest);
-      sec "HEVT" (fun b -> Codec.w_list b w_host_event t.host))
+  Codec.container ~kind ~version (fun sec -> Codec.w_sections sections sec t)
 
 let of_string data : t =
-  let sections = Codec.read_container ~kind ~version data in
-  let sec tag = Codec.reader ~ctx:("journal section " ^ tag) (Codec.section sections tag) in
-  let meta = sec "META" in
-  let label = Codec.r_string meta in
-  let arch_hex = Codec.r_opt meta Codec.r_string in
-  let strict_hex = Codec.r_opt meta Codec.r_string in
-  Codec.r_end meta;
-  let conf = sec "CONF" in
-  let cfg = Stable.r_config conf in
-  Codec.r_end conf;
-  let gevt = sec "GEVT" in
-  let guest = Codec.r_list gevt r_guest_event in
-  Codec.r_end gevt;
-  let hevt = sec "HEVT" in
-  let host = Codec.r_list hevt r_host_event in
-  Codec.r_end hevt;
-  { label; cfg; guest; host; arch_hex; strict_hex }
+  Codec.r_sections ~ctx:"journal" sections
+    (Codec.read_container ~kind ~version data)
+    (unrecorded ~label:"" ~cfg:Cms.Config.default [])
 
 (** Serialize and re-parse: the harnesses put the on-disk codec in the
     loop of every replay, exactly as a journal read back from disk. *)

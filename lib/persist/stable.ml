@@ -1,176 +1,96 @@
 (** Stable codecs for the core record types.
 
-    Field-by-field encoders/decoders over {!Codec} with a fixed field
-    order, replacing every [Marshal]-based digest in the tree: the byte
-    image of a [Config]/[Stats]/[Perf]/[Policy] value is defined by this
+    One {!Codec.field} table per record, in a fixed field order,
+    replacing every [Marshal]-based digest in the tree: the byte image
+    of a [Config]/[Stats]/[Perf]/[Policy] value is defined by this
     module alone, so fingerprints are format-versioned rather than
     OCaml-compiler-versioned, and snapshot images interoperate across
-    builds.
+    builds.  The encoder and the decoder walk the same table.
 
-    Changing any record layout requires updating the matching codec here
-    (for [Stats], its table {!Cms.Stats.counters}, which the codec walks)
+    Changing any record layout requires adding the field to its table
+    here (for [Stats], to {!Cms.Stats.counters}, which {!stats} walks)
     *and* bumping the container version of the images that embed it
-    ({!Snapshot.version} / {!Journal.version}) — the decoders read
-    exactly as many fields as the encoders wrote, so skew shows up as a
-    [Codec.Corrupt] rather than silent misinterpretation. *)
+    ({!Snapshot.version} / {!Journal.version} / {!Aot.version}).  The
+    format pins in the test suite move with any such change. *)
 
 (* ------------------------------------------------------------------ *)
 (* Config                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let w_config b (c : Cms.Config.t) =
+let config : Cms.Config.t Codec.codec =
   let open Cms.Config in
-  Codec.w_bool b c.enable_reorder;
-  Codec.w_bool b c.enable_alias_hw;
-  Codec.w_bool b c.enable_fine_grain;
-  Codec.w_bool b c.enable_chaining;
-  Codec.w_bool b c.enable_self_reval;
-  Codec.w_bool b c.enable_self_check;
-  Codec.w_bool b c.enable_stylized;
-  Codec.w_bool b c.enable_groups;
-  Codec.w_bool b c.force_self_check;
-  Codec.w_int b c.translate_threshold;
-  Codec.w_int b c.max_region_insns;
-  Codec.w_int b c.unroll_limit;
-  Codec.w_int b c.alias_slots;
-  Codec.w_int b c.sbuf_capacity;
-  Codec.w_int b c.fg_capacity;
-  Codec.w_int b c.tcache_capacity;
-  Codec.w_int b c.spec_fault_limit;
-  Codec.w_int b c.genuine_fault_limit;
-  Codec.w_int b c.smc_false_limit;
-  Codec.w_int b c.adapt_capacity;
-  Codec.w_int b c.demote_limit;
-  Codec.w_int b c.quarantine_limit;
-  Codec.w_int b c.translate_fail_limit;
-  Codec.w_int b c.stall_limit;
-  Codec.w_int b c.interp_cost;
-  Codec.w_int b c.translate_cost;
-  Codec.w_int b c.rollback_cost;
-  Codec.w_int b c.lookup_cost;
-  Codec.w_int b c.fault_handler_cost;
-  Codec.w_int b c.fg_install_cost;
-  Codec.w_int b c.reval_cost_per_byte;
-  Codec.w_bool b c.host_fast_paths
-
-let r_config r : Cms.Config.t =
-  let enable_reorder = Codec.r_bool r in
-  let enable_alias_hw = Codec.r_bool r in
-  let enable_fine_grain = Codec.r_bool r in
-  let enable_chaining = Codec.r_bool r in
-  let enable_self_reval = Codec.r_bool r in
-  let enable_self_check = Codec.r_bool r in
-  let enable_stylized = Codec.r_bool r in
-  let enable_groups = Codec.r_bool r in
-  let force_self_check = Codec.r_bool r in
-  let translate_threshold = Codec.r_int r in
-  let max_region_insns = Codec.r_int r in
-  let unroll_limit = Codec.r_int r in
-  let alias_slots = Codec.r_int r in
-  let sbuf_capacity = Codec.r_int r in
-  let fg_capacity = Codec.r_int r in
-  let tcache_capacity = Codec.r_int r in
-  let spec_fault_limit = Codec.r_int r in
-  let genuine_fault_limit = Codec.r_int r in
-  let smc_false_limit = Codec.r_int r in
-  let adapt_capacity = Codec.r_int r in
-  let demote_limit = Codec.r_int r in
-  let quarantine_limit = Codec.r_int r in
-  let translate_fail_limit = Codec.r_int r in
-  let stall_limit = Codec.r_int r in
-  let interp_cost = Codec.r_int r in
-  let translate_cost = Codec.r_int r in
-  let rollback_cost = Codec.r_int r in
-  let lookup_cost = Codec.r_int r in
-  let fault_handler_cost = Codec.r_int r in
-  let fg_install_cost = Codec.r_int r in
-  let reval_cost_per_byte = Codec.r_int r in
-  let host_fast_paths = Codec.r_bool r in
-  {
-    Cms.Config.enable_reorder;
-    enable_alias_hw;
-    enable_fine_grain;
-    enable_chaining;
-    enable_self_reval;
-    enable_self_check;
-    enable_stylized;
-    enable_groups;
-    force_self_check;
-    translate_threshold;
-    max_region_insns;
-    unroll_limit;
-    alias_slots;
-    sbuf_capacity;
-    fg_capacity;
-    tcache_capacity;
-    spec_fault_limit;
-    genuine_fault_limit;
-    smc_false_limit;
-    adapt_capacity;
-    demote_limit;
-    quarantine_limit;
-    translate_fail_limit;
-    stall_limit;
-    interp_cost;
-    translate_cost;
-    rollback_cost;
-    lookup_cost;
-    fault_handler_cost;
-    fg_install_cost;
-    reval_cost_per_byte;
-    host_fast_paths;
-  }
+  Codec.(
+    record
+      [
+        field bool (fun c -> c.enable_reorder) (fun c v -> { c with enable_reorder = v });
+        field bool (fun c -> c.enable_alias_hw) (fun c v -> { c with enable_alias_hw = v });
+        field bool (fun c -> c.enable_fine_grain) (fun c v -> { c with enable_fine_grain = v });
+        field bool (fun c -> c.enable_chaining) (fun c v -> { c with enable_chaining = v });
+        field bool (fun c -> c.enable_self_reval) (fun c v -> { c with enable_self_reval = v });
+        field bool (fun c -> c.enable_self_check) (fun c v -> { c with enable_self_check = v });
+        field bool (fun c -> c.enable_stylized) (fun c v -> { c with enable_stylized = v });
+        field bool (fun c -> c.enable_groups) (fun c v -> { c with enable_groups = v });
+        field bool (fun c -> c.force_self_check) (fun c v -> { c with force_self_check = v });
+        field int (fun c -> c.translate_threshold) (fun c v -> { c with translate_threshold = v });
+        field int (fun c -> c.max_region_insns) (fun c v -> { c with max_region_insns = v });
+        field int (fun c -> c.unroll_limit) (fun c v -> { c with unroll_limit = v });
+        field int (fun c -> c.alias_slots) (fun c v -> { c with alias_slots = v });
+        field int (fun c -> c.sbuf_capacity) (fun c v -> { c with sbuf_capacity = v });
+        field int (fun c -> c.fg_capacity) (fun c v -> { c with fg_capacity = v });
+        field int (fun c -> c.tcache_capacity) (fun c v -> { c with tcache_capacity = v });
+        field int (fun c -> c.spec_fault_limit) (fun c v -> { c with spec_fault_limit = v });
+        field int (fun c -> c.genuine_fault_limit) (fun c v -> { c with genuine_fault_limit = v });
+        field int (fun c -> c.smc_false_limit) (fun c v -> { c with smc_false_limit = v });
+        field int (fun c -> c.adapt_capacity) (fun c v -> { c with adapt_capacity = v });
+        field int (fun c -> c.demote_limit) (fun c v -> { c with demote_limit = v });
+        field int (fun c -> c.quarantine_limit) (fun c v -> { c with quarantine_limit = v });
+        field int (fun c -> c.translate_fail_limit) (fun c v -> { c with translate_fail_limit = v });
+        field int (fun c -> c.stall_limit) (fun c v -> { c with stall_limit = v });
+        field int (fun c -> c.interp_cost) (fun c v -> { c with interp_cost = v });
+        field int (fun c -> c.translate_cost) (fun c v -> { c with translate_cost = v });
+        field int (fun c -> c.rollback_cost) (fun c v -> { c with rollback_cost = v });
+        field int (fun c -> c.lookup_cost) (fun c v -> { c with lookup_cost = v });
+        field int (fun c -> c.fault_handler_cost) (fun c v -> { c with fault_handler_cost = v });
+        field int (fun c -> c.fg_install_cost) (fun c v -> { c with fg_install_cost = v });
+        field int (fun c -> c.reval_cost_per_byte) (fun c v -> { c with reval_cost_per_byte = v });
+        field bool (fun c -> c.host_fast_paths) (fun c v -> { c with host_fast_paths = v });
+      ]
+      (fun () -> default))
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
 
 (* Every counter of {!Cms.Stats.counters}, in table order. *)
-let w_stats b (s : Cms.Stats.t) =
-  List.iter (fun c -> Codec.w_int b (c.Cms.Stats.get s)) Cms.Stats.counters
-
-let r_stats_into r (s : Cms.Stats.t) =
-  List.iter (fun c -> c.Cms.Stats.set s (Codec.r_int r)) Cms.Stats.counters
+let stats : Cms.Stats.t Codec.field list =
+  List.map
+    (fun k -> Codec.mut Codec.int k.Cms.Stats.get k.Cms.Stats.set)
+    Cms.Stats.counters
 
 (* ------------------------------------------------------------------ *)
 (* Vliw.Perf                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let w_perf b (p : Vliw.Perf.t) =
+let perf : Vliw.Perf.t Codec.field list =
   let open Vliw.Perf in
-  Codec.w_int b p.molecules;
-  Codec.w_int b p.atoms;
-  Codec.w_int b p.nops;
-  Codec.w_int b p.loads;
-  Codec.w_int b p.stores;
-  Codec.w_int b p.commits;
-  Codec.w_int b p.x86_committed;
-  Codec.w_int b p.rollbacks;
-  Codec.w_int b p.exits_taken;
-  Codec.w_int b p.x86_fault_atoms;
-  Codec.w_int b p.alias_faults;
-  Codec.w_int b p.mmio_spec_faults;
-  Codec.w_int b p.smc_faults;
-  Codec.w_int b p.sbuf_overflows;
-  Codec.w_int b p.interrupts_taken
-
-let r_perf_into r (p : Vliw.Perf.t) =
-  let open Vliw.Perf in
-  p.molecules <- Codec.r_int r;
-  p.atoms <- Codec.r_int r;
-  p.nops <- Codec.r_int r;
-  p.loads <- Codec.r_int r;
-  p.stores <- Codec.r_int r;
-  p.commits <- Codec.r_int r;
-  p.x86_committed <- Codec.r_int r;
-  p.rollbacks <- Codec.r_int r;
-  p.exits_taken <- Codec.r_int r;
-  p.x86_fault_atoms <- Codec.r_int r;
-  p.alias_faults <- Codec.r_int r;
-  p.mmio_spec_faults <- Codec.r_int r;
-  p.smc_faults <- Codec.r_int r;
-  p.sbuf_overflows <- Codec.r_int r;
-  p.interrupts_taken <- Codec.r_int r
+  Codec.
+    [
+      mut int (fun p -> p.molecules) (fun p v -> p.molecules <- v);
+      mut int (fun p -> p.atoms) (fun p v -> p.atoms <- v);
+      mut int (fun p -> p.nops) (fun p v -> p.nops <- v);
+      mut int (fun p -> p.loads) (fun p v -> p.loads <- v);
+      mut int (fun p -> p.stores) (fun p v -> p.stores <- v);
+      mut int (fun p -> p.commits) (fun p v -> p.commits <- v);
+      mut int (fun p -> p.x86_committed) (fun p v -> p.x86_committed <- v);
+      mut int (fun p -> p.rollbacks) (fun p v -> p.rollbacks <- v);
+      mut int (fun p -> p.exits_taken) (fun p v -> p.exits_taken <- v);
+      mut int (fun p -> p.x86_fault_atoms) (fun p v -> p.x86_fault_atoms <- v);
+      mut int (fun p -> p.alias_faults) (fun p v -> p.alias_faults <- v);
+      mut int (fun p -> p.mmio_spec_faults) (fun p v -> p.mmio_spec_faults <- v);
+      mut int (fun p -> p.smc_faults) (fun p v -> p.smc_faults <- v);
+      mut int (fun p -> p.sbuf_overflows) (fun p v -> p.sbuf_overflows <- v);
+      mut int (fun p -> p.interrupts_taken) (fun p v -> p.interrupts_taken <- v);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Policy                                                              *)
@@ -178,40 +98,25 @@ let r_perf_into r (p : Vliw.Perf.t) =
 
 (* [ISet] elements are written sorted ascending ([ISet.elements]), so
    equal sets give equal bytes regardless of internal tree shape. *)
-let w_policy b (p : Cms.Policy.t) =
-  let open Cms.Policy in
-  Codec.w_bool b p.no_reorder;
-  Codec.w_bool b p.no_alias;
-  Codec.w_int b p.max_insns;
-  Codec.w_int b p.unroll;
-  Codec.w_bool b p.self_check;
-  Codec.w_bool b p.self_reval;
-  Codec.w_bool b p.interp_only;
-  Codec.w_list b Codec.w_int (ISet.elements p.interp_insns);
-  Codec.w_list b Codec.w_int (ISet.elements p.stylized_imms)
-
-let r_policy r : Cms.Policy.t =
-  let no_reorder = Codec.r_bool r in
-  let no_alias = Codec.r_bool r in
-  let max_insns = Codec.r_int r in
-  let unroll = Codec.r_int r in
-  let self_check = Codec.r_bool r in
-  let self_reval = Codec.r_bool r in
-  let interp_only = Codec.r_bool r in
-  let interp_insns =
-    Cms.Policy.ISet.of_list (Codec.r_list r Codec.r_int)
-  in
-  let stylized_imms =
-    Cms.Policy.ISet.of_list (Codec.r_list r Codec.r_int)
-  in
+let iset =
   {
-    Cms.Policy.no_reorder;
-    no_alias;
-    max_insns;
-    unroll;
-    self_check;
-    self_reval;
-    interp_only;
-    interp_insns;
-    stylized_imms;
+    Codec.write = (fun w s -> Codec.w_list w Codec.w_int (Cms.Policy.ISet.elements s));
+    read = (fun r -> Cms.Policy.ISet.of_list (Codec.r_list r Codec.r_int));
   }
+
+let policy : Cms.Policy.t Codec.codec =
+  let open Cms.Policy in
+  Codec.(
+    record
+      [
+        field bool (fun p -> p.no_reorder) (fun p v -> { p with no_reorder = v });
+        field bool (fun p -> p.no_alias) (fun p v -> { p with no_alias = v });
+        field int (fun p -> p.max_insns) (fun p v -> { p with max_insns = v });
+        field int (fun p -> p.unroll) (fun p v -> { p with unroll = v });
+        field bool (fun p -> p.self_check) (fun p v -> { p with self_check = v });
+        field bool (fun p -> p.self_reval) (fun p v -> { p with self_reval = v });
+        field bool (fun p -> p.interp_only) (fun p v -> { p with interp_only = v });
+        field iset (fun p -> p.interp_insns) (fun p v -> { p with interp_insns = v });
+        field iset (fun p -> p.stylized_imms) (fun p v -> { p with stylized_imms = v });
+      ]
+      (fun () -> default Cms.Config.default))

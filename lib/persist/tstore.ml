@@ -410,69 +410,49 @@ type tran = {
   keep_snapshot : bool;
 }
 
-let w_insn_wire b (i : insn_wire) =
-  Codec.w_int b i.addr;
-  Codec.w_int b i.len;
-  Codec.w_int b
-    (match i.follow with
-    | Cms.Region.FNext -> 0
-    | Cms.Region.FTarget -> 1
-    | Cms.Region.FEnd -> 2);
-  Codec.w_bool b i.loops;
-  Codec.w_opt b Codec.w_int i.imm32_addr
+let follow =
+  let tags = Cms.Region.[| FNext; FTarget; FEnd |] in
+  {
+    Codec.write = (fun w f -> Codec.w_int w (index_of "follow" f tags));
+    read = (fun r -> of_index "follow" r tags);
+  }
 
-let r_insn_wire r : insn_wire =
-  let addr = Codec.r_int r in
-  let len = Codec.r_int r in
-  let follow =
-    match Codec.r_int r with
-    | 0 -> Cms.Region.FNext
-    | 1 -> Cms.Region.FTarget
-    | 2 -> Cms.Region.FEnd
-    | t -> Codec.corrupt "tstore: bad follow tag %d" t
-  in
-  let loops = Codec.r_bool r in
-  let imm32_addr = Codec.r_opt r Codec.r_int in
-  { addr; len; follow; loops; imm32_addr }
+let insn_wire : insn_wire Codec.codec =
+  Codec.(
+    record
+      [
+        field int (fun i -> i.addr) (fun i v -> { i with addr = v });
+        field int (fun (i : insn_wire) -> i.len) (fun i v -> { i with len = v });
+        field follow (fun i -> i.follow) (fun i v -> { i with follow = v });
+        field bool (fun i -> i.loops) (fun i v -> { i with loops = v });
+        field (opt int) (fun i -> i.imm32_addr) (fun i v -> { i with imm32_addr = v });
+      ]
+      (fun () ->
+        { addr = 0; len = 0; follow = FEnd; loops = false; imm32_addr = None }))
 
-let w_tran b (t : tran) =
-  Codec.w_int b t.tentry;
-  Stable.w_policy b t.policy;
-  Codec.w_opt b Codec.w_int t.cont;
-  Codec.w_list b
-    (fun b (lo, hi) ->
-      Codec.w_int b lo;
-      Codec.w_int b hi)
-    t.src_ranges;
-  Codec.w_list b w_insn_wire t.insns;
-  Codec.w_bytes b t.snapshot;
-  w_code b t.code;
-  Codec.w_bool b t.unprotected;
-  Codec.w_bool b t.keep_snapshot
-
-let r_tran r : tran =
-  let tentry = Codec.r_int r in
-  let policy = Stable.r_policy r in
-  let cont = Codec.r_opt r Codec.r_int in
-  let src_ranges =
-    Codec.r_list r (fun r ->
-        let lo = Codec.r_int r in
-        let hi = Codec.r_int r in
-        (lo, hi))
-  in
-  let insns = Codec.r_list r r_insn_wire in
-  let snapshot = Codec.r_bytes r in
-  let code = r_code r in
-  let unprotected = Codec.r_bool r in
-  let keep_snapshot = Codec.r_bool r in
-  { tentry; policy; cont; src_ranges; insns; snapshot; code; unprotected;
-    keep_snapshot }
+let tran : tran Codec.codec =
+  let code = { Codec.write = w_code; read = r_code } in
+  Codec.(
+    record
+      [
+        field int (fun t -> t.tentry) (fun t v -> { t with tentry = v });
+        field Stable.policy (fun t -> t.policy) (fun t v -> { t with policy = v });
+        field (opt int) (fun t -> t.cont) (fun t v -> { t with cont = v });
+        field (list (pair int int)) (fun t -> t.src_ranges) (fun t v -> { t with src_ranges = v });
+        field (list insn_wire) (fun t -> t.insns) (fun t v -> { t with insns = v });
+        field bytes (fun t -> t.snapshot) (fun t v -> { t with snapshot = v });
+        field code (fun t -> t.code) (fun t v -> { t with code = v });
+        field bool (fun t -> t.unprotected) (fun t v -> { t with unprotected = v });
+        field bool (fun t -> t.keep_snapshot) (fun t v -> { t with keep_snapshot = v });
+      ]
+      (fun () ->
+        { tentry = 0; policy = Cms.Policy.default Cms.Config.default; cont = None;
+          src_ranges = []; insns = []; snapshot = Bytes.empty;
+          code = { Vliw.Code.molecules = [||]; exits = [||] };
+          unprotected = false; keep_snapshot = false }))
 
 (** The blob of [t]. *)
-let blob (t : tran) =
-  let b = Codec.writer () in
-  w_tran b t;
-  Codec.contents b
+let blob (t : tran) = Codec.encode tran t
 
 (* ------------------------------------------------------------------ *)
 (* Keys                                                                *)
@@ -480,7 +460,7 @@ let blob (t : tran) =
 
 let policy_digest (p : Cms.Policy.t) =
   let b = Codec.writer () in
-  Stable.w_policy b p;
+  Stable.policy.write b p;
   Codec.digest b
 
 (** The canonical compile input, rendered printable for forensics. *)
@@ -597,11 +577,7 @@ let encode ~entry ~(region : Cms.Region.t) ~(policy : Cms.Policy.t)
 let decode ~entry (e : entry) =
   if Digest.string e.blob <> e.sum then
     untrusted "entry %#x: blob digest mismatch (store corruption)" entry;
-  try
-    let r = Codec.reader e.blob in
-    let t = r_tran r in
-    Codec.r_end r;
-    t
+  try Codec.decode tran e.blob
   with Codec.Corrupt m -> untrusted "entry %#x: %s" entry m
 
 (* Rebuild the region from the wire shape, re-decoding every
@@ -715,60 +691,45 @@ let revalidate ?on_diag ~(cfg : Cms.Config.t) ~entry
 (* Image                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The image's own sections, over the live entries and the poisoned
+   keys, each in key order. *)
+let image =
+  let entry =
+    Codec.(
+      record
+        [
+          field string (fun e -> e.blob) (fun e v -> { e with blob = v });
+          field string (fun e -> e.sum) (fun e v -> { e with sum = v });
+        ]
+        (fun () -> { blob = ""; sum = "" }))
+  in
+  Codec.
+    [
+      ("ENTS", [ field (list (pair string entry)) fst (fun (_, p) e -> (e, p)) ]);
+      ("POIS", [ field (list (pair string string)) snd (fun (e, _) p -> (e, p)) ]);
+    ]
+
 (** The store's container: [header] emits sections ahead of ENTS and
     POIS, under [kind] and [version] ({!Aot} writes its image this
     way). *)
 let to_string ?(kind = kind) ?(version = version) ?(header = fun _ -> ()) t =
-  let entries, poisoned =
-    locked t (fun () -> (sorted t.entries, sorted t.poisoned))
-  in
+  let contents = locked t (fun () -> (sorted t.entries, sorted t.poisoned)) in
   Codec.container ~kind ~version (fun sec ->
       header sec;
-      sec "ENTS" (fun b ->
-          Codec.w_list b
-            (fun b (k, e) ->
-              Codec.w_string b k;
-              Codec.w_string b e.blob;
-              Codec.w_string b e.sum)
-            entries);
-      sec "POIS" (fun b ->
-          Codec.w_list b
-            (fun b (k, m) ->
-              Codec.w_string b k;
-              Codec.w_string b m)
-            poisoned))
+      Codec.w_sections image sec contents)
 
 (** The store held in the ENTS and POIS of a verified container's
     [sections]; raises {!Codec.Corrupt} on an entry whose blob fails
     its MD5 or whose key {!key} did not make. *)
 let of_sections sections =
+  let entries, poisoned = Codec.r_sections ~ctx:"tstore" image sections ([], []) in
   let t = create () in
-  let sec tag =
-    Codec.reader ~ctx:("tstore section " ^ tag) (Codec.section sections tag)
-  in
-  let r = sec "ENTS" in
-  let entries =
-    Codec.r_list r (fun r ->
-        let k = Codec.r_string r in
-        let blob = Codec.r_string r in
-        let sum = Codec.r_string r in
-        (k, blob, sum))
-  in
-  Codec.r_end r;
-  let r = sec "POIS" in
-  let poisoned =
-    Codec.r_list r (fun r ->
-        let k = Codec.r_string r in
-        let m = Codec.r_string r in
-        (k, m))
-  in
-  Codec.r_end r;
   List.iter
-    (fun (k, blob, sum) ->
+    (fun (k, e) ->
       ignore (key_entry k : int);
-      if Digest.string blob <> sum then
+      if Digest.string e.blob <> e.sum then
         Codec.corrupt "tstore: entry %s: blob digest mismatch" k;
-      Hashtbl.replace t.entries k { blob; sum })
+      Hashtbl.replace t.entries k e)
     entries;
   List.iter (fun (k, m) -> Hashtbl.replace t.poisoned k m) poisoned;
   t

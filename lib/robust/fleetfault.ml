@@ -110,33 +110,9 @@ let default_profile =
    every machine's delivered stream has exactly [nframes] frames and
    the generated kernels are byte-identical across the fleet. *)
 let gen_frames rng (p : profile) ~nframes =
-  let raw =
-    List.init nframes (fun _ ->
-        let len =
-          if Srng.chance rng p.oversize 1000 then Srng.range rng 65 96
-          else Srng.range rng (fst p.pkt_len) (snd p.pkt_len)
-        in
-        String.init len (fun _ -> Char.chr (Srng.int rng 256)))
-  in
-  let corrupted =
-    List.map
-      (fun f ->
-        if String.length f > 0 && Srng.chance rng p.corrupt 1000 then begin
-          let i = Srng.int rng (String.length f) in
-          let bit = 1 lsl Srng.int rng 8 in
-          let b = Bytes.of_string f in
-          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor bit));
-          Bytes.to_string b
-        end
-        else f)
-      raw
-  in
-  let rec reorder = function
-    | a :: b :: tl when Srng.chance rng p.reorder 1000 -> b :: reorder (a :: tl)
-    | a :: tl -> a :: reorder tl
-    | [] -> []
-  in
-  reorder corrupted
+  Storm.raw_frames rng ~n:nframes ~oversize:p.oversize ~pkt_len:p.pkt_len
+  |> Storm.corrupt_frames rng ~rate:p.corrupt
+  |> Storm.reorder_frames rng ~rate:p.reorder
 
 let gen_machine rng (p : profile) ~nframes =
   let frames = gen_frames rng p ~nframes in
@@ -236,12 +212,7 @@ let tamper_code (store : Tstore.t) k =
       match Hashtbl.find_opt store.Tstore.entries k with
       | None -> false
       | Some e -> (
-          match
-            let r = Codec.reader e.Tstore.blob in
-            let t = Tstore.r_tran r in
-            Codec.r_end r;
-            t
-          with
+          match Codec.decode Tstore.tran e.Tstore.blob with
           | exception Codec.Corrupt _ -> false
           | t -> (
               let mutated =

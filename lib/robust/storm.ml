@@ -70,6 +70,41 @@ let default_profile =
 (* Case generation                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* The channel faults both frame generators share.  Rates are per
+   mille, drawn per frame: a rate of 0 still draws, so the generators'
+   later draws do not depend on it. *)
+
+(** [n] random frames: [oversize] per mille are 65-96 bytes, longer
+    than the RX ring's 64-byte buffers; the rest are [pkt_len] long. *)
+let raw_frames rng ~n ~oversize ~pkt_len =
+  List.init n (fun _ ->
+      let len =
+        if Srng.chance rng oversize 1000 then Srng.range rng 65 96
+        else Srng.range rng (fst pkt_len) (snd pkt_len)
+      in
+      String.init len (fun _ -> Char.chr (Srng.int rng 256)))
+
+(** Flip one bit of a non-empty frame, at [rate] per mille. *)
+let corrupt_frames rng ~rate frames =
+  List.map
+    (fun f ->
+      if String.length f > 0 && Srng.chance rng rate 1000 then begin
+        let i = Srng.int rng (String.length f) in
+        let bit = 1 lsl Srng.int rng 8 in
+        let b = Bytes.of_string f in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor bit));
+        Bytes.to_string b
+      end
+      else f)
+    frames
+
+(** Swap a frame with its successor, at [rate] per mille. *)
+let rec reorder_frames rng ~rate = function
+  | a :: b :: tl when Srng.chance rng rate 1000 ->
+      b :: reorder_frames rng ~rate (a :: tl)
+  | a :: tl -> a :: reorder_frames rng ~rate tl
+  | [] -> []
+
 (* Generate the raw frame stream, then act the channel faults out on
    it.  Whatever survives *is* the delivered stream: the kernel's
    expected checksum is computed from the transformed list, so a
@@ -78,40 +113,16 @@ let default_profile =
 let gen_frames rng (p : profile) =
   let lo, hi = p.n_pkts in
   let n = Srng.range rng (max 1 lo) hi in
-  let raw =
-    List.init n (fun _ ->
-        let len =
-          if Srng.chance rng p.oversize 1000 then Srng.range rng 65 96
-          else Srng.range rng (fst p.pkt_len) (snd p.pkt_len)
-        in
-        String.init len (fun _ -> Char.chr (Srng.int rng 256)))
-  in
+  let raw = raw_frames rng ~n ~oversize:p.oversize ~pkt_len:p.pkt_len in
   let kept = List.filter (fun _ -> not (Srng.chance rng p.drop 1000)) raw in
   let kept = if kept = [] then [ List.hd raw ] else kept in
-  let corrupted =
-    List.map
-      (fun f ->
-        if String.length f > 0 && Srng.chance rng p.corrupt 1000 then begin
-          let i = Srng.int rng (String.length f) in
-          let bit = 1 lsl Srng.int rng 8 in
-          let b = Bytes.of_string f in
-          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor bit));
-          Bytes.to_string b
-        end
-        else f)
-      kept
-  in
+  let corrupted = corrupt_frames rng ~rate:p.corrupt kept in
   let duplicated =
     List.concat_map
       (fun f -> if Srng.chance rng p.duplicate 1000 then [ f; f ] else [ f ])
       corrupted
   in
-  let rec reorder = function
-    | a :: b :: tl when Srng.chance rng p.reorder 1000 -> b :: reorder (a :: tl)
-    | a :: tl -> a :: reorder tl
-    | [] -> []
-  in
-  reorder duplicated
+  reorder_frames rng ~rate:p.reorder duplicated
 
 let sorted_ats rng (p : profile) n =
   List.init n (fun _ -> Srng.range rng 1_000 p.at_hi) |> List.sort compare

@@ -42,23 +42,6 @@ let create () =
     interrupts_taken = 0;
   }
 
-let reset t =
-  t.molecules <- 0;
-  t.atoms <- 0;
-  t.nops <- 0;
-  t.loads <- 0;
-  t.stores <- 0;
-  t.commits <- 0;
-  t.x86_committed <- 0;
-  t.rollbacks <- 0;
-  t.exits_taken <- 0;
-  t.x86_fault_atoms <- 0;
-  t.alias_faults <- 0;
-  t.mmio_spec_faults <- 0;
-  t.smc_faults <- 0;
-  t.sbuf_overflows <- 0;
-  t.interrupts_taken <- 0
-
 let pp fmt t =
   Fmt.pf fmt
     "molecules=%d atoms=%d nops=%d loads=%d stores=%d commits=%d \
