@@ -165,11 +165,11 @@ let read_ranges mem ranges =
 let take_snapshot mem (region : Region.t) =
   read_ranges mem region.Region.src_ranges
 
-(* The compiler proper, parametric over the source-byte supplier: the
-   plain path reads guest memory ({!take_snapshot}); with fleet hooks
-   installed the engine passes the bytes it already snapshotted for the
-   shared-store key.  Everything else is a pure deterministic function
-   of (cfg, policy, region, bytes), so both paths mint the identical
+(* The compiler proper, parametric over the source-byte supplier:
+   {!compile} reads guest memory ({!take_snapshot}); the engine passes
+   the bytes it already read for the translation-group and shared-store
+   keys.  Everything else is a pure deterministic function of (cfg,
+   policy, region, bytes), so both paths mint the identical
    translation. *)
 let compile_with ?on_diag ~(cfg : Config.t) ~(policy : Policy.t)
     ~(snap : unit -> Bytes.t) (region : Region.t) =

@@ -67,9 +67,10 @@ type t = {
           the adaptive policy, and the current source bytes — and may
           return a pre-minted translation; the *hook* owns validation
           (the fleet layer revalidates every shared-store entry against
-          exactly these inputs before trusting it).  A returned translation skips the translate
-          charge and is charged a revalidation cost instead, so a warm
-          store is a genuine cold-start accelerator. *)
+          exactly these inputs before trusting it).  A returned
+          translation skips the translate charge and pays what a group
+          reactivation pays, {!Smc.charge_compare}, so a warm store is a
+          genuine cold-start accelerator. *)
   mutable on_fresh_translation :
     (entry:int ->
     region:Region.t ->
@@ -183,7 +184,7 @@ let insert_zero_insn t entry =
   in
   let tr =
     Tcache.insert t.tcache ~entry ~code:(Codegen.zero_insn_code ~entry)
-      ~region ~policy:(Adapt.get t.adapt entry) ~snapshot:None
+      ~region ~policy:(Adapt.get t.adapt entry) ~src:Bytes.empty
   in
   t.stats.Stats.translations <- t.stats.Stats.translations + 1;
   tr
@@ -197,96 +198,71 @@ let translate_unprotected t entry =
     match Region.select ~mem ~profile:t.profile ~policy entry with
     | None -> insert_zero_insn t entry
     | Some region -> (
-        (* translation groups (§3.6.5): if a parked translation of this
-           region matches the current code bytes, reactivate it instead
-           of retranslating *)
-        match
-          if t.cfg.Config.enable_groups && Tcache.group_size t.tcache ~entry > 0
-          then
-            Tcache.group_match t.tcache ~entry
-              ~current_bytes:(Codegen.take_snapshot mem region)
-          else None
-        with
-        | Some tr ->
-            t.stats.Stats.group_hits <- t.stats.Stats.group_hits + 1;
-            Smc.register t.smc tr;
-            tr
-        | None ->
-        (* With a fleet hook installed (shared-store consult or publish
-           seam), the current source bytes are part of every attempt's
-           canonical inputs, so the snapshot read happens uniformly —
-           never as a function of whether the store had a hit. *)
-        let cur_snap =
-          if
-            Option.is_some t.shared_source
-            || Option.is_some t.on_fresh_translation
-          then Some (Codegen.take_snapshot mem region)
-          else None
-        in
-        (* Shared-store consult: only when the tcache group could not
-           serve the entry.  The hook owns validation; anything it
-           returns installs like a local compile, minus the translate
-           charge. *)
-        let precompiled =
-          match (t.shared_source, cur_snap) with
-          | Some f, Some cur -> f ~entry ~region ~policy ~bytes_:cur
-          | _ -> None
-        in
-        let from_store = Option.is_some precompiled in
-        match
-          match (precompiled, cur_snap) with
-          | Some c, _ -> c
-          | None, Some cur ->
-              Codegen.compile_presnapped ?on_diag:t.on_diag ~cfg:t.cfg ~policy
-                ~bytes:cur region
-          | None, None ->
-              Codegen.compile ?on_diag:t.on_diag ~cfg:t.cfg ~policy ~mem region
-        with
-        | { Codegen.code; snapshot; unprotected; _ } as compiled ->
-            let n = Region.instruction_count region in
-            if from_store then begin
-              (* The fleet's cold-start payoff: a validated store entry
-                 skips the per-instruction translate charge and pays
-                 only for its consumer-side revalidation (source-byte
-                 compare plus code walk). *)
-              Stats.charge t.stats
-                (Region.src_bytes region * t.cfg.Config.reval_cost_per_byte);
-              t.stats.Stats.store_hits <- t.stats.Stats.store_hits + 1
-            end
-            else begin
-              Stats.charge t.stats (n * t.cfg.Config.translate_cost);
-              t.stats.Stats.translations <- t.stats.Stats.translations + 1;
-              if Adapt.hot t.adapt entry then
-                t.stats.Stats.retranslations <-
-                  t.stats.Stats.retranslations + 1;
-              t.stats.Stats.insns_translated <-
-                t.stats.Stats.insns_translated + n;
-              t.stats.Stats.translated_atoms <-
-                t.stats.Stats.translated_atoms + Vliw.Code.atom_count code;
-              t.stats.Stats.translations_verified <-
-                t.stats.Stats.translations_verified + 1
-            end;
-            let tr =
-              Tcache.insert ~unprotected t.tcache ~entry ~code ~region ~policy
-                ~snapshot
+        (* The region's source bytes, read once: the translation-group
+           key, the shared-store key and the compiler's input. *)
+        let bytes_ = Codegen.take_snapshot mem region in
+        (* translation groups (§3.6.5): a parked translation of this
+           exact input is reactivated instead of retranslated *)
+        match Smc.reactivate t.smc ~policy ~region ~bytes:bytes_ with
+        | Some tr -> tr
+        | None -> (
+            (* Shared-store consult: only when the group could not serve
+               the entry.  The hook owns validation; anything it returns
+               installs like a local compile, minus the translate
+               charge. *)
+            let precompiled =
+              match t.shared_source with
+              | Some f -> f ~entry ~region ~policy ~bytes_
+              | None -> None
             in
-            Smc.register t.smc tr;
-            Profile.reset_count t.profile entry;
-            if not from_store then
-              (match (t.on_fresh_translation, cur_snap) with
-              | Some f, Some cur ->
-                  f ~entry ~region ~policy ~bytes_:cur ~compiled
-              | _ -> ());
-            tr
-        | exception Codegen.Too_big ->
-            if policy.Policy.max_insns <= 4 then insert_zero_insn t entry
-            else begin
-              let p =
-                { policy with Policy.max_insns = policy.Policy.max_insns / 2 }
-              in
-              Adapt.upgrade t.adapt entry p;
-              attempt p
-            end)
+            match
+              match precompiled with
+              | Some c -> c
+              | None ->
+                  Codegen.compile_presnapped ?on_diag:t.on_diag ~cfg:t.cfg
+                    ~policy ~bytes:bytes_ region
+            with
+            | { Codegen.code; unprotected; _ } as compiled ->
+                let n = Region.instruction_count region in
+                if Option.is_some precompiled then begin
+                  (* The fleet's cold-start payoff: a validated store
+                     entry skips the per-instruction translate charge and
+                     pays only for its consumer-side revalidation. *)
+                  Smc.charge_compare t.smc region;
+                  t.stats.Stats.store_hits <- t.stats.Stats.store_hits + 1
+                end
+                else begin
+                  Stats.charge t.stats (n * t.cfg.Config.translate_cost);
+                  t.stats.Stats.translations <- t.stats.Stats.translations + 1;
+                  if Adapt.hot t.adapt entry then
+                    t.stats.Stats.retranslations <-
+                      t.stats.Stats.retranslations + 1;
+                  t.stats.Stats.insns_translated <-
+                    t.stats.Stats.insns_translated + n;
+                  t.stats.Stats.translated_atoms <-
+                    t.stats.Stats.translated_atoms + Vliw.Code.atom_count code;
+                  t.stats.Stats.translations_verified <-
+                    t.stats.Stats.translations_verified + 1
+                end;
+                let tr =
+                  Tcache.insert ~unprotected t.tcache ~entry ~code ~region
+                    ~policy ~src:bytes_
+                in
+                Smc.register t.smc tr;
+                Profile.reset_count t.profile entry;
+                (match (precompiled, t.on_fresh_translation) with
+                | None, Some f -> f ~entry ~region ~policy ~bytes_ ~compiled
+                | _ -> ());
+                tr
+            | exception Codegen.Too_big ->
+                if policy.Policy.max_insns <= 4 then insert_zero_insn t entry
+                else begin
+                  let p =
+                    { policy with Policy.max_insns = policy.Policy.max_insns / 2 }
+                  in
+                  Adapt.upgrade t.adapt entry p;
+                  attempt p
+                end))
   in
   attempt (Adapt.get t.adapt entry)
 
@@ -327,10 +303,14 @@ let aot_install t ~entry ~region ~policy (compiled : Codegen.compiled) =
   match Tcache.lookup t.tcache entry with
   | Some _ -> false
   | None ->
+      let src =
+        match compiled.Codegen.snapshot with
+        | Some b -> b
+        | None -> Codegen.take_snapshot (Cpu.mem t.cpu) region
+      in
       let tr =
         Tcache.insert ~unprotected:compiled.Codegen.unprotected ~aot:true
-          t.tcache ~entry ~code:compiled.Codegen.code ~region ~policy
-          ~snapshot:compiled.Codegen.snapshot
+          t.tcache ~entry ~code:compiled.Codegen.code ~region ~policy ~src
       in
       Smc.register t.smc tr;
       t.stats.Stats.aot_loaded <- t.stats.Stats.aot_loaded + 1;
@@ -388,7 +368,7 @@ let escalate_spec t (tr : Tcache.trans) =
   if n > 8 then Adapt.cut_region t.adapt entry ~current:n
   else Adapt.set_no_reorder t.adapt entry;
   ladder_step t entry;
-  Smc.invalidate ~cause:Tcache.Udemote t.smc tr ~keep_in_group:false
+  Smc.invalidate ~cause:Tcache.Udemote t.smc tr
 
 (** Handle a native fault from a translation.  The engine has already
     rolled back; this decides genuine vs speculative and adapts. *)
@@ -416,7 +396,7 @@ let recover t (tr : Tcache.trans) (n : Vliw.Nexn.t) =
               Adapt.add_interp_insn t.adapt tr.Tcache.entry i.Region.addr)
           tr.Tcache.region.Region.insns;
         ladder_step t tr.Tcache.entry;
-        Smc.invalidate ~cause:Tcache.Udemote t.smc tr ~keep_in_group:false
+        Smc.invalidate ~cause:Tcache.Udemote t.smc tr
       end
   | Vliw.Nexn.Alias_violation _ ->
       tr.Tcache.spec_faults <- tr.Tcache.spec_faults + 1;
@@ -444,7 +424,7 @@ let recover t (tr : Tcache.trans) (n : Vliw.Nexn.t) =
                large and optimized; it becomes a zero-instruction
                translation *)
             Adapt.add_interp_insn t.adapt tr.Tcache.entry pc;
-            Smc.invalidate ~cause:Tcache.Udemote t.smc tr ~keep_in_group:false
+            Smc.invalidate ~cause:Tcache.Udemote t.smc tr
           end
       | None ->
           (* speculative: a hoisted access faulted on a path the real

@@ -93,11 +93,16 @@ let register t (tr : Tcache.trans) =
         if Machine.Mem.in_fg_mode t.mem ~ppn then refresh_page t ~ppn)
       (pages_of tr)
 
-(* [cause] labels the chained-exit unlink accounting; everything in
-   this module invalidates because of SMC/DMA events, so that is the
-   default — the engine's demotion-ladder callers override it. *)
-let invalidate ?(cause = Tcache.Usmc) t (tr : Tcache.trans) ~keep_in_group =
-  Tcache.invalidate ~cause t.tcache tr ~keep_in_group;
+(* [cause] labels the chained-exit unlink accounting and decides the
+   translation's fate.  Everything in this module invalidates because
+   of SMC, DMA or a failed self-check, so that is the default, and such
+   a translation parks in its entry's group: the code may flip back.
+   The engine's demotion-ladder callers pass [Udemote], which drops the
+   translation, since the entry's policy has moved past it for good. *)
+let invalidate ?(cause = Tcache.Usmc) t (tr : Tcache.trans) =
+  if t.cfg.Config.enable_groups && cause = Tcache.Usmc then
+    Tcache.park ~cause t.tcache tr
+  else Tcache.invalidate ~cause t.tcache tr;
   t.stats.Stats.invalidations <- t.stats.Stats.invalidations + 1;
   if tr.Tcache.aot then
     t.stats.Stats.aot_invalidated <- t.stats.Stats.aot_invalidated + 1;
@@ -149,7 +154,6 @@ let handle_false_fault t ~ppn ~paddr:_ ~len:_ =
     List.filter
       (fun (tr : Tcache.trans) ->
         tr.Tcache.policy.Policy.self_reval
-        && tr.Tcache.snapshot <> None
         && not tr.Tcache.policy.Policy.self_check)
       trs_on_page
   in
@@ -166,7 +170,7 @@ let handle_false_fault t ~ppn ~paddr:_ ~len:_ =
       List.iter
         (fun (tr : Tcache.trans) ->
           Adapt.set_self_check t.adapt tr.Tcache.entry;
-          invalidate t tr ~keep_in_group:false)
+          invalidate t tr)
         trs_on_page
     else
       (* all affected translations can revalidate: unprotect the page
@@ -194,7 +198,7 @@ let handle_false_fault t ~ppn ~paddr:_ ~len:_ =
       (fun (tr : Tcache.trans) ->
         tr.Tcache.smc_false <- tr.Tcache.smc_false + 1;
         Adapt.set_self_reval t.adapt tr.Tcache.entry;
-        invalidate t tr ~keep_in_group:false)
+        invalidate t tr)
       trs_on_page;
     Machine.Mem.(t.mem.write_pass <- true)
   end
@@ -233,8 +237,6 @@ let handle_code_write t ~trs ~paddr ~len =
             if t.cfg.Config.enable_self_check then
               Adapt.set_self_check t.adapt entry;
             invalidate t tr
-              ~keep_in_group:
-                (t.cfg.Config.enable_groups && tr.Tcache.snapshot <> None)
           end
       | None ->
           let n = bump t.invalidation_counts entry in
@@ -245,9 +247,7 @@ let handle_code_write t ~trs ~paddr ~len =
           (* a revalidating translation whose region is written *by itself*
              cannot make progress with a prologue (§3.6.2); self-checking
              handles that case, which the upgrade above moves toward *)
-          invalidate t tr
-            ~keep_in_group:
-              (t.cfg.Config.enable_groups && tr.Tcache.snapshot <> None))
+          invalidate t tr)
     trs;
   Machine.Mem.(t.mem.write_pass <- true)
 
@@ -272,44 +272,58 @@ let on_write t (hit : Machine.Mem.smc_hit) ~paddr ~len =
     coarse treatment — invalidate everything on the page (§3.6.1). *)
 let on_dma t ~ppn =
   Stats.charge t.stats t.cfg.Config.fault_handler_cost;
-  List.iter
-    (fun tr -> invalidate t tr ~keep_in_group:false)
-    (Tcache.on_page t.tcache ~ppn);
+  List.iter (invalidate t) (Tcache.on_page t.tcache ~ppn);
   Machine.Mem.unprotect_page t.mem ~ppn
 
 (* ------------------------------------------------------------------ *)
 (* Self-check failure and self-revalidation                            *)
 (* ------------------------------------------------------------------ *)
 
+(** Charge one compare of [region]'s source bytes against the live
+    code: what a self-revalidation prologue, a group reactivation and a
+    shared-store hit each cost instead of a translation. *)
+let charge_compare t region =
+  Stats.charge t.stats (Region.src_bytes region * t.cfg.Config.reval_cost_per_byte)
+
+(** Reactivate the parked translation of [region] keyed by [policy] and
+    the region's current source [bytes], if its group holds one
+    (§3.6.5): it pays {!charge_compare} and gets its pages protected
+    again. *)
+let reactivate t ~policy ~region ~bytes =
+  if not t.cfg.Config.enable_groups then None
+  else
+    match Tcache.group_match t.tcache ~policy ~region ~bytes with
+    | Some tr as hit ->
+        charge_compare t region;
+        t.stats.Stats.group_hits <- t.stats.Stats.group_hits + 1;
+        register t tr;
+        hit
+    | None -> None
+
 (** A running translation's embedded self-check found changed bytes.
-    Try the translation group first; otherwise invalidate and record
-    stylized candidates from the byte diff. *)
+    Record stylized candidates from the byte diff and park the
+    translation.  The entry's next translate reactivates the member
+    that matches the new bytes, if its group holds one: only the
+    translate path can key a member, since the key's region is the one
+    selected over the current code. *)
 let on_selfcheck_fail t (tr : Tcache.trans) =
   t.stats.Stats.selfcheck_fails <- t.stats.Stats.selfcheck_fails + 1;
   Stats.charge t.stats t.cfg.Config.fault_handler_cost;
-  let current = Codegen.take_snapshot t.mem tr.Tcache.region in
+  let entry = tr.Tcache.entry and region = tr.Tcache.region in
+  let current = Codegen.take_snapshot t.mem region in
+  let snap = tr.Tcache.src in
   (* stylized-SMC detection from the byte diff: if every changed byte
      sits in some instruction's imm32 field, retranslate with those
      immediates loaded from the code stream at run time (§3.6.4) *)
-  (if t.cfg.Config.enable_stylized then
-     match tr.Tcache.snapshot with
-     | Some snap when Bytes.length snap = Bytes.length current -> (
-         match Region.changed_bytes tr.Tcache.region ~snap ~current with
-         | [] -> ()
-         | diffs -> (
-             match Region.imm_cover tr.Tcache.region diffs with
-             | Some addrs -> Adapt.add_stylized t.adapt tr.Tcache.entry addrs
-             | None -> ()))
-     | _ -> ());
+  (if t.cfg.Config.enable_stylized && Bytes.length snap = Bytes.length current
+   then
+     match Region.changed_bytes region ~snap ~current with
+     | [] -> ()
+     | diffs -> (
+         match Region.imm_cover region diffs with
+         | Some addrs -> Adapt.add_stylized t.adapt entry addrs
+         | None -> ()));
   invalidate t tr
-    ~keep_in_group:(t.cfg.Config.enable_groups && tr.Tcache.snapshot <> None);
-  if t.cfg.Config.enable_groups then begin
-    match Tcache.group_match t.tcache ~entry:tr.Tcache.entry ~current_bytes:current with
-    | Some tr' ->
-        t.stats.Stats.group_hits <- t.stats.Stats.group_hits + 1;
-        register t tr'
-    | None -> ()
-  end
 
 (** Self-revalidation prologue (§3.6.2): called at dispatch when the
     translation's prologue is armed.  Verifies the source bytes,
@@ -319,21 +333,17 @@ let on_selfcheck_fail t (tr : Tcache.trans) =
    inside the translation's stylized immediate fields (those are
    legitimately volatile: the translation reloads them at run time). *)
 let snapshot_matches (tr : Tcache.trans) current =
-  match tr.Tcache.snapshot with
-  | None -> false
-  | Some snap when Bytes.length snap <> Bytes.length current -> false
-  | Some snap ->
-      let excluded =
-        Region.stylized_fields tr.Tcache.region tr.Tcache.policy
-      in
-      List.for_all
-        (fun a -> List.exists (fun (lo, hi) -> a >= lo && a < hi) excluded)
-        (Region.changed_bytes tr.Tcache.region ~snap ~current)
+  let snap = tr.Tcache.src in
+  Bytes.length snap = Bytes.length current
+  &&
+  let excluded = Region.stylized_fields tr.Tcache.region tr.Tcache.policy in
+  List.for_all
+    (fun a -> List.exists (fun (lo, hi) -> a >= lo && a < hi) excluded)
+    (Region.changed_bytes tr.Tcache.region ~snap ~current)
 
 let revalidate t (tr : Tcache.trans) =
   t.stats.Stats.reval_checks <- t.stats.Stats.reval_checks + 1;
-  let len = Region.src_bytes tr.Tcache.region in
-  Stats.charge t.stats (len * t.cfg.Config.reval_cost_per_byte);
+  charge_compare t tr.Tcache.region;
   let current = Codegen.take_snapshot t.mem tr.Tcache.region in
   if snapshot_matches tr current then begin
     t.stats.Stats.reval_hits <- t.stats.Stats.reval_hits + 1;

@@ -2,10 +2,15 @@
 
     Holds translation records indexed by x86 entry address, by id (for
     chain resolution), and by physical page (for SMC invalidation).
-    Translation groups (paper §3.6.5) keep superseded translations of
-    the same region so that multi-version self-modifying code (the
-    Windows/9X BLT driver pattern) can reactivate an old translation by
-    snapshot match instead of retranslating.
+    Translation groups (paper §3.6.5) keep translations that SMC, DMA
+    or a failed self-check invalidated, parked under their entry: code
+    that flips between versions (the Windows/9X BLT driver, Quake's
+    patched inner loops) reactivates a parked translation instead of
+    retranslating.  A member is reactivated only on an exact key match
+    — same adaptive policy, same region, same source bytes — which is
+    exactly the input the translator would compile again, so reuse
+    mints nothing a retranslation would not.  Each entry keeps at most
+    {!group_cap} members, the oldest parked going first.
 
     Under capacity pressure the cache degrades gracefully: records are
     stamped with a generation that advances as insertions accumulate and
@@ -35,10 +40,11 @@ type trans = {
   code : Vliw.Code.t;
   region : Region.t;
   policy : Policy.t;
-  snapshot : Bytes.t option;
-      (** concatenated source bytes (in [region.src_ranges] order) at
-          translation time; present for self-checking / revalidating /
-          grouped translations *)
+  src : Bytes.t;
+      (** the region's source bytes at translation time, concatenated in
+          [region.src_ranges] order: the translation-group key, and what
+          self-checking and self-revalidating translations compare the
+          live code against *)
   mutable valid : bool;
   mutable gen : int;  (** generation stamp; refreshed on dispatch hits *)
   mutable execs : int;
@@ -314,36 +320,44 @@ let ensure_room t =
     loop ()
   end
 
-(** Invalidate a translation.  With [keep_in_group] it is parked in the
-    entry's translation group for possible reactivation (and keeps
-    counting toward capacity until evicted); otherwise the record is
-    dropped entirely.  [cause] labels the unlink accounting for any
-    predecessor exits chained to it (parked records unlink too: until
-    reactivated they are not dispatchable, and reactivation re-chains
-    through the normal patch path at identical cost). *)
-let invalidate ?(cause = Uevict) t tr ~keep_in_group =
+(** Members one entry's group keeps.  The paper's BLT driver ran up to
+    33 versions of one routine; past the cap the member parked longest
+    ago is dropped. *)
+let group_cap = 32
+
+(** Park a valid translation in its entry's group: it leaves dispatch
+    but stays held (in [by_id], [by_page] and toward capacity) until it
+    is reactivated, evicted or pushed out by {!group_cap}.  [cause]
+    labels the unlink accounting for any predecessor exits chained to
+    it (parked records unlink too: until reactivated they are not
+    dispatchable, and reactivation re-chains through the normal patch
+    path at identical cost). *)
+let park ?(cause = Uevict) t tr =
   if tr.valid then begin
     unlink_incoming t tr ~cause;
     tr.valid <- false;
     (match Hashtbl.find_opt t.by_entry tr.entry with
     | Some cur when cur.id = tr.id -> Hashtbl.remove t.by_entry tr.entry
     | _ -> ());
-    if keep_in_group then begin
-      match Hashtbl.find_opt t.groups tr.entry with
-      | Some l -> l := tr :: !l
-      | None -> Hashtbl.add t.groups tr.entry (ref [ tr ])
-    end
-    else drop t tr ~cause
+    match Hashtbl.find_opt t.groups tr.entry with
+    | None -> Hashtbl.add t.groups tr.entry (ref [ tr ])
+    | Some l ->
+        l := tr :: !l;
+        if List.length !l > group_cap then
+          drop t (List.nth !l group_cap) ~cause:Uevict
   end
+
+(** Invalidate a translation for good: drop it from every index. *)
+let invalidate ?(cause = Uevict) t tr = if tr.valid then drop t tr ~cause
 
 (** Insert a new translation; returns it.  Replaces any current
     translation for the same entry (the old one is parked in the
     group). *)
 let insert ?(unprotected = false) ?(aot = false) t ~entry ~code ~region ~policy
-    ~snapshot =
+    ~src =
   ensure_room t;
   (match Hashtbl.find_opt t.by_entry entry with
-  | Some cur when cur.valid -> invalidate t cur ~keep_in_group:true
+  | Some cur when cur.valid -> park t cur
   | _ -> ());
   let rec tr =
     {
@@ -352,7 +366,7 @@ let insert ?(unprotected = false) ?(aot = false) t ~entry ~code ~region ~policy
       code;
       region;
       policy;
-      snapshot;
+      src;
       valid = true;
       gen = t.cur_gen;
       execs = 0;
@@ -385,28 +399,37 @@ let insert ?(unprotected = false) ?(aot = false) t ~entry ~code ~region ~policy
     (pages_of_ranges region.Region.src_ranges);
   tr
 
-(** Search the entry's translation group for a parked translation whose
-    snapshot matches the current source bytes; reactivate on match. *)
-let group_match t ~entry ~current_bytes =
+(** Reactivate the member of [region]'s entry group parked under
+    exactly this key — [policy], [region] and the source [bytes] — if
+    there is one.  The key is the translator's whole input, so a hit is
+    the translation a recompile would mint.  The caller re-protects its
+    pages, which is what an armed revalidation prologue would redo, so
+    the prologue is disarmed. *)
+let group_match t ~policy ~(region : Region.t) ~bytes =
+  let entry = region.Region.entry in
   match Hashtbl.find_opt t.groups entry with
   | None -> None
   | Some l -> (
       match
         List.find_opt
-          (fun tr -> tr.snapshot = Some current_bytes)
+          (fun tr ->
+            Bytes.equal tr.src bytes
+            && Policy.equal tr.policy policy
+            && Region.equal tr.region region)
           !l
       with
+      | None -> None
       | Some tr ->
           l := List.filter (fun x -> x.id <> tr.id) !l;
+          if !l = [] then Hashtbl.remove t.groups entry;
           (match Hashtbl.find_opt t.by_entry entry with
-          | Some cur when cur.valid -> invalidate t cur ~keep_in_group:true
+          | Some cur when cur.valid -> park t cur
           | _ -> ());
           tr.valid <- true;
+          tr.reval_armed <- false;
           tr.gen <- t.cur_gen;
           Hashtbl.replace t.by_entry entry tr;
-          Hashtbl.replace t.by_id tr.id tr;
-          Some tr
-      | None -> None)
+          Some tr)
 
 let group_size t ~entry =
   match Hashtbl.find_opt t.groups entry with

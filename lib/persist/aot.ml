@@ -200,11 +200,6 @@ let install (c : Cms.t) (img : t) : install_report =
       with
       | exception Tstore.Untrusted why -> reject why
       | { Tstore.tran; region; compiled } ->
-          (* AOT entries keep their source snapshot whatever the
-             policy, so translation groups can reactivate a parked one *)
-          let compiled =
-            { compiled with Cms.Codegen.snapshot = Some tran.Tstore.snapshot }
-          in
           if
             Cms.Engine.aot_install c ~entry ~region ~policy:tran.Tstore.policy
               compiled

@@ -96,7 +96,7 @@ let insert tc ~entry =
     ~code:(Cms.Codegen.zero_insn_code ~entry)
     ~region:(mk_region ~entry)
     ~policy:(Cms.Policy.default Cms.Config.default)
-    ~snapshot:None
+    ~src:Bytes.empty
 
 let exit0 (tr : Tcache.trans) = tr.Tcache.code.Vliw.Code.exits.(0)
 
@@ -112,7 +112,7 @@ let test_unlink_on_eviction () =
   chain a b;
   check ci "one chained exit" 1 (List.length (Tcache.chained_exits tc));
   (* the eviction path: drop [b] from the cache *)
-  Tcache.invalidate tc b ~keep_in_group:false;
+  Tcache.invalidate tc b;
   check cb "a's exit unchained" true
     ((exit0 a).Vliw.Code.chain = Vliw.Code.Unchained);
   check ci "counted under eviction" 1 tc.Tcache.unlinks_evict;
@@ -127,7 +127,7 @@ let test_unlink_on_smc () =
   let a = insert tc ~entry:0x1000 and b = insert tc ~entry:0x2000 in
   chain a b;
   (* the SMC path: a code write invalidates [b] through the Smc layer *)
-  Cms.Smc.invalidate c.Cms.Engine.smc b ~keep_in_group:false;
+  Cms.Smc.invalidate c.Cms.Engine.smc b;
   check cb "a's exit unchained" true
     ((exit0 a).Vliw.Code.chain = Vliw.Code.Unchained);
   check ci "counted under smc" 1 tc.Tcache.unlinks_smc;

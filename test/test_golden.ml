@@ -41,8 +41,8 @@ let golden =
     ("Quattro Pro (WinNT)", 308163, 1418396, "5ffc597e66a2f40bd7c897cee4a4ec00");
     ("Wordperfect (WinNT)", 827453, 1288126, "ce39f830c21e73fed479ed05e17b45e8");
     ("Multimedia (Win98)", 2202612, 2709778, "5218c796ea209fb2acdeb5c316c4be77");
-    ("Quake Demo2 (DOS)", 3366765, 72911966, "4e6ee033bfa33dd034abcd61891172de");
-    ("BLT driver (8 versions)", 101692, 6458967, "561423f239052d182aea6d31509f7fac");
+    ("Quake Demo2 (DOS)", 3366765, 38364182, "4e6ee033bfa33dd034abcd61891172de");
+    ("BLT driver (8 versions)", 101692, 6460391, "561423f239052d182aea6d31509f7fac");
     ("RR Kernel", 255016, 1465629, "9588af8e1036069ad8826fcca9129cfa");
     ("Packet Echo Kernel", 184740, 1674233, "891bcc74649a4f9819cda656fcae6be7");
   ]

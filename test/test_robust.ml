@@ -228,21 +228,24 @@ let mk_region ~entry =
     src_ranges = [ (entry, entry + 8) ];
   }
 
-let insert tc ~entry ~snapshot =
+let default_policy = Cms.Policy.default Cms.Config.default
+
+let insert ?(policy = default_policy) ?(src = Bytes.empty) tc ~entry =
   Tcache.insert tc ~entry
     ~code:(Cms.Codegen.zero_insn_code ~entry)
-    ~region:(mk_region ~entry)
-    ~policy:(Cms.Policy.default Cms.Config.default)
-    ~snapshot
+    ~region:(mk_region ~entry) ~policy ~src
 
 let test_group_reactivation () =
   let tc = Tcache.create ~capacity:8 in
   let snap_a = Bytes.of_string "AAAA" and snap_b = Bytes.of_string "BBBB" in
-  let v1 = insert tc ~entry:0x1000 ~snapshot:(Some snap_a) in
-  let v2 = insert tc ~entry:0x1000 ~snapshot:(Some snap_b) in
+  let v1 = insert tc ~entry:0x1000 ~src:snap_a in
+  let v2 = insert tc ~entry:0x1000 ~src:snap_b in
   check ci "old version parked" 1 (Tcache.group_size tc ~entry:0x1000);
   check ci "both records held" 2 tc.Tcache.count;
-  (match Tcache.group_match tc ~entry:0x1000 ~current_bytes:snap_a with
+  (match
+     Tcache.group_match tc ~policy:default_policy
+       ~region:(mk_region ~entry:0x1000) ~bytes:snap_a
+   with
   | None -> Alcotest.fail "snapshot should have matched"
   | Some tr ->
       check ci "reactivated v1" v1.Tcache.id tr.Tcache.id;
@@ -262,11 +265,91 @@ let test_group_reactivation () =
   check ci "group emptied" 0 (Tcache.group_size tc ~entry:0x1000);
   check ci "reactivated v1 survives" 1 tc.Tcache.count
 
+(* A group member's key is (entry, policy, region, source bytes).  One
+   parked under a policy Adapt has since ratcheted never comes back,
+   whatever its bytes, nor does one asked for over another region
+   shape; a demotion drops its translation instead of parking it;
+   and one entry keeps at most [Tcache.group_cap] members, dropping the
+   one parked longest ago.  The held-record count mirrors [by_id] after
+   every step. *)
+let test_group_policy_key_and_cap () =
+  let c = Cms.create () in
+  let tc = c.Cms.Engine.tcache
+  and smc = c.Cms.Engine.smc
+  and adapt = c.Cms.Engine.adapt in
+  let held () =
+    check ci "count = |by_id|" (Hashtbl.length tc.Tcache.by_id) tc.Tcache.count
+  in
+  let policy entry = Cms.Adapt.get adapt entry in
+  let mint entry src =
+    let tr = insert tc ~entry ~policy:(policy entry) ~src:(Bytes.of_string src) in
+    held ();
+    tr
+  in
+  let reactivate entry src =
+    let r =
+      Cms.Smc.reactivate smc ~policy:(policy entry) ~region:(mk_region ~entry)
+        ~bytes:(Bytes.of_string src)
+    in
+    held ();
+    Option.map (fun (tr : Tcache.trans) -> tr.Tcache.id) r
+  in
+  let copt = Alcotest.(option int) in
+  (* the policy moves on after parking *)
+  let v1 = mint 0x1000 "v1" in
+  Cms.Smc.invalidate smc v1;
+  held ();
+  check ci "an SMC invalidation parks" 1 (Tcache.group_size tc ~entry:0x1000);
+  Cms.Adapt.set_no_reorder adapt 0x1000;
+  check copt "parked under the old policy: not reactivated" None
+    (reactivate 0x1000 "v1");
+  check ci "still parked" 1 (Tcache.group_size tc ~entry:0x1000);
+  let v1' = mint 0x1000 "v1" in
+  Cms.Smc.invalidate smc v1';
+  check copt "the same bytes under the current policy are" (Some v1'.Tcache.id)
+    (reactivate 0x1000 "v1");
+  (* same bytes and policy over another region shape *)
+  let r = mint 0x4000 "r" in
+  Cms.Smc.invalidate smc r;
+  check cb "another region shape: not reactivated" true
+    (Cms.Smc.reactivate smc ~policy:(policy 0x4000)
+       ~region:{ (mk_region ~entry:0x4000) with Cms.Region.cont = Some 0x4008 }
+       ~bytes:r.Tcache.src
+    = None);
+  held ();
+  check copt "the region it was minted for is" (Some r.Tcache.id)
+    (reactivate 0x4000 "r");
+  (* a demotion drops *)
+  let d = mint 0x2000 "d" in
+  Cms.Smc.invalidate ~cause:Tcache.Udemote smc d;
+  held ();
+  check ci "a demotion does not park" 0 (Tcache.group_size tc ~entry:0x2000);
+  check cb "a demotion drops" false (Hashtbl.mem tc.Tcache.by_id d.Tcache.id);
+  (* the per-entry cap: 33 distinct versions of one entry *)
+  let versions =
+    List.init (Tcache.group_cap + 1) (fun i ->
+        let tr = mint 0x3000 (Printf.sprintf "w%02d" i) in
+        Cms.Smc.invalidate smc tr;
+        held ();
+        check cb "group within its cap" true
+          (Tcache.group_size tc ~entry:0x3000 <= Tcache.group_cap);
+        tr)
+  in
+  check ci "group full" Tcache.group_cap (Tcache.group_size tc ~entry:0x3000);
+  let first = List.nth versions 0 and second = List.nth versions 1 in
+  check cb "the oldest member is dropped" false
+    (Hashtbl.mem tc.Tcache.by_id first.Tcache.id);
+  check copt "and cannot come back" None (reactivate 0x3000 "w00");
+  check copt "the next oldest can" (Some second.Tcache.id)
+    (reactivate 0x3000 "w01");
+  check ci "one fewer parked" (Tcache.group_cap - 1)
+    (Tcache.group_size tc ~entry:0x3000)
+
 let test_flush_and_page_index () =
   let tc = Tcache.create ~capacity:8 in
   let shift = Machine.Mmu.page_shift in
-  let v1 = insert tc ~entry:0x1000 ~snapshot:None in
-  let _v2 = insert tc ~entry:0x5000 ~snapshot:None in
+  let v1 = insert tc ~entry:0x1000 in
+  let _v2 = insert tc ~entry:0x5000 in
   check ci "page index live" 1
     (List.length (Tcache.on_page tc ~ppn:(0x1000 lsr shift)));
   (* generational eviction must drop the by-page index entries too —
@@ -288,7 +371,7 @@ let test_flush_and_page_index () =
 let test_capacity_degradation () =
   let tc = Tcache.create ~capacity:4 in
   for i = 0 to 5 do
-    ignore (insert tc ~entry:(0x1000 + (i * 0x100)) ~snapshot:None)
+    ignore (insert tc ~entry:(0x1000 + (i * 0x100)))
   done;
   check cb "count stays bounded" true (tc.Tcache.count <= 4);
   check ci "high-water mark" 4 tc.Tcache.hwm;
@@ -297,11 +380,11 @@ let test_capacity_degradation () =
   (* last resort: when every held record is current-generation (all
      refreshed by dispatch hits), only the full flush can make room *)
   let tc2 = Tcache.create ~capacity:2 in
-  ignore (insert tc2 ~entry:0x1000 ~snapshot:None);
-  ignore (insert tc2 ~entry:0x2000 ~snapshot:None);
+  ignore (insert tc2 ~entry:0x1000);
+  ignore (insert tc2 ~entry:0x2000);
   ignore (Tcache.lookup tc2 0x1000);
   ignore (Tcache.lookup tc2 0x2000);
-  ignore (insert tc2 ~entry:0x3000 ~snapshot:None);
+  ignore (insert tc2 ~entry:0x3000);
   check ci "full flush as last resort" 1 tc2.Tcache.flushes;
   check ci "only the new record held" 1 tc2.Tcache.count
 
@@ -471,6 +554,8 @@ let suites =
       [
         Alcotest.test_case "group reactivation across eviction" `Quick
           test_group_reactivation;
+        Alcotest.test_case "group key includes policy; per-entry cap" `Quick
+          test_group_policy_key_and_cap;
         Alcotest.test_case "flush hook and page index" `Quick
           test_flush_and_page_index;
         Alcotest.test_case "capacity degradation ladder" `Quick

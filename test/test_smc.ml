@@ -427,8 +427,48 @@ let test_chaining () =
   check cb "chains were patched" true
     ((Cms.stats t).Cms.Stats.chain_patches > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Translation groups for every translation: Quake Demo2               *)
+(* ------------------------------------------------------------------ *)
+
+(* Quake's patched inner loops flip between versions; every SMC
+   invalidation parks its translation, so most of the flips reactivate
+   a parked member instead of retranslating.  Reuse must not move what
+   the guest sees: retired count and arch digest stay the golden row's.
+   Without groups every flip retranslates, as before groups covered
+   every translation. *)
+let test_quake_reuse () =
+  let w =
+    List.find
+      (fun (w : Workloads.Suite.t) -> w.Workloads.Suite.name = "Quake Demo2 (DOS)")
+      (Workloads.Catalog.all ())
+  in
+  let _, retired, _, arch =
+    List.find (fun (n, _, _, _) -> n = w.Workloads.Suite.name) Test_golden.golden
+  in
+  let c = Workloads.Suite.run w in
+  let s = Cms.stats c in
+  check cb "at most 150 translations" true (s.Cms.Stats.translations <= 150);
+  check cb "at least 340 group hits" true (s.Cms.Stats.group_hits >= 340);
+  check ci "retired" retired (Cms.retired c);
+  check Alcotest.string "arch digest" arch
+    Cms_persist.Digests.(arch_hex (arch c));
+  Cms.release c;
+  let c =
+    Workloads.Suite.run
+      ~cfg:{ Cms.Config.default with Cms.Config.enable_groups = false }
+      w
+  in
+  check ci "translations without groups" 498
+    (Cms.stats c).Cms.Stats.translations;
+  check ci "no group hits without groups" 0 (Cms.stats c).Cms.Stats.group_hits;
+  Cms.release c
+
 let suites =
   [
+    ( "smc.groups",
+      [ Alcotest.test_case "quake flips reuse parked translations" `Quick
+          test_quake_reuse ] );
     ( "smc.stylized",
       [
         Alcotest.test_case "patched immediates correct" `Quick test_stylized_smc;
