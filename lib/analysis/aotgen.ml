@@ -3,10 +3,10 @@
 
     [build] walks the image with {!Discover}, then feeds every static
     leader through the *production* translator pipeline
-    ({!Cms.Region.select} + {!Cms.Codegen.compile}), whose verifier
-    rejects exactly as it does at run time: a region the verifier
-    refuses is demoted to dynamic-only and recorded, never silently
-    shipped.  The result is a {!Cms_persist.Aot} image keyed by
+    ({!Cms.Region.select} + {!Cms.Codegen.compile_presnapped}), whose
+    verifier rejects exactly as it does at run time: a region the
+    verifier refuses is demoted to dynamic-only and recorded, never
+    silently shipped.  The result is a {!Cms_persist.Aot} image keyed by
     code-page digests whose entries are minted by
     {!Cms_persist.Tstore.encode}, exactly as a fleet machine publishes
     a fresh translation.
@@ -37,8 +37,9 @@ let translate_leader ~cfg ~mem ~profile leader =
     match Cms.Region.select ~mem ~profile ~policy leader with
     | None -> None
     | Some region -> (
-        match Cms.Codegen.compile ~cfg ~policy ~mem region with
-        | compiled -> Some (policy, region, compiled)
+        let bytes = Cms.Codegen.take_snapshot mem region in
+        match Cms.Codegen.compile_presnapped ~cfg ~policy ~bytes region with
+        | compiled -> Some (policy, region, bytes, compiled)
         | exception Cms.Codegen.Too_big ->
             if policy.Cms.Policy.max_insns <= 4 then None
             else
@@ -84,7 +85,7 @@ let build ?(max_insns = 65536) ~label (c : Cms.t) ~entry =
              region demotes that region, not the build *)
           incr demoted_verify;
           demotions := { leader; why = Printexc.to_string e } :: !demotions
-      | Some (policy, region, compiled) ->
+      | Some (policy, region, bytes, compiled) ->
           if crosses_smc region then
             (* grew onto a write-reachable page: dynamic-only *)
             demotions :=
@@ -92,8 +93,8 @@ let build ?(max_insns = 65536) ~label (c : Cms.t) ~entry =
               :: !demotions
           else begin
             let key, blob =
-              Cms_persist.Tstore.encode ~entry:leader ~region ~policy
-                ~bytes:(Cms.Codegen.take_snapshot mem region) ~compiled
+              Cms_persist.Tstore.encode ~entry:leader ~region ~policy ~bytes
+                ~compiled
             in
             ignore (Cms_persist.Tstore.publish store ~key ~blob : bool);
             minted := region :: !minted

@@ -97,6 +97,13 @@ let get t key =
       e.pol
   | None -> Policy.default t.cfg
 
+(** The entry's policy, as {!get} returns it, without touching the
+    entry: the LRU clock, and so eviction, stays where it was. *)
+let peek t key =
+  match Hashtbl.find_opt t.tbl key with
+  | Some e -> e.pol
+  | None -> Policy.default t.cfg
+
 (** Is this entry marked for immediate retranslation?  (Checked once
     per dispatch; the length guard keeps the common nothing-is-hot
     case off the hashing path.)  Quarantined entries are never hot:
@@ -146,9 +153,9 @@ let quarantine t key = merge_into t (ensure t key) (quarantine_policy t)
 let note_escalation t key =
   let e = ensure t key in
   e.escalations <- e.escalations + 1;
-  if e.escalations >= t.cfg.Config.quarantine_limit then
+  if e.escalations >= Config.quarantine_limit then
     if merge_into t e (quarantine_policy t) then Some Quarantined else None
-  else if e.escalations >= t.cfg.Config.demote_limit then begin
+  else if e.escalations >= Config.demote_limit then begin
     let before = e.pol in
     ignore (merge_into t e (Policy.conservative t.cfg));
     if Policy.equal before e.pol then None else Some Demoted
@@ -162,7 +169,7 @@ let note_escalation t key =
 let note_translate_failure t key =
   let e = ensure t key in
   e.failures <- e.failures + 1;
-  if e.failures >= t.cfg.Config.translate_fail_limit then
+  if e.failures >= Config.translate_fail_limit then
     if merge_into t e (quarantine_policy t) then Some Quarantined else None
   else None
 

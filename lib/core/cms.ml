@@ -40,11 +40,7 @@ type t = Engine.t
     {!Engine.t.on_diag}); verification runs with or without it. *)
 let create ?on_diag ?(cfg = Config.default) ?(ram_size = 16 * 1024 * 1024)
     ?disk_image () =
-  let plat =
-    Machine.Platform.create ~ram_size ~fg_capacity:cfg.Config.fg_capacity
-      ?disk_image ()
-  in
-  Engine.create ?on_diag ~cfg plat
+  Engine.create ?on_diag ~cfg (Machine.Platform.create ~ram_size ?disk_image ())
 
 let platform (t : t) = t.Engine.plat
 let mem (t : t) = t.Engine.plat.Machine.Platform.mem

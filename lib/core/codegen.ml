@@ -43,7 +43,7 @@ let check_code ?on_diag ~cfg ~entry ~ninsns code =
 
 (* Stubs: the benchmark harness (perfbench/layers.ml) is their only
    reader, and ROADMAP item 1 removes them.  The verifier is no longer
-   a hook — {!compile_with} calls {!Irlint} and {!Tverify} directly —
+   a hook — {!compile_presnapped} calls {!Irlint} and {!Tverify} directly —
    so [verify_hook] stays [None] and nothing in the program reads or
    writes it. *)
 type verifier = {
@@ -143,8 +143,6 @@ let selfcheck_fail_stub ir ~entry ~fail_label =
 
 type compiled = {
   code : Vliw.Code.t;
-  snapshot : Bytes.t option;
-  opt_stats : Opt.result;
   unprotected : bool;
       (** self-checking translation whose source ranges are guarded by
           the alias hardware: it runs with page protection off
@@ -165,33 +163,27 @@ let read_ranges mem ranges =
 let take_snapshot mem (region : Region.t) =
   read_ranges mem region.Region.src_ranges
 
-(* The compiler proper, parametric over the source-byte supplier:
-   {!compile} reads guest memory ({!take_snapshot}); the engine passes
-   the bytes it already read for the translation-group and shared-store
-   keys.  Everything else is a pure deterministic function of (cfg,
-   policy, region, bytes), so both paths mint the identical
-   translation. *)
-let compile_with ?on_diag ~(cfg : Config.t) ~(policy : Policy.t)
-    ~(snap : unit -> Bytes.t) (region : Region.t) =
+(** Compile a region under [policy] from its source [bytes], the
+    {!take_snapshot}-format concatenation of its source ranges, which
+    the caller read once at the translate instant (they are also the
+    translation-group and shared-store keys).  [cfg] supplies hardware
+    knobs; the IR lint runs after lowering and after optimization, the
+    molecule verifier on the scheduled code, each through {!check}.
+    The result is a pure deterministic function of (cfg, policy,
+    region, bytes). *)
+let compile_presnapped ?on_diag ~(cfg : Config.t) ~(policy : Policy.t)
+    ~(bytes : Bytes.t) (region : Region.t) =
   let entry = region.Region.entry in
   let ir = Lower.lower ~policy region in
   let items = Ir.items ir in
   check ?on_diag (Irlint.lint ~stage:"lower" ~entry ~ir items);
-  let opt_stats = Opt.run ir items in
-  let items = opt_stats.Opt.items in
+  let items = (Opt.run ir items).Opt.items in
   check ?on_diag (Irlint.lint ~stage:"opt" ~entry ~ir items);
-  (* self-check / snapshot *)
-  let want_snapshot =
-    policy.Policy.self_check || policy.Policy.self_reval
-    || not (Policy.ISet.is_empty policy.Policy.stylized_imms)
-  in
-  let snapshot = if want_snapshot then Some (snap ()) else None in
   let items =
     if policy.Policy.self_check then begin
-      let snapshot = Option.get snapshot in
       let fail_label = Ir.fresh_label ir in
       let excluded = Region.stylized_fields region policy in
-      selfcheck_items ir ~region ~snapshot ~excluded ~fail_label
+      selfcheck_items ir ~region ~snapshot:bytes ~excluded ~fail_label
       @ items
       @ selfcheck_fail_stub ir ~entry:region.Region.entry ~fail_label
     end
@@ -289,21 +281,7 @@ let compile_with ?on_diag ~(cfg : Config.t) ~(policy : Policy.t)
   | Error e -> failwith ("Codegen: invalid code: " ^ e));
   check_code ?on_diag ~cfg ~entry ~ninsns:(Region.instruction_count region)
     code;
-  { code; snapshot; opt_stats; unprotected = use_guards }
-
-(** Compile a region under [policy].  [cfg] supplies hardware knobs;
-    the IR lint runs after lowering and after optimization, the
-    molecule verifier on the scheduled code, each through {!check}. *)
-let compile ?on_diag ~cfg ~policy ~mem (region : Region.t) =
-  compile_with ?on_diag ~cfg ~policy
-    ~snap:(fun () -> take_snapshot mem region)
-    region
-
-(** Compile from pre-captured source bytes: [bytes] is the
-    {!take_snapshot}-format concatenation of the region's source
-    ranges, read once by the caller at the translate instant. *)
-let compile_presnapped ?on_diag ~cfg ~policy ~bytes (region : Region.t) =
-  compile_with ?on_diag ~cfg ~policy ~snap:(fun () -> bytes) region
+  { code; unprotected = use_guards }
 
 (** A zero-instruction translation: interpret one instruction at
     [entry], then continue dispatch. *)

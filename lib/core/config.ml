@@ -1,17 +1,24 @@
-(** CMS configuration: feature knobs and the molecule cost model.
+(** CMS configuration: the knobs something sets, and fixed constants.
 
-    The experiments in the paper are ablations over exactly these knobs
-    (suppress reordering for Figure 2, no alias hardware for Figure 3,
-    no fine-grain protection for Table 1, force self-checking for
-    §3.6.3, disable self-revalidation for §3.6.2).
+    {!t} holds what callers vary: the ablation axes ([enable_*],
+    [force_self_check]; the experiment harness and [cmsrun]'s flags,
+    e.g. no reordering for Figure 2, no alias hardware for Figure 3,
+    no fine-grain protection for Table 1), the sweeps
+    ([translate_threshold], [max_region_insns], [alias_slots],
+    [sbuf_capacity]), the capacities the chaos layer scrambles
+    ([tcache_capacity], [adapt_capacity], with [sbuf_capacity]),
+    [unroll_limit] (the property tests; an AOT image must agree on it),
+    [lookup_cost] (the chained-versus-dispatcher differential runs it
+    at 0) and [host_fast_paths] (the fuzz fast-path oracle and the
+    bench's fast-path ladder).  The ladder budgets, the adaptation
+    thresholds, the other molecule charges and the fine-grain cache
+    size are fixed constants, as in CMS.
 
     Cost model: the real interpreter, translator and fault handlers are
-    themselves native code, so the simulator charges them in molecules.
-    The defaults are order-of-magnitude figures consistent with
-    published DBT systems (interpreter ~tens of host ops per guest
-    instruction; translator ~thousands per translated instruction) and
-    are deliberately configurable — the experiment harness reports how
-    conclusions depend on them. *)
+    themselves native code, so the simulator charges them in molecules,
+    order-of-magnitude figures consistent with published DBT systems
+    (interpreter ~tens of host ops per guest instruction; translator
+    ~thousands per translated instruction). *)
 
 type t = {
   (* --- feature knobs (the paper's ablation axes) --- *)
@@ -33,40 +40,11 @@ type t = {
           reordering is where speculation pays most *)
   alias_slots : int;
   sbuf_capacity : int;
-  fg_capacity : int;  (** fine-grain cache entries *)
   tcache_capacity : int;  (** translations before a full flush (GC) *)
-  (* --- adaptive-retranslation thresholds --- *)
-  spec_fault_limit : int;
-      (** speculative failures of one translation before retranslating
-          more conservatively *)
-  genuine_fault_limit : int;
-      (** genuine x86 faults before narrowing the region *)
-  smc_false_limit : int;
-      (** protection faults with unchanged code before self-reval *)
-  (* --- recovery hardening: the demotion ladder and its budgets --- *)
   adapt_capacity : int;
       (** policy-table entries before coldest-entry eviction *)
-  demote_limit : int;
-      (** spec-fault escalations of one entry before the hard
-          conservative policy (no speculation, tiny regions) *)
-  quarantine_limit : int;
-      (** escalations before interpreter-only quarantine — the bound
-          that makes an always-faulting translation provably terminate
-          in interpreter mode *)
-  translate_fail_limit : int;
-      (** contained translator failures of one entry before quarantine *)
-  stall_limit : int;
-      (** consecutive dispatches with no architectural progress before
-          the dispatcher forces an interpreter step (forward-progress
-          watchdog) *)
   (* --- cost model (molecules) --- *)
-  interp_cost : int;  (** per interpreted x86 instruction *)
-  translate_cost : int;  (** per x86 instruction translated *)
-  rollback_cost : int;  (** per rollback (paper: < 2 branch misses) *)
   lookup_cost : int;  (** per tcache lookup on an unchained path *)
-  fault_handler_cost : int;  (** per native fault taken (CMS entry) *)
-  fg_install_cost : int;  (** per fine-grain cache software refill *)
-  reval_cost_per_byte : int;  (** prologue compare cost (self-reval) *)
   (* --- host-side fast paths --- *)
   host_fast_paths : bool;
       (** enable the host-side caching layers: the MMU software TLB,
@@ -94,22 +72,45 @@ let default =
     unroll_limit = 2;
     alias_slots = 8;
     sbuf_capacity = 64;
-    fg_capacity = 8;
     tcache_capacity = 8192;
-    spec_fault_limit = 3;
-    genuine_fault_limit = 3;
-    smc_false_limit = 2;
     adapt_capacity = 1024;
-    demote_limit = 3;
-    quarantine_limit = 5;
-    translate_fail_limit = 3;
-    stall_limit = 16;
-    interp_cost = 45;
-    translate_cost = 4000;
-    rollback_cost = 4;
     lookup_cost = 15;
-    fault_handler_cost = 300;
-    fg_install_cost = 60;
-    reval_cost_per_byte = 1;
     host_fast_paths = true;
   }
+
+(* --- fixed constants: no caller varies them, no image records them --- *)
+
+let fg_capacity = Machine.Finegrain.default_capacity (* fine-grain entries *)
+
+(* adaptive-retranslation thresholds *)
+let spec_fault_limit = 3
+(** speculative failures of one translation before retranslating more
+    conservatively *)
+
+let genuine_fault_limit = 3  (* genuine x86 faults before narrowing the region *)
+let smc_false_limit = 2  (* false protection faults before self-reval *)
+
+(* recovery hardening: the demotion ladder and its budgets *)
+let demote_limit = 3
+(** spec-fault escalations of one entry before the hard conservative
+    policy (no speculation, tiny regions) *)
+
+let quarantine_limit = 5
+(** escalations before interpreter-only quarantine — the bound that
+    makes an always-faulting translation provably terminate in
+    interpreter mode *)
+
+let translate_fail_limit = 3
+(** contained translator failures of one entry before quarantine *)
+
+let stall_limit = 16
+(** consecutive dispatches with no architectural progress before the
+    dispatcher forces an interpreter step (forward-progress watchdog) *)
+
+(* cost model (molecules) *)
+let interp_cost = 45  (* per interpreted x86 instruction *)
+let translate_cost = 4000  (* per x86 instruction translated *)
+let rollback_cost = 4  (* per rollback (paper: < 2 branch misses) *)
+let fault_handler_cost = 300  (* per native fault taken (CMS entry) *)
+let fg_install_cost = 60  (* per fine-grain cache software refill *)
+let reval_cost_per_byte = 1  (* prologue compare cost (self-reval) *)

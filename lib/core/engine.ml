@@ -123,7 +123,7 @@ let check_rollback t = if speculation_visible t then raise Speculation_visible
 
 (* Roll the speculative state back to the last commit. *)
 let rollback t =
-  Stats.charge t.stats t.cfg.Config.rollback_cost;
+  Stats.charge t.stats Config.rollback_cost;
   Vliw.Exec.rollback t.cpu.Cpu.exec;
   (match t.on_rollback with Some f -> f () | None -> ());
   check_rollback t
@@ -232,7 +232,7 @@ let translate_unprotected t entry =
                   t.stats.Stats.store_hits <- t.stats.Stats.store_hits + 1
                 end
                 else begin
-                  Stats.charge t.stats (n * t.cfg.Config.translate_cost);
+                  Stats.charge t.stats (n * Config.translate_cost);
                   t.stats.Stats.translations <- t.stats.Stats.translations + 1;
                   if Adapt.hot t.adapt entry then
                     t.stats.Stats.retranslations <-
@@ -292,22 +292,18 @@ let translate t entry =
 
 (** Install a pre-minted translation from an AOT image.  The caller
     (the persist layer's image loader) has already revalidated
-    [compiled] against the live code bytes; here it only takes its
+    [compiled] against the live code bytes, [src], which the
+    translation keeps as its source bytes; here it only takes its
     place in the tcache — page-protected unless the compile was
     guard-checked ([compiled.unprotected]) — and under SMC tracking,
     exactly like a dynamic translation, but *without* the
     per-instruction translate charge, which is the whole cold-start
     payoff.  Returns [false] (and installs nothing) if the entry
     already has a live translation. *)
-let aot_install t ~entry ~region ~policy (compiled : Codegen.compiled) =
+let aot_install t ~entry ~region ~policy ~src (compiled : Codegen.compiled) =
   match Tcache.lookup t.tcache entry with
   | Some _ -> false
   | None ->
-      let src =
-        match compiled.Codegen.snapshot with
-        | Some b -> b
-        | None -> Codegen.take_snapshot (Cpu.mem t.cpu) region
-      in
       let tr =
         Tcache.insert ~unprotected:compiled.Codegen.unprotected ~aot:true
           t.tcache ~entry ~code:compiled.Codegen.code ~region ~policy ~src
@@ -345,8 +341,9 @@ let replay_region t (tr : Tcache.trans) =
    excessive": a handful of faults across many executions is cheaper to
    absorb through rollback+interpret than to pessimize the translation
    for.  Escalate only past an absolute floor AND a rate threshold. *)
-let excessive t ~faults ~execs =
-  faults >= t.cfg.Config.spec_fault_limit && faults * 64 >= execs
+let excessive (tr : Tcache.trans) =
+  let faults = tr.Tcache.spec_faults in
+  faults >= Config.spec_fault_limit && faults * 64 >= tr.Tcache.execs
 
 (* One rung of the demotion ladder for [entry]; counts what happened.
    Every scrapped-for-spec-faults translation goes through here, so the
@@ -374,7 +371,7 @@ let escalate_spec t (tr : Tcache.trans) =
     rolled back; this decides genuine vs speculative and adapts. *)
 let recover t (tr : Tcache.trans) (n : Vliw.Nexn.t) =
   t.stats.Stats.fault_entries <- t.stats.Stats.fault_entries + 1;
-  Stats.charge t.stats t.cfg.Config.fault_handler_cost;
+  Stats.charge t.stats Config.fault_handler_cost;
   match n with
   | Vliw.Nexn.Smc (_, _) ->
       (* replaying in the interpreter routes the write through the SMC
@@ -388,8 +385,7 @@ let recover t (tr : Tcache.trans) (n : Vliw.Nexn.t) =
       tr.Tcache.spec_faults <- tr.Tcache.spec_faults + 1;
       t.stats.Stats.spec_faults <- t.stats.Stats.spec_faults + 1;
       ignore (replay_region t tr);
-      if excessive t ~faults:tr.Tcache.spec_faults ~execs:tr.Tcache.execs
-      then begin
+      if excessive tr then begin
         Array.iter
           (fun (i : Region.insn_info) ->
             if Profile.is_mmio_insn t.profile i.Region.addr then
@@ -402,8 +398,7 @@ let recover t (tr : Tcache.trans) (n : Vliw.Nexn.t) =
       tr.Tcache.spec_faults <- tr.Tcache.spec_faults + 1;
       t.stats.Stats.spec_faults <- t.stats.Stats.spec_faults + 1;
       ignore (replay_region t tr);
-      if excessive t ~faults:tr.Tcache.spec_faults ~execs:tr.Tcache.execs then
-        escalate_spec t tr
+      if excessive tr then escalate_spec t tr
   | Vliw.Nexn.Sbuf_overflow ->
       t.stats.Stats.spec_faults <- t.stats.Stats.spec_faults + 1;
       ignore (replay_region t tr);
@@ -417,7 +412,7 @@ let recover t (tr : Tcache.trans) (n : Vliw.Nexn.t) =
           tr.Tcache.genuine_faults <- tr.Tcache.genuine_faults + 1;
           t.stats.Stats.genuine_faults <- t.stats.Stats.genuine_faults + 1;
           if
-            tr.Tcache.genuine_faults >= t.cfg.Config.genuine_fault_limit
+            tr.Tcache.genuine_faults >= Config.genuine_fault_limit
             && tr.Tcache.genuine_faults * 64 >= tr.Tcache.execs
           then begin
             (* carve out the faulting instruction: its neighbours stay
@@ -431,8 +426,7 @@ let recover t (tr : Tcache.trans) (n : Vliw.Nexn.t) =
              program never takes *)
           tr.Tcache.spec_faults <- tr.Tcache.spec_faults + 1;
           t.stats.Stats.spec_faults <- t.stats.Stats.spec_faults + 1;
-          if excessive t ~faults:tr.Tcache.spec_faults ~execs:tr.Tcache.execs
-          then escalate_spec t tr)
+          if excessive tr then escalate_spec t tr)
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
@@ -680,7 +674,7 @@ let run ?(max_insns = max_int) t =
         t.stalls <- 0
       end
       else t.stalls <- t.stalls + 1;
-      if t.stalls >= t.cfg.Config.stall_limit then begin
+      if t.stalls >= Config.stall_limit then begin
         t.stalls <- 0;
         t.stats.Stats.progress_forces <- t.stats.Stats.progress_forces + 1;
         ignore (Interp.step t.interp)

@@ -28,7 +28,6 @@ type t = {
   cpu : Cpu.t;
   profile : Profile.t;
   stats : Stats.t;
-  cfg : Config.t;
   (* --- decoded-instruction cache (host fast path) ---
      Keyed by the physical address of the instruction's first byte and
      validated against the virtual EIP it was decoded at (branch
@@ -56,7 +55,6 @@ let create cpu ~profile ~stats ~cfg =
       cpu;
       profile;
       stats;
-      cfg;
       dc_on = cfg.Config.host_fast_paths;
       dc_tags = Array.make dc_slots (-1);
       dc_vaddrs = Array.make dc_slots 0;
@@ -474,14 +472,14 @@ let step_at t pc =
          <> mmio_before
       then Profile.note_mmio t.profile pc;
       t.stats.Stats.x86_interp <- t.stats.Stats.x86_interp + 1;
-      Stats.charge t.stats t.cfg.Config.interp_cost;
+      Stats.charge t.stats Config.interp_cost;
       Stepped
   | exception Exn.Fault fault ->
       (* discard partial working state; memory writes are ordered
          after all fault points, so none have happened *)
       Cpu.rollback cpu;
       t.stats.Stats.x86_interp <- t.stats.Stats.x86_interp + 1;
-      Stats.charge t.stats t.cfg.Config.interp_cost;
+      Stats.charge t.stats Config.interp_cost;
       Cpu.deliver_fault cpu fault;
       Faulted fault
 

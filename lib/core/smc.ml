@@ -98,11 +98,20 @@ let register t (tr : Tcache.trans) =
    of SMC, DMA or a failed self-check, so that is the default, and such
    a translation parks in its entry's group: the code may flip back.
    The engine's demotion-ladder callers pass [Udemote], which drops the
-   translation, since the entry's policy has moved past it for good. *)
+   translation, since the entry's policy has moved past it for good.
+   A group holds only members of the entry's current policy (read with
+   {!Adapt.peek}, which leaves the LRU clock alone): policies only
+   ratchet, so a translation whose entry an escalation below upgraded
+   just before invalidating it, and members parked before such an
+   upgrade, could never be reactivated; both are dropped. *)
 let invalidate ?(cause = Tcache.Usmc) t (tr : Tcache.trans) =
-  if t.cfg.Config.enable_groups && cause = Tcache.Usmc then
-    Tcache.park ~cause t.tcache tr
+  let policy = Adapt.peek t.adapt tr.Tcache.entry in
+  if
+    t.cfg.Config.enable_groups && cause = Tcache.Usmc
+    && Policy.equal tr.Tcache.policy policy
+  then Tcache.park ~cause t.tcache tr
   else Tcache.invalidate ~cause t.tcache tr;
+  Tcache.drop_stale t.tcache ~entry:tr.Tcache.entry ~policy;
   t.stats.Stats.invalidations <- t.stats.Stats.invalidations + 1;
   if tr.Tcache.aot then
     t.stats.Stats.aot_invalidated <- t.stats.Stats.aot_invalidated + 1;
@@ -185,11 +194,11 @@ let handle_false_fault t ~ppn ~paddr:_ ~len:_ =
     Machine.Mem.set_fg_mode t.mem ~ppn true;
     Machine.Finegrain.install t.mem.Machine.Mem.fg ~ppn ~mask:(page_mask t ~ppn);
     t.stats.Stats.fg_installs <- t.stats.Stats.fg_installs + 1;
-    Stats.charge t.stats t.cfg.Config.fg_install_cost
+    Stats.charge t.stats Config.fg_install_cost
   end
   else if
     t.cfg.Config.enable_self_reval
-    && page_faults > t.cfg.Config.smc_false_limit
+    && page_faults > Config.smc_false_limit
     && trs_on_page <> []
   then begin
     (* data shares chunks (or, without fine-grain hardware, the page)
@@ -240,7 +249,7 @@ let handle_code_write t ~trs ~paddr ~len =
           end
       | None ->
           let n = bump t.invalidation_counts entry in
-          if t.cfg.Config.enable_self_check && n > t.cfg.Config.smc_false_limit
+          if t.cfg.Config.enable_self_check && n > Config.smc_false_limit
           then
             (* repeated rewrites: stop invalidating, start checking *)
             Adapt.set_self_check t.adapt entry;
@@ -260,9 +269,9 @@ let on_write t (hit : Machine.Mem.smc_hit) ~paddr ~len =
       Machine.Finegrain.install t.mem.Machine.Mem.fg ~ppn
         ~mask:(page_mask t ~ppn);
       t.stats.Stats.fg_installs <- t.stats.Stats.fg_installs + 1;
-      Stats.charge t.stats t.cfg.Config.fg_install_cost
+      Stats.charge t.stats Config.fg_install_cost
   | Machine.Mem.Page_level | Machine.Mem.Fg_chunk -> (
-      Stats.charge t.stats t.cfg.Config.fault_handler_cost;
+      Stats.charge t.stats Config.fault_handler_cost;
       t.stats.Stats.fault_entries <- t.stats.Stats.fault_entries + 1;
       match overlapping_translations t ~paddr ~len with
       | [] -> handle_false_fault t ~ppn ~paddr ~len
@@ -271,7 +280,7 @@ let on_write t (hit : Machine.Mem.smc_hit) ~paddr ~len =
 (** The [Machine.Mem.on_dma_smc] handler: paging traffic gets the
     coarse treatment — invalidate everything on the page (§3.6.1). *)
 let on_dma t ~ppn =
-  Stats.charge t.stats t.cfg.Config.fault_handler_cost;
+  Stats.charge t.stats Config.fault_handler_cost;
   List.iter (invalidate t) (Tcache.on_page t.tcache ~ppn);
   Machine.Mem.unprotect_page t.mem ~ppn
 
@@ -283,7 +292,7 @@ let on_dma t ~ppn =
     code: what a self-revalidation prologue, a group reactivation and a
     shared-store hit each cost instead of a translation. *)
 let charge_compare t region =
-  Stats.charge t.stats (Region.src_bytes region * t.cfg.Config.reval_cost_per_byte)
+  Stats.charge t.stats (Region.src_bytes region * Config.reval_cost_per_byte)
 
 (** Reactivate the parked translation of [region] keyed by [policy] and
     the region's current source [bytes], if its group holds one
@@ -308,7 +317,7 @@ let reactivate t ~policy ~region ~bytes =
     selected over the current code. *)
 let on_selfcheck_fail t (tr : Tcache.trans) =
   t.stats.Stats.selfcheck_fails <- t.stats.Stats.selfcheck_fails + 1;
-  Stats.charge t.stats t.cfg.Config.fault_handler_cost;
+  Stats.charge t.stats Config.fault_handler_cost;
   let entry = tr.Tcache.entry and region = tr.Tcache.region in
   let current = Codegen.take_snapshot t.mem region in
   let snap = tr.Tcache.src in

@@ -19,8 +19,8 @@ type t = {
   mutable translated_atoms : int;  (** emitted code size in atoms *)
   mutable translations_verified : int;
       (** fresh compiles accepted by the static verifier (every
-          {!Codegen.compile} runs it; zero-instruction stubs and
-          shared-store hits are not compiles) *)
+          {!Codegen.compile_presnapped} runs it; zero-instruction stubs
+          and shared-store hits are not compiles) *)
   mutable spec_faults : int;  (** native faults that proved speculative *)
   mutable genuine_faults : int;  (** faults that reproduced under interp *)
   mutable irq_delivered : int;
@@ -133,8 +133,8 @@ type t = {
   mutable store_published : int;
       (** freshly minted translations this machine published into the
           shared store (each already passed the verifier inside
-          {!Codegen.compile}; the store takes it unless the key is live
-          or poisoned) *)
+          {!Codegen.compile_presnapped}; the store takes it unless the
+          key is live or poisoned) *)
 }
 
 let create () =

@@ -431,6 +431,19 @@ let group_match t ~policy ~(region : Region.t) ~bytes =
           Hashtbl.replace t.by_entry entry tr;
           Some tr)
 
+(** Drop the members of [entry]'s group parked under a policy other
+    than [policy], the entry's current one: policies only ratchet
+    (short of the entry's eviction from the adaptation table), so no
+    translate can key them again. *)
+let drop_stale t ~entry ~policy =
+  match Hashtbl.find_opt t.groups entry with
+  | None -> ()
+  | Some l ->
+      List.iter
+        (fun tr ->
+          if not (Policy.equal tr.policy policy) then drop t tr ~cause:Usmc)
+        !l
+
 let group_size t ~entry =
   match Hashtbl.find_opt t.groups entry with
   | Some l -> List.length !l

@@ -13,9 +13,9 @@
       and falls back to the private translator.
     - {!Cms.Engine.on_fresh_translation} — the publish seam.  Every
       freshly minted translation has already passed the verifier
-      inside {!Cms.Codegen.compile}, so its serialized form enters the
-      store as is; trust is re-established on the consumer side, at
-      every hit.
+      inside {!Cms.Codegen.compile_presnapped}, so its serialized form
+      enters the store as is; trust is re-established on the consumer
+      side, at every hit.
 
     A machine that has rejected [max_rejects] entries in total stops
     trusting the store altogether ({!t.detached}) and keeps serving

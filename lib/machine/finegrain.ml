@@ -32,7 +32,9 @@ type t = {
   mutable installs : int;
 }
 
-let create ?(capacity = 8) () =
+let default_capacity = 8  (** entries of every machine's cache *)
+
+let create ?(capacity = default_capacity) () =
   {
     capacity;
     entries = Hashtbl.create 16;

@@ -81,14 +81,14 @@ type t = {
 
 let ppn_of paddr = paddr lsr Mmu.page_shift
 
-let create ?(ram_size = 16 * 1024 * 1024) ?(fg_capacity = 8) () =
+let create ?(ram_size = 16 * 1024 * 1024) () =
   let phys = Phys.create ram_size in
   let npages = ram_size lsr Mmu.page_shift in
   {
     phys;
     mmu = Mmu.create ();
     bus = Bus.create phys;
-    fg = Finegrain.create ~capacity:fg_capacity ();
+    fg = Finegrain.create ();
     fg_enabled = true;
     protected_pages = Hashtbl.create 64;
     fg_pages = Hashtbl.create 16;

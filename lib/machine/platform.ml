@@ -41,10 +41,10 @@ type t = {
   nic : Nic.t;
 }
 
-let create ?(ram_size = 16 * 1024 * 1024) ?(fg_capacity = 8)
+let create ?(ram_size = 16 * 1024 * 1024)
     ?(disk_image = Bytes.make (256 * 1024) '\x00') ?(disk_latency = 20_000)
     ?(nic_latency = 400) () =
-  let mem = Mem.create ~ram_size ~fg_capacity () in
+  let mem = Mem.create ~ram_size () in
   let irq = Irq.create () in
   let uart = Uart.create () in
   let timer = Timer.create irq ~line:timer_irq_line in

@@ -37,8 +37,11 @@ let kind = "AOTC"
    every translation, and on every entry at install).
    version 7: the TRAN section gave way to the translation store's
    ENTS and POIS: each entry is a store blob with its key and MD5, and
-   carries the compile's unprotected/keep_snapshot flags. *)
-let version = 7
+   carries the compile's unprotected/keep_snapshot flags.
+   version 8: Config lost the fourteen fixed budgets and charges (now
+   {!Cms.Config} constants), and entries lost keep_snapshot (TSTO
+   version 2). *)
+let version = 8
 
 type meta = {
   label : string;  (** workload name the image was built for *)
@@ -125,8 +128,11 @@ let load path = of_string (Codec.read_file path)
 (* ------------------------------------------------------------------ *)
 
 (* Config fields that change what code the translator emits; images are
-   only compatible with an engine that agrees on all of them.  Runtime
-   knobs (cost model, thresholds, capacities) are deliberately free. *)
+   only compatible with an engine that agrees on all of them.  The other
+   fields change when the engine translates, dispatches or evicts, not
+   what a compile emits, so they are free ([sbuf_capacity] bounds the
+   verifier's store check, which the install re-runs under the engine's
+   own config). *)
 let config_conflicts (a : Cms.Config.t) (b : Cms.Config.t) =
   let open Cms.Config in
   List.filter_map
@@ -202,7 +208,7 @@ let install (c : Cms.t) (img : t) : install_report =
       | { Tstore.tran; region; compiled } ->
           if
             Cms.Engine.aot_install c ~entry ~region ~policy:tran.Tstore.policy
-              compiled
+              ~src:tran.Tstore.snapshot compiled
           then incr installed
           else
             reject (Fmt.str "entry %#x: already has a live translation" entry))

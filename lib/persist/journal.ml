@@ -336,8 +336,10 @@ let install_host (c : Cms.t) (events : host_event list) =
    version 6: the decoder tier is gone: the embedded Config lost
    closure_exec, chain_exits, validate_molecules and enforce_latency.
    version 7: the embedded Config lost the verifier knob (the
-   verifier runs on every translation). *)
-let version = 7
+   verifier runs on every translation).
+   version 8: the embedded Config lost the fourteen fixed budgets and
+   charges (now {!Cms.Config} constants). *)
+let version = 8
 let kind = "JRNL"
 
 let w_guest_event b = function

@@ -10,6 +10,8 @@
     the TLB — are deliberately *not* restored: they are pure
     accelerators whose absence only costs retranslation, and restoring
     cold exercises exactly the paper's adaptive-retranslation story.
+    Nor are the TLB's and the RAM fast path's hit counters saved: a
+    restored machine starts them at 0, like the caches they count.
     The protection map is still written to the image ({b PROT} section)
     for crash forensics.
 
@@ -50,8 +52,13 @@ exception Inconsistent of string
    version 8: the decoder tier is gone: Config lost closure_exec,
    chain_exits, validate_molecules and enforce_latency.
    version 9: Config lost the verifier knob (the verifier runs on
-   every translation). *)
-let version = 9
+   every translation).
+   version 10: Config lost the fourteen fixed budgets and charges
+   (now {!Cms.Config} constants); MMUS lost the software TLB's hit and
+   miss counts and PMEM the RAM fast path's read and write counts,
+   host counters that a restored machine starts at 0, like the caches
+   they count. *)
+let version = 10
 let kind = "SNAP"
 
 let consistent (c : Cms.t) =
@@ -175,8 +182,6 @@ let mmu =
         put = (fun w m -> w_raw w (page_table_bytes m));
         take = (fun r m -> load_entries m (page_table.read r); m);
       };
-      mut int (fun m -> m.tlb_hits) (fun m v -> m.tlb_hits <- v);
-      mut int (fun m -> m.tlb_misses) (fun m v -> m.tlb_misses <- v);
     ]
 
 let pmem =
@@ -194,8 +199,6 @@ let pmem =
       mut int (fun m -> m.page_prot_faults) (fun m v -> m.page_prot_faults <- v);
       mut int (fun m -> m.smc_events) (fun m v -> m.smc_events <- v);
       mut int (fun m -> m.dma_smc_events) (fun m v -> m.dma_smc_events <- v);
-      mut int (fun m -> m.fast_reads) (fun m v -> m.fast_reads <- v);
-      mut int (fun m -> m.fast_writes) (fun m v -> m.fast_writes <- v);
     ]
 
 (* Derived protection state, for forensics only: restore leaves it cold

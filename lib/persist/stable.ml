@@ -36,23 +36,9 @@ let config : Cms.Config.t Codec.codec =
         field int (fun c -> c.unroll_limit) (fun c v -> { c with unroll_limit = v });
         field int (fun c -> c.alias_slots) (fun c v -> { c with alias_slots = v });
         field int (fun c -> c.sbuf_capacity) (fun c v -> { c with sbuf_capacity = v });
-        field int (fun c -> c.fg_capacity) (fun c v -> { c with fg_capacity = v });
         field int (fun c -> c.tcache_capacity) (fun c v -> { c with tcache_capacity = v });
-        field int (fun c -> c.spec_fault_limit) (fun c v -> { c with spec_fault_limit = v });
-        field int (fun c -> c.genuine_fault_limit) (fun c v -> { c with genuine_fault_limit = v });
-        field int (fun c -> c.smc_false_limit) (fun c v -> { c with smc_false_limit = v });
         field int (fun c -> c.adapt_capacity) (fun c v -> { c with adapt_capacity = v });
-        field int (fun c -> c.demote_limit) (fun c v -> { c with demote_limit = v });
-        field int (fun c -> c.quarantine_limit) (fun c v -> { c with quarantine_limit = v });
-        field int (fun c -> c.translate_fail_limit) (fun c v -> { c with translate_fail_limit = v });
-        field int (fun c -> c.stall_limit) (fun c v -> { c with stall_limit = v });
-        field int (fun c -> c.interp_cost) (fun c v -> { c with interp_cost = v });
-        field int (fun c -> c.translate_cost) (fun c v -> { c with translate_cost = v });
-        field int (fun c -> c.rollback_cost) (fun c v -> { c with rollback_cost = v });
         field int (fun c -> c.lookup_cost) (fun c v -> { c with lookup_cost = v });
-        field int (fun c -> c.fault_handler_cost) (fun c v -> { c with fault_handler_cost = v });
-        field int (fun c -> c.fg_install_cost) (fun c v -> { c with fg_install_cost = v });
-        field int (fun c -> c.reval_cost_per_byte) (fun c v -> { c with reval_cost_per_byte = v });
         field bool (fun c -> c.host_fast_paths) (fun c v -> { c with host_fast_paths = v });
       ]
       (fun () -> default))

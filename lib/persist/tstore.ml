@@ -40,7 +40,10 @@ exception Untrusted of string
 let untrusted fmt = Format.kasprintf (fun s -> raise (Untrusted s)) fmt
 
 let kind = "TSTO"
-let version = 1
+
+(* version 2: an entry no longer carries keep_snapshot: every
+   translation keeps its source bytes. *)
+let version = 2
 
 (* ------------------------------------------------------------------ *)
 (* Atom / code codec                                                   *)
@@ -395,9 +398,8 @@ type insn_wire = {
 
 (** One compile, as an entry carries it: the policy and region shape it
     was minted under, the source bytes it read (in range order), the
-    scheduled code, and the two compile outputs the code does not
-    carry — the page-protection mode and whether the translation keeps
-    its snapshot (self-check / self-reval policies). *)
+    scheduled code, and the compile output the code does not carry,
+    the page-protection mode. *)
 type tran = {
   tentry : int;
   policy : Cms.Policy.t;
@@ -407,7 +409,6 @@ type tran = {
   snapshot : Bytes.t;
   code : Vliw.Code.t;
   unprotected : bool;
-  keep_snapshot : bool;
 }
 
 let follow =
@@ -443,13 +444,12 @@ let tran : tran Codec.codec =
         field bytes (fun t -> t.snapshot) (fun t v -> { t with snapshot = v });
         field code (fun t -> t.code) (fun t v -> { t with code = v });
         field bool (fun t -> t.unprotected) (fun t v -> { t with unprotected = v });
-        field bool (fun t -> t.keep_snapshot) (fun t v -> { t with keep_snapshot = v });
       ]
       (fun () ->
         { tentry = 0; policy = Cms.Policy.default Cms.Config.default; cont = None;
           src_ranges = []; insns = []; snapshot = Bytes.empty;
           code = { Vliw.Code.molecules = [||]; exits = [||] };
-          unprotected = false; keep_snapshot = false }))
+          unprotected = false }))
 
 (** The blob of [t]. *)
 let blob (t : tran) = Codec.encode tran t
@@ -569,7 +569,6 @@ let encode ~entry ~(region : Cms.Region.t) ~(policy : Cms.Policy.t)
         snapshot = bytes;
         code = compiled.Cms.Codegen.code;
         unprotected = compiled.Cms.Codegen.unprotected;
-        keep_snapshot = Option.is_some compiled.Cms.Codegen.snapshot;
       } )
 
 (** The one decoder: [e]'s MD5, then its payload, with no trailing
@@ -621,16 +620,6 @@ let region_of_tran (t : tran) : Cms.Region.t =
     src_ranges = t.src_ranges;
   }
 
-(* A decoded entry carries no optimizer statistics of its own. *)
-let no_opt_stats =
-  {
-    Cms.Opt.items = [];
-    removed = 0;
-    flags_retargeted = 0;
-    folded = 0;
-    loads_eliminated = 0;
-  }
-
 (** What {!revalidate} accepted: the decoded entry, the region rebuilt
     from its own bytes, and a private copy of the translation. *)
 type trusted = {
@@ -678,13 +667,7 @@ let revalidate ?on_diag ~(cfg : Cms.Config.t) ~entry
   {
     tran = t;
     region;
-    compiled =
-      {
-        Cms.Codegen.code = t.code;
-        snapshot = (if t.keep_snapshot then Some t.snapshot else None);
-        opt_stats = no_opt_stats;
-        unprotected = t.unprotected;
-      };
+    compiled = { Cms.Codegen.code = t.code; unprotected = t.unprotected };
   }
 
 (* ------------------------------------------------------------------ *)

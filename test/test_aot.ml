@@ -618,7 +618,8 @@ let test_install_keeps_unprotected () =
         let entry = P.Tstore.key_entry k in
         let tr = Option.get (Cms.Tcache.lookup c.Cms.Engine.tcache entry) in
         let compiled =
-          Cms.Codegen.compile ~cfg ~policy:tr.Cms.Tcache.policy ~mem:(Cms.mem c)
+          Cms.Codegen.compile_presnapped ~cfg ~policy:tr.Cms.Tcache.policy
+            ~bytes:(Cms.Codegen.take_snapshot (Cms.mem c) tr.Cms.Tcache.region)
             tr.Cms.Tcache.region
         in
         check Alcotest.bool

@@ -150,7 +150,7 @@ let test_reject_budget_cumulative () =
   in
   let mint entry =
     let region, bytes = inputs entry in
-    let compiled = Cms.Codegen.compile ~cfg ~policy ~mem region in
+    let compiled = Cms.Codegen.compile_presnapped ~cfg ~policy ~bytes region in
     Tstore.encode ~entry ~region ~policy ~bytes ~compiled
   in
   let store = Tstore.create () in

@@ -34,23 +34,9 @@ let cfg =
     unroll_limit = 3;
     alias_slots = 6;
     sbuf_capacity = 40;
-    fg_capacity = 5;
     tcache_capacity = 900;
-    spec_fault_limit = 7;
-    genuine_fault_limit = 9;
-    smc_false_limit = 4;
     adapt_capacity = 500;
-    demote_limit = 11;
-    quarantine_limit = 13;
-    translate_fail_limit = 2;
-    stall_limit = 17;
-    interp_cost = 41;
-    translate_cost = 3999;
-    rollback_cost = 8;
     lookup_cost = 19;
-    fault_handler_cost = 301;
-    fg_install_cost = 61;
-    reval_cost_per_byte = 10;
     host_fast_paths = false;
   }
 
@@ -101,15 +87,11 @@ let machine () =
   Machine.Mmu.map mmu ~virt:0x3000 ~phys:0xd000 ~writable:true;
   Machine.Mmu.unmap mmu ~virt:0x3000;
   mmu.Machine.Mmu.enabled <- false;
-  mmu.Machine.Mmu.tlb_hits <- 23;
-  mmu.Machine.Mmu.tlb_misses <- 24;
   Machine.Phys.blit_string mem.Machine.Mem.phys ~addr:0x5010 "ram bytes";
   Machine.Phys.blit_string mem.Machine.Mem.phys ~addr:0x9ff0 "more ram";
   mem.Machine.Mem.page_prot_faults <- 25;
   mem.Machine.Mem.smc_events <- 26;
   mem.Machine.Mem.dma_smc_events <- 27;
-  mem.Machine.Mem.fast_reads <- 28;
-  mem.Machine.Mem.fast_writes <- 29;
   let t = plat.Machine.Platform.timer in
   t.Machine.Timer.period <- 31;
   t.Machine.Timer.count <- 32;
@@ -207,10 +189,10 @@ let sections img =
 let section_pins =
   [
     ("META", "63c87af90ff93217f87d28232fd4e129");
-    ("CONF", "521cd960142ace5d8dea51b738c18a7b");
+    ("CONF", "1a54d722b33af44b63efaa37f30f96f7");
     ("CPUS", "6cbdfc6e71e3f9ca2c546abf4185e7d7");
-    ("MMUS", "f91c4dd681b9573c0d29de160f1c5d46");
-    ("PMEM", "55601a4cbf783de29c5f910670ff0a28");
+    ("MMUS", "467efb98cc8bcbe43fc60172cc2bf74a");
+    ("PMEM", "1b069f6ccaa93f96a10729b50806b240");
     ("PROT", "1681ffc6e046c7af98c9e6c232a3fe0a");
     ("TIMR", "8a23fa560916b3dd3229b9415f95eeda");
     ("IRQC", "48a13dbeeaa9cb136170b4c7b9b998a6");
@@ -273,7 +255,7 @@ let test_aot_meta () =
   in
   let secs = P.Codec.read_container ~kind:P.Aot.kind ~version:P.Aot.version img in
   pin "META" "7dc98b6c432ee9f5306ed785488dfc92" (P.Codec.section secs "META");
-  pin "CONF" "521cd960142ace5d8dea51b738c18a7b" (P.Codec.section secs "CONF")
+  pin "CONF" "1a54d722b33af44b63efaa37f30f96f7" (P.Codec.section secs "CONF")
 
 (* A store warmed by the first machine of the fleet's seed-1 traffic. *)
 let fleet_store () =
@@ -284,7 +266,7 @@ let fleet_store () =
 
 let test_store_image () =
   let store = fleet_store () in
-  pin "fleet store image" "75a4370e346c9875f65e42d839edc40c" (P.Tstore.to_string store);
+  pin "fleet store image" "9359707cb211006d835f5d1dc17af77b" (P.Tstore.to_string store);
   (* a compiled translation with every other field set by hand *)
   let k, e = List.hd (P.Tstore.bindings store) in
   let t = P.Tstore.decode ~entry:(P.Tstore.key_entry k) e in
@@ -321,10 +303,9 @@ let test_store_image () =
         ];
       snapshot = Bytes.of_string "source bytes, fifteen";
       unprotected = true;
-      keep_snapshot = false;
     }
   in
-  pin "tran blob" "419eef983358214da91d002147f71c27" (P.Tstore.blob t)
+  pin "tran blob" "600e055b6d363152b971e30e25227903" (P.Tstore.blob t)
 
 let test_aot_image () =
   let w = Option.get (Workloads.Catalog.find "026.compress (Linux)") in
@@ -332,7 +313,7 @@ let test_aot_image () =
     Cms_analysis.Aotgen.warm_image (P.Trial.of_suite w) ~cfg:Cms.Config.default
       ~label:w.Suite.name ~entry:w.Suite.entry
   in
-  pin "compress warm AOT image" "1dc38a1d1e8dd869830997b1b524b1f6" (P.Aot.to_string img)
+  pin "compress warm AOT image" "cc2a78c27a307d7cf7c57086b72a27a6" (P.Aot.to_string img)
 
 let suites =
   [

@@ -331,7 +331,7 @@ let test_suite_journal_tamper () =
     (fun () ->
       record_to_disk w path;
       check Alcotest.string "default-config compress journal bytes"
-        "5241371dfe856c7f0bfec203d2fa6a60"
+        "41015b4b2c2030b93be8b904e357debb"
         (Digest.to_hex (Digest.file path));
       let j = P.Journal.load path in
       let flip = function
@@ -670,6 +670,18 @@ let test_journal_old_version () =
         (P.Journal.of_string
            (relabel ~kind:P.Journal.kind ~current:v ~version:(v - 1) img)))
 
+let test_tstore_old_version () =
+  let store = P.Tstore.create () in
+  ignore (P.Tstore.publish store ~key:"1000:k" ~blob:"blob" : bool);
+  let img = P.Tstore.to_string store in
+  let v = P.Tstore.version in
+  check Alcotest.int "current version reads back" 1
+    (P.Tstore.size (P.Tstore.of_string img));
+  expect_corrupt ~substr:(Fmt.str "TSTO format version %d" (v - 1)) (fun () ->
+      ignore
+        (P.Tstore.of_string
+           (relabel ~kind:P.Tstore.kind ~current:v ~version:(v - 1) img)))
+
 (* Host-event tag 6 was the background-consume boundary; the current
    format has no such event, so a section carrying one is corrupt. *)
 let test_journal_retired_host_tag () =
@@ -835,6 +847,8 @@ let format_tests =
       test_snapshot_old_version;
     Alcotest.test_case "journal refuses the previous version" `Quick
       test_journal_old_version;
+    Alcotest.test_case "store refuses the previous version" `Quick
+      test_tstore_old_version;
     Alcotest.test_case "journal refuses host-event tag 6" `Quick
       test_journal_retired_host_tag;
     Alcotest.test_case "stats codec round-trip" `Quick

@@ -464,11 +464,46 @@ let test_quake_reuse () =
   check ci "no group hits without groups" 0 (Cms.stats c).Cms.Stats.group_hits;
   Cms.release c
 
+(* A member parks only under its entry's current policy: the SMC
+   escalations upgrade the policy and then invalidate, and policies only
+   ratchet, so a member minted under the old one could never be
+   reactivated and would only hold tcache capacity.  Quake Demo2, the
+   BLT driver and Windows 98 Boot each hit that path. *)
+let test_parked_keep_policy () =
+  List.iter
+    (fun name ->
+      let c = Workloads.Suite.run (Option.get (Workloads.Catalog.find name)) in
+      let tc = c.Cms.Engine.tcache in
+      let parked, stale =
+        Hashtbl.fold
+          (fun _ (tr : Cms.Tcache.trans) (p, s) ->
+            if tr.Cms.Tcache.valid then (p, s)
+            else
+              ( p + 1,
+                if
+                  Cms.Policy.equal tr.Cms.Tcache.policy
+                    (Cms.Adapt.peek c.Cms.Engine.adapt tr.Cms.Tcache.entry)
+                then s
+                else s + 1 ))
+          tc.Cms.Tcache.by_id (0, 0)
+      in
+      check cb (name ^ ": invalidated") true
+        ((Cms.stats c).Cms.Stats.invalidations > 0);
+      check ci
+        (Fmt.str "%s: parked under a left policy (of %d parked)" name parked)
+        0 stale;
+      Cms.release c)
+    [ "Quake Demo2 (DOS)"; "BLT driver (8 versions)"; "Windows 98 Boot" ]
+
 let suites =
   [
     ( "smc.groups",
-      [ Alcotest.test_case "quake flips reuse parked translations" `Quick
-          test_quake_reuse ] );
+      [
+        Alcotest.test_case "quake flips reuse parked translations" `Quick
+          test_quake_reuse;
+        Alcotest.test_case "members park under the current policy" `Quick
+          test_parked_keep_policy;
+      ] );
     ( "smc.stylized",
       [
         Alcotest.test_case "patched immediates correct" `Quick test_stylized_smc;

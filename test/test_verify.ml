@@ -109,7 +109,8 @@ let compile_loop () =
   | None -> Alcotest.fail "no region"
   | Some region ->
       let compiled =
-        Cms.Codegen.compile ~cfg:Cms.Config.default ~policy ~mem:(Cms.mem t)
+        Cms.Codegen.compile_presnapped ~cfg:Cms.Config.default ~policy
+          ~bytes:(Cms.Codegen.take_snapshot (Cms.mem t) region)
           region
       in
       (region, compiled.Cms.Codegen.code)
