@@ -278,35 +278,22 @@ let is_zero data off len =
   in
   word off && byte words
 
-(** Offsets of the chunks of [data] that hold a non-zero byte.  [live]
-    holds one byte per chunk; a chunk whose byte is ['\000'] is taken
-    as zero without being read.  The default reads every chunk.  The
-    result is the same either way as long as [live] never rules out a
-    non-zero chunk. *)
-let sparse_chunks ?live data =
+(** Offsets of the chunks of [data] that hold a non-zero byte. *)
+let sparse_chunks data =
   let total = Bytes.length data in
   let nchunks = (total + sparse_chunk - 1) / sparse_chunk in
-  (match live with
-  | Some l when Bytes.length l < nchunks ->
-      invalid_arg "Codec.sparse_chunks: live flags shorter than the chunks"
-  | _ -> ());
   let offs = ref [] in
   for k = nchunks - 1 downto 0 do
     let off = k * sparse_chunk in
-    if
-      (match live with
-      | Some l -> Bytes.unsafe_get l k <> '\000'
-      | None -> true)
-      && not (is_zero data off (min sparse_chunk (total - off)))
-    then offs := off :: !offs
+    if not (is_zero data off (min sparse_chunk (total - off))) then
+      offs := off :: !offs
   done;
   !offs
 
-(** Encode [data] given the offsets of its non-zero chunks, as
-    {!sparse_chunks} finds them.  Chunks are copied straight from
-    [data]. *)
-let w_sparse_chunks w data offs =
-  let total = Bytes.length data in
+(** Encode a sparse image of [total] bytes given the offsets of its
+    non-zero chunks.  [copy off buf pos len] copies the chunk at [off]
+    straight into the writer's buffer [buf] at [pos]. *)
+let w_sparse_with w ~total offs copy =
   w_int w total;
   w_int w (List.length offs);
   List.iter
@@ -314,11 +301,19 @@ let w_sparse_chunks w data offs =
       let len = min sparse_chunk (total - off) in
       w_int w off;
       w_int w len;
-      w_raw_sub w data off len)
+      reserve w len;
+      copy off w.buf w.len len;
+      w.len <- w.len + len)
     offs
 
-(** Encode [data] sparsely, reading only the chunks [live] allows. *)
-let w_sparse ?live w data = w_sparse_chunks w data (sparse_chunks ?live data)
+(** Encode [data] given the offsets of its non-zero chunks, as
+    {!sparse_chunks} finds them. *)
+let w_sparse_chunks w data offs =
+  w_sparse_with w ~total:(Bytes.length data) offs (fun off buf pos len ->
+      Bytes.blit data off buf pos len)
+
+(** Encode [data] sparsely. *)
+let w_sparse w data = w_sparse_chunks w data (sparse_chunks data)
 
 (** Decode a sparse image into a destination of the caller's choosing:
     [alloc total] makes a zeroed destination of [total] bytes, and

@@ -28,27 +28,10 @@ type arch = {
 }
 
 (** Digest of physical memory with [mask] byte ranges ([lo, hi)
-    exclusive) zeroed first.  RAM is not copied: the masked bytes are
-    saved, zeroed in place and put back once the digest is taken, even
-    if it raises.  The stores go straight to the bytes, around
-    {!Machine.Phys}'s written flags, so the machine is left exactly as
-    it was. *)
-let mem_digest ?(mask = []) (c : Cms.t) =
-  let data = (Cms.mem c).Machine.Mem.phys.Machine.Phys.data in
-  match mask with
-  | [] -> Digest.bytes data
-  | _ ->
-      (* every range saved before any is zeroed, so overlapping ranges
-         put back the original bytes *)
-      let saved = List.map (fun (lo, hi) -> Bytes.sub data lo (hi - lo)) mask in
-      Fun.protect
-        ~finally:(fun () ->
-          List.iter2
-            (fun (lo, _) s -> Bytes.blit s 0 data lo (Bytes.length s))
-            mask saved)
-        (fun () ->
-          List.iter (fun (lo, hi) -> Bytes.fill data lo (hi - lo) '\x00') mask;
-          Digest.bytes data)
+    exclusive) read as zero: {!Machine.Phys.digest}, which leaves RAM
+    and its written flags as they were. *)
+let mem_digest ?mask (c : Cms.t) =
+  Machine.Phys.digest ?mask (Cms.mem c).Machine.Mem.phys
 
 let arch ?mask (c : Cms.t) =
   let m = Cms.mem c in

@@ -87,6 +87,14 @@ let meta_codec =
    saw written is a chunk the encoder may skip unread. *)
 let () = assert (Codec.sparse_chunk = Machine.Mmu.page_size)
 
+(** Guest RAM as a sparse image: its flagged pages that hold a non-zero
+    byte, each copied from RAM straight into [w]'s buffer.  The bytes
+    are those {!Codec.w_sparse} writes for a copy of the whole of RAM. *)
+let w_ram w (phys : Machine.Phys.t) =
+  Codec.w_sparse_with w ~total:phys.Machine.Phys.size
+    (Machine.Phys.live_pages phys) (fun addr buf pos len ->
+      Machine.Phys.read_into phys ~addr buf ~pos ~len)
+
 (* The page table, as {!Machine.Mmu.dump_entries} lists it. *)
 let page_table =
   let open Machine.Mmu in
@@ -189,7 +197,7 @@ let pmem =
   Codec.
     [
       {
-        put = (fun w m -> w_sparse ~live:m.phys.Machine.Phys.written w m.phys.data);
+        put = (fun w m -> w_ram w m.phys);
         take =
           (fun r m ->
             r_sparse_in r ~what:"PMEM" m.phys m.phys.size (fun phys addr s ->

@@ -37,9 +37,15 @@ let ref_sparse data =
     (List.rev !chunks);
   P.Codec.contents b
 
-let encode ?live data =
+let encode data =
   let b = P.Codec.writer () in
-  P.Codec.w_sparse ?live b data;
+  P.Codec.w_sparse b data;
+  P.Codec.contents b
+
+(* Encode RAM the way PMEM does: only the pages its flags allow. *)
+let encode_ram phys =
+  let b = P.Codec.writer () in
+  P.Snapshot.w_ram b phys;
   P.Codec.contents b
 
 (* Decode the way [Snapshot.restore] does: chunk by chunk into RAM. *)
@@ -57,7 +63,7 @@ let npages (phys : Phys.t) = (phys.Phys.size + chunk - 1) / chunk
 let page_is_zero (phys : Phys.t) ppn =
   let lo = ppn * chunk in
   let hi = min phys.Phys.size (lo + chunk) in
-  let rec go i = i >= hi || (Bytes.get phys.Phys.data i = '\000' && go (i + 1)) in
+  let rec go i = i >= hi || (Phys.read8 phys i = 0 && go (i + 1)) in
   go lo
 
 (* ------------------------------------------------------------------ *)
@@ -86,25 +92,22 @@ let test_word_encoder () =
         let expect = ref_sparse data in
         check Alcotest.string (Fmt.str "%s: full scan" name) expect
           (encode data);
-        (* the flags may rule out exactly the all-zero chunks *)
+        (* decoding flags exactly the non-zero chunks *)
         let exact k =
           let lo = k * chunk in
           let len = min chunk (size - lo) in
           not (Bytes.equal (Bytes.sub data lo len) (Bytes.make len '\000'))
         in
-        let live =
-          Bytes.init nchunks (fun k -> if exact k then '\001' else '\000')
-        in
-        check Alcotest.string (Fmt.str "%s: live chunks only" name) expect
-          (encode ~live data);
         let phys = decode_into_phys expect in
         check Alcotest.bool (Fmt.str "%s: decodes into RAM" name) true
-          (Bytes.equal data phys.Phys.data);
+          (Bytes.equal data (Phys.to_bytes phys));
         for ppn = 0 to npages phys - 1 do
           check Alcotest.bool
             (Fmt.str "%s: page %d flagged iff decoded" name ppn)
             (exact ppn) (Phys.written phys ppn)
-        done
+        done;
+        check Alcotest.string (Fmt.str "%s: live pages only" name) expect
+          (encode_ram phys)
       in
       case (Fmt.str "size %d zero" size) (Bytes.make size '\000');
       List.iter
@@ -201,7 +204,7 @@ let test_phys_release () =
   check Alcotest.bool "create returns the released block" true (again == phys);
   check pages "no page flagged" [] (flagged again);
   check Alcotest.bool "every byte zero" true
-    (Bytes.for_all (fun ch -> ch = '\000') again.Phys.data);
+    (Bytes.for_all (fun ch -> ch = '\000') (Phys.to_bytes again));
   Phys.release again;
   let other = Phys.create (4 * chunk) in
   check Alcotest.bool "another size gets a fresh block" false (other == phys);
@@ -232,7 +235,7 @@ let check_invariant name c =
          ~version:P.Snapshot.version img)
       "PMEM"
   in
-  let full = ref_sparse phys.Phys.data in
+  let full = ref_sparse (Phys.to_bytes phys) in
   check Alcotest.bool
     (name ^ ": PMEM equals the full-scan encoding")
     true
@@ -585,7 +588,7 @@ let test_masked_digest_in_place () =
   in
   let c = Suite.run w in
   let phys = (Cms.mem c).Machine.Mem.phys in
-  let ram = Bytes.copy phys.Phys.data in
+  let ram = Phys.to_bytes phys in
   let flags = Bytes.copy phys.Phys.written in
   let reference mask =
     let d = Bytes.copy ram in
@@ -612,7 +615,7 @@ let test_masked_digest_in_place () =
         (Digest.to_hex (reference mask))
         (Digest.to_hex (P.Digests.mem_digest ~mask c));
       check Alcotest.bool (Fmt.str "mask %d: RAM unchanged" i) true
-        (Bytes.equal ram phys.Phys.data);
+        (Bytes.equal ram (Phys.to_bytes phys));
       check Alcotest.bool (Fmt.str "mask %d: written flags unchanged" i) true
         (Bytes.equal flags phys.Phys.written))
     masks;
@@ -621,7 +624,7 @@ let test_masked_digest_in_place () =
   | _ -> Alcotest.fail "a mask past the end of RAM was accepted"
   | exception Invalid_argument _ -> ());
   check Alcotest.bool "refused mask: RAM unchanged" true
-    (Bytes.equal ram phys.Phys.data)
+    (Bytes.equal ram (Phys.to_bytes phys))
 
 let suites =
   [

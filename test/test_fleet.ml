@@ -2,8 +2,8 @@
    truncated-image rejection, fleet-wide poison quarantine — exactly
    once), the supervisor's restart/quarantine ladder, and a seeded
    100-case slice of the fleet-chaos campaign with its record-replay
-   journal round trip and determinism fingerprint, and machines booting
-   on the RAM earlier machines released. *)
+   journal round trip and determinism fingerprint, machines booting
+   on the RAM earlier machines released, and the fleet's heap gate. *)
 
 module Fleet = Cms_fleet.Fleet
 module Share = Cms_fleet.Share
@@ -329,6 +329,54 @@ let test_campaign_pinned () =
   check Alcotest.string "fingerprint" "bfcf345d0318ea3763632b0c6ba2ca5b"
     (Fleet.fingerprint t)
 
+(* ------------------------------------------------------------------ *)
+(* Heap                                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Guest RAM is mapped outside the OCaml heap, so a fleet machine
+   prepared on a fresh block adds its own state to the major heap, not
+   16 MiB (2.1 M words) of RAM.  The pool is emptied first, so the
+   block is fresh. *)
+let test_prepared_machine_major_words () =
+  Atomic.set Machine.Phys.pool [];
+  let spec = List.hd (Fleet.traffic_specs ~seed:1 ~machines:4) in
+  let _, _, m0 = Gc.counters () in
+  let c =
+    Workloads.Suite.prepare ~cfg:Fleet.engine_cfg spec.Fleet.s_workload
+  in
+  let _, _, m1 = Gc.counters () in
+  Cms.release c;
+  if m1 -. m0 > 256_000. then
+    Alcotest.failf "%.0f major words for a prepared machine (budget 256k)"
+      (m1 -. m0)
+
+(* Back-to-back 1-shard passes (one shard: its allocation repeats
+   exactly) keep the heap's high-water mark flat instead of climbing
+   with the pass count.  Read in [fleet_heap.exe], a process of its own,
+   since [Gc.top_heap_words] never comes down. *)
+let test_passes_top_heap_words () =
+  let passes = 20 in
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "fleet_heap.exe"
+  in
+  if not (Sys.file_exists exe) then
+    Alcotest.failf "%s is not built (dune build ./test/fleet_heap.exe)" exe;
+  let ic = Unix.open_process_args_in exe [| exe; string_of_int passes |] in
+  let tops =
+    In_channel.input_all ic
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+    |> List.map int_of_string
+  in
+  check cb "fleet_heap.exe exits 0" true
+    (Unix.close_process_in ic = Unix.WEXITED 0);
+  check ci "passes" passes (List.length tops);
+  List.iteri
+    (fun i w ->
+      if w >= 1_000_000 then
+        Alcotest.failf "top_heap_words %d after pass %d (budget 1M)" w (i + 1))
+    tops
+
 let suites =
   [
     ( "fleet.store",
@@ -365,5 +413,12 @@ let suites =
       [
         Alcotest.test_case "second run on recycled RAM is identical" `Slow
           test_recycled_ram_deterministic;
+      ] );
+    ( "fleet.heap",
+      [
+        Alcotest.test_case "prepared machine < 256k major words" `Quick
+          test_prepared_machine_major_words;
+        Alcotest.test_case "20 1-shard passes: top heap < 1M words" `Quick
+          test_passes_top_heap_words;
       ] );
   ]

@@ -35,7 +35,7 @@ let digest (c : Cms.t) =
   ( ( List.map (Cms.gpr c) X86.Regs.all,
       Cms.eip c,
       Cms.eflags c,
-      Digest.bytes m.Machine.Mem.phys.Machine.Phys.data ),
+      Digest.bytes (Machine.Phys.to_bytes m.Machine.Mem.phys) ),
     ( s_norm,
       Cms.total_molecules c,
       Cms.retired c ),

@@ -1,6 +1,6 @@
 (* Tests for the machine substrate: MMU translation and faults, bus/MMIO
    dispatch, fine-grain protection cache, SMC write events, devices and
-   DMA. *)
+   DMA, and the range checks and digests of physical RAM. *)
 
 open Machine
 
@@ -423,6 +423,103 @@ let hotpath_tests =
       test_fast_path_mmio_exact;
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Physical RAM                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* RAM whose size is not a multiple of the page or of a word, with a
+   byte pattern on its first and last pages. *)
+let patterned_phys () =
+  let size = (3 * Mmu.page_size) + 5 in
+  let p = Phys.create size in
+  Phys.blit_string p ~addr:0 "head";
+  Phys.write32 p (size - 4) 0x01020304;
+  (p, size)
+
+(* The accessors below the bus do the only range checks: past the end
+   of the mapping nothing would stop a load or a store.  Each refused
+   access must raise before it touches RAM or a written flag. *)
+let test_phys_bounds () =
+  let p, size = patterned_phys () in
+  let ram = Phys.to_bytes p and flags = Bytes.copy p.Phys.written in
+  let refused name f =
+    (match f () with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ());
+    check cb (name ^ ": RAM unchanged") true (Bytes.equal ram (Phys.to_bytes p));
+    check cb (name ^ ": flags unchanged") true (Bytes.equal flags p.Phys.written)
+  in
+  refused "read32 at size - 3" (fun () -> ignore (Phys.read32 p (size - 3)));
+  refused "write32 at size - 3" (fun () -> Phys.write32 p (size - 3) 0xffffffff);
+  refused "read32 below 0" (fun () -> ignore (Phys.read32 p (-1)));
+  refused "write32 below 0" (fun () -> Phys.write32 p (-2) 0xffffffff);
+  refused "read8 at size" (fun () -> ignore (Phys.read8 p size));
+  refused "write8 at size" (fun () -> Phys.write8 p size 0xff);
+  refused "write8 below 0" (fun () -> Phys.write8 p (-1) 0xff);
+  refused "blit_string past the end" (fun () ->
+      Phys.blit_string p ~addr:(size - 2) "abc");
+  refused "blit_bytes past the end" (fun () ->
+      Phys.blit_bytes p ~addr:(size - 1) (Bytes.make 2 'x'));
+  refused "blit_bytes below 0" (fun () ->
+      Phys.blit_bytes p ~addr:(-1) (Bytes.make 2 'x'));
+  refused "read_bytes negative length" (fun () ->
+      ignore (Phys.read_bytes p ~addr:8 ~len:(-1)));
+  refused "read_bytes overlong" (fun () ->
+      ignore (Phys.read_bytes p ~addr:0 ~len:(size + 1)));
+  refused "read_into past the destination" (fun () ->
+      Phys.read_into p ~addr:0 (Bytes.create 4) ~pos:1 ~len:4);
+  refused "digest mask past the end" (fun () ->
+      ignore (Phys.digest ~mask:[ (0, 4); (size - 1, size + 1) ] p));
+  (* the last in-range accesses still work *)
+  check ci "read32 at size - 4" 0x01020304 (Phys.read32 p (size - 4));
+  check ci "read8 at size - 1" 0x01 (Phys.read8 p (size - 1));
+  check Alcotest.string "read_bytes to the end" "\004\003\002\001"
+    (Bytes.to_string (Phys.read_bytes p ~addr:(size - 4) ~len:4))
+
+(* Fresh RAM reads as zero everywhere, and its digests are the ones
+   [Digest.bytes] gives of a copy, masked ranges read as zero. *)
+let test_phys_digest () =
+  let fresh = Phys.create (1 lsl 20) in
+  check cb "fresh RAM is zero" true
+    (Bytes.for_all (fun ch -> ch = '\000') (Phys.to_bytes fresh));
+  check cb "no page is live" true (Phys.live_pages fresh = []);
+  let p, _ = patterned_phys () in
+  let ram = Phys.to_bytes p in
+  check Alcotest.string "digest" (Digest.bytes ram) (Phys.digest p);
+  let masked = Bytes.copy ram in
+  Bytes.fill masked 1 2 '\000';
+  check Alcotest.string "masked digest" (Digest.bytes masked)
+    (Phys.digest ~mask:[ (1, 3) ] p);
+  check cb "mask put back" true (Bytes.equal ram (Phys.to_bytes p));
+  (* a written page that holds only zeros is not live *)
+  Phys.write8 p (Mmu.page_size + 7) 0;
+  check cb "page 1 flagged" true (Phys.written p 1);
+  check (Alcotest.list ci) "live pages" [ 0; 3 * Mmu.page_size ]
+    (Phys.live_pages p)
+
+(* A sub-array of the RAM shares its mapping and its finalizer.
+   Collecting the view must not unmap the RAM under its owner. *)
+let test_phys_subarray_finalizer () =
+  let p = Phys.create (2 * Mmu.page_size) in
+  Phys.write8 p 5 0x5a;
+  let view = Bigarray.Array1.sub p.Phys.data 0 16 in
+  check Alcotest.char "view reads RAM" '\x5a' (Bigarray.Array1.get view 5);
+  ignore (Sys.opaque_identity view);
+  Gc.full_major ();
+  Gc.full_major ();
+  Phys.write8 p (Mmu.page_size + 1) 0xa5;
+  check ci "RAM still mapped" 0x5a (Phys.read8 p 5);
+  check ci "and writable" 0xa5 (Phys.read8 p (Mmu.page_size + 1))
+
+let phys_tests =
+  [
+    Alcotest.test_case "out-of-range access refused" `Quick test_phys_bounds;
+    Alcotest.test_case "digest = Digest.bytes of a copy" `Quick
+      test_phys_digest;
+    Alcotest.test_case "a sub-array's finalizer keeps the mapping" `Quick
+      test_phys_subarray_finalizer;
+  ]
+
 let suites =
   [
     ("machine.mmu", mmu_tests);
@@ -430,4 +527,5 @@ let suites =
     ("machine.mem", mem_tests);
     ("machine.devices", device_tests);
     ("machine.hotpath", hotpath_tests);
+    ("machine.phys", phys_tests);
   ]

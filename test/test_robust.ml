@@ -444,7 +444,7 @@ let test_adapt_bounded () =
 let arch (c : Cms.t) =
   let m = Cms.mem c in
   let bus = m.Machine.Mem.bus in
-  let data = Bytes.copy m.Machine.Mem.phys.Machine.Phys.data in
+  let data = Machine.Phys.to_bytes m.Machine.Mem.phys in
   Bytes.fill data 0x70000 0x10000 '\x00';
   ( List.map (Cms.gpr c) X86.Regs.all,
     Cms.eip c,
