@@ -18,6 +18,11 @@ let vreg_base = 1024
 let is_vreg r = r >= vreg_base
 let is_guest r = r < Vliw.Abi.tmp_base
 
+(** Dense index of a register: host registers first, then the virtual
+    temporaries.  An IR whose last temporary is [next_vreg - 1] indexes
+    into [0, reg_index next_vreg). *)
+let reg_index r = if is_vreg r then Vliw.Abi.num_regs + r - vreg_base else r
+
 type op = {
   mutable atom : Vliw.Atom.t;
   x86_idx : int;

@@ -35,30 +35,10 @@ type opts = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Dependence graph                                                    *)
-(* ------------------------------------------------------------------ *)
-
-type node = {
-  op : Ir.op;
-  idx : int;  (** program order within segment *)
-  mutable succs : (int * int) list;  (** (node, weight) *)
-  mutable preds : int;  (** unscheduled predecessor count *)
-  mutable earliest : int;
-  mutable prio : int;  (** critical-path length *)
-  mutable cycle : int;  (** assigned cycle; -1 unscheduled *)
-}
-
-let sext32 v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
-
-let mem_parts (a : A.t) =
-  match a with
-  | A.Load { base; disp; size; _ } -> Some (base, sext32 (disp land 0xffffffff), size)
-  | A.Store { base; disp; size; _ } -> Some (base, sext32 (disp land 0xffffffff), size)
-  | _ -> None
-
-(* ------------------------------------------------------------------ *)
 (* Static disambiguation prepass                                       *)
 (* ------------------------------------------------------------------ *)
+
+let sext32 v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
 
 (* Annotate every memory op with the def-version of its base register
    (so "same register" means "same value") and, when the trace itself
@@ -102,8 +82,12 @@ let annotate_bases items =
 type mem_rel = Disjoint | Must_alias | Unknown
 
 let mem_relation (a : Ir.op) (b : Ir.op) =
-  match (mem_parts a.Ir.atom, mem_parts b.Ir.atom) with
-  | Some (b1, d1, s1), Some (b2, d2, s2) -> (
+  match (a.Ir.atom, b.Ir.atom) with
+  | ( (A.Load { base = b1; disp = d1; size = s1; _ }
+      | A.Store { base = b1; disp = d1; size = s1; _ }),
+      (A.Load { base = b2; disp = d2; size = s2; _ }
+      | A.Store { base = b2; disp = d2; size = s2; _ }) ) -> (
+      let d1 = sext32 (d1 land 0xffffffff) and d2 = sext32 (d2 land 0xffffffff) in
       match (a.Ir.base_abs, b.Ir.base_abs) with
       | Some v1, Some v2 ->
           let lo1 = v1 + d1 and lo2 = v2 + d2 in
@@ -114,165 +98,252 @@ let mem_relation (a : Ir.op) (b : Ir.op) =
           else Unknown)
   | _ -> Unknown
 
-let provably_disjoint a b = mem_relation a b = Disjoint
-
 let is_store a = match a with A.Store _ -> true | _ -> false
 let is_arm a = match a with A.ArmRange _ -> true | _ -> false
 let is_load a = match a with A.Load _ -> true | _ -> false
 let is_commit a = match a with A.Commit _ -> true | _ -> false
 
-let guest_def a =
-  List.exists (fun r -> r < Vliw.Abi.shadow_count) (A.defs a)
+(* ------------------------------------------------------------------ *)
+(* Dependence graph                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Nodes are the segment's ops, by program index.  Node [i]'s
+   successors are [succ.(k)] for [k] from [succ_start.(i)] to
+   [succ_start.(i + 1) - 1], with edge weights [succ_w.(k)].  The graph
+   is int arrays only: a large segment's arrays live on the major heap,
+   and arrays of records or lists there would drag every node into it
+   at the next minor collection. *)
+type graph = {
+  preds : int array;  (** predecessor count *)
+  prio : int array;  (** critical-path length *)
+  succ_start : int array;
+  succ : int array;
+  succ_w : int array;
+}
 
 (* Anchors are ops that must stay in program order relative to
    branches: architectural effects. *)
-let is_anchor a = is_store a || guest_def a || is_commit a
+let is_anchor a defs =
+  is_store a || is_commit a
+  || List.exists (fun r -> r < Vliw.Abi.shadow_count) defs
 
+(* Every edge into op [j] is added while [j] is the current op, so the
+   graph is built in program order as per-op predecessor runs and a
+   stamp per source dedups a pair (keeping its max weight).
+
+   An edge of weight 0 or 1 is left out where a path of two or more
+   kept edges already orders the pair.  Such an edge never moves the
+   schedule: a node becomes a candidate only in a cycle after all its
+   predecessors were placed, so the path alone holds it back as long;
+   [earliest] from a weight-1 edge never exceeds that cycle; and the
+   path raises the source's priority above what the edge would.  So
+   commits take edges only from the ops since the previous commit
+   (which all earlier ops reach), and stores, branches and loads chain
+   through the last store or branch instead of every earlier one. *)
 let build_graph ~(opts : opts) ~slot_counter (ops : Ir.op array) =
   let n = Array.length ops in
-  let nodes =
-    Array.mapi
-      (fun i op ->
-        { op; idx = i; succs = []; preds = 0; earliest = 0; prio = 0; cycle = -1 })
-      ops
+  let src = ref (Array.make (4 * n) 0) and wt = ref (Array.make (4 * n) 0) in
+  let ne = ref 0 in
+  (* op [j]'s incoming edges are [pred_end.(j - 1)] to [pred_end.(j) - 1] *)
+  let pred_end = Array.make n 0 in
+  let stamp = Array.make n (-1) and at = Array.make n 0 in
+  let j = ref 0 in
+  let edge i w =
+    if i <> !j then
+      if stamp.(i) = !j then begin
+        let k = at.(i) in
+        if w > !wt.(k) then !wt.(k) <- w
+      end
+      else begin
+        if !ne = Array.length !src then begin
+          let grow a = Array.append a (Array.make (Array.length a) 0) in
+          src := grow !src;
+          wt := grow !wt
+        end;
+        stamp.(i) <- !j;
+        at.(i) <- !ne;
+        !src.(!ne) <- i;
+        !wt.(!ne) <- w;
+        incr ne
+      end
   in
-  let edge i j w =
-    if i <> j then begin
-      (* keep the max weight between a pair; duplicates are harmless for
-         correctness but we avoid pred-count inflation *)
-      let ni = nodes.(i) in
-      match List.assoc_opt j ni.succs with
-      | Some w' ->
-          if w > w' then
-            ni.succs <- (j, w) :: List.remove_assoc j ni.succs
-      | None ->
-          ni.succs <- (j, w) :: ni.succs;
-          nodes.(j).preds <- nodes.(j).preds + 1
-    end
-  in
-  (* --- register dependences --- *)
-  let last_def : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  let readers : (int, int list) Hashtbl.t = Hashtbl.create 32 in
-  for j = 0 to n - 1 do
-    let a = ops.(j).Ir.atom in
-    List.iter
-      (fun r ->
-        (match Hashtbl.find_opt last_def r with
-        | Some i -> edge i j (A.latency ops.(i).Ir.atom) (* RAW *)
-        | None -> ());
-        Hashtbl.replace readers r
-          (j :: (Hashtbl.find_opt readers r |> Option.value ~default:[])))
-      (A.uses a);
-    List.iter
-      (fun r ->
-        (match Hashtbl.find_opt last_def r with
-        | Some i -> edge i j 1 (* WAW *)
-        | None -> ());
-        List.iter (fun i -> if i <> j then edge i j 0 (* WAR *))
-          (Hashtbl.find_opt readers r |> Option.value ~default:[]);
-        Hashtbl.replace last_def r j;
-        Hashtbl.replace readers r [])
-      (A.defs a)
-  done;
-  (* --- memory / anchor / control dependences --- *)
-  let prev_stores = ref [] and prev_loads = ref [] in
-  let prev_branches = ref [] and prev_anchors = ref [] in
-  let last_commit = ref (-1) in
-  let prev_all = ref [] in
-  for j = 0 to n - 1 do
-    let nj = ops.(j) in
+  (* register dependences: the last def of each register, and the
+     readers since, as linked lists threaded through [rd_op]/[rd_next] *)
+  let nregs = ref 0 and nuses = ref 0 in
+  let note r = nregs := max !nregs (Ir.reg_index r + 1) in
+  Array.iter
+    (fun o ->
+      let uses = A.uses o.Ir.atom in
+      nuses := !nuses + List.length uses;
+      List.iter note uses;
+      List.iter note (A.defs o.Ir.atom))
+    ops;
+  let last_def = Array.make !nregs (-1) and rd_head = Array.make !nregs (-1) in
+  let rd_op = Array.make !nuses 0 and rd_next = Array.make !nuses 0 in
+  let nrd = ref 0 in
+  (* memory / anchor / control state *)
+  let last_commit = ref (-1) and last_barrier = ref (-1) in
+  let last_branch = ref (-1) and last_store = ref (-1) in
+  let since_commit = ref [] (* ops after the last commit *) in
+  let stores = ref [] (* stores since the last commit, newest first *) in
+  (* loads since the last commit not yet ordered before a store *)
+  let unordered_loads = ref [] in
+  (* loads and anchors since the last branch (loads: and commit) *)
+  let branch_loads = ref [] and branch_anchors = ref [] in
+  let arms = ref [] in
+  for jj = 0 to n - 1 do
+    j := jj;
+    let nj = ops.(jj) in
     let aj = nj.Ir.atom in
+    let defs = A.defs aj in
+    List.iter
+      (fun r ->
+        let x = Ir.reg_index r in
+        let i = last_def.(x) in
+        if i >= 0 then edge i (A.latency ops.(i).Ir.atom) (* RAW *);
+        rd_op.(!nrd) <- jj;
+        rd_next.(!nrd) <- rd_head.(x);
+        rd_head.(x) <- !nrd;
+        incr nrd)
+      (A.uses aj);
+    List.iter
+      (fun r ->
+        let x = Ir.reg_index r in
+        if last_def.(x) >= 0 then edge last_def.(x) 1 (* WAW *);
+        let u = ref rd_head.(x) in
+        while !u >= 0 do
+          edge rd_op.(!u) 0 (* WAR *);
+          u := rd_next.(!u)
+        done;
+        last_def.(x) <- jj;
+        rd_head.(x) <- -1)
+      defs;
     (* commits serialize against everything *)
-    if is_commit aj then List.iter (fun i -> edge i j 0) !prev_all;
-    if !last_commit >= 0 then edge !last_commit j 1;
+    if is_commit aj then List.iter (fun i -> edge i 0) !since_commit;
+    if !last_commit >= 0 then edge !last_commit 1;
     (* nothing may hoist above a loop back-edge: it would re-execute
        on every iteration (and, for loads, mis-speculate against the
        loop's own stores) *)
-    (match List.find_opt (fun i -> ops.(i).Ir.barrier) !prev_branches with
-    | Some i -> edge i j 1
-    | None -> ());
+    if !last_barrier >= 0 then edge !last_barrier 1;
     if A.is_branch aj then begin
-      List.iter (fun i -> edge i j 1) !prev_branches;
-      List.iter (fun i -> edge i j 0) !prev_anchors;
+      if !last_branch >= 0 then edge !last_branch 1;
+      List.iter (fun i -> edge i 0) !branch_anchors;
       (* loads must not sink below a later branch (their fault would be
          skipped after a committed exit) *)
-      List.iter (fun i -> edge i j 0) !prev_loads
+      List.iter (fun i -> edge i 0) !branch_loads
     end;
-    if is_anchor aj then List.iter (fun i -> edge i j 1) !prev_branches;
-    if is_load aj && not (is_commit aj) then begin
+    let anchor = is_anchor aj defs in
+    if anchor && !last_branch >= 0 then edge !last_branch 1;
+    if is_load aj then begin
       (* st -> ld: the breakable edge.  With reordering suppressed
          entirely (Fig. 2) even provably-disjoint pairs stay ordered;
          static disambiguation is what the no-alias-hardware
          configuration (Fig. 3) still gets to use.  Provably-aliasing
          pairs are never speculated — they would fault every time. *)
-      List.iter
-        (fun i ->
-          if not opts.reorder then edge i j 1
-          else
-          match mem_relation ops.(i) nj with
-          | Disjoint -> ()
-          | Must_alias -> edge i j 1
-          | Unknown ->
-          if opts.use_alias && !slot_counter < opts.alias_slots then begin
-            (* arm a slot at the load, check it at the store *)
-            let slot =
-              match nj.Ir.atom with
-              | A.Load ({ protect = Some s; _ }) -> s
-              | A.Load ({ protect = None; _ } as l) ->
-                  let s = !slot_counter in
-                  incr slot_counter;
-                  nj.Ir.atom <- A.Load { l with protect = Some s };
-                  s
-              | _ -> assert false
-            in
-            match ops.(i).Ir.atom with
-            | A.Store ({ check; _ } as st) ->
-                ops.(i).Ir.atom <- A.Store { st with check = check lor (1 lsl slot) }
-            | _ -> assert false
-          end
-          else if opts.use_alias then edge i j 1 (* out of slots *)
-          else edge i j 1 (* no alias hw, not provably disjoint *))
-        !prev_stores;
-      (* a load also may not hoist above a branch *into an armed region*
-         carelessly — that is allowed and marked spec after scheduling *)
-      ()
+      if not opts.reorder then begin
+        if !last_store >= 0 then edge !last_store 1
+      end
+      else
+        List.iter
+          (fun i ->
+            match mem_relation ops.(i) nj with
+            | Disjoint -> ()
+            | Must_alias -> edge i 1
+            | Unknown ->
+                if opts.use_alias && !slot_counter < opts.alias_slots then begin
+                  (* arm a slot at the load, check it at the store *)
+                  let slot =
+                    match nj.Ir.atom with
+                    | A.Load { protect = Some s; _ } -> s
+                    | A.Load ({ protect = None; _ } as l) ->
+                        let s = !slot_counter in
+                        incr slot_counter;
+                        nj.Ir.atom <- A.Load { l with protect = Some s };
+                        s
+                    | _ -> assert false
+                  in
+                  match ops.(i).Ir.atom with
+                  | A.Store ({ check; _ } as st) ->
+                      ops.(i).Ir.atom <- A.Store { st with check = check lor (1 lsl slot) }
+                  | _ -> assert false
+                end
+                else (* out of slots, or no alias hardware *) edge i 1)
+          !stores
     end;
     if is_store aj then begin
       (* stores must not hoist above range-arming atoms *)
-      Array.iteri
-        (fun i o -> if i < j && is_arm o.Ir.atom then edge i j 0)
-        ops;
-      List.iter (fun i -> edge i j 1) !prev_stores;
+      List.iter (fun i -> edge i 0) !arms;
+      if !last_store >= 0 then edge !last_store 1;
       (* stores may not pass earlier loads (the load must see the old
          value) unless disjoint *)
-      List.iter
-        (fun i -> if not (provably_disjoint ops.(i) nj) then edge i j 0)
-        !prev_loads
+      unordered_loads :=
+        List.filter
+          (fun i -> mem_relation ops.(i) nj = Disjoint || (edge i 0; false))
+          !unordered_loads
     end;
     (* bookkeeping *)
-    if is_store aj then prev_stores := j :: !prev_stores;
-    if is_load aj then prev_loads := j :: !prev_loads;
-    if A.is_branch aj then prev_branches := j :: !prev_branches;
-    if is_anchor aj then prev_anchors := j :: !prev_anchors;
+    if is_store aj then begin
+      stores := jj :: !stores;
+      last_store := jj
+    end;
+    if is_load aj then begin
+      unordered_loads := jj :: !unordered_loads;
+      branch_loads := jj :: !branch_loads
+    end;
+    if A.is_branch aj then begin
+      last_branch := jj;
+      branch_anchors := [];
+      branch_loads := [];
+      if nj.Ir.barrier then last_barrier := jj
+    end;
+    if anchor then branch_anchors := jj :: !branch_anchors;
+    if is_arm aj then arms := jj :: !arms;
     if is_commit aj then begin
-      last_commit := j;
+      last_commit := jj;
       (* a commit resets memory ordering state: buffered stores are
          flushed and alias slots cleared *)
-      prev_stores := [];
-      prev_loads := []
-    end;
-    prev_all := j :: !prev_all
+      stores := [];
+      last_store := -1;
+      unordered_loads := [];
+      branch_loads := [];
+      since_commit := []
+    end
+    else since_commit := jj :: !since_commit;
+    pred_end.(jj) <- !ne
   done;
-  (* critical-path priorities *)
-  for i = n - 1 downto 0 do
-    let ni = nodes.(i) in
-    ni.prio <-
-      List.fold_left
-        (fun acc (j, w) -> max acc (nodes.(j).prio + max w 1))
-        (A.latency ni.op.Ir.atom)
-        ni.succs
+  let src = !src and wt = !wt and ne = !ne in
+  (* critical-path priorities, and predecessor counts *)
+  let prio = Array.init n (fun i -> A.latency ops.(i).Ir.atom) in
+  let preds = Array.make n 0 in
+  for jj = n - 1 downto 0 do
+    let first = if jj = 0 then 0 else pred_end.(jj - 1) in
+    preds.(jj) <- pred_end.(jj) - first;
+    for k = first to pred_end.(jj) - 1 do
+      let i = src.(k) in
+      prio.(i) <- max prio.(i) (prio.(jj) + max wt.(k) 1)
+    done
   done;
-  nodes
+  (* successor lists *)
+  let succ_start = Array.make (n + 1) 0 in
+  for k = 0 to ne - 1 do
+    succ_start.(src.(k) + 1) <- succ_start.(src.(k) + 1) + 1
+  done;
+  for i = 1 to n do
+    succ_start.(i) <- succ_start.(i) + succ_start.(i - 1)
+  done;
+  let fill = Array.sub succ_start 0 n in
+  let succ = Array.make ne 0 and succ_w = Array.make ne 0 in
+  let k = ref 0 in
+  for jj = 0 to n - 1 do
+    while !k < pred_end.(jj) do
+      let i = src.(!k) in
+      succ.(fill.(i)) <- jj;
+      succ_w.(fill.(i)) <- wt.(!k);
+      fill.(i) <- fill.(i) + 1;
+      incr k
+    done
+  done;
+  { preds; prio; succ_start; succ; succ_w }
 
 (* ------------------------------------------------------------------ *)
 (* List scheduling                                                     *)
@@ -283,8 +354,36 @@ let unit_of a = A.unit_of a
 let schedule_segment ~opts ~slot_counter (ops : Ir.op array) =
   if Array.length ops = 0 then []
   else begin
-    let nodes = build_graph ~opts ~slot_counter ops in
-    let n = Array.length nodes in
+    let { preds; prio; succ_start; succ; succ_w } =
+      build_graph ~opts ~slot_counter ops
+    in
+    let n = Array.length ops in
+    let earliest = Array.make n 0 and cycle_of = Array.make n (-1) in
+    (* The ready list: the unscheduled nodes whose predecessors are all
+       placed, highest priority first, then in program order.  Nodes
+       whose [earliest] cycle has not come yet stay in it, skipped. *)
+    let before a b = prio.(a) > prio.(b) || (prio.(a) = prio.(b) && a < b) in
+    let ready = Array.make n 0 and nready = ref 0 in
+    for i = 0 to n - 1 do
+      if preds.(i) = 0 then begin
+        ready.(!nready) <- i;
+        incr nready
+      end
+    done;
+    let roots = Array.sub ready 0 !nready in
+    Array.stable_sort (fun a b -> if before a b then -1 else 1) roots;
+    Array.blit roots 0 ready 0 !nready;
+    (* a node readied later mostly has a lower priority: insert it from
+       the back *)
+    let insert i =
+      let k = ref !nready in
+      while !k > 0 && before i ready.(!k - 1) do
+        ready.(!k) <- ready.(!k - 1);
+        decr k
+      done;
+      ready.(!k) <- i;
+      incr nready
+    in
     let unscheduled = ref n in
     let cycle = ref 0 in
     (* one row per cycle: the placed nodes ([None] = explicit nop).
@@ -294,54 +393,42 @@ let schedule_segment ~opts ~slot_counter (ops : Ir.op array) =
        code. *)
     let rows = ref [] in
     while !unscheduled > 0 do
-      (* candidates ready at this cycle *)
-      let cands =
-        Array.to_list nodes
-        |> List.filter (fun nd ->
-               nd.cycle < 0 && nd.preds = 0 && nd.earliest <= !cycle)
-        |> List.sort (fun a b ->
-               match compare b.prio a.prio with
-               | 0 -> compare a.idx b.idx
-               | c -> c)
-      in
       let alu = ref 0 and mem = ref 0 and fpm = ref 0 and br = ref 0 in
       let slots = ref 0 in
-      let placed = ref [] in
-      List.iter
-        (fun nd ->
-          if !slots < Vliw.Molecule.max_slots then begin
-            let fits =
-              match unit_of nd.op.Ir.atom with
-              | A.UAlu -> !alu < 2
-              | A.UMem -> !mem < 1
-              | A.UFpm -> !fpm < 1
-              | A.UBr -> !br < 1
-              | A.UFree -> true
-            in
-            (* two defs of the same register cannot share a molecule *)
-            let defs = A.defs nd.op.Ir.atom in
-            let def_clash =
-              List.exists
-                (fun p ->
-                  List.exists
-                    (fun d -> List.mem d (A.defs p.op.Ir.atom))
-                    defs)
-                !placed
-            in
-            if fits && not def_clash then begin
-              (match unit_of nd.op.Ir.atom with
-              | A.UAlu -> incr alu
-              | A.UMem -> incr mem
-              | A.UFpm -> incr fpm
-              | A.UBr -> incr br
-              | A.UFree -> ());
-              (match unit_of nd.op.Ir.atom with
-              | A.UFree -> () (* commits do not consume an issue slot *)
-              | _ -> incr slots);
-              placed := nd :: !placed
-            end
-          end)
-        cands;
+      let placed = ref [] and placed_defs = ref [] in
+      let k = ref 0 in
+      while !k < !nready && !slots < Vliw.Molecule.max_slots do
+        let i = ready.(!k) in
+        incr k;
+        if earliest.(i) <= !cycle then begin
+          let a = ops.(i).Ir.atom in
+          let u = unit_of a in
+          let fits =
+            match u with
+            | A.UAlu -> !alu < 2
+            | A.UMem -> !mem < 1
+            | A.UFpm -> !fpm < 1
+            | A.UBr -> !br < 1
+            | A.UFree -> true
+          in
+          (* two defs of the same register cannot share a molecule *)
+          let defs = A.defs a in
+          if fits && not (List.exists (fun d -> List.mem d !placed_defs) defs)
+          then begin
+            (match u with
+            | A.UAlu -> incr alu
+            | A.UMem -> incr mem
+            | A.UFpm -> incr fpm
+            | A.UBr -> incr br
+            | A.UFree -> ());
+            (match u with
+            | A.UFree -> () (* commits do not consume an issue slot *)
+            | _ -> incr slots);
+            placed := i :: !placed;
+            placed_defs := defs @ !placed_defs
+          end
+        end
+      done;
       match !placed with
       | [] ->
           (* exposed latency: the hardware needs an explicit nop *)
@@ -350,16 +437,24 @@ let schedule_segment ~opts ~slot_counter (ops : Ir.op array) =
       | ps ->
           (* atoms within a molecule are ordered by program index so
              phase-2 effects (stores, commit) land in program order *)
-          let ps = List.sort (fun a b -> compare a.idx b.idx) ps in
+          let ps = List.sort compare ps in
+          List.iter (fun i -> cycle_of.(i) <- !cycle) ps;
+          let live = ref 0 in
+          for k = 0 to !nready - 1 do
+            if cycle_of.(ready.(k)) < 0 then begin
+              ready.(!live) <- ready.(k);
+              incr live
+            end
+          done;
+          nready := !live;
           List.iter
-            (fun nd ->
-              nd.cycle <- !cycle;
-              List.iter
-                (fun (j, w) ->
-                  let s = nodes.(j) in
-                  s.preds <- s.preds - 1;
-                  s.earliest <- max s.earliest (!cycle + w))
-                nd.succs;
+            (fun i ->
+              for k = succ_start.(i) to succ_start.(i + 1) - 1 do
+                let s = succ.(k) in
+                preds.(s) <- preds.(s) - 1;
+                earliest.(s) <- max earliest.(s) (!cycle + succ_w.(k));
+                if preds.(s) = 0 then insert s
+              done;
               decr unscheduled)
             ps;
           rows := Some ps :: !rows;
@@ -371,39 +466,34 @@ let schedule_segment ~opts ~slot_counter (ops : Ir.op array) =
        values are ready.  Pad with nops until every outstanding result
        latency is covered. *)
     let len = ref !cycle in
-    Array.iter
-      (fun nd ->
-        let fin = nd.cycle + A.latency nd.op.Ir.atom in
+    Array.iteri
+      (fun i o ->
+        let fin = cycle_of.(i) + A.latency o.Ir.atom in
         if fin > !len then len := fin)
-      nodes;
+      ops;
     while !cycle < !len do
       rows := None :: !rows;
       incr cycle
     done;
     (* --- speculative-load marking --- *)
     (* A load that executes no later than a program-earlier store or
-       branch has been reordered w.r.t. the x86 program. *)
-    Array.iter
-      (fun nd ->
-        match nd.op.Ir.atom with
+       branch has been reordered w.r.t. the x86 program: one pass in
+       program order, keeping the latest cycle of those seen so far. *)
+    let latest = ref (-1) in
+    Array.iteri
+      (fun i o ->
+        match o.Ir.atom with
         | A.Load l ->
-            let reordered =
-              Array.exists
-                (fun other ->
-                  other.idx < nd.idx
-                  && (is_store other.op.Ir.atom || A.is_branch other.op.Ir.atom)
-                  && other.cycle >= nd.cycle)
-                nodes
-            in
-            if reordered || l.protect <> None then
-              nd.op.Ir.atom <- A.Load { l with spec = true }
-        | _ -> ())
-      nodes;
+            if !latest >= cycle_of.(i) || l.protect <> None then
+              o.Ir.atom <- A.Load { l with spec = true }
+        | a ->
+            if is_store a || A.is_branch a then latest := max !latest cycle_of.(i))
+      ops;
     (* emit: atom values are read only now, with all marks in place *)
     List.rev_map
       (function
         | None -> [| A.Nop |]
-        | Some ps -> Array.of_list (List.map (fun nd -> nd.op.Ir.atom) ps))
+        | Some ps -> Array.of_list (List.map (fun i -> ops.(i).Ir.atom) ps))
       !rows
   end
 
