@@ -17,39 +17,65 @@
     Liveness is computed by iterative dataflow over the block graph; a
     [Commit] observes all guest state, which is what makes interior
     flag results deletable while every exit still materializes precise
-    x86 flags. *)
+    x86 flags.  Live sets are dense bitsets over the IR's registers, and
+    the fixpoint iterates each block's summary (upward-exposed uses,
+    defs), so a compile costs time linear in its ops. *)
 
 module A = Vliw.Atom
-module ISet = Set.Make (Int)
+
+(* ------------------------------------------------------------------ *)
+(* Register bitsets                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A set of IR registers, one bit per {!Ir.reg_index}. *)
+module Bits = struct
+  type t = int array
+
+  let w = Sys.int_size
+  let bit = Ir.reg_index
+  let create nregs : t = Array.make ((nregs + w - 1) / w) 0
+
+  let mem (s : t) r =
+    let b = bit r in
+    s.(b / w) land (1 lsl (b mod w)) <> 0
+
+  let add (s : t) r =
+    let b = bit r in
+    s.(b / w) <- s.(b / w) lor (1 lsl (b mod w))
+
+  let remove (s : t) r =
+    let b = bit r in
+    s.(b / w) <- s.(b / w) land lnot (1 lsl (b mod w))
+end
+
+(* Commit makes all shadowed guest state observable. *)
+let add_uses live (a : A.t) =
+  match a with
+  | A.Commit _ ->
+      for r = 0 to Vliw.Abi.shadow_count - 1 do
+        Bits.add live r
+      done
+  | a -> List.iter (Bits.add live) (A.uses a)
+
+(* Backward transfer through one op, in place; [A.uses] is
+   flags-precise, so this is exact. *)
+let live_before (o : Ir.op) live =
+  List.iter (Bits.remove live) (A.defs o.Ir.atom);
+  add_uses live o.Ir.atom
 
 type block = {
   label : Ir.label option;
   mutable ops : Ir.op array;
   mutable succs : int list;  (** block indices *)
-  mutable live_in : ISet.t;
-  mutable live_out : ISet.t;
+  live_in : Bits.t;
+  live_out : Bits.t;
 }
-
-let guest_regs =
-  List.init Vliw.Abi.shadow_count (fun i -> i) |> ISet.of_list
-
-(* Commit makes all shadowed guest state observable. *)
-let op_uses (o : Ir.op) =
-  match o.Ir.atom with
-  | A.Commit _ -> guest_regs
-  | a -> ISet.of_list (A.uses a)
-
-let op_defs (o : Ir.op) = ISet.of_list (A.defs o.Ir.atom)
-
-(* Backward transfer; [A.uses] is flags-precise, so this is exact. *)
-let live_before (o : Ir.op) live =
-  ISet.union (op_uses o) (ISet.diff live (op_defs o))
 
 (* ------------------------------------------------------------------ *)
 (* Block construction                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let build_blocks items =
+let build_blocks ~nregs items =
   (* leaders: labels and the op following a branch *)
   let blocks = ref [] in
   let cur = ref [] and cur_label = ref None in
@@ -60,8 +86,8 @@ let build_blocks items =
           label = !cur_label;
           ops = Array.of_list (List.rev !cur);
           succs = [];
-          live_in = ISet.empty;
-          live_out = ISet.empty;
+          live_in = Bits.create nregs;
+          live_out = Bits.create nregs;
         }
         :: !blocks;
       cur := [];
@@ -106,23 +132,37 @@ let build_blocks items =
 (* Liveness                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let compute_liveness blocks =
+(* Each block is summarized once as its upward-exposed uses [gen] and
+   its defs [kill], so live_in = gen ∪ (live_out − kill) and every
+   fixpoint round costs one pass over the bitset words per block. *)
+let compute_liveness ~nregs blocks =
+  let summary b =
+    let gen = Bits.create nregs and kill = Bits.create nregs in
+    for k = Array.length b.ops - 1 downto 0 do
+      let o = b.ops.(k) in
+      List.iter (fun r -> Bits.add kill r; Bits.remove gen r) (A.defs o.Ir.atom);
+      add_uses gen o.Ir.atom
+    done;
+    (gen, kill)
+  in
+  let sums = Array.map summary blocks in
   let changed = ref true in
   while !changed do
     changed := false;
     for i = Array.length blocks - 1 downto 0 do
       let b = blocks.(i) in
-      let out =
-        List.fold_left
-          (fun acc s -> ISet.union acc blocks.(s).live_in)
-          ISet.empty b.succs
-      in
-      let inn = Array.fold_right live_before b.ops out in
-      if not (ISet.equal out b.live_out && ISet.equal inn b.live_in) then begin
-        b.live_out <- out;
-        b.live_in <- inn;
-        changed := true
-      end
+      let gen, kill = sums.(i) in
+      for k = 0 to Array.length b.live_out - 1 do
+        let out =
+          List.fold_left (fun acc s -> acc lor blocks.(s).live_in.(k)) 0 b.succs
+        in
+        let inn = gen.(k) lor (out land lnot kill.(k)) in
+        if out <> b.live_out.(k) || inn <> b.live_in.(k) then begin
+          b.live_out.(k) <- out;
+          b.live_in.(k) <- inn;
+          changed := true
+        end
+      done
     done
   done
 
@@ -138,18 +178,17 @@ let is_pure = function
       true
   | _ -> false
 
-let dce_and_flags (_ir : Ir.t) blocks =
-  let removed = ref 0 and retargeted = ref 0 in
+let dce_and_flags blocks =
   Array.iter
     (fun b ->
-      let live = ref b.live_out in
+      let live = Array.copy b.live_out in
       let keep = ref [] in
       for k = Array.length b.ops - 1 downto 0 do
         let o = b.ops.(k) in
-        let defs = op_defs o in
-        let any_live = ISet.exists (fun r -> ISet.mem r !live) defs in
-        if (not any_live) && is_pure o.Ir.atom && not (ISet.is_empty defs)
-        then incr removed (* drop the op *)
+        let defs = A.defs o.Ir.atom in
+        let any_live = List.exists (Bits.mem live) defs in
+        if (not any_live) && is_pure o.Ir.atom && defs <> [] then
+          () (* drop the op *)
         else begin
           (* dead condition codes: drop the flags write entirely, and
              the flags read too unless the *result* consumes flags
@@ -158,26 +197,23 @@ let dce_and_flags (_ir : Ir.t) blocks =
           (match o.Ir.atom with
           | A.AluX ({ fw; fr; op; _ } as r)
             when fw = Vliw.Abi.eflags
-                 && (not (ISet.mem Vliw.Abi.eflags !live))
+                 && (not (Bits.mem live Vliw.Abi.eflags))
                  && op <> A.XNot ->
               let needs_fr = op = A.XAdc || op = A.XSbb in
               o.Ir.atom <-
                 A.AluX
                   { r with fw = A.no_flags;
-                    fr = (if needs_fr then fr else A.no_flags) };
-              incr retargeted
+                    fr = (if needs_fr then fr else A.no_flags) }
           | A.MulX ({ fw; _ } as r)
-            when fw = Vliw.Abi.eflags && not (ISet.mem Vliw.Abi.eflags !live) ->
-              o.Ir.atom <- A.MulX { r with fw = A.no_flags; fr = A.no_flags };
-              incr retargeted
+            when fw = Vliw.Abi.eflags && not (Bits.mem live Vliw.Abi.eflags) ->
+              o.Ir.atom <- A.MulX { r with fw = A.no_flags; fr = A.no_flags }
           | _ -> ());
           keep := o :: !keep;
-          live := live_before o !live
+          live_before o live
         end
       done;
       b.ops <- Array.of_list !keep)
-    blocks;
-  (!removed, !retargeted)
+    blocks
 
 (* ------------------------------------------------------------------ *)
 (* Pass 2: copy + constant propagation (per block)                     *)
@@ -229,20 +265,31 @@ let fold_alu op a b =
   | A.HSar -> mask32 (sext32 a asr (b land 31))
   | A.HMul -> mask32 (a * b)
 
+(* [idx] maps a register to the keys of [tbl] that may mention it;
+   [stale k r] confirms that key [k] still does.  Killing [r] drops
+   every such key, without a scan of the whole table. *)
+let kill_indexed tbl idx ~stale r =
+  match Hashtbl.find_opt idx r with
+  | None -> ()
+  | Some ks ->
+      List.iter (fun k -> if stale k r then Hashtbl.remove tbl k) ks;
+      Hashtbl.remove idx r
+
+let index idx r k =
+  Hashtbl.replace idx r
+    (k :: (match Hashtbl.find_opt idx r with Some ks -> ks | None -> []))
+
 let copy_const_prop blocks =
-  let folded = ref 0 in
   Array.iter
     (fun b ->
       let copies : (int, A.src) Hashtbl.t = Hashtbl.create 32 in
+      (* source register -> the keys copied from it *)
+      let users : (int, int list) Hashtbl.t = Hashtbl.create 32 in
       let kill r =
         Hashtbl.remove copies r;
         (* drop mappings whose source was just redefined *)
-        let stale =
-          Hashtbl.fold
-            (fun k v acc -> if v = A.R r then k :: acc else acc)
-            copies []
-        in
-        List.iter (Hashtbl.remove copies) stale
+        kill_indexed copies users r ~stale:(fun k r ->
+            Hashtbl.find_opt copies k = Some (A.R r))
       in
       Array.iter
         (fun (o : Ir.op) ->
@@ -251,9 +298,7 @@ let copy_const_prop blocks =
           (match o.Ir.atom with
           | A.Alu { op; rd; a; b = A.I bi } -> (
               match Hashtbl.find_opt copies a with
-              | Some (A.I ai) ->
-                  o.Ir.atom <- A.MovI { rd; imm = fold_alu op ai bi };
-                  incr folded
+              | Some (A.I ai) -> o.Ir.atom <- A.MovI { rd; imm = fold_alu op ai bi }
               | _ -> ())
           | _ -> ());
           List.iter kill (A.defs o.Ir.atom);
@@ -262,32 +307,39 @@ let copy_const_prop blocks =
           | A.MovI { rd; imm } when Ir.is_vreg rd ->
               Hashtbl.replace copies rd (A.I imm)
           | A.MovR { rd; rs } when Ir.is_vreg rd ->
-              Hashtbl.replace copies rd (A.R rs)
+              Hashtbl.replace copies rd (A.R rs);
+              index users rs rd
           | _ -> ())
         b.ops)
-    blocks;
-  !folded
+    blocks
 
 (* ------------------------------------------------------------------ *)
 (* Pass 3: redundant loads & store-to-load forwarding (per block)      *)
 (* ------------------------------------------------------------------ *)
 
 let redundant_loads blocks =
-  let eliminated = ref 0 in
   Array.iter
     (fun b ->
       (* (base reg, disp, size) -> register currently holding the value;
          base keys are invalidated when the base register is redefined,
          everything memory-derived dies at stores/commits *)
       let avail : (int * int * int, int) Hashtbl.t = Hashtbl.create 16 in
-      let kill_reg r =
-        let stale =
-          Hashtbl.fold
-            (fun ((base, _, _) as k) v acc ->
-              if base = r || v = r then k :: acc else acc)
-            avail []
-        in
-        List.iter (Hashtbl.remove avail) stale
+      (* register -> the keys whose base or value it is *)
+      let users : (int, (int * int * int) list) Hashtbl.t = Hashtbl.create 16 in
+      let remember ((base, _, _) as k) r =
+        Hashtbl.replace avail k r;
+        index users base k;
+        index users r k
+      in
+      let forget () =
+        Hashtbl.reset avail;
+        Hashtbl.reset users
+      in
+      let kill_reg =
+        kill_indexed avail users ~stale:(fun ((base, _, _) as k) r ->
+            match Hashtbl.find_opt avail k with
+            | Some v -> base = r || v = r
+            | None -> false)
       in
       Array.iter
         (fun (o : Ir.op) ->
@@ -297,60 +349,48 @@ let redundant_loads blocks =
               match Hashtbl.find_opt avail (base, disp, size) with
               | Some r when r <> rd ->
                   o.Ir.atom <- A.MovR { rd; rs = r };
-                  incr eliminated;
                   List.iter kill_reg (A.defs o.Ir.atom);
-                  Hashtbl.replace avail (base, disp, size) rd
+                  remember (base, disp, size) rd
               | _ ->
                   List.iter kill_reg (A.defs o.Ir.atom);
                   (* a load into its own base register invalidates the key *)
-                  if rd <> base then Hashtbl.replace avail (base, disp, size) rd)
+                  if rd <> base then remember (base, disp, size) rd)
           | A.Store { rs; base; disp; size; _ } -> (
               (* conservative: a store kills all remembered values,
                  then forwards its own *)
-              Hashtbl.reset avail;
+              forget ();
               match rs with
-              | A.R r -> Hashtbl.replace avail (base, disp, size) r
+              | A.R r -> remember (base, disp, size) r
               | A.I _ -> ())
-          | A.Commit _ -> Hashtbl.reset avail
+          | A.Commit _ -> forget ()
           | atom -> List.iter kill_reg (A.defs atom))
         b.ops)
-    blocks;
-  !eliminated
+    blocks
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type result = {
-  items : Ir.item list;
-  removed : int;
-  flags_retargeted : int;
-  folded : int;
-  loads_eliminated : int;
-}
+type result = { items : Ir.item list }
 
 let flatten blocks =
-  Array.to_list blocks
-  |> List.concat_map (fun b ->
-         (match b.label with Some l -> [ Ir.Lbl l ] | None -> [])
-         @ (Array.to_list b.ops |> List.map (fun o -> Ir.Op o)))
+  Array.fold_right
+    (fun b acc ->
+      let acc = Array.fold_right (fun o acc -> Ir.Op o :: acc) b.ops acc in
+      match b.label with Some l -> Ir.Lbl l :: acc | None -> acc)
+    blocks []
 
 (** Run the pass pipeline over lowered IR items. *)
 let run (ir : Ir.t) items =
-  let blocks = build_blocks items in
-  let folded = copy_const_prop blocks in
-  let loads_eliminated = redundant_loads blocks in
+  let nregs = Ir.reg_index ir.Ir.next_vreg in
+  let blocks = build_blocks ~nregs items in
+  copy_const_prop blocks;
+  redundant_loads blocks;
   (* propagate copies introduced by load elimination *)
-  let _ = copy_const_prop blocks in
-  compute_liveness blocks;
-  let removed, flags_retargeted = dce_and_flags ir blocks in
+  copy_const_prop blocks;
+  compute_liveness ~nregs blocks;
+  dce_and_flags blocks;
   (* removal may make more code dead; one more round is cheap *)
-  compute_liveness blocks;
-  let removed2, retarg2 = dce_and_flags ir blocks in
-  {
-    items = flatten blocks;
-    removed = removed + removed2;
-    flags_retargeted = flags_retargeted + retarg2;
-    folded;
-    loads_eliminated;
-  }
+  compute_liveness ~nregs blocks;
+  dce_and_flags blocks;
+  { items = flatten blocks }
