@@ -247,6 +247,54 @@ let test_fleet_machine_major_words () =
     Alcotest.failf "%.0f major words per fleet machine (budget 500k)"
       per_machine
 
+(* The translator's allocation per lowered IR item, over every compile
+   a default run of the coldstart programs makes (captured in
+   [Test_translator]), compiled again under the default configuration.
+   Words are the exact minor words plus what went straight to the major
+   heap.  Size bins: under 40 items and 300 or more. *)
+type bin = { mutable items : int; mutable words : float }
+
+let translator_words =
+  lazy
+    (let small = { items = 0; words = 0. } and large = { items = 0; words = 0. } in
+     let all = { items = 0; words = 0. } in
+     List.iter
+       (fun (i : Test_translator.input) ->
+         let policy = i.Test_translator.policy and region = i.region in
+         let n = List.length (Cms.Ir.items (Cms.Lower.lower ~policy region)) in
+         let w0 = allocated () in
+         (try
+            ignore
+              (Cms.Codegen.compile_presnapped ~cfg:Cms.Config.default ~policy
+                 ~bytes:i.bytes region
+                : Cms.Codegen.compiled)
+          with Cms.Codegen.Too_big | Cms.Codegen.Verify_failed _ -> ());
+         let words = allocated () -. w0 in
+         List.iter
+           (fun b ->
+             b.items <- b.items + n;
+             b.words <- b.words +. words)
+           (all :: (if n < 40 then [ small ] else if n >= 300 then [ large ] else [])))
+       (Lazy.force Test_translator.coldstart_inputs);
+     let per b = b.words /. float_of_int (max 1 b.items) in
+     (per all, per small, per large))
+
+(* The scheduler and the optimizer at linear cost keep a compile near
+   760 words per item; the quadratic ones took 1 620. *)
+let test_translator_words_per_item () =
+  let all, _, _ = Lazy.force translator_words in
+  if all > 900. then
+    Alcotest.failf "%.0f words per lowered IR item (budget 900)" all
+
+(* A large region costs about what a small one does per item (0.9x);
+   the quadratic passes made it 1.9x. *)
+let test_translator_words_flat () =
+  let _, small, large = Lazy.force translator_words in
+  if large > 1.5 *. small then
+    Alcotest.failf
+      "%.0f words per item at 300+ items against %.0f under 40 (budget 1.5x)"
+      large small
+
 let suites =
   [
     ( "alloc",
@@ -265,5 +313,9 @@ let suites =
           test_freeze_words;
         Alcotest.test_case "fleet machine <= 0.5M major words" `Quick
           test_fleet_machine_major_words;
+        Alcotest.test_case "translator <= 900 words/IR item" `Quick
+          test_translator_words_per_item;
+        Alcotest.test_case "translator 300+ items <= 1.5x words/item" `Quick
+          test_translator_words_flat;
       ] );
   ]
