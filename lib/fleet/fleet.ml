@@ -444,14 +444,24 @@ let run ?store (fcfg : config) (specs : spec list) : totals =
     specs;
   let buckets = Array.map List.rev buckets in
   let run_bucket b () = List.map (fun s -> run_machine ?store fcfg s) b in
-  let reports =
-    if shards = 1 then run_bucket buckets.(0) ()
-    else
-      Array.map (fun b -> Domain.spawn (run_bucket b)) buckets
-      |> Array.to_list
-      |> List.concat_map Domain.join
+  (* The calling domain runs the first bucket itself instead of idling
+     in [Domain.join]: a blocked joiner still takes part in every
+     stop-the-world pause.  The spawned shards are joined even when the
+     first bucket raises. *)
+  let others =
+    Array.map (fun b -> Domain.spawn (run_bucket b)) (Array.sub buckets 1 (shards - 1))
   in
-  aggregate ~shards reports
+  let joined = Array.make (shards - 1) (Ok []) in
+  let join_all () =
+    Array.iteri
+      (fun k d -> joined.(k) <- (try Ok (Domain.join d) with e -> Error e))
+      others
+  in
+  let first = Fun.protect ~finally:join_all (run_bucket buckets.(0)) in
+  let rest =
+    List.concat_map (function Ok r -> r | Error e -> raise e) (Array.to_list joined)
+  in
+  aggregate ~shards (first @ rest)
 
 let pp_totals ppf (t : totals) =
   Fmt.pf ppf
