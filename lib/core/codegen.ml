@@ -1,9 +1,8 @@
 (** Code generation: region → scheduled native code.
 
     Drives lowering, optimization, self-check injection, scheduling and
-    register allocation, and validates the result: structurally
-    ({!Vliw.Code.validate}) and with the static verifier ({!Irlint},
-    {!Tverify}) on every compile.  Also builds the
+    register allocation, and checks the result with the static
+    verifiers ({!Irlint}, {!Tverify}) on every compile.  Also builds the
     special zero-instruction translations (paper §3.2: "a
     zero-instruction translation that simply calls the interpreter to
     execute the faulting instruction"). *)
@@ -276,9 +275,6 @@ let compile_presnapped ?on_diag ~(cfg : Config.t) ~(policy : Policy.t)
   | () -> ()
   | exception Sched.Regalloc_overflow -> raise Too_big);
   let code = { Vliw.Code.molecules; exits = Ir.exits ir } in
-  (match Vliw.Code.validate code with
-  | Ok () -> ()
-  | Error e -> failwith ("Codegen: invalid code: " ^ e));
   check_code ?on_diag ~cfg ~entry ~ninsns:(Region.instruction_count region)
     code;
   { code; unprotected = use_guards }

@@ -80,8 +80,6 @@ let default =
 
 (* --- fixed constants: no caller varies them, no image records them --- *)
 
-let fg_capacity = Machine.Finegrain.default_capacity (* fine-grain entries *)
-
 (* adaptive-retranslation thresholds *)
 let spec_fault_limit = 3
 (** speculative failures of one translation before retranslating more

@@ -65,7 +65,7 @@ let rules =
     ("commit-retired", "commit/exit retired-instruction counts in range", "§3.1");
     ("barrier-hoist", "no atom placed after a loop back-edge branch", "§3.2");
     ("guest-clobber", "loads never target live guest-state registers", "§3.1");
-    ("regalloc-range", "all registers allocated into the host register file", "§2");
+    ("regalloc-range", "every register inside [0, num_regs)", "§2");
     ("tmp-undef", "host temporaries defined before use", "§2");
     ("sbuf-overflow", "gated stores between commits fit the store buffer", "§3.1");
     ("alias-slot-range", "alias protect/check slots within hardware range", "§3.5");

@@ -442,8 +442,10 @@ let deliver_irq t =
 (* Execute a translation's code through its compiled closure.
    Compilation is lazy, at first dispatch — also what re-arms
    AOT-installed translations locally after their copy-on-validate
-   install.  Every install path gates on {!Vliw.Code.validate}, so
-   compilation cannot fail. *)
+   install.  Every install path gates on the translation verifier
+   ({!Codegen.check_code}), whose [regalloc-range] rule keeps every
+   register inside the host register file, and the zero-instruction
+   stubs are canned, so compilation cannot fail. *)
 let exec_code t (tr : Tcache.trans) =
   match tr.Tcache.compiled with
   | Tcache.Compiled c -> Vliw.Closure.run ~irq_pending:t.irq_poll c

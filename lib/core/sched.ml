@@ -564,102 +564,98 @@ let schedule ~opts items =
 (* Register allocation (post-schedule linear scan)                     *)
 (* ------------------------------------------------------------------ *)
 
-let map_atom f (a : A.t) =
-  let fs = function A.R r -> A.R (f r) | A.I i -> A.I i in
-  let f r = if r < 0 then r else f r in
+(* [a] with each register it defines mapped through [def] and each it
+   reads through [use]; negative registers (no flags) stay as they are. *)
+let map_atom ~def ~use (a : A.t) =
+  let fs = function A.R r -> A.R (use r) | A.I i -> A.I i in
+  let f g r = if r < 0 then r else g r in
+  let d = f def and u = f use in
   match a with
   | A.Nop -> A.Nop
-  | A.MovI m -> A.MovI { m with rd = f m.rd }
-  | A.MovR m -> A.MovR { rd = f m.rd; rs = f m.rs }
-  | A.Alu m -> A.Alu { m with rd = f m.rd; a = f m.a; b = fs m.b }
+  | A.MovI m -> A.MovI { m with rd = d m.rd }
+  | A.MovR m -> A.MovR { rd = d m.rd; rs = u m.rs }
+  | A.Alu m -> A.Alu { m with rd = d m.rd; a = u m.a; b = fs m.b }
   | A.AluX m ->
       A.AluX
-        { m with rd = Option.map f m.rd; a = fs m.a; b = fs m.b; fr = f m.fr; fw = f m.fw }
+        { m with rd = Option.map d m.rd; a = fs m.a; b = fs m.b; fr = u m.fr; fw = d m.fw }
   | A.MulX m ->
       A.MulX
-        { m with rd_lo = f m.rd_lo; rd_hi = Option.map f m.rd_hi; a = fs m.a;
-          b = fs m.b; fr = f m.fr; fw = f m.fw }
+        { m with rd_lo = d m.rd_lo; rd_hi = Option.map d m.rd_hi; a = fs m.a;
+          b = fs m.b; fr = u m.fr; fw = d m.fw }
   | A.DivX m ->
       A.DivX
-        { m with rd_q = f m.rd_q; rd_r = f m.rd_r; hi = f m.hi; lo = f m.lo;
+        { m with rd_q = d m.rd_q; rd_r = d m.rd_r; hi = u m.hi; lo = u m.lo;
           divisor = fs m.divisor }
-  | A.SetCond m -> A.SetCond { m with rd = f m.rd; fr = f m.fr }
-  | A.ExtField m -> A.ExtField { m with rd = f m.rd; rs = f m.rs }
-  | A.InsField m -> A.InsField { m with rd = f m.rd; rs = f m.rs }
-  | A.Load m -> A.Load { m with rd = f m.rd; base = f m.base }
-  | A.Store m -> A.Store { m with rs = fs m.rs; base = f m.base }
-  | A.ArmRange m -> A.ArmRange { m with base = f m.base }
-  | A.BrCond m -> A.BrCond { m with fr = f m.fr }
-  | A.BrCmp m -> A.BrCmp { m with a = f m.a; b = fs m.b }
+  | A.SetCond m -> A.SetCond { m with rd = d m.rd; fr = u m.fr }
+  | A.ExtField m -> A.ExtField { m with rd = d m.rd; rs = u m.rs }
+  | A.InsField m -> A.InsField { m with rd = d m.rd; rs = u m.rs }
+  | A.Load m -> A.Load { m with rd = d m.rd; base = u m.base }
+  | A.Store m -> A.Store { m with rs = fs m.rs; base = u m.base }
+  | A.ArmRange m -> A.ArmRange { m with base = u m.base }
+  | A.BrCond m -> A.BrCond { m with fr = u m.fr }
+  | A.BrCmp m -> A.BrCmp { m with a = u m.a; b = fs m.b }
   | A.Br _ | A.Commit _ | A.Exit _ -> a
 
-(** Map virtual registers to host temporaries in place. *)
+(** Map virtual registers to host temporaries in place: a linear scan
+    that binds a vreg at its first definition and frees its temporary
+    after the molecule that last touches it.  Freed temporaries are
+    reused first in, first out; a molecule frees its vregs newest
+    binding first.  State is arrays indexed by [vreg - Ir.vreg_base]. *)
 let regalloc (molecules : Vliw.Molecule.t array) =
-  (* global last use (as molecule index) of each vreg *)
-  let last_use : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  (* the last molecule touching each vreg *)
+  let last = ref [||] and mol = ref 0 in
+  let touch r =
+    (if Ir.is_vreg r then
+       let k = r - Ir.vreg_base in
+       if k >= Array.length !last then
+         last := Array.append !last (Array.make (k + 1) 0);
+       !last.(k) <- !mol);
+    r
+  in
   Array.iteri
     (fun i m ->
-      Array.iter
-        (fun a ->
-          List.iter
-            (fun r -> if Ir.is_vreg r then Hashtbl.replace last_use r i)
-            (A.uses a @ A.defs a))
-        m)
+      mol := i;
+      Array.iter (fun a -> ignore (map_atom ~def:touch ~use:touch a)) m)
     molecules;
-  let mapping : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let free = Queue.create () in
-  for r = Vliw.Abi.tmp_base to Vliw.Abi.num_regs - 1 do
-    Queue.add r free
-  done;
-  let expiring : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-  let map_use r =
-    if Ir.is_vreg r then
-      match Hashtbl.find_opt mapping r with
-      | Some h -> h
-      | None -> raise Regalloc_overflow (* use before def: internal bug *)
-    else r
+  let last = !last in
+  (* each vreg's temporary (-1: unbound) and the next vreg expiring in
+     the same molecule; [expiring.(i)] heads molecule [i]'s list *)
+  let host = Array.make (Array.length last) (-1) in
+  let next = Array.make (Array.length last) (-1) in
+  let expiring = Array.make (Array.length molecules) (-1) in
+  (* the free temporaries, a FIFO ring *)
+  let ntmp = Vliw.Abi.num_regs - Vliw.Abi.tmp_base in
+  let free = Array.init ntmp (fun i -> Vliw.Abi.tmp_base + i) in
+  let head = ref 0 and nfree = ref ntmp in
+  let use r =
+    if not (Ir.is_vreg r) then r
+    else
+      let h = host.(r - Ir.vreg_base) in
+      if h < 0 then raise Regalloc_overflow (* use before def: internal bug *);
+      h
   in
-  let map_def r =
-    if Ir.is_vreg r then (
-      match Hashtbl.find_opt mapping r with
-      | Some h -> h
-      | None ->
-          if Queue.is_empty free then raise Regalloc_overflow;
-          let h = Queue.pop free in
-          Hashtbl.replace mapping r h;
-          let lu = Hashtbl.find_opt last_use r |> Option.value ~default:0 in
-          Hashtbl.replace expiring lu
-            (r :: (Hashtbl.find_opt expiring lu |> Option.value ~default:[]));
-          h)
-    else r
+  (* a def of a bound vreg (InsField's rd) keeps its binding *)
+  let def r =
+    if not (Ir.is_vreg r) then r
+    else
+      let k = r - Ir.vreg_base in
+      if host.(k) < 0 then begin
+        if !nfree = 0 then raise Regalloc_overflow;
+        host.(k) <- free.(!head);
+        head := (!head + 1) mod ntmp;
+        decr nfree;
+        next.(k) <- expiring.(last.(k));
+        expiring.(last.(k)) <- k
+      end;
+      host.(k)
   in
   Array.iteri
     (fun i m ->
-      Array.iteri
-        (fun k a ->
-          (* map uses with existing bindings; allocate defs *)
-          let f r =
-            if Ir.is_vreg r then
-              if List.mem r (A.defs a) && not (List.mem r (A.uses a)) then
-                map_def r
-              else map_use r
-            else r
-          in
-          (* ensure defs that are also uses (InsField) resolve to the
-             same existing binding *)
-          m.(k) <- map_atom f a)
-        m;
-      (* free vregs whose last use was this molecule *)
-      (match Hashtbl.find_opt expiring i with
-      | Some vs ->
-          List.iter
-            (fun v ->
-              match Hashtbl.find_opt mapping v with
-              | Some h ->
-                  Hashtbl.remove mapping v;
-                  Queue.add h free
-              | None -> ())
-            vs
-      | None -> ())
-    )
+      Array.iteri (fun j a -> m.(j) <- map_atom ~def ~use a) m;
+      let k = ref expiring.(i) in
+      while !k >= 0 do
+        free.((!head + !nfree) mod ntmp) <- host.(!k);
+        incr nfree;
+        k := next.(!k)
+      done)
     molecules

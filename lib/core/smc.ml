@@ -79,9 +79,6 @@ let refresh_page t ~ppn =
     end
   end
 
-let pages_of tr =
-  Tcache.pages_of_ranges tr.Tcache.region.Region.src_ranges
-
 (** Protect the pages of a (newly inserted or reactivated) translation.
     Self-checking translations stay unprotected: the embedded check is
     their consistency mechanism. *)
@@ -91,7 +88,7 @@ let register t (tr : Tcache.trans) =
       (fun ppn ->
         Machine.Mem.protect_page t.mem ~ppn;
         if Machine.Mem.in_fg_mode t.mem ~ppn then refresh_page t ~ppn)
-      (pages_of tr)
+      (Tcache.pages_of tr)
 
 (* [cause] labels the chained-exit unlink accounting and decides the
    translation's fate.  Everything in this module invalidates because
@@ -115,7 +112,7 @@ let invalidate ?(cause = Tcache.Usmc) t (tr : Tcache.trans) =
   t.stats.Stats.invalidations <- t.stats.Stats.invalidations + 1;
   if tr.Tcache.aot then
     t.stats.Stats.aot_invalidated <- t.stats.Stats.aot_invalidated + 1;
-  List.iter (fun ppn -> refresh_page t ~ppn) (pages_of tr)
+  List.iter (fun ppn -> refresh_page t ~ppn) (Tcache.pages_of tr)
 
 (** A translation was discarded by tcache eviction (capacity pressure,
     not an SMC event): re-derive the protection its pages still need
@@ -123,7 +120,7 @@ let invalidate ?(cause = Tcache.Usmc) t (tr : Tcache.trans) =
 let note_evicted t (tr : Tcache.trans) =
   if tr.Tcache.aot then
     t.stats.Stats.aot_invalidated <- t.stats.Stats.aot_invalidated + 1;
-  List.iter (fun ppn -> refresh_page t ~ppn) (pages_of tr)
+  List.iter (fun ppn -> refresh_page t ~ppn) (Tcache.pages_of tr)
 
 (* ------------------------------------------------------------------ *)
 (* Write-fault handling                                                *)
@@ -152,11 +149,11 @@ let bump tbl key =
    again", §3.6.2). *)
 let disarm_for_reval t (tr : Tcache.trans) =
   tr.Tcache.reval_armed <- true;
-  List.iter (fun ppn -> Machine.Mem.unprotect_page t.mem ~ppn) (pages_of tr)
+  List.iter (fun ppn -> Machine.Mem.unprotect_page t.mem ~ppn) (Tcache.pages_of tr)
 
 (* A data write landed on a protected page/chunk without touching any
    translation's bytes. *)
-let handle_false_fault t ~ppn ~paddr:_ ~len:_ =
+let handle_false_fault t ~ppn =
   let page_faults = bump t.false_faults ppn in
   let trs_on_page = Tcache.on_page t.tcache ~ppn in
   let reval_ready =
@@ -274,7 +271,7 @@ let on_write t (hit : Machine.Mem.smc_hit) ~paddr ~len =
       Stats.charge t.stats Config.fault_handler_cost;
       t.stats.Stats.fault_entries <- t.stats.Stats.fault_entries + 1;
       match overlapping_translations t ~paddr ~len with
-      | [] -> handle_false_fault t ~ppn ~paddr ~len
+      | [] -> handle_false_fault t ~ppn
       | trs -> handle_code_write t ~trs ~paddr ~len)
 
 (** The [Machine.Mem.on_dma_smc] handler: paging traffic gets the

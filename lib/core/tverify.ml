@@ -165,7 +165,7 @@ let verify ~(cfg : Config.t) ~entry ?(ninsns = max_int)
               (Fmt.str "atom placed after a loop back-edge branch: %a" A.pp a);
           List.iter
             (fun r ->
-              if r >= Vliw.Abi.num_regs then
+              if r < 0 || r >= Vliw.Abi.num_regs then
                 add "regalloc-range"
                   (Fmt.str "register r%d outside the host register file \
                             (unallocated virtual register?)"

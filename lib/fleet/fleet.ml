@@ -43,7 +43,6 @@ module Suite = Workloads.Suite
 module Progs_kernel = Workloads.Progs_kernel
 module Chaos = Cms_robust.Chaos
 module Fleetfault = Cms_robust.Fleetfault
-module Srng = Cms_robust.Srng
 
 exception Fault_injected of string
 (** raised by the fault bombs {!Fleetfault} plants at dispatch

@@ -263,11 +263,6 @@ let rec read t ~size vaddr =
     done;
     !v
 
-(** Physical write that has already passed (or bypassed) protection. *)
-let write_phys_nocheck t ~size paddr v =
-  note_write t paddr;
-  Bus.write t.bus paddr size v
-
 (* ------------------------------------------------------------------ *)
 (* Translated memory atoms                                             *)
 (* ------------------------------------------------------------------ *)

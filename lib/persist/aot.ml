@@ -13,8 +13,8 @@
     Install trusts an entry only after {!Tstore.revalidate}, the walk a
     store hit runs, accepts it against the target machine's bytes: the
     blob's MD5, its decode, its entry, its source ranges and bytes, the
-    instructions re-decoded from them, {!Vliw.Code.validate} and the
-    translator's own acceptance check ({!Cms.Codegen.check_code}).  A
+    instructions re-decoded from them, and the translator's own
+    acceptance check ({!Cms.Codegen.check_code}).  A
     failure rejects that entry (counted in [Stats.aot_rejected], with
     the walk's reason) and the dynamic tier covers it.  Installed
     entries live in the tcache as ordinary translations — SMC

@@ -631,10 +631,10 @@ type trusted = {
 (** The one trust walk.  Decodes [e] ({!decode}), then requires, in
     order: the blob is for [entry]; its source ranges span exactly its
     source bytes; those bytes equal [live] over the ranges; its
-    instructions re-decode from those bytes; its code passes
-    {!Vliw.Code.validate} and the translator's own acceptance check
-    ({!Cms.Codegen.check_code}, whose diagnostics [on_diag] observes).
-    Raises {!Untrusted} at the first failure. *)
+    instructions re-decode from those bytes; its code passes the
+    translator's own acceptance check ({!Cms.Codegen.check_code}, whose
+    diagnostics [on_diag] observes), the one structural gate for
+    translated code.  Raises {!Untrusted} at the first failure. *)
 let revalidate ?on_diag ~(cfg : Cms.Config.t) ~entry
     ~(live : (int * int) list -> Bytes.t) (e : entry) : trusted =
   let t = decode ~entry e in
@@ -651,9 +651,6 @@ let revalidate ?on_diag ~(cfg : Cms.Config.t) ~entry
   if not (Bytes.equal t.snapshot (live t.src_ranges)) then
     untrusted "entry %#x: source bytes differ from the live code" entry;
   let region = region_of_tran t in
-  (match Vliw.Code.validate t.code with
-  | Ok () -> ()
-  | Error m -> untrusted "entry %#x: invalid code: %s" entry m);
   (* distrusting an entry costs one static walk, trusting a poisoned
      molecule costs the machine *)
   (match

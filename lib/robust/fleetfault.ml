@@ -32,8 +32,6 @@ type fault =
       (** refires on every attempt once reached — a persistent fault
           that must climb the backoff ladder into permanent quarantine *)
 
-let fault_at = function Kill { at } | Wedge { at } | Permafault { at } -> at
-
 (* ------------------------------------------------------------------ *)
 (* Store attacks                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -45,18 +43,13 @@ type store_attack =
   | Tamper_code
       (** re-serialize a live entry with a mangled molecule body and a
           *consistent* MD5 — the digest passes, the source bytes still
-          match, and only structural validation / the molecule verifier
-          stands between the poisoned code and the consumer *)
+          match, and only the molecule verifier stands between the
+          poisoned code and the consumer *)
   | Truncate_image
       (** serialize the store and truncate the image mid-byte — the
           torn-image case a killed publisher could leave without the
           atomic rename; the container codec must reject it and the
           affected machine degrades to its private translator *)
-
-let attack_name = function
-  | Flip_blob -> "flip-blob"
-  | Tamper_code -> "tamper-code"
-  | Truncate_image -> "truncate-image"
 
 (* ------------------------------------------------------------------ *)
 (* Plans                                                               *)
@@ -204,9 +197,8 @@ let tamper_mutations =
 (** Corrupt [key]'s molecule body with a real verifier-invariant
     violation (a clobbered guest register, a dropped commit, a leaked
     virtual register) and re-serialize *consistently* (fresh MD5): the
-    source-byte digest still matches, so only structural validation and
-    the mandatory molecule verifier stand between this and the
-    consumer. *)
+    source-byte digest still matches, so only the mandatory molecule
+    verifier stands between this and the consumer. *)
 let tamper_code (store : Tstore.t) k =
   Tstore.locked store (fun () ->
       match Hashtbl.find_opt store.Tstore.entries k with

@@ -22,4 +22,3 @@ let shadow_count = 12
 
 (* r12..r63: CMS temporaries, not shadowed. *)
 let tmp_base = 12
-let tmp_count = num_regs - tmp_base

@@ -34,8 +34,6 @@ let create ?(slots = 8) () =
     arms = 0;
   }
 
-let num_slots t = Array.length t.lo
-
 let arm t ~slot ~paddr ~len =
   t.arms <- t.arms + 1;
   t.any_armed <- true;

@@ -29,9 +29,8 @@
       phase-2 order).
 
     Nothing checks issue constraints or latencies at run time: every
-    install path gates a block on {!Code.validate}, which checks issue
-    constraints, and the translation verifier's [latency] rule checks
-    latencies, both statically. *)
+    install path gates a block on the translation verifier, whose
+    [issue-constraints] and [latency] rules check them statically. *)
 
 type t = {
   code : Code.t;  (** the source block (identity / debug dumps) *)
@@ -49,8 +48,10 @@ type t = {
 let ctrl_sbuf = min_int
 
 (* Raised during compilation when a block uses a register index outside
-   the working array.  {!Code.validate} rejects such blocks before they
-   are installed, so installed code never raises it. *)
+   the working array.  The translation verifier's [regalloc-range] rule
+   rejects such blocks before they are installed, so installed code
+   never raises it; this check stays as the bound that makes the
+   closures' [Array.unsafe_get] safe. *)
 exception Unsupported
 
 (* Pre-selected x86-flavoured ALU operation (the {!X86.Flags}
@@ -380,14 +381,14 @@ let compile_exn (ex : Exec.t) (code : Code.t) : t =
               (fun () ->
                 c := insert (Array.unsafe_get w rd) (Array.unsafe_get w rs)),
             Some (fun () -> Array.unsafe_set w rd !c) )
-    | Load { rd; base; disp; size; spec; protect; check = _ } ->
+    | Load { rd; base; disp; size; spec = _; protect; check = _ } ->
         let rd = reg rd and rb = reg base in
         let c = ref 0 in
         ( Some
             (fun () ->
               perf.Perf.loads <- perf.Perf.loads + 1;
               let vaddr = Exec.mask32 (Array.unsafe_get w rb + disp) in
-              c := Exec.do_load ex ~vaddr ~size ~spec ~protect),
+              c := Exec.do_load ex ~vaddr ~size ~protect),
           Some (fun () -> Array.unsafe_set w rd !c) )
     | Store { rs; base; disp; size; spec; check } ->
         let rb = reg base in
@@ -533,8 +534,8 @@ let compile_exn (ex : Exec.t) (code : Code.t) : t =
   }
 
 (** Compile [code] against [ex]'s state; [None] when a register index
-    lies outside the working array (never for a block that passed
-    {!Code.validate}). *)
+    lies outside the working array (never for a block the translation
+    verifier accepted). *)
 let compile ex code =
   match compile_exn ex code with
   | t -> Some t

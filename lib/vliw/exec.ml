@@ -21,8 +21,8 @@
     correct operation by careful scheduling" — so nothing here checks
     issue constraints or operation latencies at run time: they are
     checked statically, once, before a block is installed (issue
-    constraints by {!Code.validate}, latencies by the translation
-    verifier's [latency] rule). *)
+    constraints and latencies by the translation verifier's
+    [issue-constraints] and [latency] rules). *)
 
 type t = {
   regs : Regfile.t;
@@ -103,8 +103,7 @@ let translate t access vaddr =
    once in the interpreter, twice under the translator.)
    A page {!Machine.Mem.ram_page} classifies as plain RAM cannot be
    I/O: it skips the MMIO search and reads {!Machine.Phys} directly. *)
-let rec do_load t ~vaddr ~size ~spec ~protect =
-  ignore (spec : bool);
+let rec do_load t ~vaddr ~size ~protect =
   if size <= Machine.Mem.page_room vaddr then begin
     let paddr = translate t Machine.Mmu.Read vaddr in
     let mem = t.mem in
@@ -124,7 +123,7 @@ let rec do_load t ~vaddr ~size ~spec ~protect =
   else begin
     let v = ref 0 in
     for i = 0 to size - 1 do
-      v := !v lor (do_load t ~vaddr:(vaddr + i) ~size:1 ~spec ~protect lsl (8 * i))
+      v := !v lor (do_load t ~vaddr:(vaddr + i) ~size:1 ~protect lsl (8 * i))
     done;
     !v
   end

@@ -2,9 +2,10 @@
 
     The TM5800 issues 2- or 4-atom molecules to a subset of five
     functional units: two ALUs, one memory unit, one FP/media unit and
-    one branch unit (paper §2).  We validate those issue constraints
-    structurally; the execution engine additionally enforces them in
-    debug mode.  Atoms in one molecule execute in parallel: all reads
+    one branch unit (paper §2).  {!check} states those issue
+    constraints; the translation verifier applies it to every molecule
+    once, before a block is installed, and nothing checks them at run
+    time.  Atoms in one molecule execute in parallel: all reads
     observe pre-molecule state. *)
 
 type t = Atom.t array

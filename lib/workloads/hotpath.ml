@@ -11,8 +11,8 @@
     boundaries. *)
 
 let listing ~iters =
-  let rng = Splitmix.create 0xbe7c4 in
-  let off () = 0x8000 + (4 * Splitmix.int rng 0x400) in
+  let rng = Srng.create 0xbe7c4 in
+  let off () = 0x8000 + (4 * Srng.int rng 0x400) in
   let body =
     List.concat
       (List.init 12 (fun _ ->

@@ -45,8 +45,6 @@ let sf f = f land sf_mask <> 0
 let interrupts_enabled f = f land if_mask <> 0
 let of_ f = f land of_mask <> 0
 
-let set_if f b = if b then f lor if_mask else f land lnot if_mask
-
 type size = S8 | S32
 
 let bits = function S8 -> 8 | S32 -> 32

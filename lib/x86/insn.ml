@@ -113,18 +113,6 @@ and ops_test = T_R of Regs.t | T_I of int
 (* Classification helpers used by the CMS front end                    *)
 (* ------------------------------------------------------------------ *)
 
-(** Does this instruction end a basic block? *)
-let is_control_flow = function
-  | Jcc _ | Jmp _ | JmpInd _ | Call _ | CallInd _ | Ret _ | Int _ | Int3
-  | Iret | Hlt ->
-      true
-  | _ -> false
-
-(** Unconditional control transfer (no fallthrough). *)
-let is_unconditional = function
-  | Jmp _ | JmpInd _ | Ret _ | Iret | Hlt -> true
-  | _ -> false
-
 (** Instructions the translator never compiles inline; they are executed
     by calling back into the interpreter (the paper's "zero-instruction
     translation" escape also uses this path). *)
@@ -135,10 +123,6 @@ let interp_only = function
          register and can only change at interpreter boundaries *)
       true
   | _ -> false
-
-(** Does the instruction read or write memory (excluding instruction
-    fetch and stack engine of push/pop/call/ret)? *)
-let rm_is_mem = function M _ -> true | R _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Pretty printing                                                     *)

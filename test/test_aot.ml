@@ -250,9 +250,9 @@ let map_trans f (img : P.Aot.t) =
   { img with P.Aot.store }
 
 (* [code] with a write to a register outside the host register file. *)
-let with_r99 (code : Vliw.Code.t) =
+let with_reg rd (code : Vliw.Code.t) =
   let mols = Array.copy code.Vliw.Code.molecules in
-  mols.(0) <- Array.append mols.(0) [| Vliw.Atom.MovI { rd = 99; imm = 1 } |];
+  mols.(0) <- Array.append mols.(0) [| Vliw.Atom.MovI { rd; imm = 1 } |];
   { code with Vliw.Code.molecules = mols }
 
 let test_image_roundtrip_deterministic () =
@@ -352,7 +352,7 @@ let test_forged_register_rejected () =
     P.Aot.of_string
       (P.Aot.to_string
          (map_trans
-            (fun t -> { t with P.Tstore.code = with_r99 t.P.Tstore.code })
+            (fun t -> { t with P.Tstore.code = with_reg 99 t.P.Tstore.code })
             img))
   in
   let c = Cms.create ~cfg:Cms.Config.default () in
@@ -392,8 +392,8 @@ let memory_loop () =
         dd [ 3 ];
       ])
 
-(* An image entry whose code passes [Code.validate] but reads a load's
-   result before its latency has passed must be refused at install by the
+(* An image entry whose code is well formed but reads a load's result
+   before its latency has passed must be refused at install by the
    translator's own verifier, with a reason naming the rule; the
    dynamic tier then covers that entry and the run is still right. *)
 let test_verifier_violation_rejected () =
@@ -527,8 +527,11 @@ let test_one_rejection_table () =
           },
         "source ranges" );
       ( "register out of range",
-        remint { t with P.Tstore.code = with_r99 t.P.Tstore.code },
+        remint { t with P.Tstore.code = with_reg 99 t.P.Tstore.code },
         "r99" );
+      ( "negative register",
+        remint { t with P.Tstore.code = with_reg (-1) t.P.Tstore.code },
+        "r-1" );
       ("early read", remint { t with P.Tstore.code = early }, "latency");
     ]
   in

@@ -13,7 +13,6 @@
 
 module Suite = Workloads.Suite
 module Tcache = Cms.Tcache
-module Srng = Cms_fuzz.Srng
 module Gen = Cms_fuzz.Gen
 module Oracle = Cms_fuzz.Oracle
 

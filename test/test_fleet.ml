@@ -10,7 +10,6 @@ module Share = Cms_fleet.Share
 module Tstore = Cms_persist.Tstore
 module Codec = Cms_persist.Codec
 module Fleetfault = Cms_robust.Fleetfault
-module Srng = Cms_robust.Srng
 
 let check = Alcotest.check
 let ci = Alcotest.int

@@ -8,7 +8,6 @@
 
 module Chaos = Cms_robust.Chaos
 module Journal = Cms_persist.Journal
-module Srng = Cms_robust.Srng
 module Tcache = Cms.Tcache
 module Adapt = Cms.Adapt
 module Suite = Workloads.Suite

@@ -1,6 +1,8 @@
 (* Translation verifier tests: a hand-built block that must verify
-   clean, seeded mutations that must each trip their rule, IR lint unit
-   tests, and the translator's acceptance rule ([Codegen.check]). *)
+   clean, seeded mutations that must each trip their rule, the
+   structural rules (register range, branch targets, issue
+   constraints), IR lint unit tests, and the translator's acceptance
+   rule ([Codegen.check]). *)
 
 module A = Vliw.Atom
 module C = Vliw.Code
@@ -364,6 +366,50 @@ let test_check_observer () =
     [ "sbuf-overflow"; "sbuf-overflow"; "latency" ]
     (List.rev !seen)
 
+(* The verifier is the one structural gate for translated code: a
+   register outside [0, num_regs), a branch or exit outside the block
+   and an over-full molecule are each refused through
+   [Codegen.check_code] under a named rule whose message says what is
+   wrong. *)
+let rejects ~rule ~says code =
+  match Cms.Codegen.check_code ~cfg ~entry ~ninsns:3 code with
+  | () -> Alcotest.failf "%s: accepted a block that %s" rule says
+  | exception Cms.Codegen.Verify_failed why ->
+      let contains s sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      if not (contains why ("[" ^ rule ^ "]") && contains why says) then
+        Alcotest.failf "expected [%s] saying %S, got: %s" rule says why
+
+let test_register_range () =
+  rejects ~rule:"regalloc-range" ~says:"r99"
+    (block [ [ A.MovI { rd = 99; imm = 1 } ]; [ A.Exit 0 ] ]);
+  rejects ~rule:"regalloc-range" ~says:(Fmt.str "r%d" Vliw.Abi.num_regs)
+    (block [ [ A.MovR { rd = 20; rs = Vliw.Abi.num_regs } ]; [ A.Exit 0 ] ]);
+  rejects ~rule:"regalloc-range" ~says:"r-1"
+    (block [ [ A.Alu { op = A.HAdd; rd = 20; a = -1; b = A.I 1 } ];
+             [ A.Exit 0 ] ]);
+  let c = block [ [ A.Exit 0 ] ] in
+  rejects ~rule:"regalloc-range" ~says:"r70"
+    { c with C.exits = [| { (c.C.exits.(0)) with C.target = C.FromReg 70 } |] }
+
+let test_branch_target () =
+  rejects ~rule:"branch-target" ~says:"molecule 7"
+    (block [ [ A.Br { target = 7 } ]; [ A.Exit 0 ] ]);
+  rejects ~rule:"branch-target" ~says:"exit #3"
+    (block [ [ A.Exit 3 ] ])
+
+let test_issue_constraints () =
+  let alu rd = A.Alu { op = A.HAdd; rd; a = rd; b = A.I 1 } in
+  rejects ~rule:"issue-constraints" ~says:"more than 2 ALU atoms"
+    (block [ [ alu 20; alu 21; alu 22 ]; [ A.Exit 0 ] ]);
+  rejects ~rule:"issue-constraints" ~says:"too many atoms"
+    (block [ [ alu 20; alu 21; A.Nop; A.Nop; A.Nop ]; [ A.Exit 0 ] ])
+
 (* The production config verifies every fresh compile: a corpus
    workload under [Config.default] counts one verified translation per
    compile that reached the fresh-translation seam (zero-instruction
@@ -406,6 +452,12 @@ let suites =
           test_check_advisory_passes;
         Alcotest.test_case "check observer sees every diagnostic" `Quick
           test_check_observer;
+        Alcotest.test_case "regalloc-range: def, use, negative, exit" `Quick
+          test_register_range;
+        Alcotest.test_case "branch-target: branch and exit" `Quick
+          test_branch_target;
+        Alcotest.test_case "issue-constraints: over-full molecule" `Quick
+          test_issue_constraints;
         Alcotest.test_case "default config verifies every compile" `Quick
           test_default_verifies_every_compile;
       ]

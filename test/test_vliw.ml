@@ -1,7 +1,7 @@
 (* Tests for the VLIW host: register shadowing and commit/rollback, the
    gated store buffer (forwarding, ordering, overflow), alias hardware,
-   molecule constraints, block validation, and the closure executor
-   including speculative MMIO faults. *)
+   molecule constraints, the closure compiler's register range, and the
+   closure executor including speculative MMIO faults. *)
 
 open Vliw
 
@@ -29,13 +29,16 @@ let code ?(exits = 1) molecules =
           });
   }
 
-(* Compile [c] on the closure executor and run it.  Every block under
-   test must pass {!Code.validate} first (issue constraints, branch
-   targets, register range), as on every install path. *)
+(* Compile [c] on the closure executor and run it.  Every molecule
+   under test must meet the issue constraints first ({!Molecule.check}),
+   as the translation verifier requires on every install path. *)
 let run ?(irq_pending = fun () -> false) e c =
-  (match Code.validate c with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "invalid block: %s" m);
+  Array.iteri
+    (fun i m ->
+      match Molecule.check m with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "molecule %d: %s" i e)
+    c.Code.molecules;
   Closure.run ~irq_pending (Closure.compile_exn e c)
 
 let run_ok e c =
@@ -174,49 +177,23 @@ let test_molecule_constraints () =
         |> function Ok () -> Molecule.check [| alu 1; alu 2; alu 3; alu 4; alu 5 |] | e -> e))
 
 (* ------------------------------------------------------------------ *)
-(* Block validation                                                    *)
+(* Register range                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Every install path gates on [Code.validate]; a register outside the
-   host register file must be refused there, naming the register,
-   because the closure compiler cannot resolve it. *)
+(* The translation verifier's [regalloc-range] rule refuses a register
+   outside the host register file before install (the [verify] suite
+   checks it); the closure compiler, whose [Array.unsafe_get] that range
+   makes safe, refuses one too. *)
 let test_code_register_range () =
-  let contains s sub =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-    in
-    go 0
-  in
-  let rejects what c reg =
-    match Code.validate c with
-    | Ok () -> Alcotest.failf "%s: accepted" what
-    | Error m ->
-        check cb (what ^ " names " ^ reg ^ ": " ^ m) true (contains m reg)
-  in
+  let compiles c = Option.is_some (Closure.compile (mk_exec ()) c) in
   check cb "in range" true
-    (Code.validate (code [ [ Atom.MovI { rd = 63; imm = 1 } ]; [ Atom.Exit 0 ] ])
-    = Ok ());
-  rejects "def"
-    (code [ [ Atom.MovI { rd = 99; imm = 1 } ]; [ Atom.Exit 0 ] ])
-    "r99";
-  rejects "use"
-    (code [ [ Atom.MovR { rd = 20; rs = Abi.num_regs } ]; [ Atom.Exit 0 ] ])
-    (Printf.sprintf "r%d" Abi.num_regs);
-  rejects "negative"
-    (code [ [ Atom.Alu { op = Atom.HAdd; rd = 20; a = -1; b = Atom.I 1 } ];
-            [ Atom.Exit 0 ] ])
-    "r-1";
-  let from_reg =
-    let c = code [ [ Atom.Exit 0 ] ] in
-    { c with Code.exits = [| { (c.Code.exits.(0)) with Code.target = Code.FromReg 70 } |] }
-  in
-  rejects "exit target" from_reg "r70";
-  (* and the closure compiler indeed refuses what validation rejects *)
-  check cb "closure refuses" true
-    (Option.is_none
-       (Closure.compile (mk_exec ())
-          (code [ [ Atom.MovI { rd = 99; imm = 1 } ]; [ Atom.Exit 0 ] ])))
+    (compiles (code [ [ Atom.MovI { rd = 63; imm = 1 } ]; [ Atom.Exit 0 ] ]));
+  check cb "closure refuses" false
+    (compiles (code [ [ Atom.MovI { rd = 99; imm = 1 } ]; [ Atom.Exit 0 ] ]));
+  check cb "closure refuses a negative register" false
+    (compiles
+       (code [ [ Atom.Alu { op = Atom.HAdd; rd = 20; a = -1; b = Atom.I 1 } ];
+               [ Atom.Exit 0 ] ]))
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
