@@ -18,7 +18,8 @@
 
     The table is bounded ({!Config.adapt_capacity}): at capacity the
     coldest entry is evicted, preferring non-quarantined victims so the
-    forward-progress state survives pressure. *)
+    forward-progress state survives pressure.  Evictions are counted
+    in {!Stats.adapt_evictions}. *)
 
 type entry = {
   mutable pol : Policy.t;
@@ -38,12 +39,11 @@ type t = {
       (** quarantined entries currently in the table; keeps the
           per-dispatch {!quarantined} check off the hashing path while
           nothing is quarantined (the overwhelmingly common case) *)
-  mutable evictions : int;
+  stats : Stats.t;
 }
 
-let create cfg =
-  { tbl = Hashtbl.create 64; cfg; clock = 0; quarantined_live = 0;
-    evictions = 0 }
+let create ~stats cfg =
+  { tbl = Hashtbl.create 64; cfg; clock = 0; quarantined_live = 0; stats }
 
 let tick t =
   t.clock <- t.clock + 1;
@@ -74,7 +74,7 @@ let evict_one t =
       if e.pol.Policy.interp_only then
         t.quarantined_live <- t.quarantined_live - 1;
       Hashtbl.remove t.tbl key;
-      t.evictions <- t.evictions + 1
+      t.stats.Stats.adapt_evictions <- t.stats.Stats.adapt_evictions + 1
 
 let ensure t key =
   match Hashtbl.find_opt t.tbl key with
@@ -211,7 +211,7 @@ let dump t =
 
 (** Rebuild the table from a {!dump}, whose entries become the table's
     own.  This is the soft state worth carrying across a restore (with
-    [clock] and [evictions]): the demotion ladder's budgets and
+    [clock]): the demotion ladder's budgets and
     quarantines, so an always-faulting entry does not get to re-climb
     the ladder from scratch after a resume. *)
 let load t entries =

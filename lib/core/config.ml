@@ -88,6 +88,12 @@ let spec_fault_limit = 3
 let genuine_fault_limit = 3  (* genuine x86 faults before narrowing the region *)
 let smc_false_limit = 2  (* false protection faults before self-reval *)
 
+let smc_disarm_limit = 8
+(** self-revalidation disarms of one page before its translations turn
+    self-checking: a disarm cycle that keeps repeating means the writer
+    lives on the page itself, which self-revalidation cannot handle
+    (§3.6.2) *)
+
 (* recovery hardening: the demotion ladder and its budgets *)
 let demote_limit = 3
 (** spec-fault escalations of one entry before the hard conservative

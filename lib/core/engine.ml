@@ -151,8 +151,8 @@ let create ?on_diag ?(cfg = Config.default) plat =
   let stats = Stats.create () in
   let profile = Profile.create () in
   let interp = Interp.create cpu ~profile ~stats ~cfg in
-  let tcache = Tcache.create ~capacity:cfg.Config.tcache_capacity in
-  let adapt = Adapt.create cfg in
+  let tcache = Tcache.create ~capacity:cfg.Config.tcache_capacity ~stats in
+  let adapt = Adapt.create ~stats cfg in
   let mem = plat.Machine.Platform.mem in
   mem.Machine.Mem.fg_enabled <- cfg.Config.enable_fine_grain;
   Machine.Mem.set_fast_paths mem cfg.Config.host_fast_paths;
@@ -596,10 +596,11 @@ let wakeup_possible t =
   || t.plat.Machine.Platform.disk.Machine.Disk.busy > 0
   || Machine.Nic.active t.plat.Machine.Platform.nic
 
-(** Copy the machine-layer fast-path counters into {!Stats}.  They
-    accumulate in [Mmu.t]/[Mem.t] (the machine library cannot see the
-    cms layer); [run] syncs them on exit and callers reading stats
-    mid-run can call this directly. *)
+(** Copy the machine layer's counters (TLB, RAM fast path, IRQ, NIC)
+    into {!Stats}.  They accumulate in the [Machine] records, because
+    the machine library cannot see the cms layer; every other counter
+    is bumped in {!Stats} directly.  [run] syncs them on exit and
+    callers reading stats mid-run can call this directly. *)
 let sync_host_stats t =
   let mem = Cpu.mem t.cpu in
   let mmu = mem.Machine.Mem.mmu in
@@ -607,15 +608,6 @@ let sync_host_stats t =
   t.stats.Stats.tlb_misses <- mmu.Machine.Mmu.tlb_misses;
   t.stats.Stats.ram_fast_reads <- mem.Machine.Mem.fast_reads;
   t.stats.Stats.ram_fast_writes <- mem.Machine.Mem.fast_writes;
-  t.stats.Stats.tcache_flushes <- t.tcache.Tcache.flushes;
-  t.stats.Stats.tcache_evictions <- t.tcache.Tcache.evictions;
-  t.stats.Stats.tcache_evicted <- t.tcache.Tcache.evicted;
-  t.stats.Stats.adapt_evictions <- t.adapt.Adapt.evictions;
-  t.stats.Stats.chain_unlinks_evict <- t.tcache.Tcache.unlinks_evict;
-  t.stats.Stats.chain_unlinks_demote <- t.tcache.Tcache.unlinks_demote;
-  t.stats.Stats.chain_unlinks_smc <- t.tcache.Tcache.unlinks_smc;
-  t.stats.Stats.chain_unlinks_aot <- t.tcache.Tcache.unlinks_aot;
-  t.stats.Stats.chain_unlinks_chaos <- t.tcache.Tcache.unlinks_chaos;
   let irq = t.plat.Machine.Platform.irq in
   t.stats.Stats.irq_raised <- irq.Machine.Irq.raised_total;
   t.stats.Stats.irq_deferred <- irq.Machine.Irq.deferred_total;

@@ -168,7 +168,7 @@ let handle_false_fault t ~ppn =
     && List.length reval_ready = List.length trs_on_page
   then begin
     let d = bump t.disarms ppn in
-    if d > 8 && t.cfg.Config.enable_self_check then
+    if d > Config.smc_disarm_limit && t.cfg.Config.enable_self_check then
       (* the disarm/revalidate cycle keeps repeating: the writer itself
          lives on this page, the case §3.6.2 says self-revalidation
          cannot handle — escalate (once per translation) to

@@ -18,10 +18,14 @@
     generations first — hot entries and their groups survive.  The
     all-or-nothing full flush (what the seed did, and the simplest of
     the garbage collection policies real systems use) is retained as the
-    last resort when every held record is current-generation. *)
+    last resort when every held record is current-generation.
+
+    The cache keeps no counters of its own: flushes, evictions and
+    chained-exit unlinks are bumped in the engine's {!Stats}, their only
+    home (and so the snapshot's STAT section). *)
 
 (** Why a chained exit was torn down — the accounting axes of the
-    unlink counters (and of {!Stats}). *)
+    [chain_unlinks_*] counters of {!Stats}. *)
 type unlink_cause =
   | Uevict  (** generational eviction, capacity flush, or replacement *)
   | Udemote  (** demotion-ladder invalidation *)
@@ -80,25 +84,18 @@ type t = {
   by_entry : (int, trans) Hashtbl.t;
   by_id : (int, trans) Hashtbl.t;
       (** every record the cache still holds: valid translations plus
-          parked group members.  [count] mirrors its size. *)
+          parked group members; its size is {!count} *)
   by_page : (int, trans list ref) Hashtbl.t;
   groups : (int, trans list ref) Hashtbl.t;
   mutable next_id : int;
   capacity : int;
-  mutable count : int;  (** held records: valid + parked-in-group *)
-  mutable hwm : int;  (** high-water mark of [count] over the run *)
+  mutable hwm : int;  (** high-water mark of {!count} over the run *)
   mutable cur_gen : int;
   mutable inserts : int;  (** insertions since the last generation turn *)
   gen_step : int;  (** insertions per generation turn *)
-  mutable flushes : int;
-  mutable evictions : int;  (** generational eviction rounds *)
-  mutable evicted : int;  (** records discarded by eviction *)
-  (* chained-exit unlink counters, by cause (mirrored into {!Stats}) *)
-  mutable unlinks_evict : int;
-  mutable unlinks_demote : int;
-  mutable unlinks_smc : int;
-  mutable unlinks_aot : int;
-  mutable unlinks_chaos : int;
+  stats : Stats.t;
+      (** the engine's counters: flushes, evictions and chained-exit
+          unlinks are counted there, and only there *)
   mutable on_flush : unit -> unit;
       (** fired on every full flush; the engine hooks it so dependent
           host caches (the interpreter's decoded-instruction cache)
@@ -108,7 +105,7 @@ type t = {
           engine hooks it to release the record's SMC page protection *)
 }
 
-let create ~capacity =
+let create ~capacity ~stats =
   {
     by_entry = Hashtbl.create 512;
     by_id = Hashtbl.create 512;
@@ -116,19 +113,11 @@ let create ~capacity =
     groups = Hashtbl.create 64;
     next_id = 0;
     capacity;
-    count = 0;
     hwm = 0;
     cur_gen = 0;
     inserts = 0;
     gen_step = max 1 (capacity / 8);
-    flushes = 0;
-    evictions = 0;
-    evicted = 0;
-    unlinks_evict = 0;
-    unlinks_demote = 0;
-    unlinks_smc = 0;
-    unlinks_aot = 0;
-    unlinks_chaos = 0;
+    stats;
     on_flush = (fun () -> ());
     on_evict = (fun _ -> ());
   }
@@ -140,6 +129,9 @@ let find_valid tbl key =
     let tr = Hashtbl.find tbl key in
     if tr.valid then tr.self else None
   else None
+
+(** Held records: valid translations plus parked group members. *)
+let count t = Hashtbl.length t.by_id
 
 let lookup t entry =
   (* checked once per dispatch; skip the hash while nothing is cached
@@ -158,12 +150,14 @@ let by_id t id = find_valid t.by_id id
 (* Chained-exit link bookkeeping                                       *)
 (* ------------------------------------------------------------------ *)
 
-let count_unlink t = function
-  | Uevict -> t.unlinks_evict <- t.unlinks_evict + 1
-  | Udemote -> t.unlinks_demote <- t.unlinks_demote + 1
-  | Usmc -> t.unlinks_smc <- t.unlinks_smc + 1
-  | Uaot -> t.unlinks_aot <- t.unlinks_aot + 1
-  | Uchaos -> t.unlinks_chaos <- t.unlinks_chaos + 1
+let count_unlink t cause =
+  let s = t.stats in
+  match cause with
+  | Uevict -> s.Stats.chain_unlinks_evict <- s.Stats.chain_unlinks_evict + 1
+  | Udemote -> s.Stats.chain_unlinks_demote <- s.Stats.chain_unlinks_demote + 1
+  | Usmc -> s.Stats.chain_unlinks_smc <- s.Stats.chain_unlinks_smc + 1
+  | Uaot -> s.Stats.chain_unlinks_aot <- s.Stats.chain_unlinks_aot + 1
+  | Uchaos -> s.Stats.chain_unlinks_chaos <- s.Stats.chain_unlinks_chaos + 1
 
 (** Record that [src]'s exit [exit_idx] is now [Chained] to [dst], so
     [dst]'s death can tear the link down eagerly. *)
@@ -237,8 +231,7 @@ let flush t =
   Hashtbl.reset t.by_id;
   Hashtbl.reset t.by_page;
   Hashtbl.reset t.groups;
-  t.count <- 0;
-  t.flushes <- t.flushes + 1;
+  t.stats.Stats.tcache_flushes <- t.stats.Stats.tcache_flushes + 1;
   t.on_flush ()
 
 (* Drop a record from every index.  [tr.valid] may be either state
@@ -262,8 +255,7 @@ let drop t tr ~cause =
   | Some l ->
       l := List.filter (fun x -> x.id <> tr.id) !l;
       if !l = [] then Hashtbl.remove t.groups tr.entry
-  | None -> ());
-  t.count <- t.count - 1
+  | None -> ())
 
 let oldest_generation t =
   Hashtbl.fold
@@ -288,8 +280,8 @@ let evict_generation t g =
     victims;
   let n = List.length victims in
   if n > 0 then begin
-    t.evictions <- t.evictions + 1;
-    t.evicted <- t.evicted + n
+    t.stats.Stats.tcache_evictions <- t.stats.Stats.tcache_evictions + 1;
+    t.stats.Stats.tcache_evicted <- t.stats.Stats.tcache_evicted + n
   end;
   n
 
@@ -304,18 +296,18 @@ let evict_coldest t =
    low-water target; full flush only when everything left is
    current-generation (nothing is colder than the work in flight). *)
 let ensure_room t =
-  if t.count >= t.capacity then begin
+  if count t >= t.capacity then begin
     (* the low-water target must sit strictly below capacity, or a
        degenerate capacity (1) would never evict and the cache would
        grow without bound *)
     let target = min (t.capacity - 1) (max 1 (t.capacity * 3 / 4)) in
     let rec loop () =
-      if t.count > target then
+      if count t > target then
         match oldest_generation t with
         | Some g when g < t.cur_gen ->
             ignore (evict_generation t g);
             loop ()
-        | _ -> if t.count >= t.capacity then flush t
+        | _ -> if count t >= t.capacity then flush t
     in
     loop ()
   end
@@ -382,8 +374,6 @@ let insert ?(unprotected = false) ?(aot = false) t ~entry ~code ~region ~policy
     }
   in
   t.next_id <- t.next_id + 1;
-  t.count <- t.count + 1;
-  if t.count > t.hwm then t.hwm <- t.count;
   t.inserts <- t.inserts + 1;
   if t.inserts >= t.gen_step then begin
     t.inserts <- 0;
@@ -391,6 +381,7 @@ let insert ?(unprotected = false) ?(aot = false) t ~entry ~code ~region ~policy
   end;
   Hashtbl.replace t.by_entry entry tr;
   Hashtbl.replace t.by_id tr.id tr;
+  if count t > t.hwm then t.hwm <- count t;
   List.iter
     (fun ppn ->
       match Hashtbl.find_opt t.by_page ppn with

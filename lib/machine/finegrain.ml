@@ -92,14 +92,3 @@ let install t ~ppn ~mask =
 let invalidate t ~ppn =
   Hashtbl.remove t.entries ppn;
   t.lru <- List.filter (fun p -> p <> ppn) t.lru
-
-let clear t =
-  Hashtbl.reset t.entries;
-  t.lru <- []
-
-(** Cached entries in deterministic (ppn) order — captured by snapshots
-    for forensics (the cache itself is restored cold, like the tcache:
-    the authoritative masks live CMS-side and are re-derived). *)
-let dump t =
-  Hashtbl.fold (fun ppn mask acc -> (ppn, mask) :: acc) t.entries []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)

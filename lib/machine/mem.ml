@@ -16,22 +16,27 @@
     The guest's own #PF (not-present / read-only page) is raised from
     {!Mmu.translate} before protection is even consulted.
 
-    Hot-path layer: ordinary-RAM accesses — physical pages that are in
-    RAM, not shadowed by an MMIO window, and not under CMS protection —
-    bypass {!Bus} dispatch and hit {!Phys} directly.  A per-page state
-    table classifies every physical page; {!protect_page} /
-    {!unprotect_page} keep it coherent with the SMC machinery (so every
-    store that protection must see still takes the slow path), and a
-    {!Bus} generation counter triggers a rebuild if the MMIO topology
-    changes.  The fast path is skipped while a one-shot [write_pass] is
-    armed so the SMC handler's authorization is always consumed by
-    {!check_store}.  Translated memory atoms use the same table
-    ({!ram_page}, {!check_store}, {!commit_write}).  All of it is gated
-    on [fast_paths] ({!Config.host_fast_paths}).
+    Every fact about a physical page lives in one flags byte per RAM
+    page ({!f_mmio}, {!f_protected}, {!f_fg}, {!f_snoop}): the SMC
+    machinery, the RAM fast path and the decode-cache snoop all read and
+    write that one table.  The table covers RAM pages only.  Protection
+    of a page outside RAM is ignored: translations are made from
+    identity-mapped RAM, so their source pages are always inside it.
+
+    Hot-path layer: ordinary-RAM accesses — pages with neither
+    {!f_mmio} nor {!f_protected} set — bypass {!Bus} dispatch and hit
+    {!Phys} directly, so every store that protection must see still
+    takes the slow path.  A {!Bus} generation counter triggers a
+    recompute of the {!f_mmio} bits if the MMIO topology changes.  The
+    fast path is skipped while a one-shot [write_pass] is armed so the
+    SMC handler's authorization is always consumed by {!check_store}.
+    Translated memory atoms use the same table ({!ram_page},
+    {!check_store}, {!commit_write}).  All of it is gated on
+    [fast_paths] ({!Config.host_fast_paths}).
 
     Decode-cache snoop: pages whose bytes are held decoded by the
-    interpreter's instruction cache are flagged in [code_pages]; every
-    write path (ordered guest writes, committed translation stores via
+    interpreter's instruction cache carry {!f_snoop}; every write path
+    (ordered guest writes, committed translation stores via
     {!commit_write}, DMA, image loads) reports landing writes so the
     cache entry dies before stale bytes could execute. *)
 
@@ -43,10 +48,11 @@ type smc_hit =
 exception Smc_stuck of int
 (** raised if an SMC handler fails to make progress (internal bug guard) *)
 
-(* Per-page fast-path classification. *)
-let ps_slow = '\000' (* MMIO-shadowed, partial, or outside RAM *)
-let ps_fast = '\001' (* plain RAM: eligible for the fast path *)
-let ps_protected = '\002' (* RAM under CMS protection: slow, but cacheable code *)
+(* Per-page flag bits. *)
+let f_mmio = 1 (* shadowed by an MMIO window: never the fast path *)
+let f_protected = 2 (* CMS protection: translations were made from it *)
+let f_fg = 4 (* fine-grain mode: {!Finegrain} filters its stores *)
+let f_snoop = 8 (* the decode cache holds instructions from it *)
 
 type t = {
   phys : Phys.t;
@@ -54,8 +60,7 @@ type t = {
   bus : Bus.t;
   fg : Finegrain.t;
   mutable fg_enabled : bool;  (** fine-grain hardware present (Table 1 knob) *)
-  protected_pages : (int, unit) Hashtbl.t;  (** ppn set *)
-  fg_pages : (int, unit) Hashtbl.t;  (** ppn set: pages in fine-grain mode *)
+  pages : Bytes.t;  (** per-ppn flags (f_* above), one byte per RAM page *)
   mutable on_smc : smc_hit -> paddr:int -> len:int -> unit;
       (** CMS handler invoked on an SMC event from the ordered write
           path; must update protection state so the write can retry *)
@@ -69,12 +74,10 @@ type t = {
   mutable dma_smc_events : int;
   (* --- host fast paths --- *)
   mutable fast_paths : bool;
-  page_state : Bytes.t;  (** per-ppn classification (ps_* above) *)
   mutable bus_gen_seen : int;  (** MMIO topology generation reflected *)
-  code_pages : Bytes.t;  (** per-ppn: decoded-instruction cache holds bytes *)
   mutable on_code_write : ppn:int -> unit;
       (** decode-cache invalidation callback for a write landing on a
-          flagged page (the flag is cleared before the call) *)
+          snooped page (the flag is cleared before the call) *)
   mutable fast_reads : int;
   mutable fast_writes : int;
 }
@@ -83,15 +86,13 @@ let ppn_of paddr = paddr lsr Mmu.page_shift
 
 let create ?(ram_size = 16 * 1024 * 1024) () =
   let phys = Phys.create ram_size in
-  let npages = ram_size lsr Mmu.page_shift in
   {
     phys;
     mmu = Mmu.create ();
     bus = Bus.create phys;
     fg = Finegrain.create ();
     fg_enabled = true;
-    protected_pages = Hashtbl.create 64;
-    fg_pages = Hashtbl.create 16;
+    pages = Bytes.make (ram_size lsr Mmu.page_shift) '\000';
     on_smc = (fun _ ~paddr:_ ~len:_ -> ());
     on_dma_smc = (fun ~ppn:_ -> ());
     write_pass = false;
@@ -99,24 +100,34 @@ let create ?(ram_size = 16 * 1024 * 1024) () =
     smc_events = 0;
     dma_smc_events = 0;
     fast_paths = true;
-    page_state = Bytes.make npages ps_fast;
     bus_gen_seen = 0;
-    code_pages = Bytes.make npages '\000';
     on_code_write = (fun ~ppn:_ -> ());
     fast_reads = 0;
     fast_writes = 0;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Fast-path page classification                                       *)
+(* The page table                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Recompute every page's class from the bus topology and protection
-   sets.  Runs at creation-generation mismatches (MMIO registration) —
-   rare — and keeps the hot-path check down to one byte load. *)
+let in_ram t ppn = ppn < Bytes.length t.pages
+let flags t ppn = Char.code (Bytes.unsafe_get t.pages ppn)
+
+(* Does RAM page [ppn] carry any of the bits of [f]?  False outside RAM. *)
+let has t ppn f = in_ram t ppn && flags t ppn land f <> 0
+
+(* Set the bits of [set] and clear those of [clear] on RAM page [ppn];
+   a page outside RAM is ignored. *)
+let update t ppn ~set ~clear =
+  if in_ram t ppn then
+    Bytes.unsafe_set t.pages ppn
+      (Char.unsafe_chr (flags t ppn land lnot clear lor set))
+
+(* Recompute every page's {!f_mmio} bit from the bus topology.  Runs at
+   generation mismatches (MMIO registration) — rare — and keeps the
+   hot-path check down to one byte load. *)
 let rebuild_page_state t =
-  let npages = Bytes.length t.page_state in
-  for ppn = 0 to npages - 1 do
+  for ppn = 0 to Bytes.length t.pages - 1 do
     let lo = ppn lsl Mmu.page_shift in
     let hi = lo + Mmu.page_size in
     let mmio =
@@ -124,10 +135,7 @@ let rebuild_page_state t =
         (fun (h : Bus.mmio_handler) -> h.Bus.lo < hi && lo < h.Bus.hi)
         t.bus.Bus.mmio
     in
-    Bytes.unsafe_set t.page_state ppn
-      (if mmio then ps_slow
-       else if Hashtbl.mem t.protected_pages ppn then ps_protected
-       else ps_fast)
+    update t ppn ~set:(if mmio then f_mmio else 0) ~clear:f_mmio
   done;
   t.bus_gen_seen <- t.bus.Bus.generation
 
@@ -138,8 +146,7 @@ let sync_page_state t =
 let page_fast t paddr =
   sync_page_state t;
   let ppn = ppn_of paddr in
-  ppn < Bytes.length t.page_state
-  && Bytes.unsafe_get t.page_state ppn = ps_fast
+  in_ram t ppn && flags t ppn land (f_mmio lor f_protected) = 0
 
 (** Is [paddr]'s page backed by plain RAM (no MMIO shadowing)?  The
     decode cache only holds instructions from such pages: MMIO fetches
@@ -147,20 +154,14 @@ let page_fast t paddr =
 let code_page_cacheable t paddr =
   sync_page_state t;
   let ppn = ppn_of paddr in
-  ppn < Bytes.length t.page_state
-  && Bytes.unsafe_get t.page_state ppn <> ps_slow
+  in_ram t ppn && flags t ppn land f_mmio = 0
 
 (** Flag [paddr]'s page as holding decoded-instruction-cache entries so
     subsequent writes to it invalidate them. *)
-let mark_code_page t paddr =
-  let ppn = ppn_of paddr in
-  if ppn < Bytes.length t.code_pages then
-    Bytes.unsafe_set t.code_pages ppn '\001'
+let mark_code_page t paddr = update t (ppn_of paddr) ~set:f_snoop ~clear:0
 
 (** Clear a page's decode-cache flag (the cache dropped its entries). *)
-let unmark_code_page t ~ppn =
-  if ppn < Bytes.length t.code_pages then
-    Bytes.unsafe_set t.code_pages ppn '\000'
+let unmark_code_page t ~ppn = update t ppn ~set:0 ~clear:f_snoop
 
 (* A write landed on physical [paddr]: if the decode cache holds
    instructions from that page, invalidate them.  [len] never crosses a
@@ -168,10 +169,8 @@ let unmark_code_page t ~ppn =
    range page by page. *)
 let note_write t paddr =
   let ppn = ppn_of paddr in
-  if ppn < Bytes.length t.code_pages
-     && Bytes.unsafe_get t.code_pages ppn = '\001'
-  then begin
-    Bytes.unsafe_set t.code_pages ppn '\000';
+  if has t ppn f_snoop then begin
+    unmark_code_page t ~ppn;
     t.on_code_write ~ppn
   end
 
@@ -179,30 +178,22 @@ let note_write t paddr =
 (* Protection state                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let protect_page t ~ppn =
-  Hashtbl.replace t.protected_pages ppn ();
-  if ppn < Bytes.length t.page_state
-     && Bytes.unsafe_get t.page_state ppn = ps_fast
-  then Bytes.unsafe_set t.page_state ppn ps_protected
+let protect_page t ~ppn = update t ppn ~set:f_protected ~clear:0
 
 let unprotect_page t ~ppn =
-  Hashtbl.remove t.protected_pages ppn;
-  Hashtbl.remove t.fg_pages ppn;
-  Finegrain.invalidate t.fg ~ppn;
-  if ppn < Bytes.length t.page_state
-     && Bytes.unsafe_get t.page_state ppn = ps_protected
-  then Bytes.unsafe_set t.page_state ppn ps_fast
+  update t ppn ~set:0 ~clear:(f_protected lor f_fg);
+  Finegrain.invalidate t.fg ~ppn
 
-let is_protected t ~ppn = Hashtbl.mem t.protected_pages ppn
+let is_protected t ~ppn = has t ppn f_protected
 
 let set_fg_mode t ~ppn on =
-  if on && t.fg_enabled then Hashtbl.replace t.fg_pages ppn ()
+  if on && t.fg_enabled then update t ppn ~set:f_fg ~clear:0
   else begin
-    Hashtbl.remove t.fg_pages ppn;
+    update t ppn ~set:0 ~clear:f_fg;
     Finegrain.invalidate t.fg ~ppn
   end
 
-let in_fg_mode t ~ppn = Hashtbl.mem t.fg_pages ppn
+let in_fg_mode t ~ppn = has t ppn f_fg
 
 (** Enable or disable every host fast path below the CMS layer: the MMU
     software TLB and the RAM fast path.  Off must reproduce the
@@ -222,10 +213,10 @@ let check_store t ~paddr ~len =
     None
   end
   else if t.fast_paths && page_fast t paddr then
-    (* plain RAM is never protected: no hash lookup *)
+    (* plain RAM is never protected *)
     None
-  else if not (Hashtbl.mem t.protected_pages ppn) then None
-  else if t.fg_enabled && Hashtbl.mem t.fg_pages ppn then
+  else if not (is_protected t ~ppn) then None
+  else if t.fg_enabled && in_fg_mode t ~ppn then
     match Finegrain.check t.fg ~paddr ~len with
     | Finegrain.Clear -> None
     | Finegrain.Miss -> Some Fg_miss

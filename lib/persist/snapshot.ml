@@ -12,8 +12,10 @@
     cold exercises exactly the paper's adaptive-retranslation story.
     Nor are the TLB's and the RAM fast path's hit counters saved: a
     restored machine starts them at 0, like the caches they count.
-    The protection map is still written to the image ({b PROT} section)
-    for crash forensics.
+    An image holds only what {!restore} reads: no derived section, and
+    each counter once, in STAT (the translation cache's flushes,
+    evictions and chained-exit unlinks and the adaptation table's
+    evictions are {!Cms.Stats} counters).
 
     Capture is only legal at a consistent commit boundary (working =
     shadow registers, store buffer empty) — precisely where
@@ -24,7 +26,7 @@
     Every section is one {!Codec.field} table, which {!freeze} writes
     and {!restore} reads back.  Restore rebuilds the machine from the
     image alone: it reads META and CONF, makes a machine of the RAM size
-    PMEM starts with, and reads every state section but PROT into it —
+    PMEM starts with, and reads every state section into it —
     RAM and the disk image included — so a resumed run needs no access
     to the original workload files. *)
 
@@ -57,8 +59,12 @@ exception Inconsistent of string
    (now {!Cms.Config} constants); MMUS lost the software TLB's hit and
    miss counts and PMEM the RAM fast path's read and write counts,
    host counters that a restored machine starts at 0, like the caches
-   they count. *)
-let version = 10
+   they count.
+   version 11: the write-only PROT section and the TCAC section are
+   gone, and ADPT lost its eviction count: STAT already holds the
+   tcache's flushes and evictions and the adaptation table's
+   evictions, the counters' only home. *)
+let version = 11
 let kind = "SNAP"
 
 let consistent (c : Cms.t) =
@@ -209,19 +215,6 @@ let pmem =
       mut int (fun m -> m.dma_smc_events) (fun m v -> m.dma_smc_events <- v);
     ]
 
-(* Derived protection state, for forensics only: restore leaves it cold
-   (the fresh engine has no translations to protect), so PROT has no
-   reader. *)
-let prot w (m : Machine.Mem.t) =
-  let keys h = Hashtbl.fold (fun k () acc -> k :: acc) h [] |> List.sort compare in
-  Codec.w_list w Codec.w_int (keys m.Machine.Mem.protected_pages);
-  Codec.w_list w Codec.w_int (keys m.Machine.Mem.fg_pages);
-  Codec.w_list w
-    (fun w (ppn, mask) ->
-      Codec.w_int w ppn;
-      Codec.w_int64 w mask)
-    (Machine.Finegrain.dump m.Machine.Mem.fg)
-
 let timer =
   let open Machine.Timer in
   Codec.
@@ -346,22 +339,12 @@ let adapt =
   Codec.
     [
       mut int (fun a -> a.clock) (fun a v -> a.clock <- v);
-      mut int (fun a -> a.evictions) (fun a v -> a.evictions <- v);
       mut (list (pair int entry)) dump load;
-    ]
-
-let tcache =
-  let open Cms.Tcache in
-  Codec.
-    [
-      mut int (fun t -> t.flushes) (fun t v -> t.flushes <- v);
-      mut int (fun t -> t.evictions) (fun t v -> t.evictions <- v);
-      mut int (fun t -> t.evicted) (fun t v -> t.evicted <- v);
     ]
 
 (** The machine's state sections after META and CONF, in image order:
     each a table of the machine, which {!freeze} writes and {!restore}
-    reads back, all but PROT, into a machine fresh from {!Cms.create}. *)
+    reads back into a machine fresh from {!Cms.create}. *)
 let state : (string * Cms.t Codec.field list) list =
   let dev f = Codec.part (fun c -> f (Cms.platform c)) in
   Machine.Platform.
@@ -369,7 +352,6 @@ let state : (string * Cms.t Codec.field list) list =
       ("CPUS", [ Codec.part Cms.cpu cpu ]);
       ("MMUS", [ Codec.part (fun c -> (Cms.mem c).Machine.Mem.mmu) mmu ]);
       ("PMEM", [ Codec.part Cms.mem pmem ]);
-      ("PROT", [ { Codec.put = (fun w c -> prot w (Cms.mem c)); take = (fun _ c -> c) } ]);
       ("TIMR", [ dev (fun p -> p.timer) timer ]);
       ("IRQC", [ dev (fun p -> p.irq) irq ]);
       ("UART", [ dev (fun p -> p.uart) uart ]);
@@ -380,11 +362,7 @@ let state : (string * Cms.t Codec.field list) list =
       ("STAT", [ Codec.part Cms.stats Stable.stats ]);
       ("PERF", [ Codec.part Cms.perf Stable.perf ]);
       ("ADPT", [ Codec.part (fun c -> c.Cms.Engine.adapt) adapt ]);
-      ("TCAC", [ Codec.part (fun c -> c.Cms.Engine.tcache) tcache ]);
     ]
-
-(* PROT is write-only. *)
-let restored = List.filter (fun (tag, _) -> tag <> "PROT") state
 
 (* ------------------------------------------------------------------ *)
 (* Capture                                                             *)
@@ -464,7 +442,7 @@ let restore ?on_diag data : Cms.t * meta =
     Cms.create ?on_diag ~cfg:(head "CONF" Stable.config) ~ram_size
       ~disk_image:Bytes.empty ()
   in
-  ignore (Codec.r_sections ~ctx:"snapshot" restored sections c : Cms.t);
+  ignore (Codec.r_sections ~ctx:"snapshot" state sections c : Cms.t);
   (* Device time already consumed before capture must not be re-ticked:
      align the engine's molecule cursor with the restored counters. *)
   c.Cms.Engine.ticked <- Cms.total_molecules c;

@@ -106,7 +106,8 @@ let chain a b =
   Tcache.link ~src:a ~exit_idx:0 ~dst:b
 
 let test_unlink_on_eviction () =
-  let tc = Tcache.create ~capacity:8 in
+  let s = Cms.Stats.create () in
+  let tc = Tcache.create ~capacity:8 ~stats:s in
   let a = insert tc ~entry:0x1000 and b = insert tc ~entry:0x2000 in
   chain a b;
   check ci "one chained exit" 1 (List.length (Tcache.chained_exits tc));
@@ -114,40 +115,40 @@ let test_unlink_on_eviction () =
   Tcache.invalidate tc b;
   check cb "a's exit unchained" true
     ((exit0 a).Vliw.Code.chain = Vliw.Code.Unchained);
-  check ci "counted under eviction" 1 tc.Tcache.unlinks_evict;
+  check ci "counted under eviction" 1 s.Cms.Stats.chain_unlinks_evict;
   check ci "no chained exits left" 0 (List.length (Tcache.chained_exits tc));
   (* idempotent: the link is gone, a second death cannot recount it *)
   Tcache.drop tc b ~cause:Tcache.Uevict;
-  check ci "counted once" 1 tc.Tcache.unlinks_evict
+  check ci "counted once" 1 s.Cms.Stats.chain_unlinks_evict
 
 let test_unlink_on_smc () =
   let c = Cms.create () in
-  let tc = c.Cms.Engine.tcache in
+  let tc = c.Cms.Engine.tcache and s = Cms.stats c in
   let a = insert tc ~entry:0x1000 and b = insert tc ~entry:0x2000 in
   chain a b;
   (* the SMC path: a code write invalidates [b] through the Smc layer *)
   Cms.Smc.invalidate c.Cms.Engine.smc b;
   check cb "a's exit unchained" true
     ((exit0 a).Vliw.Code.chain = Vliw.Code.Unchained);
-  check ci "counted under smc" 1 tc.Tcache.unlinks_smc;
-  check ci "not counted under eviction" 0 tc.Tcache.unlinks_evict;
-  Cms.Engine.sync_host_stats c;
-  check ci "surfaced in stats" 1 (Cms.stats c).Cms.Stats.chain_unlinks_smc
+  check ci "counted under smc" 1 s.Cms.Stats.chain_unlinks_smc;
+  check ci "not counted under eviction" 0 s.Cms.Stats.chain_unlinks_evict
 
 let test_flush_unlinks_all () =
-  let tc = Tcache.create ~capacity:8 in
+  let s = Cms.Stats.create () in
+  let tc = Tcache.create ~capacity:8 ~stats:s in
   let a = insert tc ~entry:0x1000 and b = insert tc ~entry:0x2000 in
   chain a b;
   chain b a;
   check ci "two chained exits" 2 (List.length (Tcache.chained_exits tc));
   Tcache.flush tc;
-  check ci "both counted under eviction" 2 tc.Tcache.unlinks_evict;
+  check ci "both counted under eviction" 2 s.Cms.Stats.chain_unlinks_evict;
   check cb "exits reset" true
     ((exit0 a).Vliw.Code.chain = Vliw.Code.Unchained
     && (exit0 b).Vliw.Code.chain = Vliw.Code.Unchained)
 
 let test_unlink_nth () =
-  let tc = Tcache.create ~capacity:8 in
+  let s = Cms.Stats.create () in
+  let tc = Tcache.create ~capacity:8 ~stats:s in
   check cb "empty cache: nothing to cut" false (Tcache.unlink_nth tc ~k:7);
   let a = insert tc ~entry:0x1000 and b = insert tc ~entry:0x2000 in
   chain a b;
@@ -162,7 +163,7 @@ let test_unlink_nth () =
   check cb "cut the survivor" true (Tcache.unlink_nth tc ~k:5);
   check cb "a's exit cut too" true
     ((exit0 a).Vliw.Code.chain = Vliw.Code.Unchained);
-  check ci "both counted under chaos" 2 tc.Tcache.unlinks_chaos;
+  check ci "both counted under chaos" 2 s.Cms.Stats.chain_unlinks_chaos;
   check cb "nothing left to cut" false (Tcache.unlink_nth tc ~k:0)
 
 let unit_tests =

@@ -164,7 +164,6 @@ let machine () =
   p.Vliw.Perf.interrupts_taken <- 74;
   let a = c.Cms.Engine.adapt in
   a.Cms.Adapt.clock <- 75;
-  a.Cms.Adapt.evictions <- 76;
   Hashtbl.replace a.Cms.Adapt.tbl 0x4000
     { Cms.Adapt.pol = policy; touch = 77; escalations = 78; failures = 79 };
   Hashtbl.replace a.Cms.Adapt.tbl 0x3000
@@ -174,10 +173,6 @@ let machine () =
       escalations = 81;
       failures = 82;
     };
-  let tc = c.Cms.Engine.tcache in
-  tc.Cms.Tcache.flushes <- 83;
-  tc.Cms.Tcache.evictions <- 84;
-  tc.Cms.Tcache.evicted <- 85;
   c
 
 let injector =
@@ -193,7 +188,6 @@ let section_pins =
     ("CPUS", "6cbdfc6e71e3f9ca2c546abf4185e7d7");
     ("MMUS", "467efb98cc8bcbe43fc60172cc2bf74a");
     ("PMEM", "1b069f6ccaa93f96a10729b50806b240");
-    ("PROT", "1681ffc6e046c7af98c9e6c232a3fe0a");
     ("TIMR", "8a23fa560916b3dd3229b9415f95eeda");
     ("IRQC", "48a13dbeeaa9cb136170b4c7b9b998a6");
     ("UART", "8f13967ff7e7f3b36e010a6de55927c2");
@@ -203,8 +197,7 @@ let section_pins =
     ("BUSC", "3db20f3086cb16544a19d59d73d5a49e");
     ("STAT", "574fe2b8a821eed0be3fdd4c0e850e3d");
     ("PERF", "7c5814adaad117bd70447cfd631f720b");
-    ("ADPT", "89a6fc537bbfc98b763a3cf0616ca1d5");
-    ("TCAC", "1d6c29db7af5644b6a94d75b16658b85");
+    ("ADPT", "6efad234668e75684bc0eedc9d4e7b7d");
   ]
 
 let test_snapshot_sections () =

@@ -173,6 +173,55 @@ let test_fg_disabled_falls_back () =
   Mem.write m ~size:4 0x4100 1;
   check ci "faulted at page level" 1 !count
 
+(* One flags byte per page holds every fact about it, and the facts
+   stay independent: a page shadowed by an MMIO window, protected, in
+   fine-grain mode and snooped by the decode cache loses protection,
+   fine-grain mode and its Finegrain entry to an unprotect, and keeps
+   its MMIO and snoop bits; a rebuild after the MMIO topology changed
+   keeps protection.  Pages outside RAM carry no protection. *)
+let test_page_flags () =
+  let m = mk_mem () in
+  let mmio lo =
+    Bus.add_mmio m.Mem.bus
+      { Bus.lo; hi = lo + 0x100; mread = (fun _ _ -> 0); mwrite = (fun _ _ _ -> ()) }
+  in
+  mmio 0x5800;
+  Mem.protect_page m ~ppn:5;
+  Mem.set_fg_mode m ~ppn:5 true;
+  Finegrain.install m.Mem.fg ~ppn:5 ~mask:1L;
+  Mem.mark_code_page m 0x5000;
+  Mem.protect_page m ~ppn:6;
+  check cb "protected" true (Mem.is_protected m ~ppn:5);
+  check cb "fine-grain" true (Mem.in_fg_mode m ~ppn:5);
+  check cb "shadowed: not cacheable" false (Mem.code_page_cacheable m 0x5000);
+  check cb "protected RAM: cacheable" true (Mem.code_page_cacheable m 0x6000);
+  check cb "protected RAM: slow path" false (Mem.page_fast m 0x6000);
+  (* a new window elsewhere bumps the bus generation: the next check
+     recomputes the MMIO bits and must keep protection *)
+  mmio 0x9000;
+  check cb "new window seen" false (Mem.code_page_cacheable m 0x9000);
+  check cb "rebuild keeps protection" true
+    (Mem.is_protected m ~ppn:5 && Mem.is_protected m ~ppn:6);
+  check cb "rebuild keeps fine-grain" true (Mem.in_fg_mode m ~ppn:5);
+  check cb "rebuild keeps the slow path" false (Mem.page_fast m 0x6000);
+  Mem.unprotect_page m ~ppn:5;
+  check cb "unprotected" false (Mem.is_protected m ~ppn:5);
+  check cb "fine-grain mode cleared" false (Mem.in_fg_mode m ~ppn:5);
+  check cb "Finegrain entry dropped" true
+    (Finegrain.check m.Mem.fg ~paddr:0x5000 ~len:4 = Finegrain.Miss);
+  check cb "still shadowed" false (Mem.code_page_cacheable m 0x5000);
+  check cb "other page still protected" true (Mem.is_protected m ~ppn:6);
+  let snooped = ref [] in
+  m.Mem.on_code_write <- (fun ~ppn -> snooped := ppn :: !snooped);
+  Mem.write m ~size:1 0x5010 1;
+  Mem.write m ~size:1 0x5011 2;
+  check (Alcotest.list ci) "snoop kept, fired once" [ 5 ] !snooped;
+  Mem.unprotect_page m ~ppn:6;
+  check cb "unprotected RAM: fast path" true (Mem.page_fast m 0x6000);
+  let outside = (1 lsl 20) lsr Mmu.page_shift in
+  Mem.protect_page m ~ppn:outside;
+  check cb "outside RAM: not protected" false (Mem.is_protected m ~ppn:outside)
+
 let mem_tests =
   [
     Alcotest.test_case "write/read roundtrip" `Quick test_write_read_roundtrip;
@@ -180,6 +229,8 @@ let mem_tests =
     Alcotest.test_case "page-level SMC event" `Quick test_smc_page_event;
     Alcotest.test_case "fine-grain filtering" `Quick test_smc_fine_grain;
     Alcotest.test_case "fg disabled falls back" `Quick test_fg_disabled_falls_back;
+    Alcotest.test_case "one page table, independent flags" `Quick
+      test_page_flags;
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -192,9 +192,8 @@ let test_inconsistent_capture () =
   | exception P.Snapshot.Inconsistent _ -> ()
 
 (* Capture mid-run, restore, capture again: every section except STAT
-   (the restore bumps [resumes]) and PROT (protection is rebuilt cold,
-   by design) must be byte-identical — the restore loses nothing it
-   promises to keep. *)
+   (the restore bumps [resumes]) must be byte-identical — the restore
+   loses nothing it promises to keep. *)
 let test_snapshot_stability () =
   let c = Suite.prepare (compress ()) in
   (match Cms.run ~max_insns:200_000 c with
@@ -211,7 +210,7 @@ let test_snapshot_stability () =
   List.iter2
     (fun (tag1, pay1) (tag2, pay2) ->
       check Alcotest.string "section order" tag1 tag2;
-      if tag1 <> "STAT" && tag1 <> "PROT" then
+      if tag1 <> "STAT" then
         Alcotest.(check bool)
           (Fmt.str "section %s byte-identical" tag1)
           true (pay1 = pay2))
@@ -252,6 +251,52 @@ let test_persist_counters () =
   check Alcotest.int "restored snapshots_written" 0
     s'.Cms.Stats.snapshots_written
 
+(* The translation cache's and the adaptation table's counters live in
+   Stats alone, so a resumed machine carries them on from the image: a
+   run resumed from a checkpoint taken after chain unlinks, an eviction
+   and a flush ends with each of them at least where the image left
+   it. *)
+let test_resume_continues_counters () =
+  let w = compress () in
+  let cfg = { Cms.Config.default with Cms.Config.adapt_capacity = 4 } in
+  let c = Suite.prepare ~cfg w in
+  ignore (Cms.run ~max_insns:150_000 c : Cms.Engine.stop);
+  let tc = c.Cms.Engine.tcache in
+  check Alcotest.bool "a chained exit to cut" true
+    (Cms.Tcache.unlink_nth tc ~k:0);
+  check Alcotest.bool "a generation to evict" true
+    (Cms.Tcache.evict_coldest tc > 0);
+  Cms.Tcache.flush tc;
+  for i = 0 to 5 do
+    Cms.Adapt.set_no_reorder c.Cms.Engine.adapt (0x7f0000 + i)
+  done;
+  (match Cms.run ~max_insns:250_000 c with
+  | Cms.Engine.Insn_limit -> ()
+  | Cms.Engine.Halted -> Alcotest.fail "workload finished too early");
+  let c', _ = P.Snapshot.restore (P.Snapshot.capture c) in
+  let image = Cms.Stats.copy (Cms.stats c') in
+  ignore (Suite.run_prepared w c' : Cms.t);
+  let carried (k : Cms.Stats.counter) =
+    String.starts_with ~prefix:"chain_unlinks_" k.Cms.Stats.name
+    || String.starts_with ~prefix:"tcache_" k.Cms.Stats.name
+    || k.Cms.Stats.name = "adapt_evictions"
+  in
+  List.iter
+    (fun (k : Cms.Stats.counter) ->
+      if carried k then
+        check Alcotest.bool
+          (Fmt.str "%s: %d in the image, %d at the end" k.Cms.Stats.name
+             (k.Cms.Stats.get image) (k.Cms.Stats.get (Cms.stats c')))
+          true
+          (k.Cms.Stats.get (Cms.stats c') >= k.Cms.Stats.get image))
+    Cms.Stats.counters;
+  List.iter
+    (fun name ->
+      let k = List.find (fun k -> k.Cms.Stats.name = name) Cms.Stats.counters in
+      check Alcotest.bool (name ^ " in the image") true (k.Cms.Stats.get image > 0))
+    [ "chain_unlinks_evict"; "chain_unlinks_chaos"; "tcache_flushes";
+      "tcache_evictions"; "tcache_evicted"; "adapt_evictions" ]
+
 let snapshot_tests =
   [
     Alcotest.test_case "inconsistent capture rejected" `Quick
@@ -260,6 +305,8 @@ let snapshot_tests =
       test_snapshot_stability;
     Alcotest.test_case "corrupt image rejected" `Quick test_snapshot_corruption;
     Alcotest.test_case "persist counters" `Quick test_persist_counters;
+    Alcotest.test_case "resume continues the tcache counters" `Quick
+      test_resume_continues_counters;
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -106,7 +106,7 @@ let prop_adapt_monotone =
   QCheck.Test.make ~count:200 ~name:"adaptive upgrades only tighten"
     (QCheck.list_of_size (QCheck.Gen.int_range 1 8) arb_policy)
     (fun ps ->
-      let t = Cms.Adapt.create cfg in
+      let t = Cms.Adapt.create ~stats:(Cms.Stats.create ()) cfg in
       List.for_all
         (fun p ->
           let before = Cms.Adapt.get t 0x1234 in
@@ -204,11 +204,11 @@ let test_tcache_flush_on_capacity () =
   (* correctness survives cache pressure (generational eviction, with
      the full flush as last resort) *)
   check ci "ebx counts blocks" (60 * 24) (Cms.gpr t X86.Regs.ebx);
-  let tc = t.Cms.Engine.tcache in
+  let tc = t.Cms.Engine.tcache and s = Cms.stats t in
   check cb "cache shed translations at least once" true
-    (tc.Cms.Tcache.flushes > 0 || tc.Cms.Tcache.evictions > 0);
+    (s.Cms.Stats.tcache_flushes > 0 || s.Cms.Stats.tcache_evictions > 0);
   check cb "count stays within capacity" true
-    (tc.Cms.Tcache.count <= tc.Cms.Tcache.capacity)
+    (Cms.Tcache.count tc <= tc.Cms.Tcache.capacity)
 
 (* ------------------------------------------------------------------ *)
 (* Interpreter corner cases                                            *)

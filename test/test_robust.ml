@@ -234,12 +234,12 @@ let insert ?(policy = default_policy) ?(src = Bytes.empty) tc ~entry =
     ~region:(mk_region ~entry) ~policy ~src
 
 let test_group_reactivation () =
-  let tc = Tcache.create ~capacity:8 in
+  let tc = Tcache.create ~capacity:8 ~stats:(Cms.Stats.create ()) in
   let snap_a = Bytes.of_string "AAAA" and snap_b = Bytes.of_string "BBBB" in
   let v1 = insert tc ~entry:0x1000 ~src:snap_a in
   let v2 = insert tc ~entry:0x1000 ~src:snap_b in
   check ci "old version parked" 1 (Tcache.group_size tc ~entry:0x1000);
-  check ci "both records held" 2 tc.Tcache.count;
+  check ci "both records held" 2 (Tcache.count tc);
   (match
      Tcache.group_match tc ~policy:default_policy
        ~region:(mk_region ~entry:0x1000) ~bytes:snap_a
@@ -261,7 +261,7 @@ let test_group_reactivation () =
   check ci "coldest generation was the parked v2" 1 n;
   check cb "on_evict saw it" true (List.mem v2.Tcache.id !evicted_ids);
   check ci "group emptied" 0 (Tcache.group_size tc ~entry:0x1000);
-  check ci "reactivated v1 survives" 1 tc.Tcache.count
+  check ci "reactivated v1 survives" 1 (Tcache.count tc)
 
 (* A group member's key is (entry, policy, region, source bytes).  One
    parked under a policy Adapt has since ratcheted never comes back,
@@ -270,35 +270,25 @@ let test_group_reactivation () =
    demotion, and an SMC invalidation right after a policy upgrade, drop
    their translation instead of parking it;
    and one entry keeps at most [Tcache.group_cap] members, dropping the
-   one parked longest ago.  The held-record count mirrors [by_id] after
-   every step. *)
+   one parked longest ago. *)
 let test_group_policy_key_and_cap () =
   let c = Cms.create () in
   let tc = c.Cms.Engine.tcache
   and smc = c.Cms.Engine.smc
   and adapt = c.Cms.Engine.adapt in
-  let held () =
-    check ci "count = |by_id|" (Hashtbl.length tc.Tcache.by_id) tc.Tcache.count
-  in
   let policy entry = Cms.Adapt.get adapt entry in
   let mint entry src =
-    let tr = insert tc ~entry ~policy:(policy entry) ~src:(Bytes.of_string src) in
-    held ();
-    tr
+    insert tc ~entry ~policy:(policy entry) ~src:(Bytes.of_string src)
   in
   let reactivate entry src =
-    let r =
-      Cms.Smc.reactivate smc ~policy:(policy entry) ~region:(mk_region ~entry)
-        ~bytes:(Bytes.of_string src)
-    in
-    held ();
-    Option.map (fun (tr : Tcache.trans) -> tr.Tcache.id) r
+    Cms.Smc.reactivate smc ~policy:(policy entry) ~region:(mk_region ~entry)
+      ~bytes:(Bytes.of_string src)
+    |> Option.map (fun (tr : Tcache.trans) -> tr.Tcache.id)
   in
   let copt = Alcotest.(option int) in
   (* the policy moves on after parking *)
   let v1 = mint 0x1000 "v1" in
   Cms.Smc.invalidate smc v1;
-  held ();
   check ci "an SMC invalidation parks" 1 (Tcache.group_size tc ~entry:0x1000);
   Cms.Adapt.set_no_reorder adapt 0x1000;
   check copt "parked under the old policy: not reactivated" None
@@ -306,7 +296,6 @@ let test_group_policy_key_and_cap () =
   check ci "still parked" 1 (Tcache.group_size tc ~entry:0x1000);
   let v1' = mint 0x1000 "v1" in
   Cms.Smc.invalidate smc v1';
-  held ();
   check cb "the next invalidation drops the member the policy left" false
     (Hashtbl.mem tc.Tcache.by_id v1.Tcache.id);
   check ci "and parks the current one" 1 (Tcache.group_size tc ~entry:0x1000);
@@ -316,7 +305,6 @@ let test_group_policy_key_and_cap () =
   let u = mint 0x5000 "u" in
   Cms.Adapt.set_self_check adapt 0x5000;
   Cms.Smc.invalidate smc u;
-  held ();
   check ci "minted under a policy the entry left: not parked" 0
     (Tcache.group_size tc ~entry:0x5000);
   (* same bytes and policy over another region shape *)
@@ -327,13 +315,11 @@ let test_group_policy_key_and_cap () =
        ~region:{ (mk_region ~entry:0x4000) with Cms.Region.cont = Some 0x4008 }
        ~bytes:r.Tcache.src
     = None);
-  held ();
   check copt "the region it was minted for is" (Some r.Tcache.id)
     (reactivate 0x4000 "r");
   (* a demotion drops *)
   let d = mint 0x2000 "d" in
   Cms.Smc.invalidate ~cause:Tcache.Udemote smc d;
-  held ();
   check ci "a demotion does not park" 0 (Tcache.group_size tc ~entry:0x2000);
   check cb "a demotion drops" false (Hashtbl.mem tc.Tcache.by_id d.Tcache.id);
   (* the per-entry cap: 33 distinct versions of one entry *)
@@ -341,7 +327,6 @@ let test_group_policy_key_and_cap () =
     List.init (Tcache.group_cap + 1) (fun i ->
         let tr = mint 0x3000 (Printf.sprintf "w%02d" i) in
         Cms.Smc.invalidate smc tr;
-        held ();
         check cb "group within its cap" true
           (Tcache.group_size tc ~entry:0x3000 <= Tcache.group_cap);
         tr)
@@ -357,7 +342,7 @@ let test_group_policy_key_and_cap () =
     (Tcache.group_size tc ~entry:0x3000)
 
 let test_flush_and_page_index () =
-  let tc = Tcache.create ~capacity:8 in
+  let tc = Tcache.create ~capacity:8 ~stats:(Cms.Stats.create ()) in
   let shift = Machine.Mmu.page_shift in
   let v1 = insert tc ~entry:0x1000 in
   let _v2 = insert tc ~entry:0x5000 in
@@ -376,28 +361,30 @@ let test_flush_and_page_index () =
   tc.Tcache.on_flush <- (fun () -> incr fired);
   Tcache.flush tc;
   check ci "on_flush fired" 1 !fired;
-  check ci "cache empty" 0 tc.Tcache.count;
+  check ci "cache empty" 0 (Tcache.count tc);
   check cb "lookup misses after flush" true (Tcache.lookup tc 0x5000 = None)
 
 let test_capacity_degradation () =
-  let tc = Tcache.create ~capacity:4 in
+  let tc = Tcache.create ~capacity:4 ~stats:(Cms.Stats.create ()) in
   for i = 0 to 5 do
     ignore (insert tc ~entry:(0x1000 + (i * 0x100)))
   done;
-  check cb "count stays bounded" true (tc.Tcache.count <= 4);
+  check cb "count stays bounded" true (Tcache.count tc <= 4);
   check ci "high-water mark" 4 tc.Tcache.hwm;
-  check cb "colder generations evicted" true (tc.Tcache.evicted >= 1);
-  check ci "no full flush while colder work exists" 0 tc.Tcache.flushes;
+  let s = tc.Tcache.stats in
+  check cb "colder generations evicted" true (s.Cms.Stats.tcache_evicted >= 1);
+  check ci "no full flush while colder work exists" 0 s.Cms.Stats.tcache_flushes;
   (* last resort: when every held record is current-generation (all
      refreshed by dispatch hits), only the full flush can make room *)
-  let tc2 = Tcache.create ~capacity:2 in
+  let tc2 = Tcache.create ~capacity:2 ~stats:(Cms.Stats.create ()) in
   ignore (insert tc2 ~entry:0x1000);
   ignore (insert tc2 ~entry:0x2000);
   ignore (Tcache.lookup tc2 0x1000);
   ignore (Tcache.lookup tc2 0x2000);
   ignore (insert tc2 ~entry:0x3000);
-  check ci "full flush as last resort" 1 tc2.Tcache.flushes;
-  check ci "only the new record held" 1 tc2.Tcache.count
+  check ci "full flush as last resort" 1
+    tc2.Tcache.stats.Cms.Stats.tcache_flushes;
+  check ci "only the new record held" 1 (Tcache.count tc2)
 
 (* ------------------------------------------------------------------ *)
 (* Bounded adaptive-policy table                                       *)
@@ -405,13 +392,14 @@ let test_capacity_degradation () =
 
 let test_adapt_bounded () =
   let cfg = { Cms.Config.default with Cms.Config.adapt_capacity = 4 } in
-  let a = Adapt.create cfg in
+  let a = Adapt.create ~stats:(Cms.Stats.create ()) cfg in
   check cb "quarantine reported" true (Adapt.quarantine a 0x9000);
   for i = 0 to 9 do
     Adapt.set_no_reorder a (0x1000 + (i * 8))
   done;
   check cb "table bounded" true (Adapt.size a <= 4);
-  check cb "evictions counted" true (a.Adapt.evictions >= 6);
+  check cb "evictions counted" true
+    (a.Adapt.stats.Cms.Stats.adapt_evictions >= 6);
   (* eviction prefers non-quarantined victims: the forward-progress
      state must survive capacity pressure *)
   check cb "quarantine survives pressure" true (Adapt.quarantined a 0x9000);
@@ -465,11 +453,11 @@ let eviction_differential (w : Suite.t) () =
       { Cms.Config.default with Cms.Config.tcache_capacity = hwm - 1 }
     in
     let tight = Suite.run ~cfg w in
-    let tc = tight.Cms.Engine.tcache in
+    let s = Cms.stats tight in
     check cb
       (w.Suite.name ^ ": pressure exercised")
       true
-      (tc.Tcache.evicted >= 1 || tc.Tcache.flushes >= 1);
+      (s.Cms.Stats.tcache_evicted >= 1 || s.Cms.Stats.tcache_flushes >= 1);
     if Workloads.Progs_kernel.is_kernel w then begin
       (* Eviction moves commit boundaries, so timer delivery lands at
          different retired instants and the preemptive kernels take a

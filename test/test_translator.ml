@@ -53,10 +53,21 @@ let coldstart_programs () =
 
 let coldstart_inputs = lazy (List.concat_map of_workload (coldstart_programs ()))
 
+(* The checked-in fuzz cases, read relative to the working directory
+   (dune runs the suite in a copy of test/ that holds corpus/*.case).
+   A missing corpus fails here, by name, rather than as a short count
+   of captured compiles. *)
+let corpus_files () =
+  match Cms_fuzz.Corpus.files "corpus" with
+  | [] ->
+      Alcotest.failf "fuzz corpus %s is empty or missing"
+        (Filename.concat (Sys.getcwd ()) "corpus")
+  | files -> files
+
 let all_inputs =
   lazy
     (List.concat_map of_workload (Workloads.Catalog.all ())
-    @ List.concat_map of_case (Cms_fuzz.Corpus.files "corpus"))
+    @ List.concat_map of_case (corpus_files ()))
 
 let configs =
   let d = Cms.Config.default in
