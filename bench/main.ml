@@ -2,9 +2,10 @@
    evaluation (see DESIGN.md experiment index), plus bechamel
    microbenchmarks of the core mechanisms.
 
-     dune exec bench/main.exe            # everything
-     dune exec bench/main.exe -- fig2    # one experiment
-     dune exec bench/main.exe -- micro   # microbenchmarks only *)
+     dune exec bench/main.exe                 # everything
+     dune exec bench/main.exe -- fig2         # one experiment
+     dune exec bench/main.exe -- fig2 fig3    # several, in that order
+     dune exec bench/main.exe -- micro        # microbenchmarks only *)
 
 module Experiments = Workloads.Experiments
 module Trial = Cms_persist.Trial
@@ -735,57 +736,54 @@ let run_smoke () =
 
 (* ------------------------------------------------------------------ *)
 
-let all () =
-  run_fig2 ();
-  run_fig3 ();
-  run_table1 ();
-  run_selfcheck ();
-  run_selfreval ();
-  run_groups ();
-  run_flow ();
-  run_ablations ();
-  run_micro ();
-  run_hotpath ~json:false ();
-  run_persist ();
-  run_aot ~json:false ();
-  run_storm ~json:false ();
-  run_fleet ~json:false ()
+(* Every experiment by name, in the order [all] runs them; [all] skips
+   only [smoke], the CI gate.  The command line names any of them, in
+   any order, or [all]. *)
+let experiments ~json =
+  [
+    ("fig2", run_fig2);
+    ("fig3", run_fig3);
+    ("table1", run_table1);
+    ("selfcheck", run_selfcheck);
+    ("selfreval", run_selfreval);
+    ("groups", run_groups);
+    ("flow", run_flow);
+    ("ablations", run_ablations);
+    ("micro", run_micro);
+    ("hotpath", run_hotpath ~json);
+    ("persist", run_persist);
+    ("aot", run_aot ~json);
+    ("storm", run_storm ~json);
+    ("fleet", run_fleet ~json);
+    ("smoke", run_smoke);
+  ]
 
 let () =
-  let json =
-    Array.exists (fun a -> a = "--json") Sys.argv
+  let json = Array.exists (fun a -> a = "--json") Sys.argv in
+  let experiments = experiments ~json in
+  let all () =
+    List.iter (fun (name, run) -> if name <> "smoke" then run ()) experiments
   in
-  let sub =
+  let names =
     match
-      Array.to_list Sys.argv |> List.tl
-      |> List.filter (fun a -> a <> "--json")
+      Array.to_list Sys.argv |> List.tl |> List.filter (fun a -> a <> "--json")
     with
-    | [] -> "all"
-    | s :: _ -> s
+    | [] -> [ "all" ]
+    | l -> l
   in
-  match sub with
-  | "fig2" -> run_fig2 ()
-  | "fig3" -> run_fig3 ()
-  | "table1" -> run_table1 ()
-  | "selfcheck" -> run_selfcheck ()
-  | "selfreval" -> run_selfreval ()
-  | "groups" -> run_groups ()
-  | "flow" -> run_flow ()
-  | "ablations" -> run_ablations ()
-  | "micro" ->
-      run_micro ();
-      run_hotpath ~json ()
-  | "hotpath" -> run_hotpath ~json ()
-  | "persist" -> run_persist ()
-  | "aot" -> run_aot ~json ()
-  | "storm" -> run_storm ~json ()
-  | "fleet" -> run_fleet ~json ()
-  | "smoke" -> run_smoke ()
-  | "all" -> all ()
-  | other ->
-      Fmt.epr
-        "unknown experiment %S; one of: fig2 fig3 table1 selfcheck selfreval \
-         groups flow ablations micro hotpath persist aot storm fleet smoke \
-         all@."
-        other;
-      exit 1
+  (* resolve every name before running any: a typo late on the command
+     line must not cost the experiments before it *)
+  let runs =
+    List.map
+      (fun name ->
+        if name = "all" then all
+        else
+          match List.assoc_opt name experiments with
+          | Some run -> run
+          | None ->
+              Fmt.epr "unknown experiment %S; one of: %s all@." name
+                (String.concat " " (List.map fst experiments));
+              exit 1)
+      names
+  in
+  List.iter (fun run -> run ()) runs

@@ -53,13 +53,8 @@ let expected_rule = function
   | Early_read -> "latency"
 
 let copy (code : Vliw.Code.t) =
-  {
-    Vliw.Code.molecules = Array.map Array.copy code.Vliw.Code.molecules;
-    exits =
-      Array.map
-        (fun (e : Vliw.Code.exit) -> { e with Vliw.Code.chain = e.Vliw.Code.chain })
-        code.Vliw.Code.exits;
-  }
+  { code with
+    Vliw.Code.molecules = Array.map Array.copy code.Vliw.Code.molecules }
 
 let is_backward i = function
   | A.Br { target } | A.BrCond { target; _ } | A.BrCmp { target; _ } ->

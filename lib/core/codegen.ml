@@ -294,7 +294,6 @@ let zero_insn_code ~entry =
           Vliw.Code.target = Vliw.Code.Const entry;
           kind = Vliw.Code.Einterp_one;
           x86_retired = 0;
-          chain = Vliw.Code.NoChain;
         };
       |];
   }

@@ -16,7 +16,7 @@ type chaos = {
       (** called with the entry address at the top of every translation
           attempt, *inside* the containment boundary — raising here
           simulates translator/verifier death *)
-  pre_exec : Tcache.trans -> Vliw.Nexn.t option;
+  pre_exec : unit -> Vliw.Nexn.t option;
       (** consulted before a translation runs; [Some n] suppresses the
           execution and injects native fault [n] at the first molecule
           (a spurious rollback: the state is still at the commit
@@ -48,9 +48,10 @@ type t = {
           every translation run samples it, so no run builds it *)
   mutable on_boundary : (int -> unit) option;
       (** Test/fuzz hook, called with the retired-instruction count at
-          the top of every dispatch iteration — a consistent
-          architectural boundary in every configuration.  Raising IRQ
-          lines here makes them deliverable within the same iteration. *)
+          the top of every dispatch iteration — the one boundary between
+          translations, chained or not, and a consistent architectural
+          state.  Raising IRQ lines here makes them deliverable within
+          the same iteration. *)
   mutable chaos : chaos option;  (** fault injection; [None] = clean run *)
   mutable on_rollback : (unit -> unit) option;
       (** Stub: only perfbench/cmsbench.ml sets it; ROADMAP item 1 removes it. *)
@@ -83,10 +84,6 @@ type t = {
           translation (never one supplied by {!shared_source}) is
           installed, with the source bytes it was compiled from.  Exceptions escaping the hook are
           contained by {!translate}. *)
-  mutable insn_limit : int;
-      (** the active [run]'s [max_insns]; the chained fast path checks
-          it at every translation-to-translation boundary so a chained
-          loop stops exactly where the dispatcher would *)
   (* forward-progress watchdog state *)
   mutable stall_eip : int;  (** eip at the last dispatch iteration *)
   mutable last_retired : int;
@@ -162,7 +159,7 @@ let create ?on_diag ?(cfg = Config.default) plat =
       ticked = 0; irq_sample = 0; irq_poll = Fun.const false;
       on_boundary = None; chaos = None; on_rollback = None;
       shared_source = None; on_fresh_translation = None;
-      insn_limit = max_int; stall_eip = -1; last_retired = -1; stalls = 0 }
+      stall_eip = -1; last_retired = -1; stalls = 0 }
   in
   mem.Machine.Mem.on_smc <- (fun hit ~paddr ~len -> Smc.on_write smc hit ~paddr ~len);
   mem.Machine.Mem.on_dma_smc <- (fun ~ppn -> Smc.on_dma smc ~ppn);
@@ -455,9 +452,9 @@ let exec_code t (tr : Tcache.trans) =
       t.stats.Stats.closures_compiled <- t.stats.Stats.closures_compiled + 1;
       Vliw.Closure.run ~irq_pending:t.irq_poll c
 
-(* Run [tr] once.  Returns the successor translation when the exit
-   taken is a healthy [Chained] fast exit — the caller decides whether
-   the chained transfer actually happens (boundary checks). *)
+(* Run [tr] once.  Returns the translation its [Enext] exit is chained
+   to, linking the exit first if it was not — the dispatcher decides
+   whether the chained transfer actually happens. *)
 let run_translation_once t (tr : Tcache.trans) : Tcache.trans option =
   (* self-revalidation prologue *)
   if tr.Tcache.reval_armed then
@@ -478,7 +475,7 @@ let run_translation_once t (tr : Tcache.trans) : Tcache.trans option =
         | Some c -> (
             (* injected native fault: the state is still at the commit
                point, so this is exactly a fault at the first molecule *)
-            match c.pre_exec tr with
+            match c.pre_exec () with
             | Some n -> Vliw.Exec.Faulted n
             | None -> exec_code t tr)
         | None -> exec_code t tr
@@ -486,33 +483,24 @@ let run_translation_once t (tr : Tcache.trans) : Tcache.trans option =
       | Vliw.Exec.Exited i -> (
           let e = tr.Tcache.code.Vliw.Code.exits.(i) in
           match e.Vliw.Code.kind with
-          | Vliw.Code.Enext ->
-              (* chaining (§2): resolve an already-patched successor
-                 (one id lookup), else patch the exit to its target
-                 translation — the patch hands back the successor
-                 directly, so a fresh patch costs no extra lookup.  A
-                 healthy successor goes to the transfer loop instead of
-                 the dispatcher. *)
-              let succ =
-                match e.Vliw.Code.chain with
-                | Vliw.Code.Chained id -> Tcache.by_id t.tcache id
-                | _ -> None
-              in
-              (match succ with
-              | Some _ -> succ
-              | None -> (
+          | Vliw.Code.Enext -> (
+              (* chaining (§2): a linked exit names its successor, and
+                 following it saves the lookup charge; otherwise pay the
+                 lookup and link the exit to its target translation *)
+              match tr.Tcache.succ.(i) with
+              | Some s as succ when s.Tcache.valid -> succ
+              | _ -> (
                   t.stats.Stats.lookups <- t.stats.Stats.lookups + 1;
                   Stats.charge t.stats t.cfg.Config.lookup_cost;
                   match e.Vliw.Code.target with
                   | Vliw.Code.Const target when t.cfg.Config.enable_chaining
                     -> (
                       match Tcache.lookup t.tcache target with
-                      | Some t2 ->
-                          e.Vliw.Code.chain <- Vliw.Code.Chained t2.Tcache.id;
+                      | Some t2 as succ ->
                           Tcache.link ~src:tr ~exit_idx:i ~dst:t2;
                           t.stats.Stats.chain_patches <-
                             t.stats.Stats.chain_patches + 1;
-                          Some t2
+                          succ
                       | None -> None)
                   | _ -> None))
           | Vliw.Code.Einterp_one ->
@@ -552,43 +540,13 @@ let run_translation_once t (tr : Tcache.trans) : Tcache.trans option =
     succ
   end
 
-(* Run a translation, following healthy chained exits translation-to-
-   translation.  Each hop passes through a boundary that does exactly
-   what the dispatcher's loop top does — device ticks, the boundary
-   hook, run-limit / halt / interrupt / quarantine checks — minus the
-   tcache lookup the chain replaces; any failed check falls back to the
-   dispatcher, which re-derives everything from scratch.  A hop also
-   requires retired-instruction progress, so a chained cycle can never
-   bypass the forward-progress watchdog. *)
+(* Run a translation once; its chained successor counts only if
+   something retired, so a chained cycle can never bypass the
+   forward-progress watchdog. *)
 let run_translation t (tr : Tcache.trans) =
-  let rec go (tr : Tcache.trans) =
-    let before = retired t in
-    match run_translation_once t tr with
-    | None -> ()
-    | Some succ ->
-        tick_devices t;
-        (match t.on_boundary with None -> () | Some f -> f (retired t));
-        (* hooks (fuzz events, chaos storms, journal replay) may have
-           changed anything: re-check the successor and the world *)
-        if
-          retired t > before
-          && retired t < t.insn_limit
-          && (not t.cpu.Cpu.halted)
-          && (not (Cpu.irq_deliverable t.cpu))
-          && succ.Tcache.valid
-          && (not (Adapt.quarantined t.adapt succ.Tcache.entry))
-          && Cpu.committed_eip t.cpu = succ.Tcache.entry
-        then begin
-          (* the dispatcher's [Tcache.lookup] would refresh the
-             generation stamp; the chained path must too, or hot
-             successors look cold to the evictor *)
-          succ.Tcache.gen <- t.tcache.Tcache.cur_gen;
-          t.stats.Stats.chained_exits_taken <-
-            t.stats.Stats.chained_exits_taken + 1;
-          go succ
-        end
-  in
-  go tr
+  let before = retired t in
+  let succ = run_translation_once t tr in
+  if retired t > before then succ else None
 
 (* Can any device still wake a halted CPU? *)
 let wakeup_possible t =
@@ -625,7 +583,6 @@ type stop = Halted | Insn_limit
     and the host counters are synced on every exit, normal or
     exceptional. *)
 let run ?(max_insns = max_int) t =
-  t.insn_limit <- max_insns;
   Fun.protect
     ~finally:(fun () ->
       t.stats.Stats.x86_translated <- (perf t).Vliw.Perf.x86_committed;
@@ -633,7 +590,11 @@ let run ?(max_insns = max_int) t =
   @@ fun () ->
   let continue_ = ref true in
   let result = ref Halted in
+  (* the chained successor of the translation run last *)
+  let next = ref None in
   while !continue_ do
+    let succ = !next in
+    next := None;
     tick_devices t;
     (match t.on_boundary with None -> () | Some f -> f (retired t));
     if retired t >= max_insns then begin
@@ -680,8 +641,20 @@ let run ?(max_insns = max_int) t =
         ignore (Interp.step t.interp)
       end
       else
-        match Tcache.lookup t.tcache eip with
-        | Some tr -> run_translation t tr
+        (* a chained exit saves the lookup, nothing else: the successor
+           still passes every check above and runs only while it is
+           valid and enters at the committed eip *)
+        match
+          match succ with
+          | Some s when s.Tcache.valid && s.Tcache.entry = eip ->
+              t.stats.Stats.chained_exits_taken <-
+                t.stats.Stats.chained_exits_taken + 1;
+              succ
+          | _ -> Tcache.lookup t.tcache eip
+        with
+        | Some tr ->
+            Tcache.stamp t.tcache tr;
+            next := run_translation t tr
         | None ->
             let counter = Profile.counter t.profile eip in
             if
@@ -689,7 +662,7 @@ let run ?(max_insns = max_int) t =
               || !counter >= t.cfg.Config.translate_threshold
             then
               match translate t eip with
-              | Some tr -> run_translation t tr
+              | Some tr -> next := run_translation t tr
               | None ->
                   (* containment fallback / quarantined mid-check *)
                   ignore (Interp.step t.interp)

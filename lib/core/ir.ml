@@ -81,7 +81,7 @@ let emit_label t l = t.items <- Lbl l :: t.items
 let add_exit t ~target ~kind ~x86_retired =
   let idx = List.length t.exits in
   t.exits <-
-    { Vliw.Code.target; kind; x86_retired; chain = Vliw.Code.Unchained } :: t.exits;
+    { Vliw.Code.target; kind; x86_retired } :: t.exits;
   idx
 
 let items t = List.rev t.items

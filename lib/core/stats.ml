@@ -79,8 +79,8 @@ type t = {
   mutable closures_compiled : int;
       (** translations closure-compiled at first dispatch *)
   mutable chained_exits_taken : int;
-      (** translation-to-translation transfers that bypassed the
-          dispatcher through a patched [Chained] exit *)
+      (** dispatches that ran the successor a linked exit named,
+          instead of looking the committed EIP up in the tcache *)
   mutable chain_unlinks_evict : int;
       (** chained exits unlinked because a translation died to
           generational eviction, capacity flush or replacement *)

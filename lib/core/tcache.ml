@@ -1,7 +1,10 @@
 (** The translation cache.
 
-    Holds translation records indexed by x86 entry address, by id (for
-    chain resolution), and by physical page (for SMC invalidation).
+    Holds translation records indexed by x86 entry address, by id (the
+    set of held records), and by physical page (for SMC invalidation).
+    A record owns its chain links (paper §2): one successor per exit of
+    its code, which stays immutable.
+
     Translation groups (paper §3.6.5) keep translations that SMC, DMA
     or a failed self-check invalidated, parked under their entry: code
     that flips between versions (the Windows/9X BLT driver, Quake's
@@ -14,8 +17,10 @@
 
     Under capacity pressure the cache degrades gracefully: records are
     stamped with a generation that advances as insertions accumulate and
-    is refreshed on every dispatch hit, and the cache evicts the coldest
-    generations first — hot entries and their groups survive.  The
+    is refreshed by {!stamp} when the dispatcher runs the record from
+    the cache ({!lookup} itself is a pure query), and the cache evicts
+    the coldest generations first — hot entries and their groups
+    survive.  The
     all-or-nothing full flush (what the seed did, and the simplest of
     the garbage collection policies real systems use) is retained as the
     last resort when every held record is current-generation.
@@ -50,7 +55,9 @@ type trans = {
           self-checking and self-revalidating translations compare the
           live code against *)
   mutable valid : bool;
-  mutable gen : int;  (** generation stamp; refreshed on dispatch hits *)
+  mutable gen : int;
+      (** generation stamp: current at insert and group reactivation,
+          refreshed by {!stamp} *)
   mutable execs : int;
   (* adaptive-retranslation counters (per fault class) *)
   mutable spec_faults : int;
@@ -68,16 +75,21 @@ type trans = {
           exactly like a dynamic translation, only the accounting
           differs *)
   mutable compiled : comp;
+  succ : trans option array;
+      (** chain links, one per exit of [code]: [Some] of the translation
+          a patched [Enext] exit continues at, which the dispatcher runs
+          without a lookup while it is valid and enters at the committed
+          EIP.  Written by {!link}, cleared by the unlink paths *)
   mutable in_links : (trans * int) list;
-      (** reverse chain index: predecessors whose exit [(src, i)] is
-          patched [Chained] to this record.  Best-effort bookkeeping —
-          every chained transfer revalidates the successor, so
-          correctness never rests on this list; it exists so
-          invalidation can tear links down eagerly and count why. *)
+      (** reverse chain index: predecessors whose [succ.(i)] for
+          [(src, i)] is this record.  Best-effort bookkeeping — the
+          dispatcher revalidates every successor, so correctness never
+          rests on this list; it exists so invalidation can tear links
+          down eagerly and count why. *)
   self : trans option;
       (** [Some] of this record, built once at insert: {!lookup} and
-          {!by_id} run on every dispatch and chained exit, and hand it
-          out instead of allocating a fresh option each time *)
+          {!link} hand it out instead of allocating a fresh option on
+          every dispatch and chain patch *)
 }
 
 type t = {
@@ -133,18 +145,16 @@ let find_valid tbl key =
 (** Held records: valid translations plus parked group members. *)
 let count t = Hashtbl.length t.by_id
 
+(** The valid translation entered at [entry], if any.  A pure query:
+    only the dispatcher refreshes a record's generation, by {!stamp}. *)
 let lookup t entry =
   (* checked once per dispatch; skip the hash while nothing is cached
      (the interpreter-warmup phase) *)
-  if Hashtbl.length t.by_entry = 0 then None
-  else
-    match find_valid t.by_entry entry with
-    | Some tr as found ->
-        tr.gen <- t.cur_gen;
-        found
-    | None -> None
+  if Hashtbl.length t.by_entry = 0 then None else find_valid t.by_entry entry
 
-let by_id t id = find_valid t.by_id id
+(** Mark [tr] current-generation: the dispatcher is about to run it, so
+    it is hot, not a candidate for the next eviction. *)
+let stamp t tr = tr.gen <- t.cur_gen
 
 (* ------------------------------------------------------------------ *)
 (* Chained-exit link bookkeeping                                       *)
@@ -159,9 +169,10 @@ let count_unlink t cause =
   | Uaot -> s.Stats.chain_unlinks_aot <- s.Stats.chain_unlinks_aot + 1
   | Uchaos -> s.Stats.chain_unlinks_chaos <- s.Stats.chain_unlinks_chaos + 1
 
-(** Record that [src]'s exit [exit_idx] is now [Chained] to [dst], so
-    [dst]'s death can tear the link down eagerly. *)
+(** Chain [src]'s exit [exit_idx] to [dst], and record the reverse
+    link so [dst]'s death can tear it down eagerly. *)
 let link ~src ~exit_idx ~dst =
+  src.succ.(exit_idx) <- dst.self;
   if
     not
       (List.exists
@@ -175,17 +186,16 @@ let link ~src ~exit_idx ~dst =
 let cause_for tr cause = if tr.aot then Uaot else cause
 
 (* Detach every predecessor exit still chained to [tr].  Parked and
-   already-dead predecessors are unlinked too: their exits would fail
-   the by-id revalidation at next dispatch anyway, so this changes no
+   already-dead predecessors are unlinked too: their links would fail
+   the validity check at next dispatch anyway, so this changes no
    costs, only reclaims the bookkeeping. *)
 let unlink_incoming t tr ~cause =
   let cause = cause_for tr cause in
   List.iter
     (fun (src, i) ->
-      let e = src.code.Vliw.Code.exits.(i) in
-      match e.Vliw.Code.chain with
-      | Vliw.Code.Chained id when id = tr.id ->
-          e.Vliw.Code.chain <- Vliw.Code.Unchained;
+      match src.succ.(i) with
+      | Some s when s == tr ->
+          src.succ.(i) <- None;
           count_unlink t cause
       | _ -> ())
     tr.in_links;
@@ -216,14 +226,13 @@ let flush t =
      the exit that held it) *)
   Hashtbl.iter
     (fun _ tr ->
-      Array.iter
-        (fun (e : Vliw.Code.exit) ->
-          match e.Vliw.Code.chain with
-          | Vliw.Code.Chained _ ->
-              e.Vliw.Code.chain <- Vliw.Code.Unchained;
-              count_unlink t (cause_for tr Uevict)
-          | _ -> ())
-        tr.code.Vliw.Code.exits;
+      Array.iteri
+        (fun i s ->
+          if Option.is_some s then begin
+            tr.succ.(i) <- None;
+            count_unlink t (cause_for tr Uevict)
+          end)
+        tr.succ;
       tr.in_links <- [])
     t.by_id;
   Hashtbl.iter (fun _ tr -> tr.valid <- false) t.by_id;
@@ -369,6 +378,7 @@ let insert ?(unprotected = false) ?(aot = false) t ~entry ~code ~region ~policy
       unprotected;
       aot;
       compiled = Not_compiled;
+      succ = Array.make (Array.length code.Vliw.Code.exits) None;
       in_links = [];
       self = Some tr;
     }
@@ -448,14 +458,10 @@ let chained_exits t =
   Hashtbl.fold
     (fun _ tr acc ->
       if tr.valid then begin
-        let exits = tr.code.Vliw.Code.exits in
         let acc = ref acc in
         Array.iteri
-          (fun i (e : Vliw.Code.exit) ->
-            match e.Vliw.Code.chain with
-            | Vliw.Code.Chained _ -> acc := (tr, i) :: !acc
-            | _ -> ())
-          exits;
+          (fun i s -> if Option.is_some s then acc := (tr, i) :: !acc)
+          tr.succ;
         !acc
       end
       else acc)
@@ -471,6 +477,6 @@ let unlink_nth t ~k =
   | [] -> false
   | l ->
       let tr, i = List.nth l (k mod List.length l) in
-      tr.code.Vliw.Code.exits.(i).Vliw.Code.chain <- Vliw.Code.Unchained;
+      tr.succ.(i) <- None;
       count_unlink t Uchaos;
       true

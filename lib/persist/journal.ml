@@ -279,7 +279,7 @@ let install_schedule ?record (c : Cms.t) (schedule : schedule) =
         Cms.Engine.on_translate =
           (fun entry -> if translate () <> [] then raise (Injected entry));
         pre_exec =
-          (fun _tr ->
+          (fun () ->
             List.find_map
               (function
                 | Pre_fault { alias; _ } ->

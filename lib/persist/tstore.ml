@@ -10,10 +10,11 @@
 
     - Entries are *serialized blobs*, not shared mutable values, and
       {!encode} is the only function that makes one.  Every consumer
-      decodes a private copy (fresh molecules, fresh exit records,
-      [Unchained] chain state), so no machine ever holds a reference
-      into another machine's translation — SMC, chaining, or plain
-      memory corruption on the publisher cannot reach a consumer
+      decodes a private copy (fresh molecules and exit records; chain
+      links live in the consumer's own tcache record, never in the
+      code), so no machine ever holds a reference into another
+      machine's translation — SMC, chaining, or plain memory
+      corruption on the publisher cannot reach a consumer
       retroactively.
     - The key is the canonical compile input: entry address, MD5 of the
       region's source bytes, MD5 of the serialized policy.  A machine
@@ -327,9 +328,11 @@ let w_exit b (e : Vliw.Code.exit) =
     | Vliw.Code.Einterp_one -> 1
     | Vliw.Code.Eselfcheck_fail -> 2);
   Codec.w_int b e.Vliw.Code.x86_retired;
-  (* chaining state is engine-local: normalize to the unchained /
-     never-chain distinction so image bytes are deterministic *)
-  Codec.w_bool b (e.Vliw.Code.chain = Vliw.Code.NoChain)
+  (* A reserved byte, always 0.  It once held a never-chain flag; code
+     no longer carries chain state, and keeping the byte keeps the
+     TSTO and AOTC formats (and every store and image pin) as they
+     were. *)
+  Codec.w_bool b false
 
 let r_exit r : Vliw.Code.exit =
   let target =
@@ -346,13 +349,8 @@ let r_exit r : Vliw.Code.exit =
     | t -> Codec.corrupt "tstore: bad exit kind tag %d" t
   in
   let x86_retired = Codec.r_int r in
-  let nochain = Codec.r_bool r in
-  {
-    Vliw.Code.target;
-    kind;
-    x86_retired;
-    chain = (if nochain then Vliw.Code.NoChain else Vliw.Code.Unchained);
-  }
+  if Codec.r_bool r then Codec.corrupt "tstore: reserved exit byte is not 0";
+  { Vliw.Code.target; kind; x86_retired }
 
 let w_molecule b (m : Vliw.Molecule.t) =
   Codec.w_int b (Array.length m);

@@ -2,18 +2,13 @@
 
     Branch targets inside [molecules] are molecule indices.  Exits
     describe how control leaves the block: the next x86 EIP (constant,
-    or read from a register for indirect flow), how many x86
-    instructions retired on the path to this exit, and the mutable
-    chaining state the CMS dispatcher maintains (paper §2: exits start
-    on the "no chain" path and are patched to branch directly to the
-    next translation once it exists). *)
+    or read from a register for indirect flow), what the dispatcher
+    does there, and how many x86 instructions retired on the path to
+    this exit.  A block is immutable once built: the links that let an
+    exit skip the dispatcher's lookup (paper §2) belong to the
+    translation cache's record of the block, not to the code. *)
 
 type target = Const of int | FromReg of Atom.reg
-
-type chain_state =
-  | Unchained  (** not yet linked; dispatcher does a lookup *)
-  | Chained of int  (** linked to translation id *)
-  | NoChain  (** never chain (e.g. indirect branches, interp exits) *)
 
 type exit_kind =
   | Enext  (** continue at the target EIP *)
@@ -27,7 +22,6 @@ type exit = {
   target : target;
   kind : exit_kind;
   x86_retired : int;  (** x86 instructions completed on this path *)
-  mutable chain : chain_state;
 }
 
 type t = { molecules : Molecule.t array; exits : exit array }

@@ -480,6 +480,13 @@ let test_one_rejection_table () =
         { e with P.Tstore.blob = flip e.P.Tstore.blob 20 },
         "blob digest mismatch" );
       ("trailing bytes", fresh (e.P.Tstore.blob ^ "\000"), "trailing bytes");
+      (* the last exit's reserved byte, just before [unprotected] *)
+      ( "reserved exit byte set",
+        fresh
+          (let b = Bytes.of_string e.P.Tstore.blob in
+           Bytes.set b (Bytes.length b - 2) '\001';
+           Bytes.to_string b),
+        "reserved exit byte" );
       ("wrong entry", other, "blob is for entry");
       ( "changed source bytes",
         remint

@@ -1,11 +1,14 @@
 (* Closure-compiled molecules and direct block chaining.
 
    Following a chained exit claims to be observationally invisible:
-   it skips the dispatcher's lookup and nothing else.  The
-   differential suite pins that claim over the whole workload corpus
-   against the unchained dispatcher path; the unit cases pin every
-   unlink edge of the chain bookkeeping (eviction, SMC, chaos storms);
-   the AOT case pins that chained exits ship unchained and re-chain
+   the link lives in the tcache record, every chained hop passes
+   through the one dispatch boundary, and the link saves the
+   dispatcher's lookup and nothing else.  The differential suite pins
+   that claim over the whole workload corpus against the unchained
+   dispatcher path, and again under seeded chaos schedules, whose
+   boundary events see every hop; the unit cases pin every unlink edge
+   of the chain bookkeeping (eviction, SMC, chaos storms); the AOT case
+   pins that installed translations start unlinked and re-chain
    locally; the fuzz and chaos slices keep the generated-program
    oracle honest on the one execution path, closures with chained
    exits.  Guest-visible decisions of every corpus workload on that
@@ -78,6 +81,43 @@ let differential_tests =
     (fun w -> Alcotest.test_case w.Suite.name `Slow (differential w))
     (Workloads.Catalog.all ())
 
+(* The same differential under a seeded chaos schedule (the storm
+   campaign's: scrambled capacities plus flush, evict and unlink storms,
+   pre-faults, translator deaths and spoofed polls).  Boundary events
+   are counted per dispatch boundary and evictions read generation
+   stamps, so the two runs see the same adversity only if a chained hop
+   crosses exactly the boundary an unchained one does and stamps
+   exactly what the dispatcher stamps. *)
+let chaos_differential (w : Suite.t) seed () =
+  let run chaining =
+    let cfg, ch =
+      Cms_robust.Storm.chaos_of_seed seed
+        { Cms.Config.default with
+          Cms.Config.lookup_cost = 0; enable_chaining = chaining }
+    in
+    let c = Suite.prepare ~cfg w in
+    Cms_robust.Chaos.install ch c;
+    Suite.run_prepared w c
+  in
+  let chained = run true and unchained = run false in
+  check cb
+    (Fmt.str "%s, chaos seed %d: chain off identical" w.Suite.name seed)
+    true
+    (digest chained = digest unchained);
+  Cms.release chained;
+  Cms.release unchained
+
+let chaos_differential_tests =
+  List.concat_map
+    (fun name ->
+      let w = Option.get (Workloads.Catalog.find name) in
+      List.map
+        (fun seed ->
+          Alcotest.test_case (Fmt.str "%s, seed %d" name seed) `Slow
+            (chaos_differential w seed))
+        [ 1; 2; 3 ])
+    [ "023.eqntott (Linux)"; "Packet Echo Kernel"; "RR Kernel" ]
+
 (* ------------------------------------------------------------------ *)
 (* Chain bookkeeping (unit level, synthetic records)                   *)
 (* ------------------------------------------------------------------ *)
@@ -97,13 +137,14 @@ let insert tc ~entry =
     ~policy:(Cms.Policy.default Cms.Config.default)
     ~src:Bytes.empty
 
-let exit0 (tr : Tcache.trans) = tr.Tcache.code.Vliw.Code.exits.(0)
+(* What the engine's patch path does: link the exit and record the
+   reverse link for eager teardown. *)
+let chain a b = Tcache.link ~src:a ~exit_idx:0 ~dst:b
 
-(* What the engine's patch path does: mark the exit chained and record
-   the reverse link for eager teardown. *)
-let chain a b =
-  (exit0 a).Vliw.Code.chain <- Vliw.Code.Chained b.Tcache.id;
-  Tcache.link ~src:a ~exit_idx:0 ~dst:b
+let unlinked (tr : Tcache.trans) = Option.is_none tr.Tcache.succ.(0)
+
+let linked_to (tr : Tcache.trans) (dst : Tcache.trans) =
+  match tr.Tcache.succ.(0) with Some s -> s == dst | None -> false
 
 let test_unlink_on_eviction () =
   let s = Cms.Stats.create () in
@@ -113,8 +154,7 @@ let test_unlink_on_eviction () =
   check ci "one chained exit" 1 (List.length (Tcache.chained_exits tc));
   (* the eviction path: drop [b] from the cache *)
   Tcache.invalidate tc b;
-  check cb "a's exit unchained" true
-    ((exit0 a).Vliw.Code.chain = Vliw.Code.Unchained);
+  check cb "a's exit unchained" true (unlinked a);
   check ci "counted under eviction" 1 s.Cms.Stats.chain_unlinks_evict;
   check ci "no chained exits left" 0 (List.length (Tcache.chained_exits tc));
   (* idempotent: the link is gone, a second death cannot recount it *)
@@ -128,8 +168,7 @@ let test_unlink_on_smc () =
   chain a b;
   (* the SMC path: a code write invalidates [b] through the Smc layer *)
   Cms.Smc.invalidate c.Cms.Engine.smc b;
-  check cb "a's exit unchained" true
-    ((exit0 a).Vliw.Code.chain = Vliw.Code.Unchained);
+  check cb "a's exit unchained" true (unlinked a);
   check ci "counted under smc" 1 s.Cms.Stats.chain_unlinks_smc;
   check ci "not counted under eviction" 0 s.Cms.Stats.chain_unlinks_evict
 
@@ -143,8 +182,7 @@ let test_flush_unlinks_all () =
   Tcache.flush tc;
   check ci "both counted under eviction" 2 s.Cms.Stats.chain_unlinks_evict;
   check cb "exits reset" true
-    ((exit0 a).Vliw.Code.chain = Vliw.Code.Unchained
-    && (exit0 b).Vliw.Code.chain = Vliw.Code.Unchained)
+    (unlinked a && unlinked b)
 
 let test_unlink_nth () =
   let s = Cms.Stats.create () in
@@ -155,14 +193,12 @@ let test_unlink_nth () =
   chain b a;
   (* canonical order is (id, exit): k = 1 names b's exit *)
   check cb "cut something" true (Tcache.unlink_nth tc ~k:1);
-  check cb "b's exit cut" true
-    ((exit0 b).Vliw.Code.chain = Vliw.Code.Unchained);
+  check cb "b's exit cut" true (unlinked b);
   check cb "a's exit intact" true
-    ((exit0 a).Vliw.Code.chain = Vliw.Code.Chained b.Tcache.id);
+    (linked_to a b);
   (* selection wraps modulo the live link count *)
   check cb "cut the survivor" true (Tcache.unlink_nth tc ~k:5);
-  check cb "a's exit cut too" true
-    ((exit0 a).Vliw.Code.chain = Vliw.Code.Unchained);
+  check cb "a's exit cut too" true (unlinked a);
   check ci "both counted under chaos" 2 s.Cms.Stats.chain_unlinks_chaos;
   check cb "nothing left to cut" false (Tcache.unlink_nth tc ~k:0)
 
@@ -175,7 +211,7 @@ let unit_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* AOT round trip: chained exits ship as Unchained, re-chain locally   *)
+(* AOT round trip: installed translations start unlinked, re-chain    *)
 (* ------------------------------------------------------------------ *)
 
 let test_aot_chain_reset () =
@@ -249,4 +285,5 @@ let suites =
     ("chain.aot", aot_tests);
     ("chain.fuzz", fuzz_tests);
     ("chain.differential", differential_tests);
+    ("chain.chaos-differential", chaos_differential_tests);
   ]

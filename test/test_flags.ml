@@ -564,8 +564,7 @@ let random_alu_block st =
         [| [| Atom.Exit 0 |] |];
     exits =
       [|
-        { Code.target = Code.Const 0; kind = Code.Enext; x86_retired = 0;
-          chain = Code.Unchained };
+        { Code.target = Code.Const 0; kind = Code.Enext; x86_retired = 0 };
       |];
   }
 

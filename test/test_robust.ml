@@ -375,12 +375,14 @@ let test_capacity_degradation () =
   check cb "colder generations evicted" true (s.Cms.Stats.tcache_evicted >= 1);
   check ci "no full flush while colder work exists" 0 s.Cms.Stats.tcache_flushes;
   (* last resort: when every held record is current-generation (all
-     refreshed by dispatch hits), only the full flush can make room *)
+     stamped as the dispatcher stamps what it runs), only the full
+     flush can make room; a lookup alone stamps nothing *)
   let tc2 = Tcache.create ~capacity:2 ~stats:(Cms.Stats.create ()) in
-  ignore (insert tc2 ~entry:0x1000);
-  ignore (insert tc2 ~entry:0x2000);
+  let a = insert tc2 ~entry:0x1000 and b = insert tc2 ~entry:0x2000 in
   ignore (Tcache.lookup tc2 0x1000);
-  ignore (Tcache.lookup tc2 0x2000);
+  check ci "lookup leaves the generation" 0 a.Tcache.gen;
+  Tcache.stamp tc2 a;
+  Tcache.stamp tc2 b;
   ignore (insert tc2 ~entry:0x3000);
   check ci "full flush as last resort" 1
     tc2.Tcache.stats.Cms.Stats.tcache_flushes;
@@ -511,7 +513,11 @@ let test_chaos_campaign_deterministic () =
 (* Every journal [Oracle.record] writes for the first 20 chaos cases of
    the seed-5 record/replay slice.  (Re-pinned for journal version 8,
    whose CONF lost the fixed budgets and charges; the events did not
-   move.) *)
+   move.  Re-pinned again when chained hops began to go through the
+   dispatch loop: a dispatch boundary is now one [Boundary] opportunity
+   however control arrived, where a chained hop that failed its checks
+   used to count two, and chaos evictions read generations stamped only
+   at dispatch.) *)
 let test_oracle_schedule_pin () =
   let root = Srng.create 5 in
   let b = Buffer.create 4096 in
@@ -526,11 +532,12 @@ let test_oracle_schedule_pin () =
       (Journal.to_string rec_.Cms_persist.Trial.journal)
   done;
   Alcotest.(check string)
-    "journals" "b62295b8be25d662e71b75e10f8dea92"
+    "journals" "d9dd1d46469a5cab6e3a7063d86a32a0"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 (* The host events fired into the packet-echo kernel armed with the
-   storm campaign's seed-1 chaos. *)
+   storm campaign's seed-1 chaos.  (Re-pinned, 11 456 → 10 697 events,
+   for the same reason as the journals above.) *)
 let test_storm_schedule_pin () =
   let module Storm = Cms_robust.Storm in
   let module Trial = Cms_persist.Trial in
@@ -543,9 +550,9 @@ let test_storm_schedule_pin () =
       ~setup:(Chaos.install ~record:(fun ev -> fired := ev :: !fired) ch)
   in
   check cb "halted" true (o.Trial.stop = Trial.Halted);
-  check ci "events" 11456 (List.length !fired);
+  check ci "events" 10697 (List.length !fired);
   Alcotest.(check string)
-    "host events" "34f05c76ffb8a518ec7c2a229bfe4050"
+    "host events" "d932abf6ec22b19525a7885e53d3540b"
     (Digest.to_hex
        (Digest.string
           (String.concat ";"

@@ -62,7 +62,6 @@ let clean_code () =
       [|
         {
           C.target = C.Const 0x1010; kind = C.Enext; x86_retired = 3;
-          chain = C.Unchained;
         };
       |];
   }
@@ -148,8 +147,7 @@ let block molecules =
     C.molecules = Array.of_list (List.map Array.of_list molecules);
     exits =
       [|
-        { C.target = C.Const 0; kind = C.Enext; x86_retired = 0;
-          chain = C.Unchained };
+        { C.target = C.Const 0; kind = C.Enext; x86_retired = 0 };
       |];
   }
 

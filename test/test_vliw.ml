@@ -25,7 +25,6 @@ let code ?(exits = 1) molecules =
             Code.target = Code.Const 0;
             kind = Code.Enext;
             x86_retired = 0;
-            chain = Code.Unchained;
           });
   }
 
